@@ -24,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .certify import certificate_to_json, certify_end_to_end
+from .certify import certificate_to_json, certify_end_to_end, growth_exponent
 from .domain import (
     DomainMismatchError,
     GridDomain,
     GridFunction,
     content_hash,
+    jsonable,
     load_grid_function,
     make_grid,
     norm as _norm,
@@ -75,7 +76,7 @@ from .specineq import curve_to_csv, curve_to_json, fit_growth, spectral_constant
 
 __all__ = ["RunConfig", "ResultDocument", "run", "payload_json", "document_to_json", "main"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 COMMANDS = ("check-thick", "spectral-constant", "certify", "feedback-build", "simulate", "probe")
 
 
@@ -107,23 +108,6 @@ def payload_json(doc: ResultDocument) -> str:
 
 def document_to_json(doc: ResultDocument) -> str:
     return json.dumps(dataclasses.asdict(doc), sort_keys=True, indent=2)
-
-
-def _jsonable(x):
-    """Builtin-type mirror of x; non-finite floats become repr strings."""
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        x = x.item()
-    if isinstance(x, float):
-        return x if np.isfinite(x) else repr(x)
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +220,6 @@ def parse_operator(kind: str, args) -> tuple:
 # dispatch
 
 
-def _growth_exponent_for(spec) -> float:
-    return 1.0 / spec.s if isinstance(spec, FractionalLaplacian) else 2.0
-
-
 def _thickness_outputs(e, options):
     lengths = options["lengths"]
     report = check_thick(e, lengths)
@@ -275,7 +255,6 @@ def _recurrence_json(rep):
         "max_violation": rep.max_violation,
         "max_violation_rel": rep.max_violation_rel,
         "worst_tau": rep.worst_tau,
-        "subintervals": {repr(float(k)): v for k, v in rep.subintervals.items()},
         "passed": rep.passed,
     }
 
@@ -289,7 +268,6 @@ def _observability_json(rep):
         "seed": rep.seed,
         "min_margin": rep.min_margin,
         "min_margin_rel": rep.min_margin_rel,
-        "subintervals": rep.subintervals,
         "observation_integrals": list(rep.observation_integrals),
         "passed": rep.passed,
     }
@@ -349,8 +327,8 @@ def _feedback_outputs(spec, domain, e, options, cache_dir):
             "kind": "finite-rank",
             "rho": fb.rho,
             "unstable_count": fb.unstable_count,
-            "gram": _jsonable(np.real_if_close(fb.gram)),
-            "gram_inverse": _jsonable(np.real_if_close(fb.gram_inverse)),
+            "gram": jsonable(np.real_if_close(fb.gram)),
+            "gram_inverse": jsonable(np.real_if_close(fb.gram_inverse)),
             "gram_cond": fb.gram_cond,
             "norm_bound": feedback_norm_bound(fb),
         }
@@ -466,7 +444,7 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
         dec = diagonalize(spec, domain, cache_dir=cache_dir)
         curve = spectral_constant_curve(dec, e, options["thresholds"])
         if all(np.isfinite(curve.constants)):
-            fit = fit_growth(curve, "ExpPower", a=_growth_exponent_for(spec))
+            fit = fit_growth(curve, "ExpPower", a=growth_exponent(spec))
             curve = dataclasses.replace(curve, fit=fit)
         outputs = {"curve": curve_to_json(curve)}
         side_files["curve.csv"] = curve_to_csv(curve)
@@ -496,9 +474,9 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
     doc = ResultDocument(
         schema_version=SCHEMA_VERSION,
         command=command,
-        config=_jsonable(dataclasses.asdict(config)),
+        config=jsonable(dataclasses.asdict(config)),
         input_hashes=hashes,
-        outputs=_jsonable(outputs),
+        outputs=jsonable(outputs),
         version=__version__,
         timing={"wall_seconds": time.perf_counter() - started},
     )

@@ -37,6 +37,7 @@ __all__ = [
     "save_grid_function",
     "load_grid_function",
     "content_hash",
+    "jsonable",
 ]
 
 
@@ -265,6 +266,23 @@ def load_grid_function(path) -> GridFunction:
     domain = domain_from_header(header)
     vals = np.frombuffer(buf, dtype=header["dtype"]).reshape(domain.shape)
     return GridFunction(domain, vals)
+
+
+def jsonable(x):
+    """Builtin-type mirror of x; non-finite floats become repr strings."""
+    if isinstance(x, (np.floating, np.integer, np.bool_)):
+        x = x.item()
+    if isinstance(x, float):
+        return x if np.isfinite(x) else repr(x)
+    if isinstance(x, (bool, int, str)) or x is None:
+        return x
+    if isinstance(x, np.ndarray):
+        return jsonable(x.tolist())
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------

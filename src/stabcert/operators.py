@@ -44,7 +44,6 @@ __all__ = [
     "Schrodinger",
     "OperatorSpec",
     "SpectralDecomposition",
-    "Projection",
     "DissipativeReport",
     "HermiteBasis",
     "diagonalize",
@@ -64,6 +63,10 @@ __all__ = [
 
 _DENSE_CELL_LIMIT = 4096
 _RESIDUAL_TOL = 1e-8
+# entries per column block of the eigen residual H U - U diag(w); a block is
+# 16 MB at most, small next to H and U, and 512 columns at 4096 cells keep
+# the re-reads of H cheap
+_RESIDUAL_BLOCK_ENTRIES = 1 << 21
 # entries below this fraction of a column's peak do not decide its sign
 _SIGN_RTOL = 1e-8
 # version of the sign convention of cached dense eigenvectors; a cached
@@ -150,17 +153,6 @@ class SpectralDecomposition:
                 arr = np.asarray(arr)
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Spectral projection onto the eigenspaces with eigenvalue <= threshold."""
-
-    decomposition: SpectralDecomposition
-    threshold: float
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        return project(self.decomposition, self.threshold, f)
 
 
 @dataclass(frozen=True)
@@ -275,19 +267,25 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         H = np.kron(K1, eye) + np.kron(eye, K1) + np.diag(potential.ravel())
     w, U = _dense_eigh(H)
     _canonicalize_signs(U)
-    vectors = U / np.sqrt(domain.cell_volume)
 
-    resid = H @ U - U * w
-    scale = np.maximum(1.0, np.abs(w))
-    max_residual = float((np.linalg.norm(resid, axis=0) / scale).max())
+    n = U.shape[0]
+    block = max(1, _RESIDUAL_BLOCK_ENTRIES // n)
+    resid_norms = np.empty(n)
+    for j in range(0, n, block):
+        cols = U[:, j : j + block]
+        resid = H @ cols
+        resid -= cols * w[j : j + block]
+        resid_norms[j : j + block] = np.linalg.norm(resid, axis=0)
+    max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
     if max_residual > _RESIDUAL_TOL:
         raise RuntimeError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")
+    U /= np.sqrt(domain.cell_volume)
     return SpectralDecomposition(
         spec=spec,
         domain=domain,
         basis_kind="Dense",
         eigenvalues=w,
-        vectors=vectors,
+        vectors=U,
         max_residual=max_residual,
     )
 

@@ -22,9 +22,10 @@ normalized), whose modal flow e^{(c-n)t} Phi0 is exact, so every quantity
 in the test has a closed form.
 
 All violation verdicts are rendered against the discretized semigroup
-itself, with the same Simpson treatment of the observation integral used by
-the certificate checks; the kernel-rescaling shortcut only feeds the
-auxiliary local-mass bounds.
+itself, with the exact observation integrals of the certificate checks
+(certify.observation_integrals); the kernel-rescaling shortcut only feeds
+the auxiliary local-mass bounds, whose time integral is a fixed composite
+Simpson rule.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .certify import _observation_integrals, _simpson_nodes
+from .certify import observation_integrals
 from .domain import GridDomain, GridFunction, from_callable, norm as _norm, restrict_norm
 from .geometry import SetIndicator
 from .operators import FractionalLaplacian, ShiftedHermite, SpectralDecomposition, to_coefficients
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 _KERNEL_CACHE: dict = {}
+# composite Simpson subintervals of the time integral in observation_tail
+_TAIL_SUBINTERVALS = 128
 
 
 @dataclass(frozen=True)
@@ -218,16 +221,22 @@ class TailProfile:
     peak_density: float
 
 
-def observation_tail(probe: KernelProbe, T: float, subintervals: int = 128) -> TailProfile:
+def observation_tail(probe: KernelProbe, T: float) -> TailProfile:
     """Time-integrated probe mass beyond each grid radius from the center.
 
-    tail(L) = int_0^T int_{|x - x0| > L} |u|^2 dx dt by Simpson in time and
-    the grid sum in space; decreasing in L and vanishing at the box scale.
-    peak_density is max_x int_0^T |u(t, x)|^2 dt, the constant that converts
-    mass bounds into measure bounds.
+    tail(L) = int_0^T int_{|x - x0| > L} |u|^2 dx dt by composite Simpson
+    in time (the analytic rescaled kernel, not the grid semigroup, so there
+    is no spectral closed form) and the grid sum in space; decreasing in L
+    and vanishing at the box scale.  peak_density is
+    max_x int_0^T |u(t, x)|^2 dt, the constant that converts mass bounds
+    into measure bounds.
     """
     domain = probe.kernel.domain
-    t_nodes, w = _simpson_nodes(0.0, T, subintervals)
+    t_nodes = np.linspace(0.0, T, _TAIL_SUBINTERVALS + 1)
+    w = np.ones(_TAIL_SUBINTERVALS + 1)
+    w[1:-1:2] = 4.0
+    w[2:-2:2] = 2.0
+    w *= T / _TAIL_SUBINTERVALS / 3.0
     q = np.zeros(domain.shape)
     for t_i, w_i in zip(t_nodes, w):
         q += w_i * kernel_probe_solution(probe, t_i).values ** 2
@@ -303,8 +312,7 @@ def falsify_weak_observability(
     with np.errstate(under="ignore"):
         lhs = np.sqrt((np.abs(coeffs) ** 2 * np.exp(-2.0 * claim.T * lams)[:, None]).sum(axis=0))
     gram = restricted_gram(dec, np.arange(domain.cell_count), e)
-    obs, _ = _observation_integrals(gram, lams, coeffs, 0.0, claim.T, 128)
-    obs = np.maximum(obs, 0.0)
+    obs = np.maximum(observation_integrals(gram, lams, coeffs, 0.0, claim.T), 0.0)
     margins = claim.C * np.sqrt(obs) + claim.alpha * phi_norms - lhs
     reports = []
     for i, probe in enumerate(probes):
@@ -369,7 +377,8 @@ def falsify_hermite_ground_state(
 
     and a set with tiny Gaussian mass makes the right side arbitrarily
     small.  The discrete verdict (margin, violated) uses the grid semigroup
-    and Simpson integral; the analytic pair is reported alongside.
+    and its exact observation integral; the analytic pair is reported
+    alongside.
     """
     if not isinstance(dec.spec, ShiftedHermite):
         raise TypeError("the ground-state probe applies to the harmonic kind only")
@@ -385,7 +394,7 @@ def falsify_hermite_ground_state(
     with np.errstate(under="ignore"):
         lhs = float(np.sqrt((np.abs(coeffs) ** 2 * np.exp(-2.0 * claim.T * lams)).sum()))
     gram = restricted_gram(dec, np.arange(domain.cell_count), e)
-    obs, _ = _observation_integrals(gram, lams, coeffs[:, None], 0.0, claim.T, 128)
+    obs = observation_integrals(gram, lams, coeffs[:, None], 0.0, claim.T)
     obs_val = float(max(obs[0], 0.0))
     margin = float(claim.C * np.sqrt(obs_val) + claim.alpha - lhs)
     rate = c - n

@@ -16,13 +16,12 @@ the k ln k slope pinned to n/2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .domain import GridFunction
+from .domain import GridFunction, jsonable
 from .geometry import SetIndicator
 from .operators import SpectralDecomposition, basis_block, from_coefficients
 
@@ -197,14 +196,10 @@ def verify_spectral_hypothesis(dec, e, k_max: int, c1: float, a: float) -> Hypot
 # export
 
 
-def _jsonable(x: float):
-    return "inf" if np.isinf(x) else float(x)
-
-
 def curve_to_json(curve: SpectralConstantCurve) -> dict:
     doc = {
         "thresholds": list(curve.thresholds),
-        "constants": [_jsonable(c) for c in curve.constants],
+        "constants": jsonable(curve.constants),
     }
     if curve.fit is not None:
         fit = curve.fit

@@ -1,4 +1,4 @@
-"""Certificate constant chain, observation quadrature, end-to-end checks.
+"""Certificate constant chain, observation integrals, end-to-end checks.
 
 The two GOLDEN dicts are printed by scripts/certificate_reference_values.py,
 which evaluates the chain independently with mpmath at 60 digits.
@@ -11,21 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert.certify import (
-    QUAD_RTOL,
     Certificate,
     CriterionConstants,
-    _observation_integrals,
     build_certificate,
     certificate_gain_log,
     certificate_threshold,
     certificate_to_json,
     certify_end_to_end,
+    observation_integrals,
     recurrence_check,
     weak_observability_check,
 )
-from stabcert.domain import make_grid
-from stabcert.geometry import Empty, Full, PeriodicSlabs, make_set
-from stabcert.operators import FractionalLaplacian, diagonalize
+from stabcert.domain import grid_function, make_grid, norm
+from stabcert.geometry import Empty, Full, HalfSpace, PeriodicSlabs, make_set
+from stabcert.operators import FractionalLaplacian, ShiftedHermite, diagonalize, to_coefficients
+from stabcert.specineq import restricted_gram
 
 GOLDEN_UNIT = {
     "gamma": 4.0,
@@ -159,7 +159,7 @@ def test_certificate_json_is_finite_or_tagged():
 
 
 # ---------------------------------------------------------------------------
-# observation quadrature
+# observation integrals
 
 
 def closed_form_integrals(gram, lams, coeffs, lo, hi):
@@ -181,17 +181,16 @@ def random_quadrature_problem(rng, n=12, trials=5):
     return gram, lams, coeffs
 
 
-def test_simpson_ladder_agrees_with_the_closed_form(rng):
+def test_observation_integrals_agree_with_the_closed_form(rng):
     gram, lams, coeffs = random_quadrature_problem(rng)
-    vals, subintervals = _observation_integrals(gram, lams, coeffs, 0.25, 2.0, 64)
+    vals = observation_integrals(gram, lams, coeffs, 0.25, 2.0)
     exact = closed_form_integrals(gram, lams, coeffs, 0.25, 2.0)
-    assert subintervals >= 64
-    assert np.allclose(vals, exact, rtol=50 * QUAD_RTOL)
+    assert np.allclose(vals, exact, rtol=1e-12, atol=0.0)
 
 
-def test_simpson_ladder_agrees_with_scipy_quad(rng):
+def test_observation_integrals_agree_with_scipy_quad(rng):
     gram, lams, coeffs = random_quadrature_problem(rng, trials=1)
-    vals, _ = _observation_integrals(gram, lams, coeffs, 0.0, 1.5, 64)
+    vals = observation_integrals(gram, lams, coeffs, 0.0, 1.5)
 
     def integrand(t):
         damped = coeffs[:, 0] * np.exp(-t * lams)
@@ -199,6 +198,60 @@ def test_simpson_ladder_agrees_with_scipy_quad(rng):
 
     oracle, err = scipy.integrate.quad(integrand, 0.0, 1.5, limit=200)
     assert abs(vals[0] - oracle) <= max(1e-9 * abs(oracle), 10 * err)
+
+
+def single_mode_problem(mu, n=1):
+    """One trial column over n equal eigenvalues mu/2, so every pair sum is mu."""
+    return np.eye(n), np.full(n, 0.5 * mu), np.ones((n, 1)) / np.sqrt(n)
+
+
+def test_observation_integral_of_a_zero_pair_sum_is_the_interval_length():
+    gram, lams, coeffs = single_mode_problem(0.0, n=4)
+    assert observation_integrals(gram, lams, coeffs, 0.5, 2.0)[0] == 1.5
+
+
+@pytest.mark.parametrize("mu", [1e-13, -1e-13, 3e-14])
+def test_observation_integral_near_a_zero_pair_sum(mu):
+    gram, lams, coeffs = single_mode_problem(mu)
+    val = observation_integrals(gram, lams, coeffs, 0.0, 1.5)[0]
+    assert val == pytest.approx(1.5, rel=1e-12)
+
+
+def test_observation_integral_of_a_stiff_pair_sum_is_finite_and_silent():
+    gram, lams, coeffs = single_mode_problem(1e5)
+    with np.errstate(all="raise"):
+        val = observation_integrals(gram, lams, coeffs, 0.0, 1.0)[0]
+        shifted = observation_integrals(gram, lams, coeffs, 0.5, 1.5)[0]
+    assert val == pytest.approx(1e-5, rel=1e-12)
+    assert shifted == 0.0
+
+
+def test_stiff_hermite_observation_integrals_match_quad():
+    # Dirichlet Hermite eigenvalues grow like (p pi / 2R)^2, up to about 670
+    # here, so the integrand falls like e^{-1340 t} near t = 0 and then decays
+    # slowly through the low modes out to T = 35; a doubling Simpson rule
+    # needs far more than 2^14 subintervals for 1e-10 here
+    dom = make_grid(1, 8.0, 128, periodic=False)
+    dec = diagonalize(ShiftedHermite(), dom)
+    gram = restricted_gram(dec, np.arange(dom.cell_count), make_set(dom, HalfSpace(offset=0.0)))
+    rng = np.random.default_rng(3)
+    cols = []
+    for _ in range(3):
+        f = grid_function(dom, rng.standard_normal(dom.shape))
+        cols.append(to_coefficients(dec, f) / norm(f))
+    coeffs = np.stack(cols, axis=1)
+    vals = observation_integrals(gram, dec.eigenvalues, coeffs, 0.0, 35.0)
+    for u, val in zip(coeffs.T, vals):
+
+        def integrand(t):
+            damped = u * np.exp(-t * dec.eigenvalues)
+            return float(np.real(damped.conj() @ gram @ damped))
+
+        oracle, _ = scipy.integrate.quad(
+            integrand, 0.0, 35.0, points=(1e-3, 1e-2, 0.1, 1.0), epsabs=0.0,
+            epsrel=1e-12, limit=500,
+        )
+        assert val == pytest.approx(oracle, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +292,6 @@ def test_recurrence_report_details(small_certified):
     rep = result.recurrence_report
     assert rep.passed and rep.max_violation_rel <= 1e-7
     assert rep.worst_tau in rep.tau_samples
-    assert all(n >= 64 for n in rep.subintervals.values())
 
 
 def test_observability_margins_are_reproducible(small_certified):

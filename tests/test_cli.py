@@ -332,7 +332,7 @@ def test_document_prints_to_stdout_without_out(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == DOC_KEYS
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
 
 
 def test_payload_is_reproducible():

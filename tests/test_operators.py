@@ -187,6 +187,34 @@ def test_dense_decomposition_ignores_solver_signs(monkeypatch):
     assert np.array_equal(build_finite_rank_feedback(flipped, half).gram, plain_gram)
 
 
+def test_blocked_eigen_residual_matches_the_whole_matrix(monkeypatch):
+    # 8 columns per block at 64 cells, so the residual runs over 8 blocks; one
+    # eigenvalue in the fifth block is off by 4e-9 relative, so that column's
+    # residual stands far above roundoff and decides max_residual
+    captured = {}
+
+    def detuned_eigh(H):
+        w, U = scipy.linalg.eigh(H)
+        w[37] += 4e-9 * max(1.0, abs(w[37]))
+        captured["H"] = H.copy()
+        return w, U
+
+    def capture_signs(U):
+        _canonicalize_signs(U)
+        captured["U"] = U.copy()
+
+    monkeypatch.setattr(operators, "_RESIDUAL_BLOCK_ENTRIES", 64 * 8)
+    monkeypatch.setattr(operators, "_dense_eigh", detuned_eigh)
+    monkeypatch.setattr(operators, "_canonicalize_signs", capture_signs)
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    dec = diagonalize(ShiftedHermite(), dom)
+    H, U, w = captured["H"], captured["U"], dec.eigenvalues
+    whole = np.linalg.norm(H @ U - U * w, axis=0) / np.maximum(1.0, np.abs(w))
+    assert int(np.argmax(whole)) == 37
+    assert dec.max_residual == pytest.approx(float(whole.max()), rel=1e-4)
+    assert np.array_equal(dec.vectors, U / np.sqrt(dom.cell_volume))
+
+
 # ---------------------------------------------------------------------------
 # coefficient transforms
 
