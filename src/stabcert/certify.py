@@ -266,7 +266,12 @@ class WeakObservabilityReport:
     passed: bool
 
 
-def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trials: int, seed: int = 0) -> RecurrenceReport:
+def _check_full_gram(dec: SpectralDecomposition, gram: np.ndarray):
+    if gram.shape != (dec.domain.cell_count,) * 2:
+        raise ValueError(f"the checks need the full-basis Gram matrix, got shape {gram.shape}")
+
+
+def recurrence_check(dec, gram: np.ndarray, cert: Certificate, tau_samples, trials: int, seed: int = 0) -> RecurrenceReport:
     """Test the one-scale recurrence inequality on dyadic intervals.
 
     For the shifted generator (eigenvalues lam + delta0) and each sampled
@@ -275,11 +280,13 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
         g(tau) ||e^{-tau H~} phi||^2 - g(tau/2) ||phi||^2
             <= int_{tau/2}^{tau} ||e^{-t H~} phi||_{L2(E)}^2 dt + alpha0 tau,
 
-    with g the certificate weight.  The caller is responsible for having
+    with g the certificate weight and ``gram`` the E-restricted Gram matrix
+    of the full eigenbasis.  The caller is responsible for having
     verified the two hypotheses (restricted inequality at k(tau), decay
     bound) beforehand; under those the inequality is exact on the grid and
     any violation beyond the roundoff budget is a real failure.
     """
+    _check_full_gram(dec, gram)
     taus = [float(tau) for tau in tau_samples]
     for tau in taus:
         if not 0.0 < tau < cert.tau0:
@@ -287,7 +294,6 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
     rng = np.random.default_rng(seed)
     coeffs = _random_unit_coefficients(dec, trials, rng)
     lams = dec.eigenvalues + cert.constants.delta0
-    gram = restricted_gram(dec, np.arange(dec.domain.cell_count), e)
     with np.errstate(under="ignore"):
         alpha0 = np.exp(cert.ln_alpha0)
     max_violation = -np.inf
@@ -320,18 +326,19 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
     )
 
 
-def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: int, seed: int = 0) -> WeakObservabilityReport:
+def weak_observability_check(dec, gram: np.ndarray, cert: Certificate, trials: int, seed: int = 0) -> WeakObservabilityReport:
     """Hold the certified (T, alpha, C) against random initial states.
 
     Reports the worst margin C * (observation integral)^{1/2} + alpha -
     ||e^{-TH} phi|| over unit phi; a pass means no margin dips below the
     roundoff budget.  The observation integral runs over the unshifted
-    semigroup, matching the inequality the certificate promises.
+    semigroup, matching the inequality the certificate promises; ``gram``
+    is the E-restricted Gram matrix of the full eigenbasis.
     """
+    _check_full_gram(dec, gram)
     rng = np.random.default_rng(seed)
     coeffs = _random_unit_coefficients(dec, trials, rng)
     lams = dec.eigenvalues
-    gram = restricted_gram(dec, np.arange(dec.domain.cell_count), e)
     integrals = observation_integrals(gram, lams, coeffs, 0.0, cert.T)
     integrals = np.maximum(integrals, 0.0)
     lhs = np.sqrt((np.abs(coeffs) ** 2 * np.exp(-2.0 * cert.T * lams)[:, None]).sum(axis=0))
@@ -362,12 +369,12 @@ class CertificationResult:
     status: str
     detail: str
     curve: SpectralConstantCurve
-    constants: Optional[CriterionConstants]
-    certificate: Optional[Certificate]
-    hypothesis_report: Optional[object]
-    dissipative_max_ratio: Optional[float]
-    recurrence_report: Optional[RecurrenceReport]
-    observability_report: Optional[WeakObservabilityReport]
+    constants: Optional[CriterionConstants] = None
+    certificate: Optional[Certificate] = None
+    hypothesis_report: Optional[object] = None
+    dissipative_max_ratio: Optional[float] = None
+    recurrence_report: Optional[RecurrenceReport] = None
+    observability_report: Optional[WeakObservabilityReport] = None
 
 
 def growth_exponent(spec: OperatorSpec) -> float:
@@ -416,12 +423,6 @@ def certify_end_to_end(
                 "the projection range degenerates on this set"
             ),
             curve=curve,
-            constants=None,
-            certificate=None,
-            hypothesis_report=None,
-            dissipative_max_ratio=None,
-            recurrence_report=None,
-            observability_report=None,
         )
 
     a = growth_exponent(spec)
@@ -433,14 +434,14 @@ def certify_end_to_end(
     escalated = False
     hyp = None
     if c1 > 0:
-        hyp = verify_spectral_hypothesis(dec, e, int(k_max), c1, a)
+        hyp = verify_spectral_hypothesis(curve, c1, a)
     if hyp is None or not hyp.verified:
         ks = np.asarray(curve.thresholds)
         c1 = float(np.max(np.log(curve.constants) / ks**a))
         escalated = True
         if c1 <= 0:  # every constant is 1.0 (e.g. full domain); any tiny c1 works
             c1 = 1e-6
-        hyp = verify_spectral_hypothesis(dec, e, int(k_max), c1, a)
+        hyp = verify_spectral_hypothesis(curve, c1, a)
 
     diss_worst = -np.inf
     for k in range(1, int(k_max) + 1):
@@ -452,11 +453,12 @@ def certify_end_to_end(
 
     tau_lo = 1.05 * cert.A / (int(k_max) + 1) ** consts.b
     tau_hi = 0.95 * cert.tau0
+    gram = restricted_gram(dec, np.arange(dec.domain.cell_count), e)
     recurrence = None
     if tau_lo < tau_hi:
         taus = np.geomspace(tau_lo, tau_hi, 8)
-        recurrence = recurrence_check(dec, e, cert, taus, recurrence_trials, seed=seed + 1)
-    observability = weak_observability_check(dec, e, cert, trials, seed=seed + 2)
+        recurrence = recurrence_check(dec, gram, cert, taus, recurrence_trials, seed=seed + 1)
+    observability = weak_observability_check(dec, gram, cert, trials, seed=seed + 2)
 
     ok = (
         hyp.verified

@@ -97,17 +97,25 @@ class ResultDocument:
     outputs: dict
     version: str
     timing: dict
+    # CSV side files by name, written next to the JSON and not part of it
+    side_files: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
+
+
+def _document_body(doc: ResultDocument) -> dict:
+    body = dataclasses.asdict(doc)
+    body.pop("side_files")
+    return body
 
 
 def payload_json(doc: ResultDocument) -> str:
     """Canonical JSON of the numeric payload, timing excluded."""
-    body = dataclasses.asdict(doc)
+    body = _document_body(doc)
     body.pop("timing")
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
 def document_to_json(doc: ResultDocument) -> str:
-    return json.dumps(dataclasses.asdict(doc), sort_keys=True, indent=2)
+    return json.dumps(_document_body(doc), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,34 +253,6 @@ def _thickness_outputs(e, options):
     return out
 
 
-def _recurrence_json(rep):
-    if rep is None:
-        return None
-    return {
-        "tau_samples": list(rep.tau_samples),
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "max_violation": rep.max_violation,
-        "max_violation_rel": rep.max_violation_rel,
-        "worst_tau": rep.worst_tau,
-        "passed": rep.passed,
-    }
-
-
-def _observability_json(rep):
-    return {
-        "T": rep.T,
-        "alpha": rep.alpha,
-        "C": rep.C,
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "min_margin": rep.min_margin,
-        "min_margin_rel": rep.min_margin_rel,
-        "observation_integrals": list(rep.observation_integrals),
-        "passed": rep.passed,
-    }
-
-
 def _certify_outputs(spec, domain, e, options, cache_dir):
     result = certify_end_to_end(
         spec,
@@ -293,17 +273,12 @@ def _certify_outputs(spec, domain, e, options, cache_dir):
     if result.certificate is not None:
         out["certificate"] = certificate_to_json(result.certificate)
         out["dissipative_max_ratio"] = result.dissipative_max_ratio
-        out["recurrence"] = _recurrence_json(result.recurrence_report)
-        out["observability"] = _observability_json(result.observability_report)
-        hyp = result.hypothesis_report
-        out["hypothesis"] = {
-            "verified": hyp.verified,
-            "c1": hyp.c1,
-            "a": hyp.a,
-            "k_max": hyp.k_max,
-            "worst_ratio": hyp.worst_ratio,
-            "worst_k": hyp.worst_k,
-        }
+        recurrence = result.recurrence_report
+        out["recurrence"] = None if recurrence is None else dataclasses.asdict(recurrence)
+        out["observability"] = dataclasses.asdict(result.observability_report)
+        hyp = dataclasses.asdict(result.hypothesis_report)
+        hyp.pop("constants")  # the curve already carries them
+        out["hypothesis"] = hyp
     return out, result
 
 
@@ -479,9 +454,9 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
         outputs=jsonable(outputs),
         version=__version__,
         timing={"wall_seconds": time.perf_counter() - started},
+        side_files=side_files,
     )
     doc.outputs["_side_files"] = sorted(side_files)
-    object.__setattr__(doc, "_side_file_contents", side_files)
     return doc
 
 
@@ -516,7 +491,7 @@ def _atomic_write(path: str, text: str):
 def _write_outputs(doc: ResultDocument, out_path: str):
     _atomic_write(out_path, document_to_json(doc) + "\n")
     stem = out_path[:-5] if out_path.endswith(".json") else out_path
-    for name, text in getattr(doc, "_side_file_contents", {}).items():
+    for name, text in doc.side_files.items():
         _atomic_write(f"{stem}.{name}", text)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -290,6 +291,32 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
     )
 
 
+def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomposition]:
+    """The decomposition stored at ``path``, or None if it is absent, unreadable or invalid.
+
+    The zip CRC of each member catches corrupt bytes, so the eigenvectors
+    are checked for shape and dtype only and not rescanned for finiteness.
+    zipfile reports a damaged version or encryption flag as RuntimeError.
+    """
+    cells = domain.cell_count
+    try:
+        with open(path, "rb") as fh, np.load(fh) as data:
+            if data.get("basis_convention") != _BASIS_CONVENTION:
+                return None
+            w, U, resid = data["eigenvalues"], data["vectors"], data["max_residual"]
+    except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError, RuntimeError):
+        return None
+    valid = (
+        w.shape == (cells,) and w.dtype.kind == "f" and bool(np.isfinite(w).all())
+        and U.shape == (cells, cells) and U.dtype.kind == "f"
+        and resid.shape == () and resid.dtype.kind == "f"
+        and bool(np.isfinite(resid)) and resid <= _RESIDUAL_TOL
+    )
+    if not valid:
+        return None
+    return SpectralDecomposition(spec, domain, "Dense", w, vectors=U, max_residual=float(resid))
+
+
 def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> SpectralDecomposition:
     """Build the spectral decomposition of the operator on the grid.
 
@@ -298,8 +325,9 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
     the STABCERT_CACHE_DIR handling in the CLI), dense decompositions are
     stored on disk keyed by a content hash of (spec, domain) and reloaded on
     repeat calls.  Each file records the eigenvector sign convention it was
-    written under; a file from another convention counts as a miss and is
-    overwritten.
+    written under.  A file from another convention, or one that cannot be
+    read or fails validation (shapes, dtypes, finite eigenvalues, a stored
+    residual within tolerance), counts as a miss and is overwritten.
     """
     if isinstance(spec, FractionalLaplacian):
         if not domain.periodic:
@@ -321,17 +349,9 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
     if cache_dir is not None:
         key = content_hash(spec_to_json(spec), domain)
         path = os.path.join(str(cache_dir), f"decomposition-{key}.npz")
-        if os.path.exists(path):
-            with np.load(path) as data:
-                if data.get("basis_convention") == _BASIS_CONVENTION:
-                    return SpectralDecomposition(
-                        spec=spec,
-                        domain=domain,
-                        basis_kind="Dense",
-                        eigenvalues=data["eigenvalues"],
-                        vectors=data["vectors"],
-                        max_residual=float(data["max_residual"]),
-                    )
+        cached = _load_cached(path, spec, domain)
+        if cached is not None:
+            return cached
     dec = _diagonalize_dense(spec, domain)
     if key is not None:
         os.makedirs(str(cache_dir), exist_ok=True)

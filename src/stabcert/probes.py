@@ -30,6 +30,7 @@ Simpson rule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -59,7 +60,6 @@ __all__ = [
     "falsification_to_csv",
 ]
 
-_KERNEL_CACHE: dict = {}
 # composite Simpson subintervals of the time integral in observation_tail
 _TAIL_SUBINTERVALS = 128
 
@@ -88,6 +88,7 @@ class KernelProbe:
     c2_norm: float
 
 
+@functools.lru_cache(maxsize=4)
 def build_kernel(s: float, domain: GridDomain) -> GridFunction:
     """Inverse FFT of e^{-|xi|^s} on the midpoint grid, cached per (s, domain).
 
@@ -101,10 +102,6 @@ def build_kernel(s: float, domain: GridDomain) -> GridFunction:
         raise ValueError("kernel construction requires a periodic domain")
     if s <= 0:
         raise ValueError("s must be positive")
-    key = (float(s), domain)
-    cached = _KERNEL_CACHE.get(key)
-    if cached is not None:
-        return cached
     m = domain.points_per_axis
     k_int = np.fft.fftfreq(m, d=1.0 / m)
     xi = domain.frequency_axis()
@@ -122,9 +119,7 @@ def build_kernel(s: float, domain: GridDomain) -> GridFunction:
             f"imaginary residue {resid:.3e} in the kernel transform; the symbol has not "
             "decayed across the resolved band, refine the grid or enlarge the domain"
         )
-    out = GridFunction(domain, g.real)
-    _KERNEL_CACHE[key] = out
-    return out
+    return GridFunction(domain, g.real)
 
 
 def make_probe(s: float, c: float, domain: GridDomain, x0, l: float) -> KernelProbe:

@@ -74,10 +74,6 @@ class HypothesisReport:
     constants: tuple
 
 
-def _range_dim(dec: SpectralDecomposition, k: float) -> int:
-    return int(np.searchsorted(dec.eigenvalues, k, side="right"))
-
-
 def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.ndarray:
     """Gram matrix of E-restricted inner products of selected eigenfunctions."""
     if e.domain != dec.domain:
@@ -88,47 +84,65 @@ def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.
     return 0.5 * (G + G.conj().T)
 
 
+def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:
+    """(C(k, E), witness coefficients) at each of the ascending thresholds.
+
+    An empty projection range gives 1.0 and no witness (the inequality is
+    vacuous); the full domain gives exactly 1.0 (the Gram matrix is the
+    identity by orthonormality).  Thresholds whose projection range exceeds
+    half the cell count are refused: such ranges are not resolved by the
+    grid and their degeneracy would be an aliasing artifact.  The ranges
+    are nested, so every constant comes from a leading principal block of
+    one Gram matrix, that of the largest range; by Cauchy interlacing the
+    constants are then nondecreasing in k.
+    """
+    cells = dec.domain.cell_count
+    dims = np.searchsorted(dec.eigenvalues, thresholds, side="right").tolist()
+    d_max = dims[-1] if dims else 0
+    if 2 * d_max > cells:
+        raise ValueError(
+            f"projection range dimension {d_max} exceeds half the cell count {cells}; "
+            "refine the grid before probing this threshold"
+        )
+    full = bool(e.cells.all())
+    G = restricted_gram(dec, np.arange(d_max), e) if d_max and not full else None
+    out = []
+    for d in dims:
+        if d == 0:
+            out.append((1.0, None))
+        elif full:
+            out.append((1.0, np.eye(d, 1)[:, 0]))
+        else:
+            mu, W = np.linalg.eigh(G[:d, :d])
+            mu_min = float(mu[0])
+            const = np.inf if mu_min <= _DEGENERACY_TOL else float(1.0 / np.sqrt(mu_min))
+            out.append((const, W[:, 0]))
+    return out
+
+
 def best_constant(dec: SpectralDecomposition, k: float, e: SetIndicator, return_witness: bool = False):
     """Best restricted-inequality constant at threshold k, possibly +inf.
 
-    Returns 1.0 for an empty projection range (the inequality is vacuous)
-    and exactly 1.0 for the full domain (the Gram matrix is the identity by
-    orthonormality).  Thresholds whose projection range exceeds half the
-    cell count are refused: such ranges are not resolved by the grid and
-    their degeneracy would be an aliasing artifact.
+    With ``return_witness`` also returns a grid function attaining it, or
+    None for an empty projection range.  Empty ranges, the full domain and
+    unresolved thresholds follow the rules of spectral_constant_curve.
     """
-    d = _range_dim(dec, k)
-    cells = dec.domain.cell_count
-    if d == 0:
-        const, witness_coeffs = 1.0, None
-    elif 2 * d > cells:
-        raise ValueError(
-            f"projection range dimension {d} exceeds half the cell count {cells}; "
-            "refine the grid before probing this threshold"
-        )
-    elif e.cells.all():
-        const = 1.0
-        witness_coeffs = np.zeros(cells, dtype=float)
-        witness_coeffs[0] = 1.0
-    else:
-        G = restricted_gram(dec, np.arange(d), e)
-        mu, W = np.linalg.eigh(G)
-        mu_min = float(mu[0])
-        const = np.inf if mu_min <= _DEGENERACY_TOL else float(1.0 / np.sqrt(mu_min))
-        witness_coeffs = np.zeros(cells, dtype=W.dtype)
-        witness_coeffs[:d] = W[:, 0]
+    const, coeffs = _constants(dec, e, [float(k)])[0]
     if not return_witness:
         return const
-    if witness_coeffs is None:
+    if coeffs is None:
         return const, None
-    return const, from_coefficients(dec, witness_coeffs)
+    padded = np.zeros(dec.domain.cell_count, dtype=coeffs.dtype)
+    padded[: coeffs.size] = coeffs
+    return const, from_coefficients(dec, padded)
 
 
 def spectral_constant_curve(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> SpectralConstantCurve:
+    """C(k, E) at ascending thresholds, read from the leading blocks of one Gram matrix."""
     thresholds = [float(k) for k in thresholds]
     if sorted(thresholds) != thresholds:
         raise ValueError("thresholds must ascend")
-    constants = tuple(best_constant(dec, k, e) for k in thresholds)
+    constants = tuple(const for const, _ in _constants(dec, e, thresholds))
     return SpectralConstantCurve(thresholds=tuple(thresholds), constants=constants)
 
 
@@ -163,32 +177,23 @@ def fit_growth(curve: SpectralConstantCurve, model: str, *, a: float = None, dim
     raise ValueError(f"unknown fit model {model!r}")
 
 
-def verify_spectral_hypothesis(dec, e, k_max: int, c1: float, a: float) -> HypothesisReport:
-    """Check C(k, E) <= exp(c1 * k^a) at every integer threshold up to k_max."""
+def verify_spectral_hypothesis(curve: SpectralConstantCurve, c1: float, a: float) -> HypothesisReport:
+    """Check C(k) <= exp(c1 * k^a) at every threshold of the curve."""
+    if not curve.thresholds:
+        raise ValueError("the curve has no thresholds")
     if c1 <= 0 or a <= 0:
         raise ValueError("c1 and a must be positive")
-    k_max = int(k_max)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    worst_ratio = -np.inf
-    worst_k = 1
-    constants = []
-    for k in range(1, k_max + 1):
-        const = best_constant(dec, float(k), e)
-        constants.append(const)
-        bound = np.exp(c1 * float(k) ** a)
-        ratio = const / bound
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_k = k
+    ks = np.asarray(curve.thresholds, dtype=float)
+    ratios = np.asarray(curve.constants, dtype=float) / np.exp(c1 * ks**a)
+    i = int(np.argmax(ratios))
     return HypothesisReport(
-        verified=bool(worst_ratio <= 1.0 + 1e-12),
+        verified=bool(ratios[i] <= 1.0 + 1e-12),
         c1=float(c1),
         a=float(a),
-        k_max=k_max,
-        worst_ratio=float(worst_ratio),
-        worst_k=worst_k,
-        constants=tuple(constants),
+        k_max=int(ks[-1]),
+        worst_ratio=float(ratios[i]),
+        worst_k=int(ks[i]),
+        constants=curve.constants,
     )
 
 

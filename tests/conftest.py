@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stabcert import certify, specineq
 from stabcert.domain import from_callable, make_grid
 from stabcert.operators import FractionalLaplacian, Schrodinger, ShiftedHermite, diagonalize
 
@@ -25,6 +26,21 @@ def shifted_potential_dec():
     dom = make_grid(1, 10.0, 512, periodic=False)
     pot = from_callable(dom, lambda x: x**2 - 4.0)
     return diagonalize(Schrodinger(potential=pot), dom)
+
+
+@pytest.fixture()
+def gram_builds(monkeypatch):
+    """Range dimension of every restricted_gram call made during the test, in order."""
+    built = []
+    original = specineq.restricted_gram
+
+    def counting(dec, indices, e):
+        built.append(len(indices))
+        return original(dec, indices, e)
+
+    for module in (specineq, certify):
+        monkeypatch.setattr(module, "restricted_gram", counting)
+    return built
 
 
 @pytest.fixture()

@@ -10,6 +10,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert import specineq
 from stabcert.certify import (
     Certificate,
     CriterionConstants,
@@ -281,10 +282,11 @@ def test_end_to_end_produces_a_full_report(small_certified):
 def test_recurrence_check_rejects_bad_taus(small_certified):
     dec, e, result = small_certified
     cert = result.certificate
+    gram = restricted_gram(dec, np.arange(dec.domain.cell_count), e)
     with pytest.raises(ValueError):
-        recurrence_check(dec, e, cert, [cert.tau0 * 1.5], trials=5)
+        recurrence_check(dec, gram, cert, [cert.tau0 * 1.5], trials=5)
     with pytest.raises(ValueError):
-        recurrence_check(dec, e, cert, [-1.0], trials=5)
+        recurrence_check(dec, gram, cert, [-1.0], trials=5)
 
 
 def test_recurrence_report_details(small_certified):
@@ -297,8 +299,9 @@ def test_recurrence_report_details(small_certified):
 def test_observability_margins_are_reproducible(small_certified):
     dec, e, result = small_certified
     cert = result.certificate
-    again = weak_observability_check(dec, e, cert, trials=30, seed=7)
-    once_more = weak_observability_check(dec, e, cert, trials=30, seed=7)
+    gram = restricted_gram(dec, np.arange(dec.domain.cell_count), e)
+    again = weak_observability_check(dec, gram, cert, trials=30, seed=7)
+    once_more = weak_observability_check(dec, gram, cert, trials=30, seed=7)
     assert again.min_margin == once_more.min_margin
     assert again.observation_integrals == once_more.observation_integrals
     assert again.passed
@@ -323,6 +326,33 @@ def test_full_domain_certifies():
     assert result.status == "certified"
     # C(k) = 1 throughout, so the growth constant collapses to the floor
     assert result.constants.c1 <= 1e-3
+
+
+def test_end_to_end_builds_one_curve_gram_and_one_full_gram(gram_builds, monkeypatch):
+    dom = make_grid(1, 10.0, 64, periodic=True)
+    e = make_set(dom, PeriodicSlabs(period=2.0, fill_fraction=0.5))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify evaluates C(k, E) only through the curve")
+
+    monkeypatch.setattr(specineq, "best_constant", forbidden)
+    result = certify_end_to_end(
+        FractionalLaplacian(s=1.0), dom, e, k_max=4, trials=10, recurrence_trials=5, seed=3
+    )
+    assert result.status == "certified"
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    d_max = int(np.searchsorted(dec.eigenvalues, 4.0, side="right"))
+    assert gram_builds == [d_max, dom.cell_count]
+    assert result.hypothesis_report.constants == result.curve.constants
+
+
+def test_checks_reject_a_partial_gram(small_certified):
+    dec, e, result = small_certified
+    partial = restricted_gram(dec, np.arange(8), e)
+    with pytest.raises(ValueError, match="full-basis"):
+        recurrence_check(dec, partial, result.certificate, [result.certificate.tau0 / 2], trials=5)
+    with pytest.raises(ValueError, match="full-basis"):
+        weak_observability_check(dec, partial, result.certificate, trials=5)
 
 
 def test_end_to_end_is_deterministic():

@@ -131,6 +131,54 @@ def test_cache_from_another_sign_convention_is_recomputed(tmp_path):
         assert np.array_equal(data["vectors"], first.vectors)
 
 
+def _flip_middle_byte(path, dec):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF  # inside the eigenvector data, so its zip CRC fails
+    path.write_bytes(bytes(raw))
+
+
+def _truncate(path, dec):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _savez(path, dec, **changes):
+    fields = dict(eigenvalues=dec.eigenvalues, vectors=dec.vectors,
+                  max_residual=dec.max_residual, basis_convention=1)
+    np.savez(path, **{**fields, **changes})
+
+
+def _wrong_shape(path, dec):
+    _savez(path, dec, vectors=dec.vectors[:, :-1])
+
+
+def _nan_eigenvalue(path, dec):
+    eigenvalues = dec.eigenvalues.copy()
+    eigenvalues[3] = np.nan
+    _savez(path, dec, eigenvalues=eigenvalues)
+
+
+def _residual_above_tolerance(path, dec):
+    _savez(path, dec, max_residual=1e-6)  # the tolerance is 1e-8
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _residual_above_tolerance],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_bad_cache_file_is_recomputed(tmp_path, corrupt):
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    first = diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("decomposition-*.npz")
+    corrupt(path, first)
+    second = diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
+    assert np.array_equal(second.eigenvalues, first.eigenvalues)
+    assert np.array_equal(second.vectors, first.vectors)
+    assert second.max_residual == first.max_residual
+    with np.load(path) as data:
+        assert np.array_equal(data["vectors"], first.vectors)
+
+
 # ---------------------------------------------------------------------------
 # eigenvector sign convention
 

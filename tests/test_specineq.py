@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from stabcert.domain import make_grid, norm, restrict_norm
-from stabcert.geometry import Custom, Empty, Full, HalfSpace, PeriodicSlabs, make_set
+from stabcert.geometry import BallComplement, Custom, Empty, Full, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import FractionalLaplacian, diagonalize
 from stabcert.specineq import (
     ExpPowerFit,
@@ -121,6 +121,36 @@ def test_curve_requires_ascending_thresholds(frac_dec, slabs):
         spectral_constant_curve(frac_dec, slabs, [2.0, 1.0])
 
 
+@pytest.fixture(scope="module")
+def frac_2d_ball_complement():
+    dom = make_grid(2, 10.0, 40, periodic=True)
+    e = make_set(dom, BallComplement(center=(0.0, 0.0), radius=3.0))
+    return diagonalize(FractionalLaplacian(s=1.0), dom), e
+
+
+def test_curve_matches_per_threshold_constants(frac_2d_ball_complement, hermite_dec):
+    # the curve reads each constant from a leading block of one Gram matrix,
+    # best_constant builds a Gram matrix of its own; they differ by roundoff
+    halfspace = make_set(hermite_dec.domain, HalfSpace(offset=0.0))
+    cases = [
+        (*frac_2d_ball_complement, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+        (hermite_dec, halfspace, [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 11.0]),
+    ]
+    for dec, e, thresholds in cases:
+        curve = spectral_constant_curve(dec, e, thresholds)
+        single = [best_constant(dec, k, e) for k in thresholds]
+        assert np.all(np.isfinite(curve.constants))
+        np.testing.assert_allclose(curve.constants, single, rtol=1e-9, atol=0.0)
+
+
+def test_curve_builds_one_gram(frac_2d_ball_complement, gram_builds):
+    dec, e = frac_2d_ball_complement
+    curve = spectral_constant_curve(dec, e, [1.0, 2.0, 3.0])
+    d_max = int(np.searchsorted(dec.eigenvalues, 3.0, side="right"))
+    assert gram_builds == [d_max]
+    assert all(a <= b for a, b in zip(curve.constants, curve.constants[1:]))
+
+
 def test_exp_power_fit_recovers_synthetic_constants():
     ks = tuple(float(k) for k in range(1, 9))
     curve = SpectralConstantCurve(ks, tuple(np.exp(0.5 * np.sqrt(k)) for k in ks))
@@ -164,24 +194,26 @@ def test_fit_validates_model_arguments():
 def test_verify_hypothesis_accepts_the_envelope(frac_dec, slabs):
     curve = spectral_constant_curve(frac_dec, slabs, [float(k) for k in range(1, 7)])
     envelope = max(np.log(c) / k for k, c in zip(curve.thresholds, curve.constants))
-    report = verify_spectral_hypothesis(frac_dec, slabs, 6, envelope, 1.0)
+    report = verify_spectral_hypothesis(curve, envelope, 1.0)
     assert report.verified
     assert report.worst_ratio <= 1.0 + 1e-12
     assert len(report.constants) == 6
 
 
 def test_verify_hypothesis_rejects_a_tiny_constant(frac_dec, slabs):
-    report = verify_spectral_hypothesis(frac_dec, slabs, 4, 1e-6, 1.0)
+    curve = spectral_constant_curve(frac_dec, slabs, [float(k) for k in range(1, 5)])
+    report = verify_spectral_hypothesis(curve, 1e-6, 1.0)
     assert not report.verified
     assert report.worst_ratio > 1.0
     assert 1 <= report.worst_k <= 4
 
 
 def test_verify_hypothesis_validates_arguments(frac_dec, slabs):
+    curve = spectral_constant_curve(frac_dec, slabs, [float(k) for k in range(1, 5)])
     with pytest.raises(ValueError):
-        verify_spectral_hypothesis(frac_dec, slabs, 4, -1.0, 1.0)
+        verify_spectral_hypothesis(curve, -1.0, 1.0)
     with pytest.raises(ValueError):
-        verify_spectral_hypothesis(frac_dec, slabs, 0, 1.0, 1.0)
+        verify_spectral_hypothesis(SpectralConstantCurve((), ()), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

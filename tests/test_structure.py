@@ -1,0 +1,50 @@
+"""Structural rules of the package source, checked on its syntax tree.
+
+No module imports another module's private names, and no module keeps an
+unbounded module-global cache (a name bound to an empty dict or list at
+module level).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "stabcert").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "specineq.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports_between_modules(path):
+    # `from . import __version__` names the package, not a sibling module
+    private = [
+        f"line {node.lineno}: from .{node.module} import {alias.name}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, private
+
+
+def _empty_container(value):
+    return (isinstance(value, ast.Dict) and not value.keys) or (
+        isinstance(value, ast.List) and not value.elts
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_empty_containers(path):
+    found = [
+        f"line {node.lineno}"
+        for node in _tree(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty_container(node.value)
+    ]
+    assert not found, found
