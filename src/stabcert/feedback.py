@@ -48,7 +48,7 @@ from .operators import (
     semigroup_apply,
     to_coefficients,
 )
-from .specineq import best_constant, restricted_gram
+from .specineq import restricted_gram, spectral_constant_curve
 
 __all__ = [
     "GramSingularError",
@@ -131,15 +131,17 @@ def damping_spectral_exponent(dec: SpectralDecomposition, e: SetIndicator, N_gri
     """Envelope exponent c1 with ||pi_{N^2} phi|| <= e^{c1 N} ||pi_{N^2} phi||_E.
 
     Takes the max of ln C(N^2) / N over the sweep, so the bound holds with
-    equality at the worst N.  +inf constants propagate (the caller's sweep
-    in damping_decay_bound will then fail honestly).
+    equality at the worst N.  Every C(N^2) is read from one curve, hence
+    one Gram matrix.  +inf constants propagate (the caller's sweep in
+    damping_decay_bound will then fail honestly).
     """
+    ns = sorted(float(n) for n in N_grid)
+    curve = spectral_constant_curve(dec, e, [n**2 for n in ns])
     worst = 0.0
-    for n in N_grid:
-        c = best_constant(dec, float(n) ** 2, e)
+    for n, c in zip(ns, curve.constants):
         if not np.isfinite(c):
             return float("inf")
-        worst = max(worst, float(np.log(c)) / float(n))
+        worst = max(worst, float(np.log(c)) / n)
     return worst
 
 
@@ -184,10 +186,25 @@ def build_damping_feedback(
     c1: Optional[float] = None,
     N_grid=range(1, 33),
 ) -> DampingFeedback:
-    """Pick omega by sweeping N, then diagonalize H + chi_E for exact flow."""
+    """Pick omega by sweeping N, then diagonalize H + chi_E for exact flow.
+
+    The sweep keeps only the N whose projection range d(N^2) is at most
+    half the cell count, the ranges the grid resolves; it raises
+    ValueError when no N is left.
+    """
+    cells = dec.domain.cell_count
+    resolved = [
+        n for n in N_grid
+        if 2 * np.searchsorted(dec.eigenvalues, float(n) ** 2, side="right") <= cells
+    ]
+    if not resolved:
+        raise ValueError(
+            f"no N in the sweep has a projection range within half the cell count {cells}; "
+            "refine the grid or lower the sweep"
+        )
     if c1 is None:
-        c1 = damping_spectral_exponent(dec, e, N_grid)
-    bound = damping_decay_bound(dec, e, delta, c1, N_grid)
+        c1 = damping_spectral_exponent(dec, e, resolved)
+    bound = damping_decay_bound(dec, e, delta, c1, resolved)
     loop = dense_matrix(dec) + np.diag(e.cells.ravel().astype(float))
     loop = 0.5 * (loop + loop.T)
     w, u = scipy.linalg.eigh(loop)

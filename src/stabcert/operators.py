@@ -70,9 +70,10 @@ _RESIDUAL_TOL = 1e-8
 _RESIDUAL_BLOCK_ENTRIES = 1 << 21
 # entries below this fraction of a column's peak do not decide its sign
 _SIGN_RTOL = 1e-8
-# version of the sign convention of cached dense eigenvectors; a cached
-# decomposition written under another convention is recomputed
-_BASIS_CONVENTION = 1
+# version of the convention of cached dense eigenvectors (1: pinned signs;
+# 2: also the tensor basis in 2D Hermite levels); a cached decomposition
+# written under another convention is recomputed
+_BASIS_CONVENTION = 2
 
 
 @dataclass(frozen=True)
@@ -131,11 +132,12 @@ class SpectralDecomposition:
     normalized in the discrete inner product, with the sign pinned so that
     the last entry of each column above 1e-8 of its peak magnitude is
     positive: the Hermite convention psi_k > 0 as x -> +infinity, which is
-    well defined for odd eigenfunctions too.  In 2D, degenerate clusters
-    such as the (n+1)-fold Hermite levels are not fixed by a sign; there
-    the basis within a cluster is the solver's, and only quantities
-    invariant within a cluster (eigenvalues, projections, the span) are
-    canonical.
+    well defined for odd eigenfunctions too.  The 2D Hermite operator is
+    diagonalized from its 1D factor, so its (n+1)-fold levels carry the
+    tensor Hermite basis u_i(x) u_j(y), ties ordered by i * m + j.  Other
+    2D degenerate clusters are not fixed by a sign; there the basis within
+    a cluster is the solver's, and only quantities invariant within a
+    cluster (eigenvalues, projections, the span) are canonical.
     """
 
     spec: OperatorSpec
@@ -241,6 +243,41 @@ def _canonicalize_signs(U: np.ndarray) -> None:
         cols *= np.where(cols[last, np.arange(cols.shape[1])] < 0.0, -1.0, 1.0)
 
 
+def _residual_norms(H: np.ndarray, U: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Column norms of H U - U diag(w), computed in column blocks."""
+    n = U.shape[0]
+    block = max(1, _RESIDUAL_BLOCK_ENTRIES // n)
+    norms = np.empty(U.shape[1])
+    for j in range(0, U.shape[1], block):
+        cols = U[:, j : j + block]
+        resid = H @ cols
+        resid -= cols * w[j : j + block]
+        norms[j : j + block] = np.linalg.norm(resid, axis=0)
+    return norms
+
+
+def _hermite_tensor_eigh(spec: ShiftedHermite, domain: GridDomain):
+    """Eigenpairs and residual bounds of 2D Hermite from its 1D factor.
+
+    H = H1 (x) I + I (x) H1 - c with H1 = K1 + x^2 (fast diagonalization,
+    Lynch-Rice-Thomas 1964), so u_i (x) u_j is an eigenvector with eigenvalue
+    w_i + w_j - c.  Orthonormal factors make r_i + r_j an upper bound on
+    its residual, where r is the factor's; the 2D H is never formed.  The
+    pairs ascend by eigenvalue, ties in the order of i * m + j.
+    """
+    m = domain.points_per_axis
+    H1 = _sine_laplacian(domain) + np.diag(domain.axis_coords() ** 2)
+    w1, U1 = _dense_eigh(H1)
+    _canonicalize_signs(U1)
+    r1 = _residual_norms(H1, U1, w1)
+    sums = (w1[:, None] + w1[None, :]).ravel()
+    order = np.argsort(sums, kind="stable")
+    i, j = np.divmod(order, m)
+    U = (U1[:, None, i] * U1[None, :, j]).reshape(m * m, m * m)
+    _canonicalize_signs(U)
+    return sums[order] - spec.c, U, r1[i] + r1[j]
+
+
 def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
     if domain.periodic:
         raise ValueError("Schrodinger and Hermite operators require a non-periodic grid")
@@ -249,34 +286,27 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
             f"dense diagonalization is limited to {_DENSE_CELL_LIMIT} cells, "
             f"got {domain.cell_count}"
         )
-    if isinstance(spec, ShiftedHermite):
-        r2 = sum(x**2 for x in domain.meshgrid())
-        potential = r2 - spec.c
+    if isinstance(spec, ShiftedHermite) and domain.dim == 2:
+        w, U, resid_norms = _hermite_tensor_eigh(spec, domain)
     else:
-        if spec.potential.domain != domain:
-            raise ValueError("potential lives on a different domain")
-        potential = spec.potential.values
-        if spec.condition == "II":
-            _check_confining(potential)
-
-    K1 = _sine_laplacian(domain)
-    if domain.dim == 1:
-        H = K1 + np.diag(potential)
-    else:
-        m = domain.points_per_axis
-        eye = np.eye(m)
-        H = np.kron(K1, eye) + np.kron(eye, K1) + np.diag(potential.ravel())
-    w, U = _dense_eigh(H)
-    _canonicalize_signs(U)
-
-    n = U.shape[0]
-    block = max(1, _RESIDUAL_BLOCK_ENTRIES // n)
-    resid_norms = np.empty(n)
-    for j in range(0, n, block):
-        cols = U[:, j : j + block]
-        resid = H @ cols
-        resid -= cols * w[j : j + block]
-        resid_norms[j : j + block] = np.linalg.norm(resid, axis=0)
+        if isinstance(spec, ShiftedHermite):
+            potential = domain.axis_coords() ** 2 - spec.c
+        else:
+            if spec.potential.domain != domain:
+                raise ValueError("potential lives on a different domain")
+            potential = spec.potential.values
+            if spec.condition == "II":
+                _check_confining(potential)
+        K1 = _sine_laplacian(domain)
+        if domain.dim == 1:
+            H = K1 + np.diag(potential)
+        else:
+            m = domain.points_per_axis
+            eye = np.eye(m)
+            H = np.kron(K1, eye) + np.kron(eye, K1) + np.diag(potential.ravel())
+        w, U = _dense_eigh(H)
+        _canonicalize_signs(U)
+        resid_norms = _residual_norms(H, U, w)
     max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
     if max_residual > _RESIDUAL_TOL:
         raise RuntimeError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")

@@ -70,6 +70,16 @@ def test_hermite_spectrum_first_ten():
     assert time.perf_counter() - started < 5.0
 
 
+def test_2d_hermite_diagonalizes_from_its_factor():
+    # the 4096-cell operator is a Kronecker sum, diagonalized from one
+    # 64 x 64 factor solve instead of a 4096^2 eigh
+    started = time.perf_counter()
+    dec = diagonalize(ShiftedHermite(), make_grid(2, 8.0, 64, periodic=False))
+    elapsed = time.perf_counter() - started
+    assert np.allclose(dec.eigenvalues[:10], [2, 4, 4, 6, 6, 6, 8, 8, 8, 8], atol=1e-9)
+    assert elapsed < 2.0
+
+
 def test_semigroup_norm_identities():
     started = time.perf_counter()
     frac = diagonalize(FractionalLaplacian(s=1.0, c=2.0), make_grid(1, 10.0, 512, periodic=True))

@@ -240,6 +240,26 @@ def test_feedback_build_already_stable(tmp_path):
     assert read(out)["outputs"]["error"] == "already stable"
 
 
+def test_feedback_build_damping_on_the_default_domain(tmp_path):
+    # the default sweep N = 1..32 outruns the default 512-cell grid from
+    # N = 7 on; the unresolved N are dropped instead of failing the build
+    out = tmp_path / "fb.json"
+    code = main(
+        [
+            "feedback-build",
+            "--operator", "frac", "--s", "1",
+            "--set", "slabs:period=1,fill=0.5",
+            "--feedback", "damping",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    fb = read(out)["outputs"]["feedback"]
+    assert fb["kind"] == "damping"
+    assert fb["omega"] > 0.0
+    assert fb["chosen_N"] <= 6
+
+
 def test_feedback_build_schrodinger(tmp_path, potential_file, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()

@@ -27,6 +27,7 @@ from stabcert.feedback import (
 )
 from stabcert.geometry import Custom, Empty, Full, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import eigenfunction, semigroup_apply
+from stabcert.specineq import best_constant
 
 # smallest eigenvalue of |xi| + chi_E for the quarter-filled slabs on the
 # reference periodic grid (dense diagonalization, frozen)
@@ -129,6 +130,28 @@ def test_spectral_exponent_empty_set_propagates(frac_dec, slab_set):
     # an infinite exponent kills the exponential branch, so no N works
     with pytest.raises(RuntimeError, match="not thick enough"):
         damping_decay_bound(frac_dec, slab_set, 0.0, c1, range(1, 9))
+
+
+def test_spectral_exponent_builds_one_gram(frac_dec, slab_set, gram_builds):
+    damping_spectral_exponent(frac_dec, slab_set, range(1, 5))
+    assert gram_builds == [101]  # d(16); the smaller ranges are its leading blocks
+
+
+def test_spectral_exponent_matches_per_threshold_constants(frac_dec, slab_set):
+    per_n = max(np.log(best_constant(frac_dec, n**2, slab_set)) / n for n in range(1, 5))
+    c1 = damping_spectral_exponent(frac_dec, slab_set, range(1, 5))
+    assert c1 == pytest.approx(per_n, rel=1e-9)
+
+
+def test_build_damping_drops_unresolved_thresholds(frac_dec):
+    # on 512 cells d(N^2) exceeds 256 from N = 7 on: the default sweep keeps
+    # N = 1..6, and matches that sweep given explicitly
+    e = make_set(frac_dec.domain, PeriodicSlabs(period=1.0, fill_fraction=0.5))
+    trimmed = build_damping_feedback(frac_dec, e)
+    explicit = build_damping_feedback(frac_dec, e, N_grid=range(1, 7))
+    assert (trimmed.c1, trimmed.omega, trimmed.chosen_N) == (explicit.c1, explicit.omega, explicit.chosen_N)
+    with pytest.raises(ValueError, match="half the cell count"):
+        build_damping_feedback(frac_dec, e, N_grid=range(7, 33))
 
 
 def test_build_damping_on_slabs(frac_dec, slab_set, slab_damping):

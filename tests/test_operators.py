@@ -16,6 +16,7 @@ from stabcert.operators import (
     FractionalLaplacian,
     Schrodinger,
     ShiftedHermite,
+    SpectralDecomposition,
     basis_block,
     dense_matrix,
     diagonalize,
@@ -31,6 +32,8 @@ from stabcert.operators import (
     to_coefficients,
     _canonicalize_signs,
 )
+from stabcert.probes import ObservationClaim, falsify_hermite_ground_state
+from stabcert.specineq import spectral_constant_curve
 
 
 def random_state(domain, rng, complex_valued=False):
@@ -143,7 +146,7 @@ def _truncate(path, dec):
 
 def _savez(path, dec, **changes):
     fields = dict(eigenvalues=dec.eigenvalues, vectors=dec.vectors,
-                  max_residual=dec.max_residual, basis_convention=1)
+                  max_residual=dec.max_residual, basis_convention=operators._BASIS_CONVENTION)
     np.savez(path, **{**fields, **changes})
 
 
@@ -161,9 +164,16 @@ def _residual_above_tolerance(path, dec):
     _savez(path, dec, max_residual=1e-6)  # the tolerance is 1e-8
 
 
+def _previous_convention(path, dec):
+    # convention 1 left the basis within 2D Hermite levels to the solver; the
+    # flipped signs are valid data, so only the tag makes this file a miss
+    _savez(path, dec, vectors=-dec.vectors, basis_convention=1)
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _residual_above_tolerance],
+    [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _residual_above_tolerance,
+     _previous_convention],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_bad_cache_file_is_recomputed(tmp_path, corrupt):
@@ -261,6 +271,131 @@ def test_blocked_eigen_residual_matches_the_whole_matrix(monkeypatch):
     assert int(np.argmax(whole)) == 37
     assert dec.max_residual == pytest.approx(float(whole.max()), rel=1e-4)
     assert np.array_equal(dec.vectors, U / np.sqrt(dom.cell_volume))
+
+
+# ---------------------------------------------------------------------------
+# 2D Hermite from its 1D factor
+
+
+def assembled_hermite_2d(dom, c):
+    """The assembled 2D H and its dense decomposition, signs pinned."""
+    m = dom.points_per_axis
+    K1 = operators._sine_laplacian(dom)
+    eye = np.eye(m)
+    x, y = dom.meshgrid()
+    H = np.kron(K1, eye) + np.kron(eye, K1) + np.diag((x**2 + y**2 - c).ravel())
+    w, U = scipy.linalg.eigh(H)
+    _canonicalize_signs(U)
+    dense = SpectralDecomposition(ShiftedHermite(c), dom, "Dense", w, vectors=U / np.sqrt(dom.cell_volume))
+    return H, dense
+
+
+@pytest.fixture(scope="module")
+def hermite_2d_pair():
+    """(assembled H, its dense decomposition, the factored one) per (m, c)."""
+    built = {}
+
+    def pair(m, c):
+        if (m, c) not in built:
+            dom = make_grid(2, 6.0, m, periodic=False)
+            built[m, c] = (*assembled_hermite_2d(dom, c), diagonalize(ShiftedHermite(c), dom))
+        return built[m, c]
+
+    return pair
+
+
+GRIDS_2D = pytest.mark.parametrize("m, c", [(16, 0.0), (16, 3.0), (24, 0.0), (24, 3.0)])
+
+
+@GRIDS_2D
+def test_factored_hermite_eigenvalues_match_the_dense_solve(hermite_2d_pair, m, c):
+    _, dense, factored = hermite_2d_pair(m, c)
+    np.testing.assert_allclose(factored.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=0.0)
+
+
+@GRIDS_2D
+def test_factored_hermite_cluster_projectors_match_the_dense_solve(hermite_2d_pair, m, c):
+    # a cluster ends where the dense spectrum jumps; the first seven levels
+    _, dense, factored = hermite_2d_pair(m, c)
+    ends = [d for d in range(1, 29) if dense.eigenvalues[d] - dense.eigenvalues[d - 1] > 0.5]
+    assert ends == [1, 3, 6, 10, 15, 21, 28]
+    vol = dense.domain.cell_volume
+    for d in ends:
+        P_dense = dense.vectors[:, :d] @ dense.vectors[:, :d].T * vol
+        P_factored = factored.vectors[:, :d] @ factored.vectors[:, :d].T * vol
+        assert np.abs(P_factored - P_dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("c", [0.0, 3.0])
+def test_factored_hermite_spectral_constants_match_the_dense_solve(hermite_2d_pair, c):
+    # at m = 16 the levels sit 4e-7 or more off the integer thresholds, so
+    # d(k) is decided by the discretization and not by roundoff (at m = 24
+    # they sit within 1e-12 of them)
+    _, dense, factored = hermite_2d_pair(16, c)
+    ks = list(range(1, 7))
+    assert np.array_equal(
+        np.searchsorted(factored.eigenvalues, ks, side="right"),
+        np.searchsorted(dense.eigenvalues, ks, side="right"),
+    )
+    half = make_set(dense.domain, HalfSpace(offset=0.0))
+    np.testing.assert_allclose(
+        spectral_constant_curve(factored, half, ks).constants,
+        spectral_constant_curve(dense, half, ks).constants,
+        rtol=1e-9,
+    )
+
+
+@GRIDS_2D
+def test_factored_hermite_ground_state_probe_matches_the_dense_solve(hermite_2d_pair, m, c):
+    _, dense, factored = hermite_2d_pair(m, c)
+    half = make_set(dense.domain, HalfSpace(offset=0.0))
+    claim = ObservationClaim(C=1.0, T=1.0, alpha=0.0)
+    want = falsify_hermite_ground_state(dense, half, claim)
+    got = falsify_hermite_ground_state(factored, half, claim)
+    assert got.violated == want.violated
+    assert got.lhs == pytest.approx(want.lhs, rel=1e-12)
+    assert got.observation == pytest.approx(want.observation, rel=1e-12)
+    assert got.margin == pytest.approx(want.margin, abs=1e-12)
+
+
+@GRIDS_2D
+def test_factored_hermite_residual_bounds_the_assembled_residual(hermite_2d_pair, m, c):
+    H, _, factored = hermite_2d_pair(m, c)
+    U = factored.vectors * np.sqrt(factored.domain.cell_volume)
+    w = factored.eigenvalues
+    direct = np.linalg.norm(H @ U - U * w, axis=0) / np.maximum(1.0, np.abs(w))
+    assert factored.max_residual >= direct.max()
+    assert factored.max_residual < 1e-12
+
+
+def test_factored_hermite_ignores_solver_signs(monkeypatch):
+    dom = make_grid(2, 6.0, 24, periodic=False)
+    plain = diagonalize(ShiftedHermite(c=3.0), dom)
+    rng = np.random.default_rng(11)
+    solved = []
+
+    def scrambled_eigh(H):
+        w, U = scipy.linalg.eigh(H)
+        U[:, rng.random(U.shape[1]) < 0.5] *= -1.0
+        solved.append(H.shape)
+        return w, U
+
+    monkeypatch.setattr(operators, "_dense_eigh", scrambled_eigh)
+    flipped = diagonalize(ShiftedHermite(c=3.0), dom)
+    assert solved == [(24, 24)]  # one factor solve, no 2D matrix
+    assert np.array_equal(flipped.eigenvalues, plain.eigenvalues)
+    assert np.array_equal(flipped.vectors, plain.vectors)
+    assert flipped.max_residual == plain.max_residual
+
+
+def test_factored_hermite_clusters_carry_the_tensor_hermite_basis():
+    # equal sums tie, and ties keep the order of i * m + j: (0, 1) before (1, 0)
+    dom = make_grid(2, 6.0, 24, periodic=False)
+    dec = diagonalize(ShiftedHermite(), dom)
+    basis = hermite_basis(2, 1, dom)
+    for j, alpha in enumerate([(0, 0), (0, 1), (1, 0)]):
+        overlap = inner_product(eigenfunction(dec, j), basis.functions[alpha])
+        assert overlap.real > 0.99
 
 
 # ---------------------------------------------------------------------------
