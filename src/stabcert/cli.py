@@ -7,7 +7,7 @@ the JSON.  The numeric payload (everything except timing) is canonical:
 identical config and seed reproduce it bit for bit on the same platform,
 which scripted sweeps rely on.  Exit codes separate "math said no" (1:
 violation witnessed, set not thick, hypothesis unverifiable, already
-stable) from usage errors (2).
+stable) from usage errors and unreadable inputs (2).
 """
 
 from __future__ import annotations
@@ -318,7 +318,10 @@ def _initial_state(dec, options) -> GridFunction:
         f = GridFunction(dec.domain, vals)
         return GridFunction(dec.domain, f.values / _norm(f))
     if text.startswith("eig:"):
-        return eigenfunction(dec, int(text[4:]))
+        j = int(text[4:])
+        if not 0 <= j < dec.domain.cell_count:
+            raise ValueError(f"y0 eigenfunction index {j} is outside 0..{dec.domain.cell_count - 1}")
+        return eigenfunction(dec, j)
     if text.startswith("file:"):
         return load_grid_function(text[5:])
     raise ValueError(f"unknown y0 spec {text!r} (use random, eig:<j>, or file:<path>)")
@@ -615,13 +618,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"the directory of --out {args.out!r} does not exist")
     except (ValueError, KeyError, DomainMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     cache_dir = os.environ.get("STABCERT_CACHE_DIR")
     try:
         doc = run(args.command, config, cache_dir=cache_dir)
-    except (ValueError, TypeError, DomainMismatchError, FileNotFoundError) as exc:
+    except (ValueError, TypeError, DomainMismatchError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.out:

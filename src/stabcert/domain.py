@@ -38,6 +38,7 @@ __all__ = [
     "load_grid_function",
     "content_hash",
     "jsonable",
+    "require_keys",
 ]
 
 
@@ -204,10 +205,15 @@ def domain_header(domain: GridDomain) -> dict:
     }
 
 
-def domain_from_header(header: dict) -> GridDomain:
-    missing = [k for k in _HEADER_KEYS if k not in header]
+def require_keys(doc: dict, keys, what: str) -> None:
+    """Raise ValueError naming the ``keys`` that the document ``doc`` lacks."""
+    missing = [k for k in keys if k not in doc]
     if missing:
-        raise ValueError(f"domain header is missing keys: {missing}")
+        raise ValueError(f"{what} is missing keys: {missing}")
+
+
+def domain_from_header(header: dict) -> GridDomain:
+    require_keys(header, _HEADER_KEYS, "domain header")
     return make_grid(
         header["dim"], header["half_width"], header["points_per_axis"], header["periodic"]
     )
@@ -227,6 +233,7 @@ def grid_function_to_json(f: GridFunction) -> dict:
 
 
 def grid_function_from_json(doc: dict) -> GridFunction:
+    require_keys(doc, ("header", "values"), "grid function document")
     domain = domain_from_header(doc["header"])
     if doc.get("dtype") == "complex":
         vals = np.array([complex(re, im) for re, im in doc["values"]])
@@ -263,17 +270,23 @@ def load_grid_function(path) -> GridFunction:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         buf = fh.read()
+    require_keys(header, ("dtype",), "grid function header")
     domain = domain_from_header(header)
     vals = np.frombuffer(buf, dtype=header["dtype"]).reshape(domain.shape)
     return GridFunction(domain, vals)
 
 
 def jsonable(x):
-    """Builtin-type mirror of x; non-finite floats become repr strings."""
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
+    """Builtin-type mirror of x; non-finite floats become repr strings.
+
+    A complex scalar becomes the pair [re, im], as in grid_function_to_json.
+    """
+    if isinstance(x, (np.floating, np.complexfloating, np.integer, np.bool_)):
         x = x.item()
     if isinstance(x, float):
         return x if np.isfinite(x) else repr(x)
+    if isinstance(x, complex):
+        return [jsonable(x.real), jsonable(x.imag)]
     if isinstance(x, (bool, int, str)) or x is None:
         return x
     if isinstance(x, np.ndarray):

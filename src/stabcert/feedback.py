@@ -38,14 +38,14 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .domain import GridFunction, inner_product, norm as _norm
+from .domain import DomainMismatchError, GridFunction, inner_product, norm as _norm
 from .geometry import SetIndicator
 from .operators import (
     SpectralDecomposition,
     basis_block,
     dense_matrix,
     eigenfunction,
-    semigroup_apply,
+    spectral_count,
     to_coefficients,
 )
 from .specineq import restricted_gram, spectral_constant_curve
@@ -64,7 +64,6 @@ __all__ = [
     "build_finite_rank_feedback",
     "feedback_norm_bound",
     "apply_feedback",
-    "closed_loop_step",
     "simulate_decay",
     "decay_report_to_csv",
 ]
@@ -193,10 +192,7 @@ def build_damping_feedback(
     ValueError when no N is left.
     """
     cells = dec.domain.cell_count
-    resolved = [
-        n for n in N_grid
-        if 2 * np.searchsorted(dec.eigenvalues, float(n) ** 2, side="right") <= cells
-    ]
+    resolved = [n for n in N_grid if 2 * spectral_count(dec, float(n) ** 2) <= cells]
     if not resolved:
         raise ValueError(
             f"no N in the sweep has a projection range within half the cell count {cells}; "
@@ -233,7 +229,7 @@ def build_finite_rank_feedback(dec: SpectralDecomposition, e: SetIndicator) -> F
         raise ValueError("observation set has zero measure")
     if e.domain != dec.domain:
         raise ValueError("observation set and decomposition live on different domains")
-    n_unstable = int(np.searchsorted(dec.eigenvalues, 0.0, side="right"))
+    n_unstable = spectral_count(dec, 0.0)
     if n_unstable == 0:
         raise AlreadyStableError(
             "smallest eigenvalue is positive; the open loop already decays, skip feedback"
@@ -294,31 +290,6 @@ def apply_feedback(dec: SpectralDecomposition, fb: Optional[FeedbackOperator], y
     return GridFunction(y.domain, vals)
 
 
-def closed_loop_step(
-    dec: SpectralDecomposition,
-    fb: Optional[FeedbackOperator],
-    e: SetIndicator,
-    y: GridFunction,
-    dt: float,
-) -> GridFunction:
-    """One closed-loop step: exact flow for damping, splitting otherwise.
-
-    The splitting y <- e^{-dt H}(y + dt chi_E K y) has O(dt^2) local error;
-    with fb = None it reduces to the plain semigroup step.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if fb is None:
-        return semigroup_apply(dec, dt, y)
-    if isinstance(fb, DampingFeedback):
-        c = fb.loop_vectors.T @ y.values.ravel() * y.domain.cell_volume
-        flowed = fb.loop_vectors @ (np.exp(-dt * fb.loop_eigenvalues) * c)
-        return GridFunction(y.domain, flowed.reshape(y.domain.shape))
-    control = apply_feedback(dec, fb, y)
-    forced = y.values + dt * e.cells * control.values
-    return semigroup_apply(dec, dt, GridFunction(y.domain, forced))
-
-
 @dataclass(frozen=True)
 class DecayReport:
     times: tuple
@@ -356,8 +327,12 @@ def simulate_decay(
 
     Norms are sampled on a ~100-point grid regardless of dt.  Growth beyond
     10 ||y0|| aborts: a stabilizing feedback must not excite the state, so
-    that is either an unstable loop or a too-large dt.
+    that is either an unstable loop or a too-large dt.  ``y0`` and ``e``
+    must live on the decomposition's domain.
     """
+    for name, obj in (("y0", y0), ("observation set", e)):
+        if obj.domain != dec.domain:
+            raise DomainMismatchError(f"{name} lives on a different domain than the decomposition")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if dt <= 0 or dt > t_end / 100.0:
@@ -396,15 +371,11 @@ def simulate_decay(
             )
         return _fit_decay(times, norms)
 
-    # finite rank: splitting recursion in eigen coefficients
+    # finite rank: splitting recursion in eigen coefficients; column j of the
+    # E-coupling matrix holds the coefficients of chi_E phi_j
     n_low = fb.unstable_count
-    if dec.vectors is not None:
-        chi = e.cells.ravel().astype(float)
-        p_mat = (dec.vectors * chi[:, None]).T @ dec.vectors[:, :n_low] * dec.domain.cell_volume
-    else:
-        block = basis_block(dec, np.arange(dec.domain.cell_count))
-        low = block[:, :n_low]
-        p_mat = (block.conj() * e.cells.ravel()[:, None]).T @ low * dec.domain.cell_volume
+    p_mat = np.stack([to_coefficients(dec, GridFunction(dec.domain, e.cells * phi.values))
+                      for phi in fb.eigenfunctions], axis=1)
     c = to_coefficients(dec, y0)
     lams = dec.eigenvalues
     times = [0.0]

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import GridDomain, domain_header, domain_from_header
+from .domain import GridDomain, domain_header, domain_from_header, require_keys
 
 __all__ = [
     "SetIndicator",
@@ -284,6 +284,7 @@ def set_to_json(e: SetIndicator) -> dict:
 
 
 def set_from_json(doc: dict) -> SetIndicator:
+    require_keys(doc, ("header", "first", "runs"), "set document")
     domain = domain_from_header(doc["header"])
     flat = np.empty(domain.cell_count, dtype=bool)
     value = bool(doc["first"])

@@ -48,6 +48,8 @@ __all__ = [
     "DissipativeReport",
     "HermiteBasis",
     "diagonalize",
+    "spectral_count",
+    "spectral_apply",
     "semigroup_apply",
     "semigroup_norm",
     "project",
@@ -478,18 +480,33 @@ def dense_matrix(dec: SpectralDecomposition) -> np.ndarray:
 # semigroup and projections
 
 
+def spectral_count(dec: SpectralDecomposition, k: float) -> int:
+    """d(k): the number of eigenvalues at most k, the dimension of the range of pi_k."""
+    return int(np.searchsorted(dec.eigenvalues, k, side="right"))
+
+
+def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction) -> GridFunction:
+    """w(H) f for the weights w(lambda_j), given in ascending-eigenvalue order.
+
+    The Fourier kind scatters the weights into FFT layout and multiplies
+    there.  For a real ``f`` the result is real: the imaginary part, which
+    is roundoff when the weights are equal across each level, is dropped.
+    """
+    if dec.basis_kind == "Fourier":
+        w = np.empty_like(weights)
+        w[dec.order] = weights
+        out = np.fft.ifftn(w.reshape(dec.domain.shape) * np.fft.fftn(f.values))
+        if np.isrealobj(f.values):
+            out = out.real
+        return GridFunction(dec.domain, out)
+    return from_coefficients(dec, weights * to_coefficients(dec, f))
+
+
 def semigroup_apply(dec: SpectralDecomposition, t: float, f: GridFunction) -> GridFunction:
     """Apply e^{-tH} by damping each spectral coefficient with e^{-t lambda}."""
     if t < 0:
         raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    if dec.basis_kind == "Fourier":
-        fhat = np.fft.fftn(f.values)
-        out = np.fft.ifftn(np.exp(-t * dec.symbol) * fhat)
-        if np.isrealobj(f.values):
-            out = out.real
-        return GridFunction(dec.domain, out)
-    c = to_coefficients(dec, f)
-    return from_coefficients(dec, np.exp(-t * dec.eigenvalues) * c)
+    return spectral_apply(dec, np.exp(-t * dec.eigenvalues), f)
 
 
 def semigroup_norm(dec: SpectralDecomposition, t: float) -> float:
@@ -505,16 +522,7 @@ def project(dec: SpectralDecomposition, k: float, f: GridFunction) -> GridFuncti
     When no eigenvalue qualifies this is the zero function, which also
     covers the degenerate low-threshold branches of both operator families.
     """
-    if dec.basis_kind == "Fourier":
-        keep = dec.symbol <= k
-        fhat = np.fft.fftn(f.values)
-        out = np.fft.ifftn(np.where(keep, fhat, 0.0))
-        if np.isrealobj(f.values):
-            out = out.real
-        return GridFunction(dec.domain, out)
-    c = to_coefficients(dec, f)
-    c = np.where(dec.eigenvalues <= k, c, 0.0)
-    return from_coefficients(dec, c)
+    return spectral_apply(dec, np.arange(dec.domain.cell_count) < spectral_count(dec, k), f)
 
 
 def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeReport:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import GridFunction, jsonable
 from .geometry import SetIndicator
-from .operators import SpectralDecomposition, basis_block, from_coefficients
+from .operators import SpectralDecomposition, basis_block, from_coefficients, spectral_count
 
 __all__ = [
     "SpectralConstantCurve",
@@ -97,7 +97,7 @@ def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:
     constants are then nondecreasing in k.
     """
     cells = dec.domain.cell_count
-    dims = np.searchsorted(dec.eigenvalues, thresholds, side="right").tolist()
+    dims = [spectral_count(dec, k) for k in thresholds]
     d_max = dims[-1] if dims else 0
     if 2 * d_max > cells:
         raise ValueError(

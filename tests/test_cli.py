@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from stabcert.cli import RunConfig, build_parser, main, payload_json, run
-from stabcert.domain import from_callable, make_grid, save_grid_function
+from stabcert.domain import from_callable, grid_function_to_json, make_grid, save_grid_function
+from stabcert.feedback import build_finite_rank_feedback
 from stabcert.geometry import HalfSpace, make_set, set_to_json
+from stabcert.operators import FractionalLaplacian, diagonalize
 
 DOC_KEYS = {"schema_version", "command", "config", "input_hashes", "outputs", "version", "timing"}
 
@@ -286,6 +288,28 @@ def test_feedback_build_schrodinger(tmp_path, potential_file, monkeypatch):
     assert any(name.startswith("decomposition-") for name in os.listdir(cache))
 
 
+def test_feedback_build_writes_a_complex_gram_as_pairs(tmp_path):
+    # in the Fourier basis the half-space Gram is complex Hermitian
+    out = tmp_path / "fb.json"
+    code = main(
+        [
+            "feedback-build",
+            "--operator", "frac", "--s", "1", "--c", "0.5",
+            "--domain", "dim=1,R=10,m=64,periodic=true",
+            "--set", "halfspace:offset=0",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    pairs = np.array(read(out)["outputs"]["feedback"]["gram"])
+    dom = make_grid(1, 10.0, 64, periodic=True)
+    fb = build_finite_rank_feedback(
+        diagonalize(FractionalLaplacian(s=1.0, c=0.5), dom), make_set(dom, HalfSpace(offset=0.0))
+    )
+    assert np.abs(fb.gram.imag).max() > 0.1
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], fb.gram)
+
+
 def test_simulate_closed_loop(tmp_path, potential_file, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -342,6 +366,71 @@ def test_bad_y0_spec_is_usage_error(capsys):
         ]
     )
     assert code == 2
+
+
+def test_y0_from_another_domain_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "y0.json"
+    save_grid_function(from_callable(make_grid(1, 5.0, 64, periodic=False), np.cos), str(path))
+    code = main(
+        [
+            "simulate",
+            "--domain", "dim=1,R=10,m=64,periodic=false",
+            "--set", "full",
+            "--operator", "hermite",
+            "--feedback", "none",
+            "--y0", f"file:{path}",
+        ]
+    )
+    assert code == 2
+    assert "different domain" in capsys.readouterr().err
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _headerless_set(tmp_path):
+    doc = set_to_json(make_set(make_grid(1, 10.0, 64, periodic=True), HalfSpace()))
+    del doc["header"]
+    return ["check-thick", "--domain", "dim=1,R=10,m=64",
+            "--set", f"custom:file={_write_json(tmp_path / 'set.json', doc)}"]
+
+
+def _valueless_potential(tmp_path):
+    doc = grid_function_to_json(from_callable(make_grid(1, 10.0, 64, periodic=False), np.cos))
+    del doc["values"]
+    return ["spectral-constant", "--domain", "dim=1,R=10,m=64,periodic=false",
+            "--operator", "schrodinger", "--potential", _write_json(tmp_path / "v.json", doc)]
+
+
+def _directory_potential(tmp_path):
+    return ["spectral-constant", "--domain", "dim=1,R=10,m=64,periodic=false",
+            "--operator", "schrodinger", "--potential", str(tmp_path)]
+
+
+def _out_in_missing_directory(tmp_path):
+    return ["check-thick", "--domain", "dim=1,R=10,m=64", "--lengths", "2.5",
+            "--out", str(tmp_path / "missing" / "out.json")]
+
+
+def _eigenfunction_index_past_the_grid(tmp_path):
+    return ["simulate", "--domain", "dim=1,R=10,m=64,periodic=false", "--set", "full",
+            "--operator", "hermite", "--feedback", "none", "--y0", "eig:64"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_headerless_set, _valueless_potential, _directory_potential, _out_in_missing_directory,
+     _eigenfunction_index_past_the_grid],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_bad_inputs_are_config_errors(tmp_path, capsys, argv):
+    code = main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_document_prints_to_stdout_without_out(capsys):

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabcert.domain import GridFunction, make_grid, norm, restrict_norm
+from stabcert.domain import DomainMismatchError, GridFunction, from_callable, make_grid, norm, restrict_norm
 from stabcert.feedback import (
     AlreadyStableError,
     GramSingularError,
     apply_feedback,
     build_damping_feedback,
     build_finite_rank_feedback,
-    closed_loop_step,
     damping_decay_bound,
     damping_spectral_exponent,
     decay_report_to_csv,
@@ -26,7 +25,13 @@ from stabcert.feedback import (
     simulate_decay,
 )
 from stabcert.geometry import Custom, Empty, Full, HalfSpace, PeriodicSlabs, make_set
-from stabcert.operators import eigenfunction, semigroup_apply
+from stabcert.operators import (
+    FractionalLaplacian,
+    Schrodinger,
+    diagonalize,
+    eigenfunction,
+    semigroup_apply,
+)
 from stabcert.specineq import best_constant
 
 # smallest eigenvalue of |xi| + chi_E for the quarter-filled slabs on the
@@ -261,21 +266,6 @@ def test_apply_full_domain_acts_diagonally(shifted_potential_dec, full_feedback)
     assert norm(apply_feedback(shifted_potential_dec, fb, phi3)) < 1e-12
 
 
-def test_step_without_feedback_is_semigroup(hermite_dec, rng):
-    e = make_set(hermite_dec.domain, Full())
-    y = GridFunction(hermite_dec.domain, rng.standard_normal(512))
-    stepped = closed_loop_step(hermite_dec, None, e, y, 0.3)
-    flowed = semigroup_apply(hermite_dec, 0.3, y)
-    assert np.array_equal(stepped.values, flowed.values)
-
-
-def test_step_rejects_bad_dt(hermite_dec, full_set, rng):
-    y = GridFunction(hermite_dec.domain, rng.standard_normal(512))
-    e = make_set(hermite_dec.domain, Full())
-    with pytest.raises(ValueError, match="dt"):
-        closed_loop_step(hermite_dec, None, e, y, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # closed-loop decay
 
@@ -301,6 +291,43 @@ def test_halfspace_random_states_decay(shifted_potential_dec, half_set, half_fee
         assert report.fitted_omega > 0.2
         tail = np.asarray(report.norms)[len(report.norms) // 2 :]
         assert np.all(np.diff(tail) <= 1e-12)
+
+
+def _splitting_case(case):
+    if case == "schrodinger-1d":
+        dom = make_grid(1, 10.0, 128, periodic=False)
+        return diagonalize(Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0)), dom)
+    dim, m = {"frac-1d": (1, 64), "frac-2d": (2, 16)}[case]
+    return diagonalize(FractionalLaplacian(s=1.0, c=0.5), make_grid(dim, 10.0, m, periodic=True))
+
+
+@pytest.mark.parametrize("case", ["frac-1d", "frac-2d", "schrodinger-1d"])
+def test_finite_rank_simulation_matches_grid_splitting(case):
+    # the coefficient recursion against the splitting step taken on the grid,
+    # y <- e^{-dt H}(y + dt chi_E K y), in both basis kinds
+    dec = _splitting_case(case)
+    e = make_set(dec.domain, HalfSpace(offset=0.0))
+    fb = build_finite_rank_feedback(dec, e)
+    y = GridFunction(dec.domain, np.random.default_rng(7).standard_normal(dec.domain.shape))
+    dt = 0.002
+    report = simulate_decay(dec, fb, e, y, t_end=100 * dt, dt=dt)
+    norms = [norm(y)]
+    for _ in range(100):
+        forced = y.values + dt * e.cells * apply_feedback(dec, fb, y).values
+        y = semigroup_apply(dec, dt, GridFunction(dec.domain, forced))
+        norms.append(norm(y))
+    assert report.times == pytest.approx(dt * np.arange(101), rel=1e-12)
+    assert report.norms == pytest.approx(norms, rel=1e-12)
+
+
+def test_simulate_rejects_foreign_domains(shifted_potential_dec, half_set, half_feedback):
+    other = make_grid(1, 5.0, 512, periodic=False)
+    y_other = GridFunction(other, np.ones(512))
+    with pytest.raises(DomainMismatchError, match="y0"):
+        simulate_decay(shifted_potential_dec, half_feedback, half_set, y_other, t_end=1.0, dt=0.002)
+    y0 = eigenfunction(shifted_potential_dec, 0)
+    with pytest.raises(DomainMismatchError, match="observation set"):
+        simulate_decay(shifted_potential_dec, None, make_set(other, Full()), y0, t_end=1.0, dt=0.01)
 
 
 def test_open_loop_stable_rate(hermite_dec, rng):

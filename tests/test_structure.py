@@ -1,8 +1,11 @@
 """Structural rules of the package source, checked on its syntax tree.
 
-No module imports another module's private names, and no module keeps an
+No module imports another module's private names, no module keeps an
 unbounded module-global cache (a name bound to an empty dict or list at
-module level).
+module level), and only `operators` reads the basis layout of a spectral
+decomposition or counts eigenvalues below a threshold itself; every other
+module goes through `spectral_count`, `spectral_apply` and the coefficient
+transforms.
 """
 
 import ast
@@ -46,5 +49,19 @@ def test_no_module_level_empty_containers(path):
         f"line {node.lineno}"
         for node in _tree(path).body
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty_container(node.value)
+    ]
+    assert not found, found
+
+
+DECOMPOSITION_LAYOUT = {"basis_kind", "vectors", "symbol", "order"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "operators.py"], ids=lambda p: p.name)
+def test_decomposition_layout_is_read_only_in_operators(path):
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Attribute) and node.attr in DECOMPOSITION_LAYOUT | {"searchsorted"})
+        or (isinstance(node, ast.Name) and node.id == "searchsorted")
     ]
     assert not found, found
