@@ -15,6 +15,22 @@ orthogonal family that diagonalizes the Dirichlet Laplacian with symbol
 downstream consumes eigenvalue gaps directly, and a second-order stencil
 would pollute the tenth harmonic-oscillator level at the 1e-2 scale.
 
+Each dense operator takes the cheapest solve its structure allows:
+
+* 2D Hermite is diagonalized from its 1D factor (fast diagonalization);
+* 1D Schrodinger with even m and a potential equal to its mirror image
+  commutes with the reflection x -> -x, so it is solved as two m/2-wide
+  parity blocks gathered from the closed-form Toeplitz-minus-Hankel symbol
+  of the sine Laplacian (``_sine_symbol``); H itself is never formed;
+* everything else (1D Hermite, 2D Schrodinger, asymmetric potentials, odd
+  m) is one symmetric eigensolve of the assembled matrix, with the
+  Laplacian from the sine-basis product ``_sine_laplacian``.
+
+1D Hermite is mirror-symmetric too but keeps the full solve: its levels sit
+on the integer thresholds that the certificate sweeps, roundoff decides
+whether a threshold counts its level, and the split moves that roundoff.
+It can take the split once the eigenvalue count carries a level tolerance.
+
 All semigroup and projection algebra happens in the eigenbasis, so
 idempotence, commutation and Pythagoras identities hold to roundoff.
 """
@@ -73,9 +89,11 @@ _RESIDUAL_BLOCK_ENTRIES = 1 << 21
 # entries below this fraction of a column's peak do not decide its sign
 _SIGN_RTOL = 1e-8
 # version of the convention of cached dense eigenvectors (1: pinned signs;
-# 2: also the tensor basis in 2D Hermite levels); a cached decomposition
-# written under another convention is recomputed
-_BASIS_CONVENTION = 2
+# 2: also the tensor basis in 2D Hermite levels; 3: also the parity-split
+# solve of mirror-symmetric 1D Schrodinger, whose payloads differ at roundoff
+# from the full solve's); a cached decomposition written under another
+# convention is recomputed
+_BASIS_CONVENTION = 3
 
 
 @dataclass(frozen=True)
@@ -134,12 +152,16 @@ class SpectralDecomposition:
     normalized in the discrete inner product, with the sign pinned so that
     the last entry of each column above 1e-8 of its peak magnitude is
     positive: the Hermite convention psi_k > 0 as x -> +infinity, which is
-    well defined for odd eigenfunctions too.  The 2D Hermite operator is
-    diagonalized from its 1D factor, so its (n+1)-fold levels carry the
-    tensor Hermite basis u_i(x) u_j(y), ties ordered by i * m + j.  Other
-    2D degenerate clusters are not fixed by a sign; there the basis within
-    a cluster is the solver's, and only quantities invariant within a
-    cluster (eigenvalues, projections, the span) are canonical.
+    well defined for odd eigenfunctions too.  A mirror-symmetric 1D
+    Schrodinger operator (even m) is solved per parity block, so each of its
+    eigenvectors is exactly even or exactly odd; every other 1D operator,
+    Hermite included, is one full solve (the module docstring says why).
+    The 2D Hermite operator is diagonalized from its 1D factor, so its
+    (n+1)-fold levels carry the tensor Hermite basis u_i(x) u_j(y), ties
+    ordered by i * m + j.  Other 2D degenerate clusters are not fixed by a
+    sign; there the basis within a cluster is the solver's, and only
+    quantities invariant within a cluster (eigenvalues, projections, the
+    span) are canonical.
     """
 
     spec: OperatorSpec
@@ -204,6 +226,69 @@ def _sine_laplacian(domain: GridDomain) -> np.ndarray:
     kappa = (np.pi * p / (2.0 * domain.half_width)) ** 2
     K = (Q * kappa) @ Q.T
     return 0.5 * (K + K.T)
+
+
+def _sine_symbol(domain: GridDomain) -> np.ndarray:
+    """t(n), n = 0..2m-1, with the sine-collocation Laplacian K[i, j] = t(|i - j|) - t(i + j + 1).
+
+    sin a sin b = (cos(a - b) - cos(a + b)) / 2 makes K a Toeplitz minus a
+    Hankel matrix, t(n) = sum_p kappa_p / (2 c_p^2) cos(pi n p / m) with
+    c_p^2 the squared column norms of ``_sine_laplacian``: 2m times the real
+    part of one length-2m inverse FFT.  t(2m - n) = t(n) is set exactly, so
+    the gathered K equals its transpose and its reflection [::-1, ::-1] bit
+    for bit.
+    """
+    m = domain.points_per_axis
+    g = np.zeros(2 * m)
+    g[1 : m + 1] = (np.pi * np.arange(1, m + 1) / (2.0 * domain.half_width)) ** 2 / m
+    g[m] *= 0.5  # the p = m column has squared norm m, the others m / 2
+    # roundoff in t(0) alone (about 3e-11 at m = 4096) shifts every level;
+    # which side of an integer threshold an on-level eigenvalue lands on is
+    # decided at that scale, so a change in this rounding moves d(k)
+    t = np.fft.ifft(g).real * (2 * m)
+    t[m + 1 :] = t[m - 1 : 0 : -1]
+    return t
+
+
+def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
+    """Eigenpairs and residuals of 1D -Lap + V for a mirror-symmetric V, from its parity blocks.
+
+    With V = JV (J the reflection x -> -x) and K from ``_sine_symbol``, H
+    commutes with J, so its eigenvectors are [a; +-Ja] / sqrt(2) for the
+    eigenvectors a of the m/2-wide blocks T +- R + diag(V[:m/2]), where
+    T[i, j] = K[i, j] and R[i, j] = K[i, m - 1 - j].  The blocks are
+    gathered from t(n) without forming H, and a block's residual is that of
+    the full vector.  The pairs ascend by eigenvalue, ties even first.
+    """
+    m = domain.points_per_axis
+    half = m // 2
+    t = _sine_symbol(domain)
+    i = np.arange(half)
+    s, d = np.add.outer(i, i), np.subtract.outer(i, i)
+    T = t[np.abs(d)] - t[s + 1]
+    R = t[m - 1 - s] - t[m + d]
+    # each (m/2)^2 temporary is freed before the next one and before U, so
+    # the peak stays near U's m^2 entries
+    del s, d
+    blocks = []
+    for parity in (1.0, -1.0):
+        B = T + R if parity > 0 else T - R
+        B[i, i] += potential[:half]
+        wb, a = _dense_eigh(B)
+        blocks.append((parity, wb, a, _residual_norms(B, a, wb)))
+        del B
+    del T, R
+    position = np.empty(m, dtype=int)
+    position[np.argsort(np.concatenate([blocks[0][1], blocks[1][1]]), kind="stable")] = np.arange(m)
+    w, U, resid_norms = np.empty(m), np.empty((m, m)), np.empty(m)
+    for (parity, wb, a, rb), cols in zip(blocks, (position[:half], position[half:])):
+        a /= np.sqrt(2.0)
+        U[:half, cols] = a
+        U[half:, cols] = parity * a[::-1]
+        w[cols] = wb
+        resid_norms[cols] = rb
+    _canonicalize_signs(U)
+    return w, U, resid_norms
 
 
 def _check_confining(potential: np.ndarray):
@@ -288,17 +373,22 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
             f"dense diagonalization is limited to {_DENSE_CELL_LIMIT} cells, "
             f"got {domain.cell_count}"
         )
+    if isinstance(spec, ShiftedHermite):
+        potential = domain.axis_coords() ** 2 - spec.c
+    else:
+        if spec.potential.domain != domain:
+            raise ValueError("potential lives on a different domain")
+        potential = spec.potential.values
+        if spec.condition == "II":
+            _check_confining(potential)
     if isinstance(spec, ShiftedHermite) and domain.dim == 2:
         w, U, resid_norms = _hermite_tensor_eigh(spec, domain)
+    elif (
+        isinstance(spec, Schrodinger) and domain.dim == 1 and domain.points_per_axis % 2 == 0
+        and np.array_equal(potential, potential[::-1])
+    ):
+        w, U, resid_norms = _reflection_split_eigh(domain, potential)
     else:
-        if isinstance(spec, ShiftedHermite):
-            potential = domain.axis_coords() ** 2 - spec.c
-        else:
-            if spec.potential.domain != domain:
-                raise ValueError("potential lives on a different domain")
-            potential = spec.potential.values
-            if spec.condition == "II":
-                _check_confining(potential)
         K1 = _sine_laplacian(domain)
         if domain.dim == 1:
             H = K1 + np.diag(potential)

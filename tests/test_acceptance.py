@@ -276,7 +276,7 @@ def test_finite_rank_feedback_full_pipeline(shifted_potential_dec):
     phi1 = eigenfunction(dec, 0)
     report = simulate_decay(dec, fb_full, e_full, phi1, t_end=6.0, dt=0.001)
     assert report.fitted_omega == pytest.approx(1.0, rel=2e-2)
-    assert time.perf_counter() - started < 180.0
+    assert time.perf_counter() - started < 60.0
 
 
 def test_reproducible_payloads(tmp_path):

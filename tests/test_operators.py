@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert import operators
-from stabcert.domain import from_callable, grid_function, inner_product, make_grid, norm
+from stabcert.domain import GridDomain, from_callable, grid_function, inner_product, make_grid, norm
 from stabcert.feedback import build_finite_rank_feedback
 from stabcert.geometry import HalfSpace, make_set
 from stabcert.operators import (
@@ -170,10 +170,16 @@ def _previous_convention(path, dec):
     _savez(path, dec, vectors=-dec.vectors, basis_convention=1)
 
 
+def _convention_two(path, dec):
+    # convention 2 solved a mirror-symmetric 1D Schrodinger operator whole,
+    # which differs from the parity-split solve at roundoff
+    _savez(path, dec, vectors=-dec.vectors, basis_convention=2)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _residual_above_tolerance,
-     _previous_convention],
+     _previous_convention, _convention_two],
     ids=lambda f: f.__name__.strip("_"),
 )
 def test_bad_cache_file_is_recomputed(tmp_path, corrupt):
@@ -396,6 +402,111 @@ def test_factored_hermite_clusters_carry_the_tensor_hermite_basis():
     for j, alpha in enumerate([(0, 0), (0, 1), (1, 0)]):
         overlap = inner_product(eigenfunction(dec, j), basis.functions[alpha])
         assert overlap.real > 0.99
+
+
+# ---------------------------------------------------------------------------
+# mirror-symmetric 1D Schrodinger from its parity blocks
+
+
+def full_solve(dom, potential):
+    """Eigenpairs of the whole K + diag(V), signs pinned, vectors unscaled."""
+    w, U = operators._dense_eigh(operators._sine_laplacian(dom) + np.diag(potential))
+    _canonicalize_signs(U)
+    return w, U
+
+
+def gathered_laplacian(dom):
+    t = operators._sine_symbol(dom)
+    i, j = np.indices(dom.shape * 2)
+    return t[np.abs(i - j)] - t[i + j + 1]
+
+
+@pytest.fixture(scope="module")
+def cosine_well():
+    # confining, mirror-symmetric and not the harmonic oscillator
+    dom = make_grid(1, 10.0, 256, periodic=False)
+    pot = from_callable(dom, lambda x: x**2 - 4.0 + 0.5 * np.cos(2.0 * x))
+    assert np.array_equal(pot.values, pot.values[::-1])
+    return Schrodinger(potential=pot), dom
+
+
+@pytest.mark.parametrize("m", [8, 64, 256])
+def test_gathered_sine_laplacian_matches_the_product(m):
+    dom = make_grid(1, 10.0, m, periodic=False)
+    K = gathered_laplacian(dom)
+    product = operators._sine_laplacian(dom)
+    assert np.abs(K - product).max() <= 1e-12 * np.abs(product).max()
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(K, K[::-1, ::-1])
+
+
+def test_split_solve_matches_the_full_solve(cosine_well, monkeypatch):
+    spec, dom = cosine_well
+    solved = []
+
+    def recording_eigh(H):
+        solved.append(H.shape)
+        return scipy.linalg.eigh(H)
+
+    monkeypatch.setattr(operators, "_dense_eigh", recording_eigh)
+    dec = diagonalize(spec, dom)
+    assert solved == [(128, 128), (128, 128)]  # two parity blocks, no 256-wide H
+    w, U = full_solve(dom, spec.potential.values)
+    assert np.all(np.abs(dec.eigenvalues - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+    vectors = dec.vectors * np.sqrt(dom.cell_volume)
+    P_split = vectors[:, :20] @ vectors[:, :20].T
+    P_full = U[:, :20] @ U[:, :20].T
+    assert np.abs(P_split - P_full).max() < 1e-10
+    # equal only to roundoff, hence a new cache convention
+    assert not np.array_equal(vectors, U)
+    assert dec.max_residual <= operators._RESIDUAL_TOL
+    pinned = np.array(dec.vectors)
+    _canonicalize_signs(pinned)
+    assert np.array_equal(pinned, dec.vectors)
+    # parity alternates up the spectrum: even ground state, odd first excited
+    assert np.array_equal(vectors[:, 0], vectors[::-1, 0])
+    assert np.array_equal(vectors[:, 1], -vectors[::-1, 1])
+
+
+def test_split_block_residual_is_the_full_residual(cosine_well, monkeypatch):
+    # one eigenvalue of the odd block is off by 4e-9 relative; its column's
+    # residual against the assembled K + diag(V) decides max_residual
+    spec, dom = cosine_well
+    blocks = []
+
+    def detuned_eigh(H):
+        w, U = scipy.linalg.eigh(H)
+        if blocks:
+            w[5] += 4e-9 * max(1.0, abs(w[5]))
+        blocks.append(H.shape)
+        return w, U
+
+    monkeypatch.setattr(operators, "_dense_eigh", detuned_eigh)
+    dec = diagonalize(spec, dom)
+    H = gathered_laplacian(dom) + np.diag(spec.potential.values)
+    U, w = dec.vectors * np.sqrt(dom.cell_volume), dec.eigenvalues
+    whole = np.linalg.norm(H @ U - U * w, axis=0) / np.maximum(1.0, np.abs(w))
+    assert dec.max_residual == pytest.approx(float(whole.max()), rel=1e-4)
+    assert np.array_equal(U[:, int(np.argmax(whole))], -U[::-1, int(np.argmax(whole))])
+
+
+@pytest.mark.parametrize(
+    "m, tilt",
+    [(256, 0.1), (65, 0.0)],
+    ids=["asymmetric-potential", "odd-m"],
+)
+def test_full_solve_is_kept_without_a_mirror_symmetry(m, tilt):
+    # an odd grid has no reflection-paired halves, even for an exactly
+    # mirror-symmetric V
+    dom = GridDomain(dim=1, half_width=10.0, points_per_axis=m, periodic=False)
+    values = from_callable(dom, lambda x: x**2 - 4.0 + 0.5 * np.cos(2.0 * x)).values
+    values = 0.5 * (values + values[::-1]) + tilt * dom.axis_coords()
+    assert np.array_equal(values, values[::-1]) == (tilt == 0.0)
+    pot = grid_function(dom, values)
+    dec = diagonalize(Schrodinger(potential=pot), dom)
+    w, U = full_solve(dom, pot.values)
+    assert np.array_equal(dec.eigenvalues, w)
+    assert np.array_equal(dec.vectors, U / np.sqrt(dom.cell_volume))
 
 
 # ---------------------------------------------------------------------------

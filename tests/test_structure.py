@@ -5,7 +5,8 @@ unbounded module-global cache (a name bound to an empty dict or list at
 module level), and only `operators` reads the basis layout of a spectral
 decomposition or counts eigenvalues below a threshold itself; every other
 module goes through `spectral_count`, `spectral_apply` and the coefficient
-transforms.
+transforms. In `operators`, `scipy.linalg.eigh` is called only inside
+`_dense_eigh`.
 """
 
 import ast
@@ -65,3 +66,21 @@ def test_decomposition_layout_is_read_only_in_operators(path):
         or (isinstance(node, ast.Name) and node.id == "searchsorted")
     ]
     assert not found, found
+
+
+def test_eigh_is_called_only_in_dense_eigh():
+    # every dense eigensolve (the whole operator, the Hermite factor and the
+    # parity blocks) goes through `operators._dense_eigh`, which the sign
+    # tests replace by a solver that scrambles column signs
+    tree = _tree(next(p for p in SOURCES if p.name == "operators.py"))
+    (wrapper,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_dense_eigh"
+    ]
+    inside = {id(node) for node in ast.walk(wrapper)}
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "eigh"
+    ]
+    assert calls, "operators.py calls no eigh at all"
+    outside = [f"line {node.lineno}: {ast.unparse(node)}" for node in calls if id(node) not in inside]
+    assert not outside, outside
