@@ -40,12 +40,12 @@ from .operators import (
     SpectralDecomposition,
     diagonalize,
     dissipative_margin,
+    restricted_gram,
     to_coefficients,
 )
 from .specineq import (
     SpectralConstantCurve,
     fit_growth,
-    restricted_gram,
     spectral_constant_curve,
     verify_spectral_hypothesis,
 )
@@ -213,18 +213,23 @@ def observation_integrals(gram, lams, coeffs, lo, hi) -> np.ndarray:
     whose last factor is hi - lo where mu_jl = 0.  The factor e^{-lo mu_jl}
     splits as e^{-lo lam_j} e^{-lo lam_l} and is folded into the columns, and
     the rest is (hi - lo) exprel(-(hi - lo) mu_jl), exprel(x) = (e^x - 1)/x,
-    which is exactly 1 at x = 0 and has no cancellation near it.  The factor
-    is built in place on the one cells^2 pair array; the only other cells^2
-    temporary is its product with the Gram matrix.
+    which is exactly 1 at x = 0 and has no cancellation near it.  That rest
+    depends only on the pair of values, so it is evaluated once per pair of
+    distinct values of ``lams`` (levels, compared exactly; a degenerate
+    spectrum has far fewer levels than entries) and then gathered onto every
+    pair: the result is bit for bit that of evaluating every pair.  Two
+    cells^2 temporaries remain, the gathered factor and its product with the
+    Gram matrix.
     """
     width = hi - lo
-    factor = np.add.outer(lams, lams)
+    levels, level_of = np.unique(lams, return_inverse=True)
+    factor = np.add.outer(levels, levels)
     with np.errstate(over="ignore", under="ignore"):
         cols = coeffs * np.exp(-lo * lams)[:, None]
         factor *= -width
         scipy.special.exprel(factor, out=factor)
         factor *= width
-    weighted = gram * factor
+    weighted = gram * factor[np.ix_(level_of, level_of)]
     return (cols.conj() * (weighted @ cols)).sum(axis=0).real
 
 

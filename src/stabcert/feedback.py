@@ -45,10 +45,11 @@ from .operators import (
     basis_block,
     dense_matrix,
     eigenfunction,
+    restricted_gram,
     spectral_count,
     to_coefficients,
 )
-from .specineq import restricted_gram, spectral_constant_curve
+from .specineq import spectral_constant_curve
 
 __all__ = [
     "GramSingularError",

@@ -15,16 +15,20 @@ orthogonal family that diagonalizes the Dirichlet Laplacian with symbol
 downstream consumes eigenvalue gaps directly, and a second-order stencil
 would pollute the tenth harmonic-oscillator level at the 1e-2 scale.
 
-Each dense operator takes the cheapest solve its structure allows:
+Each kind takes the cheapest computation its structure allows:
 
+* the Fourier kind's E-restricted Gram matrix is translation invariant
+  (G_jl depends only on k_j - k_l), so ``restricted_gram`` gathers it from
+  one FFT of the set: O(d^2) work instead of the O(|E| d^2) product of
+  sampled eigenfunctions;
 * 2D Hermite is diagonalized from its 1D factor (fast diagonalization);
 * 1D Schrodinger with even m and a potential equal to its mirror image
   commutes with the reflection x -> -x, so it is solved as two m/2-wide
   parity blocks gathered from the closed-form Toeplitz-minus-Hankel symbol
   of the sine Laplacian (``_sine_symbol``); H itself is never formed;
-* everything else (1D Hermite, 2D Schrodinger, asymmetric potentials, odd
-  m) is one symmetric eigensolve of the assembled matrix, with the
-  Laplacian from the sine-basis product ``_sine_laplacian``.
+* every other dense operator (1D Hermite, 2D Schrodinger, asymmetric
+  potentials, odd m) is one symmetric eigensolve of the assembled matrix,
+  with the Laplacian from the sine-basis product ``_sine_laplacian``.
 
 1D Hermite is mirror-symmetric too but keeps the full solve: its levels sit
 on the integer thresholds that the certificate sweeps, roundoff decides
@@ -54,6 +58,7 @@ from .domain import (
     grid_function_from_json,
     norm as _norm,
 )
+from .geometry import SetIndicator
 
 __all__ = [
     "FractionalLaplacian",
@@ -76,6 +81,7 @@ __all__ = [
     "to_coefficients",
     "from_coefficients",
     "basis_block",
+    "restricted_gram",
     "eigenfunction",
     "dense_matrix",
 ]
@@ -539,6 +545,39 @@ def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
     A1 = np.exp(2j * np.pi * np.outer(rows, k1) / m)
     A2 = np.exp(2j * np.pi * np.outer(rows, k2) / m)
     return (A1[:, None, :] * A2[None, :, :]).reshape(m * m, len(flat)) / scale
+
+
+def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.ndarray:
+    """Gram matrix h sum_{x in E} conj(v_j(x)) v_l(x) of the selected eigenfunctions.
+
+    ``indices`` refer to the ascending-eigenvalue ordering.  In the Fourier
+    kind the entry depends only on the frequency difference:
+    G_jl = h (2R)^{-n} chi_hat[(k_j - k_l) mod m] with chi_hat the DFT of
+    E's indicator, so the matrix is gathered from one FFT of the set and no
+    eigenfunction is sampled.  chi_hat is laid out on the differences
+    -(m - 1)..m - 1 of each axis and averaged with the conjugate of its
+    reflection, which makes entry (l, j) exactly conj(entry (j, l)).  Dense
+    kinds take the selected columns first and then the rows of E (rows
+    first would copy |E| x cells).
+    """
+    if e.domain != dec.domain:
+        raise ValueError("set and decomposition live on different domains")
+    if dec.basis_kind == "Dense":
+        rows = basis_block(dec, indices)[e.cells.ravel()]
+        G = rows.conj().T @ rows * dec.domain.cell_volume
+        return 0.5 * (G + G.conj().T)
+    domain = dec.domain
+    m, n = domain.points_per_axis, domain.dim
+    diff_shape = (2 * m - 1,) * n
+    chi = np.fft.fftn(e.cells)[np.ix_(*[(np.arange(2 * m - 1) - (m - 1)) % m] * n)]
+    chi = 0.5 * (chi + np.flip(chi).conj()) * (domain.cell_volume / (2.0 * domain.half_width) ** n)
+    # entry (j, l) sits at p_j - p_l plus the offset of the zero difference:
+    # one index per pair and no modulo over the d^2 pairs
+    k = np.unravel_index(dec.order[np.asarray(indices, dtype=int)], domain.shape)
+    p = np.ravel_multi_index(k, diff_shape)
+    pairs = np.subtract.outer(p, p)
+    pairs += np.ravel_multi_index((m - 1,) * n, diff_shape)
+    return chi.ravel()[pairs]
 
 
 def eigenfunction(dec: SpectralDecomposition, j: int) -> GridFunction:

@@ -40,8 +40,13 @@ from scipy.interpolate import RegularGridInterpolator
 from .certify import observation_integrals
 from .domain import GridDomain, GridFunction, from_callable, norm as _norm, restrict_norm
 from .geometry import SetIndicator
-from .operators import FractionalLaplacian, ShiftedHermite, SpectralDecomposition, to_coefficients
-from .specineq import restricted_gram
+from .operators import (
+    FractionalLaplacian,
+    ShiftedHermite,
+    SpectralDecomposition,
+    restricted_gram,
+    to_coefficients,
+)
 
 __all__ = [
     "ObservationClaim",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import GridFunction, jsonable
 from .geometry import SetIndicator
-from .operators import SpectralDecomposition, basis_block, from_coefficients, spectral_count
+from .operators import SpectralDecomposition, from_coefficients, restricted_gram, spectral_count
 
 __all__ = [
     "SpectralConstantCurve",
@@ -72,16 +72,6 @@ class HypothesisReport:
     worst_ratio: float
     worst_k: int
     constants: tuple
-
-
-def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.ndarray:
-    """Gram matrix of E-restricted inner products of selected eigenfunctions."""
-    if e.domain != dec.domain:
-        raise ValueError("set and decomposition live on different domains")
-    B = basis_block(dec, indices)
-    rows = B[e.cells.ravel(), :]
-    G = rows.conj().T @ rows * dec.domain.cell_volume
-    return 0.5 * (G + G.conj().T)
 
 
 def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:

@@ -175,7 +175,7 @@ def test_end_to_end_certification_on_thick_slabs():
     assert obs.min_margin_rel >= -1e-7
     assert obs.min_margin > 0.0
     assert result.recurrence_report.passed
-    assert time.perf_counter() - started < 300.0
+    assert time.perf_counter() - started < 30.0
 
 
 def test_necessity_witnesses(hermite_dec, frac_dec):
@@ -194,7 +194,7 @@ def test_necessity_witnesses(hermite_dec, frac_dec):
     )
     assert frac_report.any_violation
     assert frac_report.centers[0].margin < 0.0
-    assert time.perf_counter() - started < 120.0
+    assert time.perf_counter() - started < 30.0
 
 
 def test_geometry_classifier():

@@ -7,6 +7,7 @@ which evaluates the chain independently with mpmath at 60 digits.
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,11 +183,43 @@ def random_quadrature_problem(rng, n=12, trials=5):
     return gram, lams, coeffs
 
 
+def repeated_levels_problem(rng, trials=5):
+    """Eigenvalues on a few repeated levels, plus pairs one ulp apart that are distinct levels.
+
+    The first columns are the unit vectors: each of those integrals is one
+    diagonal term, so a time factor taken from the neighbouring level one
+    ulp away changes its bits.
+    """
+    close = np.array([0.75, 2.5])
+    lams = np.sort(np.concatenate([
+        np.repeat([-0.5, 0.0, 1.0, 3.0], 3), close, np.nextafter(close, np.inf),
+    ]))
+    gram, _, coeffs = random_quadrature_problem(rng, n=lams.size, trials=trials)
+    return gram, lams, np.hstack([np.eye(lams.size), coeffs])
+
+
+QUADRATURE_PROBLEMS = {"random": random_quadrature_problem, "repeated-levels": repeated_levels_problem}
+
+
 def test_observation_integrals_agree_with_the_closed_form(rng):
-    gram, lams, coeffs = random_quadrature_problem(rng)
-    vals = observation_integrals(gram, lams, coeffs, 0.25, 2.0)
-    exact = closed_form_integrals(gram, lams, coeffs, 0.25, 2.0)
-    assert np.allclose(vals, exact, rtol=1e-12, atol=0.0)
+    for problem in sorted(QUADRATURE_PROBLEMS):
+        gram, lams, coeffs = QUADRATURE_PROBLEMS[problem](rng)
+        vals = observation_integrals(gram, lams, coeffs, 0.25, 2.0)
+        exact = closed_form_integrals(gram, lams, coeffs, 0.25, 2.0)
+        assert np.allclose(vals, exact, rtol=1e-12, atol=0.0), problem
+
+
+@pytest.mark.parametrize("problem", sorted(QUADRATURE_PROBLEMS))
+def test_observation_integrals_are_the_every_pair_arithmetic(problem, rng):
+    # the time factor is evaluated once per pair of levels and gathered, so it
+    # must equal, bit for bit, the factor evaluated on every pair: levels one
+    # ulp apart stay apart
+    gram, lams, coeffs = QUADRATURE_PROBLEMS[problem](rng)
+    lo, hi = 0.25, 2.0
+    factor = (hi - lo) * scipy.special.exprel(-(hi - lo) * np.add.outer(lams, lams))
+    cols = coeffs * np.exp(-lo * lams)[:, None]
+    every_pair = (cols.conj() * ((gram * factor) @ cols)).sum(axis=0).real
+    assert np.array_equal(observation_integrals(gram, lams, coeffs, lo, hi), every_pair)
 
 
 def test_observation_integrals_agree_with_scipy_quad(rng):

@@ -1,12 +1,14 @@
 """Restricted spectral constants, growth fits, hypothesis verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from stabcert.domain import make_grid, norm, restrict_norm
-from stabcert.geometry import BallComplement, Custom, Empty, Full, HalfSpace, PeriodicSlabs, make_set
-from stabcert.operators import FractionalLaplacian, diagonalize
+from stabcert.domain import GridDomain, make_grid, norm, restrict_norm
+from stabcert.geometry import BallComplement, Custom, Empty, Full, HalfSpace, PeriodicSlabs, SetIndicator, make_set
+from stabcert.operators import FractionalLaplacian, ShiftedHermite, basis_block, diagonalize
 from stabcert.specineq import (
     ExpPowerFit,
     KLogKFit,
@@ -100,10 +102,55 @@ def test_halfspace_gram_cross_term_against_quadrature(hermite_dec):
     assert abs(abs(g[0, 1]) - oracle) < 1e-4
 
 
-def test_gram_is_hermitian_psd(frac_dec, slabs):
-    g = restricted_gram(frac_dec, np.arange(6), slabs)
+def test_gram_is_hermitian_psd(frac_dec, slabs, frac_2d_ball_complement):
+    for dec, e in [(frac_dec, slabs), frac_2d_ball_complement]:
+        g = restricted_gram(dec, np.arange(6), e)
+        assert np.array_equal(g, g.conj().T)
+        assert np.linalg.eigvalsh(g).min() > -1e-12
+
+
+def product_gram(dec, indices, e):
+    """The E-restricted Gram as the product of sampled eigenfunctions, symmetrized."""
+    rows = basis_block(dec, indices)[e.cells.ravel()]
+    g = rows.conj().T @ rows * dec.domain.cell_volume
+    return 0.5 * (g + g.conj().T)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16), (2, 15)])
+@pytest.mark.parametrize("subset", ["all", "every-third"])
+def test_fourier_gram_gather_matches_the_basis_product(dim, m, subset):
+    # the gather reads the DFT of the set at frequency differences; an odd m
+    # has no Nyquist frequency and a subset breaks the contiguity of indices
+    dom = GridDomain(dim=dim, half_width=10.0, points_per_axis=m, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    e = SetIndicator(dom, np.random.default_rng(m).random(dom.shape) < 0.4)
+    idx = np.arange(dom.cell_count)
+    if subset == "every-third":
+        idx = idx[1::3]
+    g = restricted_gram(dec, idx, e)
     assert np.array_equal(g, g.conj().T)
-    assert np.linalg.eigvalsh(g).min() > -1e-12
+    assert np.abs(g - product_gram(dec, idx, e)).max() <= 1e-13
+
+
+def test_dense_gram_is_the_column_block_product(shifted_potential_dec):
+    # columns first, then the rows of E: the two unstable modes of V = x^2 - 4
+    # must not copy the |E| x cells rows of the whole basis on the way
+    dec = shifted_potential_dec
+    e = make_set(dec.domain, HalfSpace(offset=0.0))
+    tracemalloc.start()
+    try:
+        g = restricted_gram(dec, np.arange(2), e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g, product_gram(dec, np.arange(2), e))
+    # an eighth of the 8-byte |E| x cells copy that selecting rows first makes
+    assert peak < int(e.cells.sum()) * dec.domain.cell_count
+    dom = make_grid(2, 6.0, 16, periodic=False)
+    dec = diagonalize(ShiftedHermite(), dom)
+    e = make_set(dom, BallComplement(center=(1.0, 0.0), radius=2.5))
+    full = np.arange(dom.cell_count)
+    assert np.array_equal(restricted_gram(dec, full, e), product_gram(dec, full, e))
 
 
 def test_gram_rejects_foreign_set(frac_dec):

@@ -5,8 +5,9 @@ unbounded module-global cache (a name bound to an empty dict or list at
 module level), and only `operators` reads the basis layout of a spectral
 decomposition or counts eigenvalues below a threshold itself; every other
 module goes through `spectral_count`, `spectral_apply` and the coefficient
-transforms. In `operators`, `scipy.linalg.eigh` is called only inside
-`_dense_eigh`.
+transforms. `specineq`, `certify` and `probes` never sample eigenfunctions
+with `basis_block`: the restricted Gram is built by `operators`. In
+`operators`, `scipy.linalg.eigh` is called only inside `_dense_eigh`.
 """
 
 import ast
@@ -64,6 +65,22 @@ def test_decomposition_layout_is_read_only_in_operators(path):
         for node in ast.walk(_tree(path))
         if (isinstance(node, ast.Attribute) and node.attr in DECOMPOSITION_LAYOUT | {"searchsorted"})
         or (isinstance(node, ast.Name) and node.id == "searchsorted")
+    ]
+    assert not found, found
+
+
+@pytest.mark.parametrize("name", ["specineq.py", "certify.py", "probes.py"])
+def test_gram_consumers_do_not_sample_the_basis(name):
+    # the E-restricted Gram is built in `operators` (`restricted_gram`, which
+    # gathers the Fourier kind from one FFT of the set); its consumers never
+    # sample eigenfunctions themselves
+    tree = _tree(next(p for p in SOURCES if p.name == name))
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.alias) and node.name == "basis_block")
+        or (isinstance(node, ast.Attribute) and node.attr == "basis_block")
+        or (isinstance(node, ast.Name) and node.id == "basis_block")
     ]
     assert not found, found
 
