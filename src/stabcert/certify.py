@@ -17,11 +17,22 @@ log-space and only exponentiated on demand.
 The two check operations then hold the certificate against the discretized
 semigroup itself: a one-scale recurrence inequality on dyadic intervals
 (tau/2, tau), and the final inequality at time T.  Their space-time
-observation integrals are exact: with G the E-restricted Gram matrix of the
-eigenbasis and u the coefficients of a state, t -> ||e^{-tH} u||_{L2(E)}^2
-is the finite sum of exponentials sum_jl conj(u_j) G_jl u_l e^{-t(lam_j +
-lam_l)}, and observation_integrals integrates it term by term in closed
-form.  No quadrature rule and no stopping rule is involved.
+observation integrals int_lo^hi ||chi_E e^{-tH} u||^2 dt are evaluated
+without the E-restricted Gram matrix.  The time kernel
+F_jl = int_lo^hi e^{-t(lam_j + lam_l)} dt is a Laplace-type kernel of low
+numerical rank; ``time_kernel`` factors it over the distinct eigenvalue
+levels by pivoted Cholesky, F = L L^T + E, and stops once the
+multiplicity-weighted trace of the residual E falls to KERNEL_RTOL times
+that of F.  The integral is then sum_q ||chi_E l_q(H) u||^2 with
+l_q(lam) = L[level(lam), q], a few batched transforms per state
+(``operators.restricted_norms``).  The Gram G is positive semidefinite
+with G_jj <= 1 and E is positive semidefinite, so Schur's inequality puts
+the exact value in [I, I + B ||u||^2], where I is that sum less a roundoff
+allowance and B is the weighted trace of E plus twice the allowance.  Each
+verdict is taken at the conservative end of the bracket: the checks pass
+on the lower end I, and the probes report a violation only if the upper
+end still violates.  ``observation_integrals`` keeps the exact closed form
+through the Gram as the reference the tests hold the bracket to.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from .operators import (
     SpectralDecomposition,
     diagonalize,
     dissipative_margin,
-    restricted_gram,
+    restricted_norms,
     to_coefficients,
 )
 from .specineq import (
@@ -64,10 +75,20 @@ __all__ = [
     "certify_end_to_end",
     "certificate_to_json",
     "growth_exponent",
+    "TimeKernel",
+    "ObservationBracket",
+    "time_kernel",
+    "observation_bracket",
     "observation_integrals",
 ]
 
 CHECK_BUDGET = 1e-7  # relative slack granted to roundoff in pass/fail calls
+# pivoted Cholesky of the time kernel stops once the multiplicity-weighted
+# trace of its residual is at most this fraction of the kernel's own
+KERNEL_RTOL = 1e-13
+# roundoff allowance of an observation integral, in units of eps times the
+# largest one-mode integral max_j F_jj (hi - lo when the spectrum starts at 0)
+_ROUNDOFF_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -200,12 +221,112 @@ def certificate_gain_log(cert: Certificate, tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# observation integrals, as Gram quadratic forms
+# observation integrals
+
+
+@dataclass(frozen=True)
+class TimeKernel:
+    """Low-rank factor of F_jl = int_lo^hi e^{-t(lam_j + lam_l)} dt, F = L L^T + E.
+
+    ``weights`` is (rank, cells): row q holds l_q(lam_j) = L[level(lam_j), q]
+    for every eigenvalue.  ``residual_trace`` is the multiplicity-weighted
+    trace of E and ``allowance`` the roundoff allowance of one integral,
+    both per unit squared norm of the state.
+    """
+
+    weights: np.ndarray
+    residual_trace: float
+    allowance: float
+
+    @property
+    def rank(self) -> int:
+        return int(self.weights.shape[0])
+
+    @property
+    def bound(self) -> float:
+        """B: the width of the certified bracket per unit squared norm."""
+        return self.residual_trace + 2.0 * self.allowance
+
+
+def time_kernel(lams, lo: float, hi: float) -> TimeKernel:
+    """Pivoted Cholesky factor of the time kernel over the distinct values of ``lams``.
+
+    With s_a = e^{-lo l_a} over the levels l_a, the kernel is
+    F_ab = s_a s_b (hi - lo) exprel(-(hi - lo)(l_a + l_b)), positive
+    semidefinite, and only its diagonal and the pivot columns are formed.
+    Each step pivots on the largest multiplicity-weighted residual diagonal
+    entry and the factor stops once the weighted residual trace is at most
+    KERNEL_RTOL times the weighted trace of F (or every level is a pivot).
+    """
+    lams = np.asarray(lams, dtype=float)
+    width = hi - lo
+    levels, level_of, counts = np.unique(lams, return_inverse=True, return_counts=True)
+    with np.errstate(over="ignore", under="ignore"):
+        scale = np.exp(-lo * levels)
+        diag = scale * scale * width * scipy.special.exprel(-2.0 * width * levels)
+    total = float(counts @ diag)
+    resid = diag.copy()
+    factor = np.zeros((levels.size, 0))
+    while factor.shape[1] < levels.size and float(counts @ resid) > KERNEL_RTOL * total:
+        p = int(np.argmax(counts * resid))
+        with np.errstate(over="ignore", under="ignore"):
+            col = scale * (scale[p] * width) * scipy.special.exprel(-width * (levels + levels[p]))
+        col -= factor @ factor[p]
+        col /= np.sqrt(resid[p])
+        resid -= col * col
+        resid[p] = 0.0
+        np.maximum(resid, 0.0, out=resid)
+        factor = np.column_stack([factor, col])
+    return TimeKernel(
+        weights=np.ascontiguousarray(factor[level_of].T),
+        residual_trace=float(counts @ resid),
+        allowance=_ROUNDOFF_ULPS * np.finfo(float).eps * float(diag.max()),
+    )
+
+
+@dataclass(frozen=True)
+class ObservationBracket:
+    """Certified bounds on int_lo^hi ||chi_E e^{-t lam} f_p||^2 dt, one row per interval.
+
+    The exact integral lies in [lower, upper]; upper - lower is the
+    interval's kernel bound times ||f_p||^2.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    ranks: tuple
+    bounds: tuple
+
+
+def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lams, intervals) -> ObservationBracket:
+    """Bracket the observation integrals of ``states`` over each (lo, hi) in ``intervals``.
+
+    ``states`` is (P,) + the grid shape; ``lams`` replaces the eigenvalues
+    of ``dec`` (a shifted spectrum), in their order.  Every interval's
+    kernel rows go through one ``restricted_norms`` call.
+    """
+    states = np.asarray(states)
+    kernels = [time_kernel(lams, lo, hi) for lo, hi in intervals]
+    norms = restricted_norms(dec, e, np.concatenate([k.weights for k in kernels]), states)
+    ends = np.cumsum([0] + [k.rank for k in kernels])
+    sq_norms = (np.abs(states.reshape(len(states), -1)) ** 2).sum(axis=1) * dec.domain.cell_volume
+    lower = np.stack([
+        norms[a:b].sum(axis=0) - k.allowance * sq_norms for k, a, b in zip(kernels, ends[:-1], ends[1:])
+    ])
+    bounds = np.array([k.bound for k in kernels])
+    return ObservationBracket(
+        lower=lower,
+        upper=lower + bounds[:, None] * sq_norms,
+        ranks=tuple(k.rank for k in kernels),
+        bounds=tuple(float(b) for b in bounds),
+    )
 
 
 def observation_integrals(gram, lams, coeffs, lo, hi) -> np.ndarray:
-    """Exact integrals over [lo, hi] of t -> ||chi_E e^{-t lam} u||^2, one per column u.
+    """Exact integrals over [lo, hi] of t -> ||chi_E e^{-t lam} u||^2 through the Gram matrix, one per column u.
 
+    The closed-form reference for ``observation_bracket``; no check or probe
+    calls it, since it needs the cells x cells E-restricted Gram ``gram``.
     With mu_jl = lam_j + lam_l the integral is
 
         sum_jl conj(u_j) G_jl u_l e^{-lo mu_jl} (1 - e^{-(hi - lo) mu_jl}) / mu_jl,
@@ -215,11 +336,9 @@ def observation_integrals(gram, lams, coeffs, lo, hi) -> np.ndarray:
     the rest is (hi - lo) exprel(-(hi - lo) mu_jl), exprel(x) = (e^x - 1)/x,
     which is exactly 1 at x = 0 and has no cancellation near it.  That rest
     depends only on the pair of values, so it is evaluated once per pair of
-    distinct values of ``lams`` (levels, compared exactly; a degenerate
-    spectrum has far fewer levels than entries) and then gathered onto every
-    pair: the result is bit for bit that of evaluating every pair.  Two
-    cells^2 temporaries remain, the gathered factor and its product with the
-    Gram matrix.
+    distinct values of ``lams`` (levels, compared exactly) and then gathered
+    onto every pair: the result is bit for bit that of evaluating every
+    pair.  No quadrature and no truncation is involved.
     """
     width = hi - lo
     levels, level_of = np.unique(lams, return_inverse=True)
@@ -233,14 +352,16 @@ def observation_integrals(gram, lams, coeffs, lo, hi) -> np.ndarray:
     return (cols.conj() * (weighted @ cols)).sum(axis=0).real
 
 
-def _random_unit_coefficients(dec: SpectralDecomposition, trials: int, rng) -> np.ndarray:
-    """Eigenbasis coefficients of random unit-norm real grid functions, columnwise."""
+def _random_unit_states(dec: SpectralDecomposition, trials: int, rng):
+    """Random unit-norm real grid functions: their values (trials,) + shape and their coefficients, columnwise."""
+    values = np.empty((trials,) + dec.domain.shape)
     cols = []
-    for _ in range(trials):
-        vals = rng.standard_normal(dec.domain.shape)
-        f = GridFunction(dec.domain, vals)
-        cols.append(to_coefficients(dec, f) / _norm(f))
-    return np.stack(cols, axis=1)
+    for i in range(trials):
+        f = GridFunction(dec.domain, rng.standard_normal(dec.domain.shape))
+        size = _norm(f)
+        values[i] = f.values / size
+        cols.append(to_coefficients(dec, f) / size)
+    return values, np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +377,8 @@ class RecurrenceReport:
     max_violation_rel: float
     worst_tau: float
     passed: bool
+    kernel_rank: int
+    kernel_bound: float
 
 
 @dataclass(frozen=True)
@@ -269,14 +392,11 @@ class WeakObservabilityReport:
     min_margin_rel: float
     observation_integrals: tuple
     passed: bool
+    kernel_rank: int
+    kernel_bound: float
 
 
-def _check_full_gram(dec: SpectralDecomposition, gram: np.ndarray):
-    if gram.shape != (dec.domain.cell_count,) * 2:
-        raise ValueError(f"the checks need the full-basis Gram matrix, got shape {gram.shape}")
-
-
-def recurrence_check(dec, gram: np.ndarray, cert: Certificate, tau_samples, trials: int, seed: int = 0) -> RecurrenceReport:
+def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trials: int, seed: int = 0) -> RecurrenceReport:
     """Test the one-scale recurrence inequality on dyadic intervals.
 
     For the shifted generator (eigenvalues lam + delta0) and each sampled
@@ -285,31 +405,32 @@ def recurrence_check(dec, gram: np.ndarray, cert: Certificate, tau_samples, tria
         g(tau) ||e^{-tau H~} phi||^2 - g(tau/2) ||phi||^2
             <= int_{tau/2}^{tau} ||e^{-t H~} phi||_{L2(E)}^2 dt + alpha0 tau,
 
-    with g the certificate weight and ``gram`` the E-restricted Gram matrix
-    of the full eigenbasis.  The caller is responsible for having
-    verified the two hypotheses (restricted inequality at k(tau), decay
-    bound) beforehand; under those the inequality is exact on the grid and
-    any violation beyond the roundoff budget is a real failure.
+    with g the certificate weight.  The integral is taken at the lower end
+    of its certified bracket, so roundoff in it can only fail the check.
+    The report carries the largest kernel rank and bound B over the taus.
+    The caller is responsible for having verified the two hypotheses
+    (restricted inequality at k(tau), decay bound) beforehand; under those
+    the inequality is exact on the grid and any violation beyond the
+    roundoff budget is a real failure.
     """
-    _check_full_gram(dec, gram)
     taus = [float(tau) for tau in tau_samples]
     for tau in taus:
         if not 0.0 < tau < cert.tau0:
             raise ValueError(f"tau = {tau} outside (0, tau0 = {cert.tau0})")
     rng = np.random.default_rng(seed)
-    coeffs = _random_unit_coefficients(dec, trials, rng)
+    states, coeffs = _random_unit_states(dec, trials, rng)
     lams = dec.eigenvalues + cert.constants.delta0
+    bracket = observation_bracket(dec, e, states, lams, [(tau / 2.0, tau) for tau in taus])
     with np.errstate(under="ignore"):
         alpha0 = np.exp(cert.ln_alpha0)
     max_violation = -np.inf
     max_violation_rel = -np.inf
     worst_tau = taus[0]
-    for tau in taus:
+    for tau, integrals in zip(taus, bracket.lower):
         g_tau = np.exp(certificate_gain_log(cert, tau))
         g_half = np.exp(certificate_gain_log(cert, tau / 2.0))
         decay_sq = np.exp(-2.0 * tau * lams)
         norms_sq = (np.abs(coeffs) ** 2 * decay_sq[:, None]).sum(axis=0)
-        integrals = observation_integrals(gram, lams, coeffs, tau / 2.0, tau)
         lhs = g_tau * norms_sq - g_half
         rhs = integrals + alpha0 * tau
         violation = lhs - rhs
@@ -328,24 +449,25 @@ def recurrence_check(dec, gram: np.ndarray, cert: Certificate, tau_samples, tria
         max_violation_rel=max_violation_rel,
         worst_tau=worst_tau,
         passed=bool(max_violation_rel <= CHECK_BUDGET),
+        kernel_rank=max(bracket.ranks),
+        kernel_bound=max(bracket.bounds),
     )
 
 
-def weak_observability_check(dec, gram: np.ndarray, cert: Certificate, trials: int, seed: int = 0) -> WeakObservabilityReport:
+def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: int, seed: int = 0) -> WeakObservabilityReport:
     """Hold the certified (T, alpha, C) against random initial states.
 
     Reports the worst margin C * (observation integral)^{1/2} + alpha -
     ||e^{-TH} phi|| over unit phi; a pass means no margin dips below the
     roundoff budget.  The observation integral runs over the unshifted
-    semigroup, matching the inequality the certificate promises; ``gram``
-    is the E-restricted Gram matrix of the full eigenbasis.
+    semigroup, matching the inequality the certificate promises, and is
+    taken at the lower end of its certified bracket.
     """
-    _check_full_gram(dec, gram)
     rng = np.random.default_rng(seed)
-    coeffs = _random_unit_coefficients(dec, trials, rng)
+    states, coeffs = _random_unit_states(dec, trials, rng)
     lams = dec.eigenvalues
-    integrals = observation_integrals(gram, lams, coeffs, 0.0, cert.T)
-    integrals = np.maximum(integrals, 0.0)
+    bracket = observation_bracket(dec, e, states, lams, [(0.0, cert.T)])
+    integrals = np.maximum(bracket.lower[0], 0.0)
     lhs = np.sqrt((np.abs(coeffs) ** 2 * np.exp(-2.0 * cert.T * lams)[:, None]).sum(axis=0))
     with np.errstate(over="ignore"):
         big_c = np.exp(cert.ln_C)
@@ -362,6 +484,8 @@ def weak_observability_check(dec, gram: np.ndarray, cert: Certificate, trials: i
         min_margin_rel=float((margins / scale).min()),
         observation_integrals=tuple(float(v) for v in integrals),
         passed=bool(float((margins / scale).min()) >= -CHECK_BUDGET),
+        kernel_rank=bracket.ranks[0],
+        kernel_bound=bracket.bounds[0],
     )
 
 
@@ -458,12 +582,11 @@ def certify_end_to_end(
 
     tau_lo = 1.05 * cert.A / (int(k_max) + 1) ** consts.b
     tau_hi = 0.95 * cert.tau0
-    gram = restricted_gram(dec, np.arange(dec.domain.cell_count), e)
     recurrence = None
     if tau_lo < tau_hi:
         taus = np.geomspace(tau_lo, tau_hi, 8)
-        recurrence = recurrence_check(dec, gram, cert, taus, recurrence_trials, seed=seed + 1)
-    observability = weak_observability_check(dec, gram, cert, trials, seed=seed + 2)
+        recurrence = recurrence_check(dec, e, cert, taus, recurrence_trials, seed=seed + 1)
+    observability = weak_observability_check(dec, e, cert, trials, seed=seed + 2)
 
     ok = (
         hyp.verified

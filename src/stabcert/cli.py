@@ -7,7 +7,10 @@ the JSON.  The numeric payload (everything except timing) is canonical:
 identical config and seed reproduce it bit for bit on the same platform,
 which scripted sweeps rely on.  Exit codes separate "math said no" (1:
 violation witnessed, set not thick, hypothesis unverifiable, already
-stable) from usage errors and unreadable inputs (2).
+stable) from usage errors and unreadable inputs (2) and from internal
+numerical failures (3: an eigen residual above tolerance, a broken
+certificate constant chain, a multiplier matrix with a non-real residue),
+which are ArithmeticErrors and never read as a mathematical verdict.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ from .specineq import curve_to_csv, curve_to_json, fit_growth, spectral_constant
 
 __all__ = ["RunConfig", "ResultDocument", "run", "payload_json", "document_to_json", "main"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 COMMANDS = ("check-thick", "spectral-constant", "certify", "feedback-build", "simulate", "probe")
 
 
@@ -371,6 +374,8 @@ def _probe_outputs(spec, domain, e, options, cache_dir):
                 "analytic_violated": rep.analytic_violated,
             },
             "any_violation": rep.violated,
+            "kernel_rank": rep.kernel_rank,
+            "kernel_bound": rep.kernel_bound,
         }, None
     centers = options["centers"]
     if not centers:
@@ -394,6 +399,8 @@ def _probe_outputs(spec, domain, e, options, cache_dir):
             for r in rep.centers
         ],
         "any_violation": rep.any_violation,
+        "kernel_rank": rep.kernel_rank,
+        "kernel_bound": rep.kernel_bound,
     }, rep
 
 
@@ -629,6 +636,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, DomainMismatchError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     if args.out:
         _write_outputs(doc, args.out)
     else:

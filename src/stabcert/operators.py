@@ -21,6 +21,10 @@ Each kind takes the cheapest computation its structure allows:
   (G_jl depends only on k_j - k_l), so ``restricted_gram`` gathers it from
   one FFT of the set: O(d^2) work instead of the O(|E| d^2) product of
   sampled eigenfunctions;
+* ``restricted_norms`` gives ||chi_E w_q(H) f_p||^2 for a batch of weights
+  and states without any Gram matrix: batched (real) FFTs in the Fourier
+  kind, one product with the E rows of the eigenvectors per pass in the
+  dense kinds;
 * 2D Hermite is diagonalized from its 1D factor (fast diagonalization);
 * 1D Schrodinger with even m and a potential equal to its mirror image
   commutes with the reflection x -> -x, so it is solved as two m/2-wide
@@ -41,6 +45,7 @@ idempotence, commutation and Pythagoras identities hold to roundoff.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 import zipfile
@@ -48,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .domain import (
@@ -67,6 +73,7 @@ __all__ = [
     "OperatorSpec",
     "SpectralDecomposition",
     "DissipativeReport",
+    "EigenResidualError",
     "HermiteBasis",
     "diagonalize",
     "spectral_count",
@@ -82,6 +89,7 @@ __all__ = [
     "from_coefficients",
     "basis_block",
     "restricted_gram",
+    "restricted_norms",
     "eigenfunction",
     "dense_matrix",
 ]
@@ -100,6 +108,14 @@ _SIGN_RTOL = 1e-8
 # from the full solve's); a cached decomposition written under another
 # convention is recomputed
 _BASIS_CONVENTION = 3
+# state-weight columns of `cells` entries that one restricted_norms pass
+# holds at most (or the P states of one weight, when P is larger): the
+# weights are taken in groups of max(1, _PASS_COLUMNS // P)
+_PASS_COLUMNS = 64
+
+
+class EigenResidualError(ArithmeticError):
+    """A dense eigensolve returned pairs whose residual exceeds the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -407,7 +423,7 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         resid_norms = _residual_norms(H, U, w)
     max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
     if max_residual > _RESIDUAL_TOL:
-        raise RuntimeError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")
+        raise EigenResidualError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")
     U /= np.sqrt(domain.cell_volume)
     return SpectralDecomposition(
         spec=spec,
@@ -530,7 +546,9 @@ def from_coefficients(dec: SpectralDecomposition, coeffs: np.ndarray) -> GridFun
 def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
     """Columns (cells x len(indices)) of the selected eigenfunctions.
 
-    ``indices`` refer to the ascending-eigenvalue ordering.
+    ``indices`` refer to the ascending-eigenvalue ordering.  Fourier phases
+    are exp(2 pi i r / m) with r = j k mod m reduced in integers, so their
+    error does not grow with j k.
     """
     indices = np.asarray(indices, dtype=int)
     if dec.basis_kind == "Dense":
@@ -539,11 +557,14 @@ def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
     flat = dec.order[indices]
     rows = np.arange(m)
     scale = (2.0 * dec.domain.half_width) ** (dec.domain.dim / 2.0)
+
+    def phases(k):
+        return np.exp(2j * np.pi * (np.outer(rows, k) % m) / m)
+
     if dec.domain.dim == 1:
-        return np.exp(2j * np.pi * np.outer(rows, flat) / m) / scale
+        return phases(flat) / scale
     k1, k2 = np.divmod(flat, m)
-    A1 = np.exp(2j * np.pi * np.outer(rows, k1) / m)
-    A2 = np.exp(2j * np.pi * np.outer(rows, k2) / m)
+    A1, A2 = phases(k1), phases(k2)
     return (A1[:, None, :] * A2[None, :, :]).reshape(m * m, len(flat)) / scale
 
 
@@ -580,6 +601,59 @@ def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.
     return chi.ravel()[pairs]
 
 
+def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, states) -> np.ndarray:
+    """h sum_{x in E} |(w_q(H) f_p)(x)|^2 for every weight row w_q and state f_p, as an (r, P) array.
+
+    ``weights`` is (r, cells), each row given per eigenvalue in ascending
+    order and equal across each level (any function of the eigenvalue is);
+    ``states`` is (P,) + the grid shape, the values of the f_p.  No Gram
+    matrix is formed.  The Fourier kind transforms each state once and
+    each (weight, state) pair back, with real transforms for real states
+    (the symbol is even in the frequency, so w_q(H) f_p is real).  Dense
+    kinds take the coefficients V^T f h once, then per pass one product of
+    the E rows of ``vectors`` with the weighted coefficients.  A pass holds
+    the states of max(1, _PASS_COLUMNS // P) weights, so the temporaries
+    stay at O(P cells) for many states and no pass stacks all r P columns.
+    """
+    if e.domain != dec.domain:
+        raise ValueError("set and decomposition live on different domains")
+    weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    states = np.asarray(states)
+    domain = dec.domain
+    shape, cells, h = domain.shape, domain.cell_count, domain.cell_volume
+    if weights.shape[1] != cells or states.shape[1:] != shape:
+        raise ValueError(f"weights {weights.shape} or states {states.shape} do not fit {shape}")
+    r, P = weights.shape[0], states.shape[0]
+    out = np.empty((r, P))
+    group = max(1, _PASS_COLUMNS // max(P, 1))
+    if dec.basis_kind == "Dense":
+        coeffs = dec.vectors.T @ states.reshape(P, cells).T * h
+        rows = dec.vectors[e.cells.ravel()]
+        for q in range(0, r, group):
+            w = weights[q : q + group]
+            y = rows @ (w.T[:, :, None] * coeffs[:, None, :]).reshape(cells, -1)
+            out[q : q + group] = (np.abs(y) ** 2).sum(axis=0).reshape(len(w), P) * h
+        return out
+    grid = np.empty((r, cells))
+    grid[:, dec.order] = weights
+    grid = grid.reshape((r,) + shape)
+    # states carry axes 1..n, a pass (weights, states, grid) axes 2..n+1
+    state_axes = tuple(range(1, domain.dim + 1))
+    pass_axes = tuple(a + 1 for a in state_axes)
+    if np.isrealobj(states):
+        spectra = scipy.fft.rfftn(states, axes=state_axes)
+        grid = grid[..., : spectra.shape[-1]]
+        inverse = functools.partial(scipy.fft.irfftn, s=shape, axes=pass_axes)
+    else:
+        spectra = scipy.fft.fftn(states, axes=state_axes)
+        inverse = functools.partial(scipy.fft.ifftn, axes=pass_axes)
+    mask = e.cells.ravel().astype(float)
+    for q in range(0, r, group):
+        y = inverse(grid[q : q + group, None] * spectra[None]).reshape(-1, cells)
+        out[q : q + group] = (np.abs(y) ** 2 @ mask).reshape(-1, P) * h
+    return out
+
+
 def eigenfunction(dec: SpectralDecomposition, j: int) -> GridFunction:
     col = basis_block(dec, [int(j)])[:, 0]
     return GridFunction(dec.domain, col.reshape(dec.domain.shape))
@@ -601,7 +675,7 @@ def dense_matrix(dec: SpectralDecomposition) -> np.ndarray:
         H = np.fft.ifftn(dec.symbol[None, :, :] * np.fft.fftn(eye, axes=(1, 2)), axes=(1, 2))
         H = H.reshape(cells, cells).T
     if np.abs(H.imag).max() > 1e-10 * max(1.0, np.abs(H.real).max()):
-        raise RuntimeError("multiplier matrix has a non-real residue; symbol not even?")
+        raise ArithmeticError("multiplier matrix has a non-real residue; symbol not even?")
     return H.real
 
 

@@ -22,10 +22,12 @@ normalized), whose modal flow e^{(c-n)t} Phi0 is exact, so every quantity
 in the test has a closed form.
 
 All violation verdicts are rendered against the discretized semigroup
-itself, with the exact observation integrals of the certificate checks
-(certify.observation_integrals); the kernel-rescaling shortcut only feeds
-the auxiliary local-mass bounds, whose time integral is a fixed composite
-Simpson rule.
+itself, with the certified observation brackets of the certificate checks
+(certify.observation_bracket): a probe reports a violation only if the
+upper end of the bracket still violates, so the low-rank time kernel can
+hide a violation but never invent one.  The kernel-rescaling shortcut only
+feeds the auxiliary local-mass bounds, whose time integral is a fixed
+composite Simpson rule.
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .certify import observation_integrals
+from .certify import observation_bracket
 from .domain import GridDomain, GridFunction, from_callable, norm as _norm, restrict_norm
 from .geometry import SetIndicator
 from .operators import (
     FractionalLaplacian,
     ShiftedHermite,
     SpectralDecomposition,
-    restricted_gram,
     to_coefficients,
 )
 
@@ -274,6 +275,8 @@ class FalsificationReport:
     claim: ObservationClaim
     centers: tuple
     any_violation: bool
+    kernel_rank: int
+    kernel_bound: float
 
 
 def falsify_weak_observability(
@@ -286,12 +289,13 @@ def falsify_weak_observability(
 
     The verdict per center compares, on the discretized semigroup, the
     decayed norm ||e^{-TH} phi|| against C (observation integral)^{1/2}
-    + alpha ||phi|| for the probe phi = u(0, .; l0).  A negative margin is
-    a witnessed violation.  Centers that do not violate get the implied
-    local-mass bound: whatever part of the observation integral the far
-    tail cannot supply must come from E inside the probe's half-mass ball,
-    giving |E intersect B(x0, L0)| >= (gap/C)^2 - tail(L0), divided by the
-    peak time-integrated density.
+    + alpha ||phi|| for the probe phi = u(0, .; l0), with the integral at
+    the upper end of its certified bracket (the reported ``observation``).
+    A negative margin is a witnessed violation.  Centers that do not
+    violate get the implied local-mass bound: whatever part of the
+    observation integral the far tail cannot supply must come from E inside
+    the probe's half-mass ball, giving |E intersect B(x0, L0)| >=
+    (gap/C)^2 - tail(L0), divided by the peak time-integrated density.
     """
     if not isinstance(dec.spec, FractionalLaplacian):
         raise TypeError("kernel probes apply to the fractional kind only")
@@ -311,8 +315,8 @@ def falsify_weak_observability(
     lams = dec.eigenvalues
     with np.errstate(under="ignore"):
         lhs = np.sqrt((np.abs(coeffs) ** 2 * np.exp(-2.0 * claim.T * lams)[:, None]).sum(axis=0))
-    gram = restricted_gram(dec, np.arange(domain.cell_count), e)
-    obs = np.maximum(observation_integrals(gram, lams, coeffs, 0.0, claim.T), 0.0)
+    bracket = observation_bracket(dec, e, np.stack([phi.values for phi in phis]), lams, [(0.0, claim.T)])
+    obs = np.maximum(bracket.upper[0], 0.0)
     margins = claim.C * np.sqrt(obs) + claim.alpha * phi_norms - lhs
     reports = []
     for i, probe in enumerate(probes):
@@ -350,6 +354,8 @@ def falsify_weak_observability(
         claim=claim,
         centers=tuple(reports),
         any_violation=any(r.violated for r in reports),
+        kernel_rank=bracket.ranks[0],
+        kernel_bound=bracket.bounds[0],
     )
 
 
@@ -363,6 +369,8 @@ class HermiteFalsificationReport:
     analytic_lhs: float
     analytic_rhs: float
     analytic_violated: bool
+    kernel_rank: int
+    kernel_bound: float
 
 
 def falsify_hermite_ground_state(
@@ -377,8 +385,8 @@ def falsify_hermite_ground_state(
 
     and a set with tiny Gaussian mass makes the right side arbitrarily
     small.  The discrete verdict (margin, violated) uses the grid semigroup
-    and its exact observation integral; the analytic pair is reported
-    alongside.
+    and the upper end of its certified observation bracket (the reported
+    ``observation``); the analytic pair is reported alongside.
     """
     if not isinstance(dec.spec, ShiftedHermite):
         raise TypeError("the ground-state probe applies to the harmonic kind only")
@@ -393,9 +401,8 @@ def falsify_hermite_ground_state(
     lams = dec.eigenvalues
     with np.errstate(under="ignore"):
         lhs = float(np.sqrt((np.abs(coeffs) ** 2 * np.exp(-2.0 * claim.T * lams)).sum()))
-    gram = restricted_gram(dec, np.arange(domain.cell_count), e)
-    obs = observation_integrals(gram, lams, coeffs[:, None], 0.0, claim.T)
-    obs_val = float(max(obs[0], 0.0))
+    bracket = observation_bracket(dec, e, phi0.values[None], lams, [(0.0, claim.T)])
+    obs_val = float(max(bracket.upper[0, 0], 0.0))
     margin = float(claim.C * np.sqrt(obs_val) + claim.alpha - lhs)
     rate = c - n
     analytic_lhs = float(np.exp(rate * claim.T) - claim.alpha)
@@ -413,6 +420,8 @@ def falsify_hermite_ground_state(
         analytic_lhs=analytic_lhs,
         analytic_rhs=analytic_rhs,
         analytic_violated=bool(analytic_rhs < analytic_lhs),
+        kernel_rank=bracket.ranks[0],
+        kernel_bound=bracket.bounds[0],
     )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stabcert import certify, specineq
+from stabcert import specineq
 from stabcert.domain import from_callable, make_grid
 from stabcert.operators import FractionalLaplacian, Schrodinger, ShiftedHermite, diagonalize
 
@@ -38,8 +38,7 @@ def gram_builds(monkeypatch):
         built.append(len(indices))
         return original(dec, indices, e)
 
-    for module in (specineq, certify):
-        monkeypatch.setattr(module, "restricted_gram", counting)
+    monkeypatch.setattr(specineq, "restricted_gram", counting)
     return built
 
 

@@ -4,14 +4,16 @@ The two GOLDEN dicts are printed by scripts/certificate_reference_values.py,
 which evaluates the chain independently with mpmath at 60 digits.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabcert import specineq
+from stabcert import certify, specineq
 from stabcert.certify import (
     Certificate,
     CriterionConstants,
@@ -20,13 +22,16 @@ from stabcert.certify import (
     certificate_threshold,
     certificate_to_json,
     certify_end_to_end,
+    observation_bracket,
     observation_integrals,
     recurrence_check,
+    time_kernel,
     weak_observability_check,
 )
 from stabcert.domain import grid_function, make_grid, norm
-from stabcert.geometry import Empty, Full, HalfSpace, PeriodicSlabs, make_set
+from stabcert.geometry import BallComplement, Empty, Full, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import FractionalLaplacian, ShiftedHermite, diagonalize, to_coefficients
+from stabcert.probes import ObservationClaim, falsify_hermite_ground_state, falsify_weak_observability
 from stabcert.specineq import restricted_gram
 
 GOLDEN_UNIT = {
@@ -289,6 +294,101 @@ def test_stiff_hermite_observation_integrals_match_quad():
 
 
 # ---------------------------------------------------------------------------
+# the low-rank time kernel and its certified bracket
+
+
+def random_restricted_gram(rng, n):
+    """Q[E]^H Q[E] for a random unitary Q and a random half E of its rows: PSD with G_jj <= 1."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rows = q[rng.random(n) < 0.5]
+    return rows.conj().T @ rows
+
+
+@st.composite
+def kernel_problems(draw):
+    """A spectrum with repeated levels (some negative), maybe a pair one ulp apart, and an interval."""
+    levels = draw(st.lists(st.floats(-2.0, 40.0), min_size=1, max_size=10, unique=True))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(levels), max_size=len(levels)))
+    lams = np.repeat(levels, counts)
+    if draw(st.booleans()):
+        lams = np.append(lams, np.nextafter(lams[0], np.inf))
+    lo = draw(st.sampled_from([0.0]) | st.floats(0.0, 2.0))
+    width = draw(st.floats(1e-3, 10.0))
+    return np.sort(lams), lo, lo + width, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_problems())
+@example((np.sort(np.r_[np.repeat([-1.5, 0.0, 0.75, 4.0], 3), np.nextafter(0.75, 1.0)]), 0.5, 3.0, 7))
+def test_time_kernel_bracket_contains_the_closed_form(problem):
+    # sum_q (l_q u)^H G (l_q u), less the allowance, is the lower end I; the
+    # exact integral must lie in [I, I + B ||u||^2] for any PSD G with
+    # G_jj <= 1
+    lams, lo, hi, seed = problem
+    rng = np.random.default_rng(seed)
+    gram = random_restricted_gram(rng, lams.size)
+    coeffs = rng.standard_normal((lams.size, 4)) + 1j * rng.standard_normal((lams.size, 4))
+    kernel = time_kernel(lams, lo, hi)
+    damped = kernel.weights[:, :, None] * coeffs[None]
+    sq_norms = (np.abs(coeffs) ** 2).sum(axis=0)
+    lower = np.einsum("qjp,jl,qlp->p", damped.conj(), gram, damped).real - kernel.allowance * sq_norms
+    exact = observation_integrals(gram, lams, coeffs, lo, hi)
+    assert np.all(lower <= exact)
+    assert np.all(exact <= lower + kernel.bound * sq_norms)
+    assert kernel.rank <= np.unique(lams).size
+
+
+@pytest.mark.parametrize("rtol", [certify.KERNEL_RTOL, 1e-4])
+def test_time_kernel_stops_at_the_relative_trace_tolerance(rtol, monkeypatch):
+    # levels with multiplicities 1, 2, 3: the residual trace is weighted by
+    # them, and equals sum_j F_jj - sum_q l_q(lam_j)^2 over every eigenvalue
+    monkeypatch.setattr(certify, "KERNEL_RTOL", rtol)
+    levels = np.linspace(0.0, 60.0, 200)
+    lams = np.repeat(levels, np.arange(200) % 3 + 1)
+    kernel = time_kernel(lams, 0.5, 10.0)
+    diag = np.exp(-lams) * 9.5 * scipy.special.exprel(-19.0 * lams)
+    assert kernel.residual_trace <= rtol * diag.sum()
+    assert 1 <= kernel.rank <= 30
+    assert kernel.weights.shape == (kernel.rank, lams.size)
+    if rtol > 1e-8:  # far above the cancellation in F_jj - sum_q l_q^2
+        residual = diag - (kernel.weights**2).sum(axis=0)
+        assert kernel.residual_trace == pytest.approx(residual.sum(), rel=1e-8)
+    # a function of the eigenvalue: equal across each level
+    first = np.searchsorted(lams, levels)
+    assert np.array_equal(kernel.weights[:, first + np.arange(200) % 3], kernel.weights[:, first])
+
+
+def bracket_cases():
+    frac2 = make_grid(2, 10.0, 24, periodic=True)
+    herm2 = make_grid(2, 6.0, 16, periodic=False)
+    return [
+        (FractionalLaplacian(s=1.0), make_grid(1, 10.0, 128, periodic=True), PeriodicSlabs(period=1.0, fill_fraction=0.25)),
+        (FractionalLaplacian(s=1.0, c=0.5), frac2, BallComplement(center=(0.0, 0.0), radius=3.0)),
+        (ShiftedHermite(c=3.0), make_grid(1, 8.0, 64, periodic=False), HalfSpace(offset=0.0)),
+        (ShiftedHermite(), herm2, HalfSpace(offset=0.5)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_observation_bracket_contains_the_gram_closed_form(case, rng):
+    spec, dom, shape = bracket_cases()[case]
+    dec = diagonalize(spec, dom)
+    e = make_set(dom, shape)
+    states = rng.standard_normal((7,) + dom.shape)
+    coeffs = np.stack([to_coefficients(dec, grid_function(dom, f)) for f in states], axis=1)
+    intervals = [(0.0, 2.0), (0.25, 0.5), (1.0, 6.0)]
+    lams = dec.eigenvalues + 0.3
+    bracket = observation_bracket(dec, e, states, lams, intervals)
+    gram = restricted_gram(dec, np.arange(dom.cell_count), e)
+    sq_norms = (states.reshape(7, -1) ** 2).sum(axis=1) * dom.cell_volume
+    for (lo, hi), lower, upper, bound in zip(intervals, bracket.lower, bracket.upper, bracket.bounds):
+        exact = observation_integrals(gram, lams, coeffs, lo, hi)
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+        assert np.array_equal(upper, lower + bound * sq_norms)
+        assert bound < 1e-10 * max(1.0, np.abs(exact).max() / sq_norms.min())
+
+
+# ---------------------------------------------------------------------------
 # checks on a small certified fixture
 
 
@@ -315,11 +415,10 @@ def test_end_to_end_produces_a_full_report(small_certified):
 def test_recurrence_check_rejects_bad_taus(small_certified):
     dec, e, result = small_certified
     cert = result.certificate
-    gram = restricted_gram(dec, np.arange(dec.domain.cell_count), e)
     with pytest.raises(ValueError):
-        recurrence_check(dec, gram, cert, [cert.tau0 * 1.5], trials=5)
+        recurrence_check(dec, e, cert, [cert.tau0 * 1.5], trials=5)
     with pytest.raises(ValueError):
-        recurrence_check(dec, gram, cert, [-1.0], trials=5)
+        recurrence_check(dec, e, cert, [-1.0], trials=5)
 
 
 def test_recurrence_report_details(small_certified):
@@ -332,9 +431,8 @@ def test_recurrence_report_details(small_certified):
 def test_observability_margins_are_reproducible(small_certified):
     dec, e, result = small_certified
     cert = result.certificate
-    gram = restricted_gram(dec, np.arange(dec.domain.cell_count), e)
-    again = weak_observability_check(dec, gram, cert, trials=30, seed=7)
-    once_more = weak_observability_check(dec, gram, cert, trials=30, seed=7)
+    again = weak_observability_check(dec, e, cert, trials=30, seed=7)
+    once_more = weak_observability_check(dec, e, cert, trials=30, seed=7)
     assert again.min_margin == once_more.min_margin
     assert again.observation_integrals == once_more.observation_integrals
     assert again.passed
@@ -361,7 +459,7 @@ def test_full_domain_certifies():
     assert result.constants.c1 <= 1e-3
 
 
-def test_end_to_end_builds_one_curve_gram_and_one_full_gram(gram_builds, monkeypatch):
+def test_end_to_end_builds_only_the_curve_gram(gram_builds, monkeypatch):
     dom = make_grid(1, 10.0, 64, periodic=True)
     e = make_set(dom, PeriodicSlabs(period=2.0, fill_fraction=0.5))
 
@@ -375,17 +473,62 @@ def test_end_to_end_builds_one_curve_gram_and_one_full_gram(gram_builds, monkeyp
     assert result.status == "certified"
     dec = diagonalize(FractionalLaplacian(s=1.0), dom)
     d_max = int(np.searchsorted(dec.eigenvalues, 4.0, side="right"))
-    assert gram_builds == [d_max, dom.cell_count]
+    assert gram_builds == [d_max]
     assert result.hypothesis_report.constants == result.curve.constants
 
 
-def test_checks_reject_a_partial_gram(small_certified):
+def verdicts(small_certified):
+    """Every verdict that rests on an observation bracket: two checks and two probes."""
     dec, e, result = small_certified
-    partial = restricted_gram(dec, np.arange(8), e)
-    with pytest.raises(ValueError, match="full-basis"):
-        recurrence_check(dec, partial, result.certificate, [result.certificate.tau0 / 2], trials=5)
-    with pytest.raises(ValueError, match="full-basis"):
-        weak_observability_check(dec, partial, result.certificate, trials=5)
+    cert = result.certificate
+    hermite = diagonalize(ShiftedHermite(), make_grid(1, 10.0, 128, periodic=False))
+    half = make_set(hermite.domain, HalfSpace(offset=0.0))
+    frac = diagonalize(FractionalLaplacian(s=1.0), make_grid(1, 10.0, 512, periodic=True))
+    ball = make_set(frac.domain, BallComplement(center=(0.0,), radius=5.0))
+    return {
+        "recurrence passed": recurrence_check(dec, e, cert, [cert.tau0 / 2, cert.tau0 / 4], trials=10).passed,
+        "observability passed": weak_observability_check(dec, e, cert, trials=10).passed,
+        "kernel probe violated": falsify_weak_observability(
+            frac, ball, ObservationClaim(C=1.0, T=1.0, alpha=0.0), [(0.0,)]).any_violation,
+        "ground-state probe violated": falsify_hermite_ground_state(
+            hermite, half, ObservationClaim(C=0.5, T=1.0, alpha=0.0)).violated,
+    }
+
+
+@pytest.mark.parametrize(
+    "setting,values",
+    [("KERNEL_RTOL", (1e-8, 1e-3, 1.0)), ("_ROUNDOFF_ULPS", (1e6, 1e12, 1e17))],
+)
+def test_verdicts_flip_only_toward_the_safe_side_as_the_bound_grows(small_certified, monkeypatch, setting, values):
+    # a looser stopping rule drops kernel columns, and a larger roundoff
+    # allowance widens the bracket on both sides: either way the lower end
+    # falls and B grows, so a check may only stop passing and a probe may
+    # only stop reporting a violation
+    exact = verdicts(small_certified)
+    assert all(exact.values())
+    for value in values:
+        monkeypatch.setattr(certify, setting, value)
+        loose = verdicts(small_certified)
+        assert all(exact[name] or not loose[name] for name in exact), (value, loose)
+    # with the widest bracket every verdict has flipped to its safe side
+    assert not any(loose.values()), loose
+
+
+def test_checks_hold_no_cells_squared_array():
+    # frac 2D m = 48: the complex cells^2 Gram the checks used to hold is
+    # 2304^2 * 16 bytes = 85 MB; the batched transforms need a few MB
+    dom = make_grid(2, 10.0, 48, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    e = make_set(dom, BallComplement(center=(0.0, 0.0), radius=3.0))
+    cert = build_certificate(CriterionConstants(c1=1.0, a=1.0, c2=1.0, b=1.0))
+    tracemalloc.start()
+    try:
+        recurrence_check(dec, e, cert, np.geomspace(cert.tau0 / 8, cert.tau0 / 2, 4), trials=40, seed=1)
+        weak_observability_check(dec, e, cert, trials=40, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dom.cell_count**2 * 16 / 4
 
 
 def test_end_to_end_is_deterministic():

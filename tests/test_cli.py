@@ -1,7 +1,8 @@
 """Command-line behavior: exit codes, result documents, side files.
 
 Exit-code contract: 0 success, 1 the math said no (violation witnessed,
-set not thick, hypothesis unverifiable, already stable), 2 usage errors.
+set not thick, hypothesis unverifiable, already stable), 2 usage errors,
+3 internal numerical failures.
 Documents must be reproducible bit for bit, timing aside, for equal config
 and seed.
 """
@@ -11,7 +12,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from stabcert import certify, operators
 from stabcert.cli import RunConfig, build_parser, main, payload_json, run
 from stabcert.domain import from_callable, grid_function_to_json, make_grid, save_grid_function
 from stabcert.feedback import build_finite_rank_feedback
@@ -174,6 +177,8 @@ def test_probe_fractional_violation(tmp_path):
     doc = read(out)
     assert doc["outputs"]["any_violation"]
     assert doc["outputs"]["centers"][0]["violated"]
+    assert doc["outputs"]["kernel_rank"] >= 1
+    assert 0.0 < doc["outputs"]["kernel_bound"] < 1e-10
     csv = (tmp_path / "probe.centers.csv").read_text().strip().split("\n")
     assert csv[0] == "x0,lhs,observation,violated"
     assert csv[1].endswith(",1")
@@ -195,8 +200,56 @@ def test_probe_hermite_halfspace(tmp_path):
     doc = read(out)
     assert doc["outputs"]["hermite_probe"]["violated"]
     assert doc["outputs"]["hermite_probe"]["analytic_violated"]
+    assert doc["outputs"]["kernel_rank"] >= 1
+    assert 0.0 < doc["outputs"]["kernel_bound"] < 1e-10
     # the ground-state probe has no center sweep, hence no CSV
     assert not (tmp_path / "hprobe.centers.csv").exists()
+
+
+def test_certify_reports_the_kernel_health(tmp_path):
+    argv = ["certify", "--domain", "dim=1,R=10,m=64", "--set", "slabs:period=2,fill=0.5",
+            "--k-max", "4", "--trials", "10", "--recurrence-trials", "5"]
+    code = main(argv + ["--out", str(tmp_path / "a.json")])
+    assert code == 0
+    main(argv + ["--out", str(tmp_path / "b.json")])
+    outputs = read(tmp_path / "a.json")["outputs"]
+    for check in ("recurrence", "observability"):
+        assert outputs[check]["kernel_rank"] >= 1
+        assert 0.0 < outputs[check]["kernel_bound"] < 1e-10
+    assert outputs == read(tmp_path / "b.json")["outputs"]
+
+
+def _perturbed_eigh(H):
+    w, U = scipy.linalg.eigh(H)
+    return w, U + 1e-3 * np.random.default_rng(0).standard_normal(U.shape)
+
+
+def _failing_chain(constants):
+    raise ArithmeticError("beta = exp(0.5) not in (0, 1); the constant chain is miscomputed")
+
+
+HERMITE_32 = ["--domain", "dim=1,R=8,m=32,periodic=false", "--operator", "hermite"]
+
+
+@pytest.mark.parametrize(
+    "argv,target,replacement",
+    [
+        (["feedback-build", "--c", "2", "--set", "full"] + HERMITE_32, (operators, "_dense_eigh"), _perturbed_eigh),
+        (["simulate", "--feedback", "none", "--set", "full"] + HERMITE_32, (operators, "_dense_eigh"), _perturbed_eigh),
+        (["certify", "--domain", "dim=1,R=10,m=64", "--set", "full", "--k-max", "3"],
+         (certify, "build_certificate"), _failing_chain),
+    ],
+    ids=["feedback-build-residual", "simulate-residual", "certify-chain"],
+)
+def test_numerical_failures_exit_three(tmp_path, capsys, monkeypatch, argv, target, replacement):
+    monkeypatch.setattr(*target, replacement)
+    out = tmp_path / "out.json"
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_probe_fractional_needs_centers(capsys):
@@ -441,7 +494,7 @@ def test_document_prints_to_stdout_without_out(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == DOC_KEYS
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
 
 
 def test_payload_is_reproducible():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stabcert import operators
 from stabcert.domain import GridDomain, from_callable, grid_function, inner_product, make_grid, norm
 from stabcert.feedback import build_finite_rank_feedback
-from stabcert.geometry import HalfSpace, make_set
+from stabcert.geometry import BallComplement, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import (
     FractionalLaplacian,
     Schrodinger,
@@ -25,6 +25,8 @@ from stabcert.operators import (
     from_coefficients,
     hermite_basis,
     project,
+    restricted_gram,
+    restricted_norms,
     semigroup_apply,
     semigroup_norm,
     spec_from_json,
@@ -554,6 +556,63 @@ def test_2d_fourier_basis_block():
     f = eigenfunction(dec, 5)
     c = to_coefficients(dec, f)
     assert abs(c[5] - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("dim,m", [(1, 2048), (2, 64)])
+def test_fourier_basis_block_phases_are_reduced_exactly(dim, m):
+    # exp(2 pi i j k / m) with j k left unreduced loses 1e-12 at m = 2048;
+    # the reference gathers the m-th roots of unity at (j k) mod m
+    dom = make_grid(dim, 10.0, m, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    idx = np.arange(dom.cell_count - 40, dom.cell_count)
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    rows = np.arange(m)
+    k = np.unravel_index(dec.order[idx], dom.shape)
+    want = roots[np.outer(rows, k[0]) % m]
+    if dim == 2:
+        want = (want[:, None, :] * roots[np.outer(rows, k[1]) % m][None, :, :]).reshape(m * m, -1)
+    got = basis_block(dec, idx) * (2.0 * dom.half_width) ** (dim / 2.0)
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def restricted_norm_cases():
+    return [
+        (FractionalLaplacian(s=1.0), make_grid(1, 10.0, 64, periodic=True), PeriodicSlabs(period=1.0, fill_fraction=0.25)),
+        (FractionalLaplacian(s=0.5), GridDomain(dim=2, half_width=5.0, points_per_axis=15, periodic=True),
+         BallComplement(center=(1.0, 0.0), radius=2.0)),
+        (ShiftedHermite(c=1.0), make_grid(1, 8.0, 64, periodic=False), HalfSpace(offset=0.3)),
+        (ShiftedHermite(), make_grid(2, 6.0, 12, periodic=False), HalfSpace(axis=1, offset=0.0)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("states", [3, 70], ids=["few-states", "many-states"])
+def test_restricted_norms_are_gram_quadratic_forms(case, states, rng):
+    # ||chi_E w(H) f||^2 = (w c)^H G (w c) with c the coefficients of f; the
+    # weights are functions of the eigenvalue, the states real and complex
+    spec, dom, shape = restricted_norm_cases()[case]
+    dec = diagonalize(spec, dom)
+    e = make_set(dom, shape)
+    gram = restricted_gram(dec, np.arange(dom.cell_count), e)
+    levels, level_of = np.unique(dec.eigenvalues, return_inverse=True)
+    weights = rng.standard_normal((5, levels.size))[:, level_of]
+    for complex_valued in (False, True):
+        values = np.stack([random_state(dom, rng, complex_valued).values for _ in range(states)])
+        coeffs = np.stack([to_coefficients(dec, grid_function(dom, v)) for v in values], axis=1)
+        weighted = weights[:, :, None] * coeffs[None]
+        want = np.einsum("qjp,jl,qlp->qp", weighted.conj(), gram, weighted).real
+        got = restricted_norms(dec, e, weights, values)
+        assert got.shape == (5, states)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
+
+
+def test_restricted_norms_check_their_inputs(frac_dec, hermite_dec, rng):
+    e = make_set(frac_dec.domain, HalfSpace(offset=0.0))
+    values = rng.standard_normal((2,) + frac_dec.domain.shape)
+    with pytest.raises(ValueError, match="different domains"):
+        restricted_norms(hermite_dec, e, np.ones((1, 512)), values)
+    with pytest.raises(ValueError, match="do not fit"):
+        restricted_norms(frac_dec, e, np.ones((1, 511)), values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ module level), and only `operators` reads the basis layout of a spectral
 decomposition or counts eigenvalues below a threshold itself; every other
 module goes through `spectral_count`, `spectral_apply` and the coefficient
 transforms. `specineq`, `certify` and `probes` never sample eigenfunctions
-with `basis_block`: the restricted Gram is built by `operators`. In
-`operators`, `scipy.linalg.eigh` is called only inside `_dense_eigh`.
+with `basis_block`: the restricted Gram is built by `operators`, and
+`certify` and `probes` never build one at all (their observation integrals
+go through `operators.restricted_norms`). In `operators`,
+`scipy.linalg.eigh` is called only inside `_dense_eigh`.
 """
 
 import ast
@@ -69,19 +71,30 @@ def test_decomposition_layout_is_read_only_in_operators(path):
     assert not found, found
 
 
+def _names(tree, name):
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.alias) and node.name == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Name) and node.id == name)
+    ]
+
+
 @pytest.mark.parametrize("name", ["specineq.py", "certify.py", "probes.py"])
 def test_gram_consumers_do_not_sample_the_basis(name):
     # the E-restricted Gram is built in `operators` (`restricted_gram`, which
     # gathers the Fourier kind from one FFT of the set); its consumers never
     # sample eigenfunctions themselves
-    tree = _tree(next(p for p in SOURCES if p.name == name))
-    found = [
-        f"line {node.lineno}: {ast.unparse(node)}"
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.alias) and node.name == "basis_block")
-        or (isinstance(node, ast.Attribute) and node.attr == "basis_block")
-        or (isinstance(node, ast.Name) and node.id == "basis_block")
-    ]
+    found = _names(_tree(next(p for p in SOURCES if p.name == name)), "basis_block")
+    assert not found, found
+
+
+@pytest.mark.parametrize("name", ["certify.py", "probes.py"])
+def test_flow_checks_and_probes_build_no_gram(name):
+    # the observation integrals of the checks and probes come from the
+    # low-rank time kernel and batched transforms, never from a cells^2 Gram
+    found = _names(_tree(next(p for p in SOURCES if p.name == name)), "restricted_gram")
     assert not found, found
 
 
