@@ -232,27 +232,9 @@ def parse_operator(kind: str, args) -> tuple:
 
 
 def _thickness_outputs(e, options):
-    lengths = options["lengths"]
-    report = check_thick(e, lengths)
-    out = {
-        "thickness": {
-            "is_thick": report.is_thick,
-            "gamma": report.gamma,
-            "side_length": report.side_length,
-            "worst_cube_center": list(report.worst_cube_center),
-            "gamma_by_length": {repr(float(k)): v for k, v in report.gamma_by_length.items()},
-            "truncated": report.truncated,
-        }
-    }
+    out = {"thickness": dataclasses.asdict(check_thick(e, options["lengths"]))}
     if options["radii"]:
-        weak = check_weakly_thick(e, options["radii"])
-        out["weak_thickness"] = {
-            "radii": list(weak.radii),
-            "densities": list(weak.densities),
-            "liminf_proxy": weak.liminf_proxy,
-            "is_weakly_thick": weak.is_weakly_thick,
-            "truncation_note": weak.truncation_note,
-        }
+        out["weak_thickness"] = dataclasses.asdict(check_weakly_thick(e, options["radii"]))
     return out
 
 
@@ -343,15 +325,7 @@ def _simulate_outputs(spec, domain, e, options, cache_dir):
         raise ValueError(f"unknown feedback kind {kind!r}")
     y0 = _initial_state(dec, options)
     report = simulate_decay(dec, fb, e, y0, options["t_end"], options["dt"])
-    out = {
-        "decay": {
-            "times": list(report.times),
-            "norms": list(report.norms),
-            "fitted_omega": report.fitted_omega,
-            "fitted_prefactor": report.fitted_prefactor,
-            "fit_residual": report.fit_residual,
-        }
-    }
+    out = {"decay": dataclasses.asdict(report)}
     if isinstance(fb, DampingFeedback):
         out["decay"]["certified_omega"] = fb.omega
     return out, report
@@ -362,17 +336,12 @@ def _probe_outputs(spec, domain, e, options, cache_dir):
     dec = diagonalize(spec, domain, cache_dir=cache_dir)
     if isinstance(spec, ShiftedHermite):
         rep = falsify_hermite_ground_state(dec, e, claim)
+        probe = dataclasses.asdict(rep)
+        for key in ("claim", "kernel_rank", "kernel_bound"):
+            probe.pop(key)  # the claim and the kernel figures are reported beside the probe
         return {
             "claim": options["claim"],
-            "hermite_probe": {
-                "lhs": rep.lhs,
-                "observation": rep.observation,
-                "margin": rep.margin,
-                "violated": rep.violated,
-                "analytic_lhs": rep.analytic_lhs,
-                "analytic_rhs": rep.analytic_rhs,
-                "analytic_violated": rep.analytic_violated,
-            },
+            "hermite_probe": probe,
             "any_violation": rep.violated,
             "kernel_rank": rep.kernel_rank,
             "kernel_bound": rep.kernel_bound,
@@ -383,21 +352,7 @@ def _probe_outputs(spec, domain, e, options, cache_dir):
     rep = falsify_weak_observability(dec, e, claim, centers)
     return {
         "claim": options["claim"],
-        "centers": [
-            {
-                "center": list(r.center),
-                "l0": r.l0,
-                "probe_norm": r.probe_norm,
-                "lhs": r.lhs,
-                "gap": r.gap,
-                "observation": r.observation,
-                "margin": r.margin,
-                "violated": r.violated,
-                "half_mass_radius": r.half_mass_radius,
-                "local_mass_bound": r.local_mass_bound,
-            }
-            for r in rep.centers
-        ],
+        "centers": [dataclasses.asdict(r) for r in rep.centers],
         "any_violation": rep.any_violation,
         "kernel_rank": rep.kernel_rank,
         "kernel_bound": rep.kernel_bound,

@@ -375,8 +375,7 @@ def simulate_decay(
     # finite rank: splitting recursion in eigen coefficients; column j of the
     # E-coupling matrix holds the coefficients of chi_E phi_j
     n_low = fb.unstable_count
-    p_mat = np.stack([to_coefficients(dec, GridFunction(dec.domain, e.cells * phi.values))
-                      for phi in fb.eigenfunctions], axis=1)
+    p_mat = to_coefficients(dec, e.cells * np.stack([phi.values for phi in fb.eigenfunctions]))
     c = to_coefficients(dec, y0)
     lams = dec.eigenvalues
     times = [0.0]

@@ -1,9 +1,11 @@
 """Shared fixtures: the expensive spectral decompositions are built once."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from stabcert import specineq
+from stabcert import operators, specineq
 from stabcert.domain import from_callable, make_grid
 from stabcert.operators import FractionalLaplacian, Schrodinger, ShiftedHermite, diagonalize
 
@@ -40,6 +42,22 @@ def gram_builds(monkeypatch):
 
     monkeypatch.setattr(specineq, "restricted_gram", counting)
     return built
+
+
+@pytest.fixture()
+def coefficient_transforms(monkeypatch):
+    """Shape of the values of every to_coefficients call made during the test, in order."""
+    shapes = []
+    original = operators.to_coefficients
+
+    def counting(dec, f):
+        shapes.append(np.shape(getattr(f, "values", f)))
+        return original(dec, f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stabcert") and getattr(module, "to_coefficients", None) is original:
+            monkeypatch.setattr(module, "to_coefficients", counting)
+    return shapes
 
 
 @pytest.fixture()

@@ -381,11 +381,14 @@ def test_observation_bracket_contains_the_gram_closed_form(case, rng):
     bracket = observation_bracket(dec, e, states, lams, intervals)
     gram = restricted_gram(dec, np.arange(dom.cell_count), e)
     sq_norms = (states.reshape(7, -1) ** 2).sum(axis=1) * dom.cell_volume
-    for (lo, hi), lower, upper, bound in zip(intervals, bracket.lower, bracket.upper, bracket.bounds):
+    rows = zip(intervals, bracket.lower, bracket.upper, bracket.bounds, bracket.decayed)
+    for (lo, hi), lower, upper, bound, decayed in rows:
         exact = observation_integrals(gram, lams, coeffs, lo, hi)
         assert np.all(lower <= exact) and np.all(exact <= upper)
         assert np.array_equal(upper, lower + bound * sq_norms)
         assert bound < 1e-10 * max(1.0, np.abs(exact).max() / sq_norms.min())
+        want = np.sqrt((np.abs(coeffs) ** 2 * np.exp(-2.0 * hi * lams)[:, None]).sum(axis=0))
+        np.testing.assert_allclose(decayed, want, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +478,40 @@ def test_end_to_end_builds_only_the_curve_gram(gram_builds, monkeypatch):
     d_max = int(np.searchsorted(dec.eigenvalues, 4.0, side="right"))
     assert gram_builds == [d_max]
     assert result.hypothesis_report.constants == result.curve.constants
+
+
+def test_end_to_end_draws_each_random_stream_once(monkeypatch):
+    # the dissipative sample, the recurrence check and the weak check each get
+    # their own seed, so no check replays another's states
+    seeds = []
+    original = np.random.default_rng
+
+    def recording(seed=None):
+        seeds.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    dom = make_grid(1, 10.0, 64, periodic=True)
+    e = make_set(dom, PeriodicSlabs(period=2.0, fill_fraction=0.5))
+    certify_end_to_end(
+        FractionalLaplacian(s=1.0), dom, e, k_max=4, trials=10, recurrence_trials=5, seed=3
+    )
+    assert len(seeds) >= 5  # four dissipative thresholds and the weak check
+    assert len(set(seeds)) == len(seeds), seeds
+
+
+def test_end_to_end_transforms_do_not_grow_with_the_trials(coefficient_transforms):
+    dom = make_grid(1, 10.0, 64, periodic=True)
+    e = make_set(dom, PeriodicSlabs(period=2.0, fill_fraction=0.5))
+    counts = []
+    for trials in (50, 200):
+        coefficient_transforms.clear()
+        certify_end_to_end(
+            FractionalLaplacian(s=1.0), dom, e, k_max=4, trials=trials,
+            recurrence_trials=trials, dissipative_trials=trials, seed=3,
+        )
+        counts.append(len(coefficient_transforms))
+    assert counts[0] == counts[1] > 0
 
 
 def verdicts(small_certified):

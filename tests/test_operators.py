@@ -541,6 +541,34 @@ def test_eigenfunctions_have_unit_coefficients(kind, hermite_dec, frac_dec):
         assert np.allclose(c, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "spec,dom",
+    [
+        (FractionalLaplacian(s=1.0), make_grid(1, 10.0, 64, periodic=True)),
+        (FractionalLaplacian(s=0.5), make_grid(2, 5.0, 16, periodic=True)),
+        (ShiftedHermite(c=1.0), make_grid(1, 8.0, 64, periodic=False)),
+        (ShiftedHermite(), make_grid(2, 6.0, 12, periodic=False)),
+    ],
+    ids=["fourier-1d", "fourier-2d", "dense-1d", "dense-2d"],
+)
+def test_coefficients_of_a_stack_are_the_columns_of_its_states(spec, dom, rng):
+    dec = diagonalize(spec, dom)
+    values = rng.standard_normal((5,) + dom.shape)
+    cols = np.stack([to_coefficients(dec, grid_function(dom, v)) for v in values], axis=1)
+    got = to_coefficients(dec, values)
+    assert got.shape == (dom.cell_count, 5)
+    if isinstance(spec, FractionalLaplacian):
+        assert np.array_equal(got, cols)
+    else:  # one product against one product per state: equal to roundoff
+        assert np.abs(got - cols).max() <= 1e-14 * np.abs(cols).max()
+
+
+@pytest.mark.parametrize("shape", [(511,), (512, 2), (2, 3, 512)])
+def test_coefficients_reject_values_off_the_grid(frac_dec, shape):
+    with pytest.raises(ValueError, match="nor a stack"):
+        to_coefficients(frac_dec, np.zeros(shape))
+
+
 def test_basis_block_is_orthonormal(frac_dec):
     B = basis_block(frac_dec, np.arange(6))
     G = B.conj().T @ B * frac_dec.domain.cell_volume
@@ -753,6 +781,40 @@ def test_dissipative_margin_shifted_hermite():
     dec = diagonalize(ShiftedHermite(c=2.0), make_grid(1, 10.0, 256, periodic=False))
     rep = dissipative_margin(dec, 4.0, (0.1, 0.5, 1.0), trials=20)
     assert rep.max_ratio <= 1.0 + 1e-10
+
+
+def grid_space_dissipative_ratios(dec, k, times, trials, seed):
+    """||(1 - pi_k) e^{-tH} f|| e^{tk} per (trial, time), evaluated on the grid state by state."""
+    rng = np.random.default_rng(seed)
+    ratios = np.empty((trials, len(times)))
+    for i in range(trials):
+        f = grid_function(dec.domain, rng.standard_normal(dec.domain.shape))
+        f = grid_function(dec.domain, f.values / norm(f))
+        for j, t in enumerate(times):
+            yt = semigroup_apply(dec, t, f)
+            high = grid_function(dec.domain, yt.values - project(dec, k, yt).values)
+            ratios[i, j] = norm(high) * np.exp(t * k)
+    return ratios
+
+
+@pytest.mark.parametrize(
+    "spec,dom",
+    [
+        (FractionalLaplacian(s=1.0), make_grid(1, 10.0, 128, periodic=True)),
+        (FractionalLaplacian(s=1.0), make_grid(2, 5.0, 24, periodic=True)),
+        (ShiftedHermite(c=2.0), make_grid(1, 10.0, 256, periodic=False)),
+    ],
+    ids=["frac-1d", "frac-2d", "hermite-1d"],
+)
+@pytest.mark.parametrize("k,seed", [(1.0, 4), (3.0, 0)])
+def test_dissipative_margin_matches_the_grid_space_evaluation(spec, dom, k, seed):
+    dec = diagonalize(spec, dom)
+    times = (0.1, 0.5, 1.0)
+    ratios = grid_space_dissipative_ratios(dec, k, times, 20, seed)
+    worst = np.unravel_index(np.argmax(ratios), ratios.shape)
+    rep = dissipative_margin(dec, k, times, 20, seed=seed)
+    assert rep.max_ratio == pytest.approx(ratios[worst], rel=1e-12)
+    assert rep.worst_t == times[worst[1]]
 
 
 def test_dissipative_margin_needs_trials(frac_dec):

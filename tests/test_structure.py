@@ -8,7 +8,8 @@ module goes through `spectral_count`, `spectral_apply` and the coefficient
 transforms. `specineq`, `certify` and `probes` never sample eigenfunctions
 with `basis_block`: the restricted Gram is built by `operators`, and
 `certify` and `probes` never build one at all (their observation integrals
-go through `operators.restricted_norms`). In `operators`,
+go through `operators.restricted_norms`), and `probes` takes its decayed
+norms from the observation bracket, not from `to_coefficients`. In `operators`,
 `scipy.linalg.eigh` is called only inside `_dense_eigh`.
 """
 
@@ -95,6 +96,13 @@ def test_flow_checks_and_probes_build_no_gram(name):
     # the observation integrals of the checks and probes come from the
     # low-rank time kernel and batched transforms, never from a cells^2 Gram
     found = _names(_tree(next(p for p in SOURCES if p.name == name)), "restricted_gram")
+    assert not found, found
+
+
+def test_probes_take_their_decayed_norms_from_the_bracket():
+    # ||e^{-TH} phi|| of every probe comes with its observation bracket
+    # (`certify.observation_bracket`), from one batched coefficient transform
+    found = _names(_tree(next(p for p in SOURCES if p.name == "probes.py")), "to_coefficients")
     assert not found, found
 
 
