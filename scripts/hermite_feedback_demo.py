@@ -14,7 +14,7 @@ import csv
 import numpy as np
 
 from stabcert import GridFunction, HalfSpace, make_grid, make_set, norm
-from stabcert.feedback import build_finite_rank_feedback, feedback_norm_bound, simulate_decay
+from stabcert.feedback import UnstableLoopError, build_finite_rank_feedback, feedback_norm_bound, simulate_decay
 from stabcert.domain import from_callable
 from stabcert.operators import Schrodinger, diagonalize
 
@@ -49,7 +49,7 @@ def main():
         open_loop = simulate_decay(dec, None, e, y0, args.t_end, args.dt)
         print(f"open loop:   fitted omega = {open_loop.fitted_omega:.4f}")
         open_norms = dict(zip(open_loop.times, open_loop.norms))
-    except RuntimeError as exc:  # the open loop blows up, which is the point
+    except UnstableLoopError as exc:  # the open loop blows up, which is the point
         print(f"open loop:   {exc}")
         open_norms = {}
 

@@ -14,6 +14,8 @@ import csv
 
 from stabcert import FractionalLaplacian, PeriodicSlabs, certify_end_to_end, make_grid, make_set
 
+FIELDS = ["fill", "status", "c1", "A", "T", "alpha", "C", "min_margin"]
+
 
 def main():
     ap = argparse.ArgumentParser()
@@ -31,25 +33,22 @@ def main():
     for fill in (float(v) for v in args.fills.split(",")):
         e = make_set(domain, PeriodicSlabs(period=1.0, fill_fraction=fill))
         res = certify_end_to_end(spec, domain, e, args.k_max, trials=100, recurrence_trials=50)
-        cert = res.certificate
-        rows.append(
-            {
-                "fill": fill,
-                "status": res.status,
-                "c1": res.constants.c1,
-                "A": cert.A,
-                "T": cert.T,
-                "alpha": cert.alpha,
-                "C": cert.C,
-                "min_margin": res.observability_report.min_margin,
-            }
-        )
-        print(
-            f"fill={fill:6.3f}  {res.status:9s}  c1={res.constants.c1:8.4f}  "
-            f"T={cert.T:9.3f}  alpha={cert.alpha:.3e}  C={cert.C:.4e}"
-        )
+        row = dict.fromkeys(FIELDS, "")
+        row.update(fill=fill, status=res.status)
+        if res.certificate is None:
+            # a +inf restricted-inequality constant: no certificate at this resolution
+            print(f"fill={fill:6.3f}  {res.status}")
+        else:
+            cert = res.certificate
+            row.update(c1=res.constants.c1, A=cert.A, T=cert.T, alpha=cert.alpha, C=cert.C,
+                       min_margin=res.observability_report.min_margin)
+            print(
+                f"fill={fill:6.3f}  {res.status:9s}  c1={res.constants.c1:8.4f}  "
+                f"T={cert.T:9.3f}  alpha={cert.alpha:.3e}  C={cert.C:.4e}"
+            )
+        rows.append(row)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=FIELDS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {args.out}")

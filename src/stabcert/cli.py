@@ -7,10 +7,12 @@ the JSON.  The numeric payload (everything except timing) is canonical:
 identical config and seed reproduce it bit for bit on the same platform,
 which scripted sweeps rely on.  Exit codes separate "math said no" (1:
 violation witnessed, set not thick, hypothesis unverifiable, already
-stable) from usage errors and unreadable inputs (2) and from internal
-numerical failures (3: an eigen residual above tolerance, a broken
-certificate constant chain, a multiplier matrix with a non-real residue),
-which are ArithmeticErrors and never read as a mathematical verdict.
+stable, no positive damping rate, a loop that grows) from usage errors
+and unreadable inputs (2) and from internal failures (3: ArithmeticErrors
+such as an eigen residual above tolerance, a broken certificate constant
+chain or a multiplier matrix with a non-real residue, and any RuntimeError
+that is not one of the feedback verdicts), which never read as a
+mathematical verdict.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .feedback import (
     AlreadyStableError,
     DampingFeedback,
     GramSingularError,
+    NoDampingRateError,
+    UnstableLoopError,
     build_damping_feedback,
     build_finite_rank_feedback,
     decay_report_to_csv,
@@ -267,10 +271,22 @@ def _certify_outputs(spec, domain, e, options, cache_dir):
     return out, result
 
 
+def _build_law(dec, e, options):
+    kind = options["feedback"]
+    if kind == "none":
+        return None
+    if kind == "damping":
+        return build_damping_feedback(dec, e, delta=options["delta"])
+    if kind == "finite-rank":
+        return build_finite_rank_feedback(dec, e)
+    raise ValueError(f"unknown feedback kind {kind!r}")
+
+
 def _feedback_outputs(spec, domain, e, options, cache_dir):
-    dec = diagonalize(spec, domain, cache_dir=cache_dir)
-    if options["feedback"] == "damping":
-        fb = build_damping_feedback(dec, e, delta=options["delta"])
+    fb = _build_law(diagonalize(spec, domain, cache_dir=cache_dir), e, options)
+    if fb is None:
+        raise ValueError("feedback-build needs a feedback law, not 'none'")
+    if isinstance(fb, DampingFeedback):
         return {
             "feedback": {
                 "kind": "damping",
@@ -281,7 +297,6 @@ def _feedback_outputs(spec, domain, e, options, cache_dir):
                 "loop_lambda_min": float(fb.loop_eigenvalues[0]),
             }
         }
-    fb = build_finite_rank_feedback(dec, e)
     return {
         "feedback": {
             "kind": "finite-rank",
@@ -314,15 +329,7 @@ def _initial_state(dec, options) -> GridFunction:
 
 def _simulate_outputs(spec, domain, e, options, cache_dir):
     dec = diagonalize(spec, domain, cache_dir=cache_dir)
-    kind = options["feedback"]
-    if kind == "none":
-        fb = None
-    elif kind == "damping":
-        fb = build_damping_feedback(dec, e, delta=options["delta"])
-    elif kind == "finite-rank":
-        fb = build_finite_rank_feedback(dec, e)
-    else:
-        raise ValueError(f"unknown feedback kind {kind!r}")
+    fb = _build_law(dec, e, options)
     y0 = _initial_state(dec, options)
     report = simulate_decay(dec, fb, e, y0, options["t_end"], options["dt"])
     out = {"decay": dataclasses.asdict(report)}
@@ -398,13 +405,13 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
             outputs = {"error": "already stable", "detail": str(exc)}
         except GramSingularError as exc:
             outputs = {"error": "gram singular", "detail": str(exc), "gram_cond": exc.cond}
-        except RuntimeError as exc:
+        except NoDampingRateError as exc:
             outputs = {"error": str(exc)}
     elif command == "simulate":
         try:
             outputs, report = _simulate_outputs(spec, domain, e, options, cache_dir)
             side_files["decay.csv"] = decay_report_to_csv(report)
-        except (AlreadyStableError, RuntimeError) as exc:
+        except (AlreadyStableError, GramSingularError, NoDampingRateError, UnstableLoopError) as exc:
             outputs = {"error": str(exc)}
     else:  # probe
         outputs, rep = _probe_outputs(spec, domain, e, options, cache_dir)
@@ -515,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feedback", choices=("none", "damping", "finite-rank"), default="finite-rank")
     p.add_argument("--feedback-delta", type=float, default=0.5)
     p.add_argument("--t-end", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=0.001)
+    p.add_argument("--dt", type=float, default=0.001,
+                   help="sample spacing; every law is propagated exactly (0 < dt <= t_end/100)")
     p.add_argument("--y0", default="random")
 
     p = sub.add_parser("probe", help="falsify a claimed observability triple")
@@ -591,8 +599,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, DomainMismatchError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except (ArithmeticError, RuntimeError) as exc:
+        kind = "numerical" if isinstance(exc, ArithmeticError) else "internal"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 3
     if args.out:
         _write_outputs(doc, args.out)

@@ -1,8 +1,8 @@
 """Command-line behavior: exit codes, result documents, side files.
 
 Exit-code contract: 0 success, 1 the math said no (violation witnessed,
-set not thick, hypothesis unverifiable, already stable), 2 usage errors,
-3 internal numerical failures.
+set not thick, hypothesis unverifiable, already stable, no damping rate,
+an unstable loop), 2 usage errors, 3 internal failures.
 Documents must be reproducible bit for bit, timing aside, for equal config
 and seed.
 """
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stabcert import certify, operators
+from stabcert import certify, cli, operators
 from stabcert.cli import RunConfig, build_parser, main, payload_json, run
 from stabcert.domain import from_callable, grid_function_to_json, make_grid, save_grid_function
 from stabcert.feedback import build_finite_rank_feedback
@@ -313,6 +313,44 @@ def test_feedback_build_damping_on_the_default_domain(tmp_path):
     assert fb["kind"] == "damping"
     assert fb["omega"] > 0.0
     assert fb["chosen_N"] <= 6
+
+
+@pytest.mark.parametrize("command", ["feedback-build", "simulate"])
+def test_no_damping_rate_exits_one(tmp_path, command):
+    # (1 - 0.999) N^2 - 2 < 0 at every N the 64-cell grid resolves
+    out = tmp_path / "out.json"
+    code = main(
+        [
+            command,
+            "--domain", "dim=1,R=10,m=64",
+            "--set", "slabs:period=1,fill=0.5",
+            "--feedback", "damping", "--feedback-delta", "0.999",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "not thick enough" in read(out)["outputs"]["error"]
+
+
+def _internal_failure(*args, **kwargs):
+    raise RuntimeError("solver gave up")
+
+
+@pytest.mark.parametrize(
+    "command,target",
+    [("feedback-build", "build_finite_rank_feedback"), ("simulate", "simulate_decay")],
+)
+def test_other_runtime_errors_exit_three(tmp_path, capsys, monkeypatch, command, target):
+    # a RuntimeError that is not a feedback verdict is an internal failure,
+    # not an "error" document
+    monkeypatch.setattr(cli, target, _internal_failure)
+    out = tmp_path / "out.json"
+    code = main([command, "--domain", "dim=1,R=8,m=32,periodic=false", "--operator", "hermite",
+                 "--c", "2", "--set", "full", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "internal error: solver gave up\n"
+    assert not out.exists()
 
 
 def test_feedback_build_schrodinger(tmp_path, potential_file, monkeypatch):
