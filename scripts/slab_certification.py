@@ -32,9 +32,18 @@ def main():
     rows = []
     for fill in (float(v) for v in args.fills.split(",")):
         e = make_set(domain, PeriodicSlabs(period=1.0, fill_fraction=fill))
-        res = certify_end_to_end(spec, domain, e, args.k_max, trials=100, recurrence_trials=50)
         row = dict.fromkeys(FIELDS, "")
-        row.update(fill=fill, status=res.status)
+        row["fill"] = fill
+        try:
+            res = certify_end_to_end(spec, domain, e, args.k_max, trials=100, recurrence_trials=50)
+        except ValueError as exc:
+            # a threshold up to --k-max whose projection range the grid does
+            # not resolve: the constants are refused, not computed
+            row["status"] = "refused"
+            print(f"fill={fill:6.3f}  refused: {exc}")
+            rows.append(row)
+            continue
+        row["status"] = res.status
         if res.certificate is None:
             # a +inf restricted-inequality constant: no certificate at this resolution
             print(f"fill={fill:6.3f}  {res.status}")

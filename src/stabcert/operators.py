@@ -24,12 +24,14 @@ Each kind takes the cheapest computation its structure allows:
 * ``restricted_norms`` gives ||chi_E w_q(H) f_p||^2 for a batch of weights
   and states without any Gram matrix: batched (real) FFTs in the Fourier
   kind, one product with the E rows of the eigenvectors per pass in the
-  dense kinds;
+  dense kinds (two half-size products per pass in the parity layout);
 * 2D Hermite is diagonalized from its 1D factor (fast diagonalization);
 * 1D Schrodinger with even m and a potential equal to its mirror image
   commutes with the reflection x -> -x, so it is solved as two m/2-wide
   parity blocks gathered from the closed-form Toeplitz-minus-Hankel symbol
-  of the sine Laplacian (``_sine_symbol``); H itself is never formed;
+  of the sine Laplacian (``_sine_symbol``).  Neither H nor the m x m
+  eigenvector matrix is ever formed: the basis is kept as the two blocks,
+  and every transform folds the grid in half and takes half-size products;
 * every other dense operator (1D Hermite, 2D Schrodinger, asymmetric
   potentials, odd m) is one symmetric eigensolve of the assembled matrix,
   with the Laplacian from the sine-basis product ``_sine_laplacian``.
@@ -99,14 +101,18 @@ _RESIDUAL_TOL = 1e-8
 # 16 MB at most, small next to H and U, and 512 columns at 4096 cells keep
 # the re-reads of H cheap
 _RESIDUAL_BLOCK_ENTRIES = 1 << 21
+# entries per block of the temporaries of the sign pinning and of the parity
+# block gather (512 KB of float64), small next to any m x m array
+_SCAN_BLOCK_ENTRIES = 1 << 16
 # entries below this fraction of a column's peak do not decide its sign
 _SIGN_RTOL = 1e-8
 # version of the convention of cached dense eigenvectors (1: pinned signs;
 # 2: also the tensor basis in 2D Hermite levels; 3: also the parity-split
 # solve of mirror-symmetric 1D Schrodinger, whose payloads differ at roundoff
-# from the full solve's); a cached decomposition written under another
-# convention is recomputed
-_BASIS_CONVENTION = 3
+# from the full solve's; 4: that solve stored as its two parity blocks and
+# their order, not as the full matrix); a cached decomposition written under
+# another convention is recomputed
+_BASIS_CONVENTION = 4
 # state-weight columns of `cells` entries that one restricted_norms pass
 # holds at most (or the P states of one weight, when P is larger): the
 # weights are taken in groups of max(1, _PASS_COLUMNS // P)
@@ -175,7 +181,11 @@ class SpectralDecomposition:
     positive: the Hermite convention psi_k > 0 as x -> +infinity, which is
     well defined for odd eigenfunctions too.  A mirror-symmetric 1D
     Schrodinger operator (even m) is solved per parity block, so each of its
-    eigenvectors is exactly even or exactly odd; every other 1D operator,
+    eigenvectors is exactly even or odd, and ``vectors`` is None: the
+    (2, m/2, m/2) ``parity_blocks`` B_+, B_- hold the top halves, and
+    ``order`` maps ascending index j to column c of [B_+, B_-].  Column
+    c < m/2 is the eigenvector [B_+[:, c]; J B_+[:, c]], column m/2 + c is
+    [B_-[:, c]; -J B_-[:, c]] (J reverses rows).  Every other 1D operator,
     Hermite included, is one full solve (the module docstring says why).
     The 2D Hermite operator is diagonalized from its 1D factor, so its
     (n+1)-fold levels carry the tensor Hermite basis u_i(x) u_j(y), ties
@@ -192,10 +202,11 @@ class SpectralDecomposition:
     symbol: Optional[np.ndarray] = None
     order: Optional[np.ndarray] = None
     vectors: Optional[np.ndarray] = None
+    parity_blocks: Optional[np.ndarray] = None
     max_residual: float = 0.0
 
     def __post_init__(self):
-        for name in ("eigenvalues", "symbol", "order", "vectors"):
+        for name in ("eigenvalues", "symbol", "order", "vectors", "parity_blocks"):
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr)
@@ -272,44 +283,47 @@ def _sine_symbol(domain: GridDomain) -> np.ndarray:
 
 
 def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
-    """Eigenpairs and residuals of 1D -Lap + V for a mirror-symmetric V, from its parity blocks.
+    """Eigenpairs, parity blocks, residuals and order of 1D -Lap + V for a mirror-symmetric V.
 
     With V = JV (J the reflection x -> -x) and K from ``_sine_symbol``, H
     commutes with J, so its eigenvectors are [a; +-Ja] / sqrt(2) for the
     eigenvectors a of the m/2-wide blocks T +- R + diag(V[:m/2]), where
     T[i, j] = K[i, j] and R[i, j] = K[i, m - 1 - j].  The blocks are
     gathered from t(n) without forming H, and a block's residual is that of
-    the full vector.  The pairs ascend by eigenvalue, ties even first.
+    the full vector.  Returned are the ascending eigenvalues and residuals,
+    the (2, m/2, m/2) blocks a / sqrt(2) with pinned signs (even first), and
+    the order of their columns by eigenvalue, ties even first.  A block is
+    gathered in row strips of about ``_SCAN_BLOCK_ENTRIES`` indices and
+    freed before the next eigensolve, so the peak stays near five (m/2)^2
+    arrays (even vectors, odd block and vectors, two residual temporaries).
     """
     m = domain.points_per_axis
     half = m // 2
     t = _sine_symbol(domain)
-    i = np.arange(half)
-    s, d = np.add.outer(i, i), np.subtract.outer(i, i)
-    T = t[np.abs(d)] - t[s + 1]
-    R = t[m - 1 - s] - t[m + d]
-    # each (m/2)^2 temporary is freed before the next one and before U, so
-    # the peak stays near U's m^2 entries
-    del s, d
-    blocks = []
+    j = np.arange(half)
+    rows = max(1, _SCAN_BLOCK_ENTRIES // half)
+    values, vectors, resid = [], [], []
     for parity in (1.0, -1.0):
-        B = T + R if parity > 0 else T - R
-        B[i, i] += potential[:half]
+        B = np.empty((half, half))
+        for r in range(0, half, rows):
+            i = np.arange(r, min(r + rows, half))[:, None]
+            s, d = i + j, i - j
+            # T + R or T - R, bit for bit: +-1 * R is exact
+            B[r : r + rows] = (t[np.abs(d)] - t[s + 1]) + parity * (t[m - 1 - s] - t[m + d])
+        B[j, j] += potential[:half]
         wb, a = _dense_eigh(B)
-        blocks.append((parity, wb, a, _residual_norms(B, a, wb)))
+        values.append(wb)
+        vectors.append(a)
+        resid.append(_residual_norms(B, a, wb))
         del B
-    del T, R
-    position = np.empty(m, dtype=int)
-    position[np.argsort(np.concatenate([blocks[0][1], blocks[1][1]]), kind="stable")] = np.arange(m)
-    w, U, resid_norms = np.empty(m), np.empty((m, m)), np.empty(m)
-    for (parity, wb, a, rb), cols in zip(blocks, (position[:half], position[half:])):
         a /= np.sqrt(2.0)
-        U[:half, cols] = a
-        U[half:, cols] = parity * a[::-1]
-        w[cols] = wb
-        resid_norms[cols] = rb
-    _canonicalize_signs(U)
-    return w, U, resid_norms
+        # the last significant entry of [a; parity Ja] is parity a[first
+        # significant]: pin a[first] positive, then multiply by the parity
+        _canonicalize_signs(a[::-1])
+        a *= parity
+    values, resid = np.concatenate(values), np.concatenate(resid)
+    order = np.argsort(values, kind="stable")
+    return values[order], np.stack(vectors), resid[order], order
 
 
 def _check_confining(potential: np.ndarray):
@@ -337,12 +351,12 @@ def _canonicalize_signs(U: np.ndarray) -> None:
     An entry is significant when its magnitude exceeds ``_SIGN_RTOL`` times
     the column's peak.  LAPACK fixes no sign, and the one it returns can
     depend on the BLAS thread count.  Columns are visited in blocks of about
-    2^16 entries, so the temporaries stay small enough (512 KB) not to
-    raise the peak memory of a 4096-cell solve; multiplying by +-1 is
-    exact, so a canonical matrix passes through bit for bit.
+    ``_SCAN_BLOCK_ENTRIES`` entries, so the temporaries stay small enough
+    not to raise the peak memory of a 4096-cell solve; multiplying by +-1
+    is exact, so a canonical matrix passes through bit for bit.
     """
     n = U.shape[0]
-    block = max(1, (1 << 16) // n)
+    block = max(1, _SCAN_BLOCK_ENTRIES // n)
     for j in range(0, U.shape[1], block):
         cols = U[:, j : j + block]
         mag = np.abs(cols)
@@ -402,13 +416,11 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         potential = spec.potential.values
         if spec.condition == "II":
             _check_confining(potential)
+    order = None
     if isinstance(spec, ShiftedHermite) and domain.dim == 2:
         w, U, resid_norms = _hermite_tensor_eigh(spec, domain)
-    elif (
-        isinstance(spec, Schrodinger) and domain.dim == 1 and domain.points_per_axis % 2 == 0
-        and np.array_equal(potential, potential[::-1])
-    ):
-        w, U, resid_norms = _reflection_split_eigh(domain, potential)
+    elif _splits_by_parity(spec, domain):
+        w, U, resid_norms, order = _reflection_split_eigh(domain, potential)
     else:
         K1 = _sine_laplacian(domain)
         if domain.dim == 1:
@@ -429,35 +441,51 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         domain=domain,
         basis_kind="Dense",
         eigenvalues=w,
-        vectors=U,
         max_residual=max_residual,
+        **(dict(vectors=U) if order is None else dict(parity_blocks=U, order=order)),
     )
+
+
+def _splits_by_parity(spec, domain: GridDomain) -> bool:
+    """Whether ``_diagonalize_dense`` solves the operator as two parity blocks."""
+    return (isinstance(spec, Schrodinger) and domain.dim == 1 and domain.points_per_axis % 2 == 0
+            and np.array_equal(spec.potential.values, spec.potential.values[::-1]))
 
 
 def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomposition]:
     """The decomposition stored at ``path``, or None if it is absent, unreadable or invalid.
 
-    The zip CRC of each member catches corrupt bytes, so the eigenvectors
-    are checked for shape and dtype only and not rescanned for finiteness.
-    zipfile reports a damaged version or encryption flag as RuntimeError.
+    The file must carry the layout ``_diagonalize_dense`` gives this spec
+    and domain (parity blocks and order, or ``vectors``).  The zip CRC of
+    each member catches corrupt bytes, so the basis arrays are checked for
+    shape and dtype only and not rescanned for finiteness; ``order``, which
+    indexes the blocks, must be a permutation.  zipfile reports a damaged
+    version or encryption flag as RuntimeError.
     """
-    cells = domain.cell_count
+    cells, half = domain.cell_count, domain.cell_count // 2
+    if _splits_by_parity(spec, domain):
+        expected = {"parity_blocks": ((2, half, half), "f"), "order": ((cells,), "i")}
+    else:
+        expected = {"vectors": ((cells, cells), "f")}
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             if data.get("basis_convention") != _BASIS_CONVENTION:
                 return None
-            w, U, resid = data["eigenvalues"], data["vectors"], data["max_residual"]
+            w, resid = data["eigenvalues"], data["max_residual"]
+            layout = {name: data[name] for name in expected}
     except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError, RuntimeError):
         return None
     valid = (
-        w.shape == (cells,) and w.dtype.kind == "f" and bool(np.isfinite(w).all())
-        and U.shape == (cells, cells) and U.dtype.kind == "f"
+        all(layout[name].shape == shape and layout[name].dtype.kind == kind
+            for name, (shape, kind) in expected.items())
+        and ("order" not in layout or np.array_equal(np.sort(layout["order"]), np.arange(cells)))
+        and w.shape == (cells,) and w.dtype.kind == "f" and bool(np.isfinite(w).all())
         and resid.shape == () and resid.dtype.kind == "f"
         and bool(np.isfinite(resid)) and resid <= _RESIDUAL_TOL
     )
     if not valid:
         return None
-    return SpectralDecomposition(spec, domain, "Dense", w, vectors=U, max_residual=float(resid))
+    return SpectralDecomposition(spec, domain, "Dense", w, max_residual=float(resid), **layout)
 
 
 def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> SpectralDecomposition:
@@ -469,8 +497,9 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
     stored on disk keyed by a content hash of (spec, domain) and reloaded on
     repeat calls.  Each file records the eigenvector sign convention it was
     written under.  A file from another convention, or one that cannot be
-    read or fails validation (shapes, dtypes, finite eigenvalues, a stored
-    residual within tolerance), counts as a miss and is overwritten.
+    read or fails validation (the layout of this operator, shapes, dtypes, a
+    permutation ``order``, finite eigenvalues, a stored residual within
+    tolerance), counts as a miss and is overwritten.
     """
     if isinstance(spec, FractionalLaplacian):
         if not domain.periodic:
@@ -497,6 +526,8 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
             return cached
     dec = _diagonalize_dense(spec, domain)
     if key is not None:
+        layout = {name: getattr(dec, name) for name in ("vectors", "parity_blocks", "order")
+                  if getattr(dec, name) is not None}
         os.makedirs(str(cache_dir), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(cache_dir), suffix=".npz.tmp")
         try:
@@ -504,9 +535,9 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
                 np.savez(
                     fh,
                     eigenvalues=dec.eigenvalues,
-                    vectors=dec.vectors,
                     max_residual=dec.max_residual,
                     basis_convention=_BASIS_CONVENTION,
+                    **layout,
                 )
             os.replace(tmp, path)
         except BaseException:
@@ -530,9 +561,10 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     ``f`` is a GridFunction or an array of values: one state of the grid
     shape gives a (cells,) vector, and a stack (P,) + the grid shape gives a
     (cells, P) array whose column p holds the coefficients of state p.  A
-    stack is one batched FFT (Fourier kind) or one product with ``vectors``
-    (dense kinds); each column equals the single-state result of its state
-    to roundoff (bit for bit in the Fourier kind).
+    stack is one batched FFT (Fourier kind), one product with ``vectors``
+    (dense kinds), or in the parity layout the fold f_top +- J f_bot and one
+    half-size product per parity; each column equals the single-state result
+    of its state to roundoff (bit for bit in the Fourier kind).
     """
     values = f.values if isinstance(f, GridFunction) else np.asarray(f)
     shape = dec.domain.shape
@@ -543,7 +575,26 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     if dec.basis_kind == "Fourier":
         u = np.fft.fftn(values, axes=tuple(range(len(lead), values.ndim))).reshape(flat)
         return (u * _fft_coeff_scale(dec.domain))[..., dec.order].T
-    return (dec.vectors.T @ values.reshape(flat).T) * dec.domain.cell_volume
+    x = values.reshape(flat).T
+    if dec.parity_blocks is None:
+        return (dec.vectors.T @ x) * dec.domain.cell_volume
+    half = dec.domain.cell_count // 2
+    top, bottom = x[:half], x[half:][::-1]
+    even, odd = dec.parity_blocks[0].T @ (top + bottom), dec.parity_blocks[1].T @ (top - bottom)
+    return np.concatenate([even, odd])[dec.order] * dec.domain.cell_volume
+
+
+def _parity_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
+    """Grid values (cells,) or (cells, P) of the ascending coefficients in the parity layout.
+
+    The even part B_+ c_+ and the odd part B_- c_- give the top half as
+    their sum and the reflected bottom half as their difference.
+    """
+    half = dec.domain.cell_count // 2
+    native = np.empty_like(coeffs)
+    native[dec.order] = coeffs
+    even, odd = dec.parity_blocks[0] @ native[:half], dec.parity_blocks[1] @ native[half:]
+    return np.concatenate([even + odd, (even - odd)[::-1]])
 
 
 def from_coefficients(dec: SpectralDecomposition, coeffs: np.ndarray) -> GridFunction:
@@ -552,8 +603,8 @@ def from_coefficients(dec: SpectralDecomposition, coeffs: np.ndarray) -> GridFun
         u[dec.order] = coeffs
         vals = np.fft.ifftn(u.reshape(dec.domain.shape)) / _fft_coeff_scale(dec.domain)
         return GridFunction(dec.domain, vals)
-    vals = (dec.vectors @ coeffs).reshape(dec.domain.shape)
-    return GridFunction(dec.domain, vals)
+    vals = dec.vectors @ coeffs if dec.parity_blocks is None else _parity_values(dec, coeffs)
+    return GridFunction(dec.domain, vals.reshape(dec.domain.shape))
 
 
 def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
@@ -561,11 +612,16 @@ def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
 
     ``indices`` refer to the ascending-eigenvalue ordering.  Fourier phases
     are exp(2 pi i r / m) with r = j k mod m reduced in integers, so their
-    error does not grow with j k.
+    error does not grow with j k.  The parity layout mirrors the selected
+    block columns, which is exact.
     """
     indices = np.asarray(indices, dtype=int)
     if dec.basis_kind == "Dense":
-        return dec.vectors[:, indices]
+        if dec.parity_blocks is None:
+            return dec.vectors[:, indices]
+        odd, col = np.divmod(dec.order[indices], dec.domain.cell_count // 2)
+        top = dec.parity_blocks[odd, :, col].T
+        return np.concatenate([top, top[::-1] * np.where(odd, -1.0, 1.0)])
     m = dec.domain.points_per_axis
     flat = dec.order[indices]
     rows = np.arange(m)
@@ -624,8 +680,10 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     each (weight, state) pair back, with real transforms for real states
     (the symbol is even in the frequency, so w_q(H) f_p is real).  Dense
     kinds take the coefficients V^T f h once, then per pass one product of
-    the E rows of ``vectors`` with the weighted coefficients.  A pass holds
-    the states of max(1, _PASS_COLUMNS // P) weights, so the temporaries
+    the E rows of ``vectors`` with the weighted coefficients; the parity
+    layout synthesizes each pass on the grid with two half-size products
+    and keeps the rows of E.  A pass holds the states of
+    max(1, _PASS_COLUMNS // P) weights, so the temporaries
     stay at O(P cells) for many states and no pass stacks all r P columns.
     """
     if e.domain != dec.domain:
@@ -641,10 +699,12 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     group = max(1, _PASS_COLUMNS // max(P, 1))
     if dec.basis_kind == "Dense":
         coeffs = to_coefficients(dec, states)
-        rows = dec.vectors[e.cells.ravel()]
+        inside = e.cells.ravel()
+        rows = dec.vectors[inside] if dec.parity_blocks is None else None
         for q in range(0, r, group):
             w = weights[q : q + group]
-            y = rows @ (w.T[:, :, None] * coeffs[:, None, :]).reshape(cells, -1)
+            z = (w.T[:, :, None] * coeffs[:, None, :]).reshape(cells, -1)
+            y = rows @ z if rows is not None else _parity_values(dec, z)[inside]
             out[q : q + group] = (np.abs(y) ** 2).sum(axis=0).reshape(len(w), P) * h
         return out
     grid = np.empty((r, cells))
@@ -677,7 +737,8 @@ def dense_matrix(dec: SpectralDecomposition) -> np.ndarray:
     if dec.domain.cell_count > _DENSE_CELL_LIMIT:
         raise ValueError("refusing to materialize a dense matrix this large")
     if dec.basis_kind == "Dense":
-        return (dec.vectors * dec.eigenvalues) @ dec.vectors.T * dec.domain.cell_volume
+        V = dec.vectors if dec.parity_blocks is None else basis_block(dec, np.arange(dec.domain.cell_count))
+        return (V * dec.eigenvalues) @ V.T * dec.domain.cell_volume
     if dec.domain.dim == 1:
         col = np.fft.ifft(dec.symbol)
         H = scipy.linalg.circulant(col)

@@ -1,6 +1,7 @@
 """Diagonalization, semigroup, projections, Hermite basis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,14 +147,27 @@ def _truncate(path, dec):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
+def _basis_arrays(dec):
+    """The arrays a cache file holds for the basis of ``dec``, by name."""
+    if dec.parity_blocks is None:
+        return dict(vectors=dec.vectors)
+    return dict(parity_blocks=dec.parity_blocks, order=dec.order)
+
+
 def _savez(path, dec, **changes):
-    fields = dict(eigenvalues=dec.eigenvalues, vectors=dec.vectors,
-                  max_residual=dec.max_residual, basis_convention=operators._BASIS_CONVENTION)
+    fields = dict(eigenvalues=dec.eigenvalues, max_residual=dec.max_residual,
+                  basis_convention=operators._BASIS_CONVENTION, **_basis_arrays(dec))
     np.savez(path, **{**fields, **changes})
 
 
+def _basis_payload(dec):
+    """The first basis array: the full vectors or the parity blocks."""
+    return next(iter(_basis_arrays(dec).items()))
+
+
 def _wrong_shape(path, dec):
-    _savez(path, dec, vectors=dec.vectors[:, :-1])
+    name, basis = _basis_payload(dec)
+    _savez(path, dec, **{name: basis[..., :-1]})
 
 
 def _nan_eigenvalue(path, dec):
@@ -169,32 +183,90 @@ def _residual_above_tolerance(path, dec):
 def _previous_convention(path, dec):
     # convention 1 left the basis within 2D Hermite levels to the solver; the
     # flipped signs are valid data, so only the tag makes this file a miss
-    _savez(path, dec, vectors=-dec.vectors, basis_convention=1)
+    name, basis = _basis_payload(dec)
+    _savez(path, dec, **{name: -basis}, basis_convention=1)
 
 
 def _convention_two(path, dec):
     # convention 2 solved a mirror-symmetric 1D Schrodinger operator whole,
     # which differs from the parity-split solve at roundoff
-    _savez(path, dec, vectors=-dec.vectors, basis_convention=2)
+    name, basis = _basis_payload(dec)
+    _savez(path, dec, **{name: -basis}, basis_convention=2)
+
+
+def _order_not_a_permutation(path, dec):
+    # every entry is a valid column, but one column is read twice and one
+    # never, so only the permutation check can refuse it
+    order = dec.order.copy()
+    order[1] = order[0]
+    _savez(path, dec, order=order)
+
+
+def _convention_three_full_vectors(path, dec):
+    # convention 3 stored the parity-split basis as the full matrix
+    np.savez(path, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual, basis_convention=3,
+             vectors=basis_block(dec, np.arange(dec.domain.cell_count)))
+
+
+def _parity_layout_under_hermite_key(path, dec):
+    # well-formed blocks and order, but 1D Hermite is never split by parity
+    half = dec.domain.cell_count // 2
+    np.savez(path, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual,
+             basis_convention=operators._BASIS_CONVENTION,
+             parity_blocks=np.stack([dec.vectors[:half, :half], dec.vectors[:half, half:]]),
+             order=np.arange(dec.domain.cell_count))
+
+
+def _cache_hermite():
+    return ShiftedHermite(c=1.0), make_grid(1, 10.0, 64, periodic=False)
+
+
+def _cache_parity():
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    pot = from_callable(dom, lambda x: x**2 - 4.0 + 0.5 * np.cos(2.0 * x))
+    assert np.array_equal(pot.values, pot.values[::-1])
+    return Schrodinger(potential=pot), dom
+
+
+_ANY_LAYOUT = [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _residual_above_tolerance,
+               _previous_convention, _convention_two]
 
 
 @pytest.mark.parametrize(
-    "corrupt",
-    [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _residual_above_tolerance,
-     _previous_convention, _convention_two],
-    ids=lambda f: f.__name__.strip("_"),
+    "case, corrupt",
+    [pytest.param(_cache_hermite, f, id=f.__name__.strip("_")) for f in _ANY_LAYOUT]
+    + [pytest.param(_cache_hermite, _parity_layout_under_hermite_key, id="parity_layout_under_hermite_key")]
+    + [pytest.param(_cache_parity, f, id="parity-" + f.__name__.strip("_"))
+       for f in _ANY_LAYOUT + [_order_not_a_permutation, _convention_three_full_vectors]],
 )
-def test_bad_cache_file_is_recomputed(tmp_path, corrupt):
-    dom = make_grid(1, 10.0, 64, periodic=False)
-    first = diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
+def test_bad_cache_file_is_recomputed(tmp_path, case, corrupt):
+    spec, dom = case()
+    first = diagonalize(spec, dom, cache_dir=tmp_path)
     (path,) = tmp_path.glob("decomposition-*.npz")
     corrupt(path, first)
-    second = diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
+    second = diagonalize(spec, dom, cache_dir=tmp_path)
     assert np.array_equal(second.eigenvalues, first.eigenvalues)
-    assert np.array_equal(second.vectors, first.vectors)
+    everything = np.arange(dom.cell_count)
+    assert np.array_equal(basis_block(second, everything), basis_block(first, everything))
     assert second.max_residual == first.max_residual
     with np.load(path) as data:
-        assert np.array_equal(data["vectors"], first.vectors)
+        assert sorted(data.files) == sorted(["eigenvalues", "max_residual", "basis_convention",
+                                             *_basis_arrays(first)])
+        for name, array in _basis_arrays(first).items():
+            assert np.array_equal(data[name], array)
+
+
+def test_parity_cache_roundtrip_halves_the_file(tmp_path):
+    spec, dom = _cache_parity()
+    first = diagonalize(spec, dom, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("decomposition-*.npz")
+    second = diagonalize(spec, dom, cache_dir=tmp_path)
+    assert second.vectors is None
+    assert np.array_equal(second.parity_blocks, first.parity_blocks)
+    assert np.array_equal(second.order, first.order)
+    assert np.array_equal(second.eigenvalues, first.eigenvalues)
+    # two (m/2)^2 blocks: half the 8 m^2 bytes of the full matrix, plus headers
+    assert path.stat().st_size < 8 * dom.cell_count**2 // 2 + 4096
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +320,10 @@ def test_dense_decomposition_ignores_solver_signs(monkeypatch):
     monkeypatch.setattr(operators, "_dense_eigh", scrambled_eigh)
     flipped = diagonalize(spec, dom)
     assert np.array_equal(flipped.eigenvalues, plain.eigenvalues)
-    assert np.array_equal(flipped.vectors, plain.vectors)
+    # V = x^2 - 4 is mirror-symmetric, so the signs are pinned on the parity blocks
+    assert plain.parity_blocks is not None
+    everything = np.arange(dom.cell_count)
+    assert np.array_equal(basis_block(flipped, everything), basis_block(plain, everything))
     assert flipped.max_residual == plain.max_residual
     assert np.array_equal(build_finite_rank_feedback(flipped, half).gram, plain_gram)
 
@@ -455,16 +530,17 @@ def test_split_solve_matches_the_full_solve(cosine_well, monkeypatch):
     assert solved == [(128, 128), (128, 128)]  # two parity blocks, no 256-wide H
     w, U = full_solve(dom, spec.potential.values)
     assert np.all(np.abs(dec.eigenvalues - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
-    vectors = dec.vectors * np.sqrt(dom.cell_volume)
+    basis = basis_block(dec, np.arange(dom.cell_count))
+    vectors = basis * np.sqrt(dom.cell_volume)
     P_split = vectors[:, :20] @ vectors[:, :20].T
     P_full = U[:, :20] @ U[:, :20].T
     assert np.abs(P_split - P_full).max() < 1e-10
     # equal only to roundoff, hence a new cache convention
     assert not np.array_equal(vectors, U)
     assert dec.max_residual <= operators._RESIDUAL_TOL
-    pinned = np.array(dec.vectors)
+    pinned = np.array(basis)
     _canonicalize_signs(pinned)
-    assert np.array_equal(pinned, dec.vectors)
+    assert np.array_equal(pinned, basis)
     # parity alternates up the spectrum: even ground state, odd first excited
     assert np.array_equal(vectors[:, 0], vectors[::-1, 0])
     assert np.array_equal(vectors[:, 1], -vectors[::-1, 1])
@@ -486,10 +562,69 @@ def test_split_block_residual_is_the_full_residual(cosine_well, monkeypatch):
     monkeypatch.setattr(operators, "_dense_eigh", detuned_eigh)
     dec = diagonalize(spec, dom)
     H = gathered_laplacian(dom) + np.diag(spec.potential.values)
-    U, w = dec.vectors * np.sqrt(dom.cell_volume), dec.eigenvalues
+    U, w = basis_block(dec, np.arange(dom.cell_count)) * np.sqrt(dom.cell_volume), dec.eigenvalues
     whole = np.linalg.norm(H @ U - U * w, axis=0) / np.maximum(1.0, np.abs(w))
     assert dec.max_residual == pytest.approx(float(whole.max()), rel=1e-4)
     assert np.array_equal(U[:, int(np.argmax(whole))], -U[::-1, int(np.argmax(whole))])
+
+
+def assembled_parity_basis(dom, potential):
+    """Eigenvalues and the scaled m x m basis of the parity split, assembled the old way.
+
+    Both blocks come from one gather of T and R over all (m/2)^2 index
+    pairs; the columns [a; +-Ja] / sqrt(2) are placed in ascending order
+    (ties even first) and their signs pinned on the whole matrix.
+    """
+    m = dom.points_per_axis
+    half = m // 2
+    t = operators._sine_symbol(dom)
+    i = np.arange(half)
+    s, d = np.add.outer(i, i), np.subtract.outer(i, i)
+    T = t[np.abs(d)] - t[s + 1]
+    R = t[m - 1 - s] - t[m + d]
+    solved = []
+    for parity in (1.0, -1.0):
+        B = T + R if parity > 0 else T - R
+        B[i, i] += potential[:half]
+        solved.append((parity, *scipy.linalg.eigh(B)))
+    position = np.empty(m, dtype=int)
+    position[np.argsort(np.concatenate([solved[0][1], solved[1][1]]), kind="stable")] = np.arange(m)
+    w, U = np.empty(m), np.empty((m, m))
+    for (parity, wb, a), cols in zip(solved, (position[:half], position[half:])):
+        a /= np.sqrt(2.0)
+        U[:half, cols] = a
+        U[half:, cols] = parity * a[::-1]
+        w[cols] = wb
+    _canonicalize_signs(U)
+    return w, U / np.sqrt(dom.cell_volume)
+
+
+def test_parity_blocks_are_the_assembled_basis_bit_for_bit(cosine_well):
+    spec, dom = cosine_well
+    dec = diagonalize(spec, dom)
+    w, U = assembled_parity_basis(dom, spec.potential.values)
+    assert dec.vectors is None
+    assert np.array_equal(dec.eigenvalues, w)
+    assert np.array_equal(basis_block(dec, np.arange(dom.cell_count)), U)
+    assert np.array_equal(basis_block(dec, [7, 2, 7]), U[:, [7, 2, 7]])
+
+
+def test_parity_split_holds_no_full_size_array():
+    # the peak of the solve stays below 1.5 m x m float64 arrays (the old
+    # assembly held U and the (m/2)^2 gather and index temporaries at once)
+    dom = make_grid(1, 10.0, 1024, periodic=False)
+    spec = Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0))
+    tracemalloc.start()
+    try:
+        dec = diagonalize(spec, dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.parity_blocks is not None
+    assert peak < 1.5 * 8 * dom.cell_count**2
+    for name in ("eigenvalues", "order", "vectors", "parity_blocks"):
+        array = getattr(dec, name)
+        assert array is None or array.size <= dom.cell_count**2 // 2
 
 
 @pytest.mark.parametrize(
@@ -548,8 +683,10 @@ def test_eigenfunctions_have_unit_coefficients(kind, hermite_dec, frac_dec):
         (FractionalLaplacian(s=0.5), make_grid(2, 5.0, 16, periodic=True)),
         (ShiftedHermite(c=1.0), make_grid(1, 8.0, 64, periodic=False)),
         (ShiftedHermite(), make_grid(2, 6.0, 12, periodic=False)),
+        (Schrodinger(potential=from_callable(make_grid(1, 8.0, 64, periodic=False), lambda x: x**2)),
+         make_grid(1, 8.0, 64, periodic=False)),
     ],
-    ids=["fourier-1d", "fourier-2d", "dense-1d", "dense-2d"],
+    ids=["fourier-1d", "fourier-2d", "dense-1d", "dense-2d", "parity-1d"],
 )
 def test_coefficients_of_a_stack_are_the_columns_of_its_states(spec, dom, rng):
     dec = diagonalize(spec, dom)
@@ -610,10 +747,12 @@ def restricted_norm_cases():
          BallComplement(center=(1.0, 0.0), radius=2.0)),
         (ShiftedHermite(c=1.0), make_grid(1, 8.0, 64, periodic=False), HalfSpace(offset=0.3)),
         (ShiftedHermite(), make_grid(2, 6.0, 12, periodic=False), HalfSpace(axis=1, offset=0.0)),
+        (Schrodinger(potential=from_callable(make_grid(1, 8.0, 64, periodic=False), lambda x: x**2 - 2.0)),
+         make_grid(1, 8.0, 64, periodic=False), HalfSpace(offset=0.3)),
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 @pytest.mark.parametrize("states", [3, 70], ids=["few-states", "many-states"])
 def test_restricted_norms_are_gram_quadratic_forms(case, states, rng):
     # ||chi_E w(H) f||^2 = (w c)^H G (w c) with c the coefficients of f; the
@@ -648,11 +787,14 @@ def test_restricted_norms_check_their_inputs(frac_dec, hermite_dec, rng):
 
 
 def test_dense_matrix_reproduces_dense_eigenpairs():
+    # the full basis and the parity layout (V = x^2 - 4 is mirror-symmetric)
     dom = make_grid(1, 10.0, 64, periodic=False)
-    dec = diagonalize(ShiftedHermite(), dom)
-    H = dense_matrix(dec)
-    v = dec.vectors[:, 2]
-    assert np.allclose(H @ v, dec.eigenvalues[2] * v, atol=1e-8)
+    for spec in (ShiftedHermite(), Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0))):
+        dec = diagonalize(spec, dom)
+        assert (dec.parity_blocks is None) == isinstance(spec, ShiftedHermite)
+        H = dense_matrix(dec)
+        v = eigenfunction(dec, 2).values
+        assert np.allclose(H @ v, dec.eigenvalues[2] * v, atol=1e-8)
 
 
 def test_dense_matrix_of_multiplier_is_symmetric_with_the_right_spectrum():

@@ -37,6 +37,17 @@ def test_slab_certification_default_fills(monkeypatch, tmp_path):
     assert rows[2]["C"] == rows[2]["c1"] == ""
 
 
+def test_slab_certification_records_refused_fills(monkeypatch, tmp_path):
+    # at m = 64 the default --k-max 10 asks for a projection range the grid
+    # does not resolve: every fill gets a "refused" row and the run completes
+    out = tmp_path / "slabs.csv"
+    run_script(monkeypatch, tmp_path, "slab_certification.py", "--m", "64", "--out", str(out))
+    rows = read_rows(out)
+    assert [row["fill"] for row in rows] == ["0.5", "0.25", "0.125"]
+    assert all(row["status"] == "refused" for row in rows)
+    assert all(row[name] == "" for row in rows for name in ("c1", "A", "T", "alpha", "C", "min_margin"))
+
+
 def test_hermite_feedback_demo(monkeypatch, tmp_path):
     out = tmp_path / "decay.csv"
     run_script(

@@ -134,8 +134,10 @@ def test_fourier_gram_gather_matches_the_basis_product(dim, m, subset):
 
 def test_dense_gram_is_the_column_block_product(shifted_potential_dec):
     # columns first, then the rows of E: the two unstable modes of V = x^2 - 4
-    # must not copy the |E| x cells rows of the whole basis on the way
+    # must not copy the |E| x cells rows of the whole basis on the way; V is
+    # mirror-symmetric, so the columns come from the parity blocks
     dec = shifted_potential_dec
+    assert dec.parity_blocks is not None
     e = make_set(dec.domain, HalfSpace(offset=0.0))
     tracemalloc.start()
     try:
