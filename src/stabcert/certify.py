@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.special
 
 from .domain import GridDomain, jsonable
 from .geometry import SetIndicator
@@ -75,6 +74,7 @@ __all__ = [
     "certify_end_to_end",
     "certificate_to_json",
     "growth_exponent",
+    "exprel",
     "TimeKernel",
     "ObservationBracket",
     "time_kernel",
@@ -224,6 +224,24 @@ def certificate_gain_log(cert: Certificate, tau: float) -> float:
 # observation integrals
 
 
+def exprel(x, out=None) -> np.ndarray:
+    """(e^x - 1) / x elementwise, exactly 1 at x = 0.
+
+    expm1 keeps the full relative accuracy for small |x|, so the quotient
+    has no cancellation near 0; it is within a few ulps of
+    ``scipy.special.exprel`` up to x ~ 709.78, where expm1 overflows to inf
+    a few units before the quotient would.  ``out`` may be ``x`` itself.
+    """
+    x = np.asarray(x, dtype=float)
+    zero = x == 0.0
+    if out is None:
+        out = np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.expm1(x), x, out=out)
+    out[zero] = 1.0
+    return out
+
+
 @dataclass(frozen=True)
 class TimeKernel:
     """Low-rank factor of F_jl = int_lo^hi e^{-t(lam_j + lam_l)} dt, F = L L^T + E.
@@ -263,14 +281,14 @@ def time_kernel(lams, lo: float, hi: float) -> TimeKernel:
     levels, level_of, counts = np.unique(lams, return_inverse=True, return_counts=True)
     with np.errstate(over="ignore", under="ignore"):
         scale = np.exp(-lo * levels)
-        diag = scale * scale * width * scipy.special.exprel(-2.0 * width * levels)
+        diag = scale * scale * width * exprel(-2.0 * width * levels)
     total = float(counts @ diag)
     resid = diag.copy()
     factor = np.zeros((levels.size, 0))
     while factor.shape[1] < levels.size and float(counts @ resid) > KERNEL_RTOL * total:
         p = int(np.argmax(counts * resid))
         with np.errstate(over="ignore", under="ignore"):
-            col = scale * (scale[p] * width) * scipy.special.exprel(-width * (levels + levels[p]))
+            col = scale * (scale[p] * width) * exprel(-width * (levels + levels[p]))
         col -= factor @ factor[p]
         col /= np.sqrt(resid[p])
         resid -= col * col
@@ -356,7 +374,7 @@ def observation_integrals(gram, lams, coeffs, lo, hi) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         cols = coeffs * np.exp(-lo * lams)[:, None]
         factor *= -width
-        scipy.special.exprel(factor, out=factor)
+        exprel(factor, out=factor)
         factor *= width
     weighted = gram * factor[np.ix_(level_of, level_of)]
     return (cols.conj() * (weighted @ cols)).sum(axis=0).real

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
+from .certify import exprel
 from .domain import DomainMismatchError, GridFunction, inner_product, norm as _norm
 from .geometry import SetIndicator
 from .operators import (
@@ -204,7 +203,7 @@ def build_damping_feedback(
     bound = damping_decay_bound(dec, e, delta, c1, resolved)
     loop = dense_matrix(dec) + np.diag(e.cells.ravel().astype(float))
     loop = 0.5 * (loop + loop.T)
-    w, u = scipy.linalg.eigh(loop)
+    w, u = np.linalg.eigh(loop)
     vectors = u / np.sqrt(dec.domain.cell_volume)
     return DampingFeedback(
         e=e,
@@ -239,7 +238,7 @@ def build_finite_rank_feedback(dec: SpectralDecomposition, e: SetIndicator) -> F
     gram = restricted_gram(dec, idx, e)
     cond = float(np.linalg.cond(gram))
     if cond > GRAM_COND_LIMIT:
-        w, v = scipy.linalg.eigh(gram)
+        w, v = np.linalg.eigh(gram)
         block = basis_block(dec, idx)
         witness_vals = (block @ v[:, 0]).reshape(dec.domain.shape)
         witness = GridFunction(dec.domain, witness_vals)
@@ -368,7 +367,7 @@ def simulate_decay(
             lams = rates[n_low:, None]
             for i, mu in enumerate(rates[:n_low]):
                 kernel = times * np.exp(-np.minimum(lams, mu) * times)
-                kernel *= scipy.special.exprel(-np.abs(lams - mu) * times)
+                kernel *= exprel(-np.abs(lams - mu) * times)
                 coeffs[n_low:] += gains[:, i, None] * kernel
         norms = np.linalg.norm(coeffs, axis=0)
     grown = ~(norms <= 10.0 * norm0)

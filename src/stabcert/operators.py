@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .domain import (
@@ -574,7 +573,7 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     flat = lead + (dec.domain.cell_count,)
     if dec.basis_kind == "Fourier":
         u = np.fft.fftn(values, axes=tuple(range(len(lead), values.ndim))).reshape(flat)
-        return (u * _fft_coeff_scale(dec.domain))[..., dec.order].T
+        return np.take(u * _fft_coeff_scale(dec.domain), dec.order, axis=-1).T
     x = values.reshape(flat).T
     if dec.parity_blocks is None:
         return (dec.vectors.T @ x) * dec.domain.cell_volume
@@ -714,12 +713,12 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     state_axes = tuple(range(1, domain.dim + 1))
     pass_axes = tuple(a + 1 for a in state_axes)
     if np.isrealobj(states):
-        spectra = scipy.fft.rfftn(states, axes=state_axes)
+        spectra = np.fft.rfftn(states, axes=state_axes)
         grid = grid[..., : spectra.shape[-1]]
-        inverse = functools.partial(scipy.fft.irfftn, s=shape, axes=pass_axes)
+        inverse = functools.partial(np.fft.irfftn, s=shape, axes=pass_axes)
     else:
-        spectra = scipy.fft.fftn(states, axes=state_axes)
-        inverse = functools.partial(scipy.fft.ifftn, axes=pass_axes)
+        spectra = np.fft.fftn(states, axes=state_axes)
+        inverse = functools.partial(np.fft.ifftn, axes=pass_axes)
     mask = e.cells.ravel().astype(float)
     for q in range(0, r, group):
         y = inverse(grid[q : q + group, None] * spectra[None]).reshape(-1, cells)
@@ -741,7 +740,8 @@ def dense_matrix(dec: SpectralDecomposition) -> np.ndarray:
         return (V * dec.eigenvalues) @ V.T * dec.domain.cell_volume
     if dec.domain.dim == 1:
         col = np.fft.ifft(dec.symbol)
-        H = scipy.linalg.circulant(col)
+        index = np.arange(col.size)
+        H = col[np.subtract.outer(index, index) % col.size]
     else:
         m = dec.domain.points_per_axis
         cells = dec.domain.cell_count

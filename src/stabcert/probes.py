@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .certify import observation_bracket
 from .domain import GridDomain, GridFunction, from_callable, norm as _norm, restrict_norm
@@ -54,6 +53,7 @@ __all__ = [
     "build_kernel",
     "make_probe",
     "kernel_probe_solution",
+    "linear_interpolation_matrix",
     "choose_l0",
     "observation_tail",
     "falsify_weak_observability",
@@ -180,12 +180,29 @@ def kernel_probe_solution(probe: KernelProbe, t: float) -> GridFunction:
     if n == 1:
         vals = amp * np.interp(shifted[0] / sigma, axes, probe.kernel.values, left=0.0, right=0.0)
     else:
-        interp = RegularGridInterpolator(
-            (axes, axes), probe.kernel.values, bounds_error=False, fill_value=0.0
-        )
-        pts = np.stack([(g / sigma).ravel() for g in np.meshgrid(*shifted, indexing="ij")], axis=1)
-        vals = amp * interp(pts).reshape(domain.shape)
+        a_x, a_y = (linear_interpolation_matrix(q / sigma, axes) for q in shifted)
+        vals = amp * (a_x @ probe.kernel.values @ a_y.T)
     return GridFunction(domain, vals)
+
+
+def linear_interpolation_matrix(points, axis) -> np.ndarray:
+    """The (len(points), len(axis)) matrix of linear interpolation on a uniform ``axis``.
+
+    Row i holds the weights 1 - t and t of the two nodes around points[i],
+    t = (p - x_j) / (x_{j+1} - x_j); a row is zero where the point lies
+    outside [axis[0], axis[-1]].  On a tensor grid, bilinear interpolation
+    of K at the points (p_i, q_j) is A_p K A_q^T.
+    """
+    points = np.asarray(points, dtype=float)
+    m = axis.size
+    j = np.clip(np.floor((points - axis[0]) / (axis[1] - axis[0])), 0, m - 2).astype(int)
+    t = (points - axis[j]) / (axis[j + 1] - axis[j])
+    inside = (points >= axis[0]) & (points <= axis[-1])
+    rows = np.arange(points.size)
+    a = np.zeros((points.size, m))
+    a[rows, j] = np.where(inside, 1.0 - t, 0.0)
+    a[rows, j + 1] = np.where(inside, t, 0.0)
+    return a
 
 
 def choose_l0(T: float, alpha: float, s: float, n: int) -> float:

@@ -22,6 +22,7 @@ from stabcert.certify import (
     certificate_threshold,
     certificate_to_json,
     certify_end_to_end,
+    exprel,
     observation_bracket,
     observation_integrals,
     recurrence_check,
@@ -221,10 +222,27 @@ def test_observation_integrals_are_the_every_pair_arithmetic(problem, rng):
     # ulp apart stay apart
     gram, lams, coeffs = QUADRATURE_PROBLEMS[problem](rng)
     lo, hi = 0.25, 2.0
-    factor = (hi - lo) * scipy.special.exprel(-(hi - lo) * np.add.outer(lams, lams))
+    factor = (hi - lo) * exprel(-(hi - lo) * np.add.outer(lams, lams))
     cols = coeffs * np.exp(-lo * lams)[:, None]
     every_pair = (cols.conj() * ((gram * factor) @ cols)).sum(axis=0).real
     assert np.array_equal(observation_integrals(gram, lams, coeffs, lo, hi), every_pair)
+
+
+def test_exprel_agrees_with_scipy():
+    # expm1(x) / x is within a few ulps of scipy's exprel on the time-kernel
+    # range, keeps full accuracy for tiny |x|, and is exactly 1 at x = 0
+    eps = np.finfo(float).eps
+    wide = -np.linspace(0.0, 50.0, 200001)
+    tiny = np.concatenate([np.logspace(-18, 0, 2001), -np.logspace(-18, 0, 2001), [5e-324, -5e-324]])
+    for x in (wide, tiny):
+        assert np.allclose(exprel(x), scipy.special.exprel(x), rtol=4 * eps, atol=0.0)
+    assert np.array_equal(exprel(np.array([0.0, -0.0])), [1.0, 1.0]) and exprel(0.0) == 1.0
+    assert exprel(-np.inf) == 0.0
+    x = np.array([0.0, -1e-18, -3.0, -50.0])
+    expected = scipy.special.exprel(x)
+    out = exprel(x, out=x)
+    assert out is x
+    assert x[0] == 1.0 and np.allclose(x, expected, rtol=4 * eps, atol=0.0)
 
 
 def test_observation_integrals_agree_with_scipy_quad(rng):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -773,6 +774,37 @@ def test_restricted_norms_are_gram_quadratic_forms(case, states, rng):
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
 
+def scipy_fft_restricted_norms(dec, e, weights, states):
+    # the Fourier branch of restricted_norms as it was written on scipy.fft:
+    # real transforms for real states, complex ones otherwise, all in one pass
+    dom = dec.domain
+    grid = np.empty(weights.shape)
+    grid[:, dec.order] = weights
+    grid = grid.reshape((-1,) + dom.shape)
+    state_axes = tuple(range(1, dom.dim + 1))
+    pass_axes = tuple(a + 1 for a in state_axes)
+    if np.isrealobj(states):
+        spectra = scipy.fft.rfftn(states, axes=state_axes)
+        half = grid[..., : spectra.shape[-1]]
+        y = scipy.fft.irfftn(half[:, None] * spectra[None], s=dom.shape, axes=pass_axes)
+    else:
+        y = scipy.fft.ifftn(grid[:, None] * scipy.fft.fftn(states, axes=state_axes)[None], axes=pass_axes)
+    return (np.abs(y) ** 2 * e.cells).reshape(y.shape[:2] + (-1,)).sum(axis=-1) * dom.cell_volume
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["fourier-1d", "fourier-2d"])
+def test_fourier_restricted_norms_match_the_scipy_fft_path(case, rng):
+    spec, dom, shape = restricted_norm_cases()[case]
+    dec = diagonalize(spec, dom)
+    e = make_set(dom, shape)
+    levels, level_of = np.unique(dec.eigenvalues, return_inverse=True)
+    weights = rng.standard_normal((4, levels.size))[:, level_of]
+    for complex_valued in (False, True):
+        values = np.stack([random_state(dom, rng, complex_valued).values for _ in range(6)])
+        want = scipy_fft_restricted_norms(dec, e, weights, values)
+        np.testing.assert_allclose(restricted_norms(dec, e, weights, values), want, rtol=1e-13, atol=0.0)
+
+
 def test_restricted_norms_check_their_inputs(frac_dec, hermite_dec, rng):
     e = make_set(frac_dec.domain, HalfSpace(offset=0.0))
     values = rng.standard_normal((2,) + frac_dec.domain.shape)
@@ -801,6 +833,7 @@ def test_dense_matrix_of_multiplier_is_symmetric_with_the_right_spectrum():
     dom = make_grid(1, 10.0, 16, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=1.0), dom)
     H = dense_matrix(dec)
+    assert np.array_equal(H, scipy.linalg.circulant(np.fft.ifft(dec.symbol)).real)
     assert np.allclose(H, H.T, atol=1e-12)
     assert np.allclose(scipy.linalg.eigvalsh(H), dec.eigenvalues, atol=1e-10)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from stabcert.domain import GridFunction, make_grid, norm
 from stabcert.geometry import BallComplement, Full, HalfSpace, make_set
@@ -29,6 +30,7 @@ from stabcert.probes import (
     falsify_hermite_ground_state,
     falsify_weak_observability,
     kernel_probe_solution,
+    linear_interpolation_matrix,
     make_probe,
     observation_tail,
 )
@@ -140,6 +142,37 @@ def test_probe_norm_law_2d():
         u = kernel_probe_solution(p, t)
         law = p.c2_norm * (t + 1.0) ** (-2.0 / 4.0)
         assert abs(norm(u) - law) / law < 5e-3
+
+
+def test_interpolation_matrices_are_bilinear_interpolation(rng):
+    # A_p K A_q^T against scipy's bilinear interpolator with fill value 0, on
+    # points inside, on the nodes, at both ends, one ulp outside and far out
+    axis = make_grid(1, 3.0, 38, periodic=True).axis_coords()
+    outside = [np.nextafter(axis[0], -np.inf), np.nextafter(axis[-1], np.inf), -1e31, 1e31]
+    p = np.concatenate([rng.uniform(-4.0, 4.0, 60), axis, outside])
+    q = np.concatenate([rng.uniform(-4.0, 4.0, 45), [axis[0], axis[-1]], outside])
+    K = rng.standard_normal((axis.size, axis.size))
+    a_p, a_q = linear_interpolation_matrix(p, axis), linear_interpolation_matrix(q, axis)
+    reference = RegularGridInterpolator((axis, axis), K, bounds_error=False, fill_value=0.0)
+    pts = np.stack(np.meshgrid(p, q, indexing="ij"), axis=-1).reshape(-1, 2)
+    expected = reference(pts).reshape(p.size, q.size)
+    assert np.abs(a_p @ K @ a_q.T - expected).max() < 1e-14 * np.abs(K).max()
+    assert not a_p[-4:].any() and not a_q[-4:].any()
+
+
+def test_2d_probe_is_the_bilinear_interpolation_of_the_kernel():
+    # an off-centre probe, so that the two axes' matrices cannot be swapped
+    dom = make_grid(2, 10.0, 48, periodic=True)
+    p = make_probe(2.0, 0.5, dom, (1.3, -2.2), 0.3)
+    axes = dom.axis_coords()
+    reference = RegularGridInterpolator((axes, axes), p.kernel.values, bounds_error=False, fill_value=0.0)
+    for t in (0.0, 0.4):
+        sigma = (t + p.l) ** (1.0 / p.s)
+        shifted = [np.mod(axes - x + 10.0, 20.0) - 10.0 for x in p.x0]
+        pts = np.stack([g.ravel() / sigma for g in np.meshgrid(*shifted, indexing="ij")], axis=1)
+        expected = np.exp(p.c * t) * (t + p.l) ** (-2.0 / p.s) * reference(pts).reshape(dom.shape)
+        got = kernel_probe_solution(p, t).values
+        assert np.abs(got - expected).max() < 1e-14 * np.abs(expected).max()
 
 
 def test_probe_matches_discrete_semigroup(pdom):

@@ -10,11 +10,16 @@ with `basis_block`: the restricted Gram is built by `operators`, and
 `certify` and `probes` never build one at all (their observation integrals
 go through `operators.restricted_norms`), and `probes` takes its decayed
 norms from the observation bracket, not from `to_coefficients`. In `operators`,
-`scipy.linalg.eigh` is called only inside `_dense_eigh`.
+every `eigh` call is inside `_dense_eigh`. scipy is imported only by
+`operators`, and only as `scipy.linalg` for that eigensolver, so importing
+the CLI loads no other scipy subpackage.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -122,3 +127,32 @@ def test_eigh_is_called_only_in_dense_eigh():
     assert calls, "operators.py calls no eigh at all"
     outside = [f"line {node.lineno}: {ast.unparse(node)}" for node in calls if id(node) not in inside]
     assert not outside, outside
+
+
+def _scipy_imports(tree):
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy":
+            found += [f"{node.module}.{alias.name}" for alias in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_is_imported_only_for_the_dense_eigensolver(path):
+    # numpy does the FFTs, exprel, the circulant and the interpolation; the
+    # dense eigensolver stays scipy's, whose results the references pin
+    expected = ["scipy.linalg"] if path.name == "operators.py" else []
+    assert _scipy_imports(_tree(path)) == expected
+
+
+def test_cli_import_loads_no_other_scipy_subpackage():
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, stabcert.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True, timeout=120).stdout.split())
+    assert "scipy.linalg" in loaded
+    heavy = {"scipy.fft", "scipy.special", "scipy.interpolate", "scipy.optimize"}
+    assert not heavy & loaded, sorted(heavy & loaded)
