@@ -71,7 +71,7 @@ from .operators import (
     ShiftedHermite,
     diagonalize,
     eigenfunction,
-    spec_to_json,
+    spec_hash,
 )
 from .probes import (
     ObservationClaim,
@@ -380,7 +380,7 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
                                       "condition": "II", "delta": None},
                                    **config.operator})
         spec, extra = parse_operator(config.operator["kind"], ns)
-        hashes["operator"] = content_hash(spec_to_json(spec))
+        hashes["operator"] = spec_hash(spec)
         hashes.update(extra)
     options = config.options
     side_files = {}

@@ -85,6 +85,7 @@ __all__ = [
     "hermite_basis",
     "spec_to_json",
     "spec_from_json",
+    "spec_hash",
     "to_coefficients",
     "from_coefficients",
     "basis_block",
@@ -100,9 +101,13 @@ _RESIDUAL_TOL = 1e-8
 # 16 MB at most, small next to H and U, and 512 columns at 4096 cells keep
 # the re-reads of H cheap
 _RESIDUAL_BLOCK_ENTRIES = 1 << 21
-# entries per block of the temporaries of the sign pinning and of the parity
-# block gather (512 KB of float64), small next to any m x m array
+# entries per block of the temporaries of the sign pinning (512 KB of
+# float64), small next to any m x m array
 _SCAN_BLOCK_ENTRIES = 1 << 16
+# parity blocks are gathered in row strips of max(1, (m/2) // _BLOCK_STRIPS)
+# rows: two strip buffers are an eighth of a block, and 128-row strips at 4096
+# cells gather and multiply faster than the residual's 16 MB column blocks
+_BLOCK_STRIPS = 16
 # entries below this fraction of a column's peak do not decide its sign
 _SIGN_RTOL = 1e-8
 # version of the convention of cached dense eigenvectors (1: pinned signs;
@@ -281,6 +286,27 @@ def _sine_symbol(domain: GridDomain) -> np.ndarray:
     return t
 
 
+def _parity_rows(t, potential, parity: float, r: int, out, scratch) -> None:
+    """Rows r .. r + len(out) of the parity block T + parity R + diag(V), written into ``out``.
+
+    Each term is a strip of windows of t, so no strip-sized index array is
+    formed: t(|i - j|) is read from t(|n|), n = 1 - m/2 .. m/2 - 1, and
+    t(2m - n) = t(n) turns t(m - 1 - i - j) and t(m + i - j) into
+    t(m + 1 + i + j) and t(m - i + j).  The floats and their order of
+    summation are those of the index gather, so every entry is the same bit
+    for bit.  ``scratch`` has at least n rows.
+    """
+    n, half = out.shape
+    m, scratch = 2 * half, scratch[:n]
+    window = np.lib.stride_tricks.sliding_window_view
+    w, mirror = window(t, half), window(t[np.abs(np.arange(1 - half, half))], half)
+    np.subtract(mirror[half - r - n : half - r][::-1], w[r + 1 : r + n + 1], out=out)
+    np.subtract(w[m + 1 + r : m + 1 + r + n], w[m - r - n + 1 : m - r + 1][::-1], out=scratch)
+    scratch *= parity  # T + R or T - R, bit for bit: +-1 * R is exact
+    out += scratch
+    out[np.arange(n), np.arange(r, r + n)] += potential[r : r + n]
+
+
 def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
     """Eigenpairs, parity blocks, residuals and order of 1D -Lap + V for a mirror-symmetric V.
 
@@ -291,38 +317,40 @@ def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
     gathered from t(n) without forming H, and a block's residual is that of
     the full vector.  Returned are the ascending eigenvalues and residuals,
     the (2, m/2, m/2) blocks a / sqrt(2) with pinned signs (even first), and
-    the order of their columns by eigenvalue, ties even first.  A block is
-    gathered in row strips of about ``_SCAN_BLOCK_ENTRIES`` indices and
-    freed before the next eigensolve, so the peak stays near five (m/2)^2
-    arrays (even vectors, odd block and vectors, two residual temporaries).
+    the order of their columns by eigenvalue, ties even first.
+
+    Each block is gathered in row strips into the odd slot (free until the
+    odd solve), solved there in place, and its vectors copied into their
+    slot; the residual re-gathers it in strips.  The peak is about 3.1
+    (m/2)^2 arrays: the two slots, the solver's vectors and the strips.
     """
-    m = domain.points_per_axis
-    half = m // 2
+    half = domain.points_per_axis // 2
     t = _sine_symbol(domain)
-    j = np.arange(half)
-    rows = max(1, _SCAN_BLOCK_ENTRIES // half)
-    values, vectors, resid = [], [], []
-    for parity in (1.0, -1.0):
-        B = np.empty((half, half))
+    rows = max(1, half // _BLOCK_STRIPS)
+    blocks = np.empty((2, half, half))
+    strip, scratch = np.empty((2, rows, half))
+    values, sq = np.empty((2, half)), np.zeros((2, half))
+    for p, parity in enumerate((1.0, -1.0)):
+        B = blocks[1]
         for r in range(0, half, rows):
-            i = np.arange(r, min(r + rows, half))[:, None]
-            s, d = i + j, i - j
-            # T + R or T - R, bit for bit: +-1 * R is exact
-            B[r : r + rows] = (t[np.abs(d)] - t[s + 1]) + parity * (t[m - 1 - s] - t[m + d])
-        B[j, j] += potential[:half]
-        wb, a = _dense_eigh(B)
-        values.append(wb)
-        vectors.append(a)
-        resid.append(_residual_norms(B, a, wb))
-        del B
+            _parity_rows(t, potential, parity, r, B[r : r + rows], scratch)
+        # B == B.T bit for bit, and B.T is Fortran-ordered: LAPACK solves it in place
+        values[p], blocks[p] = _dense_eigh(B.T, overwrite=True)
+        a = blocks[p]
+        for r in range(0, half, rows):
+            n = min(rows, half - r)
+            _parity_rows(t, potential, parity, r, strip[:n], scratch)
+            rows_resid = np.matmul(strip[:n], a, out=scratch[:n])
+            rows_resid -= np.multiply(a[r : r + n], values[p], out=strip[:n])
+            sq[p] += np.einsum("ij,ij->j", rows_resid, rows_resid)
         a /= np.sqrt(2.0)
         # the last significant entry of [a; parity Ja] is parity a[first
         # significant]: pin a[first] positive, then multiply by the parity
         _canonicalize_signs(a[::-1])
         a *= parity
-    values, resid = np.concatenate(values), np.concatenate(resid)
+    values, resid = values.ravel(), np.sqrt(sq.ravel())
     order = np.argsort(values, kind="stable")
-    return values[order], np.stack(vectors), resid[order], order
+    return values[order], blocks, resid[order], order
 
 
 def _check_confining(potential: np.ndarray):
@@ -340,8 +368,8 @@ def _check_confining(potential: np.ndarray):
         )
 
 
-def _dense_eigh(H: np.ndarray):
-    return scipy.linalg.eigh(H)
+def _dense_eigh(H: np.ndarray, overwrite: bool = False):
+    return scipy.linalg.eigh(H, overwrite_a=overwrite)
 
 
 def _canonicalize_signs(U: np.ndarray) -> None:
@@ -432,7 +460,7 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         _canonicalize_signs(U)
         resid_norms = _residual_norms(H, U, w)
     max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
-    if max_residual > _RESIDUAL_TOL:
+    if not (max_residual <= _RESIDUAL_TOL):  # a NaN residual fails too
         raise EigenResidualError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")
     U /= np.sqrt(domain.cell_volume)
     return SpectralDecomposition(
@@ -518,7 +546,7 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
 
     key = None
     if cache_dir is not None:
-        key = content_hash(spec_to_json(spec), domain)
+        key = spec_hash(spec, domain)
         path = os.path.join(str(cache_dir), f"decomposition-{key}.npz")
         cached = _load_cached(path, spec, domain)
         if cached is not None:
@@ -911,3 +939,9 @@ def spec_from_json(doc: dict) -> OperatorSpec:
             delta=doc.get("delta"),
         )
     raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def spec_hash(spec: OperatorSpec, *parts) -> str:
+    """``content_hash`` of the spec, a Schrodinger potential by its bytes, and ``parts``."""
+    doc = dict(vars(spec), kind="schrodinger") if isinstance(spec, Schrodinger) else spec_to_json(spec)
+    return content_hash(doc, *parts)

@@ -16,7 +16,13 @@ import scipy.linalg
 
 from stabcert import certify, cli, operators
 from stabcert.cli import RunConfig, build_parser, main, payload_json, run
-from stabcert.domain import from_callable, grid_function_to_json, make_grid, save_grid_function
+from stabcert.domain import (
+    from_callable,
+    grid_function,
+    grid_function_to_json,
+    make_grid,
+    save_grid_function,
+)
 from stabcert.feedback import build_finite_rank_feedback
 from stabcert.geometry import HalfSpace, make_set, set_to_json
 from stabcert.operators import FractionalLaplacian, diagonalize
@@ -219,9 +225,15 @@ def test_certify_reports_the_kernel_health(tmp_path):
     assert outputs == read(tmp_path / "b.json")["outputs"]
 
 
-def _perturbed_eigh(H):
+def _perturbed_eigh(H, overwrite=False):
     w, U = scipy.linalg.eigh(H)
     return w, U + 1e-3 * np.random.default_rng(0).standard_normal(U.shape)
+
+
+def _nan_eigh(H, overwrite=False):
+    w, U = scipy.linalg.eigh(H)
+    U[:, 3] = np.nan
+    return w, U
 
 
 def _failing_chain(constants):
@@ -236,10 +248,11 @@ HERMITE_32 = ["--domain", "dim=1,R=8,m=32,periodic=false", "--operator", "hermit
     [
         (["feedback-build", "--c", "2", "--set", "full"] + HERMITE_32, (operators, "_dense_eigh"), _perturbed_eigh),
         (["simulate", "--feedback", "none", "--set", "full"] + HERMITE_32, (operators, "_dense_eigh"), _perturbed_eigh),
+        (["feedback-build", "--c", "2", "--set", "full"] + HERMITE_32, (operators, "_dense_eigh"), _nan_eigh),
         (["certify", "--domain", "dim=1,R=10,m=64", "--set", "full", "--k-max", "3"],
          (certify, "build_certificate"), _failing_chain),
     ],
-    ids=["feedback-build-residual", "simulate-residual", "certify-chain"],
+    ids=["feedback-build-residual", "simulate-residual", "nan-residual", "certify-chain"],
 )
 def test_numerical_failures_exit_three(tmp_path, capsys, monkeypatch, argv, target, replacement):
     monkeypatch.setattr(*target, replacement)
@@ -522,6 +535,26 @@ def test_bad_inputs_are_config_errors(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["symmetric-inf", "nan"])
+def test_non_finite_potentials_are_config_errors(tmp_path, capsys, bad):
+    # an inf on both walls keeps V equal to its mirror image, so the parity
+    # split takes it; a NaN never equals its mirror, so the full solve does
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    values = from_callable(dom, lambda x: x**2 - 4.0).values.copy()
+    values[[0, -1] if bad == np.inf else [20]] = bad
+    assert np.array_equal(values, values[::-1]) == (bad == np.inf)
+    path = tmp_path / "v.json"
+    save_grid_function(grid_function(dom, values), str(path))
+    out = tmp_path / "out.json"
+    code = main(["spectral-constant", "--domain", "dim=1,R=10,m=64,periodic=false",
+                 "--operator", "schrodinger", "--potential", str(path), "--set", "full",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_document_prints_to_stdout_without_out(capsys):

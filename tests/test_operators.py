@@ -15,6 +15,7 @@ from stabcert.domain import GridDomain, from_callable, grid_function, inner_prod
 from stabcert.feedback import build_finite_rank_feedback
 from stabcert.geometry import BallComplement, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import (
+    EigenResidualError,
     FractionalLaplacian,
     Schrodinger,
     ShiftedHermite,
@@ -32,6 +33,7 @@ from stabcert.operators import (
     semigroup_apply,
     semigroup_norm,
     spec_from_json,
+    spec_hash,
     spec_to_json,
     to_coefficients,
     _canonicalize_signs,
@@ -311,7 +313,7 @@ def test_dense_decomposition_ignores_solver_signs(monkeypatch):
 
     rng = np.random.default_rng(7)
 
-    def scrambled_eigh(H):
+    def scrambled_eigh(H, overwrite=False):
         w, U = scipy.linalg.eigh(H)
         flip = rng.random(U.shape[1]) < 0.5
         flip[0] = True  # the ground state, whose sign decides gram[0, 1]
@@ -335,7 +337,7 @@ def test_blocked_eigen_residual_matches_the_whole_matrix(monkeypatch):
     # residual stands far above roundoff and decides max_residual
     captured = {}
 
-    def detuned_eigh(H):
+    def detuned_eigh(H, overwrite=False):
         w, U = scipy.linalg.eigh(H)
         w[37] += 4e-9 * max(1.0, abs(w[37]))
         captured["H"] = H.copy()
@@ -458,7 +460,7 @@ def test_factored_hermite_ignores_solver_signs(monkeypatch):
     rng = np.random.default_rng(11)
     solved = []
 
-    def scrambled_eigh(H):
+    def scrambled_eigh(H, overwrite=False):
         w, U = scipy.linalg.eigh(H)
         U[:, rng.random(U.shape[1]) < 0.5] *= -1.0
         solved.append(H.shape)
@@ -522,7 +524,7 @@ def test_split_solve_matches_the_full_solve(cosine_well, monkeypatch):
     spec, dom = cosine_well
     solved = []
 
-    def recording_eigh(H):
+    def recording_eigh(H, overwrite=False):
         solved.append(H.shape)
         return scipy.linalg.eigh(H)
 
@@ -553,7 +555,7 @@ def test_split_block_residual_is_the_full_residual(cosine_well, monkeypatch):
     spec, dom = cosine_well
     blocks = []
 
-    def detuned_eigh(H):
+    def detuned_eigh(H, overwrite=False):
         w, U = scipy.linalg.eigh(H)
         if blocks:
             w[5] += 4e-9 * max(1.0, abs(w[5]))
@@ -600,19 +602,48 @@ def assembled_parity_basis(dom, potential):
     return w, U / np.sqrt(dom.cell_volume)
 
 
-def test_parity_blocks_are_the_assembled_basis_bit_for_bit(cosine_well):
-    spec, dom = cosine_well
+@pytest.mark.parametrize("m", [2, 4, 6, 130, 256])
+def test_parity_blocks_are_the_assembled_basis_bit_for_bit(m):
+    # m = 2 is one 1 x 1 block per parity; at m = 130 the blocks are gathered
+    # in strips of 4 rows, the last of which holds one row
+    dom = GridDomain(dim=1, half_width=10.0, points_per_axis=m, periodic=False)
+    values = from_callable(dom, lambda x: x**2 - 4.0 + 0.5 * np.cos(2.0 * x)).values
+    # condition I: at m = 2 every cell is on the shell that condition II checks
+    spec = Schrodinger(potential=grid_function(dom, 0.5 * (values + values[::-1])),
+                       condition="I", delta=0.5)
     dec = diagonalize(spec, dom)
     w, U = assembled_parity_basis(dom, spec.potential.values)
     assert dec.vectors is None
     assert np.array_equal(dec.eigenvalues, w)
     assert np.array_equal(basis_block(dec, np.arange(dom.cell_count)), U)
-    assert np.array_equal(basis_block(dec, [7, 2, 7]), U[:, [7, 2, 7]])
+    picks = np.array([7, 2, 7]) % m
+    assert np.array_equal(basis_block(dec, picks), U[:, picks])
+
+
+@pytest.mark.parametrize("m", [2, 6, 130])
+def test_strided_parity_gather_is_the_index_gather(m):
+    dom = GridDomain(dim=1, half_width=10.0, points_per_axis=m, periodic=False)
+    half = m // 2
+    t = operators._sine_symbol(dom)
+    potential = np.random.default_rng(5).standard_normal(m)
+    i = np.arange(half)
+    s, d = np.add.outer(i, i), np.subtract.outer(i, i)
+    for parity in (1.0, -1.0):
+        B = (t[np.abs(d)] - t[s + 1]) + parity * (t[m - 1 - s] - t[m + d])
+        B[i, i] += potential[:half]
+        for rows in sorted({1, 3, half}):
+            gathered, scratch = np.empty((half, half)), np.empty((rows, half))
+            for r in range(0, half, rows):
+                n = min(rows, half - r)
+                operators._parity_rows(t, potential, parity, r, gathered[r : r + n], scratch)
+            assert np.array_equal(gathered, B)
+        assert np.array_equal(B, B.T)  # so the solver may take B.T in place
 
 
 def test_parity_split_holds_no_full_size_array():
-    # the peak of the solve stays below 1.5 m x m float64 arrays (the old
-    # assembly held U and the (m/2)^2 gather and index temporaries at once)
+    # the peak of the solve stays below one m x m float64 array: the two
+    # (m/2)^2 slots of the result, the solver's vectors and the row strips,
+    # with no copy of a block for the solver and no stacked result
     dom = make_grid(1, 10.0, 1024, periodic=False)
     spec = Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0))
     tracemalloc.start()
@@ -622,10 +653,44 @@ def test_parity_split_holds_no_full_size_array():
     finally:
         tracemalloc.stop()
     assert dec.parity_blocks is not None
-    assert peak < 1.5 * 8 * dom.cell_count**2
+    assert peak < 1.0 * 8 * dom.cell_count**2
     for name in ("eigenvalues", "order", "vectors", "parity_blocks"):
         array = getattr(dec, name)
         assert array is None or array.size <= dom.cell_count**2 // 2
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.1], ids=["parity-split", "full-solve"])
+def test_nan_eigenvector_fails_the_residual_gate(monkeypatch, tilt):
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    spec = Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0 + tilt * x))
+    assert operators._splits_by_parity(spec, dom) == (tilt == 0.0)
+
+    def nan_eigh(H, overwrite=False):
+        w, U = scipy.linalg.eigh(H)
+        U[:, 3] = np.nan
+        return w, U
+
+    monkeypatch.setattr(operators, "_dense_eigh", nan_eigh)
+    with pytest.raises(EigenResidualError, match="nan"):
+        diagonalize(spec, dom)
+
+
+def test_spec_hash_is_the_potential_bytes(tmp_path):
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    values = from_callable(dom, lambda x: x**2 - 4.0).values
+
+    def key(v, **kw):
+        return spec_hash(Schrodinger(potential=grid_function(dom, v), **kw), dom)
+
+    assert key(values.copy()) == key(values.copy())
+    bumped = values.copy()
+    bumped[17] = np.nextafter(bumped[17], np.inf)
+    assert key(bumped) != key(values)
+    condition_i = key(values, condition="I", delta=0.5)
+    assert condition_i not in (key(values), key(values, condition="I", delta=0.25))
+    # the cache file is named by the same key
+    diagonalize(Schrodinger(potential=grid_function(dom, values)), dom, cache_dir=tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [f"decomposition-{key(values)}.npz"]
 
 
 @pytest.mark.parametrize(
