@@ -224,6 +224,8 @@ def parse_operator(kind: str, args) -> tuple:
         if not args.potential:
             raise ValueError("schrodinger kind needs --potential <file>")
         potential = load_grid_function(args.potential)
+        if not np.isfinite(potential.values).all():
+            raise ValueError(f"potential {args.potential!r} has non-finite values (inf or NaN)")
         spec = Schrodinger(potential=potential, condition=args.condition, delta=args.delta)
         hashes["potential"] = content_hash(potential)
     else:

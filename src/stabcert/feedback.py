@@ -198,10 +198,13 @@ def build_damping_feedback(
             f"no N in the sweep has a projection range within half the cell count {cells}; "
             "refine the grid or lower the sweep"
         )
+    # the loop matrix before the sweep: dense_matrix refuses a grid too large
+    # to hold it (a factored basis can be larger) before the sweep builds
+    # Grams of up to cells / 2 columns
+    loop = dense_matrix(dec) + np.diag(e.cells.ravel().astype(float))
     if c1 is None:
         c1 = damping_spectral_exponent(dec, e, resolved)
     bound = damping_decay_bound(dec, e, delta, c1, resolved)
-    loop = dense_matrix(dec) + np.diag(e.cells.ravel().astype(float))
     loop = 0.5 * (loop + loop.T)
     w, u = np.linalg.eigh(loop)
     vectors = u / np.sqrt(dec.domain.cell_volume)

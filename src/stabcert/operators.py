@@ -24,8 +24,13 @@ Each kind takes the cheapest computation its structure allows:
 * ``restricted_norms`` gives ||chi_E w_q(H) f_p||^2 for a batch of weights
   and states without any Gram matrix: batched (real) FFTs in the Fourier
   kind, one product with the E rows of the eigenvectors per pass in the
-  dense kinds (two half-size products per pass in the parity layout);
-* 2D Hermite is diagonalized from its 1D factor (fast diagonalization);
+  assembled dense kind, and in the factored layouts a synthesis of each
+  pass on the grid (two half-size products per pass in the parity layout,
+  two products with the 1D factor in the tensor layout) whose E rows are
+  kept;
+* 2D Hermite is diagonalized from its 1D factor (fast diagonalization) and
+  its basis is kept as that factor: a transform of a stack is two products
+  with the m x m factor, and only selected columns are sampled;
 * 1D Schrodinger with even m and a potential equal to its mirror image
   commutes with the reflection x -> -x, so it is solved as two m/2-wide
   parity blocks gathered from the closed-form Toeplitz-minus-Hankel symbol
@@ -96,6 +101,10 @@ __all__ = [
 ]
 
 _DENSE_CELL_LIMIT = 4096
+# cells of the 2D Hermite tensor layout, which holds only its m x m factor:
+# at 128^2 cells a 200-state stack is 26 MB, and a restricted_norms pass over
+# it holds a few such arrays
+_TENSOR_CELL_LIMIT = 128 * 128
 _RESIDUAL_TOL = 1e-8
 # entries per column block of the eigen residual H U - U diag(w); a block is
 # 16 MB at most, small next to H and U, and 512 columns at 4096 cells keep
@@ -114,9 +123,10 @@ _SIGN_RTOL = 1e-8
 # 2: also the tensor basis in 2D Hermite levels; 3: also the parity-split
 # solve of mirror-symmetric 1D Schrodinger, whose payloads differ at roundoff
 # from the full solve's; 4: that solve stored as its two parity blocks and
-# their order, not as the full matrix); a cached decomposition written under
-# another convention is recomputed
-_BASIS_CONVENTION = 4
+# their order, not as the full matrix; 5: 2D Hermite stored as its 1D factor,
+# the order of its pairs and their signs); a cached decomposition written
+# under another convention is recomputed
+_BASIS_CONVENTION = 5
 # state-weight columns of `cells` entries that one restricted_norms pass
 # holds at most (or the P states of one weight, when P is larger): the
 # weights are taken in groups of max(1, _PASS_COLUMNS // P)
@@ -193,10 +203,17 @@ class SpectralDecomposition:
     Hermite included, is one full solve (the module docstring says why).
     The 2D Hermite operator is diagonalized from its 1D factor, so its
     (n+1)-fold levels carry the tensor Hermite basis u_i(x) u_j(y), ties
-    ordered by i * m + j.  Other 2D degenerate clusters are not fixed by a
-    sign; there the basis within a cluster is the solver's, and only
-    quantities invariant within a cluster (eigenvalues, projections, the
-    span) are canonical.
+    ordered by i * m + j, and ``vectors`` is None here too: the m x m
+    ``tensor_factor`` U_1 holds the pinned, unscaled 1D eigenvectors,
+    ``order`` maps ascending index k to the pair i * m + j, and
+    ``tensor_signs[k]`` (+-1) pins column k, which is
+    tensor_signs[k] (U_1[:, i] (x) U_1[:, j]) / sqrt(h).  The factor is
+    what keeps this layout small (an m = 64 cache file is about 130 KB,
+    not 134 MB), so it has its own cell limit, 128^2, above the 4096
+    cells of the assembled and parity solves.  Other 2D degenerate clusters
+    are not fixed by a sign; there the basis within a cluster is the
+    solver's, and only quantities invariant within a cluster (eigenvalues,
+    projections, the span) are canonical.
     """
 
     spec: OperatorSpec
@@ -207,10 +224,13 @@ class SpectralDecomposition:
     order: Optional[np.ndarray] = None
     vectors: Optional[np.ndarray] = None
     parity_blocks: Optional[np.ndarray] = None
+    tensor_factor: Optional[np.ndarray] = None
+    tensor_signs: Optional[np.ndarray] = None
     max_residual: float = 0.0
 
     def __post_init__(self):
-        for name in ("eigenvalues", "symbol", "order", "vectors", "parity_blocks"):
+        for name in ("eigenvalues", "symbol", "order", "vectors", "parity_blocks",
+                     "tensor_factor", "tensor_signs"):
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr)
@@ -405,14 +425,38 @@ def _residual_norms(H: np.ndarray, U: np.ndarray, w: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _tensor_signs(U1: np.ndarray) -> np.ndarray:
+    """The m x m signs ``_canonicalize_signs`` gives the columns u_i (x) u_j, with no m^2 x m^2 array.
+
+    Entry (x, y) of column (i, j) is fl(u_i[x] u_j[y]), and a rounded
+    product is monotone in each magnitude, so the column peak is
+    fl(max|u_i| max|u_j|), row x holds a significant entry exactly when
+    fl(|u_i[x]| max|u_j|) clears the threshold, and the last significant
+    entry is the last significant y of the last such row x*.  Its sign is
+    that of u_i[x*] u_j[y].  Each pass takes one i and every j: two m x m
+    temporaries.
+    """
+    m = U1.shape[0]
+    mag = np.abs(U1)
+    peak = mag.max(axis=0)
+    signs = np.empty((m, m))
+    for i in range(m):
+        threshold = _SIGN_RTOL * (peak[i] * peak)
+        x = m - 1 - np.argmax(np.outer(mag[::-1, i], peak) > threshold, axis=0)
+        y = m - 1 - np.argmax(mag[::-1].T * mag[x, i][:, None] > threshold[:, None], axis=1)
+        signs[i] = np.where(U1[x, i] * U1[y, np.arange(m)] < 0.0, -1.0, 1.0)
+    return signs
+
+
 def _hermite_tensor_eigh(spec: ShiftedHermite, domain: GridDomain):
-    """Eigenpairs and residual bounds of 2D Hermite from its 1D factor.
+    """Eigenvalues, pinned 1D factor, column signs, pair order and residual bounds of 2D Hermite.
 
     H = H1 (x) I + I (x) H1 - c with H1 = K1 + x^2 (fast diagonalization,
     Lynch-Rice-Thomas 1964), so u_i (x) u_j is an eigenvector with eigenvalue
     w_i + w_j - c.  Orthonormal factors make r_i + r_j an upper bound on
-    its residual, where r is the factor's; the 2D H is never formed.  The
-    pairs ascend by eigenvalue, ties in the order of i * m + j.
+    its residual, where r is the factor's; neither the 2D H nor the tensor
+    basis is formed.  The pairs ascend by eigenvalue, ties in the order of
+    i * m + j, and each carries the sign that pins its column.
     """
     m = domain.points_per_axis
     H1 = _sine_laplacian(domain) + np.diag(domain.axis_coords() ** 2)
@@ -422,19 +466,16 @@ def _hermite_tensor_eigh(spec: ShiftedHermite, domain: GridDomain):
     sums = (w1[:, None] + w1[None, :]).ravel()
     order = np.argsort(sums, kind="stable")
     i, j = np.divmod(order, m)
-    U = (U1[:, None, i] * U1[None, :, j]).reshape(m * m, m * m)
-    _canonicalize_signs(U)
-    return sums[order] - spec.c, U, r1[i] + r1[j]
+    return sums[order] - spec.c, U1, _tensor_signs(U1).ravel()[order], order, r1[i] + r1[j]
 
 
 def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
     if domain.periodic:
         raise ValueError("Schrodinger and Hermite operators require a non-periodic grid")
-    if domain.cell_count > _DENSE_CELL_LIMIT:
-        raise ValueError(
-            f"dense diagonalization is limited to {_DENSE_CELL_LIMIT} cells, "
-            f"got {domain.cell_count}"
-        )
+    tensor = _is_tensor(spec, domain)
+    limit = _TENSOR_CELL_LIMIT if tensor else _DENSE_CELL_LIMIT
+    if domain.cell_count > limit:
+        raise ValueError(f"dense diagonalization is limited to {limit} cells, got {domain.cell_count}")
     if isinstance(spec, ShiftedHermite):
         potential = domain.axis_coords() ** 2 - spec.c
     else:
@@ -443,11 +484,14 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         potential = spec.potential.values
         if spec.condition == "II":
             _check_confining(potential)
-    order = None
-    if isinstance(spec, ShiftedHermite) and domain.dim == 2:
-        w, U, resid_norms = _hermite_tensor_eigh(spec, domain)
+    scale = np.sqrt(domain.cell_volume)
+    if tensor:  # the factor stays unscaled: basis_block divides each column
+        w, U1, signs, order, resid_norms = _hermite_tensor_eigh(spec, domain)
+        layout = dict(tensor_factor=U1, tensor_signs=signs, order=order)
     elif _splits_by_parity(spec, domain):
-        w, U, resid_norms, order = _reflection_split_eigh(domain, potential)
+        w, blocks, resid_norms, order = _reflection_split_eigh(domain, potential)
+        layout = dict(parity_blocks=blocks, order=order)
+        blocks /= scale
     else:
         K1 = _sine_laplacian(domain)
         if domain.dim == 1:
@@ -459,18 +503,17 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         w, U = _dense_eigh(H)
         _canonicalize_signs(U)
         resid_norms = _residual_norms(H, U, w)
+        layout = dict(vectors=U)
+        U /= scale
     max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
     if not (max_residual <= _RESIDUAL_TOL):  # a NaN residual fails too
         raise EigenResidualError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")
-    U /= np.sqrt(domain.cell_volume)
-    return SpectralDecomposition(
-        spec=spec,
-        domain=domain,
-        basis_kind="Dense",
-        eigenvalues=w,
-        max_residual=max_residual,
-        **(dict(vectors=U) if order is None else dict(parity_blocks=U, order=order)),
-    )
+    return SpectralDecomposition(spec, domain, "Dense", w, max_residual=max_residual, **layout)
+
+
+def _is_tensor(spec, domain: GridDomain) -> bool:
+    """Whether ``_diagonalize_dense`` keeps the basis as the 2D Hermite tensor layout."""
+    return isinstance(spec, ShiftedHermite) and domain.dim == 2
 
 
 def _splits_by_parity(spec, domain: GridDomain) -> bool:
@@ -483,15 +526,19 @@ def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomp
     """The decomposition stored at ``path``, or None if it is absent, unreadable or invalid.
 
     The file must carry the layout ``_diagonalize_dense`` gives this spec
-    and domain (parity blocks and order, or ``vectors``).  The zip CRC of
-    each member catches corrupt bytes, so the basis arrays are checked for
-    shape and dtype only and not rescanned for finiteness; ``order``, which
-    indexes the blocks, must be a permutation.  zipfile reports a damaged
-    version or encryption flag as RuntimeError.
+    and domain (parity blocks and order; the tensor factor, signs and
+    order; or ``vectors``).  The zip CRC of each member catches corrupt
+    bytes, so the basis arrays are checked for shape and dtype only and not
+    rescanned for finiteness; ``order``, which indexes the basis, must be a
+    permutation, and the tensor signs must be +-1.  zipfile reports a
+    damaged version or encryption flag as RuntimeError.
     """
-    cells, half = domain.cell_count, domain.cell_count // 2
+    cells, half, m = domain.cell_count, domain.cell_count // 2, domain.points_per_axis
     if _splits_by_parity(spec, domain):
         expected = {"parity_blocks": ((2, half, half), "f"), "order": ((cells,), "i")}
+    elif _is_tensor(spec, domain):
+        expected = {"tensor_factor": ((m, m), "f"), "tensor_signs": ((cells,), "f"),
+                    "order": ((cells,), "i")}
     else:
         expected = {"vectors": ((cells, cells), "f")}
     try:
@@ -506,6 +553,7 @@ def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomp
         all(layout[name].shape == shape and layout[name].dtype.kind == kind
             for name, (shape, kind) in expected.items())
         and ("order" not in layout or np.array_equal(np.sort(layout["order"]), np.arange(cells)))
+        and ("tensor_signs" not in layout or bool((np.abs(layout["tensor_signs"]) == 1.0).all()))
         and w.shape == (cells,) and w.dtype.kind == "f" and bool(np.isfinite(w).all())
         and resid.shape == () and resid.dtype.kind == "f"
         and bool(np.isfinite(resid)) and resid <= _RESIDUAL_TOL
@@ -525,8 +573,8 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
     repeat calls.  Each file records the eigenvector sign convention it was
     written under.  A file from another convention, or one that cannot be
     read or fails validation (the layout of this operator, shapes, dtypes, a
-    permutation ``order``, finite eigenvalues, a stored residual within
-    tolerance), counts as a miss and is overwritten.
+    permutation ``order``, tensor signs of +-1, finite eigenvalues, a stored
+    residual within tolerance), counts as a miss and is overwritten.
     """
     if isinstance(spec, FractionalLaplacian):
         if not domain.periodic:
@@ -553,7 +601,8 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
             return cached
     dec = _diagonalize_dense(spec, domain)
     if key is not None:
-        layout = {name: getattr(dec, name) for name in ("vectors", "parity_blocks", "order")
+        layout = {name: getattr(dec, name) for name in
+                  ("vectors", "parity_blocks", "tensor_factor", "tensor_signs", "order")
                   if getattr(dec, name) is not None}
         os.makedirs(str(cache_dir), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(cache_dir), suffix=".npz.tmp")
@@ -589,9 +638,11 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     shape gives a (cells,) vector, and a stack (P,) + the grid shape gives a
     (cells, P) array whose column p holds the coefficients of state p.  A
     stack is one batched FFT (Fourier kind), one product with ``vectors``
-    (dense kinds), or in the parity layout the fold f_top +- J f_bot and one
-    half-size product per parity; each column equals the single-state result
-    of its state to roundoff (bit for bit in the Fourier kind).
+    (assembled dense kinds), in the parity layout the fold f_top +- J f_bot
+    and one half-size product per parity, or in the tensor layout
+    U_1^T F_p U_1 for every p (one flat and one batched product); each
+    column equals the single-state result of its state to roundoff (bit
+    for bit in the Fourier kind).
     """
     values = f.values if isinstance(f, GridFunction) else np.asarray(f)
     shape = dec.domain.shape
@@ -602,6 +653,10 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     if dec.basis_kind == "Fourier":
         u = np.fft.fftn(values, axes=tuple(range(len(lead), values.ndim))).reshape(flat)
         return np.take(u * _fft_coeff_scale(dec.domain), dec.order, axis=-1).T
+    if dec.tensor_factor is not None:
+        m, h = dec.domain.points_per_axis, dec.domain.cell_volume
+        C = _tensor_product(dec.tensor_factor, values.reshape(-1, m, m)).reshape(-1, flat[-1])
+        return (C[:, dec.order] * (dec.tensor_signs * np.sqrt(h))).T.reshape(flat[::-1])
     x = values.reshape(flat).T
     if dec.parity_blocks is None:
         return (dec.vectors.T @ x) * dec.domain.cell_volume
@@ -611,13 +666,36 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     return np.concatenate([even, odd])[dec.order] * dec.domain.cell_volume
 
 
-def _parity_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
-    """Grid values (cells,) or (cells, P) of the ascending coefficients in the parity layout.
+def _tensor_product(A: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """A^T F_p A for every matrix F_p of the (P, m, m) stack F.
 
-    The even part B_+ c_+ and the odd part B_- c_- give the top half as
-    their sum and the reflected bottom half as their difference.
+    F A is one flat (P m, m) x (m, m) product, and A^T times each of its
+    matrices one batched product: no transposed copy of the stack is made
+    (the flat form of the second product needs one, and measured slower).
     """
-    half = dec.domain.cell_count // 2
+    P, m, _ = F.shape
+    return np.matmul(A.T, (F.reshape(P * m, m) @ A).reshape(P, m, m))
+
+
+def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
+    """Grid values (cells,) or (cells, P) of the ascending coefficients in a dense layout.
+
+    In the parity layout the even part B_+ c_+ and the odd part B_- c_-
+    give the top half as their sum and the reflected bottom half as their
+    difference.  In the tensor layout the signed coefficients of state p,
+    scattered to their pairs C_p[i, j], give U_1 C_p U_1^T.
+    """
+    if dec.vectors is not None:
+        return dec.vectors @ coeffs
+    cells = dec.domain.cell_count
+    if dec.tensor_factor is not None:
+        m = dec.domain.points_per_axis
+        c = coeffs.reshape(cells, -1)
+        C = np.empty((c.shape[1], cells), dtype=np.result_type(c, dec.tensor_factor))
+        C[:, dec.order] = (c * (dec.tensor_signs / np.sqrt(dec.domain.cell_volume))[:, None]).T
+        values = _tensor_product(dec.tensor_factor.T, C.reshape(-1, m, m))
+        return values.reshape(-1, cells).T.reshape(coeffs.shape)
+    half = cells // 2
     native = np.empty_like(coeffs)
     native[dec.order] = coeffs
     even, odd = dec.parity_blocks[0] @ native[:half], dec.parity_blocks[1] @ native[half:]
@@ -630,7 +708,7 @@ def from_coefficients(dec: SpectralDecomposition, coeffs: np.ndarray) -> GridFun
         u[dec.order] = coeffs
         vals = np.fft.ifftn(u.reshape(dec.domain.shape)) / _fft_coeff_scale(dec.domain)
         return GridFunction(dec.domain, vals)
-    vals = dec.vectors @ coeffs if dec.parity_blocks is None else _parity_values(dec, coeffs)
+    vals = _grid_values(dec, coeffs)
     return GridFunction(dec.domain, vals.reshape(dec.domain.shape))
 
 
@@ -640,12 +718,20 @@ def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
     ``indices`` refer to the ascending-eigenvalue ordering.  Fourier phases
     are exp(2 pi i r / m) with r = j k mod m reduced in integers, so their
     error does not grow with j k.  The parity layout mirrors the selected
-    block columns, which is exact.
+    block columns, which is exact.  The tensor layout forms the products
+    U_1[:, i] (x) U_1[:, j] of the selected pairs, signs them and divides by
+    sqrt(h): the order of operations of the assembled basis, so each
+    column is the same bit for bit.
     """
     indices = np.asarray(indices, dtype=int)
     if dec.basis_kind == "Dense":
-        if dec.parity_blocks is None:
+        if dec.vectors is not None:
             return dec.vectors[:, indices]
+        if dec.tensor_factor is not None:
+            U1 = dec.tensor_factor
+            i, j = np.divmod(dec.order[indices], dec.domain.points_per_axis)
+            block = (U1[:, None, i] * U1[None, :, j]).reshape(dec.domain.cell_count, len(indices))
+            return block * dec.tensor_signs[indices] / np.sqrt(dec.domain.cell_volume)
         odd, col = np.divmod(dec.order[indices], dec.domain.cell_count // 2)
         top = dec.parity_blocks[odd, :, col].T
         return np.concatenate([top, top[::-1] * np.where(odd, -1.0, 1.0)])
@@ -709,9 +795,11 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     kinds take the coefficients V^T f h once, then per pass one product of
     the E rows of ``vectors`` with the weighted coefficients; the parity
     layout synthesizes each pass on the grid with two half-size products
-    and keeps the rows of E.  A pass holds the states of
-    max(1, _PASS_COLUMNS // P) weights, so the temporaries
-    stay at O(P cells) for many states and no pass stacks all r P columns.
+    and keeps the rows of E.  The tensor layout takes C_p = U_1^T F_p U_1
+    once and per pass synthesizes U_1 (w_q C_p) U_1^T on the grid (the pair
+    signs and the scale cancel), summing it over E.  A pass holds the
+    states of max(1, _PASS_COLUMNS // P) weights, so the temporaries stay
+    at O(P cells) for many states and no pass stacks all r P columns.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
@@ -724,14 +812,28 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     r, P = weights.shape[0], states.shape[0]
     out = np.empty((r, P))
     group = max(1, _PASS_COLUMNS // max(P, 1))
+    inside = e.cells.ravel()
+    if dec.tensor_factor is not None:
+        # the pair signs and the sqrt(h) of the two transforms cancel, so a
+        # pass weights C_p = U_1^T F_p U_1 in its (i, j) layout and
+        # synthesizes it, with no scatter to ascending order
+        m = domain.points_per_axis
+        native = np.empty((r, cells))
+        native[:, dec.order] = weights
+        C = _tensor_product(dec.tensor_factor, states.reshape(P, m, m)).reshape(P, cells)
+        mask = inside.astype(float)
+        for q in range(0, r, group):
+            z = (native[q : q + group, None] * C).reshape(-1, m, m)
+            y = _tensor_product(dec.tensor_factor.T, z).reshape(-1, cells)
+            out[q : q + group] = np.einsum("pj,pj->p", y.conj() * mask, y).real.reshape(-1, P) * h
+        return out
     if dec.basis_kind == "Dense":
         coeffs = to_coefficients(dec, states)
-        inside = e.cells.ravel()
-        rows = dec.vectors[inside] if dec.parity_blocks is None else None
+        rows = dec.vectors[inside] if dec.vectors is not None else None
         for q in range(0, r, group):
             w = weights[q : q + group]
             z = (w.T[:, :, None] * coeffs[:, None, :]).reshape(cells, -1)
-            y = rows @ z if rows is not None else _parity_values(dec, z)[inside]
+            y = rows @ z if rows is not None else _grid_values(dec, z)[inside]
             out[q : q + group] = (np.abs(y) ** 2).sum(axis=0).reshape(len(w), P) * h
         return out
     grid = np.empty((r, cells))
@@ -747,7 +849,7 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     else:
         spectra = np.fft.fftn(states, axes=state_axes)
         inverse = functools.partial(np.fft.ifftn, axes=pass_axes)
-    mask = e.cells.ravel().astype(float)
+    mask = inside.astype(float)
     for q in range(0, r, group):
         y = inverse(grid[q : q + group, None] * spectra[None]).reshape(-1, cells)
         out[q : q + group] = (np.abs(y) ** 2 @ mask).reshape(-1, P) * h
@@ -762,9 +864,10 @@ def eigenfunction(dec: SpectralDecomposition, j: int) -> GridFunction:
 def dense_matrix(dec: SpectralDecomposition) -> np.ndarray:
     """Materialize the operator as a dense (cells x cells) matrix."""
     if dec.domain.cell_count > _DENSE_CELL_LIMIT:
-        raise ValueError("refusing to materialize a dense matrix this large")
+        raise ValueError(f"refusing to materialize a dense matrix of {dec.domain.cell_count} cells "
+                         f"(the limit is {_DENSE_CELL_LIMIT})")
     if dec.basis_kind == "Dense":
-        V = dec.vectors if dec.parity_blocks is None else basis_block(dec, np.arange(dec.domain.cell_count))
+        V = dec.vectors if dec.vectors is not None else basis_block(dec, np.arange(dec.domain.cell_count))
         return (V * dec.eigenvalues) @ V.T * dec.domain.cell_volume
     if dec.domain.dim == 1:
         col = np.fft.ifft(dec.symbol)

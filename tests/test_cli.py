@@ -131,6 +131,39 @@ def test_spectral_constant_full_domain(tmp_path):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize(
+    "domain, want_code, want_err",
+    [("dim=2,R=6,m=128,periodic=false", 0, ""),
+     ("dim=1,R=10,m=4098,periodic=false", 2,
+      "config error: dense diagonalization is limited to 4096 cells, got 4098\n")],
+    ids=["tensor-16384-cells", "full-4098-cells"],
+)
+def test_hermite_cell_limits(tmp_path, capsys, domain, want_code, want_err):
+    # 2D Hermite keeps its basis as the 1D factor, so it runs past the 4096
+    # cells that still bound the assembled solve
+    out = tmp_path / "curve.json"
+    code = main(["spectral-constant", "--operator", "hermite", "--domain", domain, "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (want_code, want_err)
+    assert out.exists() == (code == 0)
+
+
+def test_damping_on_a_large_tensor_grid_is_refused_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # 6400 cells: the 2D Hermite basis fits, the damping loop matrix does not,
+    # and no Gram of the sweep is built before that is known
+    def no_gram(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("stabcert.specineq.restricted_gram", no_gram)
+    out = tmp_path / "fb.json"
+    code = main(["feedback-build", "--operator", "hermite", "--c", "3",
+                 "--domain", "dim=2,R=6,m=80,periodic=false", "--set", "halfspace:offset=0",
+                 "--feedback", "damping", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: refusing to materialize a dense matrix of 6400 cells (the limit is 4096)\n"
+    assert not out.exists()
+
+
 def test_spectral_constant_unresolved_set_exits_one(tmp_path):
     # the half-space Gram degenerates past k = 2 on this coarse grid; the
     # constants go infinite and the command reports failure
@@ -539,8 +572,9 @@ def test_bad_inputs_are_config_errors(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["symmetric-inf", "nan"])
 def test_non_finite_potentials_are_config_errors(tmp_path, capsys, bad):
-    # an inf on both walls keeps V equal to its mirror image, so the parity
-    # split takes it; a NaN never equals its mirror, so the full solve does
+    # refused before the solve, naming the file: an inf on both walls keeps V
+    # equal to its mirror image, so the parity split would take it; a NaN
+    # never equals its mirror, so the full solve would
     dom = make_grid(1, 10.0, 64, periodic=False)
     values = from_callable(dom, lambda x: x**2 - 4.0).values.copy()
     values[[0, -1] if bad == np.inf else [20]] = bad
@@ -553,7 +587,7 @@ def test_non_finite_potentials_are_config_errors(tmp_path, capsys, bad):
                  "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("config error:") and err.count("\n") == 1
+    assert err == f"config error: potential {str(path)!r} has non-finite values (inf or NaN)\n"
     assert not out.exists()
 
 

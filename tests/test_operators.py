@@ -152,6 +152,8 @@ def _truncate(path, dec):
 
 def _basis_arrays(dec):
     """The arrays a cache file holds for the basis of ``dec``, by name."""
+    if dec.tensor_factor is not None:
+        return dict(tensor_factor=dec.tensor_factor, tensor_signs=dec.tensor_signs, order=dec.order)
     if dec.parity_blocks is None:
         return dict(vectors=dec.vectors)
     return dict(parity_blocks=dec.parity_blocks, order=dec.order)
@@ -164,7 +166,7 @@ def _savez(path, dec, **changes):
 
 
 def _basis_payload(dec):
-    """The first basis array: the full vectors or the parity blocks."""
+    """The first basis array: the full vectors, the parity blocks or the tensor factor."""
     return next(iter(_basis_arrays(dec).items()))
 
 
@@ -211,6 +213,19 @@ def _convention_three_full_vectors(path, dec):
              vectors=basis_block(dec, np.arange(dec.domain.cell_count)))
 
 
+def _signs_not_unit(path, dec):
+    # one sign an ulp off -1 or +1 would scale its column
+    signs = dec.tensor_signs.copy()
+    signs[5] = np.nextafter(signs[5], 0.0)
+    _savez(path, dec, tensor_signs=signs)
+
+
+def _convention_four_full_vectors(path, dec):
+    # convention 4 stored the 2D Hermite basis as the full, identical matrix
+    np.savez(path, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual, basis_convention=4,
+             vectors=basis_block(dec, np.arange(dec.domain.cell_count)))
+
+
 def _parity_layout_under_hermite_key(path, dec):
     # well-formed blocks and order, but 1D Hermite is never split by parity
     half = dec.domain.cell_count // 2
@@ -222,6 +237,10 @@ def _parity_layout_under_hermite_key(path, dec):
 
 def _cache_hermite():
     return ShiftedHermite(c=1.0), make_grid(1, 10.0, 64, periodic=False)
+
+
+def _cache_tensor():
+    return ShiftedHermite(c=3.0), make_grid(2, 6.0, 16, periodic=False)
 
 
 def _cache_parity():
@@ -240,7 +259,9 @@ _ANY_LAYOUT = [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _res
     [pytest.param(_cache_hermite, f, id=f.__name__.strip("_")) for f in _ANY_LAYOUT]
     + [pytest.param(_cache_hermite, _parity_layout_under_hermite_key, id="parity_layout_under_hermite_key")]
     + [pytest.param(_cache_parity, f, id="parity-" + f.__name__.strip("_"))
-       for f in _ANY_LAYOUT + [_order_not_a_permutation, _convention_three_full_vectors]],
+       for f in _ANY_LAYOUT + [_order_not_a_permutation, _convention_three_full_vectors]]
+    + [pytest.param(_cache_tensor, f, id="tensor-" + f.__name__.strip("_"))
+       for f in _ANY_LAYOUT + [_order_not_a_permutation, _signs_not_unit, _convention_four_full_vectors]],
 )
 def test_bad_cache_file_is_recomputed(tmp_path, case, corrupt):
     spec, dom = case()
@@ -270,6 +291,22 @@ def test_parity_cache_roundtrip_halves_the_file(tmp_path):
     assert np.array_equal(second.eigenvalues, first.eigenvalues)
     # two (m/2)^2 blocks: half the 8 m^2 bytes of the full matrix, plus headers
     assert path.stat().st_size < 8 * dom.cell_count**2 // 2 + 4096
+
+
+def test_tensor_cache_roundtrip_stores_the_factor(tmp_path):
+    spec, dom = _cache_tensor()
+    first = diagonalize(spec, dom, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("decomposition-*.npz")
+    second = diagonalize(spec, dom, cache_dir=tmp_path)
+    assert second.vectors is None
+    for name in ("eigenvalues", "order", "tensor_factor", "tensor_signs"):
+        assert np.array_equal(getattr(second, name), getattr(first, name))
+    assert second.max_residual == first.max_residual
+    everything = np.arange(dom.cell_count)
+    assert np.array_equal(basis_block(second, everything), basis_block(first, everything))
+    # the m^2 factor and three cells-long arrays, plus headers: no cells^2 array
+    m = dom.points_per_axis
+    assert path.stat().st_size < 8 * (m * m + 3 * dom.cell_count) + 4096
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +444,9 @@ def test_factored_hermite_cluster_projectors_match_the_dense_solve(hermite_2d_pa
     assert ends == [1, 3, 6, 10, 15, 21, 28]
     vol = dense.domain.cell_volume
     for d in ends:
+        V = basis_block(factored, np.arange(dense.domain.cell_count))
         P_dense = dense.vectors[:, :d] @ dense.vectors[:, :d].T * vol
-        P_factored = factored.vectors[:, :d] @ factored.vectors[:, :d].T * vol
+        P_factored = V[:, :d] @ V[:, :d].T * vol
         assert np.abs(P_factored - P_dense).max() < 1e-12
 
 
@@ -447,7 +485,7 @@ def test_factored_hermite_ground_state_probe_matches_the_dense_solve(hermite_2d_
 @GRIDS_2D
 def test_factored_hermite_residual_bounds_the_assembled_residual(hermite_2d_pair, m, c):
     H, _, factored = hermite_2d_pair(m, c)
-    U = factored.vectors * np.sqrt(factored.domain.cell_volume)
+    U = basis_block(factored, np.arange(factored.domain.cell_count)) * np.sqrt(factored.domain.cell_volume)
     w = factored.eigenvalues
     direct = np.linalg.norm(H @ U - U * w, axis=0) / np.maximum(1.0, np.abs(w))
     assert factored.max_residual >= direct.max()
@@ -470,8 +508,151 @@ def test_factored_hermite_ignores_solver_signs(monkeypatch):
     flipped = diagonalize(ShiftedHermite(c=3.0), dom)
     assert solved == [(24, 24)]  # one factor solve, no 2D matrix
     assert np.array_equal(flipped.eigenvalues, plain.eigenvalues)
-    assert np.array_equal(flipped.vectors, plain.vectors)
+    everything = np.arange(dom.cell_count)
+    assert np.array_equal(basis_block(flipped, everything), basis_block(plain, everything))
     assert flipped.max_residual == plain.max_residual
+
+
+def assembled_tensor_basis(dom, c):
+    """Eigenvalues and the scaled cells x cells tensor basis, assembled the old way.
+
+    The pinned 1D eigenvectors are multiplied out over every pair in
+    ascending order (ties by i * m + j), and the signs are pinned on the
+    whole product.
+    """
+    m = dom.points_per_axis
+    H1 = operators._sine_laplacian(dom) + np.diag(dom.axis_coords() ** 2)
+    w1, U1 = scipy.linalg.eigh(H1)
+    _canonicalize_signs(U1)
+    sums = (w1[:, None] + w1[None, :]).ravel()
+    order = np.argsort(sums, kind="stable")
+    i, j = np.divmod(order, m)
+    U = (U1[:, None, i] * U1[None, :, j]).reshape(m * m, m * m)
+    _canonicalize_signs(U)
+    return sums[order] - c, U / np.sqrt(dom.cell_volume)
+
+
+@pytest.fixture(scope="module")
+def tensor_pair():
+    """(the assembled tensor basis as a dense decomposition, the factored one) per (m, c)."""
+    built = {}
+
+    def pair(m, c):
+        if (m, c) not in built:
+            dom = make_grid(2, 6.0, m, periodic=False)
+            w, U = assembled_tensor_basis(dom, c)
+            assembled = SpectralDecomposition(ShiftedHermite(c), dom, "Dense", w, vectors=U)
+            built[m, c] = assembled, diagonalize(ShiftedHermite(c), dom)
+        return built[m, c]
+
+    return pair
+
+
+TENSOR_GRIDS = pytest.mark.parametrize("m, c", [(m, c) for m in (16, 24, 40) for c in (0.0, 3.0)])
+
+
+@TENSOR_GRIDS
+def test_tensor_layout_is_the_assembled_basis_bit_for_bit(tensor_pair, m, c):
+    assembled, factored = tensor_pair(m, c)
+    cells = m * m
+    assert factored.vectors is None and factored.tensor_factor.shape == (m, m)
+    assert np.array_equal(factored.eigenvalues, assembled.eigenvalues)
+    assert np.array_equal(basis_block(factored, np.arange(cells)), assembled.vectors)
+    picks = [7, 2, 7, cells - 1]
+    assert np.array_equal(basis_block(factored, picks), assembled.vectors[:, picks])
+    e = make_set(factored.domain, BallComplement(center=(0.0, 0.0), radius=2.0))
+    first = np.arange(12)
+    assert np.array_equal(restricted_gram(factored, first, e), restricted_gram(assembled, first, e))
+
+
+@TENSOR_GRIDS
+def test_tensor_transforms_match_the_assembled_basis(tensor_pair, m, c):
+    # 40 states and 3 weights: one restricted_norms pass per weight
+    assembled, factored = tensor_pair(m, c)
+    dom = factored.domain
+    rng = np.random.default_rng(m)
+    real = rng.standard_normal((40,) + dom.shape)
+    e = make_set(dom, BallComplement(center=(0.0, 0.0), radius=2.0))
+    weights = np.exp(-np.outer([0.1, 0.5, 1.0], factored.eigenvalues))
+    for states in (real, real + 1j * rng.standard_normal(real.shape)):
+        want = to_coefficients(assembled, states)
+        got = to_coefficients(factored, states)
+        assert got.shape == want.shape == (dom.cell_count, 40)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        single = to_coefficients(factored, states[3])
+        assert np.abs(single - want[:, 3]).max() <= 1e-12 * np.abs(want).max()
+        back = from_coefficients(factored, want[:, 3]).values
+        back_want = from_coefficients(assembled, want[:, 3]).values
+        assert np.abs(back - back_want).max() <= 1e-12 * np.abs(back_want).max()
+        np.testing.assert_allclose(restricted_norms(factored, e, weights, states),
+                                   restricted_norms(assembled, e, weights, states), rtol=1e-12, atol=0.0)
+
+
+def test_tensor_signs_follow_the_rounding_of_the_product():
+    # small entries a few ulps around 1e-8 of their column's peak: whether an
+    # entry of u_i (x) u_j counts is decided by the rounding of the products,
+    # which the factor's own 1e-8 rule gets wrong in about a fifth of draws
+    rng = np.random.default_rng(0)
+    m = 5
+    for _ in range(300):
+        U1 = rng.choice([-1.0, 1.0], (m, m)) * rng.uniform(0.5, 1.0, (m, m))
+        peak = np.abs(U1).max(axis=0)
+        for i in range(m):
+            for x in [*rng.choice(m, size=2, replace=False), m - 1]:
+                if abs(U1[x, i]) < peak[i]:
+                    U1[x, i] = np.sign(U1[x, i]) * 1e-8 * peak[i] * (1 + rng.integers(-4, 5) * 2.0**-52)
+        product = (U1[:, None, :, None] * U1[None, :, None, :]).reshape(m * m, m * m)
+        pinned = product.copy()
+        _canonicalize_signs(pinned)
+        want = np.where((pinned == product).all(axis=0), 1.0, -1.0).reshape(m, m)
+        assert np.array_equal(operators._tensor_signs(U1), want)
+
+
+def test_tensor_layout_holds_no_cells_squared_array():
+    # the parent's tensor basis alone was 8 cells^2 bytes (134 MB at m = 64)
+    dom = make_grid(2, 6.0, 64, periodic=False)
+    e = make_set(dom, BallComplement(center=(0.0, 0.0), radius=2.0))
+    states = np.random.default_rng(3).standard_normal((8,) + dom.shape)
+    tracemalloc.start()
+    try:
+        dec = diagonalize(ShiftedHermite(), dom)
+        norms = restricted_norms(dec, e, np.exp(-np.outer([0.5, 1.0], dec.eigenvalues)), states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (2, 8)
+    # a pass holds a few (2 x 8, cells) arrays: about 2.2 MB, 1/60 of the basis
+    assert peak < 8 * dom.cell_count**2 / 32
+
+
+@pytest.mark.parametrize(
+    "dim, m, make_spec, limit",
+    [
+        (2, 66, lambda dom: Schrodinger(potential=from_callable(dom, lambda x, y: x**2 + y**2)), 4096),
+        (1, 4098, lambda dom: Schrodinger(potential=from_callable(dom, lambda x: x**2)), 4096),
+        (1, 4098, lambda dom: ShiftedHermite(), 4096),
+        (2, 130, lambda dom: ShiftedHermite(), 128 * 128),
+    ],
+    ids=["assembled-2d", "parity-1d", "hermite-1d", "tensor"],
+)
+def test_cell_limits_refuse_before_solving(monkeypatch, dim, m, make_spec, limit):
+    dom = make_grid(dim, 10.0, m, periodic=False)
+
+    def no_solve(H, overwrite=False):
+        raise AssertionError("solved past the cell limit")
+
+    monkeypatch.setattr(operators, "_dense_eigh", no_solve)
+    message = f"dense diagonalization is limited to {limit} cells, got {dom.cell_count}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        diagonalize(make_spec(dom), dom)
+
+
+def test_dense_matrix_refuses_a_large_tensor_layout():
+    dec = diagonalize(ShiftedHermite(), make_grid(2, 6.0, 66, periodic=False))
+    assert dec.eigenvalues.size == 66 * 66
+    message = r"^refusing to materialize a dense matrix of 4356 cells \(the limit is 4096\)$"
+    with pytest.raises(ValueError, match=message):
+        dense_matrix(dec)
 
 
 def test_factored_hermite_clusters_carry_the_tensor_hermite_basis():

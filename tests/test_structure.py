@@ -63,7 +63,8 @@ def test_no_module_level_empty_containers(path):
     assert not found, found
 
 
-DECOMPOSITION_LAYOUT = {"basis_kind", "vectors", "parity_blocks", "symbol", "order"}
+DECOMPOSITION_LAYOUT = {"basis_kind", "vectors", "parity_blocks", "tensor_factor", "tensor_signs",
+                        "symbol", "order"}
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "operators.py"], ids=lambda p: p.name)
