@@ -560,6 +560,10 @@ def certify_end_to_end(
     hold on this set at this resolution and no certificate exists; the
     result then carries status "hypothesis unverifiable".
     """
+    for name, count in (("k_max", k_max), ("trials", trials), ("recurrence_trials", recurrence_trials),
+                        ("dissipative_trials", dissipative_trials)):
+        if count < 1:
+            raise ValueError(f"{name} (--{name.replace('_', '-')}) must be at least 1, got {count}")
     dec = diagonalize(spec, domain, cache_dir=cache_dir)
     thresholds = [float(k) for k in range(1, int(k_max) + 1)]
     curve = spectral_constant_curve(dec, e, thresholds)
@@ -577,7 +581,7 @@ def certify_end_to_end(
     a = growth_exponent(spec)
     c1 = 0.0  # too few thresholds to fit; the envelope below still applies
     if len(curve.thresholds) >= 4:
-        fit = fit_growth(curve, "ExpPower", a=a)
+        fit = fit_growth(curve, a)
         curve = SpectralConstantCurve(curve.thresholds, curve.constants, fit=fit)
         c1 = 1.1 * fit.c1
     escalated = False

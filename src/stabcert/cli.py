@@ -35,6 +35,7 @@ from .domain import (
     GridDomain,
     GridFunction,
     content_hash,
+    domain_header,
     jsonable,
     load_grid_function,
     make_grid,
@@ -392,8 +393,9 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
     elif command == "spectral-constant":
         dec = diagonalize(spec, domain, cache_dir=cache_dir)
         curve = spectral_constant_curve(dec, e, options["thresholds"])
-        if all(np.isfinite(curve.constants)):
-            fit = fit_growth(curve, "ExpPower", a=growth_exponent(spec))
+        # the fit rule of certify_end_to_end: every constant finite, at least 4 of them
+        if len(curve.constants) >= 4 and all(np.isfinite(curve.constants)):
+            fit = fit_growth(curve, growth_exponent(spec))
             curve = dataclasses.replace(curve, fit=fit)
         outputs = {"curve": curve_to_json(curve)}
         side_files["curve.csv"] = curve_to_csv(curve)
@@ -541,18 +543,14 @@ def _config_from_args(args) -> RunConfig:
         operator = {"kind": args.operator, "s": args.s, "c": args.c,
                     "potential": args.potential, "condition": args.condition,
                     "delta": args.delta}
-    domain = parse_domain(args.domain)
-    domain_cfg = {
-        "dim": domain.dim,
-        "half_width": domain.half_width,
-        "points_per_axis": domain.points_per_axis,
-        "periodic": domain.periodic,
-    }
+    domain = domain_header(parse_domain(args.domain))
     options = {"seed": args.seed}
     cmd = args.command
     if cmd == "check-thick":
         options.update(lengths=args.lengths, radii=args.radii)
     elif cmd == "spectral-constant":
+        if args.k_max < 1:
+            raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
         thresholds = args.thresholds or [float(k) for k in range(1, args.k_max + 1)]
         options.update(thresholds=thresholds)
     elif cmd == "certify":
@@ -581,7 +579,7 @@ def _config_from_args(args) -> RunConfig:
             if part:
                 centers.append([float(v) for v in part.split(":")])
         options.update(claim=claim, centers=centers)
-    return RunConfig(operator=operator, domain=domain_cfg,
+    return RunConfig(operator=operator, domain=domain,
                      set_spec={"text": args.set_spec}, options=options)
 
 

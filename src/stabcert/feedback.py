@@ -18,8 +18,9 @@ the first N eigenfunctions restricted to E, the feedback is
     K psi = rho * < A^{-1} ((psi, phi_1), ..., (psi, phi_N)), (phi_1, ..., phi_N) >,
 
 with rho = lambda_1 - 1 fixed, and the control enters the equation as
-chi_E K y.  In eigen coefficients the E-coupling of the unstable modes is
-A itself, so on every E they close on themselves at the rates
+chi_E K y.  The coupling P (column i: the eigen coefficients of chi_E phi_i)
+is taken once, at the build: its leading N x N block is A, so on every E
+the unstable modes close on themselves at the rates
 mu_i = lambda_i - rho = 1, 1 + lambda_2 - lambda_1, ...; the stable modes
 keep their rates and are forced by those exponentials, a closed form by
 variation of constants.  Near-singularity of A on a grid signals that E is
@@ -34,14 +35,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .certify import exprel
-from .domain import DomainMismatchError, GridFunction, inner_product, norm as _norm
+from .domain import DomainMismatchError, GridFunction, norm as _norm
 from .geometry import SetIndicator
 from .operators import (
     SpectralDecomposition,
     basis_block,
     dense_matrix,
-    eigenfunction,
-    restricted_gram,
     spectral_count,
     to_coefficients,
 )
@@ -116,18 +115,22 @@ class DampingFeedback:
 
 @dataclass(frozen=True)
 class FiniteRankFeedback:
-    """Spectral feedback on the nonpositive modes, gain rho = lambda_1 - 1."""
+    """Spectral feedback on the nonpositive modes, gain rho = lambda_1 - 1.
+
+    Column i of ``coupling`` holds the coefficients of chi_E phi_i for the set ``e``.
+    """
 
     rho: float
     unstable_count: int
-    eigenfunctions: tuple
+    e: SetIndicator
+    coupling: np.ndarray
     gram: np.ndarray
     gram_inverse: np.ndarray
     gram_cond: float
 
     def __post_init__(self):
-        self.gram.setflags(write=False)
-        self.gram_inverse.setflags(write=False)
+        for arr in (self.coupling, self.gram, self.gram_inverse):
+            arr.setflags(write=False)
 
 
 FeedbackOperator = Union[DampingFeedback, FiniteRankFeedback]
@@ -220,9 +223,10 @@ def build_damping_feedback(
 
 
 def build_finite_rank_feedback(dec: SpectralDecomposition, e: SetIndicator) -> FiniteRankFeedback:
-    """Assemble the Gram matrix of the nonpositive modes on E and invert it.
+    """Transform chi_E times the nonpositive modes once, and invert the Gram matrix in it.
 
-    The mode count is N = #{lambda_j <= 0}.  A condition number beyond
+    The mode count is N = #{lambda_j <= 0}; the Gram is the leading N x N
+    block of the coupling, made exactly Hermitian.  A condition number beyond
     1e12 aborts with the offending combination of eigenfunctions attached,
     since inverting it would amplify noise past double precision; the
     continuum Gram is provably invertible, so this only happens when E is
@@ -237,14 +241,14 @@ def build_finite_rank_feedback(dec: SpectralDecomposition, e: SetIndicator) -> F
         raise AlreadyStableError(
             "smallest eigenvalue is positive; the open loop already decays, skip feedback"
         )
-    idx = np.arange(n_unstable)
-    gram = restricted_gram(dec, idx, e)
+    block = basis_block(dec, np.arange(n_unstable))
+    modes = block.T.reshape((n_unstable,) + dec.domain.shape)
+    coupling = to_coefficients(dec, e.cells * modes)
+    gram = 0.5 * (coupling[:n_unstable] + coupling[:n_unstable].conj().T)
     cond = float(np.linalg.cond(gram))
     if cond > GRAM_COND_LIMIT:
         w, v = np.linalg.eigh(gram)
-        block = basis_block(dec, idx)
-        witness_vals = (block @ v[:, 0]).reshape(dec.domain.shape)
-        witness = GridFunction(dec.domain, witness_vals)
+        witness = GridFunction(dec.domain, (block @ v[:, 0]).reshape(dec.domain.shape))
         raise GramSingularError(
             f"restricted Gram matrix has condition number {cond:.3e} > {GRAM_COND_LIMIT:.0e}; "
             "the observation set cannot distinguish the unstable modes at this resolution",
@@ -256,15 +260,14 @@ def build_finite_rank_feedback(dec: SpectralDecomposition, e: SetIndicator) -> F
     if residual > 1e-8:
         raise GramSingularError(
             f"Gram inversion residual {residual:.3e} exceeds 1e-8",
-            witness=eigenfunction(dec, 0),
+            witness=GridFunction(dec.domain, modes[0]),
             cond=cond,
         )
-    rho = float(dec.eigenvalues[0] - 1.0)
-    funcs = tuple(eigenfunction(dec, j) for j in range(n_unstable))
     return FiniteRankFeedback(
-        rho=rho,
+        rho=float(dec.eigenvalues[0] - 1.0),
         unstable_count=n_unstable,
-        eigenfunctions=funcs,
+        e=e,
+        coupling=coupling,
         gram=gram,
         gram_inverse=gram_inverse,
         gram_cond=cond,
@@ -284,10 +287,9 @@ def apply_feedback(dec: SpectralDecomposition, fb: Optional[FeedbackOperator], y
         return GridFunction(y.domain, np.zeros_like(y.values))
     if isinstance(fb, DampingFeedback):
         return GridFunction(y.domain, -(fb.e.cells * y.values))
-    coeffs = np.array([inner_product(y, phi) for phi in fb.eigenfunctions])
-    weights = fb.rho * (fb.gram_inverse @ coeffs)
     block = basis_block(dec, np.arange(fb.unstable_count))
-    vals = (block @ weights).reshape(y.domain.shape)
+    coeffs = block.conj().T @ y.values.ravel() * y.domain.cell_volume
+    vals = (block @ (fb.rho * (fb.gram_inverse @ coeffs))).reshape(y.domain.shape)
     if not np.iscomplexobj(y.values) and np.iscomplexobj(vals):
         vals = vals.real
     return GridFunction(y.domain, vals)
@@ -348,25 +350,24 @@ def simulate_decay(
     stride = max(1, int(np.floor(t_end / (100.0 * dt))))
     times = np.union1d(np.arange(0, n_steps, stride), [n_steps]) * dt
 
+    n_low = fb.unstable_count if isinstance(fb, FiniteRankFeedback) else 0
+    if n_low and not np.array_equal(fb.e.cells, e.cells):
+        raise ValueError("the feedback was built on another observation set than e")
     if isinstance(fb, DampingFeedback):
         rates = fb.loop_eigenvalues
         c0 = fb.loop_vectors.T @ y0.values.ravel() * y0.domain.cell_volume
     else:
         rates, c0 = dec.eigenvalues, to_coefficients(dec, y0)
-    n_low = fb.unstable_count if isinstance(fb, FiniteRankFeedback) else 0
     if n_low:  # the unstable block closes on itself at the rates mu_i = lambda_i - rho
         rates = np.concatenate([rates[:n_low] - fb.rho, rates[n_low:]])
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         coeffs = c0[:, None] * np.exp(-np.outer(rates, times))
         if n_low:
             # stable row j gains rho sum_i (P A^{-1})_{ji} c_i(0) kappa(lambda_j, mu_i, t), with
-            # column i of P the coefficients of chi_E phi_i and kappa = int_0^t e^{-lambda (t-s)}
-            # e^{-mu s} ds = t e^{-min(lambda, mu) t} exprel(-|lambda - mu| t): no cancellation
-            # near lambda = mu and, both rates being positive, no overflow
-            p_mat = to_coefficients(dec, e.cells * np.stack([phi.values for phi in fb.eigenfunctions]))
-            if not np.allclose(p_mat[:n_low], fb.gram, rtol=0.0, atol=1e-9):
-                raise ValueError("the feedback was built on another observation set than e")
-            gains = fb.rho * (p_mat[n_low:] @ fb.gram_inverse) * c0[:n_low]
+            # P the feedback's coupling and kappa = int_0^t e^{-lambda (t-s)} e^{-mu s} ds
+            # = t e^{-min(lambda, mu) t} exprel(-|lambda - mu| t): no cancellation near
+            # lambda = mu and, both rates being positive, no overflow
+            gains = fb.rho * (fb.coupling[n_low:] @ fb.gram_inverse) * c0[:n_low]
             lams = rates[n_low:, None]
             for i, mu in enumerate(rates[:n_low]):
                 kernel = times * np.exp(-np.minimum(lams, mu) * times)

@@ -21,13 +21,15 @@ Each kind takes the cheapest computation its structure allows:
   (G_jl depends only on k_j - k_l), so ``restricted_gram`` gathers it from
   one FFT of the set: O(d^2) work instead of the O(|E| d^2) product of
   sampled eigenfunctions;
+* ``_grid_values`` is the one synthesis of coefficients on the grid, for
+  every layout, and ``dense_matrix`` gathers a Fourier multiplier from its
+  convolution kernel;
 * ``restricted_norms`` gives ||chi_E w_q(H) f_p||^2 for a batch of weights
-  and states without any Gram matrix: batched (real) FFTs in the Fourier
-  kind, one product with the E rows of the eigenvectors per pass in the
-  assembled dense kind, and in the factored layouts a synthesis of each
-  pass on the grid (two half-size products per pass in the parity layout,
-  two products with the 1D factor in the tensor layout) whose E rows are
-  kept;
+  and states without any Gram matrix: batched real FFTs for real states in
+  the Fourier kind, one product with the E rows of the eigenvectors per
+  pass in the assembled dense kind, a synthesis of each pass on the grid
+  whose E rows are kept otherwise, and two products with the 1D factor
+  per pass in the tensor layout;
 * 2D Hermite is diagonalized from its 1D factor (fast diagonalization) and
   its basis is kept as that factor: a transform of a stack is two products
   with the m x m factor, and only selected columns are sampled;
@@ -52,7 +54,6 @@ idempotence, commutation and Pythagoras identities hold to roundoff.
 
 from __future__ import annotations
 
-import functools
 import os
 import tempfile
 import zipfile
@@ -678,16 +679,23 @@ def _tensor_product(A: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
-    """Grid values (cells,) or (cells, P) of the ascending coefficients in a dense layout.
+    """Grid values (cells,) or (cells, P) of the ascending coefficients (cells,) or (cells, P).
 
-    In the parity layout the even part B_+ c_+ and the odd part B_- c_-
-    give the top half as their sum and the reflected bottom half as their
-    difference.  In the tensor layout the signed coefficients of state p,
-    scattered to their pairs C_p[i, j], give U_1 C_p U_1^T.
+    The Fourier kind scatters each column into FFT layout and takes one
+    batched inverse FFT of the stack.  In the parity layout the even part
+    B_+ c_+ and the odd part B_- c_- give the top half as their sum and the
+    reflected bottom half as their difference.  In the tensor layout the
+    signed coefficients of state p, scattered to their pairs C_p[i, j],
+    give U_1 C_p U_1^T.
     """
     if dec.vectors is not None:
         return dec.vectors @ coeffs
     cells = dec.domain.cell_count
+    if dec.basis_kind == "Fourier":
+        u = np.empty((coeffs.size // cells, cells), dtype=complex)
+        u[:, dec.order] = coeffs.reshape(cells, -1).T
+        values = np.fft.ifftn(u.reshape((-1,) + dec.domain.shape), axes=tuple(range(1, dec.domain.dim + 1)))
+        return (values / _fft_coeff_scale(dec.domain)).reshape(-1, cells).T.reshape(coeffs.shape)
     if dec.tensor_factor is not None:
         m = dec.domain.points_per_axis
         c = coeffs.reshape(cells, -1)
@@ -703,13 +711,7 @@ def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
 
 
 def from_coefficients(dec: SpectralDecomposition, coeffs: np.ndarray) -> GridFunction:
-    if dec.basis_kind == "Fourier":
-        u = np.empty(dec.domain.cell_count, dtype=complex)
-        u[dec.order] = coeffs
-        vals = np.fft.ifftn(u.reshape(dec.domain.shape)) / _fft_coeff_scale(dec.domain)
-        return GridFunction(dec.domain, vals)
-    vals = _grid_values(dec, coeffs)
-    return GridFunction(dec.domain, vals.reshape(dec.domain.shape))
+    return GridFunction(dec.domain, _grid_values(dec, coeffs).reshape(dec.domain.shape))
 
 
 def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
@@ -789,13 +791,14 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     ``weights`` is (r, cells), each row given per eigenvalue in ascending
     order and equal across each level (any function of the eigenvalue is);
     ``states`` is (P,) + the grid shape, the values of the f_p.  No Gram
-    matrix is formed.  The Fourier kind transforms each state once and
-    each (weight, state) pair back, with real transforms for real states
-    (the symbol is even in the frequency, so w_q(H) f_p is real).  Dense
-    kinds take the coefficients V^T f h once, then per pass one product of
-    the E rows of ``vectors`` with the weighted coefficients; the parity
-    layout synthesizes each pass on the grid with two half-size products
-    and keeps the rows of E.  The tensor layout takes C_p = U_1^T F_p U_1
+    matrix is formed.  For real states the Fourier kind transforms each
+    state once and each (weight, state) pair back with real FFTs (the
+    symbol is even in the frequency, so w_q(H) f_p is real).  Otherwise the
+    coefficients are taken once, then per pass the assembled dense kind
+    takes one product of the E rows of ``vectors`` with the weighted
+    coefficients, and the parity layout and complex Fourier states
+    synthesize the pass on the grid with ``_grid_values`` and keep the rows
+    of E.  The tensor layout takes C_p = U_1^T F_p U_1
     once and per pass synthesizes U_1 (w_q C_p) U_1^T on the grid (the pair
     signs and the scale cancel), summing it over E.  A pass holds the
     states of max(1, _PASS_COLUMNS // P) weights, so the temporaries stay
@@ -827,7 +830,7 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
             y = _tensor_product(dec.tensor_factor.T, z).reshape(-1, cells)
             out[q : q + group] = np.einsum("pj,pj->p", y.conj() * mask, y).real.reshape(-1, P) * h
         return out
-    if dec.basis_kind == "Dense":
+    if dec.basis_kind == "Dense" or np.iscomplexobj(states):
         coeffs = to_coefficients(dec, states)
         rows = dec.vectors[inside] if dec.vectors is not None else None
         for q in range(0, r, group):
@@ -838,20 +841,14 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
         return out
     grid = np.empty((r, cells))
     grid[:, dec.order] = weights
-    grid = grid.reshape((r,) + shape)
     # states carry axes 1..n, a pass (weights, states, grid) axes 2..n+1
     state_axes = tuple(range(1, domain.dim + 1))
     pass_axes = tuple(a + 1 for a in state_axes)
-    if np.isrealobj(states):
-        spectra = np.fft.rfftn(states, axes=state_axes)
-        grid = grid[..., : spectra.shape[-1]]
-        inverse = functools.partial(np.fft.irfftn, s=shape, axes=pass_axes)
-    else:
-        spectra = np.fft.fftn(states, axes=state_axes)
-        inverse = functools.partial(np.fft.ifftn, axes=pass_axes)
+    spectra = np.fft.rfftn(states, axes=state_axes)
+    grid = grid.reshape((r,) + shape)[..., : spectra.shape[-1]]
     mask = inside.astype(float)
     for q in range(0, r, group):
-        y = inverse(grid[q : q + group, None] * spectra[None]).reshape(-1, cells)
+        y = np.fft.irfftn(grid[q : q + group, None] * spectra[None], s=shape, axes=pass_axes).reshape(-1, cells)
         out[q : q + group] = (np.abs(y) ** 2 @ mask).reshape(-1, P) * h
     return out
 
@@ -862,26 +859,26 @@ def eigenfunction(dec: SpectralDecomposition, j: int) -> GridFunction:
 
 
 def dense_matrix(dec: SpectralDecomposition) -> np.ndarray:
-    """Materialize the operator as a dense (cells x cells) matrix."""
-    if dec.domain.cell_count > _DENSE_CELL_LIMIT:
-        raise ValueError(f"refusing to materialize a dense matrix of {dec.domain.cell_count} cells "
+    """Materialize the operator as a dense (cells x cells) matrix.
+
+    The Fourier kind gathers entry (x, y) from the convolution kernel
+    g = ifftn(symbol) at (x - y) mod m per axis; g holds every entry.
+    """
+    cells = dec.domain.cell_count
+    if cells > _DENSE_CELL_LIMIT:
+        raise ValueError(f"refusing to materialize a dense matrix of {cells} cells "
                          f"(the limit is {_DENSE_CELL_LIMIT})")
     if dec.basis_kind == "Dense":
-        V = dec.vectors if dec.vectors is not None else basis_block(dec, np.arange(dec.domain.cell_count))
+        V = dec.vectors if dec.vectors is not None else basis_block(dec, np.arange(cells))
         return (V * dec.eigenvalues) @ V.T * dec.domain.cell_volume
-    if dec.domain.dim == 1:
-        col = np.fft.ifft(dec.symbol)
-        index = np.arange(col.size)
-        H = col[np.subtract.outer(index, index) % col.size]
-    else:
-        m = dec.domain.points_per_axis
-        cells = dec.domain.cell_count
-        eye = np.eye(cells).reshape(cells, m, m)
-        H = np.fft.ifftn(dec.symbol[None, :, :] * np.fft.fftn(eye, axes=(1, 2)), axes=(1, 2))
-        H = H.reshape(cells, cells).T
-    if np.abs(H.imag).max() > 1e-10 * max(1.0, np.abs(H.real).max()):
+    g = np.fft.ifftn(dec.symbol)
+    if np.abs(g.imag).max() > 1e-10 * max(1.0, np.abs(g.real).max()):
         raise ArithmeticError("multiplier matrix has a non-real residue; symbol not even?")
-    return H.real
+    m, n = dec.domain.points_per_axis, dec.domain.dim
+    diff = np.subtract.outer(np.arange(m), np.arange(m)) % m
+    # axis k of the difference index runs over (x_k, y_k): axes k and n + k of the (x, y) grid
+    index = tuple(diff.reshape([m if a in (k, n + k) else 1 for a in range(2 * n)]) for k in range(n))
+    return g.real[index].reshape(cells, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -896,18 +893,15 @@ def spectral_count(dec: SpectralDecomposition, k: float) -> int:
 def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction) -> GridFunction:
     """w(H) f for the weights w(lambda_j), given in ascending-eigenvalue order.
 
-    The Fourier kind scatters the weights into FFT layout and multiplies
-    there.  For a real ``f`` the result is real: the imaginary part, which
-    is roundoff when the weights are equal across each level, is dropped.
+    One coefficient transform, the weights, and the one synthesis
+    ``_grid_values`` in every layout.  For a real ``f`` the result is real:
+    the imaginary part of the Fourier synthesis, which is roundoff when the
+    weights are equal across each level, is dropped.
     """
-    if dec.basis_kind == "Fourier":
-        w = np.empty_like(weights)
-        w[dec.order] = weights
-        out = np.fft.ifftn(w.reshape(dec.domain.shape) * np.fft.fftn(f.values))
-        if np.isrealobj(f.values):
-            out = out.real
-        return GridFunction(dec.domain, out)
-    return from_coefficients(dec, weights * to_coefficients(dec, f))
+    values = _grid_values(dec, weights * to_coefficients(dec, f))
+    if np.isrealobj(f.values):
+        values = values.real
+    return GridFunction(dec.domain, values.reshape(dec.domain.shape))
 
 
 def semigroup_apply(dec: SpectralDecomposition, t: float, f: GridFunction) -> GridFunction:

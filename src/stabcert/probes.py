@@ -32,7 +32,6 @@ composite Simpson rule.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -89,9 +88,8 @@ class KernelProbe:
     c2_norm: float
 
 
-@functools.lru_cache(maxsize=4)
 def build_kernel(s: float, domain: GridDomain) -> GridFunction:
-    """Inverse FFT of e^{-|xi|^s} on the midpoint grid, cached per (s, domain).
+    """Inverse FFT of e^{-|xi|^s} on the midpoint grid.
 
     The midpoint offset enters as a per-axis phase e^{i pi k (1/m - 1)} on
     the integer frequencies.  The unpaired Nyquist mode leaves an imaginary
@@ -124,7 +122,7 @@ def build_kernel(s: float, domain: GridDomain) -> GridFunction:
 
 
 def make_probe(s: float, c: float, domain: GridDomain, x0, l: float) -> KernelProbe:
-    """Cache the kernel and measure its two empirical constants.
+    """Build the kernel and measure its two empirical constants.
 
     c2_norm is the norm prefactor in ||u(t)|| = C2 (t+l)^{-n/(2s)} e^{ct},
     measured once at t = 0; c1_bound is the fitted pointwise envelope
@@ -152,7 +150,7 @@ def make_probe(s: float, c: float, domain: GridDomain, x0, l: float) -> KernelPr
 
 
 def kernel_probe_solution(probe: KernelProbe, t: float) -> GridFunction:
-    """Evaluate u(t, x; l) by rescaling the cached kernel.
+    """Evaluate u(t, x; l) by rescaling the probe's kernel.
 
     Linear interpolation on the periodic minimal image of x - x0; arguments
     that land outside the box (only possible while t + l < 1) take the value

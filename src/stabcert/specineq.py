@@ -9,9 +9,9 @@ is an exact finite-dimensional quantity on the grid: with {v_1..v_d} an
 orthonormal basis of the projection range, C = 1/sqrt(mu_min) where mu_min
 is the smallest eigenvalue of the Gram matrix of E-restricted inner
 products.  No sampling or optimization is involved.  Growth of ln C(k, E)
-in k is summarized by two fit shapes: a pure power c1 * k^a (fractional
-kinds, a tied to 1/s) and (n/2) k ln k + linear * k (harmonic kinds, with
-the k ln k slope pinned to n/2).
+in k is summarized by one fit shape, a pure power c1 * k^a with the
+exponent a pinned by the operator (1/s for fractional kinds, 2 for the
+harmonic kinds, whose (n/2) k ln k + O(k) growth it dominates).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .operators import SpectralDecomposition, from_coefficients, restricted_gram
 __all__ = [
     "SpectralConstantCurve",
     "ExpPowerFit",
-    "KLogKFit",
     "HypothesisReport",
     "restricted_gram",
     "best_constant",
@@ -46,20 +45,13 @@ _DEGENERACY_TOL = 1e-12
 class SpectralConstantCurve:
     thresholds: tuple
     constants: tuple
-    fit: Optional[object] = None
+    fit: Optional[ExpPowerFit] = None
 
 
 @dataclass(frozen=True)
 class ExpPowerFit:
     c1: float
     a: float
-    residual: float
-
-
-@dataclass(frozen=True)
-class KLogKFit:
-    coeff: float
-    linear: float
     residual: float
 
 
@@ -136,35 +128,24 @@ def spectral_constant_curve(dec: SpectralDecomposition, e: SetIndicator, thresho
     return SpectralConstantCurve(thresholds=tuple(thresholds), constants=constants)
 
 
-def fit_growth(curve: SpectralConstantCurve, model: str, *, a: float = None, dim: int = None):
-    """Least-squares fit of ln C(k) with the model's growth exponent pinned.
+def fit_growth(curve: SpectralConstantCurve, a: float) -> ExpPowerFit:
+    """Least-squares fit of ln C(k) = c1 * k^a with the exponent ``a`` > 0 pinned.
 
-    ExpPower fits ln C = c1 * k^a with ``a`` supplied by the caller (1/s for
-    fractional operators); KLogK fits ln C = (dim/2) k ln k + linear * k with
-    the k ln k slope fixed.  Requires at least 4 finite constants.
+    ``a`` is the caller's (``certify.growth_exponent``: 1/s for fractional
+    operators).  Requires at least 4 finite constants.
     """
+    if not a > 0:
+        raise ValueError(f"the fixed exponent a must be positive, got {a}")
     ks = np.asarray(curve.thresholds, dtype=float)
     cs = np.asarray(curve.constants, dtype=float)
     finite = np.isfinite(cs) & (cs > 0)
     if finite.sum() < 4:
         raise ValueError(f"need at least 4 finite constants to fit, have {int(finite.sum())}")
     ks, ln_c = ks[finite], np.log(cs[finite])
-    if model == "ExpPower":
-        if a is None or a <= 0:
-            raise ValueError("ExpPower needs the fixed exponent a > 0")
-        basis = ks**a
-        c1 = float(basis @ ln_c / (basis @ basis))
-        residual = float(np.sqrt(np.mean((ln_c - c1 * basis) ** 2)))
-        return ExpPowerFit(c1=c1, a=float(a), residual=residual)
-    if model == "KLogK":
-        if dim not in (1, 2):
-            raise ValueError("KLogK needs the spatial dimension (1 or 2)")
-        coeff = dim / 2.0
-        target = ln_c - coeff * ks * np.log(ks)
-        linear = float(ks @ target / (ks @ ks))
-        residual = float(np.sqrt(np.mean((target - linear * ks) ** 2)))
-        return KLogKFit(coeff=coeff, linear=linear, residual=residual)
-    raise ValueError(f"unknown fit model {model!r}")
+    basis = ks**a
+    c1 = float(basis @ ln_c / (basis @ basis))
+    residual = float(np.sqrt(np.mean((ln_c - c1 * basis) ** 2)))
+    return ExpPowerFit(c1=c1, a=float(a), residual=residual)
 
 
 def verify_spectral_hypothesis(curve: SpectralConstantCurve, c1: float, a: float) -> HypothesisReport:
@@ -198,15 +179,7 @@ def curve_to_json(curve: SpectralConstantCurve) -> dict:
     }
     if curve.fit is not None:
         fit = curve.fit
-        if isinstance(fit, ExpPowerFit):
-            doc["fit"] = {"model": "ExpPower", "c1": fit.c1, "a": fit.a, "residual": fit.residual}
-        else:
-            doc["fit"] = {
-                "model": "KLogK",
-                "coeff": fit.coeff,
-                "linear": fit.linear,
-                "residual": fit.residual,
-            }
+        doc["fit"] = {"model": "ExpPower", "c1": fit.c1, "a": fit.a, "residual": fit.residual}
     return doc
 
 

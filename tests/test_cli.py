@@ -131,6 +131,43 @@ def test_spectral_constant_full_domain(tmp_path):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("k_max", [3, 4])
+def test_spectral_constant_fits_only_four_or_more_constants(tmp_path, k_max):
+    # the fit rule of certify: every constant finite and at least 4 of them;
+    # fewer thresholds still give the curve, with no fit
+    out = tmp_path / "curve.json"
+    code = main(["spectral-constant", "--domain", "dim=1,R=10,m=64", "--set", "slabs:period=1,fill=0.5",
+                 "--k-max", str(k_max), "--out", str(out)])
+    assert code == 0
+    curve = read(out)["outputs"]["curve"]
+    assert len(curve["constants"]) == k_max
+    assert all(isinstance(c, float) for c in curve["constants"])
+    assert ("fit" in curve) == (k_max >= 4)
+    if k_max >= 4:
+        assert curve["fit"]["model"] == "ExpPower"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["certify", "--k-max", "0"], "--k-max"),
+     (["certify", "--k-max", "3", "--trials", "0"], "--trials"),
+     (["certify", "--k-max", "3", "--recurrence-trials", "0"], "--recurrence-trials"),
+     (["certify", "--k-max", "3", "--dissipative-trials", "0"], "--dissipative-trials"),
+     (["spectral-constant", "--k-max", "0"], "--k-max")],
+    ids=["certify-k-max", "certify-trials", "certify-recurrence-trials", "certify-dissipative-trials",
+         "spectral-constant-k-max"],
+)
+def test_zero_counts_are_refused(tmp_path, capsys, argv, option):
+    out = tmp_path / "out.json"
+    code = main([*argv, "--domain", "dim=1,R=10,m=64", "--set", "slabs:period=1,fill=0.5",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert option in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "domain, want_code, want_err",
     [("dim=2,R=6,m=128,periodic=false", 0, ""),

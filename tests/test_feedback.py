@@ -36,6 +36,7 @@ from stabcert.operators import (
     dense_matrix,
     diagonalize,
     eigenfunction,
+    restricted_gram,
     semigroup_apply,
 )
 from stabcert.specineq import best_constant
@@ -385,6 +386,25 @@ def test_simulate_rejects_foreign_domains(shifted_potential_dec, half_set, half_
     y0 = eigenfunction(shifted_potential_dec, 0)
     with pytest.raises(DomainMismatchError, match="observation set"):
         simulate_decay(shifted_potential_dec, None, make_set(other, Full()), y0, t_end=1.0, dt=0.01)
+
+
+def test_finite_rank_simulation_transforms_only_y0(shifted_potential_dec, half_set, half_feedback,
+                                                  coefficient_transforms, rng):
+    # the coupling of the modes through e is the feedback's own, computed
+    # once when it was built: the simulation transforms y0 and nothing else
+    y0 = GridFunction(shifted_potential_dec.domain, rng.standard_normal(512))
+    coefficient_transforms.clear()
+    simulate_decay(shifted_potential_dec, half_feedback, half_set, y0, t_end=1.0, dt=0.01)
+    assert coefficient_transforms == [(512,)]
+
+
+def test_finite_rank_coupling_holds_the_gram(shifted_potential_dec, half_set, half_feedback):
+    fb = half_feedback
+    assert fb.e is half_set
+    assert fb.coupling.shape == (512, 2)
+    assert np.array_equal(fb.gram, 0.5 * (fb.coupling[:2] + fb.coupling[:2].T))
+    gram = restricted_gram(shifted_potential_dec, np.arange(2), half_set)
+    assert np.abs(fb.gram - gram).max() <= 1e-14
 
 
 def test_finite_rank_simulation_needs_the_feedback_set(shifted_potential_dec, full_set, half_feedback):

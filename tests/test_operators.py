@@ -37,6 +37,7 @@ from stabcert.operators import (
     spec_to_json,
     to_coefficients,
     _canonicalize_signs,
+    _grid_values,
 )
 from stabcert.probes import ObservationClaim, falsify_hermite_ground_state
 from stabcert.specineq import spectral_constant_curve
@@ -953,6 +954,57 @@ def test_coefficients_reject_values_off_the_grid(frac_dec, shape):
         to_coefficients(frac_dec, np.zeros(shape))
 
 
+def synthesis_cases():
+    return [
+        (FractionalLaplacian(s=1.0), make_grid(1, 10.0, 64, periodic=True)),
+        (FractionalLaplacian(s=0.5), make_grid(2, 5.0, 16, periodic=True)),
+        (ShiftedHermite(c=1.0), make_grid(1, 8.0, 64, periodic=False)),
+        (Schrodinger(potential=from_callable(make_grid(1, 8.0, 64, periodic=False), lambda x: x**2)),
+         make_grid(1, 8.0, 64, periodic=False)),
+        (ShiftedHermite(), make_grid(2, 6.0, 12, periodic=False)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["fourier-1d", "fourier-2d", "full-1d", "parity-1d", "tensor-2d"])
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+def test_synthesis_inverts_the_coefficient_transform(case, complex_valued, rng):
+    # _grid_values is the one synthesis of every layout: single states and
+    # stacks come back from their coefficients, through from_coefficients too
+    spec, dom = synthesis_cases()[case]
+    dec = diagonalize(spec, dom)
+    layout = [dec.symbol, dec.symbol, dec.vectors, dec.parity_blocks, dec.tensor_factor][case]
+    assert layout is not None
+    values = np.stack([random_state(dom, rng, complex_valued).values for _ in range(4)])
+    tol = 1e-13 * np.abs(values).max()
+    for f in values:
+        c = to_coefficients(dec, f)
+        single = _grid_values(dec, c)
+        assert single.shape == (dom.cell_count,)
+        assert np.abs(single - f.ravel()).max() <= tol
+        assert np.abs(from_coefficients(dec, c).values - f).max() <= tol
+    back = _grid_values(dec, to_coefficients(dec, values))
+    assert back.shape == (dom.cell_count, 4)
+    assert np.abs(back - values.reshape(4, -1).T).max() <= tol
+
+
+@pytest.mark.parametrize("dim,m", [(1, 64), (2, 16)])
+def test_fourier_spectral_apply_is_the_fft_multiplier(dim, m, rng):
+    # the Fourier fast path that spectral_apply no longer has, kept here as
+    # the reference: scatter the weights into FFT layout and multiply there
+    dec = diagonalize(FractionalLaplacian(s=1.0, c=0.5), make_grid(dim, 10.0, m, periodic=True))
+    weights = np.exp(-0.3 * dec.eigenvalues)
+    w = np.empty_like(weights)
+    w[dec.order] = weights
+    for complex_valued in (False, True):
+        f = random_state(dec.domain, rng, complex_valued)
+        want = np.fft.ifftn(w.reshape(dec.domain.shape) * np.fft.fftn(f.values))
+        got = operators.spectral_apply(dec, weights, f).values
+        assert np.isrealobj(got) == (not complex_valued)
+        if not complex_valued:
+            want = want.real
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_basis_block_is_orthonormal(frac_dec):
     B = basis_block(frac_dec, np.arange(6))
     G = B.conj().T @ B * frac_dec.domain.cell_volume
@@ -1090,6 +1142,38 @@ def test_dense_matrix_of_2d_multiplier():
     H = dense_matrix(dec)
     assert H.shape == (64, 64)
     assert np.allclose(scipy.linalg.eigvalsh(H), dec.eigenvalues, atol=1e-10)
+
+
+def fft_of_identity(dec):
+    # the 2D Fourier construction that dense_matrix no longer uses, kept as
+    # the reference: every column is the multiplier applied to a unit vector
+    m, cells = dec.domain.points_per_axis, dec.domain.cell_count
+    eye = np.eye(cells).reshape(cells, m, m)
+    return np.fft.ifftn(dec.symbol[None, :, :] * np.fft.fftn(eye, axes=(1, 2)), axes=(1, 2)).reshape(cells, cells).T
+
+
+def test_2d_fourier_dense_matrix_is_the_transformed_identity():
+    dec = diagonalize(FractionalLaplacian(s=1.5, c=0.5), make_grid(2, 5.0, 16, periodic=True))
+    want = fft_of_identity(dec)
+    assert np.abs(want.imag).max() < 1e-14
+    H = dense_matrix(dec)
+    assert H.dtype == np.float64 and H.flags.writeable
+    assert np.abs(H - want.real).max() <= 1e-14 * np.abs(want.real).max()
+
+
+def test_2d_fourier_dense_matrix_holds_no_transformed_identity():
+    # at m = 32 one complex cells^2 array is 16 MiB; transforming the
+    # identity held several of them (56 MiB at the peak), the gather of the
+    # kernel holds the float64 result and little more
+    dec = diagonalize(FractionalLaplacian(s=1.0), make_grid(2, 10.0, 32, periodic=True))
+    tracemalloc.start()
+    try:
+        H = dense_matrix(dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert H.shape == (1024, 1024)
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

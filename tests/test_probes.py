@@ -78,10 +78,6 @@ def test_kernel_2d_matches_closed_form():
     assert abs(g.values.sum() * d2.cell_volume - 1.0) < 1e-14
 
 
-def test_kernel_is_cached(pdom):
-    assert build_kernel(2.0, pdom) is build_kernel(2.0, pdom)
-
-
 def test_kernel_rejects_wall_grid():
     walls = make_grid(1, 10.0, 512, periodic=False)
     with pytest.raises(ValueError, match="periodic"):

@@ -11,7 +11,6 @@ from stabcert.geometry import BallComplement, Custom, Empty, Full, HalfSpace, Pe
 from stabcert.operators import FractionalLaplacian, ShiftedHermite, basis_block, diagonalize
 from stabcert.specineq import (
     ExpPowerFit,
-    KLogKFit,
     SpectralConstantCurve,
     best_constant,
     curve_to_csv,
@@ -203,37 +202,25 @@ def test_curve_builds_one_gram(frac_2d_ball_complement, gram_builds):
 def test_exp_power_fit_recovers_synthetic_constants():
     ks = tuple(float(k) for k in range(1, 9))
     curve = SpectralConstantCurve(ks, tuple(np.exp(0.5 * np.sqrt(k)) for k in ks))
-    fit = fit_growth(curve, "ExpPower", a=0.5)
+    fit = fit_growth(curve, 0.5)
     assert isinstance(fit, ExpPowerFit)
     assert fit.c1 == pytest.approx(0.5, rel=1e-12)
-    assert fit.residual < 1e-12
-
-
-def test_klogk_fit_recovers_the_linear_part():
-    ks = tuple(float(k) for k in range(1, 9))
-    curve = SpectralConstantCurve(ks, tuple(np.exp(0.5 * k * np.log(k) + 0.3 * k) for k in ks))
-    fit = fit_growth(curve, "KLogK", dim=1)
-    assert isinstance(fit, KLogKFit)
-    assert fit.coeff == 0.5
-    assert fit.linear == pytest.approx(0.3, rel=1e-12)
     assert fit.residual < 1e-12
 
 
 def test_fit_needs_enough_finite_points():
     curve = SpectralConstantCurve((1.0, 2.0, 3.0, 4.0), (2.0, 3.0, np.inf, np.inf))
     with pytest.raises(ValueError):
-        fit_growth(curve, "ExpPower", a=1.0)
+        fit_growth(curve, 1.0)
 
 
 def test_fit_validates_model_arguments():
     ks = tuple(float(k) for k in range(1, 6))
     curve = SpectralConstantCurve(ks, tuple(np.exp(k) for k in ks))
     with pytest.raises(ValueError):
-        fit_growth(curve, "ExpPower")
+        fit_growth(curve, -1.0)
     with pytest.raises(ValueError):
-        fit_growth(curve, "KLogK", dim=3)
-    with pytest.raises(ValueError):
-        fit_growth(curve, "Spline", a=1.0)
+        fit_growth(curve, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +265,7 @@ def test_curve_json_handles_infinities():
 def test_curve_json_includes_fit():
     ks = tuple(float(k) for k in range(1, 6))
     curve = SpectralConstantCurve(ks, tuple(np.exp(k) for k in ks))
-    fit = fit_growth(curve, "ExpPower", a=1.0)
+    fit = fit_growth(curve, 1.0)
     doc = curve_to_json(SpectralConstantCurve(curve.thresholds, curve.constants, fit))
     assert doc["fit"]["model"] == "ExpPower"
     assert doc["fit"]["c1"] == pytest.approx(1.0)

@@ -1,8 +1,9 @@
 """Structural rules of the package source, checked on its syntax tree.
 
-No module imports another module's private names, no module keeps an
-unbounded module-global cache (a name bound to an empty dict or list at
-module level), and only `operators` reads the basis layout of a spectral
+No module imports another module's private names, no module keeps a
+module-global cache (a name bound to an empty dict or list at module level,
+or a top-level function under `functools.lru_cache` or `functools.cache`),
+and only `operators` reads the basis layout of a spectral
 decomposition or counts eigenvalues below a threshold itself; every other
 module goes through `spectral_count`, `spectral_apply` and the coefficient
 transforms. `specineq`, `certify` and `probes` never sample eigenfunctions
@@ -59,6 +60,23 @@ def test_no_module_level_empty_containers(path):
         f"line {node.lineno}"
         for node in _tree(path).body
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty_container(node.value)
+    ]
+    assert not found, found
+
+
+def _is_cache_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_cached_top_level_functions(path):
+    found = [
+        f"line {node.lineno}: {node.name}"
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_cache_decorator(d) for d in node.decorator_list)
     ]
     assert not found, found
 
