@@ -214,21 +214,21 @@ def parse_set(domain: GridDomain, text: str) -> SetIndicator:
     raise ValueError(f"unknown set kind {kind!r}")
 
 
-def parse_operator(kind: str, args) -> tuple:
-    """Returns (spec, extra input hashes)."""
+def parse_operator(kind: str, *, s=1.0, c=0.0, potential=None, condition="II", delta=None) -> tuple:
+    """Returns (spec, extra input hashes); the defaults are those of ``build_parser``."""
     hashes = {}
     if kind == "frac":
-        spec = FractionalLaplacian(s=args.s, c=args.c)
+        spec = FractionalLaplacian(s=s, c=c)
     elif kind == "hermite":
-        spec = ShiftedHermite(c=args.c)
+        spec = ShiftedHermite(c=c)
     elif kind == "schrodinger":
-        if not args.potential:
+        if not potential:
             raise ValueError("schrodinger kind needs --potential <file>")
-        potential = load_grid_function(args.potential)
-        if not np.isfinite(potential.values).all():
-            raise ValueError(f"potential {args.potential!r} has non-finite values (inf or NaN)")
-        spec = Schrodinger(potential=potential, condition=args.condition, delta=args.delta)
-        hashes["potential"] = content_hash(potential)
+        v = load_grid_function(potential)
+        if not np.isfinite(v.values).all():
+            raise ValueError(f"potential {potential!r} has non-finite values (inf or NaN)")
+        spec = Schrodinger(potential=v, condition=condition, delta=delta)
+        hashes["potential"] = content_hash(v)
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     return spec, hashes
@@ -379,10 +379,7 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
     hashes = {"domain": content_hash(domain), "set": content_hash(domain, e.cells)}
     spec = None
     if config.operator:
-        ns = argparse.Namespace(**{**{"s": 1.0, "c": 0.0, "potential": None,
-                                      "condition": "II", "delta": None},
-                                   **config.operator})
-        spec, extra = parse_operator(config.operator["kind"], ns)
+        spec, extra = parse_operator(**config.operator)
         hashes["operator"] = spec_hash(spec)
         hashes.update(extra)
     options = config.options

@@ -7,9 +7,14 @@ argument gives the explicit lower bound
     omega(N) = min{ (1 - delta) N^2 - 2,  (1/2) e^{-2 c1 N} }
 
 on the spectral gap of H + chi_E, where c1 is the restricted-inequality
-exponent of E at thresholds N^2.  The bound is certified, not sharp: the
-true rate is the smallest eigenvalue of the perturbed operator, which tests
-obtain by dense diagonalization.
+exponent of E at thresholds N^2.  The argument needs H >= 0: a shift
+H - c with c above the bottom of the spectrum leaves modes that chi_E
+damps too weakly, and the bound then certifies a rate the loop does not
+have.  So the law is refused for a generator whose smallest eigenvalue is
+below -DAMPING_LEVEL_TOL (a level at 0 passes).  The bound is certified,
+not sharp: the true rate is the smallest eigenvalue of the perturbed
+operator, which the build obtains by dense diagonalization and holds the
+bound to.
 
 The finite-rank feedback acts on the unstable modes only.  With
 lambda_1 <= ... <= lambda_N <= 0 < lambda_{N+1} and A the Gram matrix of
@@ -51,6 +56,7 @@ __all__ = [
     "AlreadyStableError",
     "NoDampingRateError",
     "UnstableLoopError",
+    "DampingCertificateError",
     "DampingBound",
     "DampingFeedback",
     "FiniteRankFeedback",
@@ -67,6 +73,9 @@ __all__ = [
 ]
 
 GRAM_COND_LIMIT = 1e12
+# roundoff below 0 that the damping law's hypothesis H >= 0 forgives, so a
+# level at 0 (the constant mode of an unshifted fractional Laplacian) passes
+DAMPING_LEVEL_TOL = 1e-9
 
 
 class GramSingularError(RuntimeError):
@@ -88,6 +97,10 @@ class NoDampingRateError(RuntimeError):
 
 class UnstableLoopError(RuntimeError):
     """The simulated loop grew past ten times the initial norm."""
+
+
+class DampingCertificateError(ArithmeticError):
+    """The exact loop spectrum falls below the certified damping rate."""
 
 
 @dataclass(frozen=True)
@@ -190,9 +203,11 @@ def build_damping_feedback(
 ) -> DampingFeedback:
     """Pick omega by sweeping N, then diagonalize H + chi_E for exact flow.
 
-    The sweep keeps only the N whose projection range d(N^2) is at most
-    half the cell count, the ranges the grid resolves; it raises
-    ValueError when no N is left.
+    A generator with an eigenvalue below -DAMPING_LEVEL_TOL is outside the
+    bound's hypothesis H >= 0 and raises ValueError.  The sweep keeps only
+    the N whose projection range d(N^2) is at most half the cell count, the
+    ranges the grid resolves; it raises ValueError when no N is left.  A
+    smallest loop eigenvalue below omega raises DampingCertificateError.
     """
     cells = dec.domain.cell_count
     resolved = [n for n in N_grid if 2 * spectral_count(dec, float(n) ** 2) <= cells]
@@ -205,11 +220,20 @@ def build_damping_feedback(
     # to hold it (a factored basis can be larger) before the sweep builds
     # Grams of up to cells / 2 columns
     loop = dense_matrix(dec) + np.diag(e.cells.ravel().astype(float))
+    lam1 = float(dec.eigenvalues[0])
+    if lam1 < -DAMPING_LEVEL_TOL:
+        raise ValueError(
+            f"the damping law needs H >= 0, but the smallest eigenvalue is lambda_1 = {lam1:.6g}"
+        )
     if c1 is None:
         c1 = damping_spectral_exponent(dec, e, resolved)
     bound = damping_decay_bound(dec, e, delta, c1, resolved)
     loop = 0.5 * (loop + loop.T)
     w, u = np.linalg.eigh(loop)
+    if w[0] < bound.omega:
+        raise DampingCertificateError(
+            f"the loop's smallest eigenvalue {w[0]:.6g} is below the certified omega {bound.omega:.6g}"
+        )
     vectors = u / np.sqrt(dec.domain.cell_volume)
     return DampingFeedback(
         e=e,

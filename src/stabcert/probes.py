@@ -21,13 +21,14 @@ with the positive quarter-power of pi that is sometimes quoted is not
 normalized), whose modal flow e^{(c-n)t} Phi0 is exact, so every quantity
 in the test has a closed form.
 
-All violation verdicts are rendered against the discretized semigroup
-itself, with the certified observation brackets of the certificate checks
-(certify.observation_bracket): a probe reports a violation only if the
-upper end of the bracket still violates, so the low-rank time kernel can
-hide a violation but never invent one.  The kernel-rescaling shortcut only
-feeds the auxiliary local-mass bounds, whose time integral is a fixed
-composite Simpson rule.
+Every observation integral is taken on the discretized semigroup itself,
+through the certified low-rank time kernel of the certificate checks
+(certify.time_kernel): a probe reports a violation only if the upper end
+of its bracket (certify.observation_bracket) still violates, so the kernel
+can hide a violation but never invent one, and the local-mass bounds use
+the upper ends of the probe's tail masses and peak density, so they hold
+on the grid.  The self-similar formula is evaluated at t = 0 only, to
+build the probe's initial datum.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certify import observation_bracket
+from .certify import TimeKernel, observation_bracket, time_kernel
 from .domain import GridDomain, GridFunction, from_callable, norm as _norm, restrict_norm
 from .geometry import SetIndicator
-from .operators import FractionalLaplacian, ShiftedHermite, SpectralDecomposition
+from .operators import FractionalLaplacian, ShiftedHermite, SpectralDecomposition, spectral_apply
 
 __all__ = [
     "ObservationClaim",
@@ -59,10 +60,6 @@ __all__ = [
     "falsify_hermite_ground_state",
     "falsification_to_csv",
 ]
-
-# composite Simpson subintervals of the time integral in observation_tail
-_TAIL_SUBINTERVALS = 128
-
 
 @dataclass(frozen=True)
 class ObservationClaim:
@@ -84,7 +81,6 @@ class KernelProbe:
     x0: tuple
     l: float
     kernel: GridFunction
-    c1_bound: float
     c2_norm: float
 
 
@@ -122,11 +118,10 @@ def build_kernel(s: float, domain: GridDomain) -> GridFunction:
 
 
 def make_probe(s: float, c: float, domain: GridDomain, x0, l: float) -> KernelProbe:
-    """Build the kernel and measure its two empirical constants.
+    """Build the kernel and measure the norm prefactor of the probe.
 
-    c2_norm is the norm prefactor in ||u(t)|| = C2 (t+l)^{-n/(2s)} e^{ct},
-    measured once at t = 0; c1_bound is the fitted pointwise envelope
-    max |g(x)| (1+|x|^2)^{(n+s)/2} over the grid.
+    c2_norm is C2 in ||u(t)|| = C2 (t+l)^{-n/(2s)} e^{ct}, measured once
+    at t = 0.
     """
     if l <= 0:
         raise ValueError("l must be positive")
@@ -138,15 +133,10 @@ def make_probe(s: float, c: float, domain: GridDomain, x0, l: float) -> KernelPr
     if any(abs(v) > domain.half_width for v in x0):
         raise ValueError(f"center {x0} outside the box [-R, R]^n")
     kernel = build_kernel(s, domain)
-    n = domain.dim
-    r2 = domain.radius_grid() ** 2
-    c1_bound = float((np.abs(kernel.values) * (1.0 + r2) ** ((n + s) / 2.0)).max())
-    probe = KernelProbe(s=float(s), c=float(c), x0=x0, l=float(l), kernel=kernel,
-                        c1_bound=c1_bound, c2_norm=0.0)
+    probe = KernelProbe(s=float(s), c=float(c), x0=x0, l=float(l), kernel=kernel, c2_norm=0.0)
     phi = kernel_probe_solution(probe, 0.0)
-    c2 = float(_norm(phi) * l ** (n / (2.0 * s)))
-    return KernelProbe(s=float(s), c=float(c), x0=x0, l=float(l), kernel=kernel,
-                       c1_bound=c1_bound, c2_norm=c2)
+    c2 = float(_norm(phi) * l ** (domain.dim / (2.0 * s)))
+    return KernelProbe(s=float(s), c=float(c), x0=x0, l=float(l), kernel=kernel, c2_norm=c2)
 
 
 def kernel_probe_solution(probe: KernelProbe, t: float) -> GridFunction:
@@ -232,37 +222,32 @@ class TailProfile:
     peak_density: float
 
 
-def observation_tail(probe: KernelProbe, T: float) -> TailProfile:
-    """Time-integrated probe mass beyond each grid radius from the center.
+def observation_tail(dec: SpectralDecomposition, kernel: TimeKernel, phi: GridFunction, center) -> TailProfile:
+    """Certified upper ends of the time-integrated mass of e^{-tH} phi beyond each radius.
 
-    tail(L) = int_0^T int_{|x - x0| > L} |u|^2 dx dt by composite Simpson
-    in time (the analytic rescaled kernel, not the grid semigroup, so there
-    is no spectral closed form) and the grid sum in space; decreasing in L
-    and vanishing at the box scale.  peak_density is
-    max_x int_0^T |u(t, x)|^2 dt, the constant that converts mass bounds
-    into measure bounds.
+    ``kernel`` is certify.time_kernel(dec.eigenvalues, 0, T).  Its rows
+    l_q give the per-cell density q(x) = sum_q |(l_q(H) phi)(x)|^2, one
+    spectral_apply per row.  Over any set E, I = h sum_E q less the roundoff
+    allowance brackets int_0^T ||chi_E e^{-tH} phi||^2 dt in
+    [I, I + B ||phi||^2], B the kernel's bound, as in
+    certify.observation_bracket.  Every figure is that upper end: tail(L)
+    over {|x - center| > L}, the total mass, and peak_density, the largest
+    upper end over one cell divided by h, which converts mass bounds into
+    measure bounds.  The tails decrease in L.
     """
-    domain = probe.kernel.domain
-    t_nodes = np.linspace(0.0, T, _TAIL_SUBINTERVALS + 1)
-    w = np.ones(_TAIL_SUBINTERVALS + 1)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    w *= T / _TAIL_SUBINTERVALS / 3.0
+    domain = dec.domain
     q = np.zeros(domain.shape)
-    for t_i, w_i in zip(t_nodes, w):
-        q += w_i * kernel_probe_solution(probe, t_i).values ** 2
-    r = domain.radius_grid(center=probe.x0).ravel()
-    order = np.argsort(r)
-    masses = q.ravel()[order] * domain.cell_volume
-    radii = r[order]
-    tail = masses.sum() - np.cumsum(masses)
-    uniq, last_idx = np.unique(radii[::-1], return_index=True)
-    keep = len(radii) - 1 - last_idx
+    for row in kernel.weights:
+        q += np.abs(spectral_apply(dec, row, phi).values) ** 2
+    slack = (kernel.bound - kernel.allowance) * _norm(phi) ** 2
+    radii, shell_of = np.unique(domain.radius_grid(center=center), return_inverse=True)
+    shells = np.bincount(shell_of.ravel(), weights=q.ravel()) * domain.cell_volume
+    tail = shells.sum() - np.cumsum(shells)
     return TailProfile(
-        radii=tuple(float(v) for v in uniq),
-        tail_masses=tuple(float(tail[i]) for i in keep),
-        total_mass=float(masses.sum()),
-        peak_density=float(q.max()),
+        radii=tuple(float(v) for v in radii),
+        tail_masses=tuple(float(v + slack) for v in tail),
+        total_mass=float(shells.sum() + slack),
+        peak_density=float(q.max() + slack / domain.cell_volume),
     )
 
 
@@ -302,10 +287,13 @@ def falsify_weak_observability(
     + alpha ||phi|| for the probe phi = u(0, .; l0), with the integral at
     the upper end of its certified bracket (the reported ``observation``).
     A negative margin is a witnessed violation.  Centers that do not
-    violate get the implied local-mass bound: whatever part of the
-    observation integral the far tail cannot supply must come from E inside
-    the probe's half-mass ball, giving |E intersect B(x0, L0)| >=
-    (gap/C)^2 - tail(L0), divided by the peak time-integrated density.
+    violate get the implied local-mass bound: if the claim holds, the
+    observation integral is at least (gap/C)^2, and whatever part of it the
+    far tail cannot supply must come from E inside the probe's half-mass
+    ball B(x0, L0), giving |E intersect B(x0, L0)| >= ((gap/C)^2 -
+    tail(L0)) / peak density.  The tail, the total mass that fixes L0 and
+    the peak density are the certified upper ends of ``observation_tail``,
+    all from one time kernel over [0, T], so the bound holds on the grid.
     """
     if not isinstance(dec.spec, FractionalLaplacian):
         raise TypeError("kernel probes apply to the fractional kind only")
@@ -326,6 +314,7 @@ def falsify_weak_observability(
     lhs = bracket.decayed[0]
     obs = np.maximum(bracket.upper[0], 0.0)
     margins = claim.C * np.sqrt(obs) + claim.alpha * phi_norms - lhs
+    kernel = time_kernel(dec.eigenvalues, 0.0, claim.T)
     reports = []
     for i, probe in enumerate(probes):
         gap = float(lhs[i] - claim.alpha * phi_norms[i])
@@ -333,17 +322,12 @@ def falsify_weak_observability(
         half_mass_radius = None
         local_mass_bound = None
         if not violated and gap > 0.0:
-            profile = observation_tail(probe, claim.T)
-            half = 0.5 * profile.total_mass
-            for radius, tail in zip(profile.radii, profile.tail_masses):
-                if tail <= half:
-                    half_mass_radius = radius
-                    needed = (gap / claim.C) ** 2 - tail
-                    if needed > 0.0 and profile.peak_density > 0.0:
-                        local_mass_bound = float(needed / profile.peak_density)
-                    else:
-                        local_mass_bound = 0.0
-                    break
+            profile = observation_tail(dec, kernel, phis[i], probe.x0)
+            half = [k for k, tail in enumerate(profile.tail_masses) if tail <= 0.5 * profile.total_mass]
+            if half:  # none when the kernel has rank 0: every figure is then the bound alone
+                half_mass_radius = profile.radii[half[0]]
+                needed = (gap / claim.C) ** 2 - profile.tail_masses[half[0]]
+                local_mass_bound = max(needed, 0.0) / profile.peak_density
         reports.append(
             CenterReport(
                 center=probe.x0,

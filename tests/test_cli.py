@@ -2,7 +2,9 @@
 
 Exit-code contract: 0 success, 1 the math said no (violation witnessed,
 set not thick, hypothesis unverifiable, already stable, no damping rate,
-an unstable loop), 2 usage errors, 3 internal failures.
+an unstable loop), 2 usage errors (a damping law for a generator below 0
+among them), 3 internal failures (a damping rate the loop spectrum
+contradicts among them).
 Documents must be reproducible bit for bit, timing aside, for equal config
 and seed.
 """
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stabcert import certify, cli, operators
+from stabcert import certify, cli, feedback, operators
 from stabcert.cli import RunConfig, build_parser, main, payload_json, run
 from stabcert.domain import (
     from_callable,
@@ -396,6 +398,42 @@ def test_feedback_build_damping_on_the_default_domain(tmp_path):
     assert fb["kind"] == "damping"
     assert fb["omega"] > 0.0
     assert fb["chosen_N"] <= 6
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.5])
+@pytest.mark.parametrize("operator,bottom,domain", [
+    (["frac", "--s", "1"], 0.0, "dim=1,R=10,m=512,periodic=true"),
+    (["frac", "--s", "2"], 0.0, "dim=1,R=10,m=512,periodic=true"),
+    (["hermite"], 1.0, "dim=1,R=8,m=128,periodic=false"),
+], ids=["frac-s1", "frac-s2", "hermite"])
+def test_damping_law_is_built_only_where_its_rate_holds(tmp_path, capsys, operator, bottom, domain, c):
+    # the bound omega needs H >= 0: a shift past the bottom of the spectrum
+    # is refused with exit 2, and every law that is built has its certified
+    # rate below the exact loop spectrum
+    out = tmp_path / "fb.json"
+    code = main(["feedback-build", "--operator", *operator, "--c", str(c), "--domain", domain,
+                 "--set", "slabs:period=1,fill=0.5", "--feedback", "damping", "--out", str(out)])
+    err = capsys.readouterr().err
+    if c > bottom:
+        assert code == 2
+        assert err == ("config error: the damping law needs H >= 0, but the smallest eigenvalue "
+                       f"is lambda_1 = {bottom - c:.6g}\n")
+        assert not out.exists()
+    else:
+        assert (code, err) == (0, "")
+        fb = read(out)["outputs"]["feedback"]
+        assert 0.0 < fb["omega"] <= fb["loop_lambda_min"]
+
+
+def test_damping_rate_above_the_loop_spectrum_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("stabcert.feedback.damping_decay_bound",
+                        lambda *args: feedback.DampingBound(omega=10.0, chosen_N=1))
+    out = tmp_path / "fb.json"
+    code = main(["feedback-build", "--domain", "dim=1,R=10,m=64", "--set", "slabs:period=1,fill=0.5",
+                 "--feedback", "damping", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical error: the loop's smallest eigenvalue")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["feedback-build", "simulate"])

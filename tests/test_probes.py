@@ -14,13 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
+from stabcert import certify
+from stabcert.certify import observation_integrals, time_kernel
 from stabcert.domain import GridFunction, make_grid, norm
-from stabcert.geometry import BallComplement, Full, HalfSpace, make_set
+from stabcert.geometry import BallComplement, Full, HalfSpace, SetIndicator, make_set
 from stabcert.operators import (
     FractionalLaplacian,
     ShiftedHermite,
     diagonalize,
+    restricted_gram,
     semigroup_apply,
+    to_coefficients,
 )
 from stabcert.probes import (
     ObservationClaim,
@@ -261,13 +265,62 @@ def test_choose_l0_validates():
 
 
 def test_observation_tail_profile(pdom):
+    dec = diagonalize(FractionalLaplacian(s=1.0), pdom)
     p = make_probe(1.0, 0.0, pdom, (0.0,), 0.5)
-    prof = observation_tail(p, 1.0)
+    prof = observation_tail(dec, time_kernel(dec.eigenvalues, 0.0, 1.0), kernel_probe_solution(p, 0.0), p.x0)
     tails = np.asarray(prof.tail_masses)
     assert np.all(np.diff(tails) <= 1e-15)
     assert tails[-1] < 1e-12
     assert prof.total_mass > 0.0
     assert prof.peak_density > 0.0
+
+
+def test_observation_tail_brackets_the_exact_integrals():
+    # the Gram closed form over E_L = {|x - x0| > L}, over the whole box and
+    # over each single cell lies in [figure - B ||phi||^2, figure]
+    dom = make_grid(1, 10.0, 256, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    p = make_probe(1.0, 0.0, dom, (1.3,), 0.5)
+    phi = kernel_probe_solution(p, 0.0)
+    kernel = time_kernel(dec.eigenvalues, 0.0, 1.0)
+    prof = observation_tail(dec, kernel, phi, p.x0)
+    width = kernel.bound * norm(phi) ** 2
+    assert 0.0 < width < 1e-12
+    modes = np.arange(dom.cell_count)
+    coeffs = to_coefficients(dec, phi)[:, None]
+
+    def exact(cells):
+        gram = restricted_gram(dec, modes, SetIndicator(dom, cells))
+        return observation_integrals(gram, dec.eigenvalues, coeffs, 0.0, 1.0)[0]
+
+    r = dom.radius_grid(center=p.x0)
+    for radius in (0.0, 0.3, 1.0, 2.5, 6.0):
+        i = int(np.searchsorted(prof.radii, radius))
+        assert prof.tail_masses[i] - width <= exact(r > prof.radii[i]) <= prof.tail_masses[i]
+    assert prof.total_mass - width <= exact(np.ones(dom.shape, bool)) <= prof.total_mass
+    per_cell = [exact(np.arange(dom.cell_count) == j) for j in modes]
+    assert max(per_cell) / dom.cell_volume <= prof.peak_density
+
+
+def test_rank_zero_kernel_leaves_only_the_bound(pdom, monkeypatch):
+    # a stopping rule that keeps no column: the density is zero, every
+    # figure is the kernel's bound, and no center gets a local-mass bound
+    monkeypatch.setattr(certify, "KERNEL_RTOL", 1.0)
+    dec = diagonalize(FractionalLaplacian(s=1.0), pdom)
+    p = make_probe(1.0, 0.0, pdom, (0.0,), 0.5)
+    phi = kernel_probe_solution(p, 0.0)
+    kernel = time_kernel(dec.eigenvalues, 0.0, 1.0)
+    assert kernel.rank == 0
+    prof = observation_tail(dec, kernel, phi, p.x0)
+    slack = (kernel.bound - kernel.allowance) * norm(phi) ** 2
+    assert prof.total_mass == slack > 0.0
+    assert set(prof.tail_masses) == {slack}
+    assert prof.peak_density == slack / pdom.cell_volume
+    report = falsify_weak_observability(
+        dec, make_set(pdom, Full()), ObservationClaim(C=1.0, T=1.0, alpha=0.0), [(0.0,)]
+    )
+    assert not report.any_violation
+    assert report.centers[0].local_mass_bound is None
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +370,23 @@ def test_full_domain_yields_mass_bounds(pdom):
         inside = (pdom.radius_grid(center=c.center) < c.half_mass_radius) & e.cells
         measured = float(inside.sum()) * pdom.cell_volume
         assert 0.0 <= c.local_mass_bound <= measured
+
+
+def test_positive_local_mass_bound_stays_below_the_measured_mass(pdom):
+    # E = {|x| < 2} holds most of the probe's mass, and C is set so that
+    # the claim needs 90 % of the observation integral: then the far tail
+    # cannot supply it, the bound is positive, and it may not exceed the
+    # measure of E in the half-mass ball
+    dec = diagonalize(FractionalLaplacian(s=1.0), pdom)
+    e = SetIndicator(pdom, pdom.radius_grid() < 2.0)
+    centers = [(0.0,), (0.7,)]
+    first = falsify_weak_observability(dec, e, ObservationClaim(C=1.0, T=1.0, alpha=0.0), centers)
+    for center, c in zip(centers, first.centers):
+        claim = ObservationClaim(C=c.gap / np.sqrt(0.9 * c.observation), T=1.0, alpha=0.0)
+        (rep,) = falsify_weak_observability(dec, e, claim, [center]).centers
+        assert not rep.violated
+        ball = (pdom.radius_grid(center=rep.center) <= rep.half_mass_radius) & e.cells
+        assert 0.0 < rep.local_mass_bound <= float(ball.sum()) * pdom.cell_volume
 
 
 def test_falsification_rejects_wrong_kind(hermite_dec):

@@ -10,7 +10,8 @@ transforms. `specineq`, `certify` and `probes` never sample eigenfunctions
 with `basis_block`: the restricted Gram is built by `operators`, and
 `certify` and `probes` never build one at all (their observation integrals
 go through `operators.restricted_norms`), and `probes` takes its decayed
-norms from the observation bracket, not from `to_coefficients`. In `operators`,
+norms from the observation bracket, not from `to_coefficients`, and
+evaluates its self-similar probe only at t = 0. In `operators`,
 every `eigh` call is inside `_dense_eigh`. scipy is imported only by
 `operators`, and only as `scipy.linalg` for that eigensolver, so importing
 the CLI loads no other scipy subpackage.
@@ -127,6 +128,22 @@ def test_probes_take_their_decayed_norms_from_the_bracket():
     # ||e^{-TH} phi|| of every probe comes with its observation bracket
     # (`certify.observation_bracket`), from one batched coefficient transform
     found = _names(_tree(next(p for p in SOURCES if p.name == "probes.py")), "to_coefficients")
+    assert not found, found
+
+
+def test_probes_evaluate_the_self_similar_formula_only_at_time_zero():
+    # the probe's evolution is the grid semigroup's, through the time kernel;
+    # the rescaled kernel only builds the initial datum
+    calls = [
+        node for node in ast.walk(_tree(next(p for p in SOURCES if p.name == "probes.py")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "kernel_probe_solution"
+    ]
+    assert calls
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}" for node in calls
+        if len(node.args) != 2 or node.keywords
+        or not (isinstance(node.args[1], ast.Constant) and node.args[1].value == 0.0)
+    ]
     assert not found, found
 
 
