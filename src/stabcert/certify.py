@@ -265,6 +265,11 @@ class TimeKernel:
         """B: the width of the certified bracket per unit squared norm."""
         return self.residual_trace + 2.0 * self.allowance
 
+    def bracket(self, grid_sums, sq_norms):
+        """[I, I + B ||u||^2] around exact integrals: I is the kernel rows' grid sum less allowance ||u||^2."""
+        lower = grid_sums - self.allowance * sq_norms
+        return lower, lower + self.bound * sq_norms
+
 
 def time_kernel(lams, lo: float, hi: float) -> TimeKernel:
     """Pivoted Cholesky factor of the time kernel over the distinct values of ``lams``.
@@ -337,16 +342,15 @@ def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lam
     norms = restricted_norms(dec, e, np.concatenate([k.weights for k in kernels]), states)
     ends = np.cumsum([0] + [k.rank for k in kernels])
     sq_norms = (np.abs(states.reshape(len(states), -1)) ** 2).sum(axis=1) * dec.domain.cell_volume
-    lower = np.stack([
-        norms[a:b].sum(axis=0) - k.allowance * sq_norms for k, a, b in zip(kernels, ends[:-1], ends[1:])
-    ])
-    bounds = np.array([k.bound for k in kernels])
+    lower, upper = zip(*(
+        k.bracket(norms[a:b].sum(axis=0), sq_norms) for k, a, b in zip(kernels, ends[:-1], ends[1:])
+    ))
     return ObservationBracket(
-        lower=lower,
-        upper=lower + bounds[:, None] * sq_norms,
+        lower=np.stack(lower),
+        upper=np.stack(upper),
         decayed=decayed,
         ranks=tuple(k.rank for k in kernels),
-        bounds=tuple(float(b) for b in bounds),
+        bounds=tuple(k.bound for k in kernels),
     )
 
 

@@ -11,10 +11,9 @@ exponent of E at thresholds N^2.  The argument needs H >= 0: a shift
 H - c with c above the bottom of the spectrum leaves modes that chi_E
 damps too weakly, and the bound then certifies a rate the loop does not
 have.  So the law is refused for a generator whose smallest eigenvalue is
-below -DAMPING_LEVEL_TOL (a level at 0 passes).  The bound is certified,
-not sharp: the true rate is the smallest eigenvalue of the perturbed
-operator, which the build obtains by dense diagonalization and holds the
-bound to.
+negative (a level at 0 passes).  The bound is certified, not sharp: the
+true rate is the smallest eigenvalue of the perturbed operator, which the
+build obtains by dense diagonalization and holds the bound to.
 
 The finite-rank feedback acts on the unstable modes only.  With
 lambda_1 <= ... <= lambda_N <= 0 < lambda_{N+1} and A the Gram matrix of
@@ -73,9 +72,6 @@ __all__ = [
 ]
 
 GRAM_COND_LIMIT = 1e12
-# roundoff below 0 that the damping law's hypothesis H >= 0 forgives, so a
-# level at 0 (the constant mode of an unshifted fractional Laplacian) passes
-DAMPING_LEVEL_TOL = 1e-9
 
 
 class GramSingularError(RuntimeError):
@@ -203,12 +199,18 @@ def build_damping_feedback(
 ) -> DampingFeedback:
     """Pick omega by sweeping N, then diagonalize H + chi_E for exact flow.
 
-    A generator with an eigenvalue below -DAMPING_LEVEL_TOL is outside the
-    bound's hypothesis H >= 0 and raises ValueError.  The sweep keeps only
-    the N whose projection range d(N^2) is at most half the cell count, the
-    ranges the grid resolves; it raises ValueError when no N is left.  A
-    smallest loop eigenvalue below omega raises DampingCertificateError.
+    A generator with a negative eigenvalue is outside the bound's hypothesis
+    H >= 0 and raises ValueError before any matrix is built.  The sweep
+    keeps only the N whose projection range d(N^2) is at most half the cell
+    count, the ranges the grid resolves; it raises ValueError when no N is
+    left.  A smallest loop eigenvalue below omega raises
+    DampingCertificateError.
     """
+    lam1 = float(dec.eigenvalues[0])
+    if lam1 < 0.0:
+        raise ValueError(
+            f"the damping law needs H >= 0, but the smallest eigenvalue is lambda_1 = {lam1:.6g}"
+        )
     cells = dec.domain.cell_count
     resolved = [n for n in N_grid if 2 * spectral_count(dec, float(n) ** 2) <= cells]
     if not resolved:
@@ -220,11 +222,6 @@ def build_damping_feedback(
     # to hold it (a factored basis can be larger) before the sweep builds
     # Grams of up to cells / 2 columns
     loop = dense_matrix(dec) + np.diag(e.cells.ravel().astype(float))
-    lam1 = float(dec.eigenvalues[0])
-    if lam1 < -DAMPING_LEVEL_TOL:
-        raise ValueError(
-            f"the damping law needs H >= 0, but the smallest eigenvalue is lambda_1 = {lam1:.6g}"
-        )
     if c1 is None:
         c1 = damping_spectral_exponent(dec, e, resolved)
     bound = damping_decay_bound(dec, e, delta, c1, resolved)

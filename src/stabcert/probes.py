@@ -229,8 +229,8 @@ def observation_tail(dec: SpectralDecomposition, kernel: TimeKernel, phi: GridFu
     l_q give the per-cell density q(x) = sum_q |(l_q(H) phi)(x)|^2, one
     spectral_apply per row.  Over any set E, I = h sum_E q less the roundoff
     allowance brackets int_0^T ||chi_E e^{-tH} phi||^2 dt in
-    [I, I + B ||phi||^2], B the kernel's bound, as in
-    certify.observation_bracket.  Every figure is that upper end: tail(L)
+    [I, I + B ||phi||^2], B the kernel's bound: TimeKernel.bracket, the
+    rule of certify.observation_bracket.  Every figure is that upper end: tail(L)
     over {|x - center| > L}, the total mass, and peak_density, the largest
     upper end over one cell divided by h, which converts mass bounds into
     measure bounds.  The tails decrease in L.
@@ -239,15 +239,16 @@ def observation_tail(dec: SpectralDecomposition, kernel: TimeKernel, phi: GridFu
     q = np.zeros(domain.shape)
     for row in kernel.weights:
         q += np.abs(spectral_apply(dec, row, phi).values) ** 2
-    slack = (kernel.bound - kernel.allowance) * _norm(phi) ** 2
+    h = domain.cell_volume
     radii, shell_of = np.unique(domain.radius_grid(center=center), return_inverse=True)
-    shells = np.bincount(shell_of.ravel(), weights=q.ravel()) * domain.cell_volume
-    tail = shells.sum() - np.cumsum(shells)
+    shells = np.bincount(shell_of.ravel(), weights=q.ravel()) * h
+    sums = np.concatenate([shells.sum() - np.cumsum(shells), [shells.sum(), q.max() * h]])
+    upper = kernel.bracket(sums, _norm(phi) ** 2)[1]
     return TailProfile(
         radii=tuple(float(v) for v in radii),
-        tail_masses=tuple(float(v + slack) for v in tail),
-        total_mass=float(shells.sum() + slack),
-        peak_density=float(q.max() + slack / domain.cell_volume),
+        tail_masses=tuple(float(v) for v in upper[:-2]),
+        total_mass=float(upper[-2]),
+        peak_density=float(upper[-1] / h),
     )
 
 
@@ -323,10 +324,10 @@ def falsify_weak_observability(
         local_mass_bound = None
         if not violated and gap > 0.0:
             profile = observation_tail(dec, kernel, phis[i], probe.x0)
-            half = [k for k, tail in enumerate(profile.tail_masses) if tail <= 0.5 * profile.total_mass]
-            if half:  # none when the kernel has rank 0: every figure is then the bound alone
-                half_mass_radius = profile.radii[half[0]]
-                needed = (gap / claim.C) ** 2 - profile.tail_masses[half[0]]
+            k = next((k for k, tail in enumerate(profile.tail_masses) if tail <= 0.5 * profile.total_mass), None)
+            if k is not None:  # none when the kernel has rank 0: every figure is then the bound alone
+                half_mass_radius = profile.radii[k]
+                needed = (gap / claim.C) ** 2 - profile.tail_masses[k]
                 local_mass_bound = max(needed, 0.0) / profile.peak_density
         reports.append(
             CenterReport(

@@ -194,7 +194,7 @@ def test_damping_on_a_large_tensor_grid_is_refused_before_the_sweep(tmp_path, ca
 
     monkeypatch.setattr("stabcert.specineq.restricted_gram", no_gram)
     out = tmp_path / "fb.json"
-    code = main(["feedback-build", "--operator", "hermite", "--c", "3",
+    code = main(["feedback-build", "--operator", "hermite", "--c", "0",
                  "--domain", "dim=2,R=6,m=80,periodic=false", "--set", "halfspace:offset=0",
                  "--feedback", "damping", "--out", str(out)])
     err = capsys.readouterr().err
