@@ -423,6 +423,7 @@ class WeakObservabilityReport:
     kernel_bound: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a NaN violation
 def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trials: int, seed: int = 0) -> RecurrenceReport:
     """Test the one-scale recurrence inequality on dyadic intervals.
 
@@ -459,6 +460,8 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
         lhs = g_tau * decayed**2 - g_half
         rhs = integrals + alpha0 * tau
         violation = lhs - rhs
+        if np.isnan(violation).any():
+            raise ArithmeticError(f"recurrence violation is NaN at tau = {tau}: the check overflows")
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         rel = violation / scale
         i = int(np.argmax(violation))
@@ -479,6 +482,7 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a NaN margin
 def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: int, seed: int = 0) -> WeakObservabilityReport:
     """Hold the certified (T, alpha, C) against random initial states.
 
@@ -493,9 +497,10 @@ def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: in
     bracket = observation_bracket(dec, e, states, dec.eigenvalues, [(0.0, cert.T)])
     integrals = np.maximum(bracket.lower[0], 0.0)
     lhs = bracket.decayed[0]
-    with np.errstate(over="ignore"):
-        big_c = np.exp(cert.ln_C)
+    big_c = np.exp(cert.ln_C)
     margins = big_c * np.sqrt(integrals) + cert.alpha - lhs
+    if np.isnan(margins).any():
+        raise ArithmeticError(f"observability margin is NaN at C = {big_c}, T = {cert.T}: the check overflows")
     scale = np.maximum(1.0, lhs)
     i = int(np.argmin(margins))
     return WeakObservabilityReport(

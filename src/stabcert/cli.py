@@ -1,18 +1,20 @@
 """Command-line front end: config parsing, dispatch, result persistence.
 
-One command per process.  Results are JSON documents with the config
-snapshot, content hashes of the inputs, the command outputs, and wall-clock
-metadata; curves and trajectories additionally go to CSV side files next to
-the JSON.  The numeric payload (everything except timing) is canonical:
-identical config and seed reproduce it bit for bit on the same platform,
-which scripted sweeps rely on.  Exit codes separate "math said no" (1:
-violation witnessed, set not thick, hypothesis unverifiable, already
-stable, no positive damping rate, a loop that grows) from usage errors
-and unreadable inputs (2) and from internal failures (3: ArithmeticErrors
-such as an eigen residual above tolerance, a broken certificate constant
-chain or a multiplier matrix with a non-real residue, and any RuntimeError
-that is not one of the feedback verdicts), which never read as a
-mathematical verdict.
+One command per process.  Results are JSON documents (schema 4) with the
+config snapshot, content hashes of the inputs, the command outputs, and
+wall-clock metadata; curves and trajectories additionally go to CSV side
+files next to the JSON.  The numeric payload (everything except timing) is
+canonical: identical config and seed reproduce it bit for bit on the same
+platform, which scripted sweeps rely on.
+
+Two tables decide the exit code.  ``_COMMANDS`` gives each command its
+outputs builder and its "the mathematics said no" test (exit 1); a
+feedback.VerdictError is that too, written as {"error": kind, "detail":
+message}.  ``_ERRORS`` maps any other exception, first match wins:
+  LinAlgError (a ValueError)                  3  numerical error
+  ValueError, TypeError, KeyError, OSError    2  config error
+  ArithmeticError                             3  numerical error
+  any other Exception                         3  internal error
 """
 
 from __future__ import annotations
@@ -42,11 +44,9 @@ from .domain import (
     norm as _norm,
 )
 from .feedback import (
-    AlreadyStableError,
     DampingFeedback,
     GramSingularError,
-    NoDampingRateError,
-    UnstableLoopError,
+    VerdictError,
     build_damping_feedback,
     build_finite_rank_feedback,
     decay_report_to_csv,
@@ -84,8 +84,7 @@ from .specineq import curve_to_csv, curve_to_json, fit_growth, spectral_constant
 
 __all__ = ["RunConfig", "ResultDocument", "run", "payload_json", "document_to_json", "main"]
 
-SCHEMA_VERSION = 3
-COMMANDS = ("check-thick", "spectral-constant", "certify", "feedback-build", "simulate", "probe")
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -235,14 +234,24 @@ def parse_operator(kind: str, *, s=1.0, c=0.0, potential=None, condition="II", d
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# dispatch: every outputs builder takes (spec, domain, e, options, cache_dir)
+# and returns (outputs, side files); spec is None for check-thick
 
 
-def _thickness_outputs(e, options):
+def _thickness_outputs(spec, domain, e, options, cache_dir):
     out = {"thickness": dataclasses.asdict(check_thick(e, options["lengths"]))}
     if options["radii"]:
         out["weak_thickness"] = dataclasses.asdict(check_weakly_thick(e, options["radii"]))
-    return out
+    return out, {}
+
+
+def _spectral_outputs(spec, domain, e, options, cache_dir):
+    dec = diagonalize(spec, domain, cache_dir=cache_dir)
+    curve = spectral_constant_curve(dec, e, options["thresholds"])
+    # the fit rule of certify_end_to_end: every constant finite, at least 4 of them
+    if len(curve.constants) >= 4 and all(np.isfinite(curve.constants)):
+        curve = dataclasses.replace(curve, fit=fit_growth(curve, growth_exponent(spec)))
+    return {"curve": curve_to_json(curve)}, {"curve.csv": curve_to_csv(curve)}
 
 
 def _certify_outputs(spec, domain, e, options, cache_dir):
@@ -271,7 +280,7 @@ def _certify_outputs(spec, domain, e, options, cache_dir):
         hyp = dataclasses.asdict(result.hypothesis_report)
         hyp.pop("constants")  # the curve already carries them
         out["hypothesis"] = hyp
-    return out, result
+    return out, {"curve.csv": curve_to_csv(result.curve)}
 
 
 def _build_law(dec, e, options):
@@ -299,7 +308,7 @@ def _feedback_outputs(spec, domain, e, options, cache_dir):
                 "c1": fb.c1,
                 "loop_lambda_min": float(fb.loop_eigenvalues[0]),
             }
-        }
+        }, {}
     return {
         "feedback": {
             "kind": "finite-rank",
@@ -310,7 +319,7 @@ def _feedback_outputs(spec, domain, e, options, cache_dir):
             "gram_cond": fb.gram_cond,
             "norm_bound": feedback_norm_bound(fb),
         }
-    }
+    }, {}
 
 
 def _initial_state(dec, options) -> GridFunction:
@@ -338,7 +347,7 @@ def _simulate_outputs(spec, domain, e, options, cache_dir):
     out = {"decay": dataclasses.asdict(report)}
     if isinstance(fb, DampingFeedback):
         out["decay"]["certified_omega"] = fb.omega
-    return out, report
+    return out, {"decay.csv": decay_report_to_csv(report)}
 
 
 def _probe_outputs(spec, domain, e, options, cache_dir):
@@ -355,7 +364,7 @@ def _probe_outputs(spec, domain, e, options, cache_dir):
             "any_violation": rep.violated,
             "kernel_rank": rep.kernel_rank,
             "kernel_bound": rep.kernel_bound,
-        }, None
+        }, {}
     centers = options["centers"]
     if not centers:
         raise ValueError("fractional probe needs --centers")
@@ -366,7 +375,29 @@ def _probe_outputs(spec, domain, e, options, cache_dir):
         "any_violation": rep.any_violation,
         "kernel_rank": rep.kernel_rank,
         "kernel_bound": rep.kernel_bound,
-    }, rep
+    }, {"centers.csv": falsification_to_csv(rep)}
+
+
+# command -> (outputs builder, "the mathematics said no" on its outputs)
+_COMMANDS = {
+    "check-thick": (_thickness_outputs, lambda out: not out["thickness"]["is_thick"]),
+    "spectral-constant": (_spectral_outputs,
+                          lambda out: any(isinstance(c, str) for c in out["curve"]["constants"])),
+    "certify": (_certify_outputs, lambda out: out["status"] != "certified"),
+    "feedback-build": (_feedback_outputs, lambda out: False),
+    "simulate": (_simulate_outputs, lambda out: False),
+    "probe": (_probe_outputs, lambda out: out["any_violation"]),
+}
+COMMANDS = tuple(_COMMANDS)
+
+# (exception classes, exit code, stderr label), first match wins: LinAlgError
+# is a ValueError, and anything unforeseen still ends in one stderr line
+_ERRORS = (
+    ((np.linalg.LinAlgError,), 3, "numerical error"),
+    ((ValueError, TypeError, KeyError, OSError), 2, "config error"),
+    ((ArithmeticError,), 3, "numerical error"),
+    ((Exception,), 3, "internal error"),
+)
 
 
 def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
@@ -382,43 +413,12 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
         spec, extra = parse_operator(**config.operator)
         hashes["operator"] = spec_hash(spec)
         hashes.update(extra)
-    options = config.options
-    side_files = {}
-
-    if command == "check-thick":
-        outputs = _thickness_outputs(e, options)
-    elif command == "spectral-constant":
-        dec = diagonalize(spec, domain, cache_dir=cache_dir)
-        curve = spectral_constant_curve(dec, e, options["thresholds"])
-        # the fit rule of certify_end_to_end: every constant finite, at least 4 of them
-        if len(curve.constants) >= 4 and all(np.isfinite(curve.constants)):
-            fit = fit_growth(curve, growth_exponent(spec))
-            curve = dataclasses.replace(curve, fit=fit)
-        outputs = {"curve": curve_to_json(curve)}
-        side_files["curve.csv"] = curve_to_csv(curve)
-    elif command == "certify":
-        outputs, result = _certify_outputs(spec, domain, e, options, cache_dir)
-        side_files["curve.csv"] = curve_to_csv(result.curve)
-    elif command == "feedback-build":
-        try:
-            outputs = _feedback_outputs(spec, domain, e, options, cache_dir)
-        except AlreadyStableError as exc:
-            outputs = {"error": "already stable", "detail": str(exc)}
-        except GramSingularError as exc:
-            outputs = {"error": "gram singular", "detail": str(exc), "gram_cond": exc.cond}
-        except NoDampingRateError as exc:
-            outputs = {"error": str(exc)}
-    elif command == "simulate":
-        try:
-            outputs, report = _simulate_outputs(spec, domain, e, options, cache_dir)
-            side_files["decay.csv"] = decay_report_to_csv(report)
-        except (AlreadyStableError, GramSingularError, NoDampingRateError, UnstableLoopError) as exc:
-            outputs = {"error": str(exc)}
-    else:  # probe
-        outputs, rep = _probe_outputs(spec, domain, e, options, cache_dir)
-        if rep is not None:
-            side_files["centers.csv"] = falsification_to_csv(rep)
-
+    try:
+        outputs, side_files = _COMMANDS[command][0](spec, domain, e, config.options, cache_dir)
+    except VerdictError as exc:  # the mathematics said no: an error document, exit 1
+        outputs, side_files = {"error": exc.kind, "detail": str(exc)}, {}
+        if isinstance(exc, GramSingularError):
+            outputs["gram_cond"] = exc.cond
     doc = ResultDocument(
         schema_version=SCHEMA_VERSION,
         command=command,
@@ -434,18 +434,7 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
 
 
 def _exit_code(command: str, outputs: dict) -> int:
-    if "error" in outputs:
-        return 1
-    if command == "check-thick":
-        return 0 if outputs["thickness"]["is_thick"] else 1
-    if command == "spectral-constant":
-        finite = all(not isinstance(c, str) for c in outputs["curve"]["constants"])
-        return 0 if finite else 1
-    if command == "certify":
-        return 0 if outputs["status"] == "certified" else 1
-    if command == "probe":
-        return 1 if outputs["any_violation"] else 0
-    return 0
+    return int("error" in outputs or _COMMANDS[command][1](outputs))
 
 
 def _atomic_write(path: str, text: str):
@@ -581,25 +570,16 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"the directory of --out {args.out!r} does not exist")
-    except (ValueError, KeyError, DomainMismatchError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    cache_dir = os.environ.get("STABCERT_CACHE_DIR")
-    try:
-        doc = run(args.command, config, cache_dir=cache_dir)
-    except (ValueError, TypeError, DomainMismatchError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ArithmeticError, RuntimeError) as exc:
-        kind = "numerical" if isinstance(exc, ArithmeticError) else "internal"
-        print(f"{kind} error: {exc}", file=sys.stderr)
-        return 3
+        doc = run(args.command, config, cache_dir=os.environ.get("STABCERT_CACHE_DIR"))
+    except Exception as exc:
+        code, label = next((code, label) for classes, code, label in _ERRORS if isinstance(exc, classes))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     if args.out:
         _write_outputs(doc, args.out)
     else:

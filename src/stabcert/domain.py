@@ -143,8 +143,8 @@ def make_grid(dim: int, half_width: float, points_per_axis: int, periodic: bool 
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
+    if not 0.0 < half_width < np.inf:
+        raise ValueError(f"half_width R must be positive and finite, got {half_width}")
     m = int(points_per_axis)
     if m != points_per_axis or m % 2 != 0 or m < 8:
         raise ValueError(f"points_per_axis must be an even integer >= 8, got {points_per_axis}")

@@ -51,6 +51,7 @@ from .operators import (
 from .specineq import spectral_constant_curve
 
 __all__ = [
+    "VerdictError",
     "GramSingularError",
     "AlreadyStableError",
     "NoDampingRateError",
@@ -74,8 +75,14 @@ __all__ = [
 GRAM_COND_LIMIT = 1e12
 
 
-class GramSingularError(RuntimeError):
+class VerdictError(RuntimeError):
+    """The mathematics said no; ``kind`` names the verdict in an error document."""
+    kind = "verdict"
+
+
+class GramSingularError(VerdictError):
     """Restricted Gram matrix numerically singular at this resolution."""
+    kind = "gram singular"
 
     def __init__(self, message: str, witness: GridFunction, cond: float):
         super().__init__(message)
@@ -83,16 +90,19 @@ class GramSingularError(RuntimeError):
         self.cond = cond
 
 
-class AlreadyStableError(RuntimeError):
+class AlreadyStableError(VerdictError):
     """All eigenvalues positive; no feedback needed."""
+    kind = "already stable"
 
 
-class NoDampingRateError(RuntimeError):
+class NoDampingRateError(VerdictError):
     """No threshold in the sweep certifies a positive damping rate."""
+    kind = "no damping rate"
 
 
-class UnstableLoopError(RuntimeError):
+class UnstableLoopError(VerdictError):
     """The simulated loop grew past ten times the initial norm."""
+    kind = "unstable loop"
 
 
 class DampingCertificateError(ArithmeticError):
@@ -360,10 +370,10 @@ def simulate_decay(
     for name, obj in (("y0", y0), ("observation set", e)):
         if obj.domain != dec.domain:
             raise DomainMismatchError(f"{name} lives on a different domain than the decomposition")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if dt <= 0 or dt > t_end / 100.0:
-        raise ValueError("need 0 < dt <= t_end / 100")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0.0 < dt <= t_end / 100.0:
+        raise ValueError(f"need 0 < dt <= t_end / 100, got dt = {dt}")
     norm0 = _norm(y0)
     if norm0 == 0.0:
         raise ValueError("y0 is identically zero")

@@ -126,19 +126,17 @@ def make_set(domain: GridDomain, shape) -> SetIndicator:
     if isinstance(shape, HalfSpace):
         if not 0 <= shape.axis < domain.dim:
             raise ValueError(f"axis {shape.axis} out of range for dim {domain.dim}")
-        if abs(shape.offset) > R:
-            raise ValueError("half-space offset outside the box")
+        if not abs(shape.offset) <= R:
+            raise ValueError(f"half-space offset {shape.offset} outside the box")
         return SetIndicator(domain, domain.meshgrid()[shape.axis] > shape.offset)
     if isinstance(shape, BallComplement):
-        if shape.radius <= 0:
-            raise ValueError("ball radius must be positive")
-        if shape.radius > 2 * R:
-            raise ValueError("ball radius exceeds the box")
+        if not 0 < shape.radius <= 2 * R:
+            raise ValueError(f"ball radius must lie in (0, 2R], got {shape.radius}")
         center = np.atleast_1d(np.asarray(shape.center, dtype=float))
         if center.shape != (domain.dim,):
             raise ValueError(f"center must have {domain.dim} components")
-        if np.abs(center).max() > R:
-            raise ValueError("ball center outside the box")
+        if not np.abs(center).max() <= R:
+            raise ValueError(f"ball center {tuple(center)} outside the box")
         return SetIndicator(domain, domain.radius_grid(tuple(center)) >= shape.radius)
     if isinstance(shape, PeriodicSlabs):
         if not 0 < shape.fill_fraction <= 1:
@@ -193,12 +191,12 @@ def check_thick(e: SetIndicator, side_lengths) -> ThicknessReport:
     found = None
     worst_center = None
     for L in side_lengths:
+        if not 0.0 < L <= 2 * domain.half_width + 1e-12:
+            raise ValueError(f"side length {L} is not positive or exceeds the box size")
         w = L / h
         w_int = int(round(w))
         if w_int < 1 or abs(w - w_int) > 1e-9 * max(1.0, w):
             raise ValueError(f"side length {L} is not a whole number of cells (h = {h})")
-        if L > 2 * domain.half_width + 1e-12:
-            raise ValueError(f"side length {L} exceeds the box size")
         counts = _window_counts(e.cells, w_int, domain.periodic)
         idx = np.unravel_index(np.argmin(counts), counts.shape)
         gamma = counts[idx] * h**domain.dim / L**domain.dim
@@ -238,10 +236,8 @@ def check_weakly_thick(e: SetIndicator, radii) -> WeakThicknessReport:
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("need at least one radius")
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    if any(r > domain.half_width for r in radii):
-        raise ValueError("radii must stay within the box")
+    if not all(0.0 < r <= domain.half_width for r in radii):
+        raise ValueError(f"radii must be positive and stay within the box, got {radii}")
     if sorted(radii) != radii:
         raise ValueError("radii must ascend")
     dist = domain.radius_grid()

@@ -128,10 +128,6 @@ _SIGN_RTOL = 1e-8
 # the order of its pairs and their signs); a cached decomposition written
 # under another convention is recomputed
 _BASIS_CONVENTION = 5
-# state-weight columns of `cells` entries that one restricted_norms pass
-# holds at most (or the P states of one weight, when P is larger): the
-# weights are taken in groups of max(1, _PASS_COLUMNS // P)
-_PASS_COLUMNS = 64
 
 
 class EigenResidualError(ArithmeticError):
@@ -146,8 +142,8 @@ class FractionalLaplacian:
     c: float = 0.0
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError(f"fractional order s must be positive, got {self.s}")
+        if not (0.0 < self.s < np.inf and np.isfinite(self.c)):
+            raise ValueError(f"need a finite order s > 0 and a finite shift c, got s = {self.s}, c = {self.c}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +151,10 @@ class ShiftedHermite:
     """-Lap + |x|^2 - c; spectrum 2k + n - c on the full space."""
 
     c: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.c):
+            raise ValueError(f"shift c must be finite, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -800,9 +800,9 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     synthesize the pass on the grid with ``_grid_values`` and keep the rows
     of E.  The tensor layout takes C_p = U_1^T F_p U_1
     once and per pass synthesizes U_1 (w_q C_p) U_1^T on the grid (the pair
-    signs and the scale cancel), summing it over E.  A pass holds the
-    states of max(1, _PASS_COLUMNS // P) weights, so the temporaries stay
-    at O(P cells) for many states and no pass stacks all r P columns.
+    signs and the scale cancel), summing it over E.  A pass is one weight
+    row, so the temporaries stay at O(P cells) and no pass stacks all r P
+    columns.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
@@ -814,7 +814,6 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
         raise ValueError(f"weights {weights.shape} or states {states.shape} do not fit {shape}")
     r, P = weights.shape[0], states.shape[0]
     out = np.empty((r, P))
-    group = max(1, _PASS_COLUMNS // max(P, 1))
     inside = e.cells.ravel()
     if dec.tensor_factor is not None:
         # the pair signs and the sqrt(h) of the two transforms cancel, so a
@@ -825,31 +824,28 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
         native[:, dec.order] = weights
         C = _tensor_product(dec.tensor_factor, states.reshape(P, m, m)).reshape(P, cells)
         mask = inside.astype(float)
-        for q in range(0, r, group):
-            z = (native[q : q + group, None] * C).reshape(-1, m, m)
-            y = _tensor_product(dec.tensor_factor.T, z).reshape(-1, cells)
-            out[q : q + group] = np.einsum("pj,pj->p", y.conj() * mask, y).real.reshape(-1, P) * h
+        for q in range(r):
+            y = _tensor_product(dec.tensor_factor.T, (native[q] * C).reshape(P, m, m)).reshape(P, cells)
+            out[q] = np.einsum("pj,pj->p", y.conj() * mask, y).real * h
         return out
     if dec.basis_kind == "Dense" or np.iscomplexobj(states):
         coeffs = to_coefficients(dec, states)
         rows = dec.vectors[inside] if dec.vectors is not None else None
-        for q in range(0, r, group):
-            w = weights[q : q + group]
-            z = (w.T[:, :, None] * coeffs[:, None, :]).reshape(cells, -1)
+        for q in range(r):
+            z = weights[q][:, None] * coeffs
             y = rows @ z if rows is not None else _grid_values(dec, z)[inside]
-            out[q : q + group] = (np.abs(y) ** 2).sum(axis=0).reshape(len(w), P) * h
+            out[q] = (np.abs(y) ** 2).sum(axis=0) * h
         return out
     grid = np.empty((r, cells))
     grid[:, dec.order] = weights
-    # states carry axes 1..n, a pass (weights, states, grid) axes 2..n+1
+    # states, and a pass (states, grid), carry the grid on axes 1..n
     state_axes = tuple(range(1, domain.dim + 1))
-    pass_axes = tuple(a + 1 for a in state_axes)
     spectra = np.fft.rfftn(states, axes=state_axes)
     grid = grid.reshape((r,) + shape)[..., : spectra.shape[-1]]
     mask = inside.astype(float)
-    for q in range(0, r, group):
-        y = np.fft.irfftn(grid[q : q + group, None] * spectra[None], s=shape, axes=pass_axes).reshape(-1, cells)
-        out[q : q + group] = (np.abs(y) ** 2 @ mask).reshape(-1, P) * h
+    for q in range(r):
+        y = np.fft.irfftn(grid[q] * spectra, s=shape, axes=state_axes).reshape(P, cells)
+        out[q] = (np.abs(y) ** 2 @ mask) * h
     return out
 
 

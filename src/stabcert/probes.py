@@ -68,8 +68,8 @@ class ObservationClaim:
     alpha: float
 
     def __post_init__(self):
-        if self.C <= 0 or self.T <= 0:
-            raise ValueError("claim requires C > 0 and T > 0")
+        if not (0.0 < self.C < np.inf and 0.0 < self.T < np.inf):
+            raise ValueError(f"claim requires finite C > 0 and T > 0, got C = {self.C}, T = {self.T}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
 
@@ -81,7 +81,12 @@ class KernelProbe:
     x0: tuple
     l: float
     kernel: GridFunction
-    c2_norm: float
+
+    @property
+    def c2_norm(self) -> float:
+        """C2 in ||u(t)|| = C2 (t+l)^{-n/(2s)} e^{ct}, measured at t = 0."""
+        n = self.kernel.domain.dim
+        return float(_norm(kernel_probe_solution(self, 0.0)) * self.l ** (n / (2.0 * self.s)))
 
 
 def build_kernel(s: float, domain: GridDomain) -> GridFunction:
@@ -118,11 +123,7 @@ def build_kernel(s: float, domain: GridDomain) -> GridFunction:
 
 
 def make_probe(s: float, c: float, domain: GridDomain, x0, l: float) -> KernelProbe:
-    """Build the kernel and measure the norm prefactor of the probe.
-
-    c2_norm is C2 in ||u(t)|| = C2 (t+l)^{-n/(2s)} e^{ct}, measured once
-    at t = 0.
-    """
+    """Build the kernel of the probe centred at x0 with scale parameter l."""
     if l <= 0:
         raise ValueError("l must be positive")
     if c < 0:
@@ -130,13 +131,9 @@ def make_probe(s: float, c: float, domain: GridDomain, x0, l: float) -> KernelPr
     x0 = tuple(float(v) for v in np.atleast_1d(x0))
     if len(x0) != domain.dim:
         raise ValueError(f"center has {len(x0)} components, domain is {domain.dim}-dimensional")
-    if any(abs(v) > domain.half_width for v in x0):
+    if not all(abs(v) <= domain.half_width for v in x0):
         raise ValueError(f"center {x0} outside the box [-R, R]^n")
-    kernel = build_kernel(s, domain)
-    probe = KernelProbe(s=float(s), c=float(c), x0=x0, l=float(l), kernel=kernel, c2_norm=0.0)
-    phi = kernel_probe_solution(probe, 0.0)
-    c2 = float(_norm(phi) * l ** (domain.dim / (2.0 * s)))
-    return KernelProbe(s=float(s), c=float(c), x0=x0, l=float(l), kernel=kernel, c2_norm=c2)
+    return KernelProbe(s=float(s), c=float(c), x0=x0, l=float(l), kernel=build_kernel(s, domain))
 
 
 def kernel_probe_solution(probe: KernelProbe, t: float) -> GridFunction:
@@ -205,7 +202,10 @@ def choose_l0(T: float, alpha: float, s: float, n: int) -> float:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if T <= 0 or s <= 0 or n < 1:
         raise ValueError("need T > 0, s > 0, n >= 1")
-    l0 = T / ((2.0 / (1.0 + alpha)) ** (2.0 * s / n) - 1.0)
+    spread = (2.0 / (1.0 + alpha)) ** (2.0 * s / n) - 1.0
+    if not spread > 0.0:
+        raise ValueError(f"alpha = {alpha!r} is too close to 1 to balance the probe in double precision")
+    l0 = T / spread
     p = -n / (2.0 * s)
     lhs = (T + l0) ** p - alpha * l0**p
     rhs = 0.5 * (1.0 - alpha) * l0**p
@@ -252,6 +252,11 @@ def observation_tail(dec: SpectralDecomposition, kernel: TimeKernel, phi: GridFu
     )
 
 
+def _check_margins(margins, lhs, obs):
+    if not np.isfinite(margins).all():
+        raise ArithmeticError(f"probe margin {margins} is not finite (lhs {lhs}, observation {obs})")
+
+
 @dataclass(frozen=True)
 class CenterReport:
     center: tuple
@@ -275,6 +280,7 @@ class FalsificationReport:
     kernel_bound: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a non-finite margin
 def falsify_weak_observability(
     dec: SpectralDecomposition,
     e: SetIndicator,
@@ -315,6 +321,7 @@ def falsify_weak_observability(
     lhs = bracket.decayed[0]
     obs = np.maximum(bracket.upper[0], 0.0)
     margins = claim.C * np.sqrt(obs) + claim.alpha * phi_norms - lhs
+    _check_margins(margins, lhs, obs)
     kernel = time_kernel(dec.eigenvalues, 0.0, claim.T)
     reports = []
     for i, probe in enumerate(probes):
@@ -366,6 +373,7 @@ class HermiteFalsificationReport:
     kernel_bound: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a non-finite margin
 def falsify_hermite_ground_state(
     dec: SpectralDecomposition, e: SetIndicator, claim: ObservationClaim
 ) -> HermiteFalsificationReport:
@@ -394,6 +402,7 @@ def falsify_hermite_ground_state(
     lhs = float(bracket.decayed[0, 0])
     obs_val = float(max(bracket.upper[0, 0], 0.0))
     margin = float(claim.C * np.sqrt(obs_val) + claim.alpha - lhs)
+    _check_margins(margin, lhs, obs_val)
     rate = c - n
     analytic_lhs = float(np.exp(rate * claim.T) - claim.alpha)
     if rate == 0.0:

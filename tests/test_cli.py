@@ -3,14 +3,16 @@
 Exit-code contract: 0 success, 1 the math said no (violation witnessed,
 set not thick, hypothesis unverifiable, already stable, no damping rate,
 an unstable loop), 2 usage errors (a damping law for a generator below 0
-among them), 3 internal failures (a damping rate the loop spectrum
-contradicts among them).
+and a non-finite number where a finite one is needed among them), 3
+internal failures (a damping rate the loop spectrum contradicts, a LAPACK
+failure and a margin that overflows among them).
 Documents must be reproducible bit for bit, timing aside, for equal config
 and seed.
 """
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -450,7 +452,8 @@ def test_no_damping_rate_exits_one(tmp_path, command):
         ]
     )
     assert code == 1
-    assert "not thick enough" in read(out)["outputs"]["error"]
+    outputs = read(out)["outputs"]
+    assert outputs["error"] == "no damping rate" and "not thick enough" in outputs["detail"]
 
 
 def _internal_failure(*args, **kwargs):
@@ -562,7 +565,8 @@ def test_simulate_open_loop_instability(tmp_path, potential_file):
         ]
     )
     assert code == 1
-    assert "instability" in read(out)["outputs"]["error"]
+    outputs = read(out)["outputs"]
+    assert outputs["error"] == "unstable loop" and "instability" in outputs["detail"]
     assert not (tmp_path / "sim.decay.csv").exists()
 
 
@@ -666,6 +670,68 @@ def test_non_finite_potentials_are_config_errors(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+WALLS_64 = "dim=1,R=10,m=64,periodic=false"
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["probe", "--operator", "hermite", "--domain", WALLS_64, "--claim", "C=1,T=nan,alpha=0.5"], "T = nan"),
+        (["probe", "--domain", "dim=1,R=20,m=1024", "--claim", "C=nan,T=1,alpha=0.5", "--centers", "0"],
+         "C = nan"),
+        (["spectral-constant", "--domain", "dim=1,R=10,m=64", "--c", "nan", "--k-max", "4"],
+         "s = 1.0, c = nan"),
+        (["spectral-constant", "--domain", "dim=1,R=10,m=64", "--s", "inf", "--k-max", "4"],
+         "s = inf, c = 0.0"),
+        (["spectral-constant", "--operator", "hermite", "--domain", WALLS_64, "--c=-inf", "--k-max", "4"],
+         "shift c must be finite, got -inf"),
+        (["check-thick", "--domain", "dim=1,R=10,m=64", "--lengths", "inf"], "side length inf"),
+        (["check-thick", "--domain", "dim=1,R=10,m=64", "--lengths", "2.5", "--radii", "nan"], "got [nan]"),
+        (["check-thick", "--domain", "dim=1,R=nan,m=64"], "half_width R must be positive and finite, got nan"),
+        (["simulate", "--domain", "dim=1,R=10,m=64", "--t-end", "inf"], "t_end must be positive and finite, got inf"),
+        (["simulate", "--domain", "dim=1,R=10,m=64", "--dt", "nan"], "got dt = nan"),
+        (["probe", "--domain", "dim=1,R=20,m=1024", "--claim", "C=1,T=1,alpha=0.9999999999999999",
+          "--centers", "0"], "too close to 1"),
+    ],
+    ids=["claim-T", "claim-C", "frac-c", "frac-s", "hermite-c", "side-length", "radius", "half-width",
+         "t-end", "dt", "alpha-near-one"],
+)
+def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv, named):
+    # refused where the value is taken, naming it: no NaN passes a comparison
+    # as a valid value, and no infinity reaches an integer conversion
+    out = tmp_path / "out.json"
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["probe", "--operator", "hermite", "--domain", WALLS_64, "--c", "5", "--claim", "C=1,T=1000,alpha=0.5"],
+         "probe margin nan is not finite"),
+        (["probe", "--domain", "dim=1,R=20,m=1024", "--c", "400", "--claim", "C=1,T=2,alpha=0.5", "--centers", "0"],
+         "probe margin [nan] is not finite"),
+        (["certify", "--operator", "hermite", "--domain", "dim=1,R=8,m=64,periodic=false", "--c", "2",
+          "--k-max", "4", "--trials", "20"], "observability margin is NaN at C = inf"),
+    ],
+    ids=["hermite-probe", "frac-probe", "certify"],
+)
+def test_overflowing_margins_are_numerical_errors(tmp_path, capsys, argv, message):
+    # e^{-TH} or the constant C overflows double precision: a NaN margin is
+    # no verdict, and the overflow prints no warning beside the error line
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--set", "halfspace:offset=2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"numerical error: {message}") and err.count("\n") == 1
+    assert not caught and not out.exists()
+
+
 def test_document_prints_to_stdout_without_out(capsys):
     # lengths must be whole numbers of cells: h = 0.3125 here, so 2.5 works
     code = main(
@@ -674,7 +740,7 @@ def test_document_prints_to_stdout_without_out(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == DOC_KEYS
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
 
 
 def test_payload_is_reproducible():
