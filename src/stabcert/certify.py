@@ -313,14 +313,14 @@ class ObservationBracket:
 
     The exact integral lies in [lower, upper]; upper - lower is the
     interval's kernel bound times ||f_p||^2.  ``decayed`` holds the norm
-    ||e^{-hi lam} f_p|| at the end of each interval.
+    ||e^{-hi lam} f_p|| at the end of each interval, and ``kernels`` the
+    time kernel of each interval.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     decayed: np.ndarray
-    ranks: tuple
-    bounds: tuple
+    kernels: tuple
 
 
 def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lams, intervals) -> ObservationBracket:
@@ -338,7 +338,7 @@ def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lam
         decayed = np.sqrt(np.stack([
             (mags * np.exp(-2.0 * hi * lams)[:, None]).sum(axis=0) for _, hi in intervals
         ]))
-    kernels = [time_kernel(lams, lo, hi) for lo, hi in intervals]
+    kernels = tuple(time_kernel(lams, lo, hi) for lo, hi in intervals)
     norms = restricted_norms(dec, e, np.concatenate([k.weights for k in kernels]), states)
     ends = np.cumsum([0] + [k.rank for k in kernels])
     sq_norms = (np.abs(states.reshape(len(states), -1)) ** 2).sum(axis=1) * dec.domain.cell_volume
@@ -349,8 +349,7 @@ def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lam
         lower=np.stack(lower),
         upper=np.stack(upper),
         decayed=decayed,
-        ranks=tuple(k.rank for k in kernels),
-        bounds=tuple(k.bound for k in kernels),
+        kernels=kernels,
     )
 
 
@@ -477,8 +476,8 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
         max_violation_rel=max_violation_rel,
         worst_tau=worst_tau,
         passed=bool(max_violation_rel <= CHECK_BUDGET),
-        kernel_rank=max(bracket.ranks),
-        kernel_bound=max(bracket.bounds),
+        kernel_rank=max(k.rank for k in bracket.kernels),
+        kernel_bound=max(k.bound for k in bracket.kernels),
     )
 
 
@@ -513,8 +512,8 @@ def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: in
         min_margin_rel=float((margins / scale).min()),
         observation_integrals=tuple(float(v) for v in integrals),
         passed=bool(float((margins / scale).min()) >= -CHECK_BUDGET),
-        kernel_rank=bracket.ranks[0],
-        kernel_bound=bracket.bounds[0],
+        kernel_rank=bracket.kernels[0].rank,
+        kernel_bound=bracket.kernels[0].bound,
     )
 
 

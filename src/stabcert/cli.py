@@ -465,8 +465,13 @@ def _float_list(text: str):
     return [float(v) for v in text.split(",") if v]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a ValueError, so the error table decides it
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabcert",
         description="stabilization certificates for parabolic equations on discretized domains",
     )
@@ -570,8 +575,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _config_from_args(args)
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"the directory of --out {args.out!r} does not exist")

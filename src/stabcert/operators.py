@@ -31,8 +31,9 @@ Each kind takes the cheapest computation its structure allows:
   whose E rows are kept otherwise, and two products with the 1D factor
   per pass in the tensor layout;
 * 2D Hermite is diagonalized from its 1D factor (fast diagonalization) and
-  its basis is kept as that factor: a transform of a stack is two products
-  with the m x m factor, and only selected columns are sampled;
+  its basis is kept as that factor, each column the plain product of two
+  pinned factor columns: a transform of a stack is two products with the
+  m x m factor, and only selected columns are sampled;
 * 1D Schrodinger with even m and a potential equal to its mirror image
   commutes with the reflection x -> -x, so it is solved as two m/2-wide
   parity blocks gathered from the closed-form Toeplitz-minus-Hankel symbol
@@ -125,9 +126,10 @@ _SIGN_RTOL = 1e-8
 # solve of mirror-symmetric 1D Schrodinger, whose payloads differ at roundoff
 # from the full solve's; 4: that solve stored as its two parity blocks and
 # their order, not as the full matrix; 5: 2D Hermite stored as its 1D factor,
-# the order of its pairs and their signs); a cached decomposition written
-# under another convention is recomputed
-_BASIS_CONVENTION = 5
+# the order of its pairs and their signs; 6: each 2D Hermite column the plain
+# product of its pinned factor columns, with no sign per pair); a cached
+# decomposition written under another convention is recomputed
+_BASIS_CONVENTION = 6
 
 
 class EigenResidualError(ArithmeticError):
@@ -206,15 +208,15 @@ class SpectralDecomposition:
     (n+1)-fold levels carry the tensor Hermite basis u_i(x) u_j(y), ties
     ordered by i * m + j, and ``vectors`` is None here too: the m x m
     ``tensor_factor`` U_1 holds the pinned, unscaled 1D eigenvectors,
-    ``order`` maps ascending index k to the pair i * m + j, and
-    ``tensor_signs[k]`` (+-1) pins column k, which is
-    tensor_signs[k] (U_1[:, i] (x) U_1[:, j]) / sqrt(h).  The factor is
-    what keeps this layout small (an m = 64 cache file is about 130 KB,
-    not 134 MB), so it has its own cell limit, 128^2, above the 4096
-    cells of the assembled and parity solves.  Other 2D degenerate clusters
-    are not fixed by a sign; there the basis within a cluster is the
-    solver's, and only quantities invariant within a cluster (eigenvalues,
-    projections, the span) are canonical.
+    ``order`` maps ascending index k to the pair i * m + j, and column k
+    is (U_1[:, i] (x) U_1[:, j]) / sqrt(h), the product of two pinned
+    columns with no sign of its own.  The factor is what keeps this layout
+    small (an m = 64 cache file is about 130 KB, not 134 MB), so it has its
+    own cell limit, 128^2, above the 4096 cells of the assembled and parity
+    solves.  Other 2D degenerate clusters are not fixed by a sign; there
+    the basis within a cluster is the solver's, and only quantities
+    invariant within a cluster (eigenvalues, projections, the span) are
+    canonical.
     """
 
     spec: OperatorSpec
@@ -226,12 +228,10 @@ class SpectralDecomposition:
     vectors: Optional[np.ndarray] = None
     parity_blocks: Optional[np.ndarray] = None
     tensor_factor: Optional[np.ndarray] = None
-    tensor_signs: Optional[np.ndarray] = None
     max_residual: float = 0.0
 
     def __post_init__(self):
-        for name in ("eigenvalues", "symbol", "order", "vectors", "parity_blocks",
-                     "tensor_factor", "tensor_signs"):
+        for name in ("eigenvalues", "symbol", "order", "vectors", "parity_blocks", "tensor_factor"):
             arr = getattr(self, name)
             if arr is not None:
                 arr = np.asarray(arr)
@@ -426,38 +426,16 @@ def _residual_norms(H: np.ndarray, U: np.ndarray, w: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _tensor_signs(U1: np.ndarray) -> np.ndarray:
-    """The m x m signs ``_canonicalize_signs`` gives the columns u_i (x) u_j, with no m^2 x m^2 array.
-
-    Entry (x, y) of column (i, j) is fl(u_i[x] u_j[y]), and a rounded
-    product is monotone in each magnitude, so the column peak is
-    fl(max|u_i| max|u_j|), row x holds a significant entry exactly when
-    fl(|u_i[x]| max|u_j|) clears the threshold, and the last significant
-    entry is the last significant y of the last such row x*.  Its sign is
-    that of u_i[x*] u_j[y].  Each pass takes one i and every j: two m x m
-    temporaries.
-    """
-    m = U1.shape[0]
-    mag = np.abs(U1)
-    peak = mag.max(axis=0)
-    signs = np.empty((m, m))
-    for i in range(m):
-        threshold = _SIGN_RTOL * (peak[i] * peak)
-        x = m - 1 - np.argmax(np.outer(mag[::-1, i], peak) > threshold, axis=0)
-        y = m - 1 - np.argmax(mag[::-1].T * mag[x, i][:, None] > threshold[:, None], axis=1)
-        signs[i] = np.where(U1[x, i] * U1[y, np.arange(m)] < 0.0, -1.0, 1.0)
-    return signs
-
-
 def _hermite_tensor_eigh(spec: ShiftedHermite, domain: GridDomain):
-    """Eigenvalues, pinned 1D factor, column signs, pair order and residual bounds of 2D Hermite.
+    """Eigenvalues, pinned 1D factor, pair order and residual bounds of 2D Hermite.
 
     H = H1 (x) I + I (x) H1 - c with H1 = K1 + x^2 (fast diagonalization,
     Lynch-Rice-Thomas 1964), so u_i (x) u_j is an eigenvector with eigenvalue
     w_i + w_j - c.  Orthonormal factors make r_i + r_j an upper bound on
     its residual, where r is the factor's; neither the 2D H nor the tensor
     basis is formed.  The pairs ascend by eigenvalue, ties in the order of
-    i * m + j, and each carries the sign that pins its column.
+    i * m + j; a pair's column is the product of the two pinned factor
+    columns, so it needs no sign of its own.
     """
     m = domain.points_per_axis
     H1 = _sine_laplacian(domain) + np.diag(domain.axis_coords() ** 2)
@@ -467,7 +445,7 @@ def _hermite_tensor_eigh(spec: ShiftedHermite, domain: GridDomain):
     sums = (w1[:, None] + w1[None, :]).ravel()
     order = np.argsort(sums, kind="stable")
     i, j = np.divmod(order, m)
-    return sums[order] - spec.c, U1, _tensor_signs(U1).ravel()[order], order, r1[i] + r1[j]
+    return sums[order] - spec.c, U1, order, r1[i] + r1[j]
 
 
 def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
@@ -487,8 +465,8 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
             _check_confining(potential)
     scale = np.sqrt(domain.cell_volume)
     if tensor:  # the factor stays unscaled: basis_block divides each column
-        w, U1, signs, order, resid_norms = _hermite_tensor_eigh(spec, domain)
-        layout = dict(tensor_factor=U1, tensor_signs=signs, order=order)
+        w, U1, order, resid_norms = _hermite_tensor_eigh(spec, domain)
+        layout = dict(tensor_factor=U1, order=order)
     elif _splits_by_parity(spec, domain):
         w, blocks, resid_norms, order = _reflection_split_eigh(domain, potential)
         layout = dict(parity_blocks=blocks, order=order)
@@ -527,19 +505,17 @@ def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomp
     """The decomposition stored at ``path``, or None if it is absent, unreadable or invalid.
 
     The file must carry the layout ``_diagonalize_dense`` gives this spec
-    and domain (parity blocks and order; the tensor factor, signs and
-    order; or ``vectors``).  The zip CRC of each member catches corrupt
-    bytes, so the basis arrays are checked for shape and dtype only and not
-    rescanned for finiteness; ``order``, which indexes the basis, must be a
-    permutation, and the tensor signs must be +-1.  zipfile reports a
-    damaged version or encryption flag as RuntimeError.
+    and domain (parity blocks and order; the tensor factor and order; or
+    ``vectors``).  The zip CRC of each member catches corrupt bytes, so the
+    basis arrays are checked for shape and dtype only and not rescanned for
+    finiteness; ``order``, which indexes the basis, must be a permutation.
+    zipfile reports a damaged version or encryption flag as RuntimeError.
     """
     cells, half, m = domain.cell_count, domain.cell_count // 2, domain.points_per_axis
     if _splits_by_parity(spec, domain):
         expected = {"parity_blocks": ((2, half, half), "f"), "order": ((cells,), "i")}
     elif _is_tensor(spec, domain):
-        expected = {"tensor_factor": ((m, m), "f"), "tensor_signs": ((cells,), "f"),
-                    "order": ((cells,), "i")}
+        expected = {"tensor_factor": ((m, m), "f"), "order": ((cells,), "i")}
     else:
         expected = {"vectors": ((cells, cells), "f")}
     try:
@@ -554,7 +530,6 @@ def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomp
         all(layout[name].shape == shape and layout[name].dtype.kind == kind
             for name, (shape, kind) in expected.items())
         and ("order" not in layout or np.array_equal(np.sort(layout["order"]), np.arange(cells)))
-        and ("tensor_signs" not in layout or bool((np.abs(layout["tensor_signs"]) == 1.0).all()))
         and w.shape == (cells,) and w.dtype.kind == "f" and bool(np.isfinite(w).all())
         and resid.shape == () and resid.dtype.kind == "f"
         and bool(np.isfinite(resid)) and resid <= _RESIDUAL_TOL
@@ -574,8 +549,8 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
     repeat calls.  Each file records the eigenvector sign convention it was
     written under.  A file from another convention, or one that cannot be
     read or fails validation (the layout of this operator, shapes, dtypes, a
-    permutation ``order``, tensor signs of +-1, finite eigenvalues, a stored
-    residual within tolerance), counts as a miss and is overwritten.
+    permutation ``order``, finite eigenvalues, a stored residual within
+    tolerance), counts as a miss and is overwritten.
     """
     if isinstance(spec, FractionalLaplacian):
         if not domain.periodic:
@@ -603,7 +578,7 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
     dec = _diagonalize_dense(spec, domain)
     if key is not None:
         layout = {name: getattr(dec, name) for name in
-                  ("vectors", "parity_blocks", "tensor_factor", "tensor_signs", "order")
+                  ("vectors", "parity_blocks", "tensor_factor", "order")
                   if getattr(dec, name) is not None}
         os.makedirs(str(cache_dir), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(cache_dir), suffix=".npz.tmp")
@@ -657,7 +632,7 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     if dec.tensor_factor is not None:
         m, h = dec.domain.points_per_axis, dec.domain.cell_volume
         C = _tensor_product(dec.tensor_factor, values.reshape(-1, m, m)).reshape(-1, flat[-1])
-        return (C[:, dec.order] * (dec.tensor_signs * np.sqrt(h))).T.reshape(flat[::-1])
+        return (C[:, dec.order] * np.sqrt(h)).T.reshape(flat[::-1])
     x = values.reshape(flat).T
     if dec.parity_blocks is None:
         return (dec.vectors.T @ x) * dec.domain.cell_volume
@@ -685,8 +660,8 @@ def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
     batched inverse FFT of the stack.  In the parity layout the even part
     B_+ c_+ and the odd part B_- c_- give the top half as their sum and the
     reflected bottom half as their difference.  In the tensor layout the
-    signed coefficients of state p, scattered to their pairs C_p[i, j],
-    give U_1 C_p U_1^T.
+    coefficients of state p, scattered to their pairs C_p[i, j] and divided
+    by sqrt(h), give U_1 C_p U_1^T.
     """
     if dec.vectors is not None:
         return dec.vectors @ coeffs
@@ -700,7 +675,7 @@ def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
         m = dec.domain.points_per_axis
         c = coeffs.reshape(cells, -1)
         C = np.empty((c.shape[1], cells), dtype=np.result_type(c, dec.tensor_factor))
-        C[:, dec.order] = (c * (dec.tensor_signs / np.sqrt(dec.domain.cell_volume))[:, None]).T
+        C[:, dec.order] = (c / np.sqrt(dec.domain.cell_volume)).T
         values = _tensor_product(dec.tensor_factor.T, C.reshape(-1, m, m))
         return values.reshape(-1, cells).T.reshape(coeffs.shape)
     half = cells // 2
@@ -721,9 +696,8 @@ def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
     are exp(2 pi i r / m) with r = j k mod m reduced in integers, so their
     error does not grow with j k.  The parity layout mirrors the selected
     block columns, which is exact.  The tensor layout forms the products
-    U_1[:, i] (x) U_1[:, j] of the selected pairs, signs them and divides by
-    sqrt(h): the order of operations of the assembled basis, so each
-    column is the same bit for bit.
+    U_1[:, i] (x) U_1[:, j] of the selected pairs and divides them by
+    sqrt(h).
     """
     indices = np.asarray(indices, dtype=int)
     if dec.basis_kind == "Dense":
@@ -733,7 +707,7 @@ def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
             U1 = dec.tensor_factor
             i, j = np.divmod(dec.order[indices], dec.domain.points_per_axis)
             block = (U1[:, None, i] * U1[None, :, j]).reshape(dec.domain.cell_count, len(indices))
-            return block * dec.tensor_signs[indices] / np.sqrt(dec.domain.cell_volume)
+            return block / np.sqrt(dec.domain.cell_volume)
         odd, col = np.divmod(dec.order[indices], dec.domain.cell_count // 2)
         top = dec.parity_blocks[odd, :, col].T
         return np.concatenate([top, top[::-1] * np.where(odd, -1.0, 1.0)])
@@ -798,11 +772,10 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     takes one product of the E rows of ``vectors`` with the weighted
     coefficients, and the parity layout and complex Fourier states
     synthesize the pass on the grid with ``_grid_values`` and keep the rows
-    of E.  The tensor layout takes C_p = U_1^T F_p U_1
-    once and per pass synthesizes U_1 (w_q C_p) U_1^T on the grid (the pair
-    signs and the scale cancel), summing it over E.  A pass is one weight
-    row, so the temporaries stay at O(P cells) and no pass stacks all r P
-    columns.
+    of E.  The tensor layout takes C_p = U_1^T F_p U_1 once and per pass
+    synthesizes U_1 (w_q C_p) U_1^T on the grid (the scale cancels),
+    summing it over E.  A pass is one weight row, so the temporaries stay
+    at O(P cells) and no pass stacks all r P columns.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
@@ -816,9 +789,9 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     out = np.empty((r, P))
     inside = e.cells.ravel()
     if dec.tensor_factor is not None:
-        # the pair signs and the sqrt(h) of the two transforms cancel, so a
-        # pass weights C_p = U_1^T F_p U_1 in its (i, j) layout and
-        # synthesizes it, with no scatter to ascending order
+        # the sqrt(h) of the two transforms cancels, so a pass weights
+        # C_p = U_1^T F_p U_1 in its (i, j) layout and synthesizes it, with
+        # no scatter to ascending order
         m = domain.points_per_axis
         native = np.empty((r, cells))
         native[:, dec.order] = weights

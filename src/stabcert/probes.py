@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certify import TimeKernel, observation_bracket, time_kernel
+from .certify import TimeKernel, observation_bracket
 from .domain import GridDomain, GridFunction, from_callable, norm as _norm, restrict_norm
 from .geometry import SetIndicator
 from .operators import FractionalLaplacian, ShiftedHermite, SpectralDecomposition, spectral_apply
@@ -322,7 +322,6 @@ def falsify_weak_observability(
     obs = np.maximum(bracket.upper[0], 0.0)
     margins = claim.C * np.sqrt(obs) + claim.alpha * phi_norms - lhs
     _check_margins(margins, lhs, obs)
-    kernel = time_kernel(dec.eigenvalues, 0.0, claim.T)
     reports = []
     for i, probe in enumerate(probes):
         gap = float(lhs[i] - claim.alpha * phi_norms[i])
@@ -330,7 +329,7 @@ def falsify_weak_observability(
         half_mass_radius = None
         local_mass_bound = None
         if not violated and gap > 0.0:
-            profile = observation_tail(dec, kernel, phis[i], probe.x0)
+            profile = observation_tail(dec, bracket.kernels[0], phis[i], probe.x0)
             k = next((k for k, tail in enumerate(profile.tail_masses) if tail <= 0.5 * profile.total_mass), None)
             if k is not None:  # none when the kernel has rank 0: every figure is then the bound alone
                 half_mass_radius = profile.radii[k]
@@ -354,8 +353,8 @@ def falsify_weak_observability(
         claim=claim,
         centers=tuple(reports),
         any_violation=any(r.violated for r in reports),
-        kernel_rank=bracket.ranks[0],
-        kernel_bound=bracket.bounds[0],
+        kernel_rank=bracket.kernels[0].rank,
+        kernel_bound=bracket.kernels[0].bound,
     )
 
 
@@ -419,8 +418,8 @@ def falsify_hermite_ground_state(
         analytic_lhs=analytic_lhs,
         analytic_rhs=analytic_rhs,
         analytic_violated=bool(analytic_rhs < analytic_lhs),
-        kernel_rank=bracket.ranks[0],
-        kernel_bound=bracket.bounds[0],
+        kernel_rank=bracket.kernels[0].rank,
+        kernel_bound=bracket.kernels[0].bound,
     )
 
 

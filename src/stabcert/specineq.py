@@ -66,8 +66,8 @@ class HypothesisReport:
     constants: tuple
 
 
-def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:
-    """(C(k, E), witness coefficients) at each of the ascending thresholds.
+def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds, witness: bool = False) -> list:
+    """(C(k, E), witness coefficients if ``witness`` else None) at each ascending threshold.
 
     An empty projection range gives 1.0 and no witness (the inequality is
     vacuous); the full domain gives exactly 1.0 (the Gram matrix is the
@@ -93,12 +93,12 @@ def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:
         if d == 0:
             out.append((1.0, None))
         elif full:
-            out.append((1.0, np.eye(d, 1)[:, 0]))
+            out.append((1.0, np.eye(d, 1)[:, 0] if witness else None))
         else:
-            mu, W = np.linalg.eigh(G[:d, :d])
+            mu, W = np.linalg.eigh(G[:d, :d]) if witness else (np.linalg.eigvalsh(G[:d, :d]), None)
             mu_min = float(mu[0])
             const = np.inf if mu_min <= _DEGENERACY_TOL else float(1.0 / np.sqrt(mu_min))
-            out.append((const, W[:, 0]))
+            out.append((const, None if W is None else W[:, 0]))
     return out
 
 
@@ -109,7 +109,7 @@ def best_constant(dec: SpectralDecomposition, k: float, e: SetIndicator, return_
     None for an empty projection range.  Empty ranges, the full domain and
     unresolved thresholds follow the rules of spectral_constant_curve.
     """
-    const, coeffs = _constants(dec, e, [float(k)])[0]
+    const, coeffs = _constants(dec, e, [float(k)], witness=return_witness)[0]
     if not return_witness:
         return const
     if coeffs is None:

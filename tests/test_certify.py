@@ -399,7 +399,7 @@ def test_observation_bracket_contains_the_gram_closed_form(case, rng):
     bracket = observation_bracket(dec, e, states, lams, intervals)
     gram = restricted_gram(dec, np.arange(dom.cell_count), e)
     sq_norms = (states.reshape(7, -1) ** 2).sum(axis=1) * dom.cell_volume
-    rows = zip(intervals, bracket.lower, bracket.upper, bracket.bounds, bracket.decayed)
+    rows = zip(intervals, bracket.lower, bracket.upper, (k.bound for k in bracket.kernels), bracket.decayed)
     for (lo, hi), lower, upper, bound, decayed in rows:
         exact = observation_integrals(gram, lams, coeffs, lo, hi)
         assert np.all(lower <= exact) and np.all(exact <= upper)

@@ -19,7 +19,7 @@ import pytest
 import scipy.linalg
 
 from stabcert import certify, cli, feedback, operators
-from stabcert.cli import RunConfig, build_parser, main, payload_json, run
+from stabcert.cli import RunConfig, main, payload_json, run
 from stabcert.domain import (
     from_callable,
     grid_function,
@@ -48,10 +48,28 @@ def read(path):
         return json.load(fh)
 
 
-def test_no_command_exits_with_usage():
+def test_no_command_exits_with_usage(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err == "config error: the following arguments are required: command\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-thick", "--lengths", "-inf"], "argument --lengths: expected one argument"),
+    (["certify", "--k-max", "three"], "argument --k-max: invalid int value: 'three'"),
+    (["probe", "--centers", "0"], "the following arguments are required: --claim"),
+    (["check-thick", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+], ids=["negative-inf-value", "bad-int", "missing-required", "unknown-option"])
+def test_argparse_errors_go_through_the_error_table(capsys, argv, message):
+    # one stderr line and exit 2, not the usage block and a SystemExit
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
-        build_parser().parse_args([])
-    assert info.value.code == 2
+        main(["check-thick", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: stabcert check-thick")
 
 
 def test_bad_domain_is_usage_error(capsys):

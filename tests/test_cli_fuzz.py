@@ -2,10 +2,11 @@
 
 Commands, sets and claims are drawn with every numeric option, domain key,
 set key and claim field taking finite, zero, negative, NaN and infinite
-values.  Exit 2 or 3 must print one stderr line that starts with its label
-in the error table and write no document; exit 0 or 1 must write a document
-in which no margin is NaN.  Grids stay tiny (1D m <= 64, 2D m <= 16), so no
-draw can reach the dense-solver limits.
+values, and some values are passed as argv items of their own, so argparse
+sees them.  Exit 2 or 3 must print one stderr line that starts with its
+label in the error table and write no document; exit 0 or 1 must write a
+document in which no margin is NaN.  Grids stay tiny (1D m <= 64, 2D
+m <= 16), so no draw can reach the dense-solver limits.
 """
 
 import contextlib
@@ -78,9 +79,17 @@ def sets(draw):
     return kind
 
 
-def options(argv):
-    """Joins each option to its value, so that a value such as -inf is not read as an option."""
-    return [argv[0]] + [f"{k}={v}" for k, v in zip(argv[1::2], argv[2::2])]
+@st.composite
+def options(draw, argv):
+    """Joins some options to their values with '=' and passes the others as two items.
+
+    A value such as -inf given as an item of its own reaches argparse as an
+    unknown option, a usage error that must exit 2 like any other.
+    """
+    out = [argv[0]]
+    for k, v in zip(argv[1::2], argv[2::2]):
+        out += [f"{k}={v}"] if draw(st.booleans()) else [k, v]
+    return out
 
 
 @st.composite
@@ -117,7 +126,7 @@ def raw_argvs(draw):
 
 
 def argvs():
-    return raw_argvs().map(options)
+    return raw_argvs().flatmap(options)
 
 
 def _nan_margins(value, key=None):

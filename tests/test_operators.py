@@ -154,7 +154,7 @@ def _truncate(path, dec):
 def _basis_arrays(dec):
     """The arrays a cache file holds for the basis of ``dec``, by name."""
     if dec.tensor_factor is not None:
-        return dict(tensor_factor=dec.tensor_factor, tensor_signs=dec.tensor_signs, order=dec.order)
+        return dict(tensor_factor=dec.tensor_factor, order=dec.order)
     if dec.parity_blocks is None:
         return dict(vectors=dec.vectors)
     return dict(parity_blocks=dec.parity_blocks, order=dec.order)
@@ -214,17 +214,18 @@ def _convention_three_full_vectors(path, dec):
              vectors=basis_block(dec, np.arange(dec.domain.cell_count)))
 
 
-def _signs_not_unit(path, dec):
-    # one sign an ulp off -1 or +1 would scale its column
-    signs = dec.tensor_signs.copy()
-    signs[5] = np.nextafter(signs[5], 0.0)
-    _savez(path, dec, tensor_signs=signs)
-
-
 def _convention_four_full_vectors(path, dec):
     # convention 4 stored the 2D Hermite basis as the full, identical matrix
     np.savez(path, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual, basis_convention=4,
              vectors=basis_block(dec, np.arange(dec.domain.cell_count)))
+
+
+def _convention_five_signs(path, dec):
+    # convention 5 stored one sign per pair next to the same factor and order;
+    # the file is otherwise readable, so only the tag makes it a miss
+    signs = np.ones(dec.domain.cell_count)
+    signs[::7] = -1.0
+    _savez(path, dec, tensor_signs=signs, basis_convention=5)
 
 
 def _parity_layout_under_hermite_key(path, dec):
@@ -262,7 +263,8 @@ _ANY_LAYOUT = [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _res
     + [pytest.param(_cache_parity, f, id="parity-" + f.__name__.strip("_"))
        for f in _ANY_LAYOUT + [_order_not_a_permutation, _convention_three_full_vectors]]
     + [pytest.param(_cache_tensor, f, id="tensor-" + f.__name__.strip("_"))
-       for f in _ANY_LAYOUT + [_order_not_a_permutation, _signs_not_unit, _convention_four_full_vectors]],
+       for f in _ANY_LAYOUT + [_order_not_a_permutation, _convention_four_full_vectors,
+                               _convention_five_signs]],
 )
 def test_bad_cache_file_is_recomputed(tmp_path, case, corrupt):
     spec, dom = case()
@@ -300,14 +302,14 @@ def test_tensor_cache_roundtrip_stores_the_factor(tmp_path):
     (path,) = tmp_path.glob("decomposition-*.npz")
     second = diagonalize(spec, dom, cache_dir=tmp_path)
     assert second.vectors is None
-    for name in ("eigenvalues", "order", "tensor_factor", "tensor_signs"):
+    for name in ("eigenvalues", "order", "tensor_factor"):
         assert np.array_equal(getattr(second, name), getattr(first, name))
     assert second.max_residual == first.max_residual
     everything = np.arange(dom.cell_count)
     assert np.array_equal(basis_block(second, everything), basis_block(first, everything))
-    # the m^2 factor and three cells-long arrays, plus headers: no cells^2 array
+    # the m^2 factor and two cells-long arrays, plus headers: no cells^2 array
     m = dom.points_per_axis
-    assert path.stat().st_size < 8 * (m * m + 3 * dom.cell_count) + 4096
+    assert path.stat().st_size < 8 * (m * m + 2 * dom.cell_count) + 4096
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +517,11 @@ def test_factored_hermite_ignores_solver_signs(monkeypatch):
 
 
 def assembled_tensor_basis(dom, c):
-    """Eigenvalues and the scaled cells x cells tensor basis, assembled the old way.
+    """Eigenvalues and the scaled cells x cells tensor basis, assembled in full.
 
     The pinned 1D eigenvectors are multiplied out over every pair in
-    ascending order (ties by i * m + j), and the signs are pinned on the
-    whole product.
+    ascending order (ties by i * m + j): column k is U_1[:, i] (x) U_1[:, j]
+    / sqrt(h), with no sign pinned on the product.
     """
     m = dom.points_per_axis
     H1 = operators._sine_laplacian(dom) + np.diag(dom.axis_coords() ** 2)
@@ -529,7 +531,6 @@ def assembled_tensor_basis(dom, c):
     order = np.argsort(sums, kind="stable")
     i, j = np.divmod(order, m)
     U = (U1[:, None, i] * U1[None, :, j]).reshape(m * m, m * m)
-    _canonicalize_signs(U)
     return sums[order] - c, U / np.sqrt(dom.cell_volume)
 
 
@@ -587,26 +588,6 @@ def test_tensor_transforms_match_the_assembled_basis(tensor_pair, m, c):
         assert np.abs(back - back_want).max() <= 1e-12 * np.abs(back_want).max()
         np.testing.assert_allclose(restricted_norms(factored, e, weights, states),
                                    restricted_norms(assembled, e, weights, states), rtol=1e-12, atol=0.0)
-
-
-def test_tensor_signs_follow_the_rounding_of_the_product():
-    # small entries a few ulps around 1e-8 of their column's peak: whether an
-    # entry of u_i (x) u_j counts is decided by the rounding of the products,
-    # which the factor's own 1e-8 rule gets wrong in about a fifth of draws
-    rng = np.random.default_rng(0)
-    m = 5
-    for _ in range(300):
-        U1 = rng.choice([-1.0, 1.0], (m, m)) * rng.uniform(0.5, 1.0, (m, m))
-        peak = np.abs(U1).max(axis=0)
-        for i in range(m):
-            for x in [*rng.choice(m, size=2, replace=False), m - 1]:
-                if abs(U1[x, i]) < peak[i]:
-                    U1[x, i] = np.sign(U1[x, i]) * 1e-8 * peak[i] * (1 + rng.integers(-4, 5) * 2.0**-52)
-        product = (U1[:, None, :, None] * U1[None, :, None, :]).reshape(m * m, m * m)
-        pinned = product.copy()
-        _canonicalize_signs(pinned)
-        want = np.where((pinned == product).all(axis=0), 1.0, -1.0).reshape(m, m)
-        assert np.array_equal(operators._tensor_signs(U1), want)
 
 
 def test_tensor_layout_holds_no_cells_squared_array():

@@ -372,6 +372,25 @@ def test_full_domain_yields_mass_bounds(pdom):
         assert 0.0 <= c.local_mass_bound <= measured
 
 
+def test_falsification_builds_one_time_kernel(pdom, monkeypatch):
+    # the tails of observation_tail read the kernel of the bracket, which is
+    # the one over [0, T]; no second kernel is factored for them
+    built = []
+
+    class CountedKernel(certify.TimeKernel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.rank)
+
+    monkeypatch.setattr(certify, "TimeKernel", CountedKernel)
+    dec = diagonalize(FractionalLaplacian(s=1.0), pdom)
+    report = falsify_weak_observability(
+        dec, make_set(pdom, Full()), ObservationClaim(C=1.0, T=1.0, alpha=0.0), [(0.0,), (2.5,)]
+    )
+    assert all(c.local_mass_bound is not None for c in report.centers)
+    assert built == [report.kernel_rank]
+
+
 def test_positive_local_mass_bound_stays_below_the_measured_mass(pdom):
     # E = {|x| < 2} holds most of the probe's mass, and C is set so that
     # the claim needs 90 % of the observation integral: then the far tail

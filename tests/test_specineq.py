@@ -58,6 +58,21 @@ def test_witness_attains_the_constant(hermite_dec):
     assert ratio == pytest.approx(const, rel=1e-8)
 
 
+def test_only_a_witness_asks_for_eigenvectors(hermite_dec, monkeypatch):
+    # the curve reads the smallest eigenvalue of each block; only
+    # best_constant(..., return_witness=True) needs its eigenvector
+    e = make_set(hermite_dec.domain, HalfSpace(offset=1.0))
+    ks = [2.0, 4.0, 6.0]
+    eigh, solved = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or eigh(a))
+    curve = spectral_constant_curve(hermite_dec, e, ks)
+    assert best_constant(hermite_dec, 6.0, e) == curve.constants[-1]
+    assert solved == []
+    const, _ = best_constant(hermite_dec, 6.0, e, return_witness=True)
+    assert solved == [(3, 3)]
+    assert const == pytest.approx(curve.constants[-1], rel=1e-12)
+
+
 def test_constant_nondecreasing_in_threshold(frac_dec, slabs):
     curve = spectral_constant_curve(frac_dec, slabs, [1.0, 2.0, 4.0, 6.0, 8.0])
     assert all(a <= b * (1 + 1e-12) for a, b in zip(curve.constants, curve.constants[1:]))
