@@ -24,14 +24,16 @@ numerical rank; ``time_kernel`` factors it over the distinct eigenvalue
 levels by pivoted Cholesky, F = L L^T + E, and stops once the
 multiplicity-weighted trace of the residual E falls to KERNEL_RTOL times
 that of F.  The integral is then sum_q ||chi_E l_q(H) u||^2 with
-l_q(lam) = L[level(lam), q], a few batched transforms per state
-(``operators.restricted_norms``).  The Gram G is positive semidefinite
-with G_jj <= 1 and E is positive semidefinite, so Schur's inequality puts
-the exact value in [I, I + B ||u||^2], where I is that sum less a roundoff
-allowance and B is the weighted trace of E plus twice the allowance.  Each
-verdict is taken at the conservative end of the bracket: the checks pass
-on the lower end I, and the probes report a violation only if the upper
-end still violates.  ``observation_integrals`` keeps the exact closed form
+l_q(lam) = L[level(lam), q]: ``operators.restricted_norms`` transforms
+each state once and returns, with those norms, the squared coefficients
+|c_jp|^2 that give the decayed norms ||e^{-hi H} u||.  The Gram G is
+positive semidefinite with G_jj <= 1 and E is positive semidefinite, so
+Schur's inequality puts the exact value in [I, I + B ||u||^2], where I is
+that sum less a roundoff allowance and B is the weighted trace of E plus
+twice the allowance.  Each verdict is taken at the conservative end of the
+bracket: the checks pass on the lower end I, and the probes report a
+violation only if the upper end still violates; a check whose margin or
+violation is NaN or infinite raises ArithmeticError instead.  ``observation_integrals`` keeps the exact closed form
 through the Gram as the reference the tests hold the bracket to.
 """
 
@@ -51,7 +53,6 @@ from .operators import (
     diagonalize,
     dissipative_margin,
     restricted_norms,
-    to_coefficients,
 )
 from .specineq import (
     SpectralConstantCurve,
@@ -328,20 +329,19 @@ def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lam
 
     ``states`` is (P,) + the grid shape; ``lams`` replaces the eigenvalues
     of ``dec`` (a shifted spectrum), in their order.  Every interval's
-    kernel rows go through one ``restricted_norms`` call.  The end-of-interval
-    norms sqrt(sum_j |c_jp|^2 e^{-2 hi lam_j}) come from the coefficients
-    c of one batched ``to_coefficients`` call.
+    kernel rows go through one ``restricted_norms`` call, which transforms
+    each state once; the end-of-interval norms
+    sqrt(sum_j |c_jp|^2 e^{-2 hi lam_j}) come from the squared
+    coefficients |c_jp|^2 that the same call returns.
     """
     states = np.asarray(states)
-    mags = np.abs(to_coefficients(dec, states)) ** 2
-    with np.errstate(under="ignore"):
-        decayed = np.sqrt(np.stack([
-            (mags * np.exp(-2.0 * hi * lams)[:, None]).sum(axis=0) for _, hi in intervals
-        ]))
     kernels = tuple(time_kernel(lams, lo, hi) for lo, hi in intervals)
-    norms = restricted_norms(dec, e, np.concatenate([k.weights for k in kernels]), states)
+    norms, mags = restricted_norms(dec, e, np.concatenate([k.weights for k in kernels]), states)
+    with np.errstate(under="ignore"):
+        decayed = np.sqrt(np.exp(-2.0 * np.outer([hi for _, hi in intervals], lams)) @ mags)
     ends = np.cumsum([0] + [k.rank for k in kernels])
-    sq_norms = (np.abs(states.reshape(len(states), -1)) ** 2).sum(axis=1) * dec.domain.cell_volume
+    flat = states.reshape(len(states), -1)
+    sq_norms = np.einsum("pj,pj->p", flat.conj(), flat).real * dec.domain.cell_volume
     lower, upper = zip(*(
         k.bracket(norms[a:b].sum(axis=0), sq_norms) for k, a, b in zip(kernels, ends[:-1], ends[1:])
     ))
@@ -394,6 +394,11 @@ def _random_unit_states(dec: SpectralDecomposition, trials: int, rng) -> np.ndar
 # checks
 
 
+def _non_finite(values) -> str:
+    """How an array with a non-finite entry failed: "NaN" if any entry is NaN, else "infinite"."""
+    return "NaN" if np.isnan(values).any() else "infinite"
+
+
 @dataclass(frozen=True)
 class RecurrenceReport:
     tau_samples: tuple
@@ -422,7 +427,7 @@ class WeakObservabilityReport:
     kernel_bound: float
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a NaN violation
+@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a non-finite violation
 def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trials: int, seed: int = 0) -> RecurrenceReport:
     """Test the one-scale recurrence inequality on dyadic intervals.
 
@@ -459,8 +464,8 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
         lhs = g_tau * decayed**2 - g_half
         rhs = integrals + alpha0 * tau
         violation = lhs - rhs
-        if np.isnan(violation).any():
-            raise ArithmeticError(f"recurrence violation is NaN at tau = {tau}: the check overflows")
+        if not np.isfinite(violation).all():
+            raise ArithmeticError(f"recurrence violation is {_non_finite(violation)} at tau = {tau}: the check overflows")
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         rel = violation / scale
         i = int(np.argmax(violation))
@@ -481,7 +486,7 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a NaN margin
+@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a non-finite margin
 def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: int, seed: int = 0) -> WeakObservabilityReport:
     """Hold the certified (T, alpha, C) against random initial states.
 
@@ -498,8 +503,10 @@ def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: in
     lhs = bracket.decayed[0]
     big_c = np.exp(cert.ln_C)
     margins = big_c * np.sqrt(integrals) + cert.alpha - lhs
-    if np.isnan(margins).any():
-        raise ArithmeticError(f"observability margin is NaN at C = {big_c}, T = {cert.T}: the check overflows")
+    if not np.isfinite(margins).all():
+        raise ArithmeticError(
+            f"observability margin is {_non_finite(margins)} at C = {big_c}, T = {cert.T}: the check overflows"
+        )
     scale = np.maximum(1.0, lhs)
     i = int(np.argmin(margins))
     return WeakObservabilityReport(

@@ -25,11 +25,12 @@ Each kind takes the cheapest computation its structure allows:
   every layout, and ``dense_matrix`` gathers a Fourier multiplier from its
   convolution kernel;
 * ``restricted_norms`` gives ||chi_E w_q(H) f_p||^2 for a batch of weights
-  and states without any Gram matrix: batched real FFTs for real states in
-  the Fourier kind, one product with the E rows of the eigenvectors per
-  pass in the assembled dense kind, a synthesis of each pass on the grid
-  whose E rows are kept otherwise, and two products with the 1D factor
-  per pass in the tensor layout;
+  and states without any Gram matrix, and the squared coefficients |c_jp|^2
+  from the same one transform of each state: real FFTs over chunks of
+  real states in the Fourier kind, one product with the E rows of the
+  eigenvectors per pass in the assembled dense kind, a synthesis of each
+  pass on the grid whose E rows are kept otherwise, and two products with
+  the 1D factor per pass in the tensor layout;
 * 2D Hermite is diagonalized from its 1D factor (fast diagonalization) and
   its basis is kept as that factor, each column the plain product of two
   pinned factor columns: a transform of a stack is two products with the
@@ -113,7 +114,8 @@ _RESIDUAL_TOL = 1e-8
 # the re-reads of H cheap
 _RESIDUAL_BLOCK_ENTRIES = 1 << 21
 # entries per block of the temporaries of the sign pinning (512 KB of
-# float64), small next to any m x m array
+# float64), small next to any m x m array, and per chunk of the real FFTs of a
+# stack of real Fourier states
 _SCAN_BLOCK_ENTRIES = 1 << 16
 # parity blocks are gathered in row strips of max(1, (m/2) // _BLOCK_STRIPS)
 # rows: two strip buffers are an eighth of a block, and 128-row strips at 4096
@@ -759,23 +761,68 @@ def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.
     return chi.ravel()[pairs]
 
 
-def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, states) -> np.ndarray:
-    """h sum_{x in E} |(w_q(H) f_p)(x)|^2 for every weight row w_q and state f_p, as an (r, P) array.
+def _forward_chunks(dec: SpectralDecomposition, states: np.ndarray, mags: np.ndarray):
+    """Transform the stack ``states`` once, writing |c_jp|^2 in ascending order into row p of ``mags``.
+
+    Yields (chunk, transform of the states ``states[chunk]``).  Real states
+    in the Fourier kind go in chunks of about ``_SCAN_BLOCK_ENTRIES``
+    entries, each transform the rfftn half spectrum: a real state's spectrum
+    is conjugate symmetric, so a frequency k whose last index exceeds m // 2
+    reads |c|^2 at -k mod m.  Every other stack is one chunk: the tensor
+    layout yields C_p = U_1^T F_p U_1 in its (i, j) layout, the others the
+    coefficients of ``to_coefficients``.  ``mags`` is (P, cells) and holds
+    the squares of ``to_coefficients`` to roundoff.
+    """
+    domain = dec.domain
+    cells, P = domain.cell_count, len(states)
+    if dec.basis_kind == "Fourier" and not np.iscomplexobj(states):
+        m = domain.points_per_axis
+        k = np.array(np.unravel_index(dec.order, domain.shape))
+        k[:, k[-1] > m // 2] *= -1
+        source = np.ravel_multi_index(tuple(k % m), domain.shape[:-1] + (m // 2 + 1,))
+        block, scale = max(1, _SCAN_BLOCK_ENTRIES // cells), _fft_coeff_scale(domain) ** 2
+        for p in range(0, P, block):
+            spectra = np.fft.rfftn(states[p : p + block], axes=tuple(range(1, domain.dim + 1)))
+            sq = np.abs(spectra)
+            sq *= sq
+            chunk = mags[p : p + block]
+            np.take(sq.reshape(len(sq), -1), source, axis=1, out=chunk)
+            chunk *= scale
+            yield slice(p, p + block), spectra
+    elif dec.tensor_factor is not None:
+        m = domain.points_per_axis
+        C = _tensor_product(dec.tensor_factor, states.reshape(P, m, m)).reshape(P, cells)
+        np.abs(C[:, dec.order], out=mags)
+        mags *= mags
+        mags *= domain.cell_volume
+        yield slice(0, P), C
+    else:
+        coeffs = to_coefficients(dec, states)
+        np.abs(coeffs.T, out=mags)
+        mags *= mags
+        yield slice(0, P), coeffs
+
+
+def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, states):
+    """The (r, P) set norms h sum_{x in E} |(w_q(H) f_p)(x)|^2 and the (cells, P) squares |c_jp|^2.
 
     ``weights`` is (r, cells), each row given per eigenvalue in ascending
     order and equal across each level (any function of the eigenvalue is);
-    ``states`` is (P,) + the grid shape, the values of the f_p.  No Gram
-    matrix is formed.  For real states the Fourier kind transforms each
-    state once and each (weight, state) pair back with real FFTs (the
-    symbol is even in the frequency, so w_q(H) f_p is real).  Otherwise the
-    coefficients are taken once, then per pass the assembled dense kind
-    takes one product of the E rows of ``vectors`` with the weighted
-    coefficients, and the parity layout and complex Fourier states
+    ``states`` is (P,) + the grid shape, the values of the f_p, and c_jp
+    their coefficients, ascending as ``to_coefficients`` gives them.  Each
+    state is transformed once (``_forward_chunks``), and no Gram matrix is
+    formed.  Real states in the Fourier kind go in chunks of about
+    ``_SCAN_BLOCK_ENTRIES`` entries, and each (weight, chunk) pair goes back
+    with one real inverse FFT (the symbol is even in the frequency, so
+    w_q(H) f_p is real), squared in place.  Otherwise per pass the assembled
+    dense kind takes one product of the E rows of ``vectors`` with the
+    weighted coefficients, and the parity layout and complex Fourier states
     synthesize the pass on the grid with ``_grid_values`` and keep the rows
-    of E.  The tensor layout takes C_p = U_1^T F_p U_1 once and per pass
-    synthesizes U_1 (w_q C_p) U_1^T on the grid (the scale cancels),
-    summing it over E.  A pass is one weight row, so the temporaries stay
-    at O(P cells) and no pass stacks all r P columns.
+    of E.  The tensor layout weights C_p = U_1^T F_p U_1 and synthesizes
+    U_1 (w_q C_p) U_1^T on the grid per pass (the scale cancels), summing it
+    over E.  A pass is one weight row, so the temporaries stay at the size
+    of a chunk of real Fourier states and at O(P cells) otherwise; no pass
+    stacks all r P columns.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
@@ -787,39 +834,40 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
         raise ValueError(f"weights {weights.shape} or states {states.shape} do not fit {shape}")
     r, P = weights.shape[0], states.shape[0]
     out = np.empty((r, P))
+    mags = np.empty((P, cells))
     inside = e.cells.ravel()
+    mask = inside.astype(float)
     if dec.tensor_factor is not None:
-        # the sqrt(h) of the two transforms cancels, so a pass weights
-        # C_p = U_1^T F_p U_1 in its (i, j) layout and synthesizes it, with
-        # no scatter to ascending order
+        # the sqrt(h) of the two transforms cancels, so a pass weights C_p in
+        # its (i, j) layout and synthesizes it, with no scatter to ascending order
         m = domain.points_per_axis
         native = np.empty((r, cells))
         native[:, dec.order] = weights
-        C = _tensor_product(dec.tensor_factor, states.reshape(P, m, m)).reshape(P, cells)
-        mask = inside.astype(float)
-        for q in range(r):
-            y = _tensor_product(dec.tensor_factor.T, (native[q] * C).reshape(P, m, m)).reshape(P, cells)
-            out[q] = np.einsum("pj,pj->p", y.conj() * mask, y).real * h
-        return out
+        for _, C in _forward_chunks(dec, states, mags):
+            for q in range(r):
+                y = _tensor_product(dec.tensor_factor.T, (native[q] * C).reshape(P, m, m)).reshape(P, cells)
+                out[q] = np.einsum("pj,pj->p", y.conj() * mask, y).real * h
+        return out, mags.T
     if dec.basis_kind == "Dense" or np.iscomplexobj(states):
-        coeffs = to_coefficients(dec, states)
         rows = dec.vectors[inside] if dec.vectors is not None else None
-        for q in range(r):
-            z = weights[q][:, None] * coeffs
-            y = rows @ z if rows is not None else _grid_values(dec, z)[inside]
-            out[q] = (np.abs(y) ** 2).sum(axis=0) * h
-        return out
+        for _, coeffs in _forward_chunks(dec, states, mags):
+            for q in range(r):
+                z = weights[q][:, None] * coeffs
+                y = rows @ z if rows is not None else _grid_values(dec, z)[inside]
+                out[q] = (np.abs(y) ** 2).sum(axis=0) * h
+        return out, mags.T
     grid = np.empty((r, cells))
     grid[:, dec.order] = weights
     # states, and a pass (states, grid), carry the grid on axes 1..n
     state_axes = tuple(range(1, domain.dim + 1))
-    spectra = np.fft.rfftn(states, axes=state_axes)
-    grid = grid.reshape((r,) + shape)[..., : spectra.shape[-1]]
-    mask = inside.astype(float)
-    for q in range(r):
-        y = np.fft.irfftn(grid[q] * spectra, s=shape, axes=state_axes).reshape(P, cells)
-        out[q] = (np.abs(y) ** 2 @ mask) * h
-    return out
+    grid = grid.reshape((r,) + shape)[..., : shape[-1] // 2 + 1]
+    for chunk, spectra in _forward_chunks(dec, states, mags):
+        for q in range(r):
+            y = np.fft.irfftn(grid[q] * spectra, s=shape, axes=state_axes).reshape(len(spectra), cells)
+            y *= y
+            np.matmul(y, mask, out=out[q, chunk])
+    out *= h
+    return out, mags.T
 
 
 def eigenfunction(dec: SpectralDecomposition, j: int) -> GridFunction:
@@ -859,18 +907,29 @@ def spectral_count(dec: SpectralDecomposition, k: float) -> int:
     return int(np.searchsorted(dec.eigenvalues, k, side="right"))
 
 
-def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction) -> GridFunction:
+def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction):
     """w(H) f for the weights w(lambda_j), given in ascending-eigenvalue order.
 
     One coefficient transform, the weights, and the one synthesis
-    ``_grid_values`` in every layout.  For a real ``f`` the result is real:
-    the imaginary part of the Fourier synthesis, which is roundoff when the
-    weights are equal across each level, is dropped.
+    ``_grid_values`` in every layout.  ``weights`` is (cells,), or a stack
+    (r, cells) whose rows w_q give an iterator over the r functions
+    w_q(H) f: all come from the one transform of ``f``, and each is
+    synthesized when it is reached, so one is held at a time.  For a real
+    ``f`` the result is real: the imaginary part of the Fourier synthesis,
+    which is roundoff when the weights are equal across each level, is
+    dropped.
     """
-    values = _grid_values(dec, weights * to_coefficients(dec, f))
-    if np.isrealobj(f.values):
-        values = values.real
-    return GridFunction(dec.domain, values.reshape(dec.domain.shape))
+    weights = np.asarray(weights)
+    coeffs = to_coefficients(dec, f)
+
+    def synthesize(w):
+        values = _grid_values(dec, w * coeffs)
+        if np.isrealobj(f.values):
+            values = values.real
+        return GridFunction(dec.domain, values.reshape(dec.domain.shape))
+
+    rows = map(synthesize, np.atleast_2d(weights))
+    return next(rows) if weights.ndim == 1 else rows
 
 
 def semigroup_apply(dec: SpectralDecomposition, t: float, f: GridFunction) -> GridFunction:
@@ -905,16 +964,21 @@ def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeR
     this never exceeds 1, because every mode above the threshold k decays at
     least as fast as e^{-tk}.
 
-    The trials are one draw of (trials,) + the grid shape, transformed once.
-    Each norm is a coefficient sum: ||(1 - pi_k) e^{-tH} f||^2 is
-    sum_j 1[j >= d(k)] e^{-2t lambda_j} |c_j|^2, divided by ||f||^2 on the
-    grid.  The worst ratio is the first maximum in trial-major order.
+    The trials are one draw of (trials,) + the grid shape, transformed once
+    by ``_forward_chunks`` (real FFTs in the Fourier kind), which keeps only
+    the squares |c_j|^2.  Each norm is a coefficient sum:
+    ||(1 - pi_k) e^{-tH} f||^2 is sum_j 1[j >= d(k)] e^{-2t lambda_j} |c_j|^2,
+    divided by ||f||^2 on the grid.  The worst ratio is the first maximum in
+    trial-major order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((trials,) + dec.domain.shape)
-    mags = np.abs(to_coefficients(dec, values)) ** 2
+    mags = np.empty((trials, dec.domain.cell_count))
+    for _ in _forward_chunks(dec, values, mags):
+        pass  # the transforms are not needed, only the squares written into mags
+    mags = mags.T
     sizes = np.linalg.norm(values.reshape(trials, -1), axis=1) * np.sqrt(dec.domain.cell_volume)
     times = np.asarray(t_samples, dtype=float)
     high = np.arange(dec.domain.cell_count) >= spectral_count(dec, k)

@@ -226,19 +226,20 @@ def observation_tail(dec: SpectralDecomposition, kernel: TimeKernel, phi: GridFu
     """Certified upper ends of the time-integrated mass of e^{-tH} phi beyond each radius.
 
     ``kernel`` is certify.time_kernel(dec.eigenvalues, 0, T).  Its rows
-    l_q give the per-cell density q(x) = sum_q |(l_q(H) phi)(x)|^2, one
-    spectral_apply per row.  Over any set E, I = h sum_E q less the roundoff
-    allowance brackets int_0^T ||chi_E e^{-tH} phi||^2 dt in
-    [I, I + B ||phi||^2], B the kernel's bound: TimeKernel.bracket, the
-    rule of certify.observation_bracket.  Every figure is that upper end: tail(L)
+    l_q give the per-cell density q(x) = sum_q |(l_q(H) phi)(x)|^2, from one
+    spectral_apply of the stack of rows, which transforms phi once.  Over
+    any set E, I = h sum_E q less the roundoff allowance brackets
+    int_0^T ||chi_E e^{-tH} phi||^2 dt in [I, I + B ||phi||^2], B the
+    kernel's bound: TimeKernel.bracket, the rule of
+    certify.observation_bracket.  Every figure is that upper end: tail(L)
     over {|x - center| > L}, the total mass, and peak_density, the largest
     upper end over one cell divided by h, which converts mass bounds into
     measure bounds.  The tails decrease in L.
     """
     domain = dec.domain
     q = np.zeros(domain.shape)
-    for row in kernel.weights:
-        q += np.abs(spectral_apply(dec, row, phi).values) ** 2
+    for row in spectral_apply(dec, kernel.weights, phi):
+        q += np.abs(row.values) ** 2
     h = domain.cell_volume
     radii, shell_of = np.unique(domain.radius_grid(center=center), return_inverse=True)
     shells = np.bincount(shell_of.ravel(), weights=q.ravel()) * h

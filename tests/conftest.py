@@ -46,17 +46,27 @@ def gram_builds(monkeypatch):
 
 @pytest.fixture()
 def coefficient_transforms(monkeypatch):
-    """Shape of the values of every to_coefficients call made during the test, in order."""
+    """Shape of the values of every forward transform made during the test, in order.
+
+    A forward transform is a to_coefficients call or a real FFT of a chunk
+    of real Fourier states (``np.fft.rfftn``, which only ``operators`` calls).
+    """
     shapes = []
     original = operators.to_coefficients
+    original_rfftn = np.fft.rfftn
 
     def counting(dec, f):
         shapes.append(np.shape(getattr(f, "values", f)))
         return original(dec, f)
 
+    def counting_rfftn(values, *args, **kwargs):
+        shapes.append(np.shape(values))
+        return original_rfftn(values, *args, **kwargs)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("stabcert") and getattr(module, "to_coefficients", None) is original:
             monkeypatch.setattr(module, "to_coefficients", counting)
+    monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
     return shapes
 
 

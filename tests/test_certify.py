@@ -4,6 +4,7 @@ The two GOLDEN dicts are printed by scripts/certificate_reference_values.py,
 which evaluates the chain independently with mpmath at 60 digits.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabcert import certify, specineq
+from stabcert import certify, operators, specineq
 from stabcert.certify import (
     Certificate,
     CriterionConstants,
@@ -29,9 +30,9 @@ from stabcert.certify import (
     time_kernel,
     weak_observability_check,
 )
-from stabcert.domain import grid_function, make_grid, norm
+from stabcert.domain import from_callable, grid_function, make_grid, norm
 from stabcert.geometry import BallComplement, Empty, Full, HalfSpace, PeriodicSlabs, make_set
-from stabcert.operators import FractionalLaplacian, ShiftedHermite, diagonalize, to_coefficients
+from stabcert.operators import FractionalLaplacian, Schrodinger, ShiftedHermite, diagonalize, to_coefficients
 from stabcert.probes import ObservationClaim, falsify_hermite_ground_state, falsify_weak_observability
 from stabcert.specineq import restricted_gram
 
@@ -379,15 +380,18 @@ def test_time_kernel_stops_at_the_relative_trace_tolerance(rtol, monkeypatch):
 def bracket_cases():
     frac2 = make_grid(2, 10.0, 24, periodic=True)
     herm2 = make_grid(2, 6.0, 16, periodic=False)
+    walls = make_grid(1, 8.0, 64, periodic=False)
     return [
         (FractionalLaplacian(s=1.0), make_grid(1, 10.0, 128, periodic=True), PeriodicSlabs(period=1.0, fill_fraction=0.25)),
         (FractionalLaplacian(s=1.0, c=0.5), frac2, BallComplement(center=(0.0, 0.0), radius=3.0)),
-        (ShiftedHermite(c=3.0), make_grid(1, 8.0, 64, periodic=False), HalfSpace(offset=0.0)),
+        (ShiftedHermite(c=3.0), walls, HalfSpace(offset=0.0)),
         (ShiftedHermite(), herm2, HalfSpace(offset=0.5)),
+        # a mirror-symmetric potential: the parity layout
+        (Schrodinger(potential=from_callable(walls, lambda x: x**2 - 2.0)), walls, HalfSpace(offset=0.0)),
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 def test_observation_bracket_contains_the_gram_closed_form(case, rng):
     spec, dom, shape = bracket_cases()[case]
     dec = diagonalize(spec, dom)
@@ -407,6 +411,50 @@ def test_observation_bracket_contains_the_gram_closed_form(case, rng):
         assert bound < 1e-10 * max(1.0, np.abs(exact).max() / sq_norms.min())
         want = np.sqrt((np.abs(coeffs) ** 2 * np.exp(-2.0 * hi * lams)[:, None]).sum(axis=0))
         np.testing.assert_allclose(decayed, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("case", range(5), ids=["fourier-1d", "fourier-2d", "assembled", "tensor", "parity"])
+def test_bracket_transforms_each_state_once(case, rng, coefficient_transforms, monkeypatch):
+    # the forward transforms are to_coefficients calls and real FFTs of
+    # chunks of real Fourier states (both counted by the fixture), and in
+    # the tensor layout the products U_1^T F U_1 with the factor itself
+    spec, dom, shape = bracket_cases()[case]
+    dec = diagonalize(spec, dom)
+    e = make_set(dom, shape)
+    tensor_states = []
+    product = operators._tensor_product
+
+    def counting(A, F):
+        if A is dec.tensor_factor:
+            tensor_states.append(len(F))
+        return product(A, F)
+
+    monkeypatch.setattr(operators, "_tensor_product", counting)
+    real = rng.standard_normal((70,) + dom.shape)
+    for states in (real, real + 1j * rng.standard_normal(real.shape)):
+        coefficient_transforms.clear()
+        tensor_states.clear()
+        observation_bracket(dec, e, states, dec.eigenvalues + 0.3, [(0.0, 2.0), (0.25, 0.5), (1.0, 6.0)])
+        assert sum(s[0] for s in coefficient_transforms) + sum(tensor_states) == len(states)
+
+
+@pytest.mark.parametrize("dim, m, trials", [(2, 40, 200), (1, 256, 1000)])
+def test_bracket_peak_stays_below_four_stacks(dim, m, trials):
+    # a second transform of the stack, with its complex fftn output, scaled
+    # and reordered copies, took the peak to 6.3 and 6.0 times the states'
+    # bytes on these grids; one chunked transform keeps it near 2.3
+    dom = make_grid(dim, 10.0, m, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    shape = BallComplement(center=(0.0, 0.0), radius=3.0) if dim == 2 else PeriodicSlabs(period=1.0, fill_fraction=0.25)
+    e = make_set(dom, shape)
+    states = np.random.default_rng(5).standard_normal((trials,) + dom.shape)
+    tracemalloc.start()
+    try:
+        observation_bracket(dec, e, states, dec.eigenvalues, [(0.0, 1.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * states.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +505,27 @@ def test_observability_margins_are_reproducible(small_certified):
     assert again.min_margin == once_more.min_margin
     assert again.observation_integrals == once_more.observation_integrals
     assert again.passed
+
+
+@pytest.mark.parametrize("check", ["recurrence", "observability"])
+def test_infinite_margins_are_arithmetic_errors(small_certified, monkeypatch, check):
+    # an observation integral that overflowed to +inf makes every margin
+    # +inf and every recurrence violation -inf: a check that passes on them
+    # tests nothing
+    dec, e, result = small_certified
+    cert = result.certificate
+    bracket = certify.observation_bracket
+
+    def overflowing(*args):
+        b = bracket(*args)
+        return dataclasses.replace(b, lower=np.full_like(b.lower, np.inf))
+
+    monkeypatch.setattr(certify, "observation_bracket", overflowing)
+    with pytest.raises(ArithmeticError, match="is infinite at"):
+        if check == "recurrence":
+            recurrence_check(dec, e, cert, [cert.tau0 / 2], trials=5)
+        else:
+            weak_observability_check(dec, e, cert, trials=5)
 
 
 def test_empty_set_is_unverifiable():

@@ -728,22 +728,28 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv, named):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["probe", "--operator", "hermite", "--domain", WALLS_64, "--c", "5", "--claim", "C=1,T=1000,alpha=0.5"],
-         "probe margin nan is not finite"),
-        (["probe", "--domain", "dim=1,R=20,m=1024", "--c", "400", "--claim", "C=1,T=2,alpha=0.5", "--centers", "0"],
-         "probe margin [nan] is not finite"),
+        (["probe", "--operator", "hermite", "--domain", WALLS_64, "--c", "5", "--claim", "C=1,T=1000,alpha=0.5",
+          "--set", "halfspace:offset=2"], "probe margin nan is not finite"),
+        (["probe", "--domain", "dim=1,R=20,m=1024", "--c", "400", "--claim", "C=1,T=2,alpha=0.5", "--centers", "0",
+          "--set", "halfspace:offset=2"], "probe margin [nan] is not finite"),
         (["certify", "--operator", "hermite", "--domain", "dim=1,R=8,m=64,periodic=false", "--c", "2",
-          "--k-max", "4", "--trials", "20"], "observability margin is NaN at C = inf"),
+          "--k-max", "4", "--trials", "20", "--set", "halfspace:offset=2"], "observability margin is NaN at C = inf"),
+        # C = 3.1e242 is finite, but C times the observation term overflows
+        # to a margin of +inf, which tests nothing
+        (["certify", "--operator", "hermite", "--domain", "dim=1,R=8,m=64,periodic=false", "--c", "2",
+          "--k-max", "4", "--trials", "5", "--seed", "1", "--set", "halfspace:offset=0"],
+         "observability margin is infinite at C = 3.07"),
     ],
-    ids=["hermite-probe", "frac-probe", "certify"],
+    ids=["hermite-probe", "frac-probe", "certify", "certify-infinite"],
 )
 def test_overflowing_margins_are_numerical_errors(tmp_path, capsys, argv, message):
-    # e^{-TH} or the constant C overflows double precision: a NaN margin is
-    # no verdict, and the overflow prints no warning beside the error line
+    # e^{-TH} or the constant C overflows double precision: a NaN or
+    # infinite margin is no verdict, and the overflow prints no warning
+    # beside the error line
     out = tmp_path / "out.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(argv + ["--set", "halfspace:offset=2", "--out", str(out)])
+        code = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith(f"numerical error: {message}") and err.count("\n") == 1

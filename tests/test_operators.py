@@ -586,8 +586,8 @@ def test_tensor_transforms_match_the_assembled_basis(tensor_pair, m, c):
         back = from_coefficients(factored, want[:, 3]).values
         back_want = from_coefficients(assembled, want[:, 3]).values
         assert np.abs(back - back_want).max() <= 1e-12 * np.abs(back_want).max()
-        np.testing.assert_allclose(restricted_norms(factored, e, weights, states),
-                                   restricted_norms(assembled, e, weights, states), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(restricted_norms(factored, e, weights, states)[0],
+                                   restricted_norms(assembled, e, weights, states)[0], rtol=1e-12, atol=0.0)
 
 
 def test_tensor_layout_holds_no_cells_squared_array():
@@ -598,7 +598,7 @@ def test_tensor_layout_holds_no_cells_squared_array():
     tracemalloc.start()
     try:
         dec = diagonalize(ShiftedHermite(), dom)
-        norms = restricted_norms(dec, e, np.exp(-np.outer([0.5, 1.0], dec.eigenvalues)), states)
+        norms, _ = restricted_norms(dec, e, np.exp(-np.outer([0.5, 1.0], dec.eigenvalues)), states)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1048,7 +1048,7 @@ def test_restricted_norms_are_gram_quadratic_forms(case, states, rng):
         coeffs = np.stack([to_coefficients(dec, grid_function(dom, v)) for v in values], axis=1)
         weighted = weights[:, :, None] * coeffs[None]
         want = np.einsum("qjp,jl,qlp->qp", weighted.conj(), gram, weighted).real
-        got = restricted_norms(dec, e, weights, values)
+        got, _ = restricted_norms(dec, e, weights, values)
         assert got.shape == (5, states)
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
@@ -1081,7 +1081,41 @@ def test_fourier_restricted_norms_match_the_scipy_fft_path(case, rng):
     for complex_valued in (False, True):
         values = np.stack([random_state(dom, rng, complex_valued).values for _ in range(6)])
         want = scipy_fft_restricted_norms(dec, e, weights, values)
-        np.testing.assert_allclose(restricted_norms(dec, e, weights, values), want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(restricted_norms(dec, e, weights, values)[0], want, rtol=1e-13, atol=0.0)
+
+
+def symmetric_well(dom):
+    return Schrodinger(potential=from_callable(dom, lambda x: x**2 - 2.0))
+
+
+MAGNITUDE_CASES = {
+    "fourier-1d": lambda: (FractionalLaplacian(s=1.0), make_grid(1, 10.0, 64, periodic=True)),
+    "fourier-2d": lambda: (FractionalLaplacian(s=0.5), make_grid(2, 10.0, 40, periodic=True)),
+    "fourier-2d-odd-m": lambda: (FractionalLaplacian(s=1.0),
+                                 GridDomain(dim=2, half_width=5.0, points_per_axis=15, periodic=True)),
+    "assembled": lambda: (ShiftedHermite(c=1.0), make_grid(1, 8.0, 64, periodic=False)),
+    "parity": lambda: (symmetric_well(make_grid(1, 8.0, 64, periodic=False)), make_grid(1, 8.0, 64, periodic=False)),
+    "tensor": lambda: (ShiftedHermite(), make_grid(2, 6.0, 12, periodic=False)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(MAGNITUDE_CASES))
+def test_restricted_norms_return_the_squared_coefficients(layout, rng):
+    # 90 random states span three chunks of real FFTs at 2D m = 40; the
+    # constant state and the one alternating along the last axis put all
+    # their weight on the k = 0 and k = m/2 columns, their own mirrors
+    spec, dom = MAGNITUDE_CASES[layout]()
+    dec = diagonalize(spec, dom)
+    assert (dec.parity_blocks is not None) == (layout == "parity")
+    assert (dec.tensor_factor is not None) == (layout == "tensor")
+    e = make_set(dom, HalfSpace(offset=0.0))
+    alternating = np.broadcast_to((-1.0) ** np.arange(dom.points_per_axis), dom.shape)
+    real = np.concatenate([rng.standard_normal((90,) + dom.shape), np.ones((1,) + dom.shape), alternating[None]])
+    for states in (real, real + 1j * rng.standard_normal(real.shape)):
+        _, mags = restricted_norms(dec, e, np.ones((1, dom.cell_count)), states)
+        want = np.abs(to_coefficients(dec, states)) ** 2
+        assert mags.shape == want.shape == (dom.cell_count, len(states))
+        assert np.all(np.abs(mags - want) <= 1e-13 * want.max(axis=0))
 
 
 def test_restricted_norms_check_their_inputs(frac_dec, hermite_dec, rng):

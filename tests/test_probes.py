@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from stabcert import certify
+from stabcert import certify, probes
 from stabcert.certify import observation_integrals, time_kernel
 from stabcert.domain import GridFunction, make_grid, norm
 from stabcert.geometry import BallComplement, Full, HalfSpace, SetIndicator, make_set
@@ -24,6 +24,7 @@ from stabcert.operators import (
     diagonalize,
     restricted_gram,
     semigroup_apply,
+    spectral_apply,
     to_coefficients,
 )
 from stabcert.probes import (
@@ -300,6 +301,30 @@ def test_observation_tail_brackets_the_exact_integrals():
     assert prof.total_mass - width <= exact(np.ones(dom.shape, bool)) <= prof.total_mass
     per_cell = [exact(np.arange(dom.cell_count) == j) for j in modes]
     assert max(per_cell) / dom.cell_volume <= prof.peak_density
+
+
+@pytest.mark.parametrize("dim, m, s", [(1, 512, 1.0), (2, 64, 2.0)])
+def test_observation_tail_transforms_phi_once(dim, m, s, coefficient_transforms, monkeypatch):
+    # the reference applies each kernel row on its own, transforming phi
+    # once per row; the tail takes one transform for all rows
+    dom = make_grid(dim, 10.0, m, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=s), dom)
+    p = make_probe(s, 0.0, dom, (1.3,) * dim, 0.5)
+    phi = kernel_probe_solution(p, 0.0)
+    kernel = time_kernel(dec.eigenvalues, 0.0, 1.0)
+    assert kernel.rank > 1
+    coefficient_transforms.clear()
+    got = observation_tail(dec, kernel, phi, p.x0)
+    assert coefficient_transforms == [dom.shape]
+    monkeypatch.setattr(probes, "spectral_apply",
+                        lambda dec, weights, f: tuple(spectral_apply(dec, row, f) for row in weights))
+    coefficient_transforms.clear()
+    want = observation_tail(dec, kernel, phi, p.x0)
+    assert coefficient_transforms == [dom.shape] * kernel.rank
+    assert got.radii == want.radii
+    np.testing.assert_allclose(got.tail_masses, want.tail_masses, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose([got.total_mass, got.peak_density], [want.total_mass, want.peak_density],
+                               rtol=1e-13, atol=0.0)
 
 
 def test_rank_zero_kernel_leaves_only_the_bound(pdom, monkeypatch):

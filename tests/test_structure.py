@@ -9,9 +9,10 @@ module goes through `spectral_count`, `spectral_apply` and the coefficient
 transforms. `specineq`, `certify` and `probes` never sample eigenfunctions
 with `basis_block`: the restricted Gram is built by `operators`, and
 `certify` and `probes` never build one at all (their observation integrals
-go through `operators.restricted_norms`), and `probes` takes its decayed
-norms from the observation bracket, not from `to_coefficients`, and
-evaluates its self-similar probe only at t = 0. In `operators`,
+go through `operators.restricted_norms`), `certify` takes its decayed norms
+from the squared coefficients that `restricted_norms` returns, and `probes`
+takes them from the observation bracket, neither from `to_coefficients`;
+`probes` evaluates its self-similar probe only at t = 0. In `operators`,
 every `eigh` call is inside `_dense_eigh`. scipy is imported only by
 `operators`, and only as `scipy.linalg` for that eigensolver, so importing
 the CLI loads no other scipy subpackage.
@@ -128,6 +129,14 @@ def test_probes_take_their_decayed_norms_from_the_bracket():
     # ||e^{-TH} phi|| of every probe comes with its observation bracket
     # (`certify.observation_bracket`), from one batched coefficient transform
     found = _names(_tree(next(p for p in SOURCES if p.name == "probes.py")), "to_coefficients")
+    assert not found, found
+
+
+def test_certify_takes_its_decayed_norms_from_restricted_norms():
+    # the bracket's ||e^{-hi H} u|| come from the |c|^2 that
+    # `operators.restricted_norms` returns beside its set norms, from the
+    # one transform of each state its passes use
+    found = _names(_tree(next(p for p in SOURCES if p.name == "certify.py")), "to_coefficients")
     assert not found, found
 
 
