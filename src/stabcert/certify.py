@@ -56,7 +56,6 @@ from .operators import (
 )
 from .specineq import (
     SpectralConstantCurve,
-    fit_growth,
     spectral_constant_curve,
     verify_spectral_hypothesis,
 )
@@ -581,7 +580,8 @@ def certify_end_to_end(
             raise ValueError(f"{name} (--{name.replace('_', '-')}) must be at least 1, got {count}")
     dec = diagonalize(spec, domain, cache_dir=cache_dir)
     thresholds = [float(k) for k in range(1, int(k_max) + 1)]
-    curve = spectral_constant_curve(dec, e, thresholds)
+    a = growth_exponent(spec)
+    curve = spectral_constant_curve(dec, e, thresholds, a)
     if not all(np.isfinite(curve.constants)):
         bad = [int(k) for k, c in zip(thresholds, curve.constants) if not np.isfinite(c)]
         return CertificationResult(
@@ -593,12 +593,8 @@ def certify_end_to_end(
             curve=curve,
         )
 
-    a = growth_exponent(spec)
-    c1 = 0.0  # too few thresholds to fit; the envelope below still applies
-    if len(curve.thresholds) >= 4:
-        fit = fit_growth(curve, a)
-        curve = SpectralConstantCurve(curve.thresholds, curve.constants, fit=fit)
-        c1 = 1.1 * fit.c1
+    # too few thresholds to fit: c1 = 0, and the envelope below still applies
+    c1 = 0.0 if curve.fit is None else 1.1 * curve.fit.c1
     escalated = False
     hyp = None
     if c1 > 0:

@@ -80,7 +80,7 @@ from .probes import (
     falsify_hermite_ground_state,
     falsify_weak_observability,
 )
-from .specineq import curve_to_csv, curve_to_json, fit_growth, spectral_constant_curve
+from .specineq import curve_to_csv, curve_to_json, spectral_constant_curve
 
 __all__ = ["RunConfig", "ResultDocument", "run", "payload_json", "document_to_json", "main"]
 
@@ -247,10 +247,7 @@ def _thickness_outputs(spec, domain, e, options, cache_dir):
 
 def _spectral_outputs(spec, domain, e, options, cache_dir):
     dec = diagonalize(spec, domain, cache_dir=cache_dir)
-    curve = spectral_constant_curve(dec, e, options["thresholds"])
-    # the fit rule of certify_end_to_end: every constant finite, at least 4 of them
-    if len(curve.constants) >= 4 and all(np.isfinite(curve.constants)):
-        curve = dataclasses.replace(curve, fit=fit_growth(curve, growth_exponent(spec)))
+    curve = spectral_constant_curve(dec, e, options["thresholds"], growth_exponent(spec))
     return {"curve": curve_to_json(curve)}, {"curve.csv": curve_to_csv(curve)}
 
 

@@ -24,13 +24,12 @@ Each kind takes the cheapest computation its structure allows:
 * ``_grid_values`` is the one synthesis of coefficients on the grid, for
   every layout, and ``dense_matrix`` gathers a Fourier multiplier from its
   convolution kernel;
-* ``restricted_norms`` gives ||chi_E w_q(H) f_p||^2 for a batch of weights
-  and states without any Gram matrix, and the squared coefficients |c_jp|^2
-  from the same one transform of each state: real FFTs over chunks of
-  real states in the Fourier kind, one product with the E rows of the
-  eigenvectors per pass in the assembled dense kind, a synthesis of each
-  pass on the grid whose E rows are kept otherwise, and two products with
-  the 1D factor per pass in the tensor layout;
+* ``_weighted_passes`` is the one pass of every layout: it transforms a
+  stack of states once (real FFTs over chunks of real Fourier states,
+  ``to_coefficients`` otherwise), keeps |c_jp|^2, and yields each
+  w_q(H) f_p on the grid.  ``restricted_norms`` sums the passes over E
+  without any Gram matrix, ``spectral_apply`` returns them, and
+  ``dissipative_margin`` keeps only the squares;
 * 2D Hermite is diagonalized from its 1D factor (fast diagonalization) and
   its basis is kept as that factor, each column the plain product of two
   pinned factor columns: a transform of a stack is two products with the
@@ -632,8 +631,10 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
         u = np.fft.fftn(values, axes=tuple(range(len(lead), values.ndim))).reshape(flat)
         return np.take(u * _fft_coeff_scale(dec.domain), dec.order, axis=-1).T
     if dec.tensor_factor is not None:
-        m, h = dec.domain.points_per_axis, dec.domain.cell_volume
-        C = _tensor_product(dec.tensor_factor, values.reshape(-1, m, m)).reshape(-1, flat[-1])
+        # U_1^T times each F_p U_1 batched: the flat form of that product needs a
+        # transposed copy of the stack, and measured slower
+        m, h, U = dec.domain.points_per_axis, dec.domain.cell_volume, dec.tensor_factor
+        C = np.matmul(U.T, (values.reshape(-1, m) @ U).reshape(-1, m, m)).reshape(-1, flat[-1])
         return (C[:, dec.order] * np.sqrt(h)).T.reshape(flat[::-1])
     x = values.reshape(flat).T
     if dec.parity_blocks is None:
@@ -644,17 +645,6 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     return np.concatenate([even, odd])[dec.order] * dec.domain.cell_volume
 
 
-def _tensor_product(A: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """A^T F_p A for every matrix F_p of the (P, m, m) stack F.
-
-    F A is one flat (P m, m) x (m, m) product, and A^T times each of its
-    matrices one batched product: no transposed copy of the stack is made
-    (the flat form of the second product needs one, and measured slower).
-    """
-    P, m, _ = F.shape
-    return np.matmul(A.T, (F.reshape(P * m, m) @ A).reshape(P, m, m))
-
-
 def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
     """Grid values (cells,) or (cells, P) of the ascending coefficients (cells,) or (cells, P).
 
@@ -663,7 +653,8 @@ def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
     B_+ c_+ and the odd part B_- c_- give the top half as their sum and the
     reflected bottom half as their difference.  In the tensor layout the
     coefficients of state p, scattered to their pairs C_p[i, j] and divided
-    by sqrt(h), give U_1 C_p U_1^T.
+    by sqrt(h), give U_1 C_p U_1^T: with the states on the last axis that is
+    one product batched over i and one flat product, and no transposed copy.
     """
     if dec.vectors is not None:
         return dec.vectors @ coeffs
@@ -673,16 +664,13 @@ def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
         u[:, dec.order] = coeffs.reshape(cells, -1).T
         values = np.fft.ifftn(u.reshape((-1,) + dec.domain.shape), axes=tuple(range(1, dec.domain.dim + 1)))
         return (values / _fft_coeff_scale(dec.domain)).reshape(-1, cells).T.reshape(coeffs.shape)
-    if dec.tensor_factor is not None:
-        m = dec.domain.points_per_axis
-        c = coeffs.reshape(cells, -1)
-        C = np.empty((c.shape[1], cells), dtype=np.result_type(c, dec.tensor_factor))
-        C[:, dec.order] = (c / np.sqrt(dec.domain.cell_volume)).T
-        values = _tensor_product(dec.tensor_factor.T, C.reshape(-1, m, m))
-        return values.reshape(-1, cells).T.reshape(coeffs.shape)
-    half = cells // 2
-    native = np.empty_like(coeffs)
+    native = np.empty(coeffs.shape, dtype=coeffs.dtype)
     native[dec.order] = coeffs
+    if dec.tensor_factor is not None:
+        m, U = dec.domain.points_per_axis, dec.tensor_factor / dec.domain.cell_volume**0.25
+        np.matmul(U, np.matmul(U, native.reshape(m, m, -1)).reshape(m, -1), out=native.reshape(m, -1))
+        return native
+    half = cells // 2
     even, odd = dec.parity_blocks[0] @ native[:half], dec.parity_blocks[1] @ native[half:]
     return np.concatenate([even + odd, (even - odd)[::-1]])
 
@@ -761,46 +749,55 @@ def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.
     return chi.ravel()[pairs]
 
 
-def _forward_chunks(dec: SpectralDecomposition, states: np.ndarray, mags: np.ndarray):
-    """Transform the stack ``states`` once, writing |c_jp|^2 in ascending order into row p of ``mags``.
+def _weighted_passes(dec: SpectralDecomposition, weights, states, mags, rows=None):
+    """Transform the stack ``states`` once and yield w_q(H) f_p on the grid, one weight row at a time.
 
-    Yields (chunk, transform of the states ``states[chunk]``).  Real states
-    in the Fourier kind go in chunks of about ``_SCAN_BLOCK_ENTRIES``
-    entries, each transform the rfftn half spectrum: a real state's spectrum
-    is conjugate symmetric, so a frequency k whose last index exceeds m // 2
-    reads |c|^2 at -k mod m.  Every other stack is one chunk: the tensor
-    layout yields C_p = U_1^T F_p U_1 in its (i, j) layout, the others the
-    coefficients of ``to_coefficients``.  ``mags`` is (P, cells) and holds
-    the squares of ``to_coefficients`` to roundoff.
+    ``weights`` is (r, cells), each row a real function of the eigenvalue in
+    ascending order; ``states`` is (P,) + the grid shape.  Row p of ``mags``
+    (P, cells) receives |c_jp|^2 in ascending order, and each yield
+    (chunk, q, y) holds w_q(H) f_p, p = chunk.start + i, in row i of y.
+    Given ``rows``, a boolean mask of the cells, the assembled dense kind
+    multiplies only those rows of ``vectors`` and yields the values there
+    alone; every other pass holds the whole grid.
+
+    Real Fourier states go in chunks of about ``_SCAN_BLOCK_ENTRIES``
+    entries, each transform the rfftn half spectrum: a real state's
+    spectrum is conjugate symmetric, so a frequency k whose last index
+    exceeds m // 2 reads |c|^2 at -k mod m, and each (chunk, row) pass is
+    one real inverse FFT, real because the weights are even in the
+    frequency.  Every other stack is one chunk, transformed by
+    ``to_coefficients`` and synthesized per row by ``_grid_values``.
     """
     domain = dec.domain
-    cells, P = domain.cell_count, len(states)
-    if dec.basis_kind == "Fourier" and not np.iscomplexobj(states):
-        m = domain.points_per_axis
+    cells, P, r = domain.cell_count, len(states), len(weights)
+    if dec.basis_kind == "Fourier" and np.isrealobj(states):
+        m, axes = domain.points_per_axis, tuple(range(1, domain.dim + 1))
         k = np.array(np.unravel_index(dec.order, domain.shape))
         k[:, k[-1] > m // 2] *= -1
         source = np.ravel_multi_index(tuple(k % m), domain.shape[:-1] + (m // 2 + 1,))
+        grid = np.empty((r, cells))
+        grid[:, dec.order] = weights
+        grid = grid.reshape((r,) + domain.shape)[..., : m // 2 + 1]
         block, scale = max(1, _SCAN_BLOCK_ENTRIES // cells), _fft_coeff_scale(domain) ** 2
         for p in range(0, P, block):
-            spectra = np.fft.rfftn(states[p : p + block], axes=tuple(range(1, domain.dim + 1)))
+            chunk = slice(p, p + block)
+            spectra = np.fft.rfftn(states[chunk], axes=axes)
             sq = np.abs(spectra)
             sq *= sq
-            chunk = mags[p : p + block]
-            np.take(sq.reshape(len(sq), -1), source, axis=1, out=chunk)
-            chunk *= scale
-            yield slice(p, p + block), spectra
-    elif dec.tensor_factor is not None:
-        m = domain.points_per_axis
-        C = _tensor_product(dec.tensor_factor, states.reshape(P, m, m)).reshape(P, cells)
-        np.abs(C[:, dec.order], out=mags)
-        mags *= mags
-        mags *= domain.cell_volume
-        yield slice(0, P), C
-    else:
-        coeffs = to_coefficients(dec, states)
-        np.abs(coeffs.T, out=mags)
-        mags *= mags
-        yield slice(0, P), coeffs
+            np.take(sq.reshape(len(sq), -1), source, axis=1, out=mags[chunk])
+            mags[chunk] *= scale
+            for q in range(r):
+                y = np.fft.irfftn(grid[q] * spectra, s=domain.shape, axes=axes)
+                yield chunk, q, y.reshape(len(spectra), cells)
+        return
+    coeffs = to_coefficients(dec, states)
+    np.abs(coeffs.T, out=mags)
+    mags *= mags
+    basis = dec.vectors if rows is None or dec.vectors is None else dec.vectors[rows]
+    z = np.empty(coeffs.shape, dtype=np.result_type(weights, coeffs))
+    for q in range(r):
+        np.multiply(weights[q][:, None], coeffs, out=z)
+        yield slice(0, P), q, (_grid_values(dec, z) if basis is None else basis @ z).T
 
 
 def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, states):
@@ -809,64 +806,27 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
     ``weights`` is (r, cells), each row given per eigenvalue in ascending
     order and equal across each level (any function of the eigenvalue is);
     ``states`` is (P,) + the grid shape, the values of the f_p, and c_jp
-    their coefficients, ascending as ``to_coefficients`` gives them.  Each
-    state is transformed once (``_forward_chunks``), and no Gram matrix is
-    formed.  Real states in the Fourier kind go in chunks of about
-    ``_SCAN_BLOCK_ENTRIES`` entries, and each (weight, chunk) pair goes back
-    with one real inverse FFT (the symbol is even in the frequency, so
-    w_q(H) f_p is real), squared in place.  Otherwise per pass the assembled
-    dense kind takes one product of the E rows of ``vectors`` with the
-    weighted coefficients, and the parity layout and complex Fourier states
-    synthesize the pass on the grid with ``_grid_values`` and keep the rows
-    of E.  The tensor layout weights C_p = U_1^T F_p U_1 and synthesizes
-    U_1 (w_q C_p) U_1^T on the grid per pass (the scale cancels), summing it
-    over E.  A pass is one weight row, so the temporaries stay at the size
-    of a chunk of real Fourier states and at O(P cells) otherwise; no pass
-    stacks all r P columns.
+    their coefficients, ascending as ``to_coefficients`` gives them: one
+    loop over ``_weighted_passes``, which transforms each state once, with
+    each pass squared in place and summed over E.  No Gram matrix is formed.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     states = np.asarray(states)
-    domain = dec.domain
-    shape, cells, h = domain.shape, domain.cell_count, domain.cell_volume
-    if weights.shape[1] != cells or states.shape[1:] != shape:
-        raise ValueError(f"weights {weights.shape} or states {states.shape} do not fit {shape}")
-    r, P = weights.shape[0], states.shape[0]
-    out = np.empty((r, P))
-    mags = np.empty((P, cells))
+    if weights.shape[1] != dec.domain.cell_count or states.shape[1:] != dec.domain.shape:
+        raise ValueError(f"weights {weights.shape} or states {states.shape} do not fit {dec.domain.shape}")
+    out, mags = np.empty((len(weights), len(states))), np.empty((len(states), weights.shape[1]))
     inside = e.cells.ravel()
     mask = inside.astype(float)
-    if dec.tensor_factor is not None:
-        # the sqrt(h) of the two transforms cancels, so a pass weights C_p in
-        # its (i, j) layout and synthesizes it, with no scatter to ascending order
-        m = domain.points_per_axis
-        native = np.empty((r, cells))
-        native[:, dec.order] = weights
-        for _, C in _forward_chunks(dec, states, mags):
-            for q in range(r):
-                y = _tensor_product(dec.tensor_factor.T, (native[q] * C).reshape(P, m, m)).reshape(P, cells)
-                out[q] = np.einsum("pj,pj->p", y.conj() * mask, y).real * h
-        return out, mags.T
-    if dec.basis_kind == "Dense" or np.iscomplexobj(states):
-        rows = dec.vectors[inside] if dec.vectors is not None else None
-        for _, coeffs in _forward_chunks(dec, states, mags):
-            for q in range(r):
-                z = weights[q][:, None] * coeffs
-                y = rows @ z if rows is not None else _grid_values(dec, z)[inside]
-                out[q] = (np.abs(y) ** 2).sum(axis=0) * h
-        return out, mags.T
-    grid = np.empty((r, cells))
-    grid[:, dec.order] = weights
-    # states, and a pass (states, grid), carry the grid on axes 1..n
-    state_axes = tuple(range(1, domain.dim + 1))
-    grid = grid.reshape((r,) + shape)[..., : shape[-1] // 2 + 1]
-    for chunk, spectra in _forward_chunks(dec, states, mags):
-        for q in range(r):
-            y = np.fft.irfftn(grid[q] * spectra, s=shape, axes=state_axes).reshape(len(spectra), cells)
-            y *= y
+    for chunk, q, y in _weighted_passes(dec, weights, states, mags, inside):
+        y = np.abs(y) if np.iscomplexobj(y) else y
+        y *= y
+        if y.shape[1] == len(mask):
             np.matmul(y, mask, out=out[q, chunk])
-    out *= h
+        else:  # the assembled kind gives the cells of E alone
+            y.sum(axis=1, out=out[q, chunk])
+    out *= dec.domain.cell_volume
     return out, mags.T
 
 
@@ -908,27 +868,17 @@ def spectral_count(dec: SpectralDecomposition, k: float) -> int:
 
 
 def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction):
-    """w(H) f for the weights w(lambda_j), given in ascending-eigenvalue order.
+    """w(H) f for the real weights w(lambda_j), given in ascending-eigenvalue order.
 
-    One coefficient transform, the weights, and the one synthesis
-    ``_grid_values`` in every layout.  ``weights`` is (cells,), or a stack
-    (r, cells) whose rows w_q give an iterator over the r functions
-    w_q(H) f: all come from the one transform of ``f``, and each is
-    synthesized when it is reached, so one is held at a time.  For a real
-    ``f`` the result is real: the imaginary part of the Fourier synthesis,
-    which is roundoff when the weights are equal across each level, is
-    dropped.
+    ``weights`` is (cells,), or a stack (r, cells) whose rows w_q give an
+    iterator over the r functions w_q(H) f: the passes of one
+    ``_weighted_passes`` transform of ``f``, each synthesized when it is
+    reached, and real for a real ``f`` (by a real inverse FFT in Fourier).
     """
     weights = np.asarray(weights)
-    coeffs = to_coefficients(dec, f)
-
-    def synthesize(w):
-        values = _grid_values(dec, w * coeffs)
-        if np.isrealobj(f.values):
-            values = values.real
-        return GridFunction(dec.domain, values.reshape(dec.domain.shape))
-
-    rows = map(synthesize, np.atleast_2d(weights))
+    mags = np.empty((1, dec.domain.cell_count))
+    passes = _weighted_passes(dec, np.atleast_2d(weights), f.values[None], mags)
+    rows = (GridFunction(dec.domain, y.reshape(dec.domain.shape)) for _, _, y in passes)
     return next(rows) if weights.ndim == 1 else rows
 
 
@@ -965,8 +915,8 @@ def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeR
     least as fast as e^{-tk}.
 
     The trials are one draw of (trials,) + the grid shape, transformed once
-    by ``_forward_chunks`` (real FFTs in the Fourier kind), which keeps only
-    the squares |c_j|^2.  Each norm is a coefficient sum:
+    by ``_weighted_passes`` with no weight rows (real FFTs in the Fourier
+    kind), which leaves only the squares |c_j|^2.  Each norm is a coefficient sum:
     ||(1 - pi_k) e^{-tH} f||^2 is sum_j 1[j >= d(k)] e^{-2t lambda_j} |c_j|^2,
     divided by ||f||^2 on the grid.  The worst ratio is the first maximum in
     trial-major order.
@@ -976,8 +926,8 @@ def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeR
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((trials,) + dec.domain.shape)
     mags = np.empty((trials, dec.domain.cell_count))
-    for _ in _forward_chunks(dec, values, mags):
-        pass  # the transforms are not needed, only the squares written into mags
+    for _ in _weighted_passes(dec, np.empty((0, dec.domain.cell_count)), values, mags):
+        pass  # there are no passes: draining the generator writes the squares into mags
     mags = mags.T
     sizes = np.linalg.norm(values.reshape(trials, -1), axis=1) * np.sqrt(dec.domain.cell_volume)
     times = np.asarray(t_samples, dtype=float)

@@ -227,7 +227,9 @@ def observation_tail(dec: SpectralDecomposition, kernel: TimeKernel, phi: GridFu
 
     ``kernel`` is certify.time_kernel(dec.eigenvalues, 0, T).  Its rows
     l_q give the per-cell density q(x) = sum_q |(l_q(H) phi)(x)|^2, from one
-    spectral_apply of the stack of rows, which transforms phi once.  Over
+    spectral_apply of the stack of rows: phi is transformed once, and each
+    row is one synthesis on the grid, a real inverse FFT of the half
+    spectrum when phi is a real state in the Fourier kind.  Over
     any set E, I = h sum_E q less the roundoff allowance brackets
     int_0^T ||chi_E e^{-tH} phi||^2 dt in [I, I + B ||phi||^2], B the
     kernel's bound: TimeKernel.bracket, the rule of

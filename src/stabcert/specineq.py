@@ -119,13 +119,22 @@ def best_constant(dec: SpectralDecomposition, k: float, e: SetIndicator, return_
     return const, from_coefficients(dec, padded)
 
 
-def spectral_constant_curve(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> SpectralConstantCurve:
-    """C(k, E) at ascending thresholds, read from the leading blocks of one Gram matrix."""
+def spectral_constant_curve(dec: SpectralDecomposition, e: SetIndicator, thresholds,
+                            a: Optional[float] = None) -> SpectralConstantCurve:
+    """C(k, E) at ascending thresholds, read from the leading blocks of one Gram matrix.
+
+    Given the growth exponent ``a``, the curve carries its ``fit_growth``
+    fit when it has at least 4 constants and every one is finite; that is
+    the one rule for when a curve is fitted.
+    """
     thresholds = [float(k) for k in thresholds]
     if sorted(thresholds) != thresholds:
         raise ValueError("thresholds must ascend")
     constants = tuple(const for const, _ in _constants(dec, e, thresholds))
-    return SpectralConstantCurve(thresholds=tuple(thresholds), constants=constants)
+    curve = SpectralConstantCurve(thresholds=tuple(thresholds), constants=constants)
+    if a is not None and len(constants) >= 4 and all(np.isfinite(constants)):
+        curve = SpectralConstantCurve(curve.thresholds, constants, fit=fit_growth(curve, a))
+    return curve
 
 
 def fit_growth(curve: SpectralConstantCurve, a: float) -> ExpPowerFit:

@@ -14,7 +14,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabcert import certify, operators, specineq
+from stabcert import certify, specineq
 from stabcert.certify import (
     Certificate,
     CriterionConstants,
@@ -414,28 +414,17 @@ def test_observation_bracket_contains_the_gram_closed_form(case, rng):
 
 
 @pytest.mark.parametrize("case", range(5), ids=["fourier-1d", "fourier-2d", "assembled", "tensor", "parity"])
-def test_bracket_transforms_each_state_once(case, rng, coefficient_transforms, monkeypatch):
+def test_bracket_transforms_each_state_once(case, rng, coefficient_transforms):
     # the forward transforms are to_coefficients calls and real FFTs of
-    # chunks of real Fourier states (both counted by the fixture), and in
-    # the tensor layout the products U_1^T F U_1 with the factor itself
+    # chunks of real Fourier states, both counted by the fixture
     spec, dom, shape = bracket_cases()[case]
     dec = diagonalize(spec, dom)
     e = make_set(dom, shape)
-    tensor_states = []
-    product = operators._tensor_product
-
-    def counting(A, F):
-        if A is dec.tensor_factor:
-            tensor_states.append(len(F))
-        return product(A, F)
-
-    monkeypatch.setattr(operators, "_tensor_product", counting)
     real = rng.standard_normal((70,) + dom.shape)
     for states in (real, real + 1j * rng.standard_normal(real.shape)):
         coefficient_transforms.clear()
-        tensor_states.clear()
         observation_bracket(dec, e, states, dec.eigenvalues + 0.3, [(0.0, 2.0), (0.25, 0.5), (1.0, 6.0)])
-        assert sum(s[0] for s in coefficient_transforms) + sum(tensor_states) == len(states)
+        assert sum(s[0] for s in coefficient_transforms) == len(states)
 
 
 @pytest.mark.parametrize("dim, m, trials", [(2, 40, 200), (1, 256, 1000)])

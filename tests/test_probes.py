@@ -306,7 +306,8 @@ def test_observation_tail_brackets_the_exact_integrals():
 @pytest.mark.parametrize("dim, m, s", [(1, 512, 1.0), (2, 64, 2.0)])
 def test_observation_tail_transforms_phi_once(dim, m, s, coefficient_transforms, monkeypatch):
     # the reference applies each kernel row on its own, transforming phi
-    # once per row; the tail takes one transform for all rows
+    # once per row; the tail takes one transform for all rows, a real FFT
+    # of the stack of the one real state phi
     dom = make_grid(dim, 10.0, m, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=s), dom)
     p = make_probe(s, 0.0, dom, (1.3,) * dim, 0.5)
@@ -315,12 +316,12 @@ def test_observation_tail_transforms_phi_once(dim, m, s, coefficient_transforms,
     assert kernel.rank > 1
     coefficient_transforms.clear()
     got = observation_tail(dec, kernel, phi, p.x0)
-    assert coefficient_transforms == [dom.shape]
+    assert coefficient_transforms == [(1,) + dom.shape]
     monkeypatch.setattr(probes, "spectral_apply",
                         lambda dec, weights, f: tuple(spectral_apply(dec, row, f) for row in weights))
     coefficient_transforms.clear()
     want = observation_tail(dec, kernel, phi, p.x0)
-    assert coefficient_transforms == [dom.shape] * kernel.rank
+    assert coefficient_transforms == [(1,) + dom.shape] * kernel.rank
     assert got.radii == want.radii
     np.testing.assert_allclose(got.tail_masses, want.tail_masses, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose([got.total_mass, got.peak_density], [want.total_mass, want.peak_density],

@@ -238,6 +238,19 @@ def test_fit_validates_model_arguments():
         fit_growth(curve, 0.0)
 
 
+def test_curve_carries_a_fit_only_from_four_finite_constants(frac_dec, slabs):
+    # the one fit rule of the spectral-constant and certify commands: with a
+    # growth exponent, at least 4 constants, every one finite
+    ks = [float(k) for k in range(1, 6)]
+    fitted = spectral_constant_curve(frac_dec, slabs, ks, 1.0)
+    assert fitted.fit == fit_growth(spectral_constant_curve(frac_dec, slabs, ks), 1.0)
+    assert spectral_constant_curve(frac_dec, slabs, ks).fit is None
+    assert spectral_constant_curve(frac_dec, slabs, ks[:3], 1.0).fit is None
+    empty = make_set(frac_dec.domain, Empty())
+    curve = spectral_constant_curve(frac_dec, empty, ks, 1.0)
+    assert not np.isfinite(curve.constants).all() and curve.fit is None
+
+
 # ---------------------------------------------------------------------------
 # hypothesis verification
 

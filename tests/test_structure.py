@@ -13,9 +13,10 @@ go through `operators.restricted_norms`), `certify` takes its decayed norms
 from the squared coefficients that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
 `probes` evaluates its self-similar probe only at t = 0. In `operators`,
-every `eigh` call is inside `_dense_eigh`. scipy is imported only by
-`operators`, and only as `scipy.linalg` for that eigensolver, so importing
-the CLI loads no other scipy subpackage.
+every `eigh` call is inside `_dense_eigh`, and every real FFT of a stack
+of states (`rfftn`, `irfftn`) is inside `_weighted_passes`. scipy is
+imported only by `operators`, and only as `scipy.linalg` for that
+eigensolver, so importing the CLI loads no other scipy subpackage.
 """
 
 import ast
@@ -172,6 +173,22 @@ def test_eigh_is_called_only_in_dense_eigh():
     assert calls, "operators.py calls no eigh at all"
     outside = [f"line {node.lineno}: {ast.unparse(node)}" for node in calls if id(node) not in inside]
     assert not outside, outside
+
+
+def test_real_ffts_are_called_only_in_weighted_passes():
+    # the real FFTs of a stack of real Fourier states, forward and inverse,
+    # belong to the one transform-and-synthesis pass `_weighted_passes`, so
+    # no second pass over the states grows back elsewhere
+    found = {
+        (path.name, func.name)
+        for path in SOURCES
+        for func in ast.walk(_tree(path))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("rfftn", "irfftn")
+    }
+    assert found == {("operators.py", "_weighted_passes")}, sorted(found)
 
 
 def _scipy_imports(tree):
