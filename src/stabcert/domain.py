@@ -14,6 +14,7 @@ evaluation exact downstream.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -106,6 +107,11 @@ class GridDomain:
             raise ValueError("frequency lattice is defined for periodic grids only")
         m = self.points_per_axis
         return (np.pi / self.half_width) * np.fft.fftfreq(m, d=1.0 / m)
+
+    def frequency_norm(self) -> np.ndarray:
+        """|xi| on the frequency grid, of the grid's shape and in FFT layout on every axis."""
+        sq = self.frequency_axis() ** 2
+        return np.sqrt(functools.reduce(np.add.outer, (sq,) * self.dim))
 
 
 @dataclass(frozen=True)

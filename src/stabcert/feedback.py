@@ -45,6 +45,7 @@ from .operators import (
     SpectralDecomposition,
     basis_block,
     dense_matrix,
+    is_resolved,
     spectral_count,
     to_coefficients,
 )
@@ -221,11 +222,10 @@ def build_damping_feedback(
         raise ValueError(
             f"the damping law needs H >= 0, but the smallest eigenvalue is lambda_1 = {lam1:.6g}"
         )
-    cells = dec.domain.cell_count
-    resolved = [n for n in N_grid if 2 * spectral_count(dec, float(n) ** 2) <= cells]
+    resolved = [n for n in N_grid if is_resolved(dec, float(n) ** 2)]
     if not resolved:
         raise ValueError(
-            f"no N in the sweep has a projection range within half the cell count {cells}; "
+            f"no N in the sweep has a projection range within half the cell count {dec.domain.cell_count}; "
             "refine the grid or lower the sweep"
         )
     # the loop matrix before the sweep: dense_matrix refuses a grid too large

@@ -205,21 +205,12 @@ def check_thick(e: SetIndicator, side_lengths) -> ThicknessReport:
         if gamma > 0 and found is None:
             found = (L, float(gamma), center)
         worst_center = center
-    if found is not None:
-        L, gamma, center = found
-        return ThicknessReport(
-            is_thick=True,
-            gamma=gamma,
-            side_length=L,
-            worst_cube_center=center,
-            gamma_by_length=gamma_by_length,
-            truncated=not domain.periodic,
-        )
+    L, gamma, center = found if found is not None else (None, None, worst_center)
     return ThicknessReport(
-        is_thick=False,
-        gamma=None,
-        side_length=None,
-        worst_cube_center=worst_center,
+        is_thick=found is not None,
+        gamma=gamma,
+        side_length=L,
+        worst_cube_center=center,
         gamma_by_length=gamma_by_length,
         truncated=not domain.periodic,
     )

@@ -30,10 +30,13 @@ Each kind takes the cheapest computation its structure allows:
   w_q(H) f_p on the grid.  ``restricted_norms`` sums the passes over E
   without any Gram matrix, ``spectral_apply`` returns them, and
   ``dissipative_margin`` keeps only the squares;
-* 2D Hermite is diagonalized from its 1D factor (fast diagonalization) and
-  its basis is kept as that factor, each column the plain product of two
-  pinned factor columns: a transform of a stack is two products with the
-  m x m factor, and only selected columns are sampled;
+* ``_layout`` decides once which arrays a dense decomposition keeps; the
+  solve, its cell limit and the cache follow it;
+* 2D Hermite is diagonalized from its 1D factor, the 1D Hermite matrix
+  with c = 0 (fast diagonalization), and its basis is kept as that
+  factor, each column the plain product of two pinned factor columns: a
+  transform of a stack is two products with the m x m factor, and only
+  selected columns are sampled;
 * 1D Schrodinger with even m and a potential equal to its mirror image
   commutes with the reflection x -> -x, so it is solved as two m/2-wide
   parity blocks gathered from the closed-form Toeplitz-minus-Hankel symbol
@@ -41,8 +44,9 @@ Each kind takes the cheapest computation its structure allows:
   eigenvector matrix is ever formed: the basis is kept as the two blocks,
   and every transform folds the grid in half and takes half-size products;
 * every other dense operator (1D Hermite, 2D Schrodinger, asymmetric
-  potentials, odd m) is one symmetric eigensolve of the assembled matrix,
-  with the Laplacian from the sine-basis product ``_sine_laplacian``.
+  potentials, odd m) is one pinned symmetric solve (``_pinned_eigh``, as
+  for the 2D Hermite factor) of the assembled matrix, with the Laplacian
+  from the sine-basis product ``_sine_laplacian``.
 
 1D Hermite is mirror-symmetric too but keeps the full solve: its levels sit
 on the integer thresholds that the certificate sweeps, roundoff decides
@@ -84,6 +88,7 @@ __all__ = [
     "HermiteBasis",
     "diagonalize",
     "spectral_count",
+    "is_resolved",
     "spectral_apply",
     "semigroup_apply",
     "semigroup_norm",
@@ -208,16 +213,17 @@ class SpectralDecomposition:
     The 2D Hermite operator is diagonalized from its 1D factor, so its
     (n+1)-fold levels carry the tensor Hermite basis u_i(x) u_j(y), ties
     ordered by i * m + j, and ``vectors`` is None here too: the m x m
-    ``tensor_factor`` U_1 holds the pinned, unscaled 1D eigenvectors,
+    ``tensor_factor`` U_1 holds the pinned, unscaled 1D eigenvectors, those
+    of the 1D Hermite operator with c = 0 from the same ``_pinned_eigh``,
     ``order`` maps ascending index k to the pair i * m + j, and column k
     is (U_1[:, i] (x) U_1[:, j]) / sqrt(h), the product of two pinned
     columns with no sign of its own.  The factor is what keeps this layout
     small (an m = 64 cache file is about 130 KB, not 134 MB), so it has its
     own cell limit, 128^2, above the 4096 cells of the assembled and parity
-    solves.  Other 2D degenerate clusters are not fixed by a sign; there
-    the basis within a cluster is the solver's, and only quantities
-    invariant within a cluster (eigenvalues, projections, the span) are
-    canonical.
+    solves.  ``_layout`` names the arrays each dense layout keeps.  Other
+    2D degenerate clusters are not fixed by a sign; there the basis within
+    a cluster is the solver's, and only quantities invariant within a
+    cluster (eigenvalues, projections, the span) are canonical.
     """
 
     spec: OperatorSpec
@@ -265,12 +271,7 @@ class HermiteBasis:
 
 
 def _fractional_symbol(spec: FractionalLaplacian, domain: GridDomain) -> np.ndarray:
-    xi = domain.frequency_axis()
-    if domain.dim == 1:
-        mag = np.abs(xi)
-    else:
-        mag = np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
-    return mag**spec.s - spec.c
+    return domain.frequency_norm() ** spec.s - spec.c
 
 
 def _sine_laplacian(domain: GridDomain) -> np.ndarray:
@@ -427,33 +428,33 @@ def _residual_norms(H: np.ndarray, U: np.ndarray, w: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _hermite_tensor_eigh(spec: ShiftedHermite, domain: GridDomain):
-    """Eigenvalues, pinned 1D factor, pair order and residual bounds of 2D Hermite.
+def _pinned_eigh(H: np.ndarray):
+    """Eigenvalues, sign-pinned eigenvectors and residual norms: the one full solve of a symmetric H."""
+    w, U = _dense_eigh(H)
+    _canonicalize_signs(U)
+    return w, U, _residual_norms(H, U, w)
 
-    H = H1 (x) I + I (x) H1 - c with H1 = K1 + x^2 (fast diagonalization,
-    Lynch-Rice-Thomas 1964), so u_i (x) u_j is an eigenvector with eigenvalue
-    w_i + w_j - c.  Orthonormal factors make r_i + r_j an upper bound on
-    its residual, where r is the factor's; neither the 2D H nor the tensor
-    basis is formed.  The pairs ascend by eigenvalue, ties in the order of
-    i * m + j; a pair's column is the product of the two pinned factor
-    columns, so it needs no sign of its own.
+
+def _layout(spec, domain: GridDomain) -> dict:
+    """The arrays ``_diagonalize_dense`` keeps for this operator, as name -> (shape, dtype kind).
+
+    The 2D Hermite factor, the parity blocks of a mirror-symmetric 1D
+    Schrodinger operator (even m), each with its order, or ``vectors``.
     """
-    m = domain.points_per_axis
-    H1 = _sine_laplacian(domain) + np.diag(domain.axis_coords() ** 2)
-    w1, U1 = _dense_eigh(H1)
-    _canonicalize_signs(U1)
-    r1 = _residual_norms(H1, U1, w1)
-    sums = (w1[:, None] + w1[None, :]).ravel()
-    order = np.argsort(sums, kind="stable")
-    i, j = np.divmod(order, m)
-    return sums[order] - spec.c, U1, order, r1[i] + r1[j]
+    cells, m = domain.cell_count, domain.points_per_axis
+    if isinstance(spec, ShiftedHermite) and domain.dim == 2:
+        return {"tensor_factor": ((m, m), "f"), "order": ((cells,), "i")}
+    if (isinstance(spec, Schrodinger) and domain.dim == 1 and m % 2 == 0
+            and np.array_equal(spec.potential.values, spec.potential.values[::-1])):
+        return {"parity_blocks": ((2, m // 2, m // 2), "f"), "order": ((cells,), "i")}
+    return {"vectors": ((cells, cells), "f")}
 
 
 def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
     if domain.periodic:
         raise ValueError("Schrodinger and Hermite operators require a non-periodic grid")
-    tensor = _is_tensor(spec, domain)
-    limit = _TENSOR_CELL_LIMIT if tensor else _DENSE_CELL_LIMIT
+    layout = _layout(spec, domain)
+    limit = _TENSOR_CELL_LIMIT if "tensor_factor" in layout else _DENSE_CELL_LIMIT
     if domain.cell_count > limit:
         raise ValueError(f"dense diagonalization is limited to {limit} cells, got {domain.cell_count}")
     if isinstance(spec, ShiftedHermite):
@@ -465,12 +466,20 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         if spec.condition == "II":
             _check_confining(potential)
     scale = np.sqrt(domain.cell_volume)
-    if tensor:  # the factor stays unscaled: basis_block divides each column
-        w, U1, order, resid_norms = _hermite_tensor_eigh(spec, domain)
-        layout = dict(tensor_factor=U1, order=order)
-    elif _splits_by_parity(spec, domain):
+    if "tensor_factor" in layout:
+        # H = H1 (x) I + I (x) H1 - c, H1 the 1D Hermite matrix with c = 0
+        # (Lynch-Rice-Thomas 1964): pair (i, j) has eigenvalue w_i + w_j - c and
+        # residual at most r_i + r_j; pairs ascend, ties by i * m + j, and the
+        # factor stays unscaled (basis_block divides)
+        w1, U1, r1 = _pinned_eigh(_sine_laplacian(domain) + np.diag(domain.axis_coords() ** 2))
+        sums = (w1[:, None] + w1[None, :]).ravel()
+        order = np.argsort(sums, kind="stable")
+        i, j = np.divmod(order, domain.points_per_axis)
+        w, resid_norms = sums[order] - spec.c, r1[i] + r1[j]
+        arrays = dict(tensor_factor=U1, order=order)
+    elif "parity_blocks" in layout:
         w, blocks, resid_norms, order = _reflection_split_eigh(domain, potential)
-        layout = dict(parity_blocks=blocks, order=order)
+        arrays = dict(parity_blocks=blocks, order=order)
         blocks /= scale
     else:
         K1 = _sine_laplacian(domain)
@@ -480,45 +489,25 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
             m = domain.points_per_axis
             eye = np.eye(m)
             H = np.kron(K1, eye) + np.kron(eye, K1) + np.diag(potential.ravel())
-        w, U = _dense_eigh(H)
-        _canonicalize_signs(U)
-        resid_norms = _residual_norms(H, U, w)
-        layout = dict(vectors=U)
+        w, U, resid_norms = _pinned_eigh(H)
+        arrays = dict(vectors=U)
         U /= scale
     max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
     if not (max_residual <= _RESIDUAL_TOL):  # a NaN residual fails too
         raise EigenResidualError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")
-    return SpectralDecomposition(spec, domain, "Dense", w, max_residual=max_residual, **layout)
-
-
-def _is_tensor(spec, domain: GridDomain) -> bool:
-    """Whether ``_diagonalize_dense`` keeps the basis as the 2D Hermite tensor layout."""
-    return isinstance(spec, ShiftedHermite) and domain.dim == 2
-
-
-def _splits_by_parity(spec, domain: GridDomain) -> bool:
-    """Whether ``_diagonalize_dense`` solves the operator as two parity blocks."""
-    return (isinstance(spec, Schrodinger) and domain.dim == 1 and domain.points_per_axis % 2 == 0
-            and np.array_equal(spec.potential.values, spec.potential.values[::-1]))
+    return SpectralDecomposition(spec, domain, "Dense", w, max_residual=max_residual, **arrays)
 
 
 def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomposition]:
     """The decomposition stored at ``path``, or None if it is absent, unreadable or invalid.
 
-    The file must carry the layout ``_diagonalize_dense`` gives this spec
-    and domain (parity blocks and order; the tensor factor and order; or
-    ``vectors``).  The zip CRC of each member catches corrupt bytes, so the
+    The file must carry the arrays that ``_layout`` names for this spec and
+    domain.  The zip CRC of each member catches corrupt bytes, so the
     basis arrays are checked for shape and dtype only and not rescanned for
     finiteness; ``order``, which indexes the basis, must be a permutation.
     zipfile reports a damaged version or encryption flag as RuntimeError.
     """
-    cells, half, m = domain.cell_count, domain.cell_count // 2, domain.points_per_axis
-    if _splits_by_parity(spec, domain):
-        expected = {"parity_blocks": ((2, half, half), "f"), "order": ((cells,), "i")}
-    elif _is_tensor(spec, domain):
-        expected = {"tensor_factor": ((m, m), "f"), "order": ((cells,), "i")}
-    else:
-        expected = {"vectors": ((cells, cells), "f")}
+    cells, expected = domain.cell_count, _layout(spec, domain)
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             if data.get("basis_convention") != _BASIS_CONVENTION:
@@ -578,9 +567,6 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
             return cached
     dec = _diagonalize_dense(spec, domain)
     if key is not None:
-        layout = {name: getattr(dec, name) for name in
-                  ("vectors", "parity_blocks", "tensor_factor", "order")
-                  if getattr(dec, name) is not None}
         os.makedirs(str(cache_dir), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(cache_dir), suffix=".npz.tmp")
         try:
@@ -590,7 +576,7 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
                     eigenvalues=dec.eigenvalues,
                     max_residual=dec.max_residual,
                     basis_convention=_BASIS_CONVENTION,
-                    **layout,
+                    **{name: getattr(dec, name) for name in _layout(spec, domain)},
                 )
             os.replace(tmp, path)
         except BaseException:
@@ -702,18 +688,16 @@ def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
         top = dec.parity_blocks[odd, :, col].T
         return np.concatenate([top, top[::-1] * np.where(odd, -1.0, 1.0)])
     m = dec.domain.points_per_axis
-    flat = dec.order[indices]
     rows = np.arange(m)
-    scale = (2.0 * dec.domain.half_width) ** (dec.domain.dim / 2.0)
+    k_first, *k_rest = np.unravel_index(dec.order[indices], dec.domain.shape)
 
     def phases(k):
         return np.exp(2j * np.pi * (np.outer(rows, k) % m) / m)
 
-    if dec.domain.dim == 1:
-        return phases(flat) / scale
-    k1, k2 = np.divmod(flat, m)
-    A1, A2 = phases(k1), phases(k2)
-    return (A1[:, None, :] * A2[None, :, :]).reshape(m * m, len(flat)) / scale
+    block = phases(k_first)
+    for k in k_rest:  # the next axis varies fastest, as in the flat cell index
+        block = (block[:, None, :] * phases(k)[None, :, :]).reshape(-1, len(indices))
+    return block / (2.0 * dec.domain.half_width) ** (dec.domain.dim / 2.0)
 
 
 def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.ndarray:
@@ -865,6 +849,11 @@ def dense_matrix(dec: SpectralDecomposition) -> np.ndarray:
 def spectral_count(dec: SpectralDecomposition, k: float) -> int:
     """d(k): the number of eigenvalues at most k, the dimension of the range of pi_k."""
     return int(np.searchsorted(dec.eigenvalues, k, side="right"))
+
+
+def is_resolved(dec: SpectralDecomposition, k: float) -> bool:
+    """Whether 2 d(k) <= cells; a wider range is not resolved by the grid (its degeneracy would be aliasing)."""
+    return 2 * spectral_count(dec, k) <= dec.domain.cell_count
 
 
 def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction):

@@ -33,6 +33,7 @@ build the probe's initial datum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -104,15 +105,9 @@ def build_kernel(s: float, domain: GridDomain) -> GridFunction:
         raise ValueError("s must be positive")
     m = domain.points_per_axis
     k_int = np.fft.fftfreq(m, d=1.0 / m)
-    xi = domain.frequency_axis()
     phase = np.exp(1j * np.pi * k_int * (1.0 / m - 1.0))
-    if domain.dim == 1:
-        sym = np.exp(-np.abs(xi) ** s)
-        g = np.fft.ifft(sym * phase) / domain.cell_volume
-    else:
-        xx, yy = np.meshgrid(xi, xi, indexing="ij")
-        sym = np.exp(-(np.sqrt(xx**2 + yy**2)) ** s)
-        g = np.fft.ifft2(sym * np.outer(phase, phase)) / domain.cell_volume
+    phases = functools.reduce(np.multiply.outer, (phase,) * domain.dim)
+    g = np.fft.ifftn(np.exp(-domain.frequency_norm() ** s) * phases) / domain.cell_volume
     resid = float(np.abs(g.imag).max())
     if resid > 1e-12:
         raise ValueError(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import GridFunction, jsonable
 from .geometry import SetIndicator
-from .operators import SpectralDecomposition, from_coefficients, restricted_gram, spectral_count
+from .operators import SpectralDecomposition, from_coefficients, is_resolved, restricted_gram, spectral_count
 
 __all__ = [
     "SpectralConstantCurve",
@@ -71,19 +71,17 @@ def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds, witness:
 
     An empty projection range gives 1.0 and no witness (the inequality is
     vacuous); the full domain gives exactly 1.0 (the Gram matrix is the
-    identity by orthonormality).  Thresholds whose projection range exceeds
-    half the cell count are refused: such ranges are not resolved by the
-    grid and their degeneracy would be an aliasing artifact.  The ranges
-    are nested, so every constant comes from a leading principal block of
-    one Gram matrix, that of the largest range; by Cauchy interlacing the
-    constants are then nondecreasing in k.
+    identity by orthonormality).  A threshold whose range the grid does not
+    resolve (``is_resolved``) is refused.  The ranges are nested, so every
+    constant comes from a leading principal block of one Gram matrix, that
+    of the largest range; by Cauchy interlacing the constants are then
+    nondecreasing in k.
     """
-    cells = dec.domain.cell_count
     dims = [spectral_count(dec, k) for k in thresholds]
     d_max = dims[-1] if dims else 0
-    if 2 * d_max > cells:
+    if dims and not is_resolved(dec, thresholds[-1]):
         raise ValueError(
-            f"projection range dimension {d_max} exceeds half the cell count {cells}; "
+            f"projection range dimension {d_max} exceeds half the cell count {dec.domain.cell_count}; "
             "refine the grid before probing this threshold"
         )
     full = bool(e.cells.all())

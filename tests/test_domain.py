@@ -96,6 +96,15 @@ def test_radius_grid_minimal_image():
     assert walls.radius_grid((9.5,)).max() > 19.0
 
 
+@pytest.mark.parametrize("m", [8, 64, 4096])
+def test_frequency_norm_is_the_length_of_the_frequency(m):
+    xi = make_grid(1, 10.0, m).frequency_axis()
+    assert np.array_equal(make_grid(1, 10.0, m).frequency_norm(), np.abs(xi))
+    m2 = min(m, 64)
+    xx, yy = np.meshgrid(*(make_grid(1, 10.0, m2).frequency_axis(),) * 2, indexing="ij")
+    assert np.array_equal(make_grid(2, 10.0, m2).frequency_norm(), np.sqrt(xx**2 + yy**2))
+
+
 def test_frequency_axis_periodic_only():
     with pytest.raises(ValueError):
         make_grid(1, 10.0, 64, periodic=False).frequency_axis()

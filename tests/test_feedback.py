@@ -33,11 +33,14 @@ from stabcert.geometry import Custom, Empty, Full, HalfSpace, PeriodicSlabs, mak
 from stabcert.operators import (
     FractionalLaplacian,
     Schrodinger,
+    ShiftedHermite,
     dense_matrix,
     diagonalize,
     eigenfunction,
+    is_resolved,
     restricted_gram,
     semigroup_apply,
+    spectral_count,
 )
 from stabcert.specineq import best_constant
 
@@ -164,6 +167,25 @@ def test_build_damping_drops_unresolved_thresholds(frac_dec):
     assert (trimmed.c1, trimmed.omega, trimmed.chosen_N) == (explicit.c1, explicit.omega, explicit.chosen_N)
     with pytest.raises(ValueError, match="half the cell count"):
         build_damping_feedback(frac_dec, e, N_grid=range(7, 33))
+
+
+@pytest.mark.parametrize("m", [16, 14], ids=["d=cells/2", "d=cells/2+1"])
+def test_both_callers_cut_the_resolved_range_at_half_the_cells(m):
+    # 1D Hermite with c = 0.5 on R = 5 has d(16) = 8 on 16 and on 14 cells
+    # (levels 14.4-14.5 and 16.5-16.9, none near 16): 16 cells resolve that
+    # range and 14 do not, for the spectral constant and the damping sweep
+    dec = diagonalize(ShiftedHermite(0.5), make_grid(1, 5.0, m, periodic=False))
+    e = make_set(dec.domain, Full())
+    assert spectral_count(dec, 16.0) == 8
+    assert is_resolved(dec, 16.0) == (m == 16)
+    if m == 16:
+        assert best_constant(dec, 16.0, e) == 1.0
+        assert build_damping_feedback(dec, e, N_grid=[4]).chosen_N == 4
+    else:
+        with pytest.raises(ValueError, match="dimension 8 exceeds half the cell count 14"):
+            best_constant(dec, 16.0, e)
+        with pytest.raises(ValueError, match="no N in the sweep .* half the cell count 14"):
+            build_damping_feedback(dec, e, N_grid=[4])
 
 
 def test_build_damping_on_slabs(frac_dec, slab_set, slab_damping):

@@ -516,6 +516,17 @@ def test_factored_hermite_ignores_solver_signs(monkeypatch):
     assert flipped.max_residual == plain.max_residual
 
 
+@pytest.mark.parametrize("m, c", [(m, c) for m in (16, 40) for c in (0.0, 3.0)])
+def test_2d_hermite_is_the_1d_hermite_solve_tensored_bit_for_bit(m, c):
+    # the factor of H1 (x) I + I (x) H1 - c is the 1D Hermite operator with
+    # c = 0 on the same axis, solved by the same pinned eigensolve
+    line = diagonalize(ShiftedHermite(0.0), make_grid(1, 6.0, m, periodic=False))
+    dec = diagonalize(ShiftedHermite(c), make_grid(2, 6.0, m, periodic=False))
+    sums = (line.eigenvalues[:, None] + line.eigenvalues[None, :]).ravel()
+    assert np.array_equal(dec.eigenvalues, np.sort(sums, kind="stable") - c)
+    assert np.array_equal(dec.tensor_factor / np.sqrt(line.domain.cell_volume), line.vectors)
+
+
 def assembled_tensor_basis(dom, c):
     """Eigenvalues and the scaled cells x cells tensor basis, assembled in full.
 
@@ -826,7 +837,7 @@ def test_parity_split_holds_no_full_size_array():
 def test_nan_eigenvector_fails_the_residual_gate(monkeypatch, tilt):
     dom = make_grid(1, 10.0, 64, periodic=False)
     spec = Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0 + tilt * x))
-    assert operators._splits_by_parity(spec, dom) == (tilt == 0.0)
+    assert ("parity_blocks" in operators._layout(spec, dom)) == (tilt == 0.0)
 
     def nan_eigh(H, overwrite=False):
         w, U = scipy.linalg.eigh(H)

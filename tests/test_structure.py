@@ -13,10 +13,12 @@ go through `operators.restricted_norms`), `certify` takes its decayed norms
 from the squared coefficients that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
 `probes` evaluates its self-similar probe only at t = 0. In `operators`,
-every `eigh` call is inside `_dense_eigh`, and every real FFT of a stack
-of states (`rfftn`, `irfftn`) is inside `_weighted_passes`. scipy is
-imported only by `operators`, and only as `scipy.linalg` for that
-eigensolver, so importing the CLI loads no other scipy subpackage.
+every `eigh` call is inside `_dense_eigh`, which only the pinned full
+solve `_pinned_eigh` and the parity split `_reflection_split_eigh` call,
+and every real FFT of a stack of states (`rfftn`, `irfftn`) is inside
+`_weighted_passes`. scipy is imported only by `operators`, and only as
+`scipy.linalg` for that eigensolver, so importing the CLI loads no other
+scipy subpackage.
 """
 
 import ast
@@ -173,6 +175,26 @@ def test_eigh_is_called_only_in_dense_eigh():
     assert calls, "operators.py calls no eigh at all"
     outside = [f"line {node.lineno}: {ast.unparse(node)}" for node in calls if id(node) not in inside]
     assert not outside, outside
+
+
+@pytest.mark.parametrize("name, owners", [
+    ("_dense_eigh", {"_pinned_eigh", "_reflection_split_eigh"}),
+    ("_canonicalize_signs", {"_pinned_eigh", "_reflection_split_eigh"}),
+    ("_residual_norms", {"_pinned_eigh"}),
+])
+def test_the_pinned_eigensolve_has_two_owners(name, owners):
+    # the full solve of a symmetric matrix (the assembled operator, the 2D
+    # Hermite factor) is `_pinned_eigh`, and the parity blocks are solved and
+    # pinned in `_reflection_split_eigh`; no third private solver grows back
+    tree = _tree(next(p for p in SOURCES if p.name == "operators.py"))
+    callers = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+    }
+    assert callers == owners, sorted(callers)
 
 
 def test_real_ffts_are_called_only_in_weighted_passes():
