@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import GridDomain, jsonable
+from .domain import GridDomain
 from .geometry import SetIndicator
 from .operators import (
     FractionalLaplacian,
@@ -72,7 +72,6 @@ __all__ = [
     "recurrence_check",
     "weak_observability_check",
     "certify_end_to_end",
-    "certificate_to_json",
     "growth_exponent",
     "exprel",
     "TimeKernel",
@@ -654,27 +653,3 @@ def certify_end_to_end(
         observability_report=observability,
     )
 
-
-def certificate_to_json(cert: Certificate) -> dict:
-    c = cert.constants
-    return jsonable({
-        "constants": {"c1": c.c1, "a": c.a, "c2": c.c2, "b": c.b, "M": c.M, "delta0": c.delta0},
-        "gamma": cert.gamma,
-        "N": cert.N,
-        "CMgamma": cert.CMgamma,
-        "DMN": cert.DMN,
-        "A": cert.A,
-        "tau0": cert.tau0,
-        "alpha0": cert.alpha0,
-        "B": cert.B,
-        "beta": cert.beta,
-        "T": cert.T,
-        "alpha": cert.alpha,
-        "C": cert.C,
-        "ln_CMgamma": cert.ln_CMgamma,
-        "ln_DMN": cert.ln_DMN,
-        "ln_alpha0": cert.ln_alpha0,
-        "ln_B": cert.ln_B,
-        "ln_beta": cert.ln_beta,
-        "ln_C": cert.ln_C,
-    })

@@ -24,18 +24,18 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .certify import certificate_to_json, certify_end_to_end, growth_exponent
+from .certify import certify_end_to_end, growth_exponent
 from .domain import (
     DomainMismatchError,
     GridDomain,
     GridFunction,
+    atomic_write,
     content_hash,
     domain_header,
     jsonable,
@@ -55,7 +55,6 @@ from .feedback import (
 )
 from .geometry import (
     BallComplement,
-    Custom,
     Empty,
     Full,
     HalfSpace,
@@ -213,6 +212,13 @@ def parse_set(domain: GridDomain, text: str) -> SetIndicator:
     raise ValueError(f"unknown set kind {kind!r}")
 
 
+def _load_finite(what: str, path: str) -> GridFunction:
+    f = load_grid_function(path)
+    if not np.isfinite(f.values).all():
+        raise ValueError(f"{what} {path!r} has non-finite values (inf or NaN)")
+    return f
+
+
 def parse_operator(kind: str, *, s=1.0, c=0.0, potential=None, condition="II", delta=None) -> tuple:
     """Returns (spec, extra input hashes); the defaults are those of ``build_parser``."""
     hashes = {}
@@ -223,9 +229,7 @@ def parse_operator(kind: str, *, s=1.0, c=0.0, potential=None, condition="II", d
     elif kind == "schrodinger":
         if not potential:
             raise ValueError("schrodinger kind needs --potential <file>")
-        v = load_grid_function(potential)
-        if not np.isfinite(v.values).all():
-            raise ValueError(f"potential {potential!r} has non-finite values (inf or NaN)")
+        v = _load_finite("potential", potential)
         spec = Schrodinger(potential=v, condition=condition, delta=delta)
         hashes["potential"] = content_hash(v)
     else:
@@ -252,24 +256,14 @@ def _spectral_outputs(spec, domain, e, options, cache_dir):
 
 
 def _certify_outputs(spec, domain, e, options, cache_dir):
-    result = certify_end_to_end(
-        spec,
-        domain,
-        e,
-        options["k_max"],
-        trials=options["trials"],
-        recurrence_trials=options["recurrence_trials"],
-        dissipative_trials=options["dissipative_trials"],
-        seed=options["seed"],
-        cache_dir=cache_dir,
-    )
+    result = certify_end_to_end(spec, domain, e, cache_dir=cache_dir, **options)
     out = {
         "status": result.status,
         "detail": result.detail,
         "curve": curve_to_json(result.curve),
     }
     if result.certificate is not None:
-        out["certificate"] = certificate_to_json(result.certificate)
+        out["certificate"] = dataclasses.asdict(result.certificate)
         out["dissipative_max_ratio"] = result.dissipative_max_ratio
         recurrence = result.recurrence_report
         out["recurrence"] = None if recurrence is None else dataclasses.asdict(recurrence)
@@ -311,8 +305,8 @@ def _feedback_outputs(spec, domain, e, options, cache_dir):
             "kind": "finite-rank",
             "rho": fb.rho,
             "unstable_count": fb.unstable_count,
-            "gram": jsonable(np.real_if_close(fb.gram)),
-            "gram_inverse": jsonable(np.real_if_close(fb.gram_inverse)),
+            "gram": np.real_if_close(fb.gram),
+            "gram_inverse": np.real_if_close(fb.gram_inverse),
             "gram_cond": fb.gram_cond,
             "norm_bound": feedback_norm_bound(fb),
         }
@@ -332,7 +326,7 @@ def _initial_state(dec, options) -> GridFunction:
             raise ValueError(f"y0 eigenfunction index {j} is outside 0..{dec.domain.cell_count - 1}")
         return eigenfunction(dec, j)
     if text.startswith("file:"):
-        return load_grid_function(text[5:])
+        return _load_finite("y0 file", text[5:])
     raise ValueError(f"unknown y0 spec {text!r} (use random, eig:<j>, or file:<path>)")
 
 
@@ -355,24 +349,16 @@ def _probe_outputs(spec, domain, e, options, cache_dir):
         probe = dataclasses.asdict(rep)
         for key in ("claim", "kernel_rank", "kernel_bound"):
             probe.pop(key)  # the claim and the kernel figures are reported beside the probe
-        return {
-            "claim": options["claim"],
-            "hermite_probe": probe,
-            "any_violation": rep.violated,
-            "kernel_rank": rep.kernel_rank,
-            "kernel_bound": rep.kernel_bound,
-        }, {}
-    centers = options["centers"]
-    if not centers:
-        raise ValueError("fractional probe needs --centers")
-    rep = falsify_weak_observability(dec, e, claim, centers)
-    return {
-        "claim": options["claim"],
-        "centers": [dataclasses.asdict(r) for r in rep.centers],
-        "any_violation": rep.any_violation,
-        "kernel_rank": rep.kernel_rank,
-        "kernel_bound": rep.kernel_bound,
-    }, {"centers.csv": falsification_to_csv(rep)}
+        out, side_files, violated = {"hermite_probe": probe}, {}, rep.violated
+    else:
+        if not options["centers"]:
+            raise ValueError("fractional probe needs --centers")
+        rep = falsify_weak_observability(dec, e, claim, options["centers"])
+        out = {"centers": [dataclasses.asdict(r) for r in rep.centers]}
+        side_files, violated = {"centers.csv": falsification_to_csv(rep)}, rep.any_violation
+    out.update(claim=options["claim"], any_violation=violated,
+               kernel_rank=rep.kernel_rank, kernel_bound=rep.kernel_bound)
+    return out, side_files
 
 
 # command -> (outputs builder, "the mathematics said no" on its outputs)
@@ -434,24 +420,13 @@ def _exit_code(command: str, outputs: dict) -> int:
     return int("error" in outputs or _COMMANDS[command][1](outputs))
 
 
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stabcert-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_outputs(doc: ResultDocument, out_path: str):
-    _atomic_write(out_path, document_to_json(doc) + "\n")
     stem = out_path[:-5] if out_path.endswith(".json") else out_path
-    for name, text in doc.side_files.items():
-        _atomic_write(f"{stem}.{name}", text)
+    files = {out_path: document_to_json(doc) + "\n"}
+    files.update({f"{stem}.{name}": text for name, text in doc.side_files.items()})
+    for path, text in files.items():
+        with atomic_write(path) as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------

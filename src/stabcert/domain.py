@@ -14,9 +14,12 @@ evaluation exact downstream.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ __all__ = [
     "domain_from_header",
     "grid_function_to_json",
     "grid_function_from_json",
+    "atomic_write",
     "save_grid_function",
     "load_grid_function",
     "content_hash",
@@ -248,24 +252,47 @@ def grid_function_from_json(doc: dict) -> GridFunction:
     return GridFunction(domain, vals.reshape(domain.shape))
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="w"):
+    """Open a file that replaces ``path`` only once the block completes.
+
+    The data goes to a temporary file in the directory of ``path``, which
+    is given the permissions ``open`` would give a new file and renamed onto
+    ``path`` at the end of the block; on any exception the temporary file is
+    removed and ``path`` is left as it was.
+    """
+    path = str(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".stabcert-")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_grid_function(f: GridFunction, path) -> None:
     """Write ``f`` to ``path``; JSON when the suffix is .json, raw binary otherwise.
 
     The binary layout is one UTF-8 header line (JSON: domain header plus
-    dtype) followed by the row-major values buffer.
+    dtype) followed by the row-major values buffer.  Either is written
+    through ``atomic_write``.
     """
     path = str(path)
     if path.endswith(".json"):
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(grid_function_to_json(f), fh)
         return
-    flat = np.ascontiguousarray(f.values.ravel(order="C"))
-    dtype = "complex128" if np.iscomplexobj(flat) else "float64"
-    flat = flat.astype(dtype)
+    dtype = "complex128" if np.iscomplexobj(f.values) else "float64"
     header = dict(domain_header(f.domain), dtype=dtype)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(flat.tobytes())
+        fh.write(f.values.astype(dtype).tobytes(order="C"))
 
 
 def load_grid_function(path) -> GridFunction:

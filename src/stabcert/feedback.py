@@ -377,9 +377,10 @@ def simulate_decay(
     norm0 = _norm(y0)
     if norm0 == 0.0:
         raise ValueError("y0 is identically zero")
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
-    stride = max(1, int(np.floor(t_end / (100.0 * dt))))
-    times = np.union1d(np.arange(0, n_steps, stride), [n_steps]) * dt
+    # float step indices: exact below 2^53, and a tiny dt makes no integer past 2^64
+    n_steps = np.ceil(t_end / dt - 1e-12)
+    stride = max(1.0, np.floor(t_end / (100.0 * dt)))
+    times = np.union1d(np.arange(0.0, n_steps, stride), [n_steps]) * dt
 
     n_low = fb.unstable_count if isinstance(fb, FiniteRankFeedback) else 0
     if n_low and not np.array_equal(fb.e.cells, e.cells):

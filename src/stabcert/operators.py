@@ -60,7 +60,6 @@ idempotence, commutation and Pythagoras identities hold to roundoff.
 from __future__ import annotations
 
 import os
-import tempfile
 import zipfile
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -71,6 +70,7 @@ import scipy.linalg
 from .domain import (
     GridDomain,
     GridFunction,
+    atomic_write,
     content_hash,
     grid_function_to_json,
     grid_function_from_json,
@@ -568,21 +568,14 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
     dec = _diagonalize_dense(spec, domain)
     if key is not None:
         os.makedirs(str(cache_dir), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(cache_dir), suffix=".npz.tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    eigenvalues=dec.eigenvalues,
-                    max_residual=dec.max_residual,
-                    basis_convention=_BASIS_CONVENTION,
-                    **{name: getattr(dec, name) for name in _layout(spec, domain)},
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_write(path, "wb") as fh:
+            np.savez(
+                fh,
+                eigenvalues=dec.eigenvalues,
+                max_residual=dec.max_residual,
+                basis_convention=_BASIS_CONVENTION,
+                **{name: getattr(dec, name) for name in _layout(spec, domain)},
+            )
     return dec
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import GridFunction, jsonable
+from .domain import jsonable
 from .geometry import SetIndicator
 from .operators import SpectralDecomposition, from_coefficients, is_resolved, restricted_gram, spectral_count
 
@@ -71,12 +71,14 @@ def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds, witness:
 
     An empty projection range gives 1.0 and no witness (the inequality is
     vacuous); the full domain gives exactly 1.0 (the Gram matrix is the
-    identity by orthonormality).  A threshold whose range the grid does not
-    resolve (``is_resolved``) is refused.  The ranges are nested, so every
-    constant comes from a leading principal block of one Gram matrix, that
-    of the largest range; by Cauchy interlacing the constants are then
-    nondecreasing in k.
+    identity by orthonormality).  A non-finite threshold is refused, and so
+    is one whose range the grid does not resolve (``is_resolved``).  The
+    ranges are nested, so every constant comes from a leading principal
+    block of one Gram matrix, that of the largest range; by Cauchy
+    interlacing the constants are then nondecreasing in k.
     """
+    if not np.isfinite(thresholds).all():
+        raise ValueError(f"thresholds must be finite, got {list(thresholds)}")
     dims = [spectral_count(dec, k) for k in thresholds]
     d_max = dims[-1] if dims else 0
     if dims and not is_resolved(dec, thresholds[-1]):

@@ -1,11 +1,12 @@
 """Shared fixtures: the expensive spectral decompositions are built once."""
 
+import os
 import sys
 
 import numpy as np
 import pytest
 
-from stabcert import operators, specineq
+from stabcert import domain, operators, specineq
 from stabcert.domain import from_callable, make_grid
 from stabcert.operators import FractionalLaplacian, Schrodinger, ShiftedHermite, diagonalize
 
@@ -68,6 +69,53 @@ def coefficient_transforms(monkeypatch):
             monkeypatch.setattr(module, "to_coefficients", counting)
     monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
     return shapes
+
+
+class _BreakingFile:
+    """A file open for writing; the write that brings the shared countdown
+    to zero writes half its data and raises OSError."""
+
+    def __init__(self, fh, countdown):
+        self._fh, self._countdown = fh, countdown
+
+    def write(self, data):
+        self._countdown[0] -= 1
+        if self._countdown[0] == 0:
+            self._fh.write(data[: len(data) // 2])
+            raise OSError("write interrupted")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture()
+def interrupt_write(monkeypatch):
+    """Call with n: the n-th write to a file stabcert writes then breaks off part-way.
+
+    Files are opened with ``os.fdopen`` or, in ``domain``, with ``open``.
+    """
+
+    def arm(n):
+        countdown = [n]
+        fdopen, builtin_open = os.fdopen, open
+
+        def breaking(opener):
+            def wrapped(*args, **kwargs):
+                fh = opener(*args, **kwargs)
+                return fh if "r" in fh.mode else _BreakingFile(fh, countdown)
+            return wrapped
+
+        monkeypatch.setattr(os, "fdopen", breaking(fdopen))
+        monkeypatch.setattr(domain, "open", breaking(builtin_open), raising=False)
+
+    return arm
 
 
 @pytest.fixture()

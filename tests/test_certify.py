@@ -21,7 +21,6 @@ from stabcert.certify import (
     build_certificate,
     certificate_gain_log,
     certificate_threshold,
-    certificate_to_json,
     certify_end_to_end,
     exprel,
     observation_bracket,
@@ -30,7 +29,7 @@ from stabcert.certify import (
     time_kernel,
     weak_observability_check,
 )
-from stabcert.domain import from_callable, grid_function, make_grid, norm
+from stabcert.domain import from_callable, grid_function, jsonable, make_grid, norm
 from stabcert.geometry import BallComplement, Empty, Full, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import FractionalLaplacian, Schrodinger, ShiftedHermite, diagonalize, to_coefficients
 from stabcert.probes import ObservationClaim, falsify_hermite_ground_state, falsify_weak_observability
@@ -160,7 +159,7 @@ def test_gain_log_matches_the_direct_formula():
 
 def test_certificate_json_is_finite_or_tagged():
     cert = build_certificate(CriterionConstants(c1=12.0, a=2.0, c2=0.5, b=0.5))
-    doc = certificate_to_json(cert)
+    doc = jsonable(dataclasses.asdict(cert))
     assert doc["ln_C"] == pytest.approx(cert.ln_C)
     for v in doc.values():
         if isinstance(v, float):

@@ -619,6 +619,36 @@ def test_y0_from_another_domain_is_usage_error(tmp_path, capsys):
     assert "different domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("feedback", ["none", "finite-rank"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_y0_files_are_config_errors(tmp_path, capsys, feedback, bad):
+    # refused where the file is read, not reported as an unstable loop
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    values = from_callable(dom, np.cos).values.copy()
+    values[20] = bad
+    path = tmp_path / "y0.json"
+    save_grid_function(grid_function(dom, values), str(path))
+    out = tmp_path / "out.json"
+    code = main(["simulate", "--domain", WALLS_64, "--set", "halfspace:offset=0",
+                 "--operator", "hermite", "--c", "2", "--feedback", feedback,
+                 "--y0", f"file:{path}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: y0 file {str(path)!r} has non-finite values (inf or NaN)\n"
+    assert not out.exists()
+
+
+def test_a_tiny_dt_only_spaces_the_samples(tmp_path):
+    # 10^20 steps: the sample indices pass 2^64 and stay floating point
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--domain", WALLS_64, "--set", "full", "--operator", "hermite",
+                 "--feedback", "none", "--t-end", "1", "--dt", "1e-20", "--out", str(out)])
+    assert code == 0
+    times = read(out)["outputs"]["decay"]["times"]
+    assert len(times) <= 102
+    assert times[0] == 0.0 and times[-1] == pytest.approx(1.0) and np.all(np.diff(times) > 0)
+
+
 def _write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
@@ -710,9 +740,11 @@ WALLS_64 = "dim=1,R=10,m=64,periodic=false"
         (["simulate", "--domain", "dim=1,R=10,m=64", "--dt", "nan"], "got dt = nan"),
         (["probe", "--domain", "dim=1,R=20,m=1024", "--claim", "C=1,T=1,alpha=0.9999999999999999",
           "--centers", "0"], "too close to 1"),
+        (["spectral-constant", "--domain", "dim=1,R=10,m=64", "--thresholds", "nan"],
+         "thresholds must be finite, got [nan]"),
     ],
     ids=["claim-T", "claim-C", "frac-c", "frac-s", "hermite-c", "side-length", "radius", "half-width",
-         "t-end", "dt", "alpha-near-one"],
+         "t-end", "dt", "alpha-near-one", "threshold"],
 )
 def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv, named):
     # refused where the value is taken, naming it: no NaN passes a comparison
@@ -782,6 +814,18 @@ def test_payload_is_reproducible():
     assert json.loads(payload_json(first)).keys() == {
         "schema_version", "command", "config", "input_hashes", "outputs", "version",
     }
+
+
+def test_an_interrupted_write_leaves_the_old_outputs(tmp_path, interrupt_write):
+    argv = ["spectral-constant", "--domain", "dim=1,R=10,m=64", "--k-max", "4",
+            "--out", str(tmp_path / "res.json")]
+    assert main(argv) == 0
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(old) == ["res.curve.csv", "res.json"]
+    interrupt_write(1)  # the document, half written
+    with pytest.raises(OSError, match="write interrupted"):
+        main(argv)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
 
 
 def test_run_rejects_unknown_command():

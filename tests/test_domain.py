@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from stabcert.domain import (
     DomainMismatchError,
     GridFunction,
+    atomic_write,
     content_hash,
     domain_from_header,
     domain_header,
@@ -234,6 +235,27 @@ def test_binary_roundtrip_complex(tmp_path):
     save_grid_function(f, tmp_path / "state.bin")
     g = load_grid_function(tmp_path / "state.bin")
     assert np.array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize("name", ["state.json", "state.bin"])
+def test_an_interrupted_save_leaves_the_old_file(tmp_path, interrupt_write, name):
+    dom = make_grid(1, 10.0, 32, periodic=False)
+    path = tmp_path / name
+    save_grid_function(from_callable(dom, np.cos), path)
+    old = path.read_bytes()
+    interrupt_write(2)  # the JSON's second chunk, or the binary values after the header
+    with pytest.raises(OSError, match="write interrupted"):
+        save_grid_function(from_callable(dom, np.sin), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_atomic_write_gives_the_permissions_of_open(tmp_path):
+    with open(tmp_path / "plain", "w") as fh:
+        fh.write("x")
+    with atomic_write(tmp_path / "atomic") as fh:
+        fh.write("x")
+    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,31 @@ def test_decomposition_cache_roundtrip(tmp_path):
     assert np.array_equal(first.vectors, second.vectors)
 
 
+def test_an_interrupted_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    first = diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("decomposition-*.npz")
+    old = path.read_bytes()
+
+    def broken_savez(fh, **arrays):
+        fh.write(old[: len(old) // 2])
+        raise OSError("write interrupted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_load_cached", lambda *args: None)  # a miss, so the file is rewritten
+        patch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="write interrupted"):
+            diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+    def recompute(*args):
+        raise AssertionError("the old cache file was not a hit")
+
+    monkeypatch.setattr(operators, "_diagonalize_dense", recompute)
+    assert np.array_equal(diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path).vectors, first.vectors)
+
+
 def test_cache_from_another_sign_convention_is_recomputed(tmp_path):
     dom = make_grid(1, 10.0, 64, periodic=False)
     first = diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)

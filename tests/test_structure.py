@@ -18,7 +18,9 @@ solve `_pinned_eigh` and the parity split `_reflection_split_eigh` call,
 and every real FFT of a stack of states (`rfftn`, `irfftn`) is inside
 `_weighted_passes`. scipy is imported only by `operators`, and only as
 `scipy.linalg` for that eigensolver, so importing the CLI loads no other
-scipy subpackage.
+scipy subpackage. Every file is written through `domain.atomic_write`, the
+one caller of `tempfile.mkstemp` and `os.replace`, and no module imports a
+name it does not use.
 """
 
 import ast
@@ -240,3 +242,47 @@ def test_cli_import_loads_no_other_scipy_subpackage():
     assert "scipy.linalg" in loaded
     heavy = {"scipy.fft", "scipy.special", "scipy.interpolate", "scipy.optimize"}
     assert not heavy & loaded, sorted(heavy & loaded)
+
+
+def _creates_or_renames(node):
+    # a reference to tempfile.mkstemp or os.replace, as an attribute, a name or an import
+    if isinstance(node, ast.Attribute):
+        return node.attr == "mkstemp" or (node.attr == "replace" and getattr(node.value, "id", None) == "os")
+    if isinstance(node, ast.ImportFrom):
+        return any((node.module, alias.name) in (("tempfile", "mkstemp"), ("os", "replace"))
+                   for alias in node.names)
+    return isinstance(node, ast.Name) and node.id == "mkstemp"
+
+
+def test_only_atomic_write_creates_and_renames_files():
+    # the temp-file-and-rename write has one owner, so every document, side
+    # file, grid function and cache file is replaced whole or not at all
+    found = {
+        (path.name, getattr(top, "name", "module level"))
+        for path in SOURCES
+        for top in _tree(path).body
+        for node in ast.walk(top)
+        if _creates_or_renames(node)
+    }
+    assert found == {("domain.py", "atomic_write")}, sorted(found)
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    unused = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+    assert not unused, unused
