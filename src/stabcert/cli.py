@@ -20,6 +20,7 @@ message}.  ``_ERRORS`` maps any other exception, first match wins:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -424,9 +425,10 @@ def _write_outputs(doc: ResultDocument, out_path: str):
     stem = out_path[:-5] if out_path.endswith(".json") else out_path
     files = {out_path: document_to_json(doc) + "\n"}
     files.update({f"{stem}.{name}": text for name, text in doc.side_files.items()})
-    for path, text in files.items():
-        with atomic_write(path) as fh:
-            fh.write(text)
+    # every file is complete before any is renamed, the document last: a failed write leaves the old set
+    with contextlib.ExitStack() as stack:
+        for path, text in files.items():
+            stack.enter_context(atomic_write(path)).write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +555,13 @@ def main(argv=None) -> int:
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"the directory of --out {args.out!r} does not exist")
         doc = run(args.command, config, cache_dir=os.environ.get("STABCERT_CACHE_DIR"))
+        if args.out:
+            _write_outputs(doc, args.out)
     except Exception as exc:
         code, label = next((code, label) for classes, code, label in _ERRORS if isinstance(exc, classes))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    if args.out:
-        _write_outputs(doc, args.out)
-    else:
+    if not args.out:
         print(document_to_json(doc))
     return _exit_code(args.command, doc.outputs)
 

@@ -45,8 +45,9 @@ Each kind takes the cheapest computation its structure allows:
   and every transform folds the grid in half and takes half-size products;
 * every other dense operator (1D Hermite, 2D Schrodinger, asymmetric
   potentials, odd m) is one pinned symmetric solve (``_pinned_eigh``, as
-  for the 2D Hermite factor) of the assembled matrix, with the Laplacian
-  from the sine-basis product ``_sine_laplacian``.
+  for the 2D Hermite factor) of K1 + diag V or K1 (x) I + I (x) K1 + diag V,
+  K1 from ``_sine_laplacian``, gathered in row strips into the buffer that
+  LAPACK solves in place, as each parity block is (``_gathered_eigh``).
 
 1D Hermite is mirror-symmetric too but keeps the full solve: its levels sit
 on the integer thresholds that the certificate sweeps, roundoff decides
@@ -59,6 +60,7 @@ idempotence, commutation and Pythagoras identities hold to roundoff.
 
 from __future__ import annotations
 
+import functools
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -113,17 +115,12 @@ _DENSE_CELL_LIMIT = 4096
 # it holds a few such arrays
 _TENSOR_CELL_LIMIT = 128 * 128
 _RESIDUAL_TOL = 1e-8
-# entries per column block of the eigen residual H U - U diag(w); a block is
-# 16 MB at most, small next to H and U, and 512 columns at 4096 cells keep
-# the re-reads of H cheap
-_RESIDUAL_BLOCK_ENTRIES = 1 << 21
 # entries per block of the temporaries of the sign pinning (512 KB of
 # float64), small next to any m x m array, and per chunk of the real FFTs of a
 # stack of real Fourier states
 _SCAN_BLOCK_ENTRIES = 1 << 16
-# parity blocks are gathered in row strips of max(1, (m/2) // _BLOCK_STRIPS)
-# rows: two strip buffers are an eighth of a block, and 128-row strips at 4096
-# cells gather and multiply faster than the residual's 16 MB column blocks
+# a dense n x n matrix is gathered, and its residual taken, in row strips of
+# max(1, n // _BLOCK_STRIPS) rows: the two strip buffers are an eighth of it
 _BLOCK_STRIPS = 16
 # entries below this fraction of a column's peak do not decide its sign
 _SIGN_RTOL = 1e-8
@@ -209,7 +206,8 @@ class SpectralDecomposition:
     ``order`` maps ascending index j to column c of [B_+, B_-].  Column
     c < m/2 is the eigenvector [B_+[:, c]; J B_+[:, c]], column m/2 + c is
     [B_-[:, c]; -J B_-[:, c]] (J reverses rows).  Every other 1D operator,
-    Hermite included, is one full solve (the module docstring says why).
+    Hermite included, is one full solve (the module docstring says why);
+    each matrix, block or whole, is gathered in strips and solved in place.
     The 2D Hermite operator is diagonalized from its 1D factor, so its
     (n+1)-fold levels carry the tensor Hermite basis u_i(x) u_j(y), ties
     ordered by i * m + j, and ``vectors`` is None here too: the m x m
@@ -219,7 +217,7 @@ class SpectralDecomposition:
     is (U_1[:, i] (x) U_1[:, j]) / sqrt(h), the product of two pinned
     columns with no sign of its own.  The factor is what keeps this layout
     small (an m = 64 cache file is about 130 KB, not 134 MB), so it has its
-    own cell limit, 128^2, above the 4096 cells of the assembled and parity
+    own cell limit, 128^2, above the 4096 cells of the full and parity
     solves.  ``_layout`` names the arrays each dense layout keeps.  Other
     2D degenerate clusters are not fixed by a sign; there the basis within
     a cluster is the solver's, and only quantities invariant within a
@@ -278,13 +276,15 @@ def _sine_laplacian(domain: GridDomain) -> np.ndarray:
     """Dense Dirichlet Laplacian on one axis via sine collocation."""
     m = domain.points_per_axis
     p = np.arange(1, m + 1)
-    S = np.sin(np.pi * np.outer(np.arange(m) + 0.5, p) / m)
+    Q = np.sin(np.pi * np.outer(np.arange(m) + 0.5, p) / m)
     col_norm = np.full(m, np.sqrt(m / 2.0))
     col_norm[-1] = np.sqrt(m)  # the p = m column alternates +-1 at midpoints
-    Q = S / col_norm
+    Q /= col_norm
     kappa = (np.pi * p / (2.0 * domain.half_width)) ** 2
     K = (Q * kappa) @ Q.T
-    return 0.5 * (K + K.T)
+    K += K.T
+    K *= 0.5
+    return K
 
 
 def _sine_symbol(domain: GridDomain) -> np.ndarray:
@@ -330,6 +330,25 @@ def _parity_rows(t, potential, parity: float, r: int, out, scratch) -> None:
     out[np.arange(n), np.arange(r, r + n)] += potential[r : r + n]
 
 
+def _sine_rows(K1, potential, r: int, out, scratch) -> None:
+    """Rows r .. r + len(out) of K1 + diag(V), or K1 (x) I + I (x) K1 + diag(V) for a 2D V, written into ``out``.
+
+    The entries take the products and sums of the Kronecker assembly in its
+    order, so they are its entries bit for bit, signed zeros included.
+    """
+    n, m = len(out), len(K1)
+    cells, scratch = np.arange(r, r + n), scratch[:n]
+    if potential.ndim == 1:
+        out[...] = K1[r : r + n]
+    else:
+        a, b = np.divmod(cells, m)
+        eye = np.eye(m)
+        out[...] = (K1[a, :, None] * eye[b, None, :] + eye[a, :, None] * K1[b, None, :]).reshape(n, -1)
+    scratch[...] = 0.0
+    scratch[np.arange(n), cells] = potential.ravel()[cells]
+    out += scratch
+
+
 def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
     """Eigenpairs, parity blocks, residuals and order of 1D -Lap + V for a mirror-symmetric V.
 
@@ -342,36 +361,23 @@ def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
     the (2, m/2, m/2) blocks a / sqrt(2) with pinned signs (even first), and
     the order of their columns by eigenvalue, ties even first.
 
-    Each block is gathered in row strips into the odd slot (free until the
-    odd solve), solved there in place, and its vectors copied into their
-    slot; the residual re-gathers it in strips.  The peak is about 3.1
-    (m/2)^2 arrays: the two slots, the solver's vectors and the strips.
+    Each block is solved in the odd slot, free until the odd solve; the peak
+    is about 3.1 (m/2)^2 arrays: the two slots, the solver's vectors, strips.
     """
     half = domain.points_per_axis // 2
     t = _sine_symbol(domain)
-    rows = max(1, half // _BLOCK_STRIPS)
     blocks = np.empty((2, half, half))
-    strip, scratch = np.empty((2, rows, half))
-    values, sq = np.empty((2, half)), np.zeros((2, half))
+    values, resid = np.empty((2, half)), np.empty((2, half))
     for p, parity in enumerate((1.0, -1.0)):
-        B = blocks[1]
-        for r in range(0, half, rows):
-            _parity_rows(t, potential, parity, r, B[r : r + rows], scratch)
-        # B == B.T bit for bit, and B.T is Fortran-ordered: LAPACK solves it in place
-        values[p], blocks[p] = _dense_eigh(B.T, overwrite=True)
+        rows = functools.partial(_parity_rows, t, potential, parity)
+        values[p], resid[p] = _gathered_eigh(rows, blocks[1], blocks[p])
         a = blocks[p]
-        for r in range(0, half, rows):
-            n = min(rows, half - r)
-            _parity_rows(t, potential, parity, r, strip[:n], scratch)
-            rows_resid = np.matmul(strip[:n], a, out=scratch[:n])
-            rows_resid -= np.multiply(a[r : r + n], values[p], out=strip[:n])
-            sq[p] += np.einsum("ij,ij->j", rows_resid, rows_resid)
         a /= np.sqrt(2.0)
         # the last significant entry of [a; parity Ja] is parity a[first
         # significant]: pin a[first] positive, then multiply by the parity
         _canonicalize_signs(a[::-1])
         a *= parity
-    values, resid = values.ravel(), np.sqrt(sq.ravel())
+    values, resid = values.ravel(), resid.ravel()
     order = np.argsort(values, kind="stable")
     return values[order], blocks, resid[order], order
 
@@ -391,8 +397,8 @@ def _check_confining(potential: np.ndarray):
         )
 
 
-def _dense_eigh(H: np.ndarray, overwrite: bool = False):
-    return scipy.linalg.eigh(H, overwrite_a=overwrite)
+def _dense_eigh(H: np.ndarray):
+    return scipy.linalg.eigh(H, overwrite_a=True)
 
 
 def _canonicalize_signs(U: np.ndarray) -> None:
@@ -415,24 +421,35 @@ def _canonicalize_signs(U: np.ndarray) -> None:
         cols *= np.where(cols[last, np.arange(cols.shape[1])] < 0.0, -1.0, 1.0)
 
 
-def _residual_norms(H: np.ndarray, U: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Column norms of H U - U diag(w), computed in column blocks."""
-    n = U.shape[0]
-    block = max(1, _RESIDUAL_BLOCK_ENTRIES // n)
-    norms = np.empty(U.shape[1])
-    for j in range(0, U.shape[1], block):
-        cols = U[:, j : j + block]
-        resid = H @ cols
-        resid -= cols * w[j : j + block]
-        norms[j : j + block] = np.linalg.norm(resid, axis=0)
-    return norms
+def _gathered_eigh(rows, work: np.ndarray, out: np.ndarray):
+    """Eigenvalues and residual norms of the symmetric H that ``rows(r, strip, scratch)`` writes; vectors to ``out``.
+
+    H, equal to H.T bit for bit, is gathered in row strips into the
+    C-ordered ``work``, whose transpose LAPACK solves in place (``out`` may
+    share its memory); the residuals re-gather H in the same strips.
+    """
+    n = len(work)
+    step = max(1, n // _BLOCK_STRIPS)
+    strip, scratch = np.empty((2, step, n))
+    for r in range(0, n, step):
+        rows(r, work[r : r + step], scratch)
+    w, out[...] = _dense_eigh(work.T)
+    sq = np.zeros(n)
+    for r in range(0, n, step):
+        k = min(step, n - r)
+        rows(r, strip[:k], scratch)
+        resid = np.matmul(strip[:k], out, out=scratch[:k])
+        resid -= np.multiply(out[r : r + k], w, out=strip[:k])
+        sq += np.einsum("ij,ij->j", resid, resid)
+    return w, np.sqrt(sq)
 
 
-def _pinned_eigh(H: np.ndarray):
-    """Eigenvalues, sign-pinned eigenvectors and residual norms: the one full solve of a symmetric H."""
-    w, U = _dense_eigh(H)
+def _pinned_eigh(K1: np.ndarray, potential: np.ndarray):
+    """Eigenvalues, sign-pinned eigenvectors (Fortran order) and residuals of the ``_sine_rows`` matrix."""
+    U = np.empty((potential.size,) * 2, order="F")
+    w, resid = _gathered_eigh(functools.partial(_sine_rows, K1, potential), U.T, U)
     _canonicalize_signs(U)
-    return w, U, _residual_norms(H, U, w)
+    return w, U, resid
 
 
 def _layout(spec, domain: GridDomain) -> dict:
@@ -471,7 +488,7 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         # (Lynch-Rice-Thomas 1964): pair (i, j) has eigenvalue w_i + w_j - c and
         # residual at most r_i + r_j; pairs ascend, ties by i * m + j, and the
         # factor stays unscaled (basis_block divides)
-        w1, U1, r1 = _pinned_eigh(_sine_laplacian(domain) + np.diag(domain.axis_coords() ** 2))
+        w1, U1, r1 = _pinned_eigh(_sine_laplacian(domain), domain.axis_coords() ** 2)
         sums = (w1[:, None] + w1[None, :]).ravel()
         order = np.argsort(sums, kind="stable")
         i, j = np.divmod(order, domain.points_per_axis)
@@ -482,14 +499,7 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         arrays = dict(parity_blocks=blocks, order=order)
         blocks /= scale
     else:
-        K1 = _sine_laplacian(domain)
-        if domain.dim == 1:
-            H = K1 + np.diag(potential)
-        else:
-            m = domain.points_per_axis
-            eye = np.eye(m)
-            H = np.kron(K1, eye) + np.kron(eye, K1) + np.diag(potential.ravel())
-        w, U, resid_norms = _pinned_eigh(H)
+        w, U, resid_norms = _pinned_eigh(_sine_laplacian(domain), potential)
         arrays = dict(vectors=U)
         U /= scale
     max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())

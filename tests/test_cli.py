@@ -823,9 +823,44 @@ def test_an_interrupted_write_leaves_the_old_outputs(tmp_path, interrupt_write):
     old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(old) == ["res.curve.csv", "res.json"]
     interrupt_write(1)  # the document, half written
-    with pytest.raises(OSError, match="write interrupted"):
-        main(argv)
+    assert main(argv) == 2
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+def test_a_failed_side_file_write_leaves_the_old_set(tmp_path, interrupt_write, capsys):
+    # the document is written in full, the side CSV breaks off: neither may
+    # be replaced, or the new document would describe the old curve
+    argv = ["spectral-constant", "--domain", "dim=1,R=10,m=64", "--k-max", "4",
+            "--out", str(tmp_path / "res.json")]
+    assert main(argv) == 0
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(old) == ["res.curve.csv", "res.json"]
+    interrupt_write(2)
+    argv[argv.index("4")] = "3"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: write interrupted\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+def test_a_failed_result_write_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # the directory of --out is removed while the command runs
+    out = tmp_path / "gone"
+    out.mkdir()
+    original = cli.run
+
+    def run_then_remove(*args, **kwargs):
+        doc = original(*args, **kwargs)
+        out.rmdir()
+        return doc
+
+    monkeypatch.setattr(cli, "run", run_then_remove)
+    argv = ["spectral-constant", "--domain", "dim=1,R=10,m=64", "--k-max", "4",
+            "--out", str(out / "res.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_run_rejects_unknown_command():

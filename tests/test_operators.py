@@ -397,9 +397,9 @@ def test_dense_decomposition_ignores_solver_signs(monkeypatch):
 
 
 def test_blocked_eigen_residual_matches_the_whole_matrix(monkeypatch):
-    # 8 columns per block at 64 cells, so the residual runs over 8 blocks; one
-    # eigenvalue in the fifth block is off by 4e-9 relative, so that column's
-    # residual stands far above roundoff and decides max_residual
+    # 8 rows per strip at 64 cells, so the residual runs over 8 strips; one
+    # eigenvalue is off by 4e-9 relative, so that column's residual stands
+    # far above roundoff and decides max_residual
     captured = {}
 
     def detuned_eigh(H, overwrite=False):
@@ -412,7 +412,7 @@ def test_blocked_eigen_residual_matches_the_whole_matrix(monkeypatch):
         _canonicalize_signs(U)
         captured["U"] = U.copy()
 
-    monkeypatch.setattr(operators, "_RESIDUAL_BLOCK_ENTRIES", 64 * 8)
+    monkeypatch.setattr(operators, "_BLOCK_STRIPS", 8)
     monkeypatch.setattr(operators, "_dense_eigh", detuned_eigh)
     monkeypatch.setattr(operators, "_canonicalize_signs", capture_signs)
     dom = make_grid(1, 10.0, 64, periodic=False)
@@ -422,6 +422,51 @@ def test_blocked_eigen_residual_matches_the_whole_matrix(monkeypatch):
     assert int(np.argmax(whole)) == 37
     assert dec.max_residual == pytest.approx(float(whole.max()), rel=1e-4)
     assert np.array_equal(dec.vectors, U / np.sqrt(dom.cell_volume))
+
+
+def kron_operator(K1, potential):
+    """The assembled K1 + diag(V) in 1D or K1 (x) I + I (x) K1 + diag(V) in 2D."""
+    if potential.ndim == 1:
+        return K1 + np.diag(potential)
+    eye = np.eye(len(K1))
+    return np.kron(K1, eye) + np.kron(eye, K1) + np.diag(potential.ravel())
+
+
+@pytest.mark.parametrize("dim, m, rows", [(1, 64, 7), (1, 64, 64), (2, 12, 5), (2, 12, 144)])
+def test_sine_rows_are_the_kron_matrix_bit_for_bit(dim, m, rows):
+    # a potential with exact zeros and negative entries, so the signed zeros
+    # of the kron terms and the sums with diag(V) are all exercised
+    dom = make_grid(dim, 5.0, m, periodic=False)
+    K1 = operators._sine_laplacian(dom)
+    potential = np.round(np.random.default_rng(dim).standard_normal(dom.shape))
+    assert (potential == 0.0).any() and (potential < 0.0).any()
+    want = kron_operator(K1, potential)
+    gathered, scratch = np.empty_like(want), np.empty((rows, dom.cell_count))
+    for r in range(0, dom.cell_count, rows):
+        operators._sine_rows(K1, potential, r, gathered[r : r + rows], scratch)
+    assert np.array_equal(gathered.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim, m, arrays", [(2, 24, 2.5), (1, 512, 3.5)])
+def test_a_full_solve_holds_no_assembled_operator(dim, m, arrays):
+    # H is gathered straight into the array that receives the eigenvectors:
+    # that array, the solver's vectors and the strips, and in 1D the sine
+    # Laplacian and its product temporaries, where assembling H first held
+    # about 4 (2D) and 5 (1D) cells^2 arrays
+    dom = make_grid(dim, 6.0, m, periodic=False)
+    if dim == 1:
+        spec = Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0 + 0.3 * x))
+    else:
+        spec = Schrodinger(potential=from_callable(dom, lambda x, y: x**2 + 2.0 * y**2))
+    assert "vectors" in operators._layout(spec, dom)
+    tracemalloc.start()
+    try:
+        dec = diagonalize(spec, dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.vectors.flags.f_contiguous
+    assert peak < arrays * 8 * dom.cell_count**2
 
 
 # ---------------------------------------------------------------------------

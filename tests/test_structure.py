@@ -13,9 +13,10 @@ go through `operators.restricted_norms`), `certify` takes its decayed norms
 from the squared coefficients that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
 `probes` evaluates its self-similar probe only at t = 0. In `operators`,
-every `eigh` call is inside `_dense_eigh`, which only the pinned full
-solve `_pinned_eigh` and the parity split `_reflection_split_eigh` call,
-and every real FFT of a stack of states (`rfftn`, `irfftn`) is inside
+every `eigh` call is inside `_dense_eigh`, which only `_gathered_eigh`
+calls: every dense matrix is gathered there in row strips and solved in
+place, for the pinned full solve `_pinned_eigh` and the parity split
+`_reflection_split_eigh` alike, and every real FFT of a stack of states (`rfftn`, `irfftn`) is inside
 `_weighted_passes`. scipy is imported only by `operators`, and only as
 `scipy.linalg` for that eigensolver, so importing the CLI loads no other
 scipy subpackage. Every file is written through `domain.atomic_write`, the
@@ -180,14 +181,15 @@ def test_eigh_is_called_only_in_dense_eigh():
 
 
 @pytest.mark.parametrize("name, owners", [
-    ("_dense_eigh", {"_pinned_eigh", "_reflection_split_eigh"}),
+    ("_dense_eigh", {"_gathered_eigh"}),
     ("_canonicalize_signs", {"_pinned_eigh", "_reflection_split_eigh"}),
-    ("_residual_norms", {"_pinned_eigh"}),
+    ("_gathered_eigh", {"_pinned_eigh", "_reflection_split_eigh"}),
 ])
 def test_the_pinned_eigensolve_has_two_owners(name, owners):
-    # the full solve of a symmetric matrix (the assembled operator, the 2D
-    # Hermite factor) is `_pinned_eigh`, and the parity blocks are solved and
-    # pinned in `_reflection_split_eigh`; no third private solver grows back
+    # every dense matrix is gathered, solved in place and checked by
+    # `_gathered_eigh`; the full solve of the operator or the 2D Hermite
+    # factor (`_pinned_eigh`) and the parity blocks (`_reflection_split_eigh`)
+    # are its only callers, and no third private solver grows back
     tree = _tree(next(p for p in SOURCES if p.name == "operators.py"))
     callers = {
         func.name
