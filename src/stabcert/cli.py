@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-thick", help="thickness and weak-thickness verdicts for a set")
     common(p, operator=False)
-    p.add_argument("--lengths", type=_float_list, default=[1.0])
+    p.add_argument("--lengths", type=_float_list, default=[1.25])  # 32 cells of the default domain
     p.add_argument("--radii", type=_float_list, default=[])
 
     p = sub.add_parser("spectral-constant", help="restricted-inequality constants C(k, E)")

@@ -15,44 +15,11 @@ orthogonal family that diagonalizes the Dirichlet Laplacian with symbol
 downstream consumes eigenvalue gaps directly, and a second-order stencil
 would pollute the tenth harmonic-oscillator level at the 1e-2 scale.
 
-Each kind takes the cheapest computation its structure allows:
-
-* the Fourier kind's E-restricted Gram matrix is translation invariant
-  (G_jl depends only on k_j - k_l), so ``restricted_gram`` gathers it from
-  one FFT of the set: O(d^2) work instead of the O(|E| d^2) product of
-  sampled eigenfunctions;
-* ``_grid_values`` is the one synthesis of coefficients on the grid, for
-  every layout, and ``dense_matrix`` gathers a Fourier multiplier from its
-  convolution kernel;
-* ``_weighted_passes`` is the one pass of every layout: it transforms a
-  stack of states once (real FFTs over chunks of real Fourier states,
-  ``to_coefficients`` otherwise), keeps |c_jp|^2, and yields each
-  w_q(H) f_p on the grid.  ``restricted_norms`` sums the passes over E
-  without any Gram matrix, ``spectral_apply`` returns them, and
-  ``dissipative_margin`` keeps only the squares;
-* ``_layout`` decides once which arrays a dense decomposition keeps; the
-  solve, its cell limit and the cache follow it;
-* 2D Hermite is diagonalized from its 1D factor, the 1D Hermite matrix
-  with c = 0 (fast diagonalization), and its basis is kept as that
-  factor, each column the plain product of two pinned factor columns: a
-  transform of a stack is two products with the m x m factor, and only
-  selected columns are sampled;
-* 1D Schrodinger with even m and a potential equal to its mirror image
-  commutes with the reflection x -> -x, so it is solved as two m/2-wide
-  parity blocks gathered from the closed-form Toeplitz-minus-Hankel symbol
-  of the sine Laplacian (``_sine_symbol``).  Neither H nor the m x m
-  eigenvector matrix is ever formed: the basis is kept as the two blocks,
-  and every transform folds the grid in half and takes half-size products;
-* every other dense operator (1D Hermite, 2D Schrodinger, asymmetric
-  potentials, odd m) is one pinned symmetric solve (``_pinned_eigh``, as
-  for the 2D Hermite factor) of K1 + diag V or K1 (x) I + I (x) K1 + diag V,
-  K1 from ``_sine_laplacian``, gathered in row strips into the buffer that
-  LAPACK solves in place, as each parity block is (``_gathered_eigh``).
-
-1D Hermite is mirror-symmetric too but keeps the full solve: its levels sit
-on the integer thresholds that the certificate sweeps, roundoff decides
-whether a threshold counts its level, and the split moves that roundoff.
-It can take the split once the eigenvalue count carries a level tolerance.
+A decomposition keeps its ascending eigenvalues, ``order`` (ascending index
+-> native index) and one basis object, whose class (``_Basis`` and its
+subclasses) is the layout of the eigenfunctions and takes the cheapest
+computation its structure allows; ``_layout`` picks the class of a dense
+operator, and no other code here tells layouts apart.
 
 All semigroup and projection algebra happens in the eigenbasis, so
 idempotence, commutation and Pythagoras identities hold to roundoff.
@@ -191,57 +158,26 @@ OperatorSpec = Union[FractionalLaplacian, ShiftedHermite, Schrodinger]
 class SpectralDecomposition:
     """Operator spectrum plus an orthonormal eigenbasis on the grid.
 
-    For the Fourier kind the basis is the explicit family
-    w_k(x_j) = exp(2 pi i j.k / m) / (2R)^{n/2} in FFT layout, reindexed so
-    that ``eigenvalues`` ascends; ``order`` is that permutation and
-    ``symbol`` keeps the multiplier in FFT layout for fast application.
-    For dense kinds ``vectors`` holds the eigenvectors columnwise,
-    normalized in the discrete inner product, with the sign pinned so that
-    the last entry of each column above 1e-8 of its peak magnitude is
-    positive: the Hermite convention psi_k > 0 as x -> +infinity, which is
-    well defined for odd eigenfunctions too.  A mirror-symmetric 1D
-    Schrodinger operator (even m) is solved per parity block, so each of its
-    eigenvectors is exactly even or odd, and ``vectors`` is None: the
-    (2, m/2, m/2) ``parity_blocks`` B_+, B_- hold the top halves, and
-    ``order`` maps ascending index j to column c of [B_+, B_-].  Column
-    c < m/2 is the eigenvector [B_+[:, c]; J B_+[:, c]], column m/2 + c is
-    [B_-[:, c]; -J B_-[:, c]] (J reverses rows).  Every other 1D operator,
-    Hermite included, is one full solve (the module docstring says why);
-    each matrix, block or whole, is gathered in strips and solved in place.
-    The 2D Hermite operator is diagonalized from its 1D factor, so its
-    (n+1)-fold levels carry the tensor Hermite basis u_i(x) u_j(y), ties
-    ordered by i * m + j, and ``vectors`` is None here too: the m x m
-    ``tensor_factor`` U_1 holds the pinned, unscaled 1D eigenvectors, those
-    of the 1D Hermite operator with c = 0 from the same ``_pinned_eigh``,
-    ``order`` maps ascending index k to the pair i * m + j, and column k
-    is (U_1[:, i] (x) U_1[:, j]) / sqrt(h), the product of two pinned
-    columns with no sign of its own.  The factor is what keeps this layout
-    small (an m = 64 cache file is about 130 KB, not 134 MB), so it has its
-    own cell limit, 128^2, above the 4096 cells of the full and parity
-    solves.  ``_layout`` names the arrays each dense layout keeps.  Other
-    2D degenerate clusters are not fixed by a sign; there the basis within
-    a cluster is the solver's, and only quantities invariant within a
-    cluster (eigenvalues, projections, the span) are canonical.
+    ``eigenvalues`` ascend; ``basis`` keeps the eigenfunctions in its native
+    order, and ascending index j is native index order[j] (j if ``order`` is None).
     """
 
     spec: OperatorSpec
     domain: GridDomain
-    basis_kind: str  # "Fourier" | "Dense"
     eigenvalues: np.ndarray
-    symbol: Optional[np.ndarray] = None
+    basis: _Basis
     order: Optional[np.ndarray] = None
-    vectors: Optional[np.ndarray] = None
-    parity_blocks: Optional[np.ndarray] = None
-    tensor_factor: Optional[np.ndarray] = None
     max_residual: float = 0.0
 
     def __post_init__(self):
-        for name in ("eigenvalues", "symbol", "order", "vectors", "parity_blocks", "tensor_factor"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        for name in ("eigenvalues", "order"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name)))
+                getattr(self, name).setflags(write=False)
+
+    @property
+    def basis_kind(self) -> str:  # "Fourier" or "Dense"
+        return self.basis.kind
 
 
 @dataclass(frozen=True)
@@ -266,10 +202,6 @@ class HermiteBasis:
 
 # ---------------------------------------------------------------------------
 # diagonalization
-
-
-def _fractional_symbol(spec: FractionalLaplacian, domain: GridDomain) -> np.ndarray:
-    return domain.frequency_norm() ** spec.s - spec.c
 
 
 def _sine_laplacian(domain: GridDomain) -> np.ndarray:
@@ -355,14 +287,11 @@ def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
     With V = JV (J the reflection x -> -x) and K from ``_sine_symbol``, H
     commutes with J, so its eigenvectors are [a; +-Ja] / sqrt(2) for the
     eigenvectors a of the m/2-wide blocks T +- R + diag(V[:m/2]), where
-    T[i, j] = K[i, j] and R[i, j] = K[i, m - 1 - j].  The blocks are
-    gathered from t(n) without forming H, and a block's residual is that of
-    the full vector.  Returned are the ascending eigenvalues and residuals,
-    the (2, m/2, m/2) blocks a / sqrt(2) with pinned signs (even first), and
-    the order of their columns by eigenvalue, ties even first.
-
-    Each block is solved in the odd slot, free until the odd solve; the peak
-    is about 3.1 (m/2)^2 arrays: the two slots, the solver's vectors, strips.
+    T[i, j] = K[i, j] and R[i, j] = K[i, m - 1 - j], gathered from t(n); a
+    block's residual is the full vector's.  Returned: the ascending
+    eigenvalues and residuals, the blocks a / sqrt(2), signs pinned, and
+    their column order, ties even first.  Each block is solved in the odd
+    slot: the peak is about 3.1 (m/2)^2 arrays.
     """
     half = domain.points_per_axis // 2
     t = _sine_symbol(domain)
@@ -383,18 +312,11 @@ def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
 
 
 def _check_confining(potential: np.ndarray):
-    shell = np.zeros(potential.shape, dtype=bool)
-    for axis in range(potential.ndim):
-        idx = [slice(None)] * potential.ndim
-        idx[axis] = 0
-        shell[tuple(idx)] = True
-        idx[axis] = -1
-        shell[tuple(idx)] = True
+    shell = np.ones(potential.shape, dtype=bool)
+    shell[(slice(1, -1),) * potential.ndim] = False  # the cells with an index 0 or m - 1
     if potential[shell].min() <= potential[~shell].min():
-        raise ValueError(
-            "condition II requires the potential to grow toward the box boundary "
-            "(boundary-shell minimum must exceed the interior minimum)"
-        )
+        raise ValueError("condition II requires the potential to grow toward the box boundary "
+                         "(boundary-shell minimum must exceed the interior minimum)")
 
 
 def _dense_eigh(H: np.ndarray):
@@ -404,12 +326,12 @@ def _dense_eigh(H: np.ndarray):
 def _canonicalize_signs(U: np.ndarray) -> None:
     """Flip eigenvector columns in place so each last significant entry is positive.
 
-    An entry is significant when its magnitude exceeds ``_SIGN_RTOL`` times
-    the column's peak.  LAPACK fixes no sign, and the one it returns can
-    depend on the BLAS thread count.  Columns are visited in blocks of about
-    ``_SCAN_BLOCK_ENTRIES`` entries, so the temporaries stay small enough
-    not to raise the peak memory of a 4096-cell solve; multiplying by +-1
-    is exact, so a canonical matrix passes through bit for bit.
+    An entry is significant above ``_SIGN_RTOL`` times the column's peak:
+    the Hermite convention psi_k > 0 as x -> +infinity, well defined for odd
+    eigenfunctions too.  LAPACK fixes no sign, and its sign can depend on the
+    BLAS thread count.  Columns go in blocks of about ``_SCAN_BLOCK_ENTRIES``
+    entries, so the temporaries do not raise the peak of a 4096-cell solve;
+    +-1 is exact, so a canonical matrix passes through bit for bit.
     """
     n = U.shape[0]
     block = max(1, _SCAN_BLOCK_ENTRIES // n)
@@ -452,28 +374,292 @@ def _pinned_eigh(K1: np.ndarray, potential: np.ndarray):
     return w, U, resid
 
 
-def _layout(spec, domain: GridDomain) -> dict:
-    """The arrays ``_diagonalize_dense`` keeps for this operator, as name -> (shape, dtype kind).
+# ---------------------------------------------------------------------------
+# basis layouts
 
-    The 2D Hermite factor, the parity blocks of a mirror-symmetric 1D
-    Schrodinger operator (even m), each with its order, or ``vectors``.
+
+class _Basis:
+    """An eigenbasis in one layout, and what the dense layouts share.
+
+    A layout keeps one array, the attribute ``member`` of shape ``shape(domain)``;
+    ``solve`` returns the ascending eigenvalues, their residual norms, the
+    basis and ``order``.  Coefficients are native and cells first.
     """
-    cells, m = domain.cell_count, domain.points_per_axis
+
+    kind, cell_limit, ordered = "Dense", _DENSE_CELL_LIMIT, True  # ordered: the cache keeps ``order`` too
+
+    def __init__(self, domain: GridDomain, array):
+        self.domain = domain
+        setattr(self, self.member, np.asarray(array))
+        getattr(self, self.member).setflags(write=False)
+
+    def arrays(self) -> dict:
+        return {self.member: getattr(self, self.member)}
+
+    @classmethod
+    def from_arrays(cls, domain: GridDomain, arrays):
+        """The basis of the cached ``arrays``, or None unless its array has this layout's shape and a float dtype."""
+        array = arrays[cls.member]
+        return cls(domain, array) if array.shape == cls.shape(domain) and array.dtype.kind == "f" else None
+
+    def _flat(self, values):
+        """A state (cells,) or a stack (P, cells) of the grid-shaped ``values``."""
+        return values.reshape(values.shape[: values.ndim - self.domain.dim] + (self.domain.cell_count,))
+
+    def synthesis(self, rows):
+        """The synthesis of a pass that reads only the cells of the mask ``rows``: here the whole grid's."""
+        return self.synthesize
+
+    def gram(self, native, e: SetIndicator) -> np.ndarray:
+        # the selected columns first, then the rows of E (rows first would copy |E| x cells)
+        rows = self.columns(native)[e.cells.ravel()]
+        G = rows.conj().T @ rows * self.domain.cell_volume
+        return 0.5 * (G + G.conj().T)
+
+    def matrix(self, eigenvalues, native) -> np.ndarray:
+        V = self.columns(native)
+        return (V * eigenvalues) @ V.T * self.domain.cell_volume
+
+    def passes(self, weights, order, states, mags, rows):
+        """One chunk of all states: one ``forward`` of the stack, and a synthesis per weight row."""
+        native = self.forward(states)
+        sq = np.abs(native)
+        sq *= sq
+        mags.T[...] = _ascending(order, sq)
+        synthesize, z = self.synthesis(rows), np.empty_like(native, dtype=np.result_type(weights, native))
+        for q in range(len(weights)):
+            np.multiply(weights[q][:, None], native, out=z)
+            yield slice(0, len(states)), q, synthesize(z).T
+
+
+class _FourierBasis(_Basis):
+    """The Fourier kind: w_k(x_j) = exp(2 pi i j.k / m) / (2R)^{n/2}, native in FFT layout.
+
+    ``symbol`` is the multiplier in FFT layout.  Transforms are batched FFTs,
+    the Gram comes from one FFT of the set and the matrix from the kernel.
+    """
+
+    kind, member = "Fourier", "symbol"
+
+    @classmethod
+    def solve(cls, spec: FractionalLaplacian, domain: GridDomain):
+        symbol = domain.frequency_norm() ** spec.s - spec.c
+        order = np.argsort(symbol.ravel(), kind="stable")
+        return symbol.ravel()[order], cls(domain, symbol), order
+
+    @property
+    def scale(self) -> float:
+        return self.domain.cell_volume / (2.0 * self.domain.half_width) ** (self.domain.dim / 2.0)
+
+    def forward(self, values):
+        lead = values.ndim - self.domain.dim
+        u = np.fft.fftn(values, axes=tuple(range(lead, values.ndim))).reshape(self._flat(values).shape)
+        return (u * self.scale).T
+
+    def synthesize(self, native):
+        cells = self.domain.cell_count
+        u = np.ascontiguousarray(native.reshape(cells, -1).T).reshape((-1,) + self.domain.shape)
+        values = np.fft.ifftn(u, axes=tuple(range(1, self.domain.dim + 1)))
+        return (values / self.scale).reshape(-1, cells).T.reshape(native.shape)
+
+    def columns(self, native):
+        # phases exp(2 pi i r / m), r = j k mod m reduced in integers: the error does not grow with j k
+        m, rows = self.domain.points_per_axis, np.arange(self.domain.points_per_axis)
+        k_first, *k_rest = np.unravel_index(native, self.domain.shape)
+
+        def phases(k):
+            return np.exp(2j * np.pi * (np.outer(rows, k) % m) / m)
+
+        block = phases(k_first)
+        for k in k_rest:  # the next axis varies fastest, as in the flat cell index
+            block = (block[:, None, :] * phases(k)[None, :, :]).reshape(-1, len(native))
+        return block / (2.0 * self.domain.half_width) ** (self.domain.dim / 2.0)
+
+    def gram(self, native, e: SetIndicator) -> np.ndarray:
+        """G_jl = h (2R)^{-n} chi_hat[(k_j - k_l) mod m], chi_hat the DFT of E's indicator.
+
+        chi_hat is laid out on the differences -(m - 1)..m - 1 of each axis and
+        averaged with the conjugate of its reflection, so that entry (l, j) is
+        exactly conj(entry (j, l)).
+        """
+        m, n, h = self.domain.points_per_axis, self.domain.dim, self.domain.cell_volume
+        diff_shape = (2 * m - 1,) * n
+        chi = np.fft.fftn(e.cells)[np.ix_(*[(np.arange(2 * m - 1) - (m - 1)) % m] * n)]
+        chi = 0.5 * (chi + np.flip(chi).conj()) * (h / (2.0 * self.domain.half_width) ** n)
+        # entry (j, l) sits at p_j - p_l plus the offset of the zero difference:
+        # one index per pair and no modulo over the d^2 pairs
+        p = np.ravel_multi_index(np.unravel_index(native, self.domain.shape), diff_shape)
+        pairs = np.subtract.outer(p, p)
+        pairs += np.ravel_multi_index((m - 1,) * n, diff_shape)
+        return chi.ravel()[pairs]
+
+    def matrix(self, eigenvalues, native) -> np.ndarray:
+        # entry (x, y) is the convolution kernel g = ifftn(symbol) at (x - y) mod m per axis
+        g = np.fft.ifftn(self.symbol)
+        if np.abs(g.imag).max() > 1e-10 * max(1.0, np.abs(g.real).max()):
+            raise ArithmeticError("multiplier matrix has a non-real residue; symbol not even?")
+        m, n = self.domain.points_per_axis, self.domain.dim
+        diff = np.subtract.outer(np.arange(m), np.arange(m)) % m
+        # axis k of the difference index runs over (x_k, y_k): axes k and n + k of the (x, y) grid
+        index = tuple(diff.reshape([m if a in (k, n + k) else 1 for a in range(2 * n)]) for k in range(n))
+        return g.real[index].reshape((self.domain.cell_count,) * 2)
+
+    def passes(self, weights, order, states, mags, rows):
+        """Real states in chunks of about ``_SCAN_BLOCK_ENTRIES`` entries, each transformed by rfftn.
+
+        A real state's spectrum is conjugate symmetric, so a frequency k whose
+        last index exceeds m // 2 reads |c|^2 at -k mod m; a pass is one real
+        inverse FFT, as the weights are even in the frequency.
+        """
+        if not np.isrealobj(states):
+            yield from super().passes(weights, order, states, mags, rows)
+            return
+        domain, r = self.domain, len(weights)
+        m, axes = domain.points_per_axis, tuple(range(1, domain.dim + 1))
+        k = np.array(np.unravel_index(order, domain.shape))
+        k[:, k[-1] > m // 2] *= -1
+        source = np.ravel_multi_index(tuple(k % m), domain.shape[:-1] + (m // 2 + 1,))
+        grid = weights.reshape((r,) + domain.shape)[..., : m // 2 + 1]
+        block = max(1, _SCAN_BLOCK_ENTRIES // domain.cell_count)
+        for p in range(0, len(states), block):
+            chunk = slice(p, p + block)
+            spectra = np.fft.rfftn(states[chunk], axes=axes)
+            sq = np.abs(spectra)
+            sq *= sq
+            np.take(sq.reshape(len(sq), -1), source, axis=1, out=mags[chunk])
+            mags[chunk] *= self.scale**2
+            for q in range(r):
+                y = np.fft.irfftn(grid[q] * spectra, s=domain.shape, axes=axes)
+                yield chunk, q, y.reshape(len(spectra), domain.cell_count)
+
+
+class _DenseBasis(_Basis):
+    """The full eigenvector matrix, for a dense operator with no cheaper layout.
+
+    ``vectors`` (Fortran order) holds the eigenvectors in ascending order,
+    which is native, from one ``_pinned_eigh`` of K1 + diag V or
+    K1 (x) I + I (x) K1 + diag V.  1D Hermite is mirror-symmetric but not
+    split: its levels sit on integer thresholds, where the split moves the
+    roundoff that decides whether a threshold counts its level.  In a 2D
+    cluster the basis is the solver's: only the span is canonical.
+    """
+
+    member, ordered = "vectors", False
+    shape = staticmethod(lambda domain: (domain.cell_count,) * 2)
+
+    @classmethod
+    def solve(cls, spec, domain: GridDomain, potential):
+        w, U, resid = _pinned_eigh(_sine_laplacian(domain), potential)
+        U /= np.sqrt(domain.cell_volume)
+        return w, resid, cls(domain, U), None
+
+    def forward(self, values):
+        return (self.vectors.T @ self._flat(values).T) * self.domain.cell_volume
+
+    def synthesize(self, native):
+        return self.vectors @ native
+
+    def synthesis(self, rows):
+        return self.synthesize if rows is None else functools.partial(np.matmul, self.vectors[rows])
+
+    def columns(self, native):
+        return self.vectors[:, native]
+
+
+class _ParityBasis(_Basis):
+    """A mirror-symmetric 1D Schrodinger operator on an even grid, kept as two parity blocks.
+
+    H commutes with the reflection J, so ``_reflection_split_eigh`` solves two
+    m/2-wide blocks and each eigenvector is exactly even or odd.  The
+    (2, m/2, m/2) ``parity_blocks`` B_+, B_- hold the top halves: native
+    column c < m/2 is [B_+[:, c]; J B_+[:, c]], column m/2 + c is
+    [B_-[:, c]; -J B_-[:, c]], and transforms fold the grid (f_top +- J f_bot).
+    """
+
+    member = "parity_blocks"
+    shape = staticmethod(lambda domain: (2,) + (domain.cell_count // 2,) * 2)
+
+    @classmethod
+    def solve(cls, spec, domain: GridDomain, potential):
+        w, blocks, resid, order = _reflection_split_eigh(domain, potential)
+        blocks /= np.sqrt(domain.cell_volume)
+        return w, resid, cls(domain, blocks), order
+
+    def forward(self, values):
+        x, half = self._flat(values).T, self.domain.cell_count // 2
+        top, bottom = x[:half], x[half:][::-1]
+        even, odd = self.parity_blocks[0].T @ (top + bottom), self.parity_blocks[1].T @ (top - bottom)
+        return np.concatenate([even, odd]) * self.domain.cell_volume
+
+    def synthesize(self, native):
+        half = self.domain.cell_count // 2
+        even, odd = self.parity_blocks[0] @ native[:half], self.parity_blocks[1] @ native[half:]
+        return np.concatenate([even + odd, (even - odd)[::-1]])
+
+    def columns(self, native):
+        odd, col = np.divmod(native, self.domain.cell_count // 2)
+        top = self.parity_blocks[odd, :, col].T
+        return np.concatenate([top, top[::-1] * np.where(odd, -1.0, 1.0)])  # the mirror is exact
+
+
+class _KroneckerBasis(_Basis):
+    """2D Hermite, kept as the 1D factor of fast diagonalization (Lynch, Rice & Thomas 1964).
+
+    H = H1 (x) I + I (x) H1 - c, H1 the 1D Hermite matrix with c = 0: pair
+    (i, j) has eigenvalue w_i + w_j - c and residual at most r_i + r_j, ties
+    ordered by i * m + j.  ``tensor_factor`` U_1 holds the pinned, unscaled 1D
+    eigenvectors; native index i * m + j is (U_1[:, i] (x) U_1[:, j]) / sqrt(h),
+    with no sign of its own.  The factor keeps a cache file small (130 KB at
+    m = 64), hence the 128^2 limit.
+    """
+
+    member, cell_limit = "tensor_factor", _TENSOR_CELL_LIMIT
+    shape = staticmethod(lambda domain: (domain.points_per_axis,) * 2)
+
+    @classmethod
+    def solve(cls, spec: ShiftedHermite, domain: GridDomain, potential):
+        w1, U1, r1 = _pinned_eigh(_sine_laplacian(domain), domain.axis_coords() ** 2)
+        sums = (w1[:, None] + w1[None, :]).ravel()
+        order = np.argsort(sums, kind="stable")
+        i, j = np.divmod(order, domain.points_per_axis)
+        return sums[order] - spec.c, r1[i] + r1[j], cls(domain, U1), order
+
+    def forward(self, values):
+        # U_1^T times each F_p U_1 batched: the flat form of that product
+        # needs a transposed copy of the stack, and measured slower
+        m, U = self.domain.points_per_axis, self.tensor_factor
+        C = np.matmul(U.T, (values.reshape(-1, m) @ U).reshape(-1, m, m)).reshape(-1, self.domain.cell_count)
+        native = np.empty(self._flat(values).shape[::-1], dtype=C.dtype)
+        return np.multiply(C.T.reshape(native.shape), np.sqrt(self.domain.cell_volume), out=native)
+
+    def synthesize(self, native):
+        # U_1 C_p U_1^T / sqrt(h) with the states on the last axis: one product
+        # batched over i and one flat product, and no transposed copy
+        m, U = self.domain.points_per_axis, self.tensor_factor / self.domain.cell_volume**0.25
+        return np.matmul(U, np.matmul(U, native.reshape(m, m, -1)).reshape(m, -1)).reshape(native.shape)
+
+    def columns(self, native):
+        U1, (i, j) = self.tensor_factor, np.divmod(native, self.domain.points_per_axis)
+        block = (U1[:, None, i] * U1[None, :, j]).reshape(self.domain.cell_count, len(native))
+        return block / np.sqrt(self.domain.cell_volume)
+
+
+def _layout(spec, domain: GridDomain) -> type:
+    """The basis class of a dense operator, which the solve, its cell limit and the cache follow."""
     if isinstance(spec, ShiftedHermite) and domain.dim == 2:
-        return {"tensor_factor": ((m, m), "f"), "order": ((cells,), "i")}
-    if (isinstance(spec, Schrodinger) and domain.dim == 1 and m % 2 == 0
+        return _KroneckerBasis
+    if (isinstance(spec, Schrodinger) and domain.dim == 1 and domain.points_per_axis % 2 == 0
             and np.array_equal(spec.potential.values, spec.potential.values[::-1])):
-        return {"parity_blocks": ((2, m // 2, m // 2), "f"), "order": ((cells,), "i")}
-    return {"vectors": ((cells, cells), "f")}
+        return _ParityBasis
+    return _DenseBasis
 
 
 def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
     if domain.periodic:
         raise ValueError("Schrodinger and Hermite operators require a non-periodic grid")
     layout = _layout(spec, domain)
-    limit = _TENSOR_CELL_LIMIT if "tensor_factor" in layout else _DENSE_CELL_LIMIT
-    if domain.cell_count > limit:
-        raise ValueError(f"dense diagonalization is limited to {limit} cells, got {domain.cell_count}")
+    if domain.cell_count > layout.cell_limit:
+        raise ValueError(f"dense diagonalization is limited to {layout.cell_limit} cells, got {domain.cell_count}")
     if isinstance(spec, ShiftedHermite):
         potential = domain.axis_coords() ** 2 - spec.c
     else:
@@ -482,110 +668,71 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
         potential = spec.potential.values
         if spec.condition == "II":
             _check_confining(potential)
-    scale = np.sqrt(domain.cell_volume)
-    if "tensor_factor" in layout:
-        # H = H1 (x) I + I (x) H1 - c, H1 the 1D Hermite matrix with c = 0
-        # (Lynch-Rice-Thomas 1964): pair (i, j) has eigenvalue w_i + w_j - c and
-        # residual at most r_i + r_j; pairs ascend, ties by i * m + j, and the
-        # factor stays unscaled (basis_block divides)
-        w1, U1, r1 = _pinned_eigh(_sine_laplacian(domain), domain.axis_coords() ** 2)
-        sums = (w1[:, None] + w1[None, :]).ravel()
-        order = np.argsort(sums, kind="stable")
-        i, j = np.divmod(order, domain.points_per_axis)
-        w, resid_norms = sums[order] - spec.c, r1[i] + r1[j]
-        arrays = dict(tensor_factor=U1, order=order)
-    elif "parity_blocks" in layout:
-        w, blocks, resid_norms, order = _reflection_split_eigh(domain, potential)
-        arrays = dict(parity_blocks=blocks, order=order)
-        blocks /= scale
-    else:
-        w, U, resid_norms = _pinned_eigh(_sine_laplacian(domain), potential)
-        arrays = dict(vectors=U)
-        U /= scale
+    w, resid_norms, basis, order = layout.solve(spec, domain, potential)
     max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
     if not (max_residual <= _RESIDUAL_TOL):  # a NaN residual fails too
         raise EigenResidualError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")
-    return SpectralDecomposition(spec, domain, "Dense", w, max_residual=max_residual, **arrays)
+    return SpectralDecomposition(spec, domain, w, basis, order, max_residual)
 
 
 def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomposition]:
     """The decomposition stored at ``path``, or None if it is absent, unreadable or invalid.
 
-    The file must carry the arrays that ``_layout`` names for this spec and
-    domain.  The zip CRC of each member catches corrupt bytes, so the
-    basis arrays are checked for shape and dtype only and not rescanned for
-    finiteness; ``order``, which indexes the basis, must be a permutation.
-    zipfile reports a damaged version or encryption flag as RuntimeError.
+    The file must carry the convention, finite eigenvalues, a residual within
+    tolerance, a permutation ``order`` and the array of the class ``_layout``
+    picks, whose zip CRC catches corrupt bytes, so it is checked for shape
+    and dtype only.  zipfile reports a damaged version or encryption flag as
+    RuntimeError.
     """
-    cells, expected = domain.cell_count, _layout(spec, domain)
+    cells, layout = domain.cell_count, _layout(spec, domain)
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             if data.get("basis_convention") != _BASIS_CONVENTION:
                 return None
             w, resid = data["eigenvalues"], data["max_residual"]
-            layout = {name: data[name] for name in expected}
+            basis = layout.from_arrays(domain, data)
+            order = data["order"] if layout.ordered else None
     except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError, RuntimeError):
         return None
     valid = (
-        all(layout[name].shape == shape and layout[name].dtype.kind == kind
-            for name, (shape, kind) in expected.items())
-        and ("order" not in layout or np.array_equal(np.sort(layout["order"]), np.arange(cells)))
+        basis is not None
+        and (order is None or (order.shape == (cells,) and order.dtype.kind == "i"
+                               and np.array_equal(np.sort(order), np.arange(cells))))
         and w.shape == (cells,) and w.dtype.kind == "f" and bool(np.isfinite(w).all())
         and resid.shape == () and resid.dtype.kind == "f"
         and bool(np.isfinite(resid)) and resid <= _RESIDUAL_TOL
     )
-    if not valid:
-        return None
-    return SpectralDecomposition(spec, domain, "Dense", w, max_residual=float(resid), **layout)
+    return SpectralDecomposition(spec, domain, w, basis, order, float(resid)) if valid else None
 
 
 def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> SpectralDecomposition:
     """Build the spectral decomposition of the operator on the grid.
 
-    Fourier multipliers are assembled directly from the symbol; dense kinds
-    go through a symmetric eigensolve.  When ``cache_dir`` is given (or via
-    the STABCERT_CACHE_DIR handling in the CLI), dense decompositions are
-    stored on disk keyed by a content hash of (spec, domain) and reloaded on
-    repeat calls.  Each file records the eigenvector sign convention it was
-    written under.  A file from another convention, or one that cannot be
-    read or fails validation (the layout of this operator, shapes, dtypes, a
-    permutation ``order``, finite eigenvalues, a stored residual within
-    tolerance), counts as a miss and is overwritten.
+    Fourier multipliers come straight from the symbol; dense kinds go through
+    a symmetric eigensolve.  Given ``cache_dir``, dense decompositions are
+    stored there, keyed by a content hash of (spec, domain), with the basis
+    convention they were written under; a file that ``_load_cached`` refuses
+    is a miss and is overwritten.
     """
     if isinstance(spec, FractionalLaplacian):
         if not domain.periodic:
             raise ValueError("the fractional Laplacian requires a periodic grid")
-        symbol = _fractional_symbol(spec, domain)
-        order = np.argsort(symbol.ravel(), kind="stable")
-        return SpectralDecomposition(
-            spec=spec,
-            domain=domain,
-            basis_kind="Fourier",
-            eigenvalues=symbol.ravel()[order],
-            symbol=symbol,
-            order=order,
-        )
+        return SpectralDecomposition(spec, domain, *_FourierBasis.solve(spec, domain))
     if not isinstance(spec, (ShiftedHermite, Schrodinger)):
         raise TypeError(f"unknown operator spec: {spec!r}")
 
-    key = None
-    if cache_dir is not None:
-        key = spec_hash(spec, domain)
-        path = os.path.join(str(cache_dir), f"decomposition-{key}.npz")
-        cached = _load_cached(path, spec, domain)
-        if cached is not None:
-            return cached
+    if cache_dir is None:
+        return _diagonalize_dense(spec, domain)
+    path = os.path.join(str(cache_dir), f"decomposition-{spec_hash(spec, domain)}.npz")
+    cached = _load_cached(path, spec, domain)
+    if cached is not None:
+        return cached
     dec = _diagonalize_dense(spec, domain)
-    if key is not None:
-        os.makedirs(str(cache_dir), exist_ok=True)
-        with atomic_write(path, "wb") as fh:
-            np.savez(
-                fh,
-                eigenvalues=dec.eigenvalues,
-                max_residual=dec.max_residual,
-                basis_convention=_BASIS_CONVENTION,
-                **{name: getattr(dec, name) for name in _layout(spec, domain)},
-            )
+    os.makedirs(str(cache_dir), exist_ok=True)
+    order = {} if dec.order is None else {"order": dec.order}
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual,
+                 basis_convention=_BASIS_CONVENTION, **dec.basis.arrays(), **order)
     return dec
 
 
@@ -593,75 +740,41 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
 # coefficient transforms
 
 
-def _fft_coeff_scale(domain: GridDomain) -> float:
-    return domain.cell_volume / (2.0 * domain.half_width) ** (domain.dim / 2.0)
+def _native_index(order, indices):
+    return indices if order is None else order[indices]
+
+
+def _ascending(order, native):
+    """Native coefficients, cells first, gathered into ascending order in a new array of their memory order."""
+    return native if order is None else np.take(native, order, axis=0, out=np.empty_like(native))
+
+
+def _native(order, ascending):
+    """Ascending coefficients, cells first, scattered into native order."""
+    if order is None:
+        return ascending
+    native = np.empty(ascending.shape, dtype=ascending.dtype)
+    native[order] = ascending
+    return native
 
 
 def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarray]) -> np.ndarray:
-    """Coefficients in the eigenbasis, aligned with ``eigenvalues``.
+    """Coefficients in the eigenbasis, aligned with ``eigenvalues``: the basis's ``forward``, gathered.
 
-    ``f`` is a GridFunction or an array of values: one state of the grid
-    shape gives a (cells,) vector, and a stack (P,) + the grid shape gives a
-    (cells, P) array whose column p holds the coefficients of state p.  A
-    stack is one batched FFT (Fourier kind), one product with ``vectors``
-    (assembled dense kinds), in the parity layout the fold f_top +- J f_bot
-    and one half-size product per parity, or in the tensor layout
-    U_1^T F_p U_1 for every p (one flat and one batched product); each
-    column equals the single-state result of its state to roundoff (bit
-    for bit in the Fourier kind).
+    One state of the grid shape (a GridFunction or values) gives (cells,), a
+    stack (P,) + the grid shape (cells, P), column p state p's to roundoff.
     """
     values = f.values if isinstance(f, GridFunction) else np.asarray(f)
     shape = dec.domain.shape
     lead = values.shape[: values.ndim - len(shape)]
     if len(lead) > 1 or values.shape[len(lead):] != shape:
         raise ValueError(f"values of shape {values.shape} are neither {shape} nor a stack of it")
-    flat = lead + (dec.domain.cell_count,)
-    if dec.basis_kind == "Fourier":
-        u = np.fft.fftn(values, axes=tuple(range(len(lead), values.ndim))).reshape(flat)
-        return np.take(u * _fft_coeff_scale(dec.domain), dec.order, axis=-1).T
-    if dec.tensor_factor is not None:
-        # U_1^T times each F_p U_1 batched: the flat form of that product needs a
-        # transposed copy of the stack, and measured slower
-        m, h, U = dec.domain.points_per_axis, dec.domain.cell_volume, dec.tensor_factor
-        C = np.matmul(U.T, (values.reshape(-1, m) @ U).reshape(-1, m, m)).reshape(-1, flat[-1])
-        return (C[:, dec.order] * np.sqrt(h)).T.reshape(flat[::-1])
-    x = values.reshape(flat).T
-    if dec.parity_blocks is None:
-        return (dec.vectors.T @ x) * dec.domain.cell_volume
-    half = dec.domain.cell_count // 2
-    top, bottom = x[:half], x[half:][::-1]
-    even, odd = dec.parity_blocks[0].T @ (top + bottom), dec.parity_blocks[1].T @ (top - bottom)
-    return np.concatenate([even, odd])[dec.order] * dec.domain.cell_volume
+    return _ascending(dec.order, dec.basis.forward(values))
 
 
 def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
-    """Grid values (cells,) or (cells, P) of the ascending coefficients (cells,) or (cells, P).
-
-    The Fourier kind scatters each column into FFT layout and takes one
-    batched inverse FFT of the stack.  In the parity layout the even part
-    B_+ c_+ and the odd part B_- c_- give the top half as their sum and the
-    reflected bottom half as their difference.  In the tensor layout the
-    coefficients of state p, scattered to their pairs C_p[i, j] and divided
-    by sqrt(h), give U_1 C_p U_1^T: with the states on the last axis that is
-    one product batched over i and one flat product, and no transposed copy.
-    """
-    if dec.vectors is not None:
-        return dec.vectors @ coeffs
-    cells = dec.domain.cell_count
-    if dec.basis_kind == "Fourier":
-        u = np.empty((coeffs.size // cells, cells), dtype=complex)
-        u[:, dec.order] = coeffs.reshape(cells, -1).T
-        values = np.fft.ifftn(u.reshape((-1,) + dec.domain.shape), axes=tuple(range(1, dec.domain.dim + 1)))
-        return (values / _fft_coeff_scale(dec.domain)).reshape(-1, cells).T.reshape(coeffs.shape)
-    native = np.empty(coeffs.shape, dtype=coeffs.dtype)
-    native[dec.order] = coeffs
-    if dec.tensor_factor is not None:
-        m, U = dec.domain.points_per_axis, dec.tensor_factor / dec.domain.cell_volume**0.25
-        np.matmul(U, np.matmul(U, native.reshape(m, m, -1)).reshape(m, -1), out=native.reshape(m, -1))
-        return native
-    half = cells // 2
-    even, odd = dec.parity_blocks[0] @ native[:half], dec.parity_blocks[1] @ native[half:]
-    return np.concatenate([even + odd, (even - odd)[::-1]])
+    """Grid values (cells,) or (cells, P) of the ascending coefficients (cells,) or (cells, P)."""
+    return dec.basis.synthesize(_native(dec.order, coeffs))
 
 
 def from_coefficients(dec: SpectralDecomposition, coeffs: np.ndarray) -> GridFunction:
@@ -669,133 +782,35 @@ def from_coefficients(dec: SpectralDecomposition, coeffs: np.ndarray) -> GridFun
 
 
 def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
-    """Columns (cells x len(indices)) of the selected eigenfunctions.
-
-    ``indices`` refer to the ascending-eigenvalue ordering.  Fourier phases
-    are exp(2 pi i r / m) with r = j k mod m reduced in integers, so their
-    error does not grow with j k.  The parity layout mirrors the selected
-    block columns, which is exact.  The tensor layout forms the products
-    U_1[:, i] (x) U_1[:, j] of the selected pairs and divides them by
-    sqrt(h).
-    """
-    indices = np.asarray(indices, dtype=int)
-    if dec.basis_kind == "Dense":
-        if dec.vectors is not None:
-            return dec.vectors[:, indices]
-        if dec.tensor_factor is not None:
-            U1 = dec.tensor_factor
-            i, j = np.divmod(dec.order[indices], dec.domain.points_per_axis)
-            block = (U1[:, None, i] * U1[None, :, j]).reshape(dec.domain.cell_count, len(indices))
-            return block / np.sqrt(dec.domain.cell_volume)
-        odd, col = np.divmod(dec.order[indices], dec.domain.cell_count // 2)
-        top = dec.parity_blocks[odd, :, col].T
-        return np.concatenate([top, top[::-1] * np.where(odd, -1.0, 1.0)])
-    m = dec.domain.points_per_axis
-    rows = np.arange(m)
-    k_first, *k_rest = np.unravel_index(dec.order[indices], dec.domain.shape)
-
-    def phases(k):
-        return np.exp(2j * np.pi * (np.outer(rows, k) % m) / m)
-
-    block = phases(k_first)
-    for k in k_rest:  # the next axis varies fastest, as in the flat cell index
-        block = (block[:, None, :] * phases(k)[None, :, :]).reshape(-1, len(indices))
-    return block / (2.0 * dec.domain.half_width) ** (dec.domain.dim / 2.0)
+    """Columns (cells x len(indices)) of the selected eigenfunctions, ``indices`` in ascending order."""
+    return dec.basis.columns(_native_index(dec.order, np.asarray(indices, dtype=int)))
 
 
 def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.ndarray:
-    """Gram matrix h sum_{x in E} conj(v_j(x)) v_l(x) of the selected eigenfunctions.
-
-    ``indices`` refer to the ascending-eigenvalue ordering.  In the Fourier
-    kind the entry depends only on the frequency difference:
-    G_jl = h (2R)^{-n} chi_hat[(k_j - k_l) mod m] with chi_hat the DFT of
-    E's indicator, so the matrix is gathered from one FFT of the set and no
-    eigenfunction is sampled.  chi_hat is laid out on the differences
-    -(m - 1)..m - 1 of each axis and averaged with the conjugate of its
-    reflection, which makes entry (l, j) exactly conj(entry (j, l)).  Dense
-    kinds take the selected columns first and then the rows of E (rows
-    first would copy |E| x cells).
-    """
+    """Gram matrix h sum_{x in E} conj(v_j(x)) v_l(x) of the eigenfunctions at the ascending ``indices``."""
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
-    if dec.basis_kind == "Dense":
-        rows = basis_block(dec, indices)[e.cells.ravel()]
-        G = rows.conj().T @ rows * dec.domain.cell_volume
-        return 0.5 * (G + G.conj().T)
-    domain = dec.domain
-    m, n = domain.points_per_axis, domain.dim
-    diff_shape = (2 * m - 1,) * n
-    chi = np.fft.fftn(e.cells)[np.ix_(*[(np.arange(2 * m - 1) - (m - 1)) % m] * n)]
-    chi = 0.5 * (chi + np.flip(chi).conj()) * (domain.cell_volume / (2.0 * domain.half_width) ** n)
-    # entry (j, l) sits at p_j - p_l plus the offset of the zero difference:
-    # one index per pair and no modulo over the d^2 pairs
-    k = np.unravel_index(dec.order[np.asarray(indices, dtype=int)], domain.shape)
-    p = np.ravel_multi_index(k, diff_shape)
-    pairs = np.subtract.outer(p, p)
-    pairs += np.ravel_multi_index((m - 1,) * n, diff_shape)
-    return chi.ravel()[pairs]
+    return dec.basis.gram(_native_index(dec.order, np.asarray(indices, dtype=int)), e)
 
 
 def _weighted_passes(dec: SpectralDecomposition, weights, states, mags, rows=None):
     """Transform the stack ``states`` once and yield w_q(H) f_p on the grid, one weight row at a time.
 
     ``weights`` is (r, cells), each row a real function of the eigenvalue in
-    ascending order; ``states`` is (P,) + the grid shape.  Row p of ``mags``
-    (P, cells) receives |c_jp|^2 in ascending order, and each yield
-    (chunk, q, y) holds w_q(H) f_p, p = chunk.start + i, in row i of y.
-    Given ``rows``, a boolean mask of the cells, the assembled dense kind
-    multiplies only those rows of ``vectors`` and yields the values there
-    alone; every other pass holds the whole grid.
-
-    Real Fourier states go in chunks of about ``_SCAN_BLOCK_ENTRIES``
-    entries, each transform the rfftn half spectrum: a real state's
-    spectrum is conjugate symmetric, so a frequency k whose last index
-    exceeds m // 2 reads |c|^2 at -k mod m, and each (chunk, row) pass is
-    one real inverse FFT, real because the weights are even in the
-    frequency.  Every other stack is one chunk, transformed by
-    ``to_coefficients`` and synthesized per row by ``_grid_values``.
+    ascending order, permuted to native order once here; ``states`` is (P,)
+    + the grid shape.  Row p of ``mags`` (P, cells) receives |c_jp|^2 in
+    ascending order, and each yield (chunk, q, y) holds w_q(H) f_p in row
+    p - chunk.start of y (the full dense basis gives only the cells of ``rows``).
     """
-    domain = dec.domain
-    cells, P, r = domain.cell_count, len(states), len(weights)
-    if dec.basis_kind == "Fourier" and np.isrealobj(states):
-        m, axes = domain.points_per_axis, tuple(range(1, domain.dim + 1))
-        k = np.array(np.unravel_index(dec.order, domain.shape))
-        k[:, k[-1] > m // 2] *= -1
-        source = np.ravel_multi_index(tuple(k % m), domain.shape[:-1] + (m // 2 + 1,))
-        grid = np.empty((r, cells))
-        grid[:, dec.order] = weights
-        grid = grid.reshape((r,) + domain.shape)[..., : m // 2 + 1]
-        block, scale = max(1, _SCAN_BLOCK_ENTRIES // cells), _fft_coeff_scale(domain) ** 2
-        for p in range(0, P, block):
-            chunk = slice(p, p + block)
-            spectra = np.fft.rfftn(states[chunk], axes=axes)
-            sq = np.abs(spectra)
-            sq *= sq
-            np.take(sq.reshape(len(sq), -1), source, axis=1, out=mags[chunk])
-            mags[chunk] *= scale
-            for q in range(r):
-                y = np.fft.irfftn(grid[q] * spectra, s=domain.shape, axes=axes)
-                yield chunk, q, y.reshape(len(spectra), cells)
-        return
-    coeffs = to_coefficients(dec, states)
-    np.abs(coeffs.T, out=mags)
-    mags *= mags
-    basis = dec.vectors if rows is None or dec.vectors is None else dec.vectors[rows]
-    z = np.empty(coeffs.shape, dtype=np.result_type(weights, coeffs))
-    for q in range(r):
-        np.multiply(weights[q][:, None], coeffs, out=z)
-        yield slice(0, P), q, (_grid_values(dec, z) if basis is None else basis @ z).T
+    return dec.basis.passes(_native(dec.order, weights.T).T, dec.order, states, mags, rows)
 
 
 def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, states):
     """The (r, P) set norms h sum_{x in E} |(w_q(H) f_p)(x)|^2 and the (cells, P) squares |c_jp|^2.
 
-    ``weights`` is (r, cells), each row given per eigenvalue in ascending
-    order and equal across each level (any function of the eigenvalue is);
-    ``states`` is (P,) + the grid shape, the values of the f_p, and c_jp
-    their coefficients, ascending as ``to_coefficients`` gives them: one
-    loop over ``_weighted_passes``, which transforms each state once, with
-    each pass squared in place and summed over E.  No Gram matrix is formed.
+    ``weights`` is (r, cells), each row equal across each level of the
+    ascending eigenvalues; ``states`` is (P,) + the grid shape.  Each pass of
+    ``_weighted_passes`` is squared in place and summed over E.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
@@ -811,7 +826,7 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, state
         y *= y
         if y.shape[1] == len(mask):
             np.matmul(y, mask, out=out[q, chunk])
-        else:  # the assembled kind gives the cells of E alone
+        else:  # the full dense basis gives the cells of E alone
             y.sum(axis=1, out=out[q, chunk])
     out *= dec.domain.cell_volume
     return out, mags.T
@@ -823,26 +838,12 @@ def eigenfunction(dec: SpectralDecomposition, j: int) -> GridFunction:
 
 
 def dense_matrix(dec: SpectralDecomposition) -> np.ndarray:
-    """Materialize the operator as a dense (cells x cells) matrix.
-
-    The Fourier kind gathers entry (x, y) from the convolution kernel
-    g = ifftn(symbol) at (x - y) mod m per axis; g holds every entry.
-    """
+    """The operator as a dense (cells x cells) matrix: V diag(lambda) V^T h over the ascending columns, or the Fourier kernel's gather."""
     cells = dec.domain.cell_count
     if cells > _DENSE_CELL_LIMIT:
         raise ValueError(f"refusing to materialize a dense matrix of {cells} cells "
                          f"(the limit is {_DENSE_CELL_LIMIT})")
-    if dec.basis_kind == "Dense":
-        V = dec.vectors if dec.vectors is not None else basis_block(dec, np.arange(cells))
-        return (V * dec.eigenvalues) @ V.T * dec.domain.cell_volume
-    g = np.fft.ifftn(dec.symbol)
-    if np.abs(g.imag).max() > 1e-10 * max(1.0, np.abs(g.real).max()):
-        raise ArithmeticError("multiplier matrix has a non-real residue; symbol not even?")
-    m, n = dec.domain.points_per_axis, dec.domain.dim
-    diff = np.subtract.outer(np.arange(m), np.arange(m)) % m
-    # axis k of the difference index runs over (x_k, y_k): axes k and n + k of the (x, y) grid
-    index = tuple(diff.reshape([m if a in (k, n + k) else 1 for a in range(2 * n)]) for k in range(n))
-    return g.real[index].reshape(cells, cells)
+    return dec.basis.matrix(dec.eigenvalues, _native_index(dec.order, slice(None)))
 
 
 # ---------------------------------------------------------------------------
@@ -863,9 +864,8 @@ def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction):
     """w(H) f for the real weights w(lambda_j), given in ascending-eigenvalue order.
 
     ``weights`` is (cells,), or a stack (r, cells) whose rows w_q give an
-    iterator over the r functions w_q(H) f: the passes of one
-    ``_weighted_passes`` transform of ``f``, each synthesized when it is
-    reached, and real for a real ``f`` (by a real inverse FFT in Fourier).
+    iterator over the w_q(H) f, the passes of one ``_weighted_passes``
+    transform of ``f``, each synthesized when reached and real for a real f.
     """
     weights = np.asarray(weights)
     mags = np.empty((1, dec.domain.cell_count))
@@ -907,11 +907,10 @@ def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeR
     least as fast as e^{-tk}.
 
     The trials are one draw of (trials,) + the grid shape, transformed once
-    by ``_weighted_passes`` with no weight rows (real FFTs in the Fourier
-    kind), which leaves only the squares |c_j|^2.  Each norm is a coefficient sum:
-    ||(1 - pi_k) e^{-tH} f||^2 is sum_j 1[j >= d(k)] e^{-2t lambda_j} |c_j|^2,
-    divided by ||f||^2 on the grid.  The worst ratio is the first maximum in
-    trial-major order.
+    by ``_weighted_passes`` with no weight rows, which leaves the squares
+    |c_j|^2: ||(1 - pi_k) e^{-tH} f||^2 is sum_j 1[j >= d(k)] e^{-2t lambda_j}
+    |c_j|^2, over ||f||^2 on the grid.  The worst ratio is the first maximum
+    in trial-major order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

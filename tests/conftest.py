@@ -1,7 +1,6 @@
 """Shared fixtures: the expensive spectral decompositions are built once."""
 
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -49,25 +48,22 @@ def gram_builds(monkeypatch):
 def coefficient_transforms(monkeypatch):
     """Shape of the values of every forward transform made during the test, in order.
 
-    A forward transform is a to_coefficients call or a real FFT of a chunk
-    of real Fourier states (``np.fft.rfftn``, which only ``operators`` calls).
+    A forward transform is a basis ``forward`` call (``to_coefficients``
+    makes one) or a real FFT of a chunk of real Fourier states
+    (``np.fft.rfftn``, which only ``operators`` calls).
     """
     shapes = []
-    original = operators.to_coefficients
-    original_rfftn = np.fft.rfftn
 
-    def counting(dec, f):
-        shapes.append(np.shape(getattr(f, "values", f)))
-        return original(dec, f)
+    def counting(original):
+        def count(*args, **kwargs):
+            shapes.append(np.shape(args[-1]))
+            return original(*args, **kwargs)
+        return count
 
-    def counting_rfftn(values, *args, **kwargs):
-        shapes.append(np.shape(values))
-        return original_rfftn(values, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("stabcert") and getattr(module, "to_coefficients", None) is original:
-            monkeypatch.setattr(module, "to_coefficients", counting)
-    monkeypatch.setattr(np.fft, "rfftn", counting_rfftn)
+    for layout in (operators._FourierBasis, operators._DenseBasis, operators._ParityBasis,
+                   operators._KroneckerBasis):
+        monkeypatch.setattr(layout, "forward", counting(layout.forward))
+    monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn))
     return shapes
 
 

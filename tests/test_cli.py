@@ -72,6 +72,16 @@ def test_help_still_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: stabcert check-thick")
 
 
+def test_every_command_runs_on_its_defaults(capsys):
+    # each subcommand with only the options it requires, so the defaults
+    # must agree with each other: check-thick's side length must be a whole
+    # number of cells of the default domain (h = 20 / 512)
+    for argv in (["check-thick"], ["spectral-constant"], ["certify"], ["feedback-build"], ["simulate"],
+                 ["probe", "--claim", "C=1,T=1,alpha=0.5", "--centers", "0"]):
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+
+
 def test_bad_domain_is_usage_error(capsys):
     code = main(["check-thick", "--domain", "dim=3,R=10,m=64", "--set", "full"])
     assert code == 2

@@ -63,7 +63,7 @@ def test_fractional_symbol_is_exact():
     dom = make_grid(1, 10.0, 256, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=2.0), dom)
     xi = dom.frequency_axis()
-    assert np.array_equal(dec.symbol, xi * xi)
+    assert np.array_equal(dec.basis.symbol, xi * xi)
     assert np.array_equal(dec.eigenvalues, np.sort(xi * xi))
 
 
@@ -126,7 +126,7 @@ def test_decomposition_cache_roundtrip(tmp_path):
     assert len(files) == 1
     second = diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.vectors, second.vectors)
+    assert np.array_equal(first.basis.vectors, second.basis.vectors)
 
 
 def test_an_interrupted_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
@@ -151,7 +151,7 @@ def test_an_interrupted_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
         raise AssertionError("the old cache file was not a hit")
 
     monkeypatch.setattr(operators, "_diagonalize_dense", recompute)
-    assert np.array_equal(diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path).vectors, first.vectors)
+    assert np.array_equal(diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path).basis.vectors, first.basis.vectors)
 
 
 def test_cache_from_another_sign_convention_is_recomputed(tmp_path):
@@ -159,11 +159,11 @@ def test_cache_from_another_sign_convention_is_recomputed(tmp_path):
     first = diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
     (path,) = tmp_path.glob("decomposition-*.npz")
     # the layout written before eigenvector signs were pinned: no convention tag
-    np.savez(path, eigenvalues=first.eigenvalues, vectors=-first.vectors, max_residual=first.max_residual)
+    np.savez(path, eigenvalues=first.eigenvalues, vectors=-first.basis.vectors, max_residual=first.max_residual)
     second = diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
-    assert np.array_equal(second.vectors, first.vectors)
+    assert np.array_equal(second.basis.vectors, first.basis.vectors)
     with np.load(path) as data:
-        assert np.array_equal(data["vectors"], first.vectors)
+        assert np.array_equal(data["vectors"], first.basis.vectors)
 
 
 def _flip_middle_byte(path, dec):
@@ -177,12 +177,12 @@ def _truncate(path, dec):
 
 
 def _basis_arrays(dec):
-    """The arrays a cache file holds for the basis of ``dec``, by name."""
-    if dec.tensor_factor is not None:
-        return dict(tensor_factor=dec.tensor_factor, order=dec.order)
-    if dec.parity_blocks is None:
-        return dict(vectors=dec.vectors)
-    return dict(parity_blocks=dec.parity_blocks, order=dec.order)
+    """The arrays a cache file holds for the basis of ``dec``, by name, in the order it writes them."""
+    if isinstance(dec.basis, operators._KroneckerBasis):
+        return dict(tensor_factor=dec.basis.tensor_factor, order=dec.order)
+    if isinstance(dec.basis, operators._DenseBasis):
+        return dict(vectors=dec.basis.vectors)
+    return dict(parity_blocks=dec.basis.parity_blocks, order=dec.order)
 
 
 def _savez(path, dec, **changes):
@@ -258,7 +258,7 @@ def _parity_layout_under_hermite_key(path, dec):
     half = dec.domain.cell_count // 2
     np.savez(path, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual,
              basis_convention=operators._BASIS_CONVENTION,
-             parity_blocks=np.stack([dec.vectors[:half, :half], dec.vectors[:half, half:]]),
+             parity_blocks=np.stack([dec.basis.vectors[:half, :half], dec.basis.vectors[:half, half:]]),
              order=np.arange(dec.domain.cell_count))
 
 
@@ -302,8 +302,7 @@ def test_bad_cache_file_is_recomputed(tmp_path, case, corrupt):
     assert np.array_equal(basis_block(second, everything), basis_block(first, everything))
     assert second.max_residual == first.max_residual
     with np.load(path) as data:
-        assert sorted(data.files) == sorted(["eigenvalues", "max_residual", "basis_convention",
-                                             *_basis_arrays(first)])
+        assert data.files == ["eigenvalues", "max_residual", "basis_convention", *_basis_arrays(first)]
         for name, array in _basis_arrays(first).items():
             assert np.array_equal(data[name], array)
 
@@ -313,8 +312,8 @@ def test_parity_cache_roundtrip_halves_the_file(tmp_path):
     first = diagonalize(spec, dom, cache_dir=tmp_path)
     (path,) = tmp_path.glob("decomposition-*.npz")
     second = diagonalize(spec, dom, cache_dir=tmp_path)
-    assert second.vectors is None
-    assert np.array_equal(second.parity_blocks, first.parity_blocks)
+    assert not hasattr(second.basis, "vectors")
+    assert np.array_equal(second.basis.parity_blocks, first.basis.parity_blocks)
     assert np.array_equal(second.order, first.order)
     assert np.array_equal(second.eigenvalues, first.eigenvalues)
     # two (m/2)^2 blocks: half the 8 m^2 bytes of the full matrix, plus headers
@@ -326,9 +325,10 @@ def test_tensor_cache_roundtrip_stores_the_factor(tmp_path):
     first = diagonalize(spec, dom, cache_dir=tmp_path)
     (path,) = tmp_path.glob("decomposition-*.npz")
     second = diagonalize(spec, dom, cache_dir=tmp_path)
-    assert second.vectors is None
-    for name in ("eigenvalues", "order", "tensor_factor"):
+    assert not hasattr(second.basis, "vectors")
+    for name in ("eigenvalues", "order"):
         assert np.array_equal(getattr(second, name), getattr(first, name))
+    assert np.array_equal(second.basis.tensor_factor, first.basis.tensor_factor)
     assert second.max_residual == first.max_residual
     everything = np.arange(dom.cell_count)
     assert np.array_equal(basis_block(second, everything), basis_block(first, everything))
@@ -344,7 +344,7 @@ def test_tensor_cache_roundtrip_stores_the_factor(tmp_path):
 @pytest.fixture(scope="module")
 def canonical_vectors():
     dec = diagonalize(ShiftedHermite(), make_grid(1, 10.0, 64, periodic=False))
-    return dec.vectors
+    return dec.basis.vectors
 
 
 def test_dense_signs_follow_the_hermite_convention(hermite_dec):
@@ -389,7 +389,7 @@ def test_dense_decomposition_ignores_solver_signs(monkeypatch):
     flipped = diagonalize(spec, dom)
     assert np.array_equal(flipped.eigenvalues, plain.eigenvalues)
     # V = x^2 - 4 is mirror-symmetric, so the signs are pinned on the parity blocks
-    assert plain.parity_blocks is not None
+    assert isinstance(plain.basis, operators._ParityBasis)
     everything = np.arange(dom.cell_count)
     assert np.array_equal(basis_block(flipped, everything), basis_block(plain, everything))
     assert flipped.max_residual == plain.max_residual
@@ -421,7 +421,7 @@ def test_blocked_eigen_residual_matches_the_whole_matrix(monkeypatch):
     whole = np.linalg.norm(H @ U - U * w, axis=0) / np.maximum(1.0, np.abs(w))
     assert int(np.argmax(whole)) == 37
     assert dec.max_residual == pytest.approx(float(whole.max()), rel=1e-4)
-    assert np.array_equal(dec.vectors, U / np.sqrt(dom.cell_volume))
+    assert np.array_equal(dec.basis.vectors, U / np.sqrt(dom.cell_volume))
 
 
 def kron_operator(K1, potential):
@@ -458,14 +458,14 @@ def test_a_full_solve_holds_no_assembled_operator(dim, m, arrays):
         spec = Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0 + 0.3 * x))
     else:
         spec = Schrodinger(potential=from_callable(dom, lambda x, y: x**2 + 2.0 * y**2))
-    assert "vectors" in operators._layout(spec, dom)
+    assert operators._layout(spec, dom) is operators._DenseBasis
     tracemalloc.start()
     try:
         dec = diagonalize(spec, dom)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dec.vectors.flags.f_contiguous
+    assert dec.basis.vectors.flags.f_contiguous
     assert peak < arrays * 8 * dom.cell_count**2
 
 
@@ -482,7 +482,7 @@ def assembled_hermite_2d(dom, c):
     H = np.kron(K1, eye) + np.kron(eye, K1) + np.diag((x**2 + y**2 - c).ravel())
     w, U = scipy.linalg.eigh(H)
     _canonicalize_signs(U)
-    dense = SpectralDecomposition(ShiftedHermite(c), dom, "Dense", w, vectors=U / np.sqrt(dom.cell_volume))
+    dense = SpectralDecomposition(ShiftedHermite(c), dom, w, operators._DenseBasis(dom, U / np.sqrt(dom.cell_volume)))
     return H, dense
 
 
@@ -518,7 +518,7 @@ def test_factored_hermite_cluster_projectors_match_the_dense_solve(hermite_2d_pa
     vol = dense.domain.cell_volume
     for d in ends:
         V = basis_block(factored, np.arange(dense.domain.cell_count))
-        P_dense = dense.vectors[:, :d] @ dense.vectors[:, :d].T * vol
+        P_dense = dense.basis.vectors[:, :d] @ dense.basis.vectors[:, :d].T * vol
         P_factored = V[:, :d] @ V[:, :d].T * vol
         assert np.abs(P_factored - P_dense).max() < 1e-12
 
@@ -594,7 +594,7 @@ def test_2d_hermite_is_the_1d_hermite_solve_tensored_bit_for_bit(m, c):
     dec = diagonalize(ShiftedHermite(c), make_grid(2, 6.0, m, periodic=False))
     sums = (line.eigenvalues[:, None] + line.eigenvalues[None, :]).ravel()
     assert np.array_equal(dec.eigenvalues, np.sort(sums, kind="stable") - c)
-    assert np.array_equal(dec.tensor_factor / np.sqrt(line.domain.cell_volume), line.vectors)
+    assert np.array_equal(dec.basis.tensor_factor / np.sqrt(line.domain.cell_volume), line.basis.vectors)
 
 
 def assembled_tensor_basis(dom, c):
@@ -624,7 +624,7 @@ def tensor_pair():
         if (m, c) not in built:
             dom = make_grid(2, 6.0, m, periodic=False)
             w, U = assembled_tensor_basis(dom, c)
-            assembled = SpectralDecomposition(ShiftedHermite(c), dom, "Dense", w, vectors=U)
+            assembled = SpectralDecomposition(ShiftedHermite(c), dom, w, operators._DenseBasis(dom, U))
             built[m, c] = assembled, diagonalize(ShiftedHermite(c), dom)
         return built[m, c]
 
@@ -638,11 +638,11 @@ TENSOR_GRIDS = pytest.mark.parametrize("m, c", [(m, c) for m in (16, 24, 40) for
 def test_tensor_layout_is_the_assembled_basis_bit_for_bit(tensor_pair, m, c):
     assembled, factored = tensor_pair(m, c)
     cells = m * m
-    assert factored.vectors is None and factored.tensor_factor.shape == (m, m)
+    assert not hasattr(factored.basis, "vectors") and factored.basis.tensor_factor.shape == (m, m)
     assert np.array_equal(factored.eigenvalues, assembled.eigenvalues)
-    assert np.array_equal(basis_block(factored, np.arange(cells)), assembled.vectors)
+    assert np.array_equal(basis_block(factored, np.arange(cells)), assembled.basis.vectors)
     picks = [7, 2, 7, cells - 1]
-    assert np.array_equal(basis_block(factored, picks), assembled.vectors[:, picks])
+    assert np.array_equal(basis_block(factored, picks), assembled.basis.vectors[:, picks])
     e = make_set(factored.domain, BallComplement(center=(0.0, 0.0), radius=2.0))
     first = np.arange(12)
     assert np.array_equal(restricted_gram(factored, first, e), restricted_gram(assembled, first, e))
@@ -857,7 +857,7 @@ def test_parity_blocks_are_the_assembled_basis_bit_for_bit(m):
                        condition="I", delta=0.5)
     dec = diagonalize(spec, dom)
     w, U = assembled_parity_basis(dom, spec.potential.values)
-    assert dec.vectors is None
+    assert not hasattr(dec.basis, "vectors")
     assert np.array_equal(dec.eigenvalues, w)
     assert np.array_equal(basis_block(dec, np.arange(dom.cell_count)), U)
     picks = np.array([7, 2, 7]) % m
@@ -896,10 +896,9 @@ def test_parity_split_holds_no_full_size_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dec.parity_blocks is not None
+    assert isinstance(dec.basis, operators._ParityBasis)
     assert peak < 1.0 * 8 * dom.cell_count**2
-    for name in ("eigenvalues", "order", "vectors", "parity_blocks"):
-        array = getattr(dec, name)
+    for array in (dec.eigenvalues, dec.order, getattr(dec.basis, "vectors", None), dec.basis.parity_blocks):
         assert array is None or array.size <= dom.cell_count**2 // 2
 
 
@@ -907,7 +906,7 @@ def test_parity_split_holds_no_full_size_array():
 def test_nan_eigenvector_fails_the_residual_gate(monkeypatch, tilt):
     dom = make_grid(1, 10.0, 64, periodic=False)
     spec = Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0 + tilt * x))
-    assert ("parity_blocks" in operators._layout(spec, dom)) == (tilt == 0.0)
+    assert (operators._layout(spec, dom) is operators._ParityBasis) == (tilt == 0.0)
 
     def nan_eigh(H, overwrite=False):
         w, U = scipy.linalg.eigh(H)
@@ -953,7 +952,7 @@ def test_full_solve_is_kept_without_a_mirror_symmetry(m, tilt):
     dec = diagonalize(Schrodinger(potential=pot), dom)
     w, U = full_solve(dom, pot.values)
     assert np.array_equal(dec.eigenvalues, w)
-    assert np.array_equal(dec.vectors, U / np.sqrt(dom.cell_volume))
+    assert np.array_equal(dec.basis.vectors, U / np.sqrt(dom.cell_volume))
 
 
 # ---------------------------------------------------------------------------
@@ -1034,7 +1033,7 @@ def test_synthesis_inverts_the_coefficient_transform(case, complex_valued, rng):
     # stacks come back from their coefficients, through from_coefficients too
     spec, dom = synthesis_cases()[case]
     dec = diagonalize(spec, dom)
-    layout = [dec.symbol, dec.symbol, dec.vectors, dec.parity_blocks, dec.tensor_factor][case]
+    layout = getattr(dec.basis, ["symbol", "symbol", "vectors", "parity_blocks", "tensor_factor"][case], None)
     assert layout is not None
     values = np.stack([random_state(dom, rng, complex_valued).values for _ in range(4)])
     tol = 1e-13 * np.abs(values).max()
@@ -1194,8 +1193,8 @@ def test_restricted_norms_return_the_squared_coefficients(layout, rng):
     # their weight on the k = 0 and k = m/2 columns, their own mirrors
     spec, dom = MAGNITUDE_CASES[layout]()
     dec = diagonalize(spec, dom)
-    assert (dec.parity_blocks is not None) == (layout == "parity")
-    assert (dec.tensor_factor is not None) == (layout == "tensor")
+    assert isinstance(dec.basis, operators._ParityBasis) == (layout == "parity")
+    assert isinstance(dec.basis, operators._KroneckerBasis) == (layout == "tensor")
     e = make_set(dom, HalfSpace(offset=0.0))
     alternating = np.broadcast_to((-1.0) ** np.arange(dom.points_per_axis), dom.shape)
     real = np.concatenate([rng.standard_normal((90,) + dom.shape), np.ones((1,) + dom.shape), alternating[None]])
@@ -1224,7 +1223,7 @@ def test_dense_matrix_reproduces_dense_eigenpairs():
     dom = make_grid(1, 10.0, 64, periodic=False)
     for spec in (ShiftedHermite(), Schrodinger(potential=from_callable(dom, lambda x: x**2 - 4.0))):
         dec = diagonalize(spec, dom)
-        assert (dec.parity_blocks is None) == isinstance(spec, ShiftedHermite)
+        assert (not isinstance(dec.basis, operators._ParityBasis)) == isinstance(spec, ShiftedHermite)
         H = dense_matrix(dec)
         v = eigenfunction(dec, 2).values
         assert np.allclose(H @ v, dec.eigenvalues[2] * v, atol=1e-8)
@@ -1234,7 +1233,7 @@ def test_dense_matrix_of_multiplier_is_symmetric_with_the_right_spectrum():
     dom = make_grid(1, 10.0, 16, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=1.0), dom)
     H = dense_matrix(dec)
-    assert np.array_equal(H, scipy.linalg.circulant(np.fft.ifft(dec.symbol)).real)
+    assert np.array_equal(H, scipy.linalg.circulant(np.fft.ifft(dec.basis.symbol)).real)
     assert np.allclose(H, H.T, atol=1e-12)
     assert np.allclose(scipy.linalg.eigvalsh(H), dec.eigenvalues, atol=1e-10)
 
@@ -1252,7 +1251,7 @@ def fft_of_identity(dec):
     # the reference: every column is the multiplier applied to a unit vector
     m, cells = dec.domain.points_per_axis, dec.domain.cell_count
     eye = np.eye(cells).reshape(cells, m, m)
-    return np.fft.ifftn(dec.symbol[None, :, :] * np.fft.fftn(eye, axes=(1, 2)), axes=(1, 2)).reshape(cells, cells).T
+    return np.fft.ifftn(dec.basis.symbol[None, :, :] * np.fft.fftn(eye, axes=(1, 2)), axes=(1, 2)).reshape(cells, cells).T
 
 
 def test_2d_fourier_dense_matrix_is_the_transformed_identity():

@@ -3,7 +3,7 @@
 No module imports another module's private names, no module keeps a
 module-global cache (a name bound to an empty dict or list at module level,
 or a top-level function under `functools.lru_cache` or `functools.cache`),
-and only `operators` reads the basis layout of a spectral
+and only `operators` reads the basis object or layout of a spectral
 decomposition or counts eigenvalues below a threshold itself; every other
 module goes through `spectral_count`, `spectral_apply` and the coefficient
 transforms. `specineq`, `certify` and `probes` never sample eigenfunctions
@@ -16,15 +16,20 @@ takes them from the observation bracket, neither from `to_coefficients`;
 every `eigh` call is inside `_dense_eigh`, which only `_gathered_eigh`
 calls: every dense matrix is gathered there in row strips and solved in
 place, for the pinned full solve `_pinned_eigh` and the parity split
-`_reflection_split_eigh` alike, and every real FFT of a stack of states (`rfftn`, `irfftn`) is inside
-`_weighted_passes`. scipy is imported only by `operators`, and only as
-`scipy.linalg` for that eigensolver, so importing the CLI loads no other
-scipy subpackage. Every file is written through `domain.atomic_write`, the
-one caller of `tempfile.mkstemp` and `os.replace`, and no module imports a
-name it does not use.
+`_reflection_split_eigh` alike, and every real FFT of a stack of states
+(`rfftn`, `irfftn`) is inside the Fourier basis's pass. Inside `operators`,
+only the basis classes (one per layout) and `_layout`, which picks one,
+read a layout's array (`vectors`, `parity_blocks`, `tensor_factor`,
+`symbol`), compare `basis_kind` or a basis class, or ask `isinstance` of
+one. scipy is imported only by `operators`, and only as `scipy.linalg` for
+that eigensolver, so importing the CLI loads no other scipy subpackage.
+Every file is written through `domain.atomic_write`, the one caller of
+`tempfile.mkstemp` and `os.replace`, and no module imports a name it does
+not use. The benchmark's tracer still finds every function it wraps.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -89,7 +94,7 @@ def test_no_cached_top_level_functions(path):
     assert not found, found
 
 
-DECOMPOSITION_LAYOUT = {"basis_kind", "vectors", "parity_blocks", "tensor_factor", "tensor_signs",
+DECOMPOSITION_LAYOUT = {"basis_kind", "basis", "vectors", "parity_blocks", "tensor_factor", "tensor_signs",
                         "symbol", "order"}
 
 
@@ -201,20 +206,58 @@ def test_the_pinned_eigensolve_has_two_owners(name, owners):
     assert callers == owners, sorted(callers)
 
 
-def test_real_ffts_are_called_only_in_weighted_passes():
+def _functions(tree):
+    """(qualified name, node) of every top-level function and every method of a top-level class."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef))
+
+
+def test_real_ffts_are_called_only_in_the_fourier_pass():
     # the real FFTs of a stack of real Fourier states, forward and inverse,
-    # belong to the one transform-and-synthesis pass `_weighted_passes`, so
-    # no second pass over the states grows back elsewhere
+    # belong to the Fourier basis's pass of `_weighted_passes`, so no second
+    # pass over the states grows back elsewhere
     found = {
-        (path.name, func.name)
+        (path.name, name)
         for path in SOURCES
-        for func in ast.walk(_tree(path))
-        if isinstance(func, ast.FunctionDef)
+        for name, func in _functions(_tree(path))
         for node in ast.walk(func)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and node.func.attr in ("rfftn", "irfftn")
     }
-    assert found == {("operators.py", "_weighted_passes")}, sorted(found)
+    assert found == {("operators.py", "_FourierBasis.passes")}, sorted(found)
+
+
+BASIS_CLASSES = {"_Basis", "_FourierBasis", "_DenseBasis", "_ParityBasis", "_KroneckerBasis"}
+LAYOUT_ARRAYS = {"vectors", "parity_blocks", "tensor_factor", "symbol"}
+
+
+def _tells_layouts_apart(node):
+    # reads a layout's array, compares `basis_kind` or a basis class, or asks isinstance of one
+    names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+    return ((isinstance(node, ast.Attribute) and node.attr in LAYOUT_ARRAYS)
+            or (isinstance(node, ast.Compare) and names & (BASIS_CLASSES | {"basis_kind"}))
+            or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and names & BASIS_CLASSES))
+
+
+def test_only_the_basis_classes_and_layout_tell_layouts_apart():
+    # each basis class owns its layout's array and `_layout` picks one, so no
+    # other code in `operators` branches on a layout: a new layout is one class
+    tree = _tree(next(p for p in SOURCES if p.name == "operators.py"))
+    classes = {top.name: top for top in tree.body if isinstance(top, ast.ClassDef)}
+    assert set(classes) >= BASIS_CLASSES
+    assert all(isinstance(base, ast.Name) and base.id in BASIS_CLASSES
+               for name in BASIS_CLASSES - {"_Basis"} for base in classes[name].bases)
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for top in tree.body if getattr(top, "name", None) not in BASIS_CLASSES | {"_layout"}
+        for node in ast.walk(top)
+        if _tells_layouts_apart(node)
+    ]
+    assert not found, found
 
 
 def _scipy_imports(tree):
@@ -288,3 +331,25 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     unused = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
     assert not unused, unused
+
+
+def test_the_benchmark_tracer_still_finds_what_it_wraps(tmp_path):
+    # perfbench/tracer.py wraps functions by module attribute name and reads
+    # `basis_kind` and `spec_to_json`; a rename there would crash a traced
+    # benchmark run, so it fails here instead
+    root = pathlib.Path(__file__).parent.parent
+    code = (
+        "import json, tracer\n"
+        "from stabcert import domain, operators\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        "dom = domain.make_grid(2, 6.0, 12, periodic=False)\n"
+        "for _ in range(2):\n"
+        f"    operators.diagonalize(operators.ShiftedHermite(), dom, cache_dir={str(tmp_path)!r})\n"
+        "print(json.dumps(t.totals()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"), str(root / "src")]))
+    totals = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                       text=True, check=True, timeout=120).stdout)
+    assert totals["operators.diagonalize.calls"] == 2
+    assert totals["operators.diagonalize.cache_hits"] == 1
