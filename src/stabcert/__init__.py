@@ -11,59 +11,19 @@ refute over-optimistic observability claims (probes).
 
 __version__ = "0.1.0"
 
-from .domain import (
-    DomainMismatchError,
-    GridDomain,
-    GridFunction,
-    from_callable,
-    grid_function,
-    inner_product,
-    make_grid,
-    norm,
-    restrict_norm,
-)
-from .geometry import (
-    BallComplement,
-    Custom,
-    Empty,
-    Full,
-    HalfSpace,
-    PeriodicSlabs,
-    SetIndicator,
-    check_thick,
-    check_weakly_thick,
-    make_set,
-)
-from .operators import (
-    FractionalLaplacian,
-    Schrodinger,
-    ShiftedHermite,
-    SpectralDecomposition,
-    diagonalize,
-    semigroup_apply,
-    semigroup_norm,
-)
-from .specineq import best_constant, fit_growth, spectral_constant_curve
-from .certify import (
-    Certificate,
-    CriterionConstants,
-    build_certificate,
-    certify_end_to_end,
-    recurrence_check,
-    weak_observability_check,
-)
-from .feedback import (
-    build_damping_feedback,
-    build_finite_rank_feedback,
-    damping_decay_bound,
-    simulate_decay,
-)
-from .probes import (
-    ObservationClaim,
-    build_kernel,
-    choose_l0,
-    falsify_hermite_ground_state,
-    falsify_weak_observability,
-    kernel_probe_solution,
-    make_probe,
-)
+from .certify import certify_end_to_end
+from .domain import GridFunction, make_grid, norm
+from .geometry import HalfSpace, PeriodicSlabs, make_set
+from .operators import FractionalLaplacian
+
+# the README quick start and what the scripts import from the package root
+__all__ = [
+    "FractionalLaplacian",
+    "GridFunction",
+    "HalfSpace",
+    "PeriodicSlabs",
+    "certify_end_to_end",
+    "make_grid",
+    "make_set",
+    "norm",
+]

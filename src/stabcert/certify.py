@@ -33,8 +33,9 @@ that sum less a roundoff allowance and B is the weighted trace of E plus
 twice the allowance.  Each verdict is taken at the conservative end of the
 bracket: the checks pass on the lower end I, and the probes report a
 violation only if the upper end still violates; a check whose margin or
-violation is NaN or infinite raises ArithmeticError instead.  ``observation_integrals`` keeps the exact closed form
-through the Gram as the reference the tests hold the bracket to.
+violation is NaN or infinite raises ArithmeticError instead.  The exact
+closed form through the Gram, the reference the tests hold the bracket
+to, is ``observation_integrals`` in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -59,27 +60,6 @@ from .specineq import (
     spectral_constant_curve,
     verify_spectral_hypothesis,
 )
-
-__all__ = [
-    "CriterionConstants",
-    "Certificate",
-    "RecurrenceReport",
-    "WeakObservabilityReport",
-    "CertificationResult",
-    "build_certificate",
-    "certificate_threshold",
-    "certificate_gain_log",
-    "recurrence_check",
-    "weak_observability_check",
-    "certify_end_to_end",
-    "growth_exponent",
-    "exprel",
-    "TimeKernel",
-    "ObservationBracket",
-    "time_kernel",
-    "observation_bracket",
-    "observation_integrals",
-]
 
 CHECK_BUDGET = 1e-7  # relative slack granted to roundoff in pass/fail calls
 # pivoted Cholesky of the time kernel stops once the multiplicity-weighted
@@ -349,36 +329,6 @@ def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lam
         decayed=decayed,
         kernels=kernels,
     )
-
-
-def observation_integrals(gram, lams, coeffs, lo, hi) -> np.ndarray:
-    """Exact integrals over [lo, hi] of t -> ||chi_E e^{-t lam} u||^2 through the Gram matrix, one per column u.
-
-    The closed-form reference for ``observation_bracket``; no check or probe
-    calls it, since it needs the cells x cells E-restricted Gram ``gram``.
-    With mu_jl = lam_j + lam_l the integral is
-
-        sum_jl conj(u_j) G_jl u_l e^{-lo mu_jl} (1 - e^{-(hi - lo) mu_jl}) / mu_jl,
-
-    whose last factor is hi - lo where mu_jl = 0.  The factor e^{-lo mu_jl}
-    splits as e^{-lo lam_j} e^{-lo lam_l} and is folded into the columns, and
-    the rest is (hi - lo) exprel(-(hi - lo) mu_jl), exprel(x) = (e^x - 1)/x,
-    which is exactly 1 at x = 0 and has no cancellation near it.  That rest
-    depends only on the pair of values, so it is evaluated once per pair of
-    distinct values of ``lams`` (levels, compared exactly) and then gathered
-    onto every pair: the result is bit for bit that of evaluating every
-    pair.  No quadrature and no truncation is involved.
-    """
-    width = hi - lo
-    levels, level_of = np.unique(lams, return_inverse=True)
-    factor = np.add.outer(levels, levels)
-    with np.errstate(over="ignore", under="ignore"):
-        cols = coeffs * np.exp(-lo * lams)[:, None]
-        factor *= -width
-        exprel(factor, out=factor)
-        factor *= width
-    weighted = gram * factor[np.ix_(level_of, level_of)]
-    return (cols.conj() * (weighted @ cols)).sum(axis=0).real
 
 
 def _random_unit_states(dec: SpectralDecomposition, trials: int, rng) -> np.ndarray:

@@ -82,8 +82,6 @@ from .probes import (
 )
 from .specineq import curve_to_csv, curve_to_json, spectral_constant_curve
 
-__all__ = ["RunConfig", "ResultDocument", "run", "payload_json", "document_to_json", "main"]
-
 SCHEMA_VERSION = 4
 
 
@@ -151,15 +149,12 @@ def _parse_bool(text: str) -> bool:
 
 def parse_domain(text: str) -> GridDomain:
     kv = _parse_kv(text)
-    try:
-        return make_grid(
-            dim=int(kv.get("dim", "1")),
-            half_width=float(kv.get("R", "10")),
-            points_per_axis=int(kv.get("m", "512")),
-            periodic=_parse_bool(kv.get("periodic", "true")),
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing domain key {exc}") from exc
+    return make_grid(
+        dim=int(kv.get("dim", "1")),
+        half_width=float(kv.get("R", "10")),
+        points_per_axis=int(kv.get("m", "512")),
+        periodic=_parse_bool(kv.get("periodic", "true")),
+    )
 
 
 def _parse_vector(text: str, dim: int) -> tuple:

@@ -24,28 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DomainMismatchError",
-    "GridDomain",
-    "GridFunction",
-    "make_grid",
-    "grid_function",
-    "from_callable",
-    "inner_product",
-    "norm",
-    "restrict_norm",
-    "domain_header",
-    "domain_from_header",
-    "grid_function_to_json",
-    "grid_function_from_json",
-    "atomic_write",
-    "save_grid_function",
-    "load_grid_function",
-    "content_hash",
-    "jsonable",
-    "require_keys",
-]
-
 
 class DomainMismatchError(ValueError):
     """Two grid objects that must share a domain do not."""
@@ -161,27 +139,9 @@ def make_grid(dim: int, half_width: float, points_per_axis: int, periodic: bool 
     return GridDomain(dim=dim, half_width=float(half_width), points_per_axis=m, periodic=bool(periodic))
 
 
-def grid_function(domain: GridDomain, values) -> GridFunction:
-    return GridFunction(domain, np.asarray(values))
-
-
 def from_callable(domain: GridDomain, fn) -> GridFunction:
     """Sample ``fn`` at the cell centers; fn receives one array per axis."""
     return GridFunction(domain, np.asarray(fn(*domain.meshgrid())))
-
-
-def _check_same_domain(a, b):
-    if a.domain != b.domain:
-        raise DomainMismatchError(f"domains differ: {a.domain} vs {b.domain}")
-
-
-def inner_product(f: GridFunction, g: GridFunction):
-    """Discrete L2 inner product, linear in ``f`` and conjugate-linear in ``g``."""
-    _check_same_domain(f, g)
-    val = np.vdot(g.values.ravel(), f.values.ravel()) * f.domain.cell_volume
-    if np.isrealobj(f.values) and np.isrealobj(g.values):
-        return float(val.real)
-    return complex(val)
 
 
 def norm(f: GridFunction) -> float:

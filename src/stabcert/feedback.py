@@ -51,28 +51,6 @@ from .operators import (
 )
 from .specineq import spectral_constant_curve
 
-__all__ = [
-    "VerdictError",
-    "GramSingularError",
-    "AlreadyStableError",
-    "NoDampingRateError",
-    "UnstableLoopError",
-    "DampingCertificateError",
-    "DampingBound",
-    "DampingFeedback",
-    "FiniteRankFeedback",
-    "FeedbackOperator",
-    "DecayReport",
-    "damping_spectral_exponent",
-    "damping_decay_bound",
-    "build_damping_feedback",
-    "build_finite_rank_feedback",
-    "feedback_norm_bound",
-    "apply_feedback",
-    "simulate_decay",
-    "decay_report_to_csv",
-]
-
 GRAM_COND_LIMIT = 1e12
 
 
@@ -312,20 +290,6 @@ def feedback_norm_bound(fb: FeedbackOperator) -> float:
     return float(abs(fb.rho) * np.linalg.norm(fb.gram_inverse, 2))
 
 
-def apply_feedback(dec: SpectralDecomposition, fb: Optional[FeedbackOperator], y: GridFunction) -> GridFunction:
-    """The feedback operator K itself; the control term in the equation is chi_E (K y)."""
-    if fb is None:
-        return GridFunction(y.domain, np.zeros_like(y.values))
-    if isinstance(fb, DampingFeedback):
-        return GridFunction(y.domain, -(fb.e.cells * y.values))
-    block = basis_block(dec, np.arange(fb.unstable_count))
-    coeffs = block.conj().T @ y.values.ravel() * y.domain.cell_volume
-    vals = (block @ (fb.rho * (fb.gram_inverse @ coeffs))).reshape(y.domain.shape)
-    if not np.iscomplexobj(y.values) and np.iscomplexobj(vals):
-        vals = vals.real
-    return GridFunction(y.domain, vals)
-
-
 @dataclass(frozen=True)
 class DecayReport:
     times: tuple
@@ -365,7 +329,8 @@ def simulate_decay(
     closed form at about 100 sample times, multiples of dt, so dt sets only
     their spacing.  Growth beyond 10 ||y0|| raises UnstableLoopError: a
     stabilizing feedback must not excite the state.  ``y0`` and ``e`` must
-    live on the decomposition's domain.
+    live on the decomposition's domain, and ``e`` must be the set either
+    law was built on.
     """
     for name, obj in (("y0", y0), ("observation set", e)):
         if obj.domain != dec.domain:
@@ -383,7 +348,7 @@ def simulate_decay(
     times = np.union1d(np.arange(0.0, n_steps, stride), [n_steps]) * dt
 
     n_low = fb.unstable_count if isinstance(fb, FiniteRankFeedback) else 0
-    if n_low and not np.array_equal(fb.e.cells, e.cells):
+    if fb is not None and not np.array_equal(fb.e.cells, e.cells):
         raise ValueError("the feedback was built on another observation set than e")
     if isinstance(fb, DampingFeedback):
         rates = fb.loop_eigenvalues

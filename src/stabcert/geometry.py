@@ -19,24 +19,6 @@ import numpy as np
 
 from .domain import GridDomain, domain_header, domain_from_header, require_keys
 
-__all__ = [
-    "SetIndicator",
-    "ThicknessReport",
-    "WeakThicknessReport",
-    "Full",
-    "Empty",
-    "HalfSpace",
-    "BallComplement",
-    "PeriodicSlabs",
-    "Custom",
-    "make_set",
-    "check_thick",
-    "check_weakly_thick",
-    "set_to_json",
-    "set_from_json",
-]
-
-
 @dataclass(frozen=True)
 class SetIndicator:
     domain: GridDomain
@@ -111,11 +93,6 @@ class PeriodicSlabs:
     axis: int = 0
 
 
-@dataclass(frozen=True)
-class Custom:
-    cells: object = None
-
-
 def make_set(domain: GridDomain, shape) -> SetIndicator:
     """Rasterize a fixture shape by cell-center membership."""
     R = domain.half_width
@@ -148,8 +125,6 @@ def make_set(domain: GridDomain, shape) -> SetIndicator:
         x = domain.meshgrid()[shape.axis]
         cells = np.mod(x, shape.period) < shape.fill_fraction * shape.period
         return SetIndicator(domain, cells)
-    if isinstance(shape, Custom):
-        return SetIndicator(domain, np.asarray(shape.cells, dtype=bool))
     raise TypeError(f"unknown shape {shape!r}")
 
 
@@ -277,6 +252,9 @@ def set_from_json(doc: dict) -> SetIndicator:
     value = bool(doc["first"])
     pos = 0
     for run in doc["runs"]:
+        if isinstance(run, bool) or not isinstance(run, int) or not 0 <= run <= domain.cell_count - pos:
+            raise ValueError(f"run length {run!r} at cell {pos} is not an integer from 0 to the "
+                             f"{domain.cell_count - pos} cells left")
         flat[pos : pos + run] = value
         pos += run
         value = not value

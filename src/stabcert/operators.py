@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -42,39 +42,8 @@ from .domain import (
     atomic_write,
     content_hash,
     grid_function_to_json,
-    grid_function_from_json,
 )
 from .geometry import SetIndicator
-
-__all__ = [
-    "FractionalLaplacian",
-    "ShiftedHermite",
-    "Schrodinger",
-    "OperatorSpec",
-    "SpectralDecomposition",
-    "DissipativeReport",
-    "EigenResidualError",
-    "HermiteBasis",
-    "diagonalize",
-    "spectral_count",
-    "is_resolved",
-    "spectral_apply",
-    "semigroup_apply",
-    "semigroup_norm",
-    "project",
-    "dissipative_margin",
-    "hermite_basis",
-    "spec_to_json",
-    "spec_from_json",
-    "spec_hash",
-    "to_coefficients",
-    "from_coefficients",
-    "basis_block",
-    "restricted_gram",
-    "restricted_norms",
-    "eigenfunction",
-    "dense_matrix",
-]
 
 _DENSE_CELL_LIMIT = 4096
 # cells of the 2D Hermite tensor layout, which holds only its m x m factor:
@@ -188,16 +157,6 @@ class DissipativeReport:
     seed: int
     max_ratio: float
     worst_t: float
-
-
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Tensor Hermite functions Phi_alpha for all |alpha| <= max_degree."""
-
-    dim: int
-    max_degree: int
-    domain: GridDomain
-    functions: dict = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -881,22 +840,6 @@ def semigroup_apply(dec: SpectralDecomposition, t: float, f: GridFunction) -> Gr
     return spectral_apply(dec, np.exp(-t * dec.eigenvalues), f)
 
 
-def semigroup_norm(dec: SpectralDecomposition, t: float) -> float:
-    """Operator norm of e^{-tH}: the largest modal damping factor."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    return float(np.exp(-t * dec.eigenvalues[0]))
-
-
-def project(dec: SpectralDecomposition, k: float, f: GridFunction) -> GridFunction:
-    """Component of ``f`` in span of the eigenfunctions with eigenvalue <= k.
-
-    When no eigenvalue qualifies this is the zero function, which also
-    covers the degenerate low-threshold branches of both operator families.
-    """
-    return spectral_apply(dec, np.arange(dec.domain.cell_count) < spectral_count(dec, k), f)
-
-
 def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeReport:
     """Sampled check of the high-frequency decay bound.
 
@@ -938,48 +881,6 @@ def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeR
 
 
 # ---------------------------------------------------------------------------
-# Hermite functions
-
-
-def _hermite_axis_values(max_degree: int, x: np.ndarray) -> np.ndarray:
-    """Normalized Hermite functions phi_0..phi_K on a coordinate axis.
-
-    Uses the stable normalized three-term recurrence
-    phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1};
-    the raw polynomial route overflows long before degree 200.
-    """
-    vals = np.empty((max_degree + 1, x.size))
-    vals[0] = np.pi**-0.25 * np.exp(-0.5 * x**2)
-    if max_degree >= 1:
-        vals[1] = np.sqrt(2.0) * x * vals[0]
-    for k in range(1, max_degree):
-        vals[k + 1] = np.sqrt(2.0 / (k + 1)) * x * vals[k] - np.sqrt(k / (k + 1.0)) * vals[k - 1]
-    return vals
-
-
-def hermite_basis(dim: int, max_degree: int, domain: GridDomain) -> HermiteBasis:
-    """Tensor-product Hermite functions for all multi-indices |alpha| <= max_degree."""
-    if domain.periodic:
-        raise ValueError("Hermite functions are sampled on non-periodic grids")
-    if dim != domain.dim:
-        raise ValueError(f"dim {dim} does not match domain dim {domain.dim}")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    if max_degree > 200:
-        raise ValueError("max_degree > 200 refused (recurrence accuracy not validated there)")
-    axis_vals = _hermite_axis_values(max_degree, domain.axis_coords())
-    functions = {}
-    if dim == 1:
-        for k in range(max_degree + 1):
-            functions[(k,)] = GridFunction(domain, axis_vals[k])
-    else:
-        for a in range(max_degree + 1):
-            for b in range(max_degree + 1 - a):
-                functions[(a, b)] = GridFunction(domain, np.outer(axis_vals[a], axis_vals[b]))
-    return HermiteBasis(dim=dim, max_degree=max_degree, domain=domain, functions=functions)
-
-
-# ---------------------------------------------------------------------------
 # spec (de)serialization, shared with the CLI and the cache key
 
 
@@ -995,21 +896,6 @@ def spec_to_json(spec: OperatorSpec) -> dict:
             doc["delta"] = spec.delta
         return doc
     raise TypeError(f"unknown operator spec: {spec!r}")
-
-
-def spec_from_json(doc: dict) -> OperatorSpec:
-    kind = doc.get("kind")
-    if kind == "fractional":
-        return FractionalLaplacian(s=float(doc["s"]), c=float(doc.get("c", 0.0)))
-    if kind == "hermite":
-        return ShiftedHermite(c=float(doc.get("c", 0.0)))
-    if kind == "schrodinger":
-        return Schrodinger(
-            potential=grid_function_from_json(doc["potential"]),
-            condition=doc.get("condition", "II"),
-            delta=doc.get("delta"),
-        )
-    raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def spec_hash(spec: OperatorSpec, *parts) -> str:

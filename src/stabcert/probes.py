@@ -44,23 +44,6 @@ from .domain import GridDomain, GridFunction, from_callable, norm as _norm, rest
 from .geometry import SetIndicator
 from .operators import FractionalLaplacian, ShiftedHermite, SpectralDecomposition, spectral_apply
 
-__all__ = [
-    "ObservationClaim",
-    "KernelProbe",
-    "TailProfile",
-    "CenterReport",
-    "FalsificationReport",
-    "HermiteFalsificationReport",
-    "build_kernel",
-    "make_probe",
-    "kernel_probe_solution",
-    "linear_interpolation_matrix",
-    "choose_l0",
-    "observation_tail",
-    "falsify_weak_observability",
-    "falsify_hermite_ground_state",
-    "falsification_to_csv",
-]
 
 @dataclass(frozen=True)
 class ObservationClaim:

@@ -25,19 +25,6 @@ from .domain import jsonable
 from .geometry import SetIndicator
 from .operators import SpectralDecomposition, from_coefficients, is_resolved, restricted_gram, spectral_count
 
-__all__ = [
-    "SpectralConstantCurve",
-    "ExpPowerFit",
-    "HypothesisReport",
-    "restricted_gram",
-    "best_constant",
-    "spectral_constant_curve",
-    "fit_growth",
-    "verify_spectral_hypothesis",
-    "curve_to_json",
-    "curve_to_csv",
-]
-
 _DEGENERACY_TOL = 1e-12
 
 

@@ -1,0 +1,165 @@
+"""References the tests hold the package to, which no command, script or benchmark runs.
+
+Each computes plainly what the package computes another way or not at all:
+the L2 inner product, the semigroup norm, the spectral projection, sampled
+Hermite functions, the inverse of ``operators.spec_to_json``, the exact
+observation integral through the Gram, and the feedback operator K.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
+
+from stabcert.certify import exprel
+from stabcert.domain import DomainMismatchError, GridDomain, GridFunction, grid_function_from_json
+from stabcert.feedback import DampingFeedback, FeedbackOperator
+from stabcert.operators import (
+    FractionalLaplacian,
+    OperatorSpec,
+    Schrodinger,
+    ShiftedHermite,
+    SpectralDecomposition,
+    basis_block,
+    spectral_apply,
+    spectral_count,
+)
+
+
+def _check_same_domain(a, b):
+    if a.domain != b.domain:
+        raise DomainMismatchError(f"domains differ: {a.domain} vs {b.domain}")
+
+
+def inner_product(f: GridFunction, g: GridFunction):
+    """Discrete L2 inner product, linear in ``f`` and conjugate-linear in ``g``."""
+    _check_same_domain(f, g)
+    val = np.vdot(g.values.ravel(), f.values.ravel()) * f.domain.cell_volume
+    if np.isrealobj(f.values) and np.isrealobj(g.values):
+        return float(val.real)
+    return complex(val)
+
+
+def semigroup_norm(dec: SpectralDecomposition, t: float) -> float:
+    """Operator norm of e^{-tH}: the largest modal damping factor."""
+    if t < 0:
+        raise ValueError(f"semigroup time must be nonnegative, got {t}")
+    return float(np.exp(-t * dec.eigenvalues[0]))
+
+
+def project(dec: SpectralDecomposition, k: float, f: GridFunction) -> GridFunction:
+    """Component of ``f`` in span of the eigenfunctions with eigenvalue <= k.
+
+    When no eigenvalue qualifies this is the zero function, which also
+    covers the degenerate low-threshold branches of both operator families.
+    """
+    return spectral_apply(dec, np.arange(dec.domain.cell_count) < spectral_count(dec, k), f)
+
+
+@dataclass(frozen=True)
+class HermiteBasis:
+    """Tensor Hermite functions Phi_alpha for all |alpha| <= max_degree."""
+
+    dim: int
+    max_degree: int
+    domain: GridDomain
+    functions: dict = field(repr=False)
+
+
+def _hermite_axis_values(max_degree: int, x: np.ndarray) -> np.ndarray:
+    """Normalized Hermite functions phi_0..phi_K on a coordinate axis.
+
+    Uses the stable normalized three-term recurrence
+    phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1};
+    the raw polynomial route overflows long before degree 200.
+    """
+    vals = np.empty((max_degree + 1, x.size))
+    vals[0] = np.pi**-0.25 * np.exp(-0.5 * x**2)
+    if max_degree >= 1:
+        vals[1] = np.sqrt(2.0) * x * vals[0]
+    for k in range(1, max_degree):
+        vals[k + 1] = np.sqrt(2.0 / (k + 1)) * x * vals[k] - np.sqrt(k / (k + 1.0)) * vals[k - 1]
+    return vals
+
+
+def hermite_basis(dim: int, max_degree: int, domain: GridDomain) -> HermiteBasis:
+    """Tensor-product Hermite functions for all multi-indices |alpha| <= max_degree."""
+    if domain.periodic:
+        raise ValueError("Hermite functions are sampled on non-periodic grids")
+    if dim != domain.dim:
+        raise ValueError(f"dim {dim} does not match domain dim {domain.dim}")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    if max_degree > 200:
+        raise ValueError("max_degree > 200 refused (recurrence accuracy not validated there)")
+    axis_vals = _hermite_axis_values(max_degree, domain.axis_coords())
+    functions = {}
+    if dim == 1:
+        for k in range(max_degree + 1):
+            functions[(k,)] = GridFunction(domain, axis_vals[k])
+    else:
+        for a in range(max_degree + 1):
+            for b in range(max_degree + 1 - a):
+                functions[(a, b)] = GridFunction(domain, np.outer(axis_vals[a], axis_vals[b]))
+    return HermiteBasis(dim=dim, max_degree=max_degree, domain=domain, functions=functions)
+
+
+def spec_from_json(doc: dict) -> OperatorSpec:
+    kind = doc.get("kind")
+    if kind == "fractional":
+        return FractionalLaplacian(s=float(doc["s"]), c=float(doc.get("c", 0.0)))
+    if kind == "hermite":
+        return ShiftedHermite(c=float(doc.get("c", 0.0)))
+    if kind == "schrodinger":
+        return Schrodinger(
+            potential=grid_function_from_json(doc["potential"]),
+            condition=doc.get("condition", "II"),
+            delta=doc.get("delta"),
+        )
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def observation_integrals(gram, lams, coeffs, lo, hi) -> np.ndarray:
+    """Exact integrals over [lo, hi] of t -> ||chi_E e^{-t lam} u||^2 through the Gram matrix, one per column u.
+
+    The closed-form reference for ``observation_bracket``; no check or probe
+    calls it, since it needs the cells x cells E-restricted Gram ``gram``.
+    With mu_jl = lam_j + lam_l the integral is
+
+        sum_jl conj(u_j) G_jl u_l e^{-lo mu_jl} (1 - e^{-(hi - lo) mu_jl}) / mu_jl,
+
+    whose last factor is hi - lo where mu_jl = 0.  The factor e^{-lo mu_jl}
+    splits as e^{-lo lam_j} e^{-lo lam_l} and is folded into the columns, and
+    the rest is (hi - lo) exprel(-(hi - lo) mu_jl), exprel(x) = (e^x - 1)/x,
+    which is exactly 1 at x = 0 and has no cancellation near it.  That rest
+    depends only on the pair of values, so it is evaluated once per pair of
+    distinct values of ``lams`` (levels, compared exactly) and then gathered
+    onto every pair: the result is bit for bit that of evaluating every
+    pair.  No quadrature and no truncation is involved.
+    """
+    width = hi - lo
+    levels, level_of = np.unique(lams, return_inverse=True)
+    factor = np.add.outer(levels, levels)
+    with np.errstate(over="ignore", under="ignore"):
+        cols = coeffs * np.exp(-lo * lams)[:, None]
+        factor *= -width
+        exprel(factor, out=factor)
+        factor *= width
+    weighted = gram * factor[np.ix_(level_of, level_of)]
+    return (cols.conj() * (weighted @ cols)).sum(axis=0).real
+
+
+def apply_feedback(dec: SpectralDecomposition, fb: Optional[FeedbackOperator], y: GridFunction) -> GridFunction:
+    """The feedback operator K itself; the control term in the equation is chi_E (K y)."""
+    if fb is None:
+        return GridFunction(y.domain, np.zeros_like(y.values))
+    if isinstance(fb, DampingFeedback):
+        return GridFunction(y.domain, -(fb.e.cells * y.values))
+    block = basis_block(dec, np.arange(fb.unstable_count))
+    coeffs = block.conj().T @ y.values.ravel() * y.domain.cell_volume
+    vals = (block @ (fb.rho * (fb.gram_inverse @ coeffs))).reshape(y.domain.shape)
+    if not np.iscomplexobj(y.values) and np.iscomplexobj(vals):
+        vals = vals.real
+    return GridFunction(y.domain, vals)

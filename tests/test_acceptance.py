@@ -14,6 +14,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from reference import inner_product, project, semigroup_norm
 from test_certify import GOLDEN_UNIT, assert_matches_golden
 
 from stabcert.certify import CriterionConstants, build_certificate, certify_end_to_end
@@ -21,7 +22,6 @@ from stabcert.cli import RunConfig, payload_json, run
 from stabcert.domain import (
     GridFunction,
     from_callable,
-    inner_product,
     make_grid,
     norm,
     restrict_norm,
@@ -50,9 +50,7 @@ from stabcert.operators import (
     dense_matrix,
     dissipative_margin,
     eigenfunction,
-    project,
     semigroup_apply,
-    semigroup_norm,
 )
 from stabcert.probes import (
     ObservationClaim,

@@ -24,16 +24,17 @@ from stabcert.certify import (
     certify_end_to_end,
     exprel,
     observation_bracket,
-    observation_integrals,
     recurrence_check,
     time_kernel,
     weak_observability_check,
 )
-from stabcert.domain import from_callable, grid_function, jsonable, make_grid, norm
+from stabcert.domain import GridFunction, from_callable, jsonable, make_grid, norm
 from stabcert.geometry import BallComplement, Empty, Full, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import FractionalLaplacian, Schrodinger, ShiftedHermite, diagonalize, to_coefficients
 from stabcert.probes import ObservationClaim, falsify_hermite_ground_state, falsify_weak_observability
 from stabcert.specineq import restricted_gram
+
+from reference import observation_integrals
 
 GOLDEN_UNIT = {
     "gamma": 4.0,
@@ -294,7 +295,7 @@ def test_stiff_hermite_observation_integrals_match_quad():
     rng = np.random.default_rng(3)
     cols = []
     for _ in range(3):
-        f = grid_function(dom, rng.standard_normal(dom.shape))
+        f = GridFunction(dom, rng.standard_normal(dom.shape))
         cols.append(to_coefficients(dec, f) / norm(f))
     coeffs = np.stack(cols, axis=1)
     vals = observation_integrals(gram, dec.eigenvalues, coeffs, 0.0, 35.0)
@@ -396,7 +397,7 @@ def test_observation_bracket_contains_the_gram_closed_form(case, rng):
     dec = diagonalize(spec, dom)
     e = make_set(dom, shape)
     states = rng.standard_normal((7,) + dom.shape)
-    coeffs = np.stack([to_coefficients(dec, grid_function(dom, f)) for f in states], axis=1)
+    coeffs = np.stack([to_coefficients(dec, GridFunction(dom, f)) for f in states], axis=1)
     intervals = [(0.0, 2.0), (0.25, 0.5), (1.0, 6.0)]
     lams = dec.eigenvalues + 0.3
     bracket = observation_bracket(dec, e, states, lams, intervals)

@@ -21,8 +21,8 @@ import scipy.linalg
 from stabcert import certify, cli, feedback, operators
 from stabcert.cli import RunConfig, main, payload_json, run
 from stabcert.domain import (
+    GridFunction,
     from_callable,
-    grid_function,
     grid_function_to_json,
     make_grid,
     save_grid_function,
@@ -637,7 +637,7 @@ def test_non_finite_y0_files_are_config_errors(tmp_path, capsys, feedback, bad):
     values = from_callable(dom, np.cos).values.copy()
     values[20] = bad
     path = tmp_path / "y0.json"
-    save_grid_function(grid_function(dom, values), str(path))
+    save_grid_function(GridFunction(dom, values), str(path))
     out = tmp_path / "out.json"
     code = main(["simulate", "--domain", WALLS_64, "--set", "halfspace:offset=0",
                  "--operator", "hermite", "--c", "2", "--feedback", feedback,
@@ -671,6 +671,21 @@ def _headerless_set(tmp_path):
             "--set", f"custom:file={_write_json(tmp_path / 'set.json', doc)}"]
 
 
+def _set_with_runs(tmp_path, runs):
+    # runs that still end at the 8 cells, so only a check of each run refuses them
+    doc = dict(set_to_json(make_set(make_grid(1, 10.0, 8, periodic=True), HalfSpace())), runs=runs)
+    return ["check-thick", "--domain", "dim=1,R=10,m=8", "--lengths", "2.5",
+            "--set", f"custom:file={_write_json(tmp_path / 'set.json', doc)}"]
+
+
+def _negative_set_run(tmp_path):
+    return _set_with_runs(tmp_path, [4, -1, 5])
+
+
+def _set_run_past_the_grid(tmp_path):
+    return _set_with_runs(tmp_path, [3, 7, -2])
+
+
 def _valueless_potential(tmp_path):
     doc = grid_function_to_json(from_callable(make_grid(1, 10.0, 64, periodic=False), np.cos))
     del doc["values"]
@@ -695,8 +710,8 @@ def _eigenfunction_index_past_the_grid(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [_headerless_set, _valueless_potential, _directory_potential, _out_in_missing_directory,
-     _eigenfunction_index_past_the_grid],
+    [_headerless_set, _negative_set_run, _set_run_past_the_grid, _valueless_potential,
+     _directory_potential, _out_in_missing_directory, _eigenfunction_index_past_the_grid],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_bad_inputs_are_config_errors(tmp_path, capsys, argv):
@@ -717,7 +732,7 @@ def test_non_finite_potentials_are_config_errors(tmp_path, capsys, bad):
     values[[0, -1] if bad == np.inf else [20]] = bad
     assert np.array_equal(values, values[::-1]) == (bad == np.inf)
     path = tmp_path / "v.json"
-    save_grid_function(grid_function(dom, values), str(path))
+    save_grid_function(GridFunction(dom, values), str(path))
     out = tmp_path / "out.json"
     code = main(["spectral-constant", "--domain", "dim=1,R=10,m=64,periodic=false",
                  "--operator", "schrodinger", "--potential", str(path), "--set", "full",

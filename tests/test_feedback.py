@@ -20,7 +20,6 @@ from stabcert.feedback import (
     GramSingularError,
     NoDampingRateError,
     UnstableLoopError,
-    apply_feedback,
     build_damping_feedback,
     build_finite_rank_feedback,
     damping_decay_bound,
@@ -29,7 +28,7 @@ from stabcert.feedback import (
     feedback_norm_bound,
     simulate_decay,
 )
-from stabcert.geometry import Custom, Empty, Full, HalfSpace, PeriodicSlabs, make_set
+from stabcert.geometry import Empty, Full, HalfSpace, PeriodicSlabs, SetIndicator, make_set
 from stabcert.operators import (
     FractionalLaplacian,
     Schrodinger,
@@ -43,6 +42,8 @@ from stabcert.operators import (
     spectral_count,
 )
 from stabcert.specineq import best_constant
+
+from reference import apply_feedback
 
 # smallest eigenvalue of |xi| + chi_E for the quarter-filled slabs on the
 # reference periodic grid (dense diagonalization, frozen)
@@ -258,7 +259,7 @@ def test_single_cell_set_is_singular(shifted_potential_dec):
     # one cell cannot distinguish two modes: the 2x2 Gram is rank one
     mask = np.zeros(512, dtype=bool)
     mask[300] = True
-    e = make_set(shifted_potential_dec.domain, Custom(cells=mask))
+    e = SetIndicator(shifted_potential_dec.domain, mask)
     with pytest.raises(GramSingularError) as info:
         build_finite_rank_feedback(shifted_potential_dec, e)
     err = info.value
@@ -435,6 +436,13 @@ def test_finite_rank_simulation_needs_the_feedback_set(shifted_potential_dec, fu
     y0 = eigenfunction(shifted_potential_dec, 0)
     with pytest.raises(ValueError, match="another observation set"):
         simulate_decay(shifted_potential_dec, half_feedback, full_set, y0, t_end=1.0, dt=0.01)
+
+
+def test_damping_simulation_needs_the_feedback_set(frac_dec, slab_damping):
+    # the damping law's loop spectrum is that of H + chi_E for its own set
+    y0 = eigenfunction(frac_dec, 0)
+    with pytest.raises(ValueError, match="another observation set"):
+        simulate_decay(frac_dec, slab_damping, make_set(frac_dec.domain, Full()), y0, t_end=1.0, dt=0.01)
 
 
 def test_open_loop_stable_rate(hermite_dec, rng):

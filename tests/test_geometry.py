@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from stabcert.domain import make_grid
 from stabcert.geometry import (
     BallComplement,
-    Custom,
     Empty,
     Full,
     HalfSpace,

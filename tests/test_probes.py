@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from stabcert import certify, probes
-from stabcert.certify import observation_integrals, time_kernel
-from stabcert.domain import GridFunction, make_grid, norm
+from stabcert.certify import time_kernel
+from stabcert.domain import make_grid, norm
 from stabcert.geometry import BallComplement, Full, HalfSpace, SetIndicator, make_set
 from stabcert.operators import (
     FractionalLaplacian,
-    ShiftedHermite,
     diagonalize,
     restricted_gram,
     semigroup_apply,
@@ -39,6 +38,8 @@ from stabcert.probes import (
     make_probe,
     observation_tail,
 )
+
+from reference import observation_integrals
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import scipy.integrate
 
 from stabcert import operators
 from stabcert.domain import GridDomain, make_grid, norm, restrict_norm
-from stabcert.geometry import BallComplement, Custom, Empty, Full, HalfSpace, PeriodicSlabs, SetIndicator, make_set
+from stabcert.geometry import BallComplement, Empty, Full, HalfSpace, PeriodicSlabs, SetIndicator, make_set
 from stabcert.operators import FractionalLaplacian, ShiftedHermite, basis_block, diagonalize
 from stabcert.specineq import (
     ExpPowerFit,

@@ -24,20 +24,27 @@ read a layout's array (`vectors`, `parity_blocks`, `tensor_factor`,
 one. scipy is imported only by `operators`, and only as `scipy.linalg` for
 that eigensolver, so importing the CLI loads no other scipy subpackage.
 Every file is written through `domain.atomic_write`, the one caller of
-`tempfile.mkstemp` and `os.replace`, and no module imports a name it does
-not use. The benchmark's tracer still finds every function it wraps.
+`tempfile.mkstemp` and `os.replace`, and no module, test module included,
+imports a name it does not use. Every public top-level name in `src/` is
+reached outside the tests: by other package code, a script, the benchmark
+(by name, as its tracer wraps functions) or a backticked mention in the
+README; the references only the tests use live in `tests/reference.py`.
+The benchmark's tracer still finds every function it wraps.
 """
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "stabcert").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "stabcert").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _tree(path):
@@ -279,7 +286,7 @@ def test_scipy_is_imported_only_for_the_dense_eigensolver(path):
 
 
 def test_cli_import_loads_no_other_scipy_subpackage():
-    src = str(pathlib.Path(__file__).parent.parent / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, stabcert.cli; print(' '.join(sorted(sys.modules)))"
     loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -312,14 +319,8 @@ def test_only_atomic_write_creates_and_renames_files():
     assert found == {("domain.py", "atomic_write")}, sorted(found)
 
 
-def _exported(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"] + TESTS,
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = _tree(path)
     imported = {
@@ -328,9 +329,53 @@ def test_no_unused_imports(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
         for alias in node.names
     }
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
     assert not unused, unused
+
+
+def _public_names(node):
+    """Public names a top-level statement defines: a function, a class or an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def _references(tree, strings=False):
+    """Names and attributes used in ``tree``, and its string constants if asked."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # perfbench counts its string constants too: the tracer wraps by name
+    readme = (ROOT / "README.md").read_text()
+    outside = set().union(
+        *(_references(_tree(path)) for path in (ROOT / "scripts").glob("*.py")),
+        *(_references(_tree(path), strings=True) for path in (ROOT / "perfbench").glob("*.py")),
+        *(re.findall(r"\w+", span) for span in re.findall(r"`+([^`]+)`+", readme)),
+    )
+    statements = [(path.name, node, _references(node)) for path in SOURCES for node in _tree(path).body]
+    unreached = [
+        f"{name}: {public}"
+        for name, node, _ in statements
+        for public in _public_names(node)
+        if public not in outside and not any(public in refs for _, other, refs in statements if other is not node)
+    ]
+    assert not unreached, unreached
 
 
 def test_the_benchmark_tracer_still_finds_what_it_wraps(tmp_path):
