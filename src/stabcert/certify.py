@@ -25,17 +25,20 @@ levels by pivoted Cholesky, F = L L^T + E, and stops once the
 multiplicity-weighted trace of the residual E falls to KERNEL_RTOL times
 that of F.  The integral is then sum_q ||chi_E l_q(H) u||^2 with
 l_q(lam) = L[level(lam), q]: ``operators.restricted_norms`` transforms
-each state once and returns, with those norms, the squared coefficients
-|c_jp|^2 that give the decayed norms ||e^{-hi H} u||.  The Gram G is
-positive semidefinite with G_jj <= 1 and E is positive semidefinite, so
-Schur's inequality puts the exact value in [I, I + B ||u||^2], where I is
-that sum less a roundoff allowance and B is the weighted trace of E plus
-twice the allowance.  Each verdict is taken at the conservative end of the
-bracket: the checks pass on the lower end I, and the probes report a
-violation only if the upper end still violates; a check whose margin or
-violation is NaN or infinite raises ArithmeticError instead.  The exact
-closed form through the Gram, the reference the tests hold the bracket
-to, is ``observation_integrals`` in ``tests/reference.py``.
+each state once, a chunk of states at a time, and returns with those
+norms the decay sums sum_j e^{-2 hi lam_j} |c_jp|^2 of the decayed norms
+||e^{-hi H} u||; the checks draw each chunk of their random states only
+when the pass reaches it, so their memory does not grow with the trials.
+The Gram G is positive semidefinite with G_jj <= 1 and E is positive
+semidefinite, so Schur's inequality puts the exact value in
+[I, I + B ||u||^2], where I is that sum less a roundoff allowance and B is
+the weighted trace of E plus twice the allowance.  Each verdict is taken
+at the conservative end of the bracket: the checks pass on the lower end
+I, and the probes report a violation only if the upper end still
+violates; a check whose margin or violation is NaN or infinite raises
+ArithmeticError instead.  The exact closed form through the Gram, the
+reference the tests hold the bracket to, is ``observation_integrals`` in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import numpy as np
 from .domain import GridDomain
 from .geometry import SetIndicator
 from .operators import (
+    DrawnStates,
     FractionalLaplacian,
     OperatorSpec,
     SpectralDecomposition,
@@ -305,37 +309,41 @@ class ObservationBracket:
 def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lams, intervals) -> ObservationBracket:
     """Bracket the observation integrals of ``states`` over each (lo, hi) in ``intervals``.
 
-    ``states`` is (P,) + the grid shape; ``lams`` replaces the eigenvalues
-    of ``dec`` (a shifted spectrum), in their order.  Every interval's
-    kernel rows go through one ``restricted_norms`` call, which transforms
-    each state once; the end-of-interval norms
-    sqrt(sum_j |c_jp|^2 e^{-2 hi lam_j}) come from the squared
-    coefficients |c_jp|^2 that the same call returns.
+    ``states`` is a (P,) + grid stack or ``operators.DrawnStates``; ``lams``
+    replaces the eigenvalues of ``dec`` (a shifted spectrum), in their
+    order.  Every interval's kernel rows go through one
+    ``restricted_norms`` call, which transforms each state once, a chunk at
+    a time; the end-of-interval norms sqrt(sum_j |c_jp|^2 e^{-2 hi lam_j})
+    are its decay sums over the rows e^{-2 hi lam_j}.
     """
-    states = np.asarray(states)
     kernels = tuple(time_kernel(lams, lo, hi) for lo, hi in intervals)
-    norms, mags = restricted_norms(dec, e, np.concatenate([k.weights for k in kernels]), states)
     with np.errstate(under="ignore"):
-        decayed = np.sqrt(np.exp(-2.0 * np.outer([hi for _, hi in intervals], lams)) @ mags)
+        decay = np.exp(-2.0 * np.outer([hi for _, hi in intervals], lams))
+    weights = np.concatenate([k.weights for k in kernels])
+    norms, sums, sq_norms = restricted_norms(dec, e, weights, decay, states)
     ends = np.cumsum([0] + [k.rank for k in kernels])
-    flat = states.reshape(len(states), -1)
-    sq_norms = np.einsum("pj,pj->p", flat.conj(), flat).real * dec.domain.cell_volume
     lower, upper = zip(*(
         k.bracket(norms[a:b].sum(axis=0), sq_norms) for k, a, b in zip(kernels, ends[:-1], ends[1:])
     ))
     return ObservationBracket(
         lower=np.stack(lower),
         upper=np.stack(upper),
-        decayed=decayed,
+        decayed=np.sqrt(sums),
         kernels=kernels,
     )
 
 
-def _random_unit_states(dec: SpectralDecomposition, trials: int, rng) -> np.ndarray:
-    """Random unit-norm real grid functions, (trials,) + the grid shape, from one draw."""
-    values = rng.standard_normal((trials,) + dec.domain.shape)
-    sizes = np.linalg.norm(values.reshape(trials, -1), axis=1) * np.sqrt(dec.domain.cell_volume)
-    return values / sizes.reshape((trials,) + (1,) * dec.domain.dim)
+def _random_unit_states(dec: SpectralDecomposition, trials: int, rng) -> DrawnStates:
+    """``trials`` random unit-norm real grid functions, each chunk drawn from ``rng`` when a pass reaches it."""
+    shape, root_h = dec.domain.shape, np.sqrt(dec.domain.cell_volume)
+
+    def draw(n):
+        values = rng.standard_normal((n,) + shape)
+        sizes = np.linalg.norm(values.reshape(n, -1), axis=1) * root_h
+        values /= sizes.reshape((n,) + (1,) * len(shape))
+        return values
+
+    return DrawnStates(trials, draw)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,6 @@ class SetIndicator:
     def measure(self) -> float:
         return float(self.cells.sum() * self.domain.cell_volume)
 
-    def complement(self) -> "SetIndicator":
-        return SetIndicator(self.domain, ~self.cells)
-
 
 @dataclass(frozen=True)
 class ThicknessReport:
@@ -249,7 +246,9 @@ def set_from_json(doc: dict) -> SetIndicator:
     require_keys(doc, ("header", "first", "runs"), "set document")
     domain = domain_from_header(doc["header"])
     flat = np.empty(domain.cell_count, dtype=bool)
-    value = bool(doc["first"])
+    value = doc["first"]
+    if not isinstance(value, bool):  # bool("false") is True: the complement of the set named
+        raise ValueError(f"first must be a JSON boolean (true or false), got {value!r}")
     pos = 0
     for run in doc["runs"]:
         if isinstance(run, bool) or not isinstance(run, int) or not 0 <= run <= domain.cell_count - pos:

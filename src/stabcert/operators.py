@@ -46,14 +46,13 @@ from .domain import (
 from .geometry import SetIndicator
 
 _DENSE_CELL_LIMIT = 4096
-# cells of the 2D Hermite tensor layout, which holds only its m x m factor:
-# at 128^2 cells a 200-state stack is 26 MB, and a restricted_norms pass over
-# it holds a few such arrays
+# cells of the 2D Hermite tensor layout, which holds only its m x m factor;
+# a pass holds a few chunk-sized arrays of states, however many states there are
 _TENSOR_CELL_LIMIT = 128 * 128
 _RESIDUAL_TOL = 1e-8
 # entries per block of the temporaries of the sign pinning (512 KB of
-# float64), small next to any m x m array, and per chunk of the real FFTs of a
-# stack of real Fourier states
+# float64), small next to any m x m array, and per chunk of the states that a
+# pass of any layout transforms at once (at least one state per chunk)
 _SCAN_BLOCK_ENTRIES = 1 << 16
 # a dense n x n matrix is gathered, and its residual taken, in row strips of
 # max(1, n // _BLOCK_STRIPS) rows: the two strip buffers are an eighth of it
@@ -379,16 +378,26 @@ class _Basis:
         V = self.columns(native)
         return (V * eigenvalues) @ V.T * self.domain.cell_volume
 
-    def passes(self, weights, order, states, mags, rows):
-        """One chunk of all states: one ``forward`` of the stack, and a synthesis per weight row."""
-        native = self.forward(states)
-        sq = np.abs(native)
-        sq *= sq
-        mags.T[...] = _ascending(order, sq)
-        synthesize, z = self.synthesis(rows), np.empty_like(native, dtype=np.result_type(weights, native))
-        for q in range(len(weights)):
-            np.multiply(weights[q][:, None], native, out=z)
-            yield slice(0, len(states)), q, synthesize(z).T
+    def passes(self, weights, order, decay, rows):
+        """The pass over one chunk of states: values -> (decay sums, iterator over its syntheses).
+
+        The chunk is transformed by one ``forward``; its squares |c_jp|^2,
+        gathered to ascending order, are summed against each ``decay`` row,
+        and each weight row is one synthesis of the weighted coefficients.
+        """
+        synthesize = self.synthesis(rows)
+
+        def chunk_pass(values):
+            native = self.forward(values)
+            sq = np.abs(native)
+            sq *= sq
+            # states first: the decay product runs as it did over one whole stack
+            mags = np.empty(sq.shape[::-1])
+            mags.T[...] = _ascending(order, sq)
+            z = np.empty_like(native, dtype=np.result_type(weights, native))
+            return decay @ mags.T, (synthesize(np.multiply(w[:, None], native, out=z)).T for w in weights)
+
+        return chunk_pass
 
 
 class _FourierBasis(_Basis):
@@ -463,33 +472,33 @@ class _FourierBasis(_Basis):
         index = tuple(diff.reshape([m if a in (k, n + k) else 1 for a in range(2 * n)]) for k in range(n))
         return g.real[index].reshape((self.domain.cell_count,) * 2)
 
-    def passes(self, weights, order, states, mags, rows):
-        """Real states in chunks of about ``_SCAN_BLOCK_ENTRIES`` entries, each transformed by rfftn.
+    def passes(self, weights, order, decay, rows):
+        """The pass over one chunk: real states by rfftn, complex ones as in every layout.
 
         A real state's spectrum is conjugate symmetric, so a frequency k whose
         last index exceeds m // 2 reads |c|^2 at -k mod m; a pass is one real
         inverse FFT, as the weights are even in the frequency.
         """
-        if not np.isrealobj(states):
-            yield from super().passes(weights, order, states, mags, rows)
-            return
-        domain, r = self.domain, len(weights)
+        complex_pass = super().passes(weights, order, decay, rows)
+        domain = self.domain
         m, axes = domain.points_per_axis, tuple(range(1, domain.dim + 1))
         k = np.array(np.unravel_index(order, domain.shape))
         k[:, k[-1] > m // 2] *= -1
         source = np.ravel_multi_index(tuple(k % m), domain.shape[:-1] + (m // 2 + 1,))
-        grid = weights.reshape((r,) + domain.shape)[..., : m // 2 + 1]
-        block = max(1, _SCAN_BLOCK_ENTRIES // domain.cell_count)
-        for p in range(0, len(states), block):
-            chunk = slice(p, p + block)
-            spectra = np.fft.rfftn(states[chunk], axes=axes)
+        grid = weights.reshape((len(weights),) + domain.shape)[..., : m // 2 + 1]
+
+        def chunk_pass(values):
+            if not np.isrealobj(values):
+                return complex_pass(values)
+            spectra = np.fft.rfftn(values, axes=axes)
             sq = np.abs(spectra)
             sq *= sq
-            np.take(sq.reshape(len(sq), -1), source, axis=1, out=mags[chunk])
-            mags[chunk] *= self.scale**2
-            for q in range(r):
-                y = np.fft.irfftn(grid[q] * spectra, s=domain.shape, axes=axes)
-                yield chunk, q, y.reshape(len(spectra), domain.cell_count)
+            mags = np.take(sq.reshape(len(sq), -1), source, axis=1)
+            mags *= self.scale**2
+            ys = (np.fft.irfftn(g * spectra, s=domain.shape, axes=axes).reshape(len(values), -1) for g in grid)
+            return decay @ mags.T, ys
+
+        return chunk_pass
 
 
 class _DenseBasis(_Basis):
@@ -752,43 +761,86 @@ def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.
     return dec.basis.gram(_native_index(dec.order, np.asarray(indices, dtype=int)), e)
 
 
-def _weighted_passes(dec: SpectralDecomposition, weights, states, mags, rows=None):
-    """Transform the stack ``states`` once and yield w_q(H) f_p on the grid, one weight row at a time.
+class DrawnStates:
+    """``count`` states of one grid shape, made by ``draw(n)`` when a pass slices them.
 
-    ``weights`` is (r, cells), each row a real function of the eigenvalue in
-    ascending order, permuted to native order once here; ``states`` is (P,)
-    + the grid shape.  Row p of ``mags`` (P, cells) receives |c_jp|^2 in
-    ascending order, and each yield (chunk, q, y) holds w_q(H) f_p in row
-    p - chunk.start of y (the full dense basis gives only the cells of ``rows``).
+    A pass takes its states a chunk at a time by slicing, so a (P,) + grid
+    stack and drawn states go through the same loop; drawn, only the chunk
+    the pass holds exists.  Slices come in order, each once: consecutive
+    chunks are consecutive in the stream that ``draw`` reads.
     """
-    return dec.basis.passes(_native(dec.order, weights.T).T, dec.order, states, mags, rows)
+
+    def __init__(self, count: int, draw):
+        self.count, self.draw, self.drawn = int(count), draw, 0
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, chunk: slice):
+        start, stop, _ = chunk.indices(self.count)
+        if start != self.drawn:
+            raise IndexError(f"states {start}:{stop} asked for after {self.drawn} were drawn")
+        self.drawn = stop
+        return self.draw(stop - start)
 
 
-def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, states):
-    """The (r, P) set norms h sum_{x in E} |(w_q(H) f_p)(x)|^2 and the (cells, P) squares |c_jp|^2.
+def _weighted_passes(dec: SpectralDecomposition, weights, decay, states, rows=None):
+    """Transform ``states`` a chunk at a time; yield each chunk's decay sums and passes w_q(H) f_p.
 
-    ``weights`` is (r, cells), each row equal across each level of the
-    ascending eigenvalues; ``states`` is (P,) + the grid shape.  Each pass of
-    ``_weighted_passes`` is squared in place and summed over E.
+    ``weights`` (r, cells) and ``decay`` (s, cells) are rows in ascending
+    order, each weight row a real function of the eigenvalue, permuted to
+    native order once here.  ``states`` is a (P,) + grid stack or
+    ``DrawnStates``, sliced in chunks of about ``_SCAN_BLOCK_ENTRIES``
+    entries.  Each yield (chunk, values, sums, passes) holds the chunk's
+    states, the (s, len(values)) sums sum_j decay[i, j] |c_jp|^2 and an
+    iterator whose item q holds w_q(H) f_p in row p - chunk.start (the full
+    dense basis gives only the cells of ``rows``); it is spent before the
+    next chunk.
+    """
+    chunk_pass = dec.basis.passes(_native(dec.order, weights.T).T, dec.order, decay, rows)
+    block = max(1, _SCAN_BLOCK_ENTRIES // dec.domain.cell_count)
+    for p in range(0, len(states), block):
+        values = np.asarray(states[p : p + block])
+        if values.shape[1:] != dec.domain.shape:
+            raise ValueError(f"states of shape {values.shape[1:]} do not fit {dec.domain.shape}")
+        yield (slice(p, p + len(values)), values) + chunk_pass(values)
+
+
+def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay, states):
+    """Set norms, decay sums and squared norms of each state f_p, as (r, P), (s, P) and (P,) arrays.
+
+    The set norms are h sum_{x in E} |(w_q(H) f_p)(x)|^2, the decay sums
+    sum_j decay[i, j] |c_jp|^2 and the squared norms h ||f_p||^2.
+    ``weights`` (r, cells), each row equal across each level, and ``decay``
+    (s, cells) are in ascending order; ``states`` is a (P,) + grid stack or
+    ``DrawnStates``.  Each pass of ``_weighted_passes`` is squared in place
+    and summed over E, and each norm is taken from the chunk the pass holds.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    states = np.asarray(states)
-    if weights.shape[1] != dec.domain.cell_count or states.shape[1:] != dec.domain.shape:
-        raise ValueError(f"weights {weights.shape} or states {states.shape} do not fit {dec.domain.shape}")
-    out, mags = np.empty((len(weights), len(states))), np.empty((len(states), weights.shape[1]))
+    decay = np.asarray(decay, dtype=float)
+    cells = dec.domain.cell_count
+    if weights.shape[1] != cells or decay.ndim != 2 or decay.shape[1] != cells:
+        raise ValueError(f"weights {weights.shape} or decay rows {decay.shape} do not fit {dec.domain.shape}")
+    count = len(states)
+    norms, sums, sq_norms = np.empty((len(weights), count)), np.empty((len(decay), count)), np.empty(count)
     inside = e.cells.ravel()
     mask = inside.astype(float)
-    for chunk, q, y in _weighted_passes(dec, weights, states, mags, inside):
-        y = np.abs(y) if np.iscomplexobj(y) else y
-        y *= y
-        if y.shape[1] == len(mask):
-            np.matmul(y, mask, out=out[q, chunk])
-        else:  # the full dense basis gives the cells of E alone
-            y.sum(axis=1, out=out[q, chunk])
-    out *= dec.domain.cell_volume
-    return out, mags.T
+    for chunk, values, decayed, passes in _weighted_passes(dec, weights, decay, states, inside):
+        sums[:, chunk] = decayed
+        flat = values.reshape(len(values), -1)
+        sq_norms[chunk] = np.einsum("pj,pj->p", flat.conj() if np.iscomplexobj(flat) else flat, flat).real
+        for q, y in enumerate(passes):
+            y = np.abs(y) if np.iscomplexobj(y) else y
+            y *= y
+            if y.shape[1] == len(mask):
+                np.matmul(y, mask, out=norms[q, chunk])
+            else:  # the full dense basis gives the cells of E alone
+                y.sum(axis=1, out=norms[q, chunk])
+    norms *= dec.domain.cell_volume
+    sq_norms *= dec.domain.cell_volume
+    return norms, sums, sq_norms
 
 
 def eigenfunction(dec: SpectralDecomposition, j: int) -> GridFunction:
@@ -827,9 +879,9 @@ def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction):
     transform of ``f``, each synthesized when reached and real for a real f.
     """
     weights = np.asarray(weights)
-    mags = np.empty((1, dec.domain.cell_count))
-    passes = _weighted_passes(dec, np.atleast_2d(weights), f.values[None], mags)
-    rows = (GridFunction(dec.domain, y.reshape(dec.domain.shape)) for _, _, y in passes)
+    no_decay = np.empty((0, dec.domain.cell_count))
+    _, _, _, passes = next(_weighted_passes(dec, np.atleast_2d(weights), no_decay, f.values[None]))
+    rows = (GridFunction(dec.domain, y.reshape(dec.domain.shape)) for y in passes)
     return next(rows) if weights.ndim == 1 else rows
 
 
@@ -849,26 +901,26 @@ def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeR
     this never exceeds 1, because every mode above the threshold k decays at
     least as fast as e^{-tk}.
 
-    The trials are one draw of (trials,) + the grid shape, transformed once
-    by ``_weighted_passes`` with no weight rows, which leaves the squares
-    |c_j|^2: ||(1 - pi_k) e^{-tH} f||^2 is sum_j 1[j >= d(k)] e^{-2t lambda_j}
-    |c_j|^2, over ||f||^2 on the grid.  The worst ratio is the first maximum
-    in trial-major order.
+    Each chunk of trials is drawn when ``_weighted_passes`` reaches it and
+    transformed with no weight rows: ||(1 - pi_k) e^{-tH} f||^2 is the
+    decay sum of the row 1[j >= d(k)] e^{-2t lambda_j}, over ||f||^2 on the
+    grid.  The worst ratio is the first maximum in trial-major order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal((trials,) + dec.domain.shape)
-    mags = np.empty((trials, dec.domain.cell_count))
-    for _ in _weighted_passes(dec, np.empty((0, dec.domain.cell_count)), values, mags):
-        pass  # there are no passes: draining the generator writes the squares into mags
-    mags = mags.T
-    sizes = np.linalg.norm(values.reshape(trials, -1), axis=1) * np.sqrt(dec.domain.cell_volume)
     times = np.asarray(t_samples, dtype=float)
-    high = np.arange(dec.domain.cell_count) >= spectral_count(dec, k)
+    cells = dec.domain.cell_count
+    high = np.arange(cells) >= spectral_count(dec, k)
     with np.errstate(under="ignore"):
-        weights = np.exp(-2.0 * np.outer(times, dec.eigenvalues)) * high
-    ratios = (np.sqrt(weights @ mags) / sizes).T * np.exp(times * k)
+        decay = np.exp(-2.0 * np.outer(times, dec.eigenvalues)) * high
+    draws = DrawnStates(trials, lambda n: rng.standard_normal((n,) + dec.domain.shape))
+    sums, sizes = np.empty((len(times), trials)), np.empty(trials)
+    for chunk, values, decayed, _ in _weighted_passes(dec, np.empty((0, cells)), decay, draws):
+        sums[:, chunk] = decayed
+        sizes[chunk] = np.linalg.norm(values.reshape(len(values), -1), axis=1)
+    sizes *= np.sqrt(dec.domain.cell_volume)
+    ratios = (np.sqrt(sums) / sizes).T * np.exp(times * k)
     worst = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     return DissipativeReport(
         k=float(k),

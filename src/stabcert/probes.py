@@ -66,12 +66,6 @@ class KernelProbe:
     l: float
     kernel: GridFunction
 
-    @property
-    def c2_norm(self) -> float:
-        """C2 in ||u(t)|| = C2 (t+l)^{-n/(2s)} e^{ct}, measured at t = 0."""
-        n = self.kernel.domain.dim
-        return float(_norm(kernel_probe_solution(self, 0.0)) * self.l ** (n / (2.0 * self.s)))
-
 
 def build_kernel(s: float, domain: GridDomain) -> GridFunction:
     """Inverse FFT of e^{-|xi|^s} on the midpoint grid.

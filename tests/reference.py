@@ -3,7 +3,8 @@
 Each computes plainly what the package computes another way or not at all:
 the L2 inner product, the semigroup norm, the spectral projection, sampled
 Hermite functions, the inverse of ``operators.spec_to_json``, the exact
-observation integral through the Gram, and the feedback operator K.
+observation integral through the Gram, the feedback operator K, and the
+constant C2 of a kernel probe's norm law.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from stabcert.certify import exprel
-from stabcert.domain import DomainMismatchError, GridDomain, GridFunction, grid_function_from_json
+from stabcert.domain import DomainMismatchError, GridDomain, GridFunction, grid_function_from_json, norm
 from stabcert.feedback import DampingFeedback, FeedbackOperator
 from stabcert.operators import (
     FractionalLaplacian,
@@ -26,6 +27,7 @@ from stabcert.operators import (
     spectral_apply,
     spectral_count,
 )
+from stabcert.probes import KernelProbe, kernel_probe_solution
 
 
 def _check_same_domain(a, b):
@@ -163,3 +165,9 @@ def apply_feedback(dec: SpectralDecomposition, fb: Optional[FeedbackOperator], y
     if not np.iscomplexobj(y.values) and np.iscomplexobj(vals):
         vals = vals.real
     return GridFunction(y.domain, vals)
+
+
+def c2_norm(probe: KernelProbe) -> float:
+    """C2 in ||u(t)|| = C2 (t+l)^{-n/(2s)} e^{ct}, measured at t = 0."""
+    n = probe.kernel.domain.dim
+    return float(norm(kernel_probe_solution(probe, 0.0)) * probe.l ** (n / (2.0 * probe.s)))

@@ -431,7 +431,9 @@ def test_bracket_transforms_each_state_once(case, rng, coefficient_transforms):
 def test_bracket_peak_stays_below_four_stacks(dim, m, trials):
     # a second transform of the stack, with its complex fftn output, scaled
     # and reordered copies, took the peak to 6.3 and 6.0 times the states'
-    # bytes on these grids; one chunked transform keeps it near 2.3
+    # bytes on these grids, and one chunked transform that still kept the
+    # (trials, cells) squares to 2.3; reducing each chunk's squares at once
+    # keeps it near 1.2, what a few chunk-sized arrays and the kernel hold
     dom = make_grid(dim, 10.0, m, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=1.0), dom)
     shape = BallComplement(center=(0.0, 0.0), radius=3.0) if dim == 2 else PeriodicSlabs(period=1.0, fill_fraction=0.25)
@@ -443,7 +445,7 @@ def test_bracket_peak_stays_below_four_stacks(dim, m, trials):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * states.nbytes
+    assert peak < 1.5 * states.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +644,62 @@ def test_checks_hold_no_cells_squared_array():
     finally:
         tracemalloc.stop()
     assert peak < dom.cell_count**2 * 16 / 4
+
+
+def unit_draw(dom, trials, seed):
+    """One draw of the whole (trials,) + grid stack, normalized: the states the checks drew before chunking."""
+    values = np.random.default_rng(seed).standard_normal((trials,) + dom.shape)
+    sizes = np.linalg.norm(values.reshape(trials, -1), axis=1) * np.sqrt(dom.cell_volume)
+    return values / sizes.reshape((trials,) + (1,) * dom.dim)
+
+
+@pytest.mark.parametrize("block", [1, 7, 28, 100])
+def test_drawn_unit_states_are_the_one_draw_states(block):
+    # Generator.standard_normal fills in stream order and the norm reduces
+    # each row alone, so chunks drawn one after another, concatenated, are
+    # the one draw bit for bit; a numpy that buffered its stream would fail
+    dom = make_grid(2, 10.0, 48, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    drawn = certify._random_unit_states(dec, 100, np.random.default_rng(9))
+    got = np.concatenate([drawn[p : p + block] for p in range(0, 100, block)])
+    assert np.array_equal(got, unit_draw(dom, 100, 9))
+    with pytest.raises(IndexError):
+        drawn[0:block]  # each chunk is drawn once, in order
+
+
+def test_a_check_on_drawn_states_is_the_check_on_the_one_draw():
+    # 100 trials at 2304 cells are four chunks of 28 states and one of 16
+    dom = make_grid(2, 10.0, 48, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    e = make_set(dom, BallComplement(center=(0.0, 0.0), radius=3.0))
+    cert = build_certificate(CriterionConstants(c1=1.0, a=1.0, c2=1.0, b=1.0))
+    report = weak_observability_check(dec, e, cert, trials=100, seed=4)
+    bracket = observation_bracket(dec, e, unit_draw(dom, 100, 4), dec.eigenvalues, [(0.0, cert.T)])
+    assert report.observation_integrals == tuple(float(v) for v in np.maximum(bracket.lower[0], 0.0))
+
+
+@pytest.mark.parametrize("check", ["recurrence", "observability"])
+def test_check_memory_does_not_grow_with_the_trials(check):
+    # frac 2D m = 48: a check draws and transforms its unit states a chunk
+    # at a time, so 2000 trials peak where 100 do but for the per-trial
+    # figures; one draw of the whole stack peaked 9 and 10 times as high
+    dom = make_grid(2, 10.0, 48, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    e = make_set(dom, BallComplement(center=(0.0, 0.0), radius=3.0))
+    cert = build_certificate(CriterionConstants(c1=1.0, a=1.0, c2=1.0, b=1.0))
+    taus = np.geomspace(1.05 * cert.A / 4, 0.95 * cert.tau0, 8)  # the taus of certify_end_to_end at k_max = 3
+    peaks = []
+    for trials in (100, 2000):
+        tracemalloc.start()
+        try:
+            if check == "recurrence":
+                recurrence_check(dec, e, cert, taus, trials=trials, seed=1)
+            else:
+                weak_observability_check(dec, e, cert, trials=trials, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_end_to_end_is_deterministic():

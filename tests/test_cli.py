@@ -678,6 +678,13 @@ def _set_with_runs(tmp_path, runs):
             "--set", f"custom:file={_write_json(tmp_path / 'set.json', doc)}"]
 
 
+def _string_first_flag(tmp_path):
+    # "false" read with bool() is True, and loaded the complement of the set named
+    doc = dict(set_to_json(make_set(make_grid(1, 10.0, 8, periodic=True), HalfSpace())), first="false")
+    return ["check-thick", "--domain", "dim=1,R=10,m=8", "--lengths", "2.5",
+            "--set", f"custom:file={_write_json(tmp_path / 'set.json', doc)}"]
+
+
 def _negative_set_run(tmp_path):
     return _set_with_runs(tmp_path, [4, -1, 5])
 
@@ -710,7 +717,7 @@ def _eigenfunction_index_past_the_grid(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [_headerless_set, _negative_set_run, _set_run_past_the_grid, _valueless_potential,
+    [_headerless_set, _string_first_flag, _negative_set_run, _set_run_past_the_grid, _valueless_potential,
      _directory_potential, _out_in_missing_directory, _eigenfunction_index_past_the_grid],
     ids=lambda f: f.__name__.lstrip("_"),
 )

@@ -60,7 +60,7 @@ def test_halfspace_has_half_the_cells():
 def test_complement_partitions_the_box():
     dom = make_grid(2, 5.0, 16)
     e = make_set(dom, BallComplement(center=(0.0, 0.0), radius=2.0))
-    assert e.measure + e.complement().measure == pytest.approx(100.0)
+    assert e.measure + SetIndicator(dom, ~e.cells).measure == pytest.approx(100.0)
 
 
 def test_slab_fill_fraction_is_exact():

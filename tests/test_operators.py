@@ -665,8 +665,9 @@ def test_tensor_transforms_match_the_assembled_basis(tensor_pair, m, c):
         back = from_coefficients(factored, want[:, 3]).values
         back_want = from_coefficients(assembled, want[:, 3]).values
         assert np.abs(back - back_want).max() <= 1e-12 * np.abs(back_want).max()
-        np.testing.assert_allclose(restricted_norms(factored, e, weights, states)[0],
-                                   restricted_norms(assembled, e, weights, states)[0], rtol=1e-12, atol=0.0)
+        no_decay = np.empty((0, dom.cell_count))
+        np.testing.assert_allclose(restricted_norms(factored, e, weights, no_decay, states)[0],
+                                   restricted_norms(assembled, e, weights, no_decay, states)[0], rtol=1e-12, atol=0.0)
 
 
 def test_tensor_layout_holds_no_cells_squared_array():
@@ -677,7 +678,8 @@ def test_tensor_layout_holds_no_cells_squared_array():
     tracemalloc.start()
     try:
         dec = diagonalize(ShiftedHermite(), dom)
-        norms, _ = restricted_norms(dec, e, np.exp(-np.outer([0.5, 1.0], dec.eigenvalues)), states)
+        norms, _, _ = restricted_norms(dec, e, np.exp(-np.outer([0.5, 1.0], dec.eigenvalues)),
+                                       np.empty((0, dom.cell_count)), states)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1133,7 +1135,7 @@ def test_restricted_norms_are_gram_quadratic_forms(case, states, rng):
         coeffs = np.stack([to_coefficients(dec, GridFunction(dom, v)) for v in values], axis=1)
         weighted = weights[:, :, None] * coeffs[None]
         want = np.einsum("qjp,jl,qlp->qp", weighted.conj(), gram, weighted).real
-        got, _ = restricted_norms(dec, e, weights, values)
+        got, _, _ = restricted_norms(dec, e, weights, np.empty((0, dom.cell_count)), values)
         assert got.shape == (5, states)
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
@@ -1166,7 +1168,8 @@ def test_fourier_restricted_norms_match_the_scipy_fft_path(case, rng):
     for complex_valued in (False, True):
         values = np.stack([random_state(dom, rng, complex_valued).values for _ in range(6)])
         want = scipy_fft_restricted_norms(dec, e, weights, values)
-        np.testing.assert_allclose(restricted_norms(dec, e, weights, values)[0], want, rtol=1e-13, atol=0.0)
+        got = restricted_norms(dec, e, weights, np.empty((0, dom.cell_count)), values)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def symmetric_well(dom):
@@ -1197,7 +1200,8 @@ def test_restricted_norms_return_the_squared_coefficients(layout, rng):
     alternating = np.broadcast_to((-1.0) ** np.arange(dom.points_per_axis), dom.shape)
     real = np.concatenate([rng.standard_normal((90,) + dom.shape), np.ones((1,) + dom.shape), alternating[None]])
     for states in (real, real + 1j * rng.standard_normal(real.shape)):
-        _, mags = restricted_norms(dec, e, np.ones((1, dom.cell_count)), states)
+        # the decay sums of the identity rows are the squares themselves
+        _, mags, _ = restricted_norms(dec, e, np.ones((1, dom.cell_count)), np.eye(dom.cell_count), states)
         want = np.abs(to_coefficients(dec, states)) ** 2
         assert mags.shape == want.shape == (dom.cell_count, len(states))
         assert np.all(np.abs(mags - want) <= 1e-13 * want.max(axis=0))
@@ -1207,9 +1211,9 @@ def test_restricted_norms_check_their_inputs(frac_dec, hermite_dec, rng):
     e = make_set(frac_dec.domain, HalfSpace(offset=0.0))
     values = rng.standard_normal((2,) + frac_dec.domain.shape)
     with pytest.raises(ValueError, match="different domains"):
-        restricted_norms(hermite_dec, e, np.ones((1, 512)), values)
+        restricted_norms(hermite_dec, e, np.ones((1, 512)), np.empty((0, 512)), values)
     with pytest.raises(ValueError, match="do not fit"):
-        restricted_norms(frac_dec, e, np.ones((1, 511)), values)
+        restricted_norms(frac_dec, e, np.ones((1, 511)), np.empty((0, 512)), values)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from stabcert.probes import (
     observation_tail,
 )
 
-from reference import observation_integrals
+from reference import c2_norm, observation_integrals
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def test_probe_norm_law():
     p = make_probe(2.0, 0.0, big, (0.0,), 1.0)
     for t in (0.3, 0.7, 1.3):
         u = kernel_probe_solution(p, t)
-        law = p.c2_norm * (t + p.l) ** (-1.0 / (2.0 * p.s))
+        law = c2_norm(p) * (t + p.l) ** (-1.0 / (2.0 * p.s))
         assert abs(norm(u) - law) / law < 1e-6
 
 
@@ -133,7 +133,7 @@ def test_probe_norm_law_with_growth():
     big = make_grid(1, 10.0, 16384, periodic=True)
     p = make_probe(2.0, 1.5, big, (0.0,), 1.0)
     u = kernel_probe_solution(p, 0.7)
-    law = p.c2_norm * np.exp(1.5 * 0.7) * (0.7 + 1.0) ** (-1.0 / 4.0)
+    law = c2_norm(p) * np.exp(1.5 * 0.7) * (0.7 + 1.0) ** (-1.0 / 4.0)
     assert abs(norm(u) - law) / law < 1e-6
 
 
@@ -142,7 +142,7 @@ def test_probe_norm_law_2d():
     p = make_probe(2.0, 0.0, d2, (0.0, 0.0), 1.0)
     for t in (0.5, 1.5):
         u = kernel_probe_solution(p, t)
-        law = p.c2_norm * (t + 1.0) ** (-2.0 / 4.0)
+        law = c2_norm(p) * (t + 1.0) ** (-2.0 / 4.0)
         assert abs(norm(u) - law) / law < 5e-3
 
 

@@ -10,7 +10,7 @@ transforms. `specineq`, `certify` and `probes` never sample eigenfunctions
 with `basis_block`: the restricted Gram is built by `operators`, and
 `certify` and `probes` never build one at all (their observation integrals
 go through `operators.restricted_norms`), `certify` takes its decayed norms
-from the squared coefficients that `restricted_norms` returns, and `probes`
+from the decay sums that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
 `probes` evaluates its self-similar probe only at t = 0. In `operators`,
 every `eigh` call is inside `_dense_eigh`, which only `_gathered_eigh`
@@ -28,7 +28,9 @@ Every file is written through `domain.atomic_write`, the one caller of
 imports a name it does not use. Every public top-level name in `src/` is
 reached outside the tests: by other package code, a script, the benchmark
 (by name, as its tracer wraps functions) or a backticked mention in the
-README; the references only the tests use live in `tests/reference.py`.
+README, and every public method or property by an attribute of its name
+outside its own definition; the references only the tests use live in
+`tests/reference.py`.
 The benchmark's tracer still finds every function it wraps.
 """
 
@@ -151,7 +153,7 @@ def test_probes_take_their_decayed_norms_from_the_bracket():
 
 
 def test_certify_takes_its_decayed_norms_from_restricted_norms():
-    # the bracket's ||e^{-hi H} u|| come from the |c|^2 that
+    # the bracket's ||e^{-hi H} u|| come from the decay sums of |c|^2 that
     # `operators.restricted_norms` returns beside its set norms, from the
     # one transform of each state its passes use
     found = _names(_tree(next(p for p in SOURCES if p.name == "certify.py")), "to_coefficients")
@@ -360,8 +362,17 @@ def _references(tree, strings=False):
     return found
 
 
+def _public_methods(node):
+    """Public methods and properties of a top-level class."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [f for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+
+
 def test_every_public_name_is_reached_outside_the_tests():
-    # perfbench counts its string constants too: the tracer wraps by name
+    # perfbench counts its string constants too: the tracer wraps by name; a
+    # public method or property is reached in src/ by an attribute of its
+    # name outside its own definition
     readme = (ROOT / "README.md").read_text()
     outside = set().union(
         *(_references(_tree(path)) for path in (ROOT / "scripts").glob("*.py")),
@@ -375,6 +386,13 @@ def test_every_public_name_is_reached_outside_the_tests():
         for public in _public_names(node)
         if public not in outside and not any(public in refs for _, other, refs in statements if other is not node)
     ]
+    attributes = [a for _, node, _ in statements for a in ast.walk(node) if isinstance(a, ast.Attribute)]
+    for name, node, _ in statements:
+        for method in _public_methods(node):
+            own = {id(a) for a in ast.walk(method)}
+            if method.name not in outside and not any(
+                    a.attr == method.name and id(a) not in own for a in attributes):
+                unreached.append(f"{name}: {node.name}.{method.name}")
     assert not unreached, unreached
 
 
