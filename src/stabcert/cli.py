@@ -33,7 +33,6 @@ import numpy as np
 from . import __version__
 from .certify import certify_end_to_end, growth_exponent
 from .domain import (
-    DomainMismatchError,
     GridDomain,
     GridFunction,
     atomic_write,
@@ -124,18 +123,29 @@ def document_to_json(doc: ResultDocument) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: every key=value vocabulary is a table key -> (field, reader)
 
 
-def _parse_kv(text: str) -> dict:
+class _ConfigError(ValueError, argparse.ArgumentTypeError):
+    """A config error that argparse, reading a ``type=`` option, reports by its own message."""
+
+
+def _parse_kv(text: str, keys: dict, what: str) -> dict:
+    """Reads ``key=value,...`` into {field: reader(value)}, refusing a key outside ``keys``."""
     out = {}
     for item in text.split(","):
         if not item:
             continue
-        if "=" not in item:
-            raise ValueError(f"expected key=value, got {item!r}")
-        key, val = item.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise _ConfigError(f"expected key=value in {what}, got {item!r}")
+        if key not in keys:
+            raise _ConfigError(f"unknown {what} key {key!r}; the keys are {', '.join(keys) or 'none'}")
+        field, read = keys[key]
+        if field in out:
+            raise _ConfigError(f"repeated {what} key {key!r}")
+        out[field] = read(val.strip())
     return out
 
 
@@ -147,65 +157,56 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _float_list(text: str) -> list:
+    return [float(v) for v in text.split(",") if v]
+
+
+def _vector(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(":"))
+
+
 def parse_domain(text: str) -> GridDomain:
-    kv = _parse_kv(text)
-    return make_grid(
-        dim=int(kv.get("dim", "1")),
-        half_width=float(kv.get("R", "10")),
-        points_per_axis=int(kv.get("m", "512")),
-        periodic=_parse_bool(kv.get("periodic", "true")),
-    )
+    """The default grid (1D, R = 10, m = 512, periodic) with the keys of ``text`` in place."""
+    keys = {"dim": ("dim", int), "R": ("half_width", float), "m": ("points_per_axis", int),
+            "periodic": ("periodic", _parse_bool)}
+    return make_grid(**{"dim": 1, "half_width": 10.0, "points_per_axis": 512, **_parse_kv(text, keys, "--domain")})
 
 
-def _parse_vector(text: str, dim: int) -> tuple:
-    parts = [float(v) for v in text.split(":")]
-    if len(parts) == 1 and dim > 1:
-        parts = parts * dim
-    if len(parts) != dim:
-        raise ValueError(f"vector {text!r} has {len(parts)} components, need {dim}")
-    return tuple(parts)
+def _saved_set(path=None) -> SetIndicator:
+    if path is None:
+        raise ValueError("custom set needs file=<path.json>")
+    with open(path) as fh:
+        return set_from_json(json.load(fh))
+
+
+# --set kinds: kind -> (shape class, or the loader of a saved set; its keys)
+_SETS = {
+    "full": (Full, {}),
+    "empty": (Empty, {}),
+    "halfspace": (HalfSpace, {"axis": ("axis", int), "offset": ("offset", float)}),
+    "ballcomplement": (BallComplement, {"center": ("center", _vector), "radius": ("radius", float)}),
+    "slabs": (PeriodicSlabs, {"period": ("period", float), "fill": ("fill_fraction", float),
+                              "axis": ("axis", int)}),
+    "custom": (_saved_set, {"file": ("path", str)}),
+}
 
 
 def parse_set(domain: GridDomain, text: str) -> SetIndicator:
     kind, _, rest = text.partition(":")
-    kv = _parse_kv(rest) if rest else {}
     kind = kind.strip().lower()
-    if kind == "full":
-        return make_set(domain, Full())
-    if kind == "empty":
-        return make_set(domain, Empty())
-    if kind == "halfspace":
-        return make_set(
-            domain,
-            HalfSpace(axis=int(kv.get("axis", "0")), offset=float(kv.get("offset", "0"))),
-        )
-    if kind == "ballcomplement":
-        return make_set(
-            domain,
-            BallComplement(
-                center=_parse_vector(kv.get("center", "0"), domain.dim),
-                radius=float(kv.get("radius", "1")),
-            ),
-        )
-    if kind == "slabs":
-        return make_set(
-            domain,
-            PeriodicSlabs(
-                period=float(kv.get("period", "1")),
-                fill_fraction=float(kv.get("fill", "0.25")),
-                axis=int(kv.get("axis", "0")),
-            ),
-        )
-    if kind == "custom":
-        path = kv.get("file")
-        if path is None:
-            raise ValueError("custom set needs file=<path.json>")
-        with open(path) as fh:
-            e = set_from_json(json.load(fh))
-        if e.domain != domain:
-            raise DomainMismatchError("custom set was saved on a different domain")
-        return e
-    raise ValueError(f"unknown set kind {kind!r}")
+    if kind not in _SETS:
+        raise ValueError(f"unknown set kind {kind!r}; the kinds are {', '.join(_SETS)}")
+    shape, keys = _SETS[kind]
+    return make_set(domain, shape(**_parse_kv(rest, keys, f"{kind} set")))
+
+
+def _claim(text: str) -> dict:
+    keys = {f.name: (f.name, float) for f in dataclasses.fields(ObservationClaim)}
+    return _parse_kv(text, keys, "claim")
+
+
+def _centers(text: str) -> list:
+    return [list(_vector(part)) for part in text.split(";") if part]
 
 
 def _load_finite(what: str, path: str) -> GridFunction:
@@ -215,22 +216,23 @@ def _load_finite(what: str, path: str) -> GridFunction:
     return f
 
 
-def parse_operator(kind: str, *, s=1.0, c=0.0, potential=None, condition="II", delta=None) -> tuple:
-    """Returns (spec, extra input hashes); the defaults are those of ``build_parser``."""
-    hashes = {}
-    if kind == "frac":
-        spec = FractionalLaplacian(s=s, c=c)
-    elif kind == "hermite":
-        spec = ShiftedHermite(c=c)
-    elif kind == "schrodinger":
-        if not potential:
-            raise ValueError("schrodinger kind needs --potential <file>")
-        v = _load_finite("potential", potential)
-        spec = Schrodinger(potential=v, condition=condition, delta=delta)
-        hashes["potential"] = content_hash(v)
-    else:
+# --operator kinds: kind -> spec class, built from the options that name its fields
+_OPERATORS = {"frac": FractionalLaplacian, "hermite": ShiftedHermite, "schrodinger": Schrodinger}
+
+
+def parse_operator(kind: str, **options) -> tuple:
+    """Returns (spec, extra input hashes); a schrodinger potential is read from its file."""
+    if kind not in _OPERATORS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return spec, hashes
+    cls = _OPERATORS[kind]
+    fields = {f.name: options[f.name] for f in dataclasses.fields(cls) if f.name in options}
+    hashes = {}
+    if cls is Schrodinger:
+        if not fields.get("potential"):
+            raise ValueError("schrodinger kind needs --potential <file>")
+        fields["potential"] = _load_finite("potential", fields["potential"])
+        hashes["potential"] = content_hash(fields["potential"])
+    return cls(**fields), hashes
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +429,7 @@ def _write_outputs(doc: ResultDocument, out_path: str):
 
 
 # ---------------------------------------------------------------------------
-# argument surface
-
-
-def _float_list(text: str):
-    return [float(v) for v in text.split(",") if v]
+# argument surface: a command's options are its own arguments, keyed by dest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -447,17 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, operator=True):
-        p.add_argument("--domain", default="dim=1,R=10,m=512,periodic=true")
+        p.add_argument("--domain", default="")
         p.add_argument("--set", dest="set_spec", default="full")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="result JSON path (side CSVs derive from it)")
-        if operator:
-            p.add_argument("--operator", choices=("frac", "hermite", "schrodinger"), default="frac")
-            p.add_argument("--s", type=float, default=1.0)
-            p.add_argument("--c", type=float, default=0.0)
-            p.add_argument("--potential", default=None)
-            p.add_argument("--condition", choices=("I", "II"), default="II")
-            p.add_argument("--delta", type=float, default=None)
+        if operator:  # the operator's own options, under an "operator." dest
+            p.add_argument("--operator", dest="operator.kind", choices=_OPERATORS, default="frac")
+            p.add_argument("--s", dest="operator.s", type=float, default=1.0)
+            p.add_argument("--c", dest="operator.c", type=float, default=0.0)
+            p.add_argument("--potential", dest="operator.potential", default=None)
+            p.add_argument("--condition", dest="operator.condition", choices=("I", "II"), default="II")
+            p.add_argument("--delta", dest="operator.delta", type=float, default=None)
 
     p = sub.add_parser("check-thick", help="thickness and weak-thickness verdicts for a set")
     common(p, operator=False)
@@ -479,12 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feedback-build", help="construct a stabilizing feedback")
     common(p)
     p.add_argument("--feedback", choices=("damping", "finite-rank"), default="finite-rank")
-    p.add_argument("--feedback-delta", type=float, default=0.5)
+    p.add_argument("--feedback-delta", dest="delta", type=float, default=0.5)
 
     p = sub.add_parser("simulate", help="closed-loop decay simulation")
     common(p)
     p.add_argument("--feedback", choices=("none", "damping", "finite-rank"), default="finite-rank")
-    p.add_argument("--feedback-delta", type=float, default=0.5)
+    p.add_argument("--feedback-delta", dest="delta", type=float, default=0.5)
     p.add_argument("--t-end", type=float, default=5.0)
     p.add_argument("--dt", type=float, default=0.001,
                    help="sample spacing; every law is propagated exactly (0 < dt <= t_end/100)")
@@ -492,55 +490,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="falsify a claimed observability triple")
     common(p)
-    p.add_argument("--claim", required=True, help="C=1,T=1,alpha=0.5")
-    p.add_argument("--centers", default="", help="semicolon-separated centers, components by colon")
+    p.add_argument("--claim", type=_claim, required=True, help="C=1,T=1,alpha=0.5")
+    p.add_argument("--centers", type=_centers, default=[],
+                   help="semicolon-separated centers, components by colon")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    operator = {}
-    if hasattr(args, "operator"):
-        operator = {"kind": args.operator, "s": args.s, "c": args.c,
-                    "potential": args.potential, "condition": args.condition,
-                    "delta": args.delta}
-    domain = domain_header(parse_domain(args.domain))
-    options = {"seed": args.seed}
-    cmd = args.command
-    if cmd == "check-thick":
-        options.update(lengths=args.lengths, radii=args.radii)
-    elif cmd == "spectral-constant":
-        if args.k_max < 1:
-            raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
-        thresholds = args.thresholds or [float(k) for k in range(1, args.k_max + 1)]
-        options.update(thresholds=thresholds)
-    elif cmd == "certify":
-        options.update(
-            k_max=args.k_max,
-            trials=args.trials,
-            recurrence_trials=args.recurrence_trials,
-            dissipative_trials=args.dissipative_trials,
-        )
-    elif cmd == "feedback-build":
-        options.update(feedback=args.feedback, delta=args.feedback_delta)
-    elif cmd == "simulate":
-        options.update(
-            feedback=args.feedback,
-            delta=args.feedback_delta,
-            t_end=args.t_end,
-            dt=args.dt,
-            y0=args.y0,
-        )
-    elif cmd == "probe":
-        claim_kv = _parse_kv(args.claim)
-        claim = {"C": float(claim_kv["C"]), "T": float(claim_kv["T"]),
-                 "alpha": float(claim_kv["alpha"])}
-        centers = []
-        for part in args.centers.split(";"):
-            if part:
-                centers.append([float(v) for v in part.split(":")])
-        options.update(claim=claim, centers=centers)
-    return RunConfig(operator=operator, domain=domain,
-                     set_spec={"text": args.set_spec}, options=options)
+    options = dict(vars(args))
+    for key in ("command", "out"):
+        del options[key]
+    domain = domain_header(parse_domain(options.pop("domain")))
+    set_spec = {"text": options.pop("set_spec")}
+    operator = {key.partition(".")[2]: options.pop(key) for key in list(options) if key.startswith("operator.")}
+    if args.command == "spectral-constant":  # --k-max stands for the thresholds 1..k_max
+        k_max = options.pop("k_max")
+        if k_max < 1:
+            raise ValueError(f"--k-max must be at least 1, got {k_max}")
+        options["thresholds"] = options["thresholds"] or [float(k) for k in range(1, k_max + 1)]
+    return RunConfig(operator=operator, domain=domain, set_spec=set_spec, options=options)
 
 
 def main(argv=None) -> int:

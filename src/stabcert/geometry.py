@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import GridDomain, domain_header, domain_from_header, require_keys
+from .domain import DomainMismatchError, GridDomain, domain_header, domain_from_header, require_keys
 
 @dataclass(frozen=True)
 class SetIndicator:
@@ -79,7 +79,7 @@ class HalfSpace:
 
 @dataclass(frozen=True)
 class BallComplement:
-    center: tuple = (0.0,)
+    center: tuple = (0.0,)  # one component stands for every axis
     radius: float = 1.0
 
 
@@ -91,8 +91,12 @@ class PeriodicSlabs:
 
 
 def make_set(domain: GridDomain, shape) -> SetIndicator:
-    """Rasterize a fixture shape by cell-center membership."""
+    """Rasterize a fixture shape by cell-center membership; a saved set must lie on ``domain``."""
     R = domain.half_width
+    if isinstance(shape, SetIndicator):
+        if shape.domain != domain:
+            raise DomainMismatchError("the set was saved on a different domain")
+        return shape
     if isinstance(shape, Full):
         return SetIndicator(domain, np.ones(domain.shape, dtype=bool))
     if isinstance(shape, Empty):
@@ -107,6 +111,8 @@ def make_set(domain: GridDomain, shape) -> SetIndicator:
         if not 0 < shape.radius <= 2 * R:
             raise ValueError(f"ball radius must lie in (0, 2R], got {shape.radius}")
         center = np.atleast_1d(np.asarray(shape.center, dtype=float))
+        if center.shape == (1,):
+            center = np.repeat(center, domain.dim)
         if center.shape != (domain.dim,):
             raise ValueError(f"center must have {domain.dim} components")
         if not np.abs(center).max() <= R:

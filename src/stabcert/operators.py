@@ -55,7 +55,8 @@ _RESIDUAL_TOL = 1e-8
 # pass of any layout transforms at once (at least one state per chunk)
 _SCAN_BLOCK_ENTRIES = 1 << 16
 # a dense n x n matrix is gathered, and its residual taken, in row strips of
-# max(1, n // _BLOCK_STRIPS) rows: the two strip buffers are an eighth of it
+# max(1, n // _BLOCK_STRIPS) rows; the gather holds one strip buffer and the
+# residual two (an eighth of the matrix), neither of them during the solve
 _BLOCK_STRIPS = 16
 # entries below this fraction of a column's peak do not decide its sign
 _SIGN_RTOL = 1e-8
@@ -310,10 +311,12 @@ def _gathered_eigh(rows, work: np.ndarray, out: np.ndarray):
     """
     n = len(work)
     step = max(1, n // _BLOCK_STRIPS)
-    strip, scratch = np.empty((2, step, n))
+    scratch = np.empty((step, n))
     for r in range(0, n, step):
         rows(r, work[r : r + step], scratch)
+    del scratch
     w, out[...] = _dense_eigh(work.T)
+    strip, scratch = np.empty((2, step, n))
     sq = np.zeros(n)
     for r in range(0, n, step):
         k = min(step, n - r)

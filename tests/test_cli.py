@@ -729,6 +729,38 @@ def test_bad_inputs_are_config_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def _saved_set_with_a_flag(tmp_path):
+    doc = set_to_json(make_set(make_grid(1, 10.0, 64, periodic=True), HalfSpace(offset=1.0)))
+    return ["check-thick", "--domain", "dim=1,R=10,m=64", "--lengths", "1.25",
+            "--set", f"custom:file={_write_json(tmp_path / 'set.json', doc)},first=true"]
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (lambda tmp_path: ["check-thick", "--domain", "dim=1,R=10,m=64,periodc=false", "--lengths", "1.25"],
+         "unknown --domain key 'periodc'"),
+        (lambda tmp_path: ["check-thick", "--domain", "dim=1,R=10,m=64", "--lengths", "1.25",
+                           "--set", "slabs:perod=3,fill=0.5"], "unknown slabs set key 'perod'"),
+        (lambda tmp_path: ["check-thick", "--domain", "dim=1,dim=2,R=10,m=64", "--lengths", "1.25"],
+         "repeated --domain key 'dim'"),
+        (_saved_set_with_a_flag, "unknown custom set key 'first'"),
+        (lambda tmp_path: ["probe", "--operator", "frac", "--s", "1", "--domain", "dim=1,R=10,m=256,periodic=true",
+                           "--set", "ballcomplement:radius=5", "--claim", "C=1,T=1,alpha=0,beta=2",
+                           "--centers", "0"], "unknown claim key 'beta'"),
+        (lambda tmp_path: ["check-thick", "--domain", "dim=1,R,m=64"], "expected key=value in --domain, got 'R'"),
+    ],
+    ids=["domain-typo", "set-typo", "domain-repeat", "custom-set-flag", "claim-extra", "domain-bare-key"],
+)
+def test_keys_outside_a_vocabulary_are_config_errors(tmp_path, capsys, argv, key):
+    # each would otherwise run on a default it did not ask for, or on the
+    # last of two values
+    code = main(argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1 and key in err
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["symmetric-inf", "nan"])
 def test_non_finite_potentials_are_config_errors(tmp_path, capsys, bad):
     # refused before the solve, naming the file: an inf on both walls keeps V

@@ -2,8 +2,8 @@
 
 Commands, sets and claims are drawn with every numeric option, domain key,
 set key and claim field taking finite, zero, negative, NaN and infinite
-values, and some values are passed as argv items of their own, so argparse
-sees them.  Exit 2 or 3 must print one stderr line that starts with its
+values, domains and sets now and then carry a key outside their vocabulary,
+and some values are passed as argv items of their own, so argparse sees them.  Exit 2 or 3 must print one stderr line that starts with its
 label in the error table and write no document; exit 0 or 1 must write a
 document in which no margin is NaN.  Grids stay tiny (1D m <= 64, 2D
 m <= 16), so no draw can reach the dense-solver limits.
@@ -47,6 +47,11 @@ def token(usual, unusual):
     return mostly(st.sampled_from(usual), st.sampled_from(unusual))
 
 
+def stray_key(sep):
+    """Nothing, or a key outside the vocabulary (a typo, another set kind's key, a repeat)."""
+    return token([""], [f"{sep}periodc=false", f"{sep}radius=2", f"{sep}axis=0"])
+
+
 def text(value):
     return repr(float(value))
 
@@ -61,7 +66,8 @@ def domains(draw, periodic):
     dim = draw(token(["1", "2"], ["0", "3", "nan"]))
     m = draw(token(["8", "16", "32", "64"] if dim == "1" else ["8", "16"], ["0", "-8", "7", "nan", "inf"]))
     periodic = draw(token([periodic], [not periodic]))
-    return f"dim={dim},R={text(draw(num(1.0, 30.0)))},m={m},periodic={str(periodic).lower()}"
+    return (f"dim={dim},R={text(draw(num(1.0, 30.0)))},m={m},periodic={str(periodic).lower()}"
+            + draw(stray_key(",")))
 
 
 @st.composite
@@ -69,14 +75,16 @@ def sets(draw):
     kind = draw(st.sampled_from(["full", "empty", "halfspace", "ballcomplement", "slabs"]))
     axis = draw(token(["0"], ["1", "2", "-1", "nan"]))
     if kind == "halfspace":
-        return f"halfspace:axis={axis},offset={text(draw(num(-5.0, 5.0)))}"
-    if kind == "ballcomplement":
+        spec = f"halfspace:axis={axis},offset={text(draw(num(-5.0, 5.0)))}"
+    elif kind == "ballcomplement":
         center = ":".join(text(v) for v in draw(st.lists(num(-5.0, 5.0), min_size=1, max_size=2)))
-        return f"ballcomplement:center={center},radius={text(draw(num(0.0, 8.0)))}"
-    if kind == "slabs":
-        return (f"slabs:period={text(draw(num(0.1, 4.0)))},fill={text(draw(num(0.0, 1.0)))},"
+        spec = f"ballcomplement:center={center},radius={text(draw(num(0.0, 8.0)))}"
+    elif kind == "slabs":
+        spec = (f"slabs:period={text(draw(num(0.1, 4.0)))},fill={text(draw(num(0.0, 1.0)))},"
                 f"axis={axis}")
-    return kind
+    else:
+        return kind + draw(stray_key(":"))
+    return spec + draw(stray_key(","))
 
 
 @st.composite
