@@ -35,10 +35,10 @@ semidefinite, so Schur's inequality puts the exact value in
 the weighted trace of E plus twice the allowance.  Each verdict is taken
 at the conservative end of the bracket: the checks pass on the lower end
 I, and the probes report a violation only if the upper end still
-violates; a check whose margin or violation is NaN or infinite raises
-ArithmeticError instead.  The exact closed form through the Gram, the
-reference the tests hold the bracket to, is ``observation_integrals`` in
-``tests/reference.py``.
+violates.  ``inequality_margins`` evaluates both checks and both probes
+from that end and raises ArithmeticError on a NaN or infinite margin.
+The exact closed form through the Gram, the reference the tests hold the
+bracket to, is ``observation_integrals`` in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -350,9 +350,40 @@ def _random_unit_states(dec: SpectralDecomposition, trials: int, rng) -> DrawnSt
 # checks
 
 
-def _non_finite(values) -> str:
-    """How an array with a non-finite entry failed: "NaN" if any entry is NaN, else "infinite"."""
-    return "NaN" if np.isnan(values).any() else "infinite"
+def inequality_margins(dec, e: SetIndicator, states, lams, intervals, sides, end: str, label: str, where):
+    """Margins rhs - lhs of an observation inequality, one row per interval and one column per state.
+
+    ``sides(integrals, decayed)`` forms (lhs, rhs) from the observation
+    integrals at ``end`` of their bracket ("lower" for a check, which passes
+    on it, "upper" for a probe, which reports a violation on it) and the
+    norms ||e^{-hi H} u||.  A NaN or infinite margin is no verdict: it
+    raises ArithmeticError naming ``label`` and the ``where`` of its interval.
+    Returns the margins, lhs, rhs, the integrals and the time kernels.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = observation_bracket(dec, e, states, lams, intervals)
+        integrals = {"lower": bracket.lower, "upper": bracket.upper}[end]
+        lhs, rhs = sides(integrals, bracket.decayed)
+        margins = rhs - lhs
+    bad = ~np.isfinite(margins).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        kind = "NaN" if np.isnan(margins[i]).any() else "infinite"
+        raise ArithmeticError(f"{label} is {kind} at {where[i]}: the {'check' if end == 'lower' else 'probe'} overflows")
+    return margins, lhs, rhs, integrals, bracket.kernels
+
+
+def weak_margins(dec, e: SetIndicator, states, norms, C: float, T: float, alpha: float, end: str):
+    """Margins C sqrt(max(I, 0)) + alpha ||f|| - ||e^{-TH} f|| of the weak inequality, ||f|| = ``norms``.
+
+    Returns them with the norms ||e^{-TH} f||, the integrals max(I, 0) over [0, T] and the time kernel.
+    """
+    margins, lhs, _, integrals, kernels = inequality_margins(
+        dec, e, states, dec.eigenvalues, [(0.0, T)],
+        lambda integrals, decayed: (decayed, C * np.sqrt(np.maximum(integrals, 0.0)) + alpha * norms),
+        end, "observability margin", [f"C = {C}, T = {T}"],
+    )
+    return margins[0], lhs[0], np.maximum(integrals[0], 0.0), kernels[0]
 
 
 @dataclass(frozen=True)
@@ -383,7 +414,6 @@ class WeakObservabilityReport:
     kernel_bound: float
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a non-finite violation
 def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trials: int, seed: int = 0) -> RecurrenceReport:
     """Test the one-scale recurrence inequality on dyadic intervals.
 
@@ -408,41 +438,31 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
     rng = np.random.default_rng(seed)
     states = _random_unit_states(dec, trials, rng)
     lams = dec.eigenvalues + cert.constants.delta0
-    bracket = observation_bracket(dec, e, states, lams, [(tau / 2.0, tau) for tau in taus])
     with np.errstate(under="ignore"):
         alpha0 = np.exp(cert.ln_alpha0)
-    max_violation = -np.inf
-    max_violation_rel = -np.inf
-    worst_tau = taus[0]
-    for tau, integrals, decayed in zip(taus, bracket.lower, bracket.decayed):
-        g_tau = np.exp(certificate_gain_log(cert, tau))
-        g_half = np.exp(certificate_gain_log(cert, tau / 2.0))
-        lhs = g_tau * decayed**2 - g_half
-        rhs = integrals + alpha0 * tau
-        violation = lhs - rhs
-        if not np.isfinite(violation).all():
-            raise ArithmeticError(f"recurrence violation is {_non_finite(violation)} at tau = {tau}: the check overflows")
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        rel = violation / scale
-        i = int(np.argmax(violation))
-        if violation[i] > max_violation:
-            max_violation = float(violation[i])
-            worst_tau = tau
-        max_violation_rel = max(max_violation_rel, float(rel.max()))
+    g_tau = np.array([[np.exp(certificate_gain_log(cert, tau))] for tau in taus])
+    g_half = np.array([[np.exp(certificate_gain_log(cert, tau / 2.0))] for tau in taus])
+    slack = alpha0 * np.array(taus)[:, None]
+    margins, lhs, rhs, _, kernels = inequality_margins(
+        dec, e, states, lams, [(tau / 2.0, tau) for tau in taus],
+        lambda integrals, decayed: (g_tau * decayed**2 - g_half, integrals + slack),
+        "lower", "recurrence violation", [f"tau = {tau}" for tau in taus],
+    )
+    violation = -margins
+    max_violation_rel = float((violation / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))).max())
     return RecurrenceReport(
         tau_samples=tuple(taus),
         trials=int(trials),
         seed=int(seed),
-        max_violation=max_violation,
+        max_violation=float(violation.max()),
         max_violation_rel=max_violation_rel,
-        worst_tau=worst_tau,
+        worst_tau=taus[int(np.argmax(violation)) // violation.shape[1]],  # the first tau reaching the maximum
         passed=bool(max_violation_rel <= CHECK_BUDGET),
-        kernel_rank=max(k.rank for k in bracket.kernels),
-        kernel_bound=max(k.bound for k in bracket.kernels),
+        kernel_rank=max(k.rank for k in kernels),
+        kernel_bound=max(k.bound for k in kernels),
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a non-finite margin
 def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: int, seed: int = 0) -> WeakObservabilityReport:
     """Hold the certified (T, alpha, C) against random initial states.
 
@@ -454,29 +474,22 @@ def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: in
     """
     rng = np.random.default_rng(seed)
     states = _random_unit_states(dec, trials, rng)
-    bracket = observation_bracket(dec, e, states, dec.eigenvalues, [(0.0, cert.T)])
-    integrals = np.maximum(bracket.lower[0], 0.0)
-    lhs = bracket.decayed[0]
-    big_c = np.exp(cert.ln_C)
-    margins = big_c * np.sqrt(integrals) + cert.alpha - lhs
-    if not np.isfinite(margins).all():
-        raise ArithmeticError(
-            f"observability margin is {_non_finite(margins)} at C = {big_c}, T = {cert.T}: the check overflows"
-        )
-    scale = np.maximum(1.0, lhs)
-    i = int(np.argmin(margins))
+    with np.errstate(over="ignore"):
+        big_c = np.exp(cert.ln_C)
+    margins, lhs, integrals, kernel = weak_margins(dec, e, states, 1.0, big_c, cert.T, cert.alpha, "lower")
+    min_margin_rel = float((margins / np.maximum(1.0, lhs)).min())
     return WeakObservabilityReport(
         T=cert.T,
         alpha=cert.alpha,
         C=float(big_c),
         trials=int(trials),
         seed=int(seed),
-        min_margin=float(margins[i]),
-        min_margin_rel=float((margins / scale).min()),
+        min_margin=float(margins.min()),
+        min_margin_rel=min_margin_rel,
         observation_integrals=tuple(float(v) for v in integrals),
-        passed=bool(float((margins / scale).min()) >= -CHECK_BUDGET),
-        kernel_rank=bracket.kernels[0].rank,
-        kernel_bound=bracket.kernels[0].bound,
+        passed=bool(min_margin_rel >= -CHECK_BUDGET),
+        kernel_rank=kernel.rank,
+        kernel_bound=kernel.bound,
     )
 
 

@@ -507,6 +507,8 @@ def _config_from_args(args) -> RunConfig:
         k_max = options.pop("k_max")
         if k_max < 1:
             raise ValueError(f"--k-max must be at least 1, got {k_max}")
+        if options["thresholds"] == []:
+            raise ValueError("--thresholds must name at least one threshold")
         options["thresholds"] = options["thresholds"] or [float(k) for k in range(1, k_max + 1)]
     return RunConfig(operator=operator, domain=domain, set_spec=set_spec, options=options)
 

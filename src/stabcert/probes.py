@@ -24,10 +24,10 @@ in the test has a closed form.
 Every observation integral is taken on the discretized semigroup itself,
 through the certified low-rank time kernel of the certificate checks
 (certify.time_kernel): a probe reports a violation only if the upper end
-of its bracket (certify.observation_bracket) still violates, so the kernel
-can hide a violation but never invent one, and the local-mass bounds use
-the upper ends of the probe's tail masses and peak density, so they hold
-on the grid.  The self-similar formula is evaluated at t = 0 only, to
+of its bracket still violates (certify.weak_margins, the weak check's
+margins), so the kernel can hide a violation but never invent one, and
+the local-mass bounds use the upper ends of the probe's tail masses and
+peak density, so they hold on the grid.  The self-similar formula is evaluated at t = 0 only, to
 build the probe's initial datum.
 """
 
@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certify import TimeKernel, observation_bracket
+from .certify import TimeKernel, weak_margins
 from .domain import GridDomain, GridFunction, from_callable, norm as _norm, restrict_norm
 from .geometry import SetIndicator
 from .operators import FractionalLaplacian, ShiftedHermite, SpectralDecomposition, spectral_apply
@@ -227,11 +227,6 @@ def observation_tail(dec: SpectralDecomposition, kernel: TimeKernel, phi: GridFu
     )
 
 
-def _check_margins(margins, lhs, obs):
-    if not np.isfinite(margins).all():
-        raise ArithmeticError(f"probe margin {margins} is not finite (lhs {lhs}, observation {obs})")
-
-
 @dataclass(frozen=True)
 class CenterReport:
     center: tuple
@@ -255,7 +250,6 @@ class FalsificationReport:
     kernel_bound: float
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a non-finite margin
 def falsify_weak_observability(
     dec: SpectralDecomposition,
     e: SetIndicator,
@@ -292,11 +286,7 @@ def falsify_weak_observability(
     phis = [kernel_probe_solution(p, 0.0) for p in probes]
     phi_norms = np.array([_norm(phi) for phi in phis])
     states = np.stack([phi.values for phi in phis])
-    bracket = observation_bracket(dec, e, states, dec.eigenvalues, [(0.0, claim.T)])
-    lhs = bracket.decayed[0]
-    obs = np.maximum(bracket.upper[0], 0.0)
-    margins = claim.C * np.sqrt(obs) + claim.alpha * phi_norms - lhs
-    _check_margins(margins, lhs, obs)
+    margins, lhs, obs, kernel = weak_margins(dec, e, states, phi_norms, claim.C, claim.T, claim.alpha, "upper")
     reports = []
     for i, probe in enumerate(probes):
         gap = float(lhs[i] - claim.alpha * phi_norms[i])
@@ -304,7 +294,7 @@ def falsify_weak_observability(
         half_mass_radius = None
         local_mass_bound = None
         if not violated and gap > 0.0:
-            profile = observation_tail(dec, bracket.kernels[0], phis[i], probe.x0)
+            profile = observation_tail(dec, kernel, phis[i], probe.x0)
             k = next((k for k, tail in enumerate(profile.tail_masses) if tail <= 0.5 * profile.total_mass), None)
             if k is not None:  # none when the kernel has rank 0: every figure is then the bound alone
                 half_mass_radius = profile.radii[k]
@@ -328,8 +318,8 @@ def falsify_weak_observability(
         claim=claim,
         centers=tuple(reports),
         any_violation=any(r.violated for r in reports),
-        kernel_rank=bracket.kernels[0].rank,
-        kernel_bound=bracket.kernels[0].bound,
+        kernel_rank=kernel.rank,
+        kernel_bound=kernel.bound,
     )
 
 
@@ -347,7 +337,6 @@ class HermiteFalsificationReport:
     kernel_bound: float
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow surfaces as a non-finite margin
 def falsify_hermite_ground_state(
     dec: SpectralDecomposition, e: SetIndicator, claim: ObservationClaim
 ) -> HermiteFalsificationReport:
@@ -372,29 +361,23 @@ def falsify_hermite_ground_state(
         lambda *xs: np.pi ** (-n / 4.0) * np.exp(-0.5 * sum(x**2 for x in xs)),
     )
     phi0 = GridFunction(domain, phi0.values / _norm(phi0))
-    bracket = observation_bracket(dec, e, phi0.values[None], dec.eigenvalues, [(0.0, claim.T)])
-    lhs = float(bracket.decayed[0, 0])
-    obs_val = float(max(bracket.upper[0, 0], 0.0))
-    margin = float(claim.C * np.sqrt(obs_val) + claim.alpha - lhs)
-    _check_margins(margin, lhs, obs_val)
+    margins, lhs, obs, kernel = weak_margins(dec, e, phi0.values[None], 1.0, claim.C, claim.T, claim.alpha, "upper")
     rate = c - n
-    analytic_lhs = float(np.exp(rate * claim.T) - claim.alpha)
-    if rate == 0.0:
-        time_integral = claim.T
-    else:
-        time_integral = (np.exp(2.0 * rate * claim.T) - 1.0) / (2.0 * rate)
-    analytic_rhs = float(claim.C * np.sqrt(time_integral) * restrict_norm(phi0, e))
+    with np.errstate(over="ignore", invalid="ignore"):  # the closed form may overflow where the grid flow does not
+        analytic_lhs = float(np.exp(rate * claim.T) - claim.alpha)
+        time_integral = claim.T if rate == 0.0 else (np.exp(2.0 * rate * claim.T) - 1.0) / (2.0 * rate)
+        analytic_rhs = float(claim.C * np.sqrt(time_integral) * restrict_norm(phi0, e))
     return HermiteFalsificationReport(
         claim=claim,
-        lhs=lhs,
-        observation=obs_val,
-        margin=margin,
-        violated=bool(margin < 0.0),
+        lhs=float(lhs[0]),
+        observation=float(obs[0]),
+        margin=float(margins[0]),
+        violated=bool(margins[0] < 0.0),
         analytic_lhs=analytic_lhs,
         analytic_rhs=analytic_rhs,
         analytic_violated=bool(analytic_rhs < analytic_lhs),
-        kernel_rank=bracket.kernels[0].rank,
-        kernel_bound=bracket.kernels[0].bound,
+        kernel_rank=kernel.rank,
+        kernel_bound=kernel.bound,
     )
 
 

@@ -498,25 +498,34 @@ def test_observability_margins_are_reproducible(small_certified):
     assert again.passed
 
 
-@pytest.mark.parametrize("check", ["recurrence", "observability"])
+@pytest.mark.parametrize("check", ["recurrence", "observability", "kernel-probe", "ground-state-probe"])
 def test_infinite_margins_are_arithmetic_errors(small_certified, monkeypatch, check):
     # an observation integral that overflowed to +inf makes every margin
     # +inf and every recurrence violation -inf: a check that passes on them
-    # tests nothing
+    # tests nothing, and a probe that finds no violation in them finds
+    # nothing; both ends overflow, so each caller meets the one rule of
+    # `certify.inequality_margins` at the end it takes
     dec, e, result = small_certified
     cert = result.certificate
     bracket = certify.observation_bracket
 
     def overflowing(*args):
         b = bracket(*args)
-        return dataclasses.replace(b, lower=np.full_like(b.lower, np.inf))
+        return dataclasses.replace(b, lower=np.full_like(b.lower, np.inf), upper=np.full_like(b.upper, np.inf))
 
     monkeypatch.setattr(certify, "observation_bracket", overflowing)
+    claim = ObservationClaim(C=1.0, T=1.0, alpha=0.5)
     with pytest.raises(ArithmeticError, match="is infinite at"):
         if check == "recurrence":
             recurrence_check(dec, e, cert, [cert.tau0 / 2], trials=5)
-        else:
+        elif check == "observability":
             weak_observability_check(dec, e, cert, trials=5)
+        elif check == "kernel-probe":  # the probe's kernel needs the finer grid to resolve its symbol
+            fine = diagonalize(FractionalLaplacian(s=1.0), make_grid(1, 10.0, 512, periodic=True))
+            falsify_weak_observability(fine, make_set(fine.domain, HalfSpace()), claim, [0.0])
+        else:
+            hermite = diagonalize(ShiftedHermite(), make_grid(1, 8.0, 64, periodic=False))
+            falsify_hermite_ground_state(hermite, make_set(hermite.domain, HalfSpace()), claim)
 
 
 def test_empty_set_is_unverifiable():
@@ -676,6 +685,26 @@ def test_a_check_on_drawn_states_is_the_check_on_the_one_draw():
     report = weak_observability_check(dec, e, cert, trials=100, seed=4)
     bracket = observation_bracket(dec, e, unit_draw(dom, 100, 4), dec.eigenvalues, [(0.0, cert.T)])
     assert report.observation_integrals == tuple(float(v) for v in np.maximum(bracket.lower[0], 0.0))
+
+
+def test_the_recurrence_report_is_the_loop_over_its_taus(small_certified):
+    # the check forms its two sides over (taus x states) at once; the loop
+    # over the taus that it replaced gives the same figures, bit for bit
+    dec, e, result = small_certified
+    cert = result.certificate
+    taus = [float(t) for t in np.geomspace(cert.tau0 / 8, cert.tau0 / 2, 4)]
+    report = recurrence_check(dec, e, cert, taus, trials=30, seed=3)
+    lams = dec.eigenvalues + cert.constants.delta0
+    bracket = observation_bracket(dec, e, unit_draw(dec.domain, 30, 3), lams, [(t / 2.0, t) for t in taus])
+    worst, worst_tau, worst_rel = -np.inf, None, -np.inf
+    for tau, integrals, decayed in zip(taus, bracket.lower, bracket.decayed):
+        lhs = np.exp(certificate_gain_log(cert, tau)) * decayed**2 - np.exp(certificate_gain_log(cert, tau / 2.0))
+        rhs = integrals + np.exp(cert.ln_alpha0) * tau
+        violation = lhs - rhs
+        if violation.max() > worst:
+            worst, worst_tau = float(violation.max()), tau
+        worst_rel = max(worst_rel, float((violation / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))).max()))
+    assert (report.max_violation, report.worst_tau, report.max_violation_rel) == (worst, worst_tau, worst_rel)
 
 
 @pytest.mark.parametrize("check", ["recurrence", "observability"])

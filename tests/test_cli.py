@@ -715,10 +715,15 @@ def _eigenfunction_index_past_the_grid(tmp_path):
             "--operator", "hermite", "--feedback", "none", "--y0", "eig:64"]
 
 
+def _empty_thresholds(tmp_path):
+    # an explicit empty list, not the --k-max default it would otherwise run on
+    return ["spectral-constant", "--domain", "m=64", "--thresholds=,", "--k-max", "2"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [_headerless_set, _string_first_flag, _negative_set_run, _set_run_past_the_grid, _valueless_potential,
-     _directory_potential, _out_in_missing_directory, _eigenfunction_index_past_the_grid],
+     _directory_potential, _out_in_missing_directory, _eigenfunction_index_past_the_grid, _empty_thresholds],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_bad_inputs_are_config_errors(tmp_path, capsys, argv):
@@ -825,9 +830,9 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, argv, named):
     "argv,message",
     [
         (["probe", "--operator", "hermite", "--domain", WALLS_64, "--c", "5", "--claim", "C=1,T=1000,alpha=0.5",
-          "--set", "halfspace:offset=2"], "probe margin nan is not finite"),
+          "--set", "halfspace:offset=2"], "observability margin is NaN at C = 1.0, T = 1000.0"),
         (["probe", "--domain", "dim=1,R=20,m=1024", "--c", "400", "--claim", "C=1,T=2,alpha=0.5", "--centers", "0",
-          "--set", "halfspace:offset=2"], "probe margin [nan] is not finite"),
+          "--set", "halfspace:offset=2"], "observability margin is NaN at C = 1.0, T = 2.0"),
         (["certify", "--operator", "hermite", "--domain", "dim=1,R=8,m=64,periodic=false", "--c", "2",
           "--k-max", "4", "--trials", "20", "--set", "halfspace:offset=2"], "observability margin is NaN at C = inf"),
         # C = 3.1e242 is finite, but C times the observation term overflows

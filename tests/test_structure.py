@@ -12,7 +12,9 @@ with `basis_block`: the restricted Gram is built by `operators`, and
 go through `operators.restricted_norms`), `certify` takes its decayed norms
 from the decay sums that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
-`probes` evaluates its self-similar probe only at t = 0. In `operators`,
+only `certify.inequality_margins`, the evaluator of both checks and both
+probes, forms an observation bracket; `probes` evaluates its self-similar
+probe only at t = 0. In `operators`,
 every `eigh` call is inside `_dense_eigh`, which only `_gathered_eigh`
 calls: every dense matrix is gathered there in row strips and solved in
 place, for the pinned full solve `_pinned_eigh` and the parity split
@@ -158,6 +160,23 @@ def test_certify_takes_its_decayed_norms_from_restricted_norms():
     # one transform of each state its passes use
     found = _names(_tree(next(p for p in SOURCES if p.name == "certify.py")), "to_coefficients")
     assert not found, found
+
+
+def test_only_the_evaluator_forms_an_observation_bracket():
+    # the two checks and the two probes evaluate their inequality through
+    # `certify.inequality_margins`, which picks the bracket end, forms the
+    # margins and holds the one rule for a NaN or infinite margin
+    found = set()
+    for path in SOURCES:
+        tree = _tree(path)
+        owner = {id(node): name for name, func in _functions(tree) for node in ast.walk(func)}
+        found |= {
+            (path.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "observation_bracket" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        }
+    assert found == {("certify.py", "inequality_margins")}, sorted(found, key=str)
 
 
 def test_probes_evaluate_the_self_similar_formula_only_at_time_zero():
