@@ -1,6 +1,6 @@
 """Command-line front end: config parsing, dispatch, result persistence.
 
-One command per process.  Results are JSON documents (schema 4) with the
+One command per process.  Results are JSON documents (schema 5) with the
 config snapshot, content hashes of the inputs, the command outputs, and
 wall-clock metadata; curves and trajectories additionally go to CSV side
 files next to the JSON.  The numeric payload (everything except timing) is
@@ -81,7 +81,7 @@ from .probes import (
 )
 from .specineq import curve_to_csv, curve_to_json, spectral_constant_curve
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -340,6 +340,14 @@ def _simulate_outputs(spec, domain, e, options, cache_dir):
 
 
 def _probe_outputs(spec, domain, e, options, cache_dir):
+    # the kind decides which probe runs, so it is checked before its options
+    if isinstance(spec, Schrodinger):
+        raise ValueError("probe needs --operator frac (a kernel probe per center) or hermite "
+                         "(the ground-state probe), not schrodinger")
+    if isinstance(spec, ShiftedHermite) and options["centers"]:
+        raise ValueError("the hermite ground-state probe takes no --centers")
+    if isinstance(spec, FractionalLaplacian) and not options["centers"]:
+        raise ValueError("fractional probe needs --centers")
     claim = ObservationClaim(**options["claim"])
     dec = diagonalize(spec, domain, cache_dir=cache_dir)
     if isinstance(spec, ShiftedHermite):
@@ -349,8 +357,6 @@ def _probe_outputs(spec, domain, e, options, cache_dir):
             probe.pop(key)  # the claim and the kernel figures are reported beside the probe
         out, side_files, violated = {"hermite_probe": probe}, {}, rep.violated
     else:
-        if not options["centers"]:
-            raise ValueError("fractional probe needs --centers")
         rep = falsify_weak_observability(dec, e, claim, options["centers"])
         out = {"centers": [dataclasses.asdict(r) for r in rep.centers]}
         side_files, violated = {"centers.csv": falsification_to_csv(rep)}, rep.any_violation
@@ -472,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--recurrence-trials", type=int, default=100)
-    p.add_argument("--dissipative-trials", type=int, default=20)
 
     p = sub.add_parser("feedback-build", help="construct a stabilizing feedback")
     common(p)

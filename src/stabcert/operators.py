@@ -149,16 +149,6 @@ class SpectralDecomposition:
         return self.basis.kind
 
 
-@dataclass(frozen=True)
-class DissipativeReport:
-    k: float
-    t_samples: tuple
-    trials: int
-    seed: int
-    max_ratio: float
-    worst_t: float
-
-
 # ---------------------------------------------------------------------------
 # diagonalization
 
@@ -895,44 +885,23 @@ def semigroup_apply(dec: SpectralDecomposition, t: float, f: GridFunction) -> Gr
     return spectral_apply(dec, np.exp(-t * dec.eigenvalues), f)
 
 
-def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeReport:
-    """Sampled check of the high-frequency decay bound.
+def dissipative_margin(dec: SpectralDecomposition, thresholds, times) -> float:
+    """Max over k in ``thresholds`` and t in ``times`` of the exact high-frequency decay ratio.
 
-    For random unit-norm f reports the maximum of
-    ||(1 - pi_k) e^{-tH} f|| * e^{tk} over the given times; the contract for
-    the fractional and harmonic families (with unit rate constants) is that
-    this never exceeds 1, because every mode above the threshold k decays at
-    least as fast as e^{-tk}.
-
-    Each chunk of trials is drawn when ``_weighted_passes`` reaches it and
-    transformed with no weight rows: ||(1 - pi_k) e^{-tH} f||^2 is the
-    decay sum of the row 1[j >= d(k)] e^{-2t lambda_j}, over ||f||^2 on the
-    grid.  The worst ratio is the first maximum in trial-major order.
+    The decay bound ||(1 - pi_k) e^{-tH} f|| <= e^{-tk} ||f|| is taken with
+    unit constants: every mode above the threshold k decays at least as fast
+    as e^{-tk}.  In the orthonormal eigenbasis the sup of
+    ||(1 - pi_k) e^{-tH} f|| e^{tk} / ||f|| over all f is attained by the
+    eigenfunction of the first level above k, so it is
+    e^{-t (lambda_{d(k)+1} - k)}, at most 1 by the definition of d(k), and 0
+    when no level lies above k.  No state is drawn or transformed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    times = np.asarray(t_samples, dtype=float)
-    cells = dec.domain.cell_count
-    high = np.arange(cells) >= spectral_count(dec, k)
+    gaps = [dec.eigenvalues[d] - float(k) for k in thresholds
+            if (d := spectral_count(dec, k)) < len(dec.eigenvalues)]
+    if not gaps:
+        return 0.0
     with np.errstate(under="ignore"):
-        decay = np.exp(-2.0 * np.outer(times, dec.eigenvalues)) * high
-    draws = DrawnStates(trials, lambda n: rng.standard_normal((n,) + dec.domain.shape))
-    sums, sizes = np.empty((len(times), trials)), np.empty(trials)
-    for chunk, values, decayed, _ in _weighted_passes(dec, np.empty((0, cells)), decay, draws):
-        sums[:, chunk] = decayed
-        sizes[chunk] = np.linalg.norm(values.reshape(len(values), -1), axis=1)
-    sizes *= np.sqrt(dec.domain.cell_volume)
-    ratios = (np.sqrt(sums) / sizes).T * np.exp(times * k)
-    worst = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    return DissipativeReport(
-        k=float(k),
-        t_samples=tuple(float(t) for t in times),
-        trials=int(trials),
-        seed=int(seed),
-        max_ratio=float(ratios[worst]),
-        worst_t=float(times[worst[1]]),
-    )
+        return float(np.exp(-np.outer(times, gaps)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from reference import inner_product, project, semigroup_norm
+from reference import dissipative_margin, inner_product, project, semigroup_norm
 from test_certify import GOLDEN_UNIT, assert_matches_golden
 
 from stabcert.certify import CriterionConstants, build_certificate, certify_end_to_end
@@ -48,7 +48,6 @@ from stabcert.operators import (
     ShiftedHermite,
     diagonalize,
     dense_matrix,
-    dissipative_margin,
     eigenfunction,
     semigroup_apply,
 )
@@ -161,7 +160,7 @@ def test_end_to_end_certification_on_thick_slabs():
     e = make_set(dom, PeriodicSlabs(period=1.0, fill_fraction=0.25))
     result = certify_end_to_end(
         FractionalLaplacian(s=1.0, c=0.0), dom, e, 8,
-        trials=1000, recurrence_trials=100, dissipative_trials=20, seed=0,
+        trials=1000, recurrence_trials=100, seed=0,
     )
     assert result.status == "certified"
     assert result.certificate is not None
@@ -282,8 +281,7 @@ def test_reproducible_payloads(tmp_path):
         operator={"kind": "frac", "s": 1.0, "c": 0.0},
         domain={"dim": 1, "half_width": 10.0, "points_per_axis": 256, "periodic": True},
         set_spec={"text": "slabs:period=1,fill=0.25"},
-        options={"seed": 0, "k_max": 8, "trials": 1000,
-                 "recurrence_trials": 100, "dissipative_trials": 20},
+        options={"seed": 0, "k_max": 8, "trials": 1000, "recurrence_trials": 100},
     )
     first = run("certify", certify_config)
     second = run("certify", certify_config)

@@ -568,8 +568,8 @@ def test_end_to_end_builds_only_the_curve_gram(gram_builds, monkeypatch):
 
 
 def test_end_to_end_draws_each_random_stream_once(monkeypatch):
-    # the dissipative sample, the recurrence check and the weak check each get
-    # their own seed, so no check replays another's states
+    # the recurrence check and the weak check each get their own seed, so
+    # neither replays the other's states; the decay ratio draws none
     seeds = []
     original = np.random.default_rng
 
@@ -583,8 +583,7 @@ def test_end_to_end_draws_each_random_stream_once(monkeypatch):
     certify_end_to_end(
         FractionalLaplacian(s=1.0), dom, e, k_max=4, trials=10, recurrence_trials=5, seed=3
     )
-    assert len(seeds) >= 5  # four dissipative thresholds and the weak check
-    assert len(set(seeds)) == len(seeds), seeds
+    assert seeds == [3 + 1, 3 + 2]
 
 
 def test_end_to_end_transforms_do_not_grow_with_the_trials(coefficient_transforms):
@@ -595,7 +594,7 @@ def test_end_to_end_transforms_do_not_grow_with_the_trials(coefficient_transform
         coefficient_transforms.clear()
         certify_end_to_end(
             FractionalLaplacian(s=1.0), dom, e, k_max=4, trials=trials,
-            recurrence_trials=trials, dissipative_trials=trials, seed=3,
+            recurrence_trials=trials, seed=3,
         )
         counts.append(len(coefficient_transforms))
     assert counts[0] == counts[1] > 0

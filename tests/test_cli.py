@@ -10,8 +10,11 @@ Documents must be reproducible bit for bit, timing aside, for equal config
 and seed.
 """
 
+import argparse
 import json
 import os
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -58,7 +61,9 @@ def test_no_command_exits_with_usage(capsys):
     (["certify", "--k-max", "three"], "argument --k-max: invalid int value: 'three'"),
     (["probe", "--centers", "0"], "the following arguments are required: --claim"),
     (["check-thick", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
-], ids=["negative-inf-value", "bad-int", "missing-required", "unknown-option"])
+    # the decay ratio is computed from the spectrum, so its trial count is gone
+    (["certify", "--dissipative-trials", "0"], "unrecognized arguments: --dissipative-trials 0"),
+], ids=["negative-inf-value", "bad-int", "missing-required", "unknown-option", "removed-option"])
 def test_argparse_errors_go_through_the_error_table(capsys, argv, message):
     # one stderr line and exit 2, not the usage block and a SystemExit
     assert main(argv) == 2
@@ -184,10 +189,8 @@ def test_spectral_constant_fits_only_four_or_more_constants(tmp_path, k_max):
     [(["certify", "--k-max", "0"], "--k-max"),
      (["certify", "--k-max", "3", "--trials", "0"], "--trials"),
      (["certify", "--k-max", "3", "--recurrence-trials", "0"], "--recurrence-trials"),
-     (["certify", "--k-max", "3", "--dissipative-trials", "0"], "--dissipative-trials"),
      (["spectral-constant", "--k-max", "0"], "--k-max")],
-    ids=["certify-k-max", "certify-trials", "certify-recurrence-trials", "certify-dissipative-trials",
-         "spectral-constant-k-max"],
+    ids=["certify-k-max", "certify-trials", "certify-recurrence-trials", "spectral-constant-k-max"],
 )
 def test_zero_counts_are_refused(tmp_path, capsys, argv, option):
     out = tmp_path / "out.json"
@@ -379,6 +382,20 @@ def test_probe_fractional_needs_centers(capsys):
     )
     assert code == 2
     assert "--centers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("centers", [[], ["--centers", "0"]], ids=["no-centers", "centers"])
+def test_probe_refuses_a_schrodinger_operator_first(tmp_path, capsys, potential_file, centers):
+    # the kind is checked before --centers: with or without them, one message names the probe kinds
+    out = tmp_path / "probe.json"
+    code = main(["probe", "--domain", "dim=1,R=10,m=512,periodic=false", "--set", "halfspace:offset=0",
+                 "--operator", "schrodinger", "--potential", potential_file,
+                 "--claim", "C=1,T=1,alpha=0", *centers, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "frac" in err and "hermite" in err
+    assert not out.exists()
 
 
 def test_probe_claim_must_be_complete(capsys):
@@ -715,6 +732,12 @@ def _eigenfunction_index_past_the_grid(tmp_path):
             "--operator", "hermite", "--feedback", "none", "--y0", "eig:64"]
 
 
+def _centers_for_the_hermite_probe(tmp_path):
+    # the ground-state probe has no center sweep; centers given to it are not ignored
+    return ["probe", "--domain", "dim=1,R=10,m=256,periodic=false", "--set", "halfspace:offset=0",
+            "--operator", "hermite", "--claim", "C=0.5,T=1,alpha=0", "--centers", "0"]
+
+
 def _empty_thresholds(tmp_path):
     # an explicit empty list, not the --k-max default it would otherwise run on
     return ["spectral-constant", "--domain", "m=64", "--thresholds=,", "--k-max", "2"]
@@ -723,7 +746,8 @@ def _empty_thresholds(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [_headerless_set, _string_first_flag, _negative_set_run, _set_run_past_the_grid, _valueless_potential,
-     _directory_potential, _out_in_missing_directory, _eigenfunction_index_past_the_grid, _empty_thresholds],
+     _directory_potential, _out_in_missing_directory, _eigenfunction_index_past_the_grid,
+     _centers_for_the_hermite_probe, _empty_thresholds],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_bad_inputs_are_config_errors(tmp_path, capsys, argv):
@@ -865,7 +889,7 @@ def test_document_prints_to_stdout_without_out(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == DOC_KEYS
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
 
 
 def test_payload_is_reproducible():
@@ -938,3 +962,17 @@ def test_run_rejects_unknown_command():
                        set_spec={"text": "full"}, options={})
     with pytest.raises(ValueError, match="unknown command"):
         run("frobnicate", config)
+
+
+def test_readme_names_exactly_the_parser_options():
+    # every --option in README's "Command line" section is one the parser
+    # takes, and every option of every subcommand is named there; the pip
+    # flag --no-build-isolation is not a stabcert option
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    start = readme.index("\n## Command line\n")
+    section = readme[start : readme.find("\n## ", start + 1)]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section)) - {"--no-build-isolation"}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings if o.startswith("--")}
+    assert named - options == set(), "README names options the parser does not take"
+    assert options - named == set(), "parser options README does not name"

@@ -116,8 +116,7 @@ def raw_argvs(draw):
         if draw(st.booleans()):
             argv += ["--thresholds", draw(numbers(0.0, 8.0, 1, 4))]
     elif command == "certify":
-        argv += ["--k-max", k_max, "--trials", draw(counts),
-                 "--recurrence-trials", draw(counts), "--dissipative-trials", draw(counts)]
+        argv += ["--k-max", k_max, "--trials", draw(counts), "--recurrence-trials", draw(counts)]
     elif command in ("feedback-build", "simulate"):
         laws = ["damping", "finite-rank"] + (["none"] if command == "simulate" else [])
         argv += ["--feedback", draw(st.sampled_from(laws)),

@@ -31,6 +31,7 @@ from stabcert.operators import (
     semigroup_apply,
     spec_hash,
     spec_to_json,
+    spectral_count,
     to_coefficients,
     _canonicalize_signs,
     _grid_values,
@@ -1377,32 +1378,40 @@ def test_projection_algebra(kind, hermite_dec, frac_dec, rng):
 
 
 # ---------------------------------------------------------------------------
-# dissipative bound
+# high-frequency decay ratio
 
 
 def test_dissipative_margin_fractional(frac_dec):
-    rep = dissipative_margin(frac_dec, 3.0, (0.1, 0.5, 1.0), trials=20)
-    assert rep.max_ratio <= 1.0 + 1e-10
-    assert rep.worst_t in rep.t_samples
+    # |xi| on R = 10 has the levels pi n / 10: the first above k = 3 is pi
+    ratio = dissipative_margin(frac_dec, [3.0], (0.1, 0.5, 1.0))
+    assert ratio == pytest.approx(np.exp(-0.1 * (np.pi - 3.0)), rel=1e-12)
 
 
 def test_dissipative_margin_shifted_hermite():
-    dec = diagonalize(ShiftedHermite(c=2.0), make_grid(1, 10.0, 256, periodic=False))
-    rep = dissipative_margin(dec, 4.0, (0.1, 0.5, 1.0), trials=20)
-    assert rep.max_ratio <= 1.0 + 1e-10
+    # with c = 0 the levels 1, 3, 5, ... sit on odd thresholds, so which side
+    # of k such a level lands on is roundoff; the ratio may come within
+    # roundoff of 1, and must not pass it
+    dec = diagonalize(ShiftedHermite(c=0.0), make_grid(1, 8.0, 128, periodic=False))
+    thresholds = [float(k) for k in range(1, 9)]
+    assert min(np.abs(dec.eigenvalues - k).min() for k in thresholds) < 1e-9
+    assert np.exp(-0.1) <= dissipative_margin(dec, thresholds, (0.1, 0.5, 1.0)) <= 1.0 + 1e-10
 
 
-def grid_space_dissipative_ratios(dec, k, times, trials, seed):
-    """||(1 - pi_k) e^{-tH} f|| e^{tk} per (trial, time), evaluated on the grid state by state."""
-    rng = np.random.default_rng(seed)
-    ratios = np.empty((trials, len(times)))
-    for i in range(trials):
-        f = GridFunction(dec.domain, rng.standard_normal(dec.domain.shape))
-        f = GridFunction(dec.domain, f.values / norm(f))
+def test_dissipative_margin_is_zero_with_no_level_above_k():
+    dec = diagonalize(FractionalLaplacian(s=1.0), make_grid(1, 10.0, 16, periodic=True))
+    top = float(dec.eigenvalues[-1])
+    assert dissipative_margin(dec, [top, top + 1.0], (0.1, 0.5, 1.0)) == 0.0
+    assert dissipative_margin(dec, [1.0, top], (0.1, 0.5, 1.0)) > 0.0
+
+
+def grid_space_dissipative_ratios(dec, k, times, states):
+    """||(1 - pi_k) e^{-tH} f|| e^{tk} / ||f|| per (state, time), evaluated on the grid state by state."""
+    ratios = np.empty((len(states), len(times)))
+    for i, f in enumerate(states):
         for j, t in enumerate(times):
             yt = semigroup_apply(dec, t, f)
             high = GridFunction(dec.domain, yt.values - project(dec, k, yt).values)
-            ratios[i, j] = norm(high) * np.exp(t * k)
+            ratios[i, j] = norm(high) * np.exp(t * k) / norm(f)
     return ratios
 
 
@@ -1417,18 +1426,16 @@ def grid_space_dissipative_ratios(dec, k, times, trials, seed):
 )
 @pytest.mark.parametrize("k,seed", [(1.0, 4), (3.0, 0)])
 def test_dissipative_margin_matches_the_grid_space_evaluation(spec, dom, k, seed):
+    # the sup over all grid states is attained by the eigenfunction of the
+    # first level above k, and no random state exceeds it
     dec = diagonalize(spec, dom)
     times = (0.1, 0.5, 1.0)
-    ratios = grid_space_dissipative_ratios(dec, k, times, 20, seed)
-    worst = np.unravel_index(np.argmax(ratios), ratios.shape)
-    rep = dissipative_margin(dec, k, times, 20, seed=seed)
-    assert rep.max_ratio == pytest.approx(ratios[worst], rel=1e-12)
-    assert rep.worst_t == times[worst[1]]
-
-
-def test_dissipative_margin_needs_trials(frac_dec):
-    with pytest.raises(ValueError):
-        dissipative_margin(frac_dec, 3.0, (0.5,), trials=0)
+    ratio = dissipative_margin(dec, [k], times)
+    above = eigenfunction(dec, spectral_count(dec, k))
+    assert ratio == pytest.approx(grid_space_dissipative_ratios(dec, k, times, [above]).max(), rel=1e-12)
+    rng = np.random.default_rng(seed)
+    states = [GridFunction(dec.domain, rng.standard_normal(dec.domain.shape)) for _ in range(20)]
+    assert grid_space_dissipative_ratios(dec, k, times, states).max() <= ratio * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from the decay sums that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
 only `certify.inequality_margins`, the evaluator of both checks and both
 probes, forms an observation bracket; `probes` evaluates its self-similar
-probe only at t = 0. In `operators`,
+probe only at t = 0. `operators` draws no random states: its figures are
+computed from the decomposition. In `operators`,
 every `eigh` call is inside `_dense_eigh`, which only `_gathered_eigh`
 calls: every dense matrix is gathered there in row strips and solved in
 place, for the pinned full solve `_pinned_eigh` and the parity split
@@ -159,6 +160,13 @@ def test_certify_takes_its_decayed_norms_from_restricted_norms():
     # `operators.restricted_norms` returns beside its set norms, from the
     # one transform of each state its passes use
     found = _names(_tree(next(p for p in SOURCES if p.name == "certify.py")), "to_coefficients")
+    assert not found, found
+
+
+def test_operators_draw_no_random_states():
+    # a decomposition's figures (the decay ratio among them) are computed,
+    # not sampled; the checks draw their own states and pass them in
+    found = _names(_tree(next(p for p in SOURCES if p.name == "operators.py")), "random")
     assert not found, found
 
 
