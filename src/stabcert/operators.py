@@ -371,12 +371,13 @@ class _Basis:
         V = self.columns(native)
         return (V * eigenvalues) @ V.T * self.domain.cell_volume
 
-    def passes(self, weights, order, decay, rows):
+    def passes(self, weights, decay, rows):
         """The pass over one chunk of states: values -> (decay sums, iterator over its syntheses).
 
-        The chunk is transformed by one ``forward``; its squares |c_jp|^2,
-        gathered to ascending order, are summed against each ``decay`` row,
-        and each weight row is one synthesis of the weighted coefficients.
+        ``weights`` and ``decay`` are rows in native order.  The chunk is
+        transformed by one ``forward``; its squares |c_jp|^2 are summed
+        against each ``decay`` row, and each weight row is one synthesis of
+        the weighted coefficients.
         """
         synthesize = self.synthesis(rows)
 
@@ -384,11 +385,8 @@ class _Basis:
             native = self.forward(values)
             sq = np.abs(native)
             sq *= sq
-            # states first: the decay product runs as it did over one whole stack
-            mags = np.empty(sq.shape[::-1])
-            mags.T[...] = _ascending(order, sq)
             z = np.empty_like(native, dtype=np.result_type(weights, native))
-            return decay @ mags.T, (synthesize(np.multiply(w[:, None], native, out=z)).T for w in weights)
+            return decay @ sq, (synthesize(np.multiply(w[:, None], native, out=z)).T for w in weights)
 
         return chunk_pass
 
@@ -465,20 +463,22 @@ class _FourierBasis(_Basis):
         index = tuple(diff.reshape([m if a in (k, n + k) else 1 for a in range(2 * n)]) for k in range(n))
         return g.real[index].reshape((self.domain.cell_count,) * 2)
 
-    def passes(self, weights, order, decay, rows):
+    def passes(self, weights, decay, rows):
         """The pass over one chunk: real states by rfftn, complex ones as in every layout.
 
-        A real state's spectrum is conjugate symmetric, so a frequency k whose
-        last index exceeds m // 2 reads |c|^2 at -k mod m; a pass is one real
-        inverse FFT, as the weights are even in the frequency.
+        Every row is a function of the eigenvalue, so it is even in the
+        frequency, and a real state's spectrum is conjugate symmetric.  So a
+        pass is one real inverse FFT, and each decay row is folded once onto
+        the rfftn half spectrum: a column counts twice unless its last index
+        is 0 or, for even m, m/2, its own mirror; scale^2 is folded in too.
         """
-        complex_pass = super().passes(weights, order, decay, rows)
+        complex_pass = super().passes(weights, decay, rows)
         domain = self.domain
         m, axes = domain.points_per_axis, tuple(range(1, domain.dim + 1))
-        k = np.array(np.unravel_index(order, domain.shape))
-        k[:, k[-1] > m // 2] *= -1
-        source = np.ravel_multi_index(tuple(k % m), domain.shape[:-1] + (m // 2 + 1,))
         grid = weights.reshape((len(weights),) + domain.shape)[..., : m // 2 + 1]
+        folded = decay.reshape((len(decay),) + domain.shape)[..., : m // 2 + 1] * self.scale**2
+        folded[..., 1 : (m + 1) // 2] *= 2.0
+        folded = folded.reshape(len(decay), np.prod(folded.shape[1:]))
 
         def chunk_pass(values):
             if not np.isrealobj(values):
@@ -486,10 +486,8 @@ class _FourierBasis(_Basis):
             spectra = np.fft.rfftn(values, axes=axes)
             sq = np.abs(spectra)
             sq *= sq
-            mags = np.take(sq.reshape(len(sq), -1), source, axis=1)
-            mags *= self.scale**2
             ys = (np.fft.irfftn(g * spectra, s=domain.shape, axes=axes).reshape(len(values), -1) for g in grid)
-            return decay @ mags.T, ys
+            return folded @ sq.reshape(len(sq), -1).T, ys
 
         return chunk_pass
 
@@ -781,33 +779,35 @@ def _weighted_passes(dec: SpectralDecomposition, weights, decay, states, rows=No
     """Transform ``states`` a chunk at a time; yield each chunk's decay sums and passes w_q(H) f_p.
 
     ``weights`` (r, cells) and ``decay`` (s, cells) are rows in ascending
-    order, each weight row a real function of the eigenvalue, permuted to
-    native order once here.  ``states`` is a (P,) + grid stack or
-    ``DrawnStates``, sliced in chunks of about ``_SCAN_BLOCK_ENTRIES``
-    entries.  Each yield (chunk, values, sums, passes) holds the chunk's
-    states, the (s, len(values)) sums sum_j decay[i, j] |c_jp|^2 and an
-    iterator whose item q holds w_q(H) f_p in row p - chunk.start (the full
-    dense basis gives only the cells of ``rows``); it is spent before the
-    next chunk.
+    order, each a real function of the eigenvalue (equal across each level),
+    and both are permuted to native order once here.  ``states`` is a (P,) +
+    grid stack or ``DrawnStates``, sliced in chunks of about
+    ``_SCAN_BLOCK_ENTRIES`` entries.  Each yield (chunk, sums, passes) holds
+    the chunk's slice of the states, the (s, chunk length) sums
+    sum_j decay[i, j] |c_jp|^2 and an iterator whose item q holds w_q(H) f_p
+    in row p - chunk.start (the full dense basis gives only the cells of
+    ``rows``); it is spent before the next chunk.
     """
-    chunk_pass = dec.basis.passes(_native(dec.order, weights.T).T, dec.order, decay, rows)
+    weights, decay = (_native(dec.order, x.T).T for x in (weights, decay))
+    chunk_pass = dec.basis.passes(weights, decay, rows)
     block = max(1, _SCAN_BLOCK_ENTRIES // dec.domain.cell_count)
     for p in range(0, len(states), block):
         values = np.asarray(states[p : p + block])
         if values.shape[1:] != dec.domain.shape:
             raise ValueError(f"states of shape {values.shape[1:]} do not fit {dec.domain.shape}")
-        yield (slice(p, p + len(values)), values) + chunk_pass(values)
+        yield (slice(p, p + len(values)),) + chunk_pass(values)
 
 
 def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay, states):
     """Set norms, decay sums and squared norms of each state f_p, as (r, P), (s, P) and (P,) arrays.
 
     The set norms are h sum_{x in E} |(w_q(H) f_p)(x)|^2, the decay sums
-    sum_j decay[i, j] |c_jp|^2 and the squared norms h ||f_p||^2.
-    ``weights`` (r, cells), each row equal across each level, and ``decay``
-    (s, cells) are in ascending order; ``states`` is a (P,) + grid stack or
+    sum_j decay[i, j] |c_jp|^2 and the squared norms h ||f_p||^2, the decay
+    sums of one more row of ones (Parseval, in every orthonormal layout).
+    ``weights`` (r, cells) and ``decay`` (s, cells), every row equal across
+    each level, are in ascending order; ``states`` is a (P,) + grid stack or
     ``DrawnStates``.  Each pass of ``_weighted_passes`` is squared in place
-    and summed over E, and each norm is taken from the chunk the pass holds.
+    and summed over E.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
@@ -816,14 +816,12 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay
     cells = dec.domain.cell_count
     if weights.shape[1] != cells or decay.ndim != 2 or decay.shape[1] != cells:
         raise ValueError(f"weights {weights.shape} or decay rows {decay.shape} do not fit {dec.domain.shape}")
-    count = len(states)
-    norms, sums, sq_norms = np.empty((len(weights), count)), np.empty((len(decay), count)), np.empty(count)
+    decay = np.vstack([decay, np.ones(cells)])
+    norms, sums = np.empty((len(weights), len(states))), np.empty((len(decay), len(states)))
     inside = e.cells.ravel()
     mask = inside.astype(float)
-    for chunk, values, decayed, passes in _weighted_passes(dec, weights, decay, states, inside):
+    for chunk, decayed, passes in _weighted_passes(dec, weights, decay, states, inside):
         sums[:, chunk] = decayed
-        flat = values.reshape(len(values), -1)
-        sq_norms[chunk] = np.einsum("pj,pj->p", flat.conj() if np.iscomplexobj(flat) else flat, flat).real
         for q, y in enumerate(passes):
             y = np.abs(y) if np.iscomplexobj(y) else y
             y *= y
@@ -832,8 +830,7 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay
             else:  # the full dense basis gives the cells of E alone
                 y.sum(axis=1, out=norms[q, chunk])
     norms *= dec.domain.cell_volume
-    sq_norms *= dec.domain.cell_volume
-    return norms, sums, sq_norms
+    return norms, sums[:-1], sums[-1]
 
 
 def eigenfunction(dec: SpectralDecomposition, j: int) -> GridFunction:
@@ -869,11 +866,12 @@ def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction):
 
     ``weights`` is (cells,), or a stack (r, cells) whose rows w_q give an
     iterator over the w_q(H) f, the passes of one ``_weighted_passes``
-    transform of ``f``, each synthesized when reached and real for a real f.
+    transform of ``f`` with no decay rows, each synthesized when reached and
+    real for a real f.
     """
     weights = np.asarray(weights)
     no_decay = np.empty((0, dec.domain.cell_count))
-    _, _, _, passes = next(_weighted_passes(dec, np.atleast_2d(weights), no_decay, f.values[None]))
+    _, _, passes = next(_weighted_passes(dec, np.atleast_2d(weights), no_decay, f.values[None]))
     rows = (GridFunction(dec.domain, y.reshape(dec.domain.shape)) for y in passes)
     return next(rows) if weights.ndim == 1 else rows
 

@@ -198,8 +198,9 @@ def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeR
 
     Each chunk of trials is drawn when ``_weighted_passes`` reaches it and
     transformed with no weight rows: ||(1 - pi_k) e^{-tH} f||^2 is the
-    decay sum of the row 1[j >= d(k)] e^{-2t lambda_j}, over ||f||^2 on the
-    grid.  The worst ratio is the first maximum in trial-major order.
+    decay sum of the row 1[j >= d(k)] e^{-2t lambda_j}, over ||f||^2, the
+    decay sum of a row of ones.  The worst ratio is the first maximum in
+    trial-major order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -208,14 +209,12 @@ def dissipative_margin(dec, k, t_samples, trials, seed: int = 0) -> DissipativeR
     cells = dec.domain.cell_count
     high = np.arange(cells) >= spectral_count(dec, k)
     with np.errstate(under="ignore"):
-        decay = np.exp(-2.0 * np.outer(times, dec.eigenvalues)) * high
+        decay = np.vstack([np.exp(-2.0 * np.outer(times, dec.eigenvalues)) * high, np.ones(cells)])
     draws = DrawnStates(trials, lambda n: rng.standard_normal((n,) + dec.domain.shape))
-    sums, sizes = np.empty((len(times), trials)), np.empty(trials)
-    for chunk, values, decayed, _ in _weighted_passes(dec, np.empty((0, cells)), decay, draws):
+    sums = np.empty((len(decay), trials))
+    for chunk, decayed, _ in _weighted_passes(dec, np.empty((0, cells)), decay, draws):
         sums[:, chunk] = decayed
-        sizes[chunk] = np.linalg.norm(values.reshape(len(values), -1), axis=1)
-    sizes *= np.sqrt(dec.domain.cell_volume)
-    ratios = (np.sqrt(sums) / sizes).T * np.exp(times * k)
+    ratios = (np.sqrt(sums[:-1]) / np.sqrt(sums[-1])).T * np.exp(times * k)
     worst = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     return DissipativeReport(
         k=float(k),

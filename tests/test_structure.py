@@ -24,7 +24,9 @@ place, for the pinned full solve `_pinned_eigh` and the parity split
 only the basis classes (one per layout) and `_layout`, which picks one,
 read a layout's array (`vectors`, `parity_blocks`, `tensor_factor`,
 `symbol`), compare `basis_kind` or a basis class, or ask `isinstance` of
-one. scipy is imported only by `operators`, and only as `scipy.linalg` for
+one. No basis `passes` method takes `order`: a pass's rows reach the basis
+in native order, and only `to_coefficients` gathers to ascending order.
+scipy is imported only by `operators`, and only as `scipy.linalg` for
 that eigensolver, so importing the CLI loads no other scipy subpackage.
 Every file is written through `domain.atomic_write`, the one caller of
 `tempfile.mkstemp` and `os.replace`, and no module, test module included,
@@ -268,6 +270,25 @@ def test_real_ffts_are_called_only_in_the_fourier_pass():
 
 BASIS_CLASSES = {"_Basis", "_FourierBasis", "_DenseBasis", "_ParityBasis", "_KroneckerBasis"}
 LAYOUT_ARRAYS = {"vectors", "parity_blocks", "tensor_factor", "symbol"}
+
+
+def test_pass_rows_are_native_before_they_reach_a_basis():
+    # `_weighted_passes` puts every weight and decay row in native order once
+    # per call, so no basis `passes` method takes `order` and no chunk is
+    # gathered back to ascending order: `_ascending` serves `to_coefficients` alone
+    functions = dict(_functions(_tree(next(p for p in SOURCES if p.name == "operators.py"))))
+    with_order = [
+        name for name, func in functions.items()
+        if name.split(".")[0] in BASIS_CLASSES and name.endswith(".passes")
+        and "order" in {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+    ]
+    gathers = {
+        name for name, func in functions.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ascending"
+    }
+    assert not with_order, with_order
+    assert gathers == {"to_coefficients"}, sorted(gathers)
 
 
 def _tells_layouts_apart(node):
