@@ -4,7 +4,11 @@ For periodic slabs of period 1 the set stays thick for every positive fill,
 but the restricted-inequality constants blow up as the fill shrinks, and
 the certificate responds through c1 -> A -> (T, alpha, C).  This script
 tabulates that dependence and checks each certificate against random
-states.
+states.  The ``min_margin`` column is the weak check's smallest margin over
+its trials, a certified lower end: each chunk of trials stops taking time
+kernel rows once all its margins are >= 0, so a positive figure is that of
+the rank where the chunk stopped, and only a negative one is the full
+rank's.
 
     python3 scripts/slab_certification.py --m 256 --fills 0.5,0.25,0.125
 """

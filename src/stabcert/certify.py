@@ -37,6 +37,16 @@ at the conservative end of the bracket: the checks pass on the lower end
 I, and the probes report a violation only if the upper end still
 violates.  ``inequality_margins`` evaluates both checks and both probes
 from that end and raises ArithmeticError on a NaN or infinite margin.
+The first q columns of L are the rank-q factor, so the sum over rows
+q' < q less the allowance is a certified lower end at every q, and it
+only grows with q.  So a check takes the rows in rounds, row q of every
+interval still open, and a chunk of states stops taking an interval's
+rows once every state in it has a margin >= 0 there; a chunk with any
+margin below 0 takes every row.  A check's verdict is therefore the full
+rank's, its failing figures are the full rank's, and its passing figures
+are lower ends at the rank where each chunk stopped (``rank_used``, the
+most rows any chunk took, beside the full factor's ``kernel_rank``).  The
+probes take every row: an upper end does not only grow with the rank.
 The exact closed form through the Gram, the reference the tests hold the
 bracket to, is ``observation_integrals`` in ``tests/reference.py``.
 """
@@ -296,17 +306,21 @@ class ObservationBracket:
 
     The exact integral lies in [lower, upper]; upper - lower is the
     interval's kernel bound times ||f_p||^2.  ``decayed`` holds the norm
-    ||e^{-hi lam} f_p|| at the end of each interval, and ``kernels`` the
-    time kernel of each interval.
+    ||e^{-hi lam} f_p|| at the end of each interval, ``kernels`` the time
+    kernel of each interval, and ``rank_used`` the most kernel rows of one
+    interval that any chunk of states took.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     decayed: np.ndarray
     kernels: tuple
+    rank_used: int
 
 
-def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lams, intervals) -> ObservationBracket:
+def observation_bracket(
+    dec: SpectralDecomposition, e: SetIndicator, states, lams, intervals, settled=None
+) -> ObservationBracket:
     """Bracket the observation integrals of ``states`` over each (lo, hi) in ``intervals``.
 
     ``states`` is a (P,) + grid stack or ``operators.DrawnStates``; ``lams``
@@ -314,22 +328,44 @@ def observation_bracket(dec: SpectralDecomposition, e: SetIndicator, states, lam
     order.  Every interval's kernel rows go through one
     ``restricted_norms`` call, which transforms each state once, a chunk at
     a time; the end-of-interval norms sqrt(sum_j |c_jp|^2 e^{-2 hi lam_j})
-    are its decay sums over the rows e^{-2 hi lam_j}.
+    are its decay sums over the rows e^{-2 hi lam_j}.  A chunk takes the
+    rows in rounds, row q of every interval still open in round q.  The
+    first q columns of the pivoted Cholesky factor are its rank-q factor,
+    so the chunk's bracket is certified after every round.  Without
+    ``settled`` an interval is open until its rows run out;
+    ``settled(lower, decayed)``, given a chunk's lower ends and decayed
+    norms so far, one row per interval, closes the intervals where it is
+    True.  The rows a chunk did not take count 0.0 in its bracket.
     """
     kernels = tuple(time_kernel(lams, lo, hi) for lo, hi in intervals)
     with np.errstate(under="ignore"):
         decay = np.exp(-2.0 * np.outer([hi for _, hi in intervals], lams))
     weights = np.concatenate([k.weights for k in kernels])
-    norms, sums, sq_norms = restricted_norms(dec, e, weights, decay, states)
     ends = np.cumsum([0] + [k.rank for k in kernels])
-    lower, upper = zip(*(
-        k.bracket(norms[a:b].sum(axis=0), sq_norms) for k, a, b in zip(kernels, ends[:-1], ends[1:])
-    ))
+    spans = list(zip(kernels, ends[:-1], ends[1:]))
+    rank_used = 0
+
+    def brackets(norms, sq_norms):
+        return [k.bracket(norms[a:b].sum(axis=0), sq_norms) for k, a, b in spans]
+
+    def next_rows(q, norms, sums, sq_norms):
+        nonlocal rank_used
+        open_ = [True] * len(spans)
+        if q and settled is not None:
+            open_ = ~settled(np.stack([lower for lower, _ in brackets(norms, sq_norms)]), np.sqrt(sums))
+        rows = [a + q for (_, a, b), o in zip(spans, open_) if o and a + q < b]
+        if rows:
+            rank_used = max(rank_used, q + 1)
+        return rows
+
+    norms, sums, sq_norms = restricted_norms(dec, e, weights, decay, states, next_rows)
+    lower, upper = zip(*brackets(norms, sq_norms))
     return ObservationBracket(
         lower=np.stack(lower),
         upper=np.stack(upper),
         decayed=np.sqrt(sums),
         kernels=kernels,
+        rank_used=rank_used,
     )
 
 
@@ -356,12 +392,22 @@ def inequality_margins(dec, e: SetIndicator, states, lams, intervals, sides, end
     ``sides(integrals, decayed)`` forms (lhs, rhs) from the observation
     integrals at ``end`` of their bracket ("lower" for a check, which passes
     on it, "upper" for a probe, which reports a violation on it) and the
-    norms ||e^{-hi H} u||.  A NaN or infinite margin is no verdict: it
-    raises ArithmeticError naming ``label`` and the ``where`` of its interval.
-    Returns the margins, lhs, rhs, the integrals and the time kernels.
+    norms ||e^{-hi H} u||.  A check stops taking an interval's kernel rows
+    for a chunk of states once every state of the chunk has a margin >= 0
+    there: each row adds a term >= 0 to the lower end, so the margin only
+    grows with the rank and the verdict is the full rank's, and a chunk
+    with a margin below 0 takes every row.  A probe takes every row, since
+    its upper end is not monotone in the rank.  A NaN or infinite margin is
+    no verdict: it raises ArithmeticError naming ``label`` and the
+    ``where`` of its interval.  Returns the margins, lhs, rhs, the
+    integrals and the bracket.
     """
+    def settled(lower, decayed):
+        lhs, rhs = sides(lower, decayed)
+        return (rhs - lhs >= 0.0).all(axis=1)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        bracket = observation_bracket(dec, e, states, lams, intervals)
+        bracket = observation_bracket(dec, e, states, lams, intervals, settled if end == "lower" else None)
         integrals = {"lower": bracket.lower, "upper": bracket.upper}[end]
         lhs, rhs = sides(integrals, bracket.decayed)
         margins = rhs - lhs
@@ -370,20 +416,20 @@ def inequality_margins(dec, e: SetIndicator, states, lams, intervals, sides, end
         i = int(np.argmax(bad))
         kind = "NaN" if np.isnan(margins[i]).any() else "infinite"
         raise ArithmeticError(f"{label} is {kind} at {where[i]}: the {'check' if end == 'lower' else 'probe'} overflows")
-    return margins, lhs, rhs, integrals, bracket.kernels
+    return margins, lhs, rhs, integrals, bracket
 
 
 def weak_margins(dec, e: SetIndicator, states, norms, C: float, T: float, alpha: float, end: str):
     """Margins C sqrt(max(I, 0)) + alpha ||f|| - ||e^{-TH} f|| of the weak inequality, ||f|| = ``norms``.
 
-    Returns them with the norms ||e^{-TH} f||, the integrals max(I, 0) over [0, T] and the time kernel.
+    Returns them with the norms ||e^{-TH} f||, the integrals max(I, 0) over [0, T] and the bracket.
     """
-    margins, lhs, _, integrals, kernels = inequality_margins(
+    margins, lhs, _, integrals, bracket = inequality_margins(
         dec, e, states, dec.eigenvalues, [(0.0, T)],
         lambda integrals, decayed: (decayed, C * np.sqrt(np.maximum(integrals, 0.0)) + alpha * norms),
         end, "observability margin", [f"C = {C}, T = {T}"],
     )
-    return margins[0], lhs[0], np.maximum(integrals[0], 0.0), kernels[0]
+    return margins[0], lhs[0], np.maximum(integrals[0], 0.0), bracket
 
 
 @dataclass(frozen=True)
@@ -397,6 +443,7 @@ class RecurrenceReport:
     passed: bool
     kernel_rank: int
     kernel_bound: float
+    rank_used: int
 
 
 @dataclass(frozen=True)
@@ -412,6 +459,7 @@ class WeakObservabilityReport:
     passed: bool
     kernel_rank: int
     kernel_bound: float
+    rank_used: int
 
 
 def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trials: int, seed: int = 0) -> RecurrenceReport:
@@ -443,7 +491,7 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
     g_tau = np.array([[np.exp(certificate_gain_log(cert, tau))] for tau in taus])
     g_half = np.array([[np.exp(certificate_gain_log(cert, tau / 2.0))] for tau in taus])
     slack = alpha0 * np.array(taus)[:, None]
-    margins, lhs, rhs, _, kernels = inequality_margins(
+    margins, lhs, rhs, _, bracket = inequality_margins(
         dec, e, states, lams, [(tau / 2.0, tau) for tau in taus],
         lambda integrals, decayed: (g_tau * decayed**2 - g_half, integrals + slack),
         "lower", "recurrence violation", [f"tau = {tau}" for tau in taus],
@@ -458,8 +506,9 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
         max_violation_rel=max_violation_rel,
         worst_tau=taus[int(np.argmax(violation)) // violation.shape[1]],  # the first tau reaching the maximum
         passed=bool(max_violation_rel <= CHECK_BUDGET),
-        kernel_rank=max(k.rank for k in kernels),
-        kernel_bound=max(k.bound for k in kernels),
+        kernel_rank=max(k.rank for k in bracket.kernels),
+        kernel_bound=max(k.bound for k in bracket.kernels),
+        rank_used=bracket.rank_used,
     )
 
 
@@ -476,7 +525,8 @@ def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: in
     states = _random_unit_states(dec, trials, rng)
     with np.errstate(over="ignore"):
         big_c = np.exp(cert.ln_C)
-    margins, lhs, integrals, kernel = weak_margins(dec, e, states, 1.0, big_c, cert.T, cert.alpha, "lower")
+    margins, lhs, integrals, bracket = weak_margins(dec, e, states, 1.0, big_c, cert.T, cert.alpha, "lower")
+    kernel = bracket.kernels[0]
     min_margin_rel = float((margins / np.maximum(1.0, lhs)).min())
     return WeakObservabilityReport(
         T=cert.T,
@@ -490,6 +540,7 @@ def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: in
         passed=bool(min_margin_rel >= -CHECK_BUDGET),
         kernel_rank=kernel.rank,
         kernel_bound=kernel.bound,
+        rank_used=bracket.rank_used,
     )
 
 

@@ -81,7 +81,7 @@ from .probes import (
 )
 from .specineq import curve_to_csv, curve_to_json, spectral_constant_curve
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)

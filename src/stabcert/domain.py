@@ -74,14 +74,14 @@ class GridDomain:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape != (self.dim,):
             raise ValueError(f"center must have {self.dim} components")
-        sq = 0.0
-        for axis, mesh in enumerate(self.meshgrid()):
-            d = mesh - center[axis]
+        sq = []
+        for c in center:  # per axis, then joined by outer sums: the floats of a sum over the full grid
+            d = self.axis_coords() - c
             if self.periodic:
                 width = 2.0 * self.half_width
                 d = (d + self.half_width) % width - self.half_width
-            sq = sq + d * d
-        return np.sqrt(sq)
+            sq.append(d * d)
+        return np.sqrt(functools.reduce(np.add.outer, sq))
 
     def frequency_axis(self) -> np.ndarray:
         """Fourier frequencies (pi/R) * {-m/2, ..., m/2 - 1} in FFT layout."""

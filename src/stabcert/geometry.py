@@ -90,6 +90,11 @@ class PeriodicSlabs:
     axis: int = 0
 
 
+def _along_axis(domain: GridDomain, axis: int, flags) -> np.ndarray:
+    """The grid of ``flags`` taken along ``axis`` and repeated along every other (a read-only view)."""
+    return np.broadcast_to(flags.reshape([-1 if a == axis else 1 for a in range(domain.dim)]), domain.shape)
+
+
 def make_set(domain: GridDomain, shape) -> SetIndicator:
     """Rasterize a fixture shape by cell-center membership; a saved set must lie on ``domain``."""
     R = domain.half_width
@@ -106,7 +111,7 @@ def make_set(domain: GridDomain, shape) -> SetIndicator:
             raise ValueError(f"axis {shape.axis} out of range for dim {domain.dim}")
         if not abs(shape.offset) <= R:
             raise ValueError(f"half-space offset {shape.offset} outside the box")
-        return SetIndicator(domain, domain.meshgrid()[shape.axis] > shape.offset)
+        return SetIndicator(domain, _along_axis(domain, shape.axis, domain.axis_coords() > shape.offset))
     if isinstance(shape, BallComplement):
         if not 0 < shape.radius <= 2 * R:
             raise ValueError(f"ball radius must lie in (0, 2R], got {shape.radius}")
@@ -125,9 +130,8 @@ def make_set(domain: GridDomain, shape) -> SetIndicator:
             raise ValueError("period must lie in (0, 2R]")
         if not 0 <= shape.axis < domain.dim:
             raise ValueError(f"axis {shape.axis} out of range for dim {domain.dim}")
-        x = domain.meshgrid()[shape.axis]
-        cells = np.mod(x, shape.period) < shape.fill_fraction * shape.period
-        return SetIndicator(domain, cells)
+        inside = np.mod(domain.axis_coords(), shape.period) < shape.fill_fraction * shape.period
+        return SetIndicator(domain, _along_axis(domain, shape.axis, inside))
     raise TypeError(f"unknown shape {shape!r}")
 
 
@@ -139,16 +143,15 @@ def _window_counts(cells: np.ndarray, w: int, periodic: bool) -> np.ndarray:
     """Cube-window cell counts at every admissible start index (prefix sums)."""
     a = cells.astype(np.int64)
     for axis in range(a.ndim):
+        def along(start, stop=None):
+            return (slice(None),) * axis + (slice(start, stop),)
+
         if periodic:
-            head = np.take(a, np.arange(w - 1), axis=axis)
-            a = np.concatenate([a, head], axis=axis)
+            a = np.concatenate([a, a[along(0, w - 1)]], axis=axis)
         cs = np.cumsum(a, axis=axis)
-        pad = np.zeros_like(np.take(cs, [0], axis=axis))
-        cs = np.concatenate([pad, cs], axis=axis)
-        n = cs.shape[axis]
-        hi = np.take(cs, np.arange(w, n), axis=axis)
-        lo = np.take(cs, np.arange(0, n - w), axis=axis)
-        a = hi - lo
+        # window s sums a[s : s + w]: cs[s + w - 1] less cs[s - 1], which is 0 at s = 0
+        a = cs[along(w - 1)]
+        a[along(1)] -= cs[along(0, cs.shape[axis] - w)]
     return a
 
 

@@ -28,6 +28,7 @@ idempotence, commutation and Pythagoras identities hold to roundoff.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import zipfile
 from dataclasses import dataclass
@@ -372,12 +373,13 @@ class _Basis:
         return (V * eigenvalues) @ V.T * self.domain.cell_volume
 
     def passes(self, weights, decay, rows):
-        """The pass over one chunk of states: values -> (decay sums, iterator over its syntheses).
+        """The pass over one chunk of states: values -> (decay sums, its synthesis of row q by q).
 
         ``weights`` and ``decay`` are rows in native order.  The chunk is
         transformed by one ``forward``; its squares |c_jp|^2 are summed
-        against each ``decay`` row, and each weight row is one synthesis of
-        the weighted coefficients.
+        against each ``decay`` row, and weight row q is one synthesis of the
+        weighted coefficients, made when the caller asks for q, so a caller
+        that has what it needs skips the rest.
         """
         synthesize = self.synthesis(rows)
 
@@ -386,7 +388,7 @@ class _Basis:
             sq = np.abs(native)
             sq *= sq
             z = np.empty_like(native, dtype=np.result_type(weights, native))
-            return decay @ sq, (synthesize(np.multiply(w[:, None], native, out=z)).T for w in weights)
+            return decay @ sq, lambda q: synthesize(np.multiply(weights[q][:, None], native, out=z)).T
 
         return chunk_pass
 
@@ -486,8 +488,8 @@ class _FourierBasis(_Basis):
             spectra = np.fft.rfftn(values, axes=axes)
             sq = np.abs(spectra)
             sq *= sq
-            ys = (np.fft.irfftn(g * spectra, s=domain.shape, axes=axes).reshape(len(values), -1) for g in grid)
-            return folded @ sq.reshape(len(sq), -1).T, ys
+            row = lambda q: np.fft.irfftn(grid[q] * spectra, s=domain.shape, axes=axes).reshape(len(values), -1)
+            return folded @ sq.reshape(len(sq), -1).T, row
 
         return chunk_pass
 
@@ -782,11 +784,12 @@ def _weighted_passes(dec: SpectralDecomposition, weights, decay, states, rows=No
     order, each a real function of the eigenvalue (equal across each level),
     and both are permuted to native order once here.  ``states`` is a (P,) +
     grid stack or ``DrawnStates``, sliced in chunks of about
-    ``_SCAN_BLOCK_ENTRIES`` entries.  Each yield (chunk, sums, passes) holds
+    ``_SCAN_BLOCK_ENTRIES`` entries.  Each yield (chunk, sums, row) holds
     the chunk's slice of the states, the (s, chunk length) sums
-    sum_j decay[i, j] |c_jp|^2 and an iterator whose item q holds w_q(H) f_p
-    in row p - chunk.start (the full dense basis gives only the cells of
-    ``rows``); it is spent before the next chunk.
+    sum_j decay[i, j] |c_jp|^2 and a function whose value at q holds
+    w_q(H) f_p in row p - chunk.start (the full dense basis gives only the
+    cells of ``rows``), synthesized when asked for and only before the next
+    chunk.
     """
     weights, decay = (_native(dec.order, x.T).T for x in (weights, decay))
     chunk_pass = dec.basis.passes(weights, decay, rows)
@@ -798,7 +801,7 @@ def _weighted_passes(dec: SpectralDecomposition, weights, decay, states, rows=No
         yield (slice(p, p + len(values)),) + chunk_pass(values)
 
 
-def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay, states):
+def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay, states, next_rows=None):
     """Set norms, decay sums and squared norms of each state f_p, as (r, P), (s, P) and (P,) arrays.
 
     The set norms are h sum_{x in E} |(w_q(H) f_p)(x)|^2, the decay sums
@@ -807,7 +810,10 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay
     ``weights`` (r, cells) and ``decay`` (s, cells), every row equal across
     each level, are in ascending order; ``states`` is a (P,) + grid stack or
     ``DrawnStates``.  Each pass of ``_weighted_passes`` is squared in place
-    and summed over E.
+    and summed over E.  Every row is taken in one round, unless
+    ``next_rows(q, norms, sums, sq_norms)`` names the rows of each round q
+    from a chunk's figures so far: a chunk is done at the first round it
+    names none, and the set norms of the rows it never named stay 0.0.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
@@ -816,20 +822,28 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay
     cells = dec.domain.cell_count
     if weights.shape[1] != cells or decay.ndim != 2 or decay.shape[1] != cells:
         raise ValueError(f"weights {weights.shape} or decay rows {decay.shape} do not fit {dec.domain.shape}")
+    if next_rows is None:
+        def next_rows(q, *figures):
+            return () if q else range(len(weights))
     decay = np.vstack([decay, np.ones(cells)])
-    norms, sums = np.empty((len(weights), len(states))), np.empty((len(decay), len(states)))
+    norms, sums = np.zeros((len(weights), len(states))), np.empty((len(decay), len(states)))
     inside = e.cells.ravel()
     mask = inside.astype(float)
-    for chunk, decayed, passes in _weighted_passes(dec, weights, decay, states, inside):
+    for chunk, decayed, row in _weighted_passes(dec, weights, decay, states, inside):
         sums[:, chunk] = decayed
-        for q, y in enumerate(passes):
-            y = np.abs(y) if np.iscomplexobj(y) else y
-            y *= y
-            if y.shape[1] == len(mask):
-                np.matmul(y, mask, out=norms[q, chunk])
-            else:  # the full dense basis gives the cells of E alone
-                y.sum(axis=1, out=norms[q, chunk])
-    norms *= dec.domain.cell_volume
+        for q in itertools.count():
+            rows = next_rows(q, norms[:, chunk], sums[:-1, chunk], sums[-1, chunk])
+            if not len(rows):
+                break
+            for i in rows:
+                y = row(i)
+                y = np.abs(y) if np.iscomplexobj(y) else y
+                y *= y
+                if y.shape[1] == len(mask):
+                    np.matmul(y, mask, out=norms[i, chunk])
+                else:  # the full dense basis gives the cells of E alone
+                    y.sum(axis=1, out=norms[i, chunk])
+                norms[i, chunk] *= dec.domain.cell_volume
     return norms, sums[:-1], sums[-1]
 
 
@@ -870,9 +884,10 @@ def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction):
     real for a real f.
     """
     weights = np.asarray(weights)
+    stack = np.atleast_2d(weights)
     no_decay = np.empty((0, dec.domain.cell_count))
-    _, _, passes = next(_weighted_passes(dec, np.atleast_2d(weights), no_decay, f.values[None]))
-    rows = (GridFunction(dec.domain, y.reshape(dec.domain.shape)) for y in passes)
+    _, _, row = next(_weighted_passes(dec, stack, no_decay, f.values[None]))
+    rows = (GridFunction(dec.domain, row(q).reshape(dec.domain.shape)) for q in range(len(stack)))
     return next(rows) if weights.ndim == 1 else rows
 
 

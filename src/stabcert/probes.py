@@ -286,7 +286,8 @@ def falsify_weak_observability(
     phis = [kernel_probe_solution(p, 0.0) for p in probes]
     phi_norms = np.array([_norm(phi) for phi in phis])
     states = np.stack([phi.values for phi in phis])
-    margins, lhs, obs, kernel = weak_margins(dec, e, states, phi_norms, claim.C, claim.T, claim.alpha, "upper")
+    margins, lhs, obs, bracket = weak_margins(dec, e, states, phi_norms, claim.C, claim.T, claim.alpha, "upper")
+    kernel = bracket.kernels[0]
     reports = []
     for i, probe in enumerate(probes):
         gap = float(lhs[i] - claim.alpha * phi_norms[i])
@@ -361,7 +362,8 @@ def falsify_hermite_ground_state(
         lambda *xs: np.pi ** (-n / 4.0) * np.exp(-0.5 * sum(x**2 for x in xs)),
     )
     phi0 = GridFunction(domain, phi0.values / _norm(phi0))
-    margins, lhs, obs, kernel = weak_margins(dec, e, phi0.values[None], 1.0, claim.C, claim.T, claim.alpha, "upper")
+    margins, lhs, obs, bracket = weak_margins(dec, e, phi0.values[None], 1.0, claim.C, claim.T, claim.alpha, "upper")
+    kernel = bracket.kernels[0]
     rate = c - n
     with np.errstate(over="ignore", invalid="ignore"):  # the closed form may overflow where the grid flow does not
         analytic_lhs = float(np.exp(rate * claim.T) - claim.alpha)

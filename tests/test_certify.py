@@ -14,7 +14,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabcert import certify, specineq
+from stabcert import certify, probes, specineq
 from stabcert.certify import (
     Certificate,
     CriterionConstants,
@@ -30,7 +30,14 @@ from stabcert.certify import (
 )
 from stabcert.domain import GridFunction, from_callable, jsonable, make_grid, norm
 from stabcert.geometry import BallComplement, Empty, Full, HalfSpace, PeriodicSlabs, make_set
-from stabcert.operators import FractionalLaplacian, Schrodinger, ShiftedHermite, diagonalize, to_coefficients
+from stabcert.operators import (
+    FractionalLaplacian,
+    Schrodinger,
+    ShiftedHermite,
+    diagonalize,
+    restricted_norms,
+    to_coefficients,
+)
 from stabcert.probes import ObservationClaim, falsify_hermite_ground_state, falsify_weak_observability
 from stabcert.specineq import restricted_gram
 
@@ -377,6 +384,23 @@ def test_time_kernel_stops_at_the_relative_trace_tolerance(rtol, monkeypatch):
     assert np.array_equal(kernel.weights[:, first + np.arange(200) % 3], kernel.weights[:, first])
 
 
+def test_a_looser_kernel_is_a_prefix_of_the_full_factor(monkeypatch):
+    # pivoted Cholesky takes its columns one after another and never revisits
+    # one, so the factor a looser tolerance stops early is the first columns
+    # of the full factor, bit for bit: the rank-q kernel a check stops at
+    levels = np.linspace(0.0, 60.0, 200)
+    lams = np.repeat(levels, np.arange(200) % 3 + 1)
+    full = time_kernel(lams, 0.5, 10.0)
+    ranks = []
+    for rtol in (1e-10, 1e-4, 1e-1):
+        monkeypatch.setattr(certify, "KERNEL_RTOL", rtol)
+        cut = time_kernel(lams, 0.5, 10.0)
+        assert np.array_equal(cut.weights, full.weights[: cut.rank])
+        assert cut.allowance == full.allowance and cut.residual_trace >= full.residual_trace
+        ranks.append(cut.rank)
+    assert full.rank > ranks[0] > ranks[1] > ranks[2] >= 1
+
+
 def bracket_cases():
     frac2 = make_grid(2, 10.0, 24, periodic=True)
     herm2 = make_grid(2, 6.0, 16, periodic=False)
@@ -446,6 +470,30 @@ def test_bracket_peak_stays_below_four_stacks(dim, m, trials):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * states.nbytes
+
+
+@pytest.mark.parametrize("case", range(5), ids=["fourier-1d", "fourier-2d", "assembled", "tensor", "parity"])
+def test_partial_lower_ends_never_decrease_with_rank(case, rng):
+    # each kernel row adds h sum_E |l_q(H) u|^2 >= 0 to the lower end, and
+    # adding a term >= 0 never lowers a float sum: the lower end at rank q,
+    # the rows past q left at 0.0, is certified and grows with q
+    spec, dom, shape = bracket_cases()[case]
+    dec = diagonalize(spec, dom)
+    e = make_set(dom, shape)
+    states = rng.standard_normal((7,) + dom.shape)
+    lams = dec.eigenvalues + 0.3
+    kernel = time_kernel(lams, 0.25, 2.0)
+    norms, _, sq_norms = restricted_norms(dec, e, kernel.weights, np.empty((0, dom.cell_count)), states)
+    partial = np.stack([
+        kernel.bracket(np.vstack([norms[:q], np.zeros_like(norms[q:])]).sum(axis=0), sq_norms)[0]
+        for q in range(kernel.rank + 1)
+    ])
+    assert kernel.rank >= 2 and np.all(np.diff(partial, axis=0) >= 0.0)
+    full = observation_bracket(dec, e, states, lams, [(0.25, 2.0)])
+    assert np.array_equal(full.lower[0], partial[-1]) and full.rank_used == kernel.rank
+    # a settle test that holds at once stops every chunk after its first row
+    first = observation_bracket(dec, e, states, lams, [(0.25, 2.0)], lambda lower, decayed: np.ones(len(lower), bool))
+    assert np.array_equal(first.lower[0], partial[1]) and first.rank_used == 1
 
 
 # ---------------------------------------------------------------------------
@@ -676,34 +724,161 @@ def test_drawn_unit_states_are_the_one_draw_states(block):
 
 
 def test_a_check_on_drawn_states_is_the_check_on_the_one_draw():
-    # 100 trials at 2304 cells are four chunks of 28 states and one of 16
+    # 100 trials at 2304 cells are three chunks of 28 states and one of 16
     dom = make_grid(2, 10.0, 48, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=1.0), dom)
     e = make_set(dom, BallComplement(center=(0.0, 0.0), radius=3.0))
     cert = build_certificate(CriterionConstants(c1=1.0, a=1.0, c2=1.0, b=1.0))
+    # the check stops each chunk at the kernel rank that settles it, so it
+    # is held to the stop rule on the one draw, not to the full rank
     report = weak_observability_check(dec, e, cert, trials=100, seed=4)
-    bracket = observation_bracket(dec, e, unit_draw(dom, 100, 4), dec.eigenvalues, [(0.0, cert.T)])
-    assert report.observation_integrals == tuple(float(v) for v in np.maximum(bracket.lower[0], 0.0))
+    margins, _, integrals, bracket = certify.weak_margins(
+        dec, e, unit_draw(dom, 100, 4), 1.0, cert.C, cert.T, cert.alpha, "lower")
+    assert report.observation_integrals == tuple(float(v) for v in integrals)
+    assert (report.min_margin, report.rank_used) == (float(margins.min()), bracket.rank_used)
 
 
 def test_the_recurrence_report_is_the_loop_over_its_taus(small_certified):
-    # the check forms its two sides over (taus x states) at once; the loop
-    # over the taus that it replaced gives the same figures, bit for bit
+    # the check forms its two sides over (taus x states) at once, and each
+    # tau stops taking kernel rows on its own test; the loop over the taus
+    # that it replaced, each tau with the stop rule alone, gives the same
+    # figures, bit for bit
     dec, e, result = small_certified
     cert = result.certificate
     taus = [float(t) for t in np.geomspace(cert.tau0 / 8, cert.tau0 / 2, 4)]
     report = recurrence_check(dec, e, cert, taus, trials=30, seed=3)
     lams = dec.eigenvalues + cert.constants.delta0
-    bracket = observation_bracket(dec, e, unit_draw(dec.domain, 30, 3), lams, [(t / 2.0, t) for t in taus])
     worst, worst_tau, worst_rel = -np.inf, None, -np.inf
-    for tau, integrals, decayed in zip(taus, bracket.lower, bracket.decayed):
-        lhs = np.exp(certificate_gain_log(cert, tau)) * decayed**2 - np.exp(certificate_gain_log(cert, tau / 2.0))
-        rhs = integrals + np.exp(cert.ln_alpha0) * tau
+    for tau in taus:
+        g_tau, g_half = np.exp(certificate_gain_log(cert, tau)), np.exp(certificate_gain_log(cert, tau / 2.0))
+        _, lhs, rhs, _, _ = certify.inequality_margins(
+            dec, e, unit_draw(dec.domain, 30, 3), lams, [(tau / 2.0, tau)],
+            lambda integrals, decayed: (g_tau * decayed**2 - g_half, integrals + np.exp(cert.ln_alpha0) * tau),
+            "lower", "recurrence violation", [tau])
+        lhs, rhs = lhs[0], rhs[0]
         violation = lhs - rhs
         if violation.max() > worst:
             worst, worst_tau = float(violation.max()), tau
         worst_rel = max(worst_rel, float((violation / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))).max()))
     assert (report.max_violation, report.worst_tau, report.max_violation_rel) == (worst, worst_tau, worst_rel)
+
+
+# ---------------------------------------------------------------------------
+# the stop rule: a failing check reports the full rank's figures
+
+
+def stop_rule_case():
+    """Frac 2D m = 48 and a ball complement: 100 trials are three chunks of 28 states and one of 16."""
+    dom = make_grid(2, 10.0, 48, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    return dec, make_set(dom, BallComplement(center=(0.0, 0.0), radius=3.0)), np.arange(0, 100, 28)
+
+
+def settling_ranks(dec, e, states, lams, lo, hi, margin_of):
+    """Per chunk of ``stop_rule_case``, the first kernel rank where every state's margin is >= 0, or None."""
+    kernel = time_kernel(lams, lo, hi)
+    norms, sums, sq_norms = restricted_norms(dec, e, kernel.weights, np.exp(-2.0 * hi * lams)[None], states)
+    ranks = []
+    for chunk in np.split(np.arange(len(states)), np.arange(28, len(states), 28)):
+        passing = [(margin_of(kernel.bracket(norms[:q, chunk].sum(axis=0), sq_norms[chunk])[0],
+                              np.sqrt(sums[0, chunk])) >= 0.0).all() for q in range(1, kernel.rank + 1)]
+        ranks.append(passing.index(True) + 1 if any(passing) else None)
+    return ranks
+
+
+def test_a_failing_weak_check_reports_the_full_rank_figures():
+    # C sits between the largest C_p = (||e^{-TH} phi_p|| - alpha) / sqrt(I_p)
+    # and the largest of every other chunk: one chunk fails and takes every
+    # kernel row, the others stop at rank 1, and the report is the full
+    # rank's, bit for bit
+    dec, e, starts = stop_rule_case()
+    base = build_certificate(CriterionConstants(c1=1.0, a=1.0, c2=1.0, b=1.0))
+    states = unit_draw(dec.domain, 100, 4)
+    full = observation_bracket(dec, e, states, dec.eigenvalues, [(0.0, base.T)])
+    needed = (full.decayed[0] - base.alpha) / np.sqrt(full.lower[0])
+    worst = int(np.argmax(needed))
+    chunk = slice(starts[worst // 28], starts[worst // 28] + 28)
+    big_c = 0.5 * (needed[worst] + np.delete(needed, np.r_[chunk]).max())
+    cert = dataclasses.replace(base, C=float(big_c), ln_C=float(np.log(big_c)))
+
+    report = weak_observability_check(dec, e, cert, trials=100, seed=4)
+    margins = np.exp(cert.ln_C) * np.sqrt(np.maximum(full.lower[0], 0.0)) + cert.alpha - full.decayed[0]
+    ranks = settling_ranks(
+        dec, e, states, dec.eigenvalues, 0.0, cert.T,
+        lambda lower, decayed: np.exp(cert.ln_C) * np.sqrt(np.maximum(lower, 0.0)) + cert.alpha - decayed)
+    assert ranks[worst // 28] is None and sum(r is not None and r < report.kernel_rank for r in ranks) >= 2
+    assert (report.min_margin, report.min_margin_rel, report.passed) == (
+        float(margins.min()), float((margins / np.maximum(1.0, full.decayed[0])).min()), False)
+    assert report.rank_used == report.kernel_rank == full.kernels[0].rank
+
+
+def test_a_failing_recurrence_check_reports_the_full_rank_figures():
+    # a thin set and a small tau make g(tau) ||e^{-tau H} phi||^2 - g(tau/2)
+    # exceed the integral; alpha0 tau is then set between the largest excess
+    # and the largest of every other chunk, so one chunk fails on the first
+    # tau and takes every row there, and the other chunks and taus stop at
+    # rank 1
+    dec, _, starts = stop_rule_case()
+    e = make_set(dec.domain, PeriodicSlabs(period=1.0, fill_fraction=0.1))
+    base = build_certificate(CriterionConstants(c1=1e-3, a=1.0, c2=1.0, b=1.0))
+    taus = [0.05, 1.0]
+    states = unit_draw(dec.domain, 100, 3)
+    full = observation_bracket(dec, e, states, dec.eigenvalues, [(t / 2.0, t) for t in taus])
+    g = np.array([[np.exp(certificate_gain_log(base, t)), np.exp(certificate_gain_log(base, t / 2.0))] for t in taus])
+    excess = g[:, :1] * full.decayed**2 - g[:, 1:] - full.lower
+    worst = int(np.argmax(excess[0]))
+    chunk = slice(starts[worst // 28], starts[worst // 28] + 28)
+    slack = 0.5 * (excess[0, worst] + np.delete(excess[0], np.r_[chunk]).max())
+    cert = dataclasses.replace(base, ln_alpha0=float(np.log(slack / taus[0])))
+
+    report = recurrence_check(dec, e, cert, taus, trials=100, seed=3)
+    lhs = g[:, :1] * full.decayed**2 - g[:, 1:]
+    rhs = full.lower + np.exp(cert.ln_alpha0) * np.array(taus)[:, None]
+    violation = lhs - rhs
+    ranks = settling_ranks(
+        dec, e, states, dec.eigenvalues, taus[0] / 2.0, taus[0],
+        lambda lower, decayed: lower + np.exp(cert.ln_alpha0) * taus[0] - (g[0, 0] * decayed**2 - g[0, 1]))
+    assert ranks[worst // 28] is None and sum(r is not None and r < full.kernels[0].rank for r in ranks) >= 2
+    assert violation[1].max() < 0.0
+    rel = violation / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    assert (report.max_violation, report.max_violation_rel, report.worst_tau, report.passed) == (
+        float(violation.max()), float(rel.max()), taus[0], False)
+    assert report.rank_used == full.kernels[0].rank
+
+
+@pytest.mark.parametrize("holds", [False, True])
+def test_probes_take_the_full_rank_upper_end(holds):
+    # a probe's upper end is not monotone in the rank, so the probes take
+    # every kernel row, also where the claim holds with room at rank 1:
+    # `observation` is the full factor's upper end
+    hermite = diagonalize(ShiftedHermite(), make_grid(1, 10.0, 128, periodic=False))
+    frac = diagonalize(FractionalLaplacian(s=1.0), make_grid(1, 10.0, 512, periodic=True))
+    if holds:  # on the whole box, sqrt(int_0^T ||e^{-tH} phi||^2 dt) >= sqrt(T) ||e^{-TH} phi||
+        half, ball = make_set(hermite.domain, Full()), make_set(frac.domain, Full())
+        claim = ObservationClaim(C=2.0, T=1.0, alpha=0.5)
+    else:
+        half = make_set(hermite.domain, HalfSpace(offset=0.0))
+        ball = make_set(frac.domain, BallComplement(center=(0.0,), radius=5.0))
+        claim = ObservationClaim(C=0.5, T=1.0, alpha=0.0)
+
+    def full_upper(dec, e, states):
+        kernel = time_kernel(dec.eigenvalues, 0.0, claim.T)
+        norms, _, sq_norms = restricted_norms(dec, e, kernel.weights, np.empty((0, dec.domain.cell_count)), states)
+        assert kernel.rank >= 2
+        return kernel.bracket(norms.sum(axis=0), sq_norms)[1]
+
+    ground = falsify_hermite_ground_state(hermite, half, claim)
+    phi0 = np.pi**-0.25 * np.exp(-0.5 * hermite.domain.axis_coords() ** 2)
+    phi0 /= norm(GridFunction(hermite.domain, phi0))
+    assert ground.observation == float(full_upper(hermite, half, phi0[None])[0])
+    centers = [(0.0,), (2.5,)]
+    kernel = falsify_weak_observability(frac, ball, claim, centers)
+    l0 = kernel.centers[0].l0
+    states = np.stack([
+        probes.kernel_probe_solution(probes.make_probe(1.0, 0.0, frac.domain, x0, l0), 0.0).values for x0 in centers
+    ])
+    assert [c.observation for c in kernel.centers] == [float(v) for v in full_upper(frac, ball, states)]
+    assert ground.violated == kernel.any_violation == (not holds)
 
 
 @pytest.mark.parametrize("check", ["recurrence", "observability"])

@@ -889,7 +889,7 @@ def test_document_prints_to_stdout_without_out(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == DOC_KEYS
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
 
 
 def test_payload_is_reproducible():

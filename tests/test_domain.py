@@ -97,6 +97,24 @@ def test_radius_grid_minimal_image():
     assert walls.radius_grid((9.5,)).max() > 19.0
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("center", [None, (9.5, -3.25), (-10.0, 10.0), (0.123, 0.0)])
+def test_radius_grid_is_the_meshgrid_formula(dim, periodic, center):
+    # the distance summed over the full meshgrid, axis by axis from 0.0: the
+    # per-axis squares joined by outer sums are the same floats, bit for bit
+    dom = make_grid(dim, 10.0, 34, periodic=periodic)
+    c = (0.0,) * dim if center is None else center[:dim]
+    sq = 0.0
+    for axis, mesh in enumerate(dom.meshgrid()):
+        d = mesh - c[axis]
+        if periodic:
+            d = (d + 10.0) % 20.0 - 10.0
+        sq = sq + d * d
+    got = dom.radius_grid(None if center is None else c)
+    assert got.shape == dom.shape and np.array_equal(got, np.sqrt(sq))
+
+
 @pytest.mark.parametrize("m", [8, 64, 4096])
 def test_frequency_norm_is_the_length_of_the_frequency(m):
     xi = make_grid(1, 10.0, m).frequency_axis()

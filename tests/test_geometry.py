@@ -178,6 +178,40 @@ def test_window_minimum_matches_brute_force_2d(rng):
         )
 
 
+@pytest.mark.parametrize("dim, m", [(1, 8), (1, 10), (2, 8), (2, 10)])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_check_thick_is_brute_force_window_counting(dim, m, periodic, rng):
+    # every side length from one cell to the whole box, and the worst cube's
+    # centre (the first in C order) as well as its fraction: the window
+    # counts by enumeration
+    dom = make_grid(dim, 2.0, m, periodic=periodic)
+    h = dom.spacing
+    for density in (0.2, 0.6):
+        e = SetIndicator(dom, rng.random(dom.shape) < density)
+        for w in range(1, m + 1):
+            starts = list(np.ndindex(*(m if periodic else m - w + 1,) * dim))
+            counts = [int(e.cells[np.ix_(*[np.arange(s, s + w) % m for s in idx])].sum()) for idx in starts]
+            worst = starts[int(np.argmin(counts))]
+            rep = check_thick(e, [w * h])
+            assert rep.gamma_by_length[w * h] == min(counts) * h**dim / (w * h) ** dim
+            assert rep.worst_cube_center == tuple(-dom.half_width + (s + w / 2.0) * h for s in worst)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_axis_shapes_are_the_meshgrid_comparisons(dim):
+    # slabs and half-spaces compare one axis's coordinates and repeat them
+    # along the others: the cells of the comparison over the full meshgrid
+    dom = make_grid(dim, 10.0, 34, periodic=True)
+    for axis in range(dim):
+        x = dom.meshgrid()[axis]
+        for offset in (-3.7, 0.0, 2.5):
+            assert np.array_equal(make_set(dom, HalfSpace(axis=axis, offset=offset)).cells, x > offset)
+        for period, fill in ((1.0, 0.25), (3.3, 0.6), (20.0, 1.0)):
+            slabs = make_set(dom, PeriodicSlabs(period=period, fill_fraction=fill, axis=axis))
+            assert np.array_equal(slabs.cells, np.mod(x, period) < fill * period)
+            assert slabs.cells.flags.c_contiguous and not slabs.cells.flags.writeable
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_gamma_monotone_under_set_inclusion(seed):

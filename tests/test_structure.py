@@ -13,7 +13,10 @@ go through `operators.restricted_norms`), `certify` takes its decayed norms
 from the decay sums that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
 only `certify.inequality_margins`, the evaluator of both checks and both
-probes, forms an observation bracket; `probes` evaluates its self-similar
+probes, forms an observation bracket, and it passes the test that stops
+a chunk's kernel rows for a check's lower end alone, which only
+`certify.observation_bracket` turns into the rounds of `restricted_norms`;
+`probes` evaluates its self-similar
 probe only at t = 0. `operators` draws no random states: its figures are
 computed from the decomposition. In `operators`,
 every `eigh` call is inside `_dense_eigh`, which only `_gathered_eigh`
@@ -187,6 +190,31 @@ def test_only_the_evaluator_forms_an_observation_bracket():
                 getattr(node.func, "id", None), getattr(node.func, "attr", None))
         }
     assert found == {("certify.py", "inequality_margins")}, sorted(found, key=str)
+
+
+def test_only_a_check_stops_at_the_rank_that_settles_it():
+    # a check's lower end only grows with the kernel rank, so it may stop a
+    # chunk once every margin is >= 0; a probe's upper end is not monotone
+    # in the rank and takes every row: the one settle test is passed by
+    # `certify.inequality_margins` for the lower end alone, and only
+    # `certify.observation_bracket` hands `restricted_norms` its rounds
+    settles, rounds = set(), set()
+    for path in SOURCES:
+        tree = _tree(path)
+        owner = {id(node): name for name, func in _functions(tree) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for name, position, keyword, found in (
+                ("observation_bracket", 5, "settled", settles), ("restricted_norms", 5, "next_rows", rounds),
+            ):
+                if called != name:
+                    continue
+                passed = node.args[position:] + [k.value for k in node.keywords if k.arg == keyword]
+                found |= {(path.name, owner.get(id(node)), ast.unparse(arg)) for arg in passed}
+    assert settles == {("certify.py", "inequality_margins", "settled if end == 'lower' else None")}, settles
+    assert rounds == {("certify.py", "observation_bracket", "next_rows")}, rounds
 
 
 def test_probes_evaluate_the_self_similar_formula_only_at_time_zero():
