@@ -37,6 +37,19 @@ at the conservative end of the bracket: the checks pass on the lower end
 I, and the probes report a violation only if the upper end still
 violates.  ``inequality_margins`` evaluates both checks and both probes
 from that end and raises ArithmeticError on a NaN or infinite margin.
+Before any state is drawn, it holds each interval of a check to its
+spectral bound: for a unit state and I >= 0 the weak margin is at least
+alpha - e^{-T lam_1}, and the recurrence margin at tau at least
+alpha0 tau - (g(tau) e^{-2 tau lam~_1} - g(tau/2)).  An interval where
+that bound is >= 0 (and every figure of its pass would be finite) is
+decided by the spectrum: it takes no kernel rows and factors no time
+kernel, and a check whose every interval is decided draws no states.
+Its report then says so (``decided_by_spectrum``) and carries the bound
+as its worst figure, which holds for every grid state, not only the
+drawn ones; the verdict is the one the pass would give, since the bound
+implies the pass.  On the shifted Hermite operator with lam_1 > 0 the
+spectrum decides both checks; on a spectrum starting at 0 it decides
+neither.
 The first q columns of L are the rank-q factor, so the sum over rows
 q' < q less the allowance is a certified lower end at every q, and it
 only grows with q.  So a check takes the rows in rounds, row q of every
@@ -45,8 +58,11 @@ rows once every state in it has a margin >= 0 there; a chunk with any
 margin below 0 takes every row.  A check's verdict is therefore the full
 rank's, its failing figures are the full rank's, and its passing figures
 are lower ends at the rank where each chunk stopped (``rank_used``, the
-most rows any chunk took, beside the full factor's ``kernel_rank``).  The
-probes take every row: an upper end does not only grow with the rank.
+most rows any chunk took, beside the full factor's ``kernel_rank``; both
+cover only the intervals that ran a pass).  The stop test and the
+reported bracket sum the kernel rows in one order, so they agree bit for
+bit.  The probes take every row: an upper end does not only grow with
+the rank.
 The exact closed form through the Gram, the reference the tests hold the
 bracket to, is ``observation_integrals`` in ``tests/reference.py``.
 """
@@ -335,7 +351,9 @@ def observation_bracket(
     ``settled`` an interval is open until its rows run out;
     ``settled(lower, decayed)``, given a chunk's lower ends and decayed
     norms so far, one row per interval, closes the intervals where it is
-    True.  The rows a chunk did not take count 0.0 in its bracket.
+    True.  The rows a chunk did not take count 0.0 in its bracket.  The
+    rows are added one at a time for the stop test and the reported ends
+    alike, so a chunk's last lower ends are the reported ones bit for bit.
     """
     kernels = tuple(time_kernel(lams, lo, hi) for lo, hi in intervals)
     with np.errstate(under="ignore"):
@@ -345,8 +363,17 @@ def observation_bracket(
     spans = list(zip(kernels, ends[:-1], ends[1:]))
     rank_used = 0
 
+    def row_sum(rows):
+        # one row at a time: numpy sums a one-column view pairwise but a
+        # wider array row by row, so the stop test's chunk and the reported
+        # whole array would differ in the last bits for a chunk of one state
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += row
+        return total
+
     def brackets(norms, sq_norms):
-        return [k.bracket(norms[a:b].sum(axis=0), sq_norms) for k, a, b in spans]
+        return [k.bracket(row_sum(norms[a:b]), sq_norms) for k, a, b in spans]
 
     def next_rows(q, norms, sums, sq_norms):
         nonlocal rank_used
@@ -386,50 +413,114 @@ def _random_unit_states(dec: SpectralDecomposition, trials: int, rng) -> DrawnSt
 # checks
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """How ``inequality_margins`` settled each interval: by the spectrum alone, or by a pass.
+
+    ``decided`` marks the intervals the spectral bound decided and
+    ``spectral`` holds every interval's margin at that bound (NaN for a
+    probe, which has none); ``kernels`` and ``rank_used`` are the pass's,
+    one kernel per interval left to it, empty and 0 when none was.
+    """
+
+    decided: np.ndarray
+    spectral: np.ndarray
+    kernels: tuple
+    rank_used: int
+
+    @property
+    def kernel_rank(self) -> int:
+        return max((k.rank for k in self.kernels), default=0)
+
+    @property
+    def kernel_bound(self) -> float:
+        return max((k.bound for k in self.kernels), default=0.0)
+
+
+def _spectral_decision(corners) -> np.ndarray:
+    """The intervals a check's spectral bound decides, from its margins at a zero and the largest integral."""
+    return np.isfinite(corners).all(axis=1) & (corners[:, 0] >= 0.0)
+
+
 def inequality_margins(dec, e: SetIndicator, states, lams, intervals, sides, end: str, label: str, where):
     """Margins rhs - lhs of an observation inequality, one row per interval and one column per state.
 
     ``sides(integrals, decayed)`` forms (lhs, rhs) from the observation
     integrals at ``end`` of their bracket ("lower" for a check, which passes
     on it, "upper" for a probe, which reports a violation on it) and the
-    norms ||e^{-hi H} u||.  A check stops taking an interval's kernel rows
-    for a chunk of states once every state of the chunk has a margin >= 0
-    there: each row adds a term >= 0 to the lower end, so the margin only
-    grows with the rank and the verdict is the full rank's, and a chunk
-    with a margin below 0 takes every row.  A probe takes every row, since
-    its upper end is not monotone in the rank.  A NaN or infinite margin is
-    no verdict: it raises ArithmeticError naming ``label`` and the
-    ``where`` of its interval.  Returns the margins, lhs, rhs, the
-    integrals and the bracket.
+    norms ||e^{-hi H} u||, one row per interval.  A check's states have unit
+    norm, and its margin grows with the integral and falls as the decayed
+    norm grows; so before any state is drawn, its spectral bound
+    sides(0, e^{-hi lam_min}) bounds the margin of every unit state on the
+    grid, and an interval where that margin is >= 0 is decided: it takes no
+    kernel rows and factors no time kernel, and its row holds the bound.
+    It is decided only where the sides are finite there and at the largest
+    integral of a unit state, so every figure its pass could form is
+    finite.  If every interval is decided, no state is drawn.  The other
+    intervals go through ``observation_bracket``: a check stops taking an
+    interval's kernel rows for a chunk of states once every state of the
+    chunk has a margin >= 0 there, since each row adds a term >= 0 to the
+    lower end, the margin only grows with the rank and the verdict is the
+    full rank's; a chunk with a margin below 0 takes every row.  A probe
+    decides nothing and takes every row, since its upper end is not
+    monotone in the rank.  A NaN or infinite margin is no verdict: it
+    raises ArithmeticError naming ``label`` and the ``where`` of its
+    interval.  Returns the margins, lhs, rhs, the integrals (0.0 on a
+    decided row) and the ``Evaluation``.
     """
-    def settled(lower, decayed):
-        lhs, rhs = sides(lower, decayed)
-        return (rhs - lhs >= 0.0).all(axis=1)
+    lo, hi = (np.array(ends, dtype=float)[:, None] for ends in zip(*intervals))
+    decided, spectral = np.zeros(len(intervals), bool), np.full(len(intervals), np.nan)
+    lam_min = float(np.min(lams))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        reach = np.exp(-hi * lam_min)  # the largest ||e^{-hi H} u|| of a unit state
+        zero = np.zeros_like(reach)
+        if end == "lower":  # top: the largest integral of a unit state, max_j F_jj
+            top = np.exp(-2.0 * lo * lam_min) * (hi - lo) * exprel(-2.0 * (hi - lo) * lam_min)
+            lhs, rhs = sides(np.hstack([zero, top]), reach)
+            corners = rhs - lhs
+            spectral, decided = corners[:, 0], _spectral_decision(corners)
+    open_ = ~decided
 
+    def full(rows, fill):
+        out = np.repeat(fill, rows.shape[1], axis=1)
+        out[open_] = rows
+        return out
+
+    def settled(lower, decayed):
+        lhs, rhs = sides(full(lower, zero), full(decayed, reach))
+        return (rhs - lhs >= 0.0).all(axis=1)[open_]
+
+    integrals, decayed = (np.repeat(fill, len(states), axis=1) for fill in (zero, reach))
+    kernels, rank_used = (), 0
     with np.errstate(over="ignore", invalid="ignore"):
-        bracket = observation_bracket(dec, e, states, lams, intervals, settled if end == "lower" else None)
-        integrals = {"lower": bracket.lower, "upper": bracket.upper}[end]
-        lhs, rhs = sides(integrals, bracket.decayed)
+        if open_.any():
+            bracket = observation_bracket(
+                dec, e, states, lams, [iv for iv, o in zip(intervals, open_) if o],
+                settled if end == "lower" else None)
+            integrals[open_] = {"lower": bracket.lower, "upper": bracket.upper}[end]
+            decayed[open_] = bracket.decayed
+            kernels, rank_used = bracket.kernels, bracket.rank_used
+        lhs, rhs = sides(integrals, decayed)
         margins = rhs - lhs
     bad = ~np.isfinite(margins).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         kind = "NaN" if np.isnan(margins[i]).any() else "infinite"
         raise ArithmeticError(f"{label} is {kind} at {where[i]}: the {'check' if end == 'lower' else 'probe'} overflows")
-    return margins, lhs, rhs, integrals, bracket
+    return margins, lhs, rhs, integrals, Evaluation(decided, spectral, kernels, rank_used)
 
 
 def weak_margins(dec, e: SetIndicator, states, norms, C: float, T: float, alpha: float, end: str):
     """Margins C sqrt(max(I, 0)) + alpha ||f|| - ||e^{-TH} f|| of the weak inequality, ||f|| = ``norms``.
 
-    Returns them with the norms ||e^{-TH} f||, the integrals max(I, 0) over [0, T] and the bracket.
+    Returns them with the norms ||e^{-TH} f||, the integrals max(I, 0) over [0, T] and the ``Evaluation``.
     """
-    margins, lhs, _, integrals, bracket = inequality_margins(
+    margins, lhs, _, integrals, evaluation = inequality_margins(
         dec, e, states, dec.eigenvalues, [(0.0, T)],
         lambda integrals, decayed: (decayed, C * np.sqrt(np.maximum(integrals, 0.0)) + alpha * norms),
         end, "observability margin", [f"C = {C}, T = {T}"],
     )
-    return margins[0], lhs[0], np.maximum(integrals[0], 0.0), bracket
+    return margins[0], lhs[0], np.maximum(integrals[0], 0.0), evaluation
 
 
 @dataclass(frozen=True)
@@ -444,6 +535,9 @@ class RecurrenceReport:
     kernel_rank: int
     kernel_bound: float
     rank_used: int
+    decided_by_spectrum: bool
+    decided_taus: tuple
+    spectral_violations: tuple
 
 
 @dataclass(frozen=True)
@@ -460,6 +554,8 @@ class WeakObservabilityReport:
     kernel_rank: int
     kernel_bound: float
     rank_used: int
+    decided_by_spectrum: bool
+    spectral_margin: float
 
 
 def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trials: int, seed: int = 0) -> RecurrenceReport:
@@ -473,7 +569,11 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
 
     with g the certificate weight.  The integral is taken at the lower end
     of its certified bracket, so roundoff in it can only fail the check.
-    The report carries the largest kernel rank and bound B over the taus.
+    A tau whose spectral bound g(tau) e^{-2 tau lam~_1} - g(tau/2) -
+    alpha0 tau is <= 0 is decided without a pass (``decided_taus``), and
+    its row of the figures is that bound; ``spectral_violations`` holds the
+    bound of every tau.  The report carries the largest kernel rank and
+    bound B over the taus that ran a pass, 0 if none did.
     The caller is responsible for having verified the two hypotheses
     (restricted inequality at k(tau), decay bound) beforehand; under those
     the inequality is exact on the grid and any violation beyond the
@@ -491,7 +591,7 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
     g_tau = np.array([[np.exp(certificate_gain_log(cert, tau))] for tau in taus])
     g_half = np.array([[np.exp(certificate_gain_log(cert, tau / 2.0))] for tau in taus])
     slack = alpha0 * np.array(taus)[:, None]
-    margins, lhs, rhs, _, bracket = inequality_margins(
+    margins, lhs, rhs, _, evaluation = inequality_margins(
         dec, e, states, lams, [(tau / 2.0, tau) for tau in taus],
         lambda integrals, decayed: (g_tau * decayed**2 - g_half, integrals + slack),
         "lower", "recurrence violation", [f"tau = {tau}" for tau in taus],
@@ -506,9 +606,12 @@ def recurrence_check(dec, e: SetIndicator, cert: Certificate, tau_samples, trial
         max_violation_rel=max_violation_rel,
         worst_tau=taus[int(np.argmax(violation)) // violation.shape[1]],  # the first tau reaching the maximum
         passed=bool(max_violation_rel <= CHECK_BUDGET),
-        kernel_rank=max(k.rank for k in bracket.kernels),
-        kernel_bound=max(k.bound for k in bracket.kernels),
-        rank_used=bracket.rank_used,
+        kernel_rank=evaluation.kernel_rank,
+        kernel_bound=evaluation.kernel_bound,
+        rank_used=evaluation.rank_used,
+        decided_by_spectrum=bool(evaluation.decided.all()),
+        decided_taus=tuple(tau for tau, decided in zip(taus, evaluation.decided) if decided),
+        spectral_violations=tuple(float(-m) for m in evaluation.spectral),
     )
 
 
@@ -519,14 +622,17 @@ def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: in
     ||e^{-TH} phi|| over unit phi; a pass means no margin dips below the
     roundoff budget.  The observation integral runs over the unshifted
     semigroup, matching the inequality the certificate promises, and is
-    taken at the lower end of its certified bracket.
+    taken at the lower end of its certified bracket.  If the spectral
+    margin alpha - e^{-T lam_1} (``spectral_margin``) is >= 0, the check is
+    decided by the spectrum: it draws no states, reports that margin as its
+    worst, no ``observation_integrals`` and kernel figures of 0.
     """
     rng = np.random.default_rng(seed)
     states = _random_unit_states(dec, trials, rng)
     with np.errstate(over="ignore"):
         big_c = np.exp(cert.ln_C)
-    margins, lhs, integrals, bracket = weak_margins(dec, e, states, 1.0, big_c, cert.T, cert.alpha, "lower")
-    kernel = bracket.kernels[0]
+    margins, lhs, integrals, evaluation = weak_margins(dec, e, states, 1.0, big_c, cert.T, cert.alpha, "lower")
+    decided = bool(evaluation.decided[0])
     min_margin_rel = float((margins / np.maximum(1.0, lhs)).min())
     return WeakObservabilityReport(
         T=cert.T,
@@ -536,11 +642,13 @@ def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: in
         seed=int(seed),
         min_margin=float(margins.min()),
         min_margin_rel=min_margin_rel,
-        observation_integrals=tuple(float(v) for v in integrals),
+        observation_integrals=() if decided else tuple(float(v) for v in integrals),
         passed=bool(min_margin_rel >= -CHECK_BUDGET),
-        kernel_rank=kernel.rank,
-        kernel_bound=kernel.bound,
-        rank_used=bracket.rank_used,
+        kernel_rank=evaluation.kernel_rank,
+        kernel_bound=evaluation.kernel_bound,
+        rank_used=evaluation.rank_used,
+        decided_by_spectrum=decided,
+        spectral_margin=float(evaluation.spectral[0]),
     )
 
 

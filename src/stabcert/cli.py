@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, dispatch, result persistence.
 
-One command per process.  Results are JSON documents (schema 5) with the
-config snapshot, content hashes of the inputs, the command outputs, and
+One command per process, and only that command's parser is built.  Results
+are JSON documents (schema ``SCHEMA_VERSION``, now 7) with the config
+snapshot, content hashes of the inputs, the command outputs, and
 wall-clock metadata; curves and trajectories additionally go to CSV side
 files next to the JSON.  The numeric payload (everything except timing) is
 canonical: identical config and seed reproduce it bit for bit on the same
@@ -81,7 +82,7 @@ from .probes import (
 )
 from .specineq import curve_to_csv, curve_to_json, spectral_constant_curve
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -443,14 +444,52 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (help, whether it takes the operator options, its own options as
+# (flag, add_argument keywords)); every default is immutable, as parsers share them
+_SUBCOMMANDS = {
+    "check-thick": ("thickness and weak-thickness verdicts for a set", False, (
+        ("--lengths", dict(type=_float_list, default=(1.25,))),  # 32 cells of the default domain
+        ("--radii", dict(type=_float_list, default=())),
+    )),
+    "spectral-constant": ("restricted-inequality constants C(k, E)", True, (
+        ("--k-max", dict(type=int, default=10)),
+        ("--thresholds", dict(type=_float_list, default=None)),
+    )),
+    "certify": ("build and check a stabilization certificate", True, (
+        ("--k-max", dict(type=int, default=10)),
+        ("--trials", dict(type=int, default=200)),
+        ("--recurrence-trials", dict(type=int, default=100)),
+    )),
+    "feedback-build": ("construct a stabilizing feedback", True, (
+        ("--feedback", dict(choices=("damping", "finite-rank"), default="finite-rank")),
+        ("--feedback-delta", dict(dest="delta", type=float, default=0.5)),
+    )),
+    "simulate": ("closed-loop decay simulation", True, (
+        ("--feedback", dict(choices=("none", "damping", "finite-rank"), default="finite-rank")),
+        ("--feedback-delta", dict(dest="delta", type=float, default=0.5)),
+        ("--t-end", dict(type=float, default=5.0)),
+        ("--dt", dict(type=float, default=0.001,
+                      help="sample spacing; every law is propagated exactly (0 < dt <= t_end/100)")),
+        ("--y0", dict(default="random")),
+    )),
+    "probe": ("falsify a claimed observability triple", True, (
+        ("--claim", dict(type=_claim, required=True, help="C=1,T=1,alpha=0.5")),
+        ("--centers", dict(type=_centers, default=(),
+                           help="semicolon-separated centers, components by colon")),
+    )),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser of every command, or of ``command`` alone, which parses its arguments alike."""
     parser = _Parser(
         prog="stabcert",
         description="stabilization certificates for parabolic equations on discretized domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, operator=True):
+    for name in _SUBCOMMANDS if command is None else (command,):
+        help_, operator, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--domain", default="")
         p.add_argument("--set", dest="set_spec", default="full")
         p.add_argument("--seed", type=int, default=0)
@@ -462,42 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--potential", dest="operator.potential", default=None)
             p.add_argument("--condition", dest="operator.condition", choices=("I", "II"), default="II")
             p.add_argument("--delta", dest="operator.delta", type=float, default=None)
-
-    p = sub.add_parser("check-thick", help="thickness and weak-thickness verdicts for a set")
-    common(p, operator=False)
-    p.add_argument("--lengths", type=_float_list, default=[1.25])  # 32 cells of the default domain
-    p.add_argument("--radii", type=_float_list, default=[])
-
-    p = sub.add_parser("spectral-constant", help="restricted-inequality constants C(k, E)")
-    common(p)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--thresholds", type=_float_list, default=None)
-
-    p = sub.add_parser("certify", help="build and check a stabilization certificate")
-    common(p)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--recurrence-trials", type=int, default=100)
-
-    p = sub.add_parser("feedback-build", help="construct a stabilizing feedback")
-    common(p)
-    p.add_argument("--feedback", choices=("damping", "finite-rank"), default="finite-rank")
-    p.add_argument("--feedback-delta", dest="delta", type=float, default=0.5)
-
-    p = sub.add_parser("simulate", help="closed-loop decay simulation")
-    common(p)
-    p.add_argument("--feedback", choices=("none", "damping", "finite-rank"), default="finite-rank")
-    p.add_argument("--feedback-delta", dest="delta", type=float, default=0.5)
-    p.add_argument("--t-end", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=0.001,
-                   help="sample spacing; every law is propagated exactly (0 < dt <= t_end/100)")
-    p.add_argument("--y0", default="random")
-
-    p = sub.add_parser("probe", help="falsify a claimed observability triple")
-    common(p)
-    p.add_argument("--claim", type=_claim, required=True, help="C=1,T=1,alpha=0.5")
-    p.add_argument("--centers", type=_centers, default=[],
-                   help="semicolon-separated centers, components by colon")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -519,8 +524,12 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # a known command needs only its own parser; anything else (no
+        # command, an unknown one, a top-level -h) gets every command's
+        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args = build_parser(command).parse_args(argv)
         config = _config_from_args(args)
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"the directory of --out {args.out!r} does not exist")

@@ -14,7 +14,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabcert import certify, probes, specineq
+from stabcert import certify, operators, probes, specineq
 from stabcert.certify import (
     Certificate,
     CriterionConstants,
@@ -496,6 +496,28 @@ def test_partial_lower_ends_never_decrease_with_rank(case, rng):
     assert np.array_equal(first.lower[0], partial[1]) and first.rank_used == 1
 
 
+@pytest.mark.parametrize("block, trials", [(4, 9), (1, 5)], ids=["one-state-last-chunk", "one-state-chunks"])
+def test_the_stop_test_sums_the_rows_as_the_report_does(block, trials, monkeypatch):
+    # numpy sums a one-column view of the kernel rows pairwise and the whole
+    # (rank, P) array row by row; both sum through one helper now, so a
+    # chunk of one state that takes every row has the reported lower ends
+    # at its last stop test, bit for bit (rank 16 here: pairwise differs)
+    dom = make_grid(1, 10.0, 128, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    e = make_set(dom, PeriodicSlabs(period=1.0, fill_fraction=0.25))
+    monkeypatch.setattr(operators, "_SCAN_BLOCK_ENTRIES", block * dom.cell_count)
+    states = np.random.default_rng(1).standard_normal((trials,) + dom.shape)
+    seen = []
+
+    def never(lower, decayed):
+        seen.append(lower.copy())
+        return np.zeros(len(lower), bool)
+
+    bracket = observation_bracket(dec, e, states, dec.eigenvalues, [(0.0, 10.0), (0.0, 30.0)], never)
+    assert min(k.rank for k in bracket.kernels) >= 9 and seen[-1].shape == (2, 1)
+    assert np.array_equal(seen[-1], bracket.lower[:, -1:])
+
+
 # ---------------------------------------------------------------------------
 # checks on a small certified fixture
 
@@ -914,3 +936,131 @@ def test_end_to_end_is_deterministic():
     assert r1.status == r2.status == "certified"
     assert r1.observability_report.min_margin == r2.observability_report.min_margin
     assert r1.recurrence_report.max_violation == r2.recurrence_report.max_violation
+
+
+# ---------------------------------------------------------------------------
+# checks that the spectrum decides
+
+
+def pass_only(monkeypatch):
+    """Turn the spectral decision off: every interval of every check runs its pass."""
+    monkeypatch.setattr(certify, "_spectral_decision", lambda corners: np.zeros(len(corners), bool))
+
+
+def hermite_certify_cases():
+    """The Hermite cases of ``bracket_cases`` and the 1D set of the benchmark's Hermite ``certify``."""
+    cases = [(spec, dom, shape, 4) for spec, dom, shape in bracket_cases() if isinstance(spec, ShiftedHermite)]
+    return cases + [(ShiftedHermite(), make_grid(1, 8.0, 128, periodic=False), HalfSpace(offset=0.0), 8)]
+
+
+def certify_outcome(spec, dom, shape, k_max):
+    """((status, recurrence passed, weak passed), (decided taus, weak check decided)), or (the overflow's message, None)."""
+    try:
+        result = certify_end_to_end(spec, dom, make_set(dom, shape), k_max, trials=20, recurrence_trials=10, seed=5)
+    except ArithmeticError as exc:
+        return str(exc), None
+    rec, obs = result.recurrence_report, result.observability_report
+    return (result.status, rec.passed, obs.passed), (rec.decided_taus, obs.decided_by_spectrum)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["hermite-c3-walls", "hermite-2d", "hermite-stiff-1d"])
+def test_a_decided_check_has_the_verdict_of_its_pass(case, monkeypatch):
+    # the bound implies the pass, so deciding by the spectrum never moves
+    # a verdict; c = 3 has lam_1 = -2, so the weak check's e^{-T lam_1}
+    # overflows, nothing is decided and both runs raise the same error
+    spec, dom, shape, k_max = hermite_certify_cases()[case]
+    decided_verdict, decided = certify_outcome(spec, dom, shape, k_max)
+    pass_only(monkeypatch)
+    pass_verdict, forced = certify_outcome(spec, dom, shape, k_max)
+    assert decided_verdict == pass_verdict
+    if spec.c == 0.0:
+        assert len(decided[0]) == 8 and decided[1] and forced == ((), False)
+    else:
+        assert decided is None and "C = inf" in decided_verdict
+
+
+def hermite_walls():
+    dom = make_grid(1, 8.0, 64, periodic=False)
+    return diagonalize(ShiftedHermite(), dom), make_set(dom, HalfSpace(offset=0.0))
+
+
+def test_a_weak_check_the_spectrum_does_not_decide_draws_and_runs_its_pass(monkeypatch):
+    # T below -ln(alpha) / lam_1 leaves e^{-T lam_1} > alpha: the semigroup
+    # alone does not give the inequality, so the states are drawn
+    dec, e = hermite_walls()
+    base = build_certificate(CriterionConstants(c1=1e-3, a=2.0, c2=1.0, b=1.0))
+    cert = dataclasses.replace(base, T=-0.5 * np.log(base.alpha) / dec.eigenvalues[0])
+    decided = weak_observability_check(dec, e, base, trials=10, seed=2)
+    assert decided.decided_by_spectrum and decided.observation_integrals == () and decided.kernel_rank == 0
+    draws = []
+    original = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = original(seed)
+
+        def standard_normal(self, size):
+            draws.append(size)
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    report = weak_observability_check(dec, e, cert, trials=10, seed=2)
+    assert np.exp(-cert.T * dec.eigenvalues[0]) > cert.alpha
+    assert not report.decided_by_spectrum and report.spectral_margin < 0.0
+    assert draws == [(10,) + dec.domain.shape] and len(report.observation_integrals) == 10
+    assert report.kernel_rank >= 1 and report.rank_used >= 1
+
+
+def recurrence_margins(dec, e, cert, taus, states):
+    g = np.array([[np.exp(certificate_gain_log(cert, t)), np.exp(certificate_gain_log(cert, t / 2.0))] for t in taus])
+    return certify.inequality_margins(
+        dec, e, states, dec.eigenvalues, [(t / 2.0, t) for t in taus],
+        lambda integrals, decayed: (g[:, :1] * decayed**2 - g[:, 1:], integrals + np.exp(cert.ln_alpha0) * np.array(taus)[:, None]),
+        "lower", "recurrence violation", taus)
+
+
+def test_the_undecided_taus_are_the_pass_bit_for_bit(monkeypatch):
+    # c1 = 1e-3 on 1D Hermite: the spectrum decides 4 of these 6 taus; the
+    # other 2 take the same rows of the same transforms as a run where
+    # every tau takes its pass, and the decided rows hold the bound, which
+    # is below every state's pass margin but for the bracket's allowance
+    dec, e = hermite_walls()
+    cert = build_certificate(CriterionConstants(c1=1e-3, a=2.0, c2=1.0, b=1.0))
+    taus = [float(t) for t in np.geomspace(cert.tau0 / 64, cert.tau0 / 2, 6)]
+    states = unit_draw(dec.domain, 30, 3)
+    margins, _, _, _, evaluation = recurrence_margins(dec, e, cert, taus, states)
+    decided = evaluation.decided
+    assert decided.sum() == 4 and len(evaluation.kernels) == 2
+    pass_only(monkeypatch)
+    every, _, _, _, passes = recurrence_margins(dec, e, cert, taus, states)
+    assert not passes.decided.any() and np.array_equal(passes.spectral, evaluation.spectral)
+    assert np.array_equal(margins[~decided], every[~decided])
+    assert np.all(margins[decided] == evaluation.spectral[decided, None])
+    assert np.all(every[decided] >= evaluation.spectral[decided, None] - 1e-14)
+
+
+def test_a_decided_certification_draws_no_state_and_factors_no_kernel(monkeypatch):
+    # the benchmark's Hermite certify: both checks are decided, so their
+    # two streams are seeded (seed + 1, seed + 2) but nothing is drawn
+    seeds, draws, kernels = [], [], []
+    original_rng, original_kernel = np.random.default_rng, certify.time_kernel
+
+    class Recording:
+        def __init__(self, seed):
+            seeds.append(seed)
+            self.rng = original_rng(seed)
+
+        def standard_normal(self, size):
+            draws.append(size)
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    monkeypatch.setattr(certify, "time_kernel", lambda *args: kernels.append(args) or original_kernel(*args))
+    spec, dom, shape, k_max = hermite_certify_cases()[-1]
+    result = certify_end_to_end(spec, dom, make_set(dom, shape), k_max, trials=200, seed=5)
+    rec, obs = result.recurrence_report, result.observability_report
+    assert result.status == "certified" and rec.decided_by_spectrum and obs.decided_by_spectrum
+    assert seeds == [6, 7] and draws == [] and kernels == []
+    assert (rec.kernel_rank, rec.kernel_bound, rec.rank_used) == (obs.kernel_rank, obs.kernel_bound, obs.rank_used) == (0, 0.0, 0)
+    assert obs.min_margin == obs.spectral_margin == obs.alpha - np.exp(-obs.T * diagonalize(spec, dom).eigenvalues[0])
+    assert rec.max_violation == max(rec.spectral_violations) <= 0.0

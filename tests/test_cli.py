@@ -330,6 +330,59 @@ def test_certify_reports_the_kernel_health(tmp_path):
     assert outputs == read(tmp_path / "b.json")["outputs"]
 
 
+@pytest.mark.parametrize("operator, decided", [("hermite", True), ("frac", False)])
+def test_certify_says_which_checks_the_spectrum_decided(tmp_path, operator, decided):
+    # Hermite c = 0 decays at rate lam_1 = 1 by itself, so both checks pass
+    # on every unit state without a pass; the periodic frac spectrum starts
+    # at 0 and decides nothing
+    walls = ["--domain", "dim=1,R=8,m=64,periodic=false", "--set", "halfspace:offset=0"]
+    slabs = ["--domain", "dim=1,R=10,m=64", "--set", "slabs:period=2,fill=0.5"]
+    argv = ["certify", "--operator", operator, "--k-max", "4", "--trials", "10", "--recurrence-trials", "5"]
+    argv += walls if decided else slabs
+    assert main(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    outputs = read(tmp_path / "a.json")["outputs"]
+    weak, recurrence = outputs["observability"], outputs["recurrence"]
+    assert weak["decided_by_spectrum"] is recurrence["decided_by_spectrum"] is decided
+    assert (recurrence["decided_taus"] == recurrence["tau_samples"]) is decided
+    assert len(recurrence["spectral_violations"]) == len(recurrence["tau_samples"])
+    if decided:
+        assert weak["min_margin"] == weak["spectral_margin"] > 0.0 and weak["observation_integrals"] == []
+        assert recurrence["max_violation"] == max(recurrence["spectral_violations"]) <= 0.0
+        assert all(check[key] == 0 for check in (weak, recurrence) for key in ("kernel_rank", "kernel_bound", "rank_used"))
+    else:
+        assert weak["spectral_margin"] < 0.0 and len(weak["observation_integrals"]) == 10
+
+
+def _action_table(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.help) for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_single_command_parser_is_the_full_parsers_subcommand(command):
+    # main builds only the invoked command's parser; it must take exactly
+    # the options, dests and defaults of that command in the full parser
+    def subparsers(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    single = subparsers(cli.build_parser(command))
+    assert list(single) == [command]
+    assert _action_table(single[command]) == _action_table(subparsers(cli.build_parser())[command])
+    assert single[command].prog == f"stabcert {command}"
+
+
+def test_main_builds_the_invoked_commands_parser_alone(monkeypatch, capsys):
+    # a known command builds its own parser; no command, an unknown one or
+    # a top-level option builds every command's, for the usage and errors
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or original(command))
+    main(["check-thick", "--domain", "dim=1,R=10,m=64", "--lengths", "2.5"])
+    for argv in ([], ["frobnicate"], ["--out", "x.json", "certify"]):
+        assert main(argv) == 2
+    assert built == ["check-thick", None, None, None]
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
 def _perturbed_eigh(H, overwrite=False):
     w, U = scipy.linalg.eigh(H)
     return w, U + 1e-3 * np.random.default_rng(0).standard_normal(U.shape)
@@ -889,7 +942,7 @@ def test_document_prints_to_stdout_without_out(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == DOC_KEYS
-    assert doc["schema_version"] == 6
+    assert doc["schema_version"] == 7
 
 
 def test_payload_is_reproducible():

@@ -217,6 +217,40 @@ def test_only_a_check_stops_at_the_rank_that_settles_it():
     assert rounds == {("certify.py", "observation_bracket", "next_rows")}, rounds
 
 
+SPECTRA = {"eigenvalues", "lams"}
+
+
+def _reads_the_bottom_of_a_spectrum(node) -> bool:
+    """``eigenvalues[0]``, ``lams[0]``, or a ``min`` of either."""
+    def named(n):
+        return getattr(n, "id", getattr(n, "attr", None)) in SPECTRA
+
+    if isinstance(node, ast.Subscript):
+        return named(node.value) and isinstance(node.slice, ast.Constant) and node.slice.value == 0
+    if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "min":
+        return any(named(n) for n in node.args + [getattr(node.func, "value", None)])
+    return False
+
+
+def _bottom_readers(tree) -> set:
+    return {name for name, func in _functions(tree) for node in ast.walk(func) if _reads_the_bottom_of_a_spectrum(node)}
+
+
+def test_only_the_evaluator_bounds_a_check_by_the_spectrum():
+    # a check's spectral bound, its sides at a zero integral and the decayed
+    # norm e^{-hi lam_1}, is evaluated in `certify.inequality_margins` alone,
+    # beside the stop rule; `certify_end_to_end` reads lam_1 only for the
+    # shift delta0, and no check or probe bounds itself by lam_1
+    found = {(path.name, name) for path in SOURCES if path.name in ("certify.py", "probes.py")
+             for name in _bottom_readers(_tree(path))}
+    assert found == {("certify.py", "inequality_margins"), ("certify.py", "certify_end_to_end")}, found
+    # a weak check that decided itself by e^{-T lam_1} <= alpha is found
+    tree = _tree(next(p for p in SOURCES if p.name == "certify.py"))
+    check = dict(_functions(tree))["weak_observability_check"]
+    check.body.insert(1, ast.parse("decided = np.exp(-cert.T * dec.eigenvalues[0]) <= cert.alpha").body[0])
+    assert "weak_observability_check" in _bottom_readers(tree)
+
+
 def test_probes_evaluate_the_self_similar_formula_only_at_time_zero():
     # the probe's evolution is the grid semigroup's, through the time kernel;
     # the rescaled kernel only builds the initial datum
