@@ -25,10 +25,11 @@ levels by pivoted Cholesky, F = L L^T + E, and stops once the
 multiplicity-weighted trace of the residual E falls to KERNEL_RTOL times
 that of F.  The integral is then sum_q ||chi_E l_q(H) u||^2 with
 l_q(lam) = L[level(lam), q]: ``operators.restricted_norms`` transforms
-each state once, a chunk of states at a time, and returns with those
-norms the decay sums sum_j e^{-2 hi lam_j} |c_jp|^2 of the decayed norms
-||e^{-hi H} u||; the checks draw each chunk of their random states only
-when the pass reaches it, so their memory does not grow with the trials.
+each state once, a chunk of states at a time, and yields for each chunk
+the decay sums sum_j e^{-2 hi lam_j} |c_jp|^2 of the decayed norms
+||e^{-hi H} u|| and a function that gives the set norm of row q when
+asked; the checks draw each chunk of their random states only when the
+loop reaches it, so their memory does not grow with the trials.
 The Gram G is positive semidefinite with G_jj <= 1 and E is positive
 semidefinite, so Schur's inequality puts the exact value in
 [I, I + B ||u||^2], where I is that sum less a roundoff allowance and B is
@@ -52,23 +53,25 @@ spectrum decides both checks; on a spectrum starting at 0 it decides
 neither.
 The first q columns of L are the rank-q factor, so the sum over rows
 q' < q less the allowance is a certified lower end at every q, and it
-only grows with q.  So a check takes the rows in rounds, row q of every
-interval still open, and a chunk of states stops taking an interval's
-rows once every state in it has a margin >= 0 there; a chunk with any
-margin below 0 takes every row.  A check's verdict is therefore the full
-rank's, its failing figures are the full rank's, and its passing figures
-are lower ends at the rank where each chunk stopped (``rank_used``, the
-most rows any chunk took, beside the full factor's ``kernel_rank``; both
-cover only the intervals that ran a pass).  The stop test and the
-reported bracket sum the kernel rows in one order, so they agree bit for
-bit.  The probes take every row: an upper end does not only grow with
-the rank.
+only grows with q.  So ``inequality_margins``, which drives the chunks of
+``restricted_norms`` itself (no callback crosses the module boundary),
+takes the rows in rounds, row q of every interval still open, and for a
+check a chunk of states stops taking an interval's rows once every state
+in it has a margin >= 0 there; a chunk with any margin below 0 takes
+every row.  A check's verdict is therefore the full rank's, its failing
+figures are the full rank's, and its passing figures are lower ends at
+the rank where each chunk stopped (``rank_used``, the most rows any
+chunk took, beside the full factor's ``kernel_rank``; both cover only
+the intervals that ran a pass).  The stop test and the reported bracket
+sum the kernel rows in one order, so they agree bit for bit.  The probes
+take every row: an upper end does not only grow with the rank.
 The exact closed form through the Gram, the reference the tests hold the
 bracket to, is ``observation_integrals`` in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -316,86 +319,6 @@ def time_kernel(lams, lo: float, hi: float) -> TimeKernel:
     )
 
 
-@dataclass(frozen=True)
-class ObservationBracket:
-    """Certified bounds on int_lo^hi ||chi_E e^{-t lam} f_p||^2 dt, one row per interval.
-
-    The exact integral lies in [lower, upper]; upper - lower is the
-    interval's kernel bound times ||f_p||^2.  ``decayed`` holds the norm
-    ||e^{-hi lam} f_p|| at the end of each interval, ``kernels`` the time
-    kernel of each interval, and ``rank_used`` the most kernel rows of one
-    interval that any chunk of states took.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    decayed: np.ndarray
-    kernels: tuple
-    rank_used: int
-
-
-def observation_bracket(
-    dec: SpectralDecomposition, e: SetIndicator, states, lams, intervals, settled=None
-) -> ObservationBracket:
-    """Bracket the observation integrals of ``states`` over each (lo, hi) in ``intervals``.
-
-    ``states`` is a (P,) + grid stack or ``operators.DrawnStates``; ``lams``
-    replaces the eigenvalues of ``dec`` (a shifted spectrum), in their
-    order.  Every interval's kernel rows go through one
-    ``restricted_norms`` call, which transforms each state once, a chunk at
-    a time; the end-of-interval norms sqrt(sum_j |c_jp|^2 e^{-2 hi lam_j})
-    are its decay sums over the rows e^{-2 hi lam_j}.  A chunk takes the
-    rows in rounds, row q of every interval still open in round q.  The
-    first q columns of the pivoted Cholesky factor are its rank-q factor,
-    so the chunk's bracket is certified after every round.  Without
-    ``settled`` an interval is open until its rows run out;
-    ``settled(lower, decayed)``, given a chunk's lower ends and decayed
-    norms so far, one row per interval, closes the intervals where it is
-    True.  The rows a chunk did not take count 0.0 in its bracket.  The
-    rows are added one at a time for the stop test and the reported ends
-    alike, so a chunk's last lower ends are the reported ones bit for bit.
-    """
-    kernels = tuple(time_kernel(lams, lo, hi) for lo, hi in intervals)
-    with np.errstate(under="ignore"):
-        decay = np.exp(-2.0 * np.outer([hi for _, hi in intervals], lams))
-    weights = np.concatenate([k.weights for k in kernels])
-    ends = np.cumsum([0] + [k.rank for k in kernels])
-    spans = list(zip(kernels, ends[:-1], ends[1:]))
-    rank_used = 0
-
-    def row_sum(rows):
-        # one row at a time: numpy sums a one-column view pairwise but a
-        # wider array row by row, so the stop test's chunk and the reported
-        # whole array would differ in the last bits for a chunk of one state
-        total = np.zeros(rows.shape[1])
-        for row in rows:
-            total += row
-        return total
-
-    def brackets(norms, sq_norms):
-        return [k.bracket(row_sum(norms[a:b]), sq_norms) for k, a, b in spans]
-
-    def next_rows(q, norms, sums, sq_norms):
-        nonlocal rank_used
-        open_ = [True] * len(spans)
-        if q and settled is not None:
-            open_ = ~settled(np.stack([lower for lower, _ in brackets(norms, sq_norms)]), np.sqrt(sums))
-        rows = [a + q for (_, a, b), o in zip(spans, open_) if o and a + q < b]
-        if rows:
-            rank_used = max(rank_used, q + 1)
-        return rows
-
-    norms, sums, sq_norms = restricted_norms(dec, e, weights, decay, states, next_rows)
-    lower, upper = zip(*brackets(norms, sq_norms))
-    return ObservationBracket(
-        lower=np.stack(lower),
-        upper=np.stack(upper),
-        decayed=np.sqrt(sums),
-        kernels=kernels,
-        rank_used=rank_used,
-    )
-
-
 def _random_unit_states(dec: SpectralDecomposition, trials: int, rng) -> DrawnStates:
     """``trials`` random unit-norm real grid functions, each chunk drawn from ``rng`` when a pass reaches it."""
     shape, root_h = dec.domain.shape, np.sqrt(dec.domain.cell_volume)
@@ -456,17 +379,20 @@ def inequality_margins(dec, e: SetIndicator, states, lams, intervals, sides, end
     kernel rows and factors no time kernel, and its row holds the bound.
     It is decided only where the sides are finite there and at the largest
     integral of a unit state, so every figure its pass could form is
-    finite.  If every interval is decided, no state is drawn.  The other
-    intervals go through ``observation_bracket``: a check stops taking an
-    interval's kernel rows for a chunk of states once every state of the
-    chunk has a margin >= 0 there, since each row adds a term >= 0 to the
-    lower end, the margin only grows with the rank and the verdict is the
-    full rank's; a chunk with a margin below 0 takes every row.  A probe
-    decides nothing and takes every row, since its upper end is not
-    monotone in the rank.  A NaN or infinite margin is no verdict: it
-    raises ArithmeticError naming ``label`` and the ``where`` of its
-    interval.  Returns the margins, lhs, rhs, the integrals (0.0 on a
-    decided row) and the ``Evaluation``.
+    finite.  If every interval is decided, no state is drawn.  Each other
+    interval factors its time kernel, and each chunk of ``restricted_norms``
+    takes row q of every interval still open in round q; the rows a chunk
+    did not take count 0.0.  A check stops taking an interval's kernel rows
+    for a chunk of states once every state of the chunk has a margin >= 0
+    there, since each row adds a term >= 0 to the lower end, the margin
+    only grows with the rank and the verdict is the full rank's; a chunk
+    with a margin below 0 takes every row.  The rows are added one at a
+    time for the stop test and the reported ends alike, so they agree bit
+    for bit.  A probe decides nothing and takes every row, since its upper
+    end is not monotone in the rank.  A NaN or infinite margin is no
+    verdict: it raises ArithmeticError naming ``label`` and the ``where``
+    of its interval.  Returns the margins, lhs, rhs, the integrals (0.0 on
+    a decided row) and the ``Evaluation``.
     """
     lo, hi = (np.array(ends, dtype=float)[:, None] for ends in zip(*intervals))
     decided, spectral = np.zeros(len(intervals), bool), np.full(len(intervals), np.nan)
@@ -480,26 +406,40 @@ def inequality_margins(dec, e: SetIndicator, states, lams, intervals, sides, end
             corners = rhs - lhs
             spectral, decided = corners[:, 0], _spectral_decision(corners)
     open_ = ~decided
-
-    def full(rows, fill):
-        out = np.repeat(fill, rows.shape[1], axis=1)
-        out[open_] = rows
-        return out
-
-    def settled(lower, decayed):
-        lhs, rhs = sides(full(lower, zero), full(decayed, reach))
-        return (rhs - lhs >= 0.0).all(axis=1)[open_]
-
     integrals, decayed = (np.repeat(fill, len(states), axis=1) for fill in (zero, reach))
-    kernels, rank_used = (), 0
+    at, rank_used = ("lower", "upper").index(end), 0
+
+    def row_sum(rows):
+        # one row at a time: numpy sums a one-column view pairwise but a
+        # wider array row by row, so a chunk of one state would sum its
+        # rows otherwise than the same state in a wider chunk
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += row
+        return total
+
     with np.errstate(over="ignore", invalid="ignore"):
-        if open_.any():
-            bracket = observation_bracket(
-                dec, e, states, lams, [iv for iv, o in zip(intervals, open_) if o],
-                settled if end == "lower" else None)
-            integrals[open_] = {"lower": bracket.lower, "upper": bracket.upper}[end]
-            decayed[open_] = bracket.decayed
-            kernels, rank_used = bracket.kernels, bracket.rank_used
+        kernels = tuple(time_kernel(lams, *iv) for iv, o in zip(intervals, open_) if o)
+        starts = np.cumsum([0] + [k.rank for k in kernels])
+        if kernels:
+            with np.errstate(under="ignore"):
+                decay = np.exp(-2.0 * np.outer(hi[open_, 0], lams))
+            weights = np.concatenate([k.weights for k in kernels])
+            for chunk, sums, sq_norms, set_norm in restricted_norms(dec, e, weights, decay, states):
+                decayed[open_, chunk] = np.sqrt(sums)
+                norms = np.zeros((len(weights), len(sq_norms)))
+                for q in itertools.count():  # round q: row q of every interval still open
+                    integrals[open_, chunk] = [k.bracket(row_sum(norms[a : a + k.rank]), sq_norms)[at]
+                                               for k, a in zip(kernels, starts)]
+                    take = np.array([q < k.rank for k in kernels])
+                    if q and end == "lower":
+                        lhs, rhs = sides(integrals[:, chunk], decayed[:, chunk])
+                        take &= ~(rhs - lhs >= 0.0).all(axis=1)[open_]
+                    if not take.any():
+                        break
+                    rank_used = max(rank_used, q + 1)
+                    for a in starts[:-1][take]:
+                        norms[a + q] = set_norm(a + q)
         lhs, rhs = sides(integrals, decayed)
         margins = rhs - lhs
     bad = ~np.isfinite(margins).all(axis=1)

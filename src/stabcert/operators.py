@@ -28,7 +28,6 @@ idempotence, commutation and Pythagoras identities hold to roundoff.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import zipfile
 from dataclasses import dataclass
@@ -733,15 +732,6 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     return _ascending(dec.order, dec.basis.forward(values))
 
 
-def _grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
-    """Grid values (cells,) or (cells, P) of the ascending coefficients (cells,) or (cells, P)."""
-    return dec.basis.synthesize(_native(dec.order, coeffs))
-
-
-def from_coefficients(dec: SpectralDecomposition, coeffs: np.ndarray) -> GridFunction:
-    return GridFunction(dec.domain, _grid_values(dec, coeffs).reshape(dec.domain.shape))
-
-
 def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
     """Columns (cells x len(indices)) of the selected eigenfunctions, ``indices`` in ascending order."""
     return dec.basis.columns(_native_index(dec.order, np.asarray(indices, dtype=int)))
@@ -801,19 +791,17 @@ def _weighted_passes(dec: SpectralDecomposition, weights, decay, states, rows=No
         yield (slice(p, p + len(values)),) + chunk_pass(values)
 
 
-def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay, states, next_rows=None):
-    """Set norms, decay sums and squared norms of each state f_p, as (r, P), (s, P) and (P,) arrays.
+def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay, states):
+    """Per chunk of the states f_p: (chunk, decay sums, squared norms, ``set_norm``).
 
-    The set norms are h sum_{x in E} |(w_q(H) f_p)(x)|^2, the decay sums
-    sum_j decay[i, j] |c_jp|^2 and the squared norms h ||f_p||^2, the decay
-    sums of one more row of ones (Parseval, in every orthonormal layout).
-    ``weights`` (r, cells) and ``decay`` (s, cells), every row equal across
-    each level, are in ascending order; ``states`` is a (P,) + grid stack or
-    ``DrawnStates``.  Each pass of ``_weighted_passes`` is squared in place
-    and summed over E.  Every row is taken in one round, unless
-    ``next_rows(q, norms, sums, sq_norms)`` names the rows of each round q
-    from a chunk's figures so far: a chunk is done at the first round it
-    names none, and the set norms of the rows it never named stay 0.0.
+    The decay sums (s, chunk length) are sum_j decay[i, j] |c_jp|^2 and the
+    squared norms h ||f_p||^2 the decay sums of one more row of ones
+    (Parseval, in every orthonormal layout); ``set_norm(q)`` is the chunk's
+    h sum_{x in E} |(w_q(H) f_p)(x)|^2, its pass of ``_weighted_passes``
+    squared in place and summed over E, synthesized only when asked for and
+    only before the next chunk.  ``weights`` (r, cells) and ``decay``
+    (s, cells), every row equal across each level, are in ascending order;
+    ``states`` is a (P,) + grid stack or ``DrawnStates``.
     """
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
@@ -822,29 +810,20 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay
     cells = dec.domain.cell_count
     if weights.shape[1] != cells or decay.ndim != 2 or decay.shape[1] != cells:
         raise ValueError(f"weights {weights.shape} or decay rows {decay.shape} do not fit {dec.domain.shape}")
-    if next_rows is None:
-        def next_rows(q, *figures):
-            return () if q else range(len(weights))
-    decay = np.vstack([decay, np.ones(cells)])
-    norms, sums = np.zeros((len(weights), len(states))), np.empty((len(decay), len(states)))
     inside = e.cells.ravel()
     mask = inside.astype(float)
-    for chunk, decayed, row in _weighted_passes(dec, weights, decay, states, inside):
-        sums[:, chunk] = decayed
-        for q in itertools.count():
-            rows = next_rows(q, norms[:, chunk], sums[:-1, chunk], sums[-1, chunk])
-            if not len(rows):
-                break
-            for i in rows:
-                y = row(i)
-                y = np.abs(y) if np.iscomplexobj(y) else y
-                y *= y
-                if y.shape[1] == len(mask):
-                    np.matmul(y, mask, out=norms[i, chunk])
-                else:  # the full dense basis gives the cells of E alone
-                    y.sum(axis=1, out=norms[i, chunk])
-                norms[i, chunk] *= dec.domain.cell_volume
-    return norms, sums[:-1], sums[-1]
+    for chunk, sums, row in _weighted_passes(dec, weights, np.vstack([decay, np.ones(cells)]), states, inside):
+
+        def set_norm(q):
+            y = row(q)
+            y = np.abs(y) if np.iscomplexobj(y) else y
+            y *= y
+            # the full dense basis gives the cells of E alone
+            norm = y @ mask if y.shape[1] == len(mask) else y.sum(axis=1)
+            norm *= dec.domain.cell_volume
+            return norm
+
+        yield chunk, sums[:-1], sums[-1], set_norm
 
 
 def eigenfunction(dec: SpectralDecomposition, j: int) -> GridFunction:

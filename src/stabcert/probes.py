@@ -205,7 +205,7 @@ def observation_tail(dec: SpectralDecomposition, kernel: TimeKernel, phi: GridFu
     any set E, I = h sum_E q less the roundoff allowance brackets
     int_0^T ||chi_E e^{-tH} phi||^2 dt in [I, I + B ||phi||^2], B the
     kernel's bound: TimeKernel.bracket, the rule of
-    certify.observation_bracket.  Every figure is that upper end: tail(L)
+    certify.inequality_margins.  Every figure is that upper end: tail(L)
     over {|x - center| > L}, the total mass, and peak_density, the largest
     upper end over one cell divided by h, which converts mass bounds into
     measure bounds.  The tails decrease in L.
@@ -286,8 +286,8 @@ def falsify_weak_observability(
     phis = [kernel_probe_solution(p, 0.0) for p in probes]
     phi_norms = np.array([_norm(phi) for phi in phis])
     states = np.stack([phi.values for phi in phis])
-    margins, lhs, obs, bracket = weak_margins(dec, e, states, phi_norms, claim.C, claim.T, claim.alpha, "upper")
-    kernel = bracket.kernels[0]
+    margins, lhs, obs, evaluation = weak_margins(dec, e, states, phi_norms, claim.C, claim.T, claim.alpha, "upper")
+    kernel = evaluation.kernels[0]
     reports = []
     for i, probe in enumerate(probes):
         gap = float(lhs[i] - claim.alpha * phi_norms[i])
@@ -362,8 +362,8 @@ def falsify_hermite_ground_state(
         lambda *xs: np.pi ** (-n / 4.0) * np.exp(-0.5 * sum(x**2 for x in xs)),
     )
     phi0 = GridFunction(domain, phi0.values / _norm(phi0))
-    margins, lhs, obs, bracket = weak_margins(dec, e, phi0.values[None], 1.0, claim.C, claim.T, claim.alpha, "upper")
-    kernel = bracket.kernels[0]
+    margins, lhs, obs, evaluation = weak_margins(dec, e, phi0.values[None], 1.0, claim.C, claim.T, claim.alpha, "upper")
+    kernel = evaluation.kernels[0]
     rate = c - n
     with np.errstate(over="ignore", invalid="ignore"):  # the closed form may overflow where the grid flow does not
         analytic_lhs = float(np.exp(rate * claim.T) - claim.alpha)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import jsonable
 from .geometry import SetIndicator
-from .operators import SpectralDecomposition, from_coefficients, is_resolved, restricted_gram, spectral_count
+from .operators import SpectralDecomposition, is_resolved, restricted_gram, spectral_count
 
 _DEGENERACY_TOL = 1e-12
 
@@ -53,16 +53,16 @@ class HypothesisReport:
     constants: tuple
 
 
-def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds, witness: bool = False) -> list:
-    """(C(k, E), witness coefficients if ``witness`` else None) at each ascending threshold.
+def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:
+    """C(k, E) at each ascending threshold.
 
-    An empty projection range gives 1.0 and no witness (the inequality is
-    vacuous); the full domain gives exactly 1.0 (the Gram matrix is the
-    identity by orthonormality).  A non-finite threshold is refused, and so
-    is one whose range the grid does not resolve (``is_resolved``).  The
-    ranges are nested, so every constant comes from a leading principal
-    block of one Gram matrix, that of the largest range; by Cauchy
-    interlacing the constants are then nondecreasing in k.
+    An empty projection range gives 1.0 (the inequality is vacuous); the
+    full domain gives exactly 1.0 (the Gram matrix is the identity by
+    orthonormality).  A non-finite threshold is refused, and so is one
+    whose range the grid does not resolve (``is_resolved``).  The ranges
+    are nested, so every constant comes from a leading principal block of
+    one Gram matrix, that of the largest range; by Cauchy interlacing the
+    constants are then nondecreasing in k.
     """
     if not np.isfinite(thresholds).all():
         raise ValueError(f"thresholds must be finite, got {list(thresholds)}")
@@ -77,33 +77,21 @@ def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds, witness:
     G = restricted_gram(dec, np.arange(d_max), e) if d_max and not full else None
     out = []
     for d in dims:
-        if d == 0:
-            out.append((1.0, None))
-        elif full:
-            out.append((1.0, np.eye(d, 1)[:, 0] if witness else None))
+        if d == 0 or full:
+            out.append(1.0)
         else:
-            mu, W = np.linalg.eigh(G[:d, :d]) if witness else (np.linalg.eigvalsh(G[:d, :d]), None)
-            mu_min = float(mu[0])
-            const = np.inf if mu_min <= _DEGENERACY_TOL else float(1.0 / np.sqrt(mu_min))
-            out.append((const, None if W is None else W[:, 0]))
+            mu_min = float(np.linalg.eigvalsh(G[:d, :d])[0])
+            out.append(np.inf if mu_min <= _DEGENERACY_TOL else float(1.0 / np.sqrt(mu_min)))
     return out
 
 
-def best_constant(dec: SpectralDecomposition, k: float, e: SetIndicator, return_witness: bool = False):
+def best_constant(dec: SpectralDecomposition, k: float, e: SetIndicator) -> float:
     """Best restricted-inequality constant at threshold k, possibly +inf.
 
-    With ``return_witness`` also returns a grid function attaining it, or
-    None for an empty projection range.  Empty ranges, the full domain and
-    unresolved thresholds follow the rules of spectral_constant_curve.
+    Empty ranges, the full domain and unresolved thresholds follow the
+    rules of spectral_constant_curve.
     """
-    const, coeffs = _constants(dec, e, [float(k)], witness=return_witness)[0]
-    if not return_witness:
-        return const
-    if coeffs is None:
-        return const, None
-    padded = np.zeros(dec.domain.cell_count, dtype=coeffs.dtype)
-    padded[: coeffs.size] = coeffs
-    return const, from_coefficients(dec, padded)
+    return _constants(dec, e, [float(k)])[0]
 
 
 def spectral_constant_curve(dec: SpectralDecomposition, e: SetIndicator, thresholds,
@@ -117,7 +105,7 @@ def spectral_constant_curve(dec: SpectralDecomposition, e: SetIndicator, thresho
     thresholds = [float(k) for k in thresholds]
     if sorted(thresholds) != thresholds:
         raise ValueError("thresholds must ascend")
-    constants = tuple(const for const, _ in _constants(dec, e, thresholds))
+    constants = tuple(_constants(dec, e, thresholds))
     curve = SpectralConstantCurve(thresholds=tuple(thresholds), constants=constants)
     if a is not None and len(constants) >= 4 and all(np.isfinite(constants)):
         curve = SpectralConstantCurve(curve.thresholds, constants, fit=fit_growth(curve, a))

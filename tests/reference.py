@@ -2,21 +2,25 @@
 
 Each computes plainly what the package computes another way or not at all:
 the L2 inner product, the semigroup norm, the spectral projection, sampled
-Hermite functions, the inverse of ``operators.spec_to_json``, the exact
-observation integral through the Gram, the feedback operator K, the
-constant C2 of a kernel probe's norm law, and the high-frequency decay
-ratio sampled over random states, whose sup ``operators.dissipative_margin``
-computes from the spectrum.
+Hermite functions, the inverse of ``operators.spec_to_json``, the synthesis
+of grid values from coefficients, a state attaining the restricted
+constant C(k, E), every set norm of ``operators.restricted_norms`` as
+arrays, the full-rank observation bracket, the exact observation integral
+through the Gram, the feedback operator K, the constant C2 of a kernel
+probe's norm law, and the high-frequency decay ratio sampled over random
+states, whose sup ``operators.dissipative_margin`` computes from the
+spectrum.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from stabcert.certify import exprel
+from stabcert.certify import exprel, time_kernel
 from stabcert.domain import DomainMismatchError, GridDomain, GridFunction, grid_function_from_json, norm
 from stabcert.feedback import DampingFeedback, FeedbackOperator
 from stabcert.operators import (
@@ -26,12 +30,16 @@ from stabcert.operators import (
     Schrodinger,
     ShiftedHermite,
     SpectralDecomposition,
+    _native,
     _weighted_passes,
     basis_block,
+    restricted_gram,
+    restricted_norms,
     spectral_apply,
     spectral_count,
 )
 from stabcert.probes import KernelProbe, kernel_probe_solution
+from stabcert.specineq import best_constant
 
 
 def _check_same_domain(a, b):
@@ -127,10 +135,76 @@ def spec_from_json(doc: dict) -> OperatorSpec:
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
+def grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
+    """Grid values (cells,) or (cells, P) of the ascending coefficients (cells,) or (cells, P)."""
+    return dec.basis.synthesize(_native(dec.order, coeffs))
+
+
+def from_coefficients(dec: SpectralDecomposition, coeffs: np.ndarray) -> GridFunction:
+    return GridFunction(dec.domain, grid_values(dec, coeffs).reshape(dec.domain.shape))
+
+
+def best_constant_witness(dec: SpectralDecomposition, k: float, e):
+    """C(k, E) and a grid function attaining it, or None for an empty projection range.
+
+    The witness is the eigenvector of the smallest eigenvalue of the
+    range's restricted Gram, synthesized on the grid.
+    """
+    const, d = best_constant(dec, k, e), spectral_count(dec, k)
+    if d == 0:
+        return const, None
+    _, vectors = np.linalg.eigh(restricted_gram(dec, np.arange(d), e))
+    coeffs = np.zeros(dec.domain.cell_count, dtype=vectors.dtype)
+    coeffs[:d] = vectors[:, 0]
+    return const, from_coefficients(dec, coeffs)
+
+
+def restricted_norm_arrays(dec: SpectralDecomposition, e, weights, decay, states):
+    """Set norms, decay sums and squared norms of every state, as (r, P), (s, P) and (P,) arrays.
+
+    Every row of every chunk of ``operators.restricted_norms``.
+    """
+    weights = np.atleast_2d(weights)
+    norms, sums = np.empty((len(weights), len(states))), np.empty((len(decay), len(states)))
+    sq_norms = np.empty(len(states))
+    for chunk, chunk_sums, chunk_sq_norms, set_norm in restricted_norms(dec, e, weights, decay, states):
+        sums[:, chunk], sq_norms[chunk] = chunk_sums, chunk_sq_norms
+        for q in range(len(weights)):
+            norms[q, chunk] = set_norm(q)
+    return norms, sums, sq_norms
+
+
+@dataclass(frozen=True)
+class Bracket:
+    lower: np.ndarray
+    upper: np.ndarray
+    decayed: np.ndarray
+    kernels: tuple
+
+
+def full_rank_bracket(dec: SpectralDecomposition, e, states, lams, intervals) -> Bracket:
+    """[lower, upper] of every state's observation integral over each (lo, hi), from every kernel row.
+
+    One row per interval; ``decayed`` holds the norms ||e^{-hi lam} u||.
+    The kernel rows are summed one row at a time, in the evaluator's order.
+    """
+    kernels = tuple(time_kernel(lams, lo, hi) for lo, hi in intervals)
+    with np.errstate(under="ignore"):
+        decay = np.exp(-2.0 * np.outer([hi for _, hi in intervals], lams))
+    norms, sums, sq_norms = restricted_norm_arrays(
+        dec, e, np.concatenate([k.weights for k in kernels]), decay, states)
+    starts = np.cumsum([0] + [k.rank for k in kernels])
+    lower, upper = zip(*(
+        k.bracket(functools.reduce(np.add, norms[a : a + k.rank], np.zeros(len(states))), sq_norms)
+        for k, a in zip(kernels, starts)
+    ))
+    return Bracket(np.stack(lower), np.stack(upper), np.sqrt(sums), kernels)
+
+
 def observation_integrals(gram, lams, coeffs, lo, hi) -> np.ndarray:
     """Exact integrals over [lo, hi] of t -> ||chi_E e^{-t lam} u||^2 through the Gram matrix, one per column u.
 
-    The closed-form reference for ``observation_bracket``; no check or probe
+    The closed-form reference for the observation bracket; no check or probe
     calls it, since it needs the cells x cells E-restricted Gram ``gram``.
     With mu_jl = lam_j + lam_l the integral is
 

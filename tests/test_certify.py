@@ -23,7 +23,6 @@ from stabcert.certify import (
     certificate_threshold,
     certify_end_to_end,
     exprel,
-    observation_bracket,
     recurrence_check,
     time_kernel,
     weak_observability_check,
@@ -35,13 +34,12 @@ from stabcert.operators import (
     Schrodinger,
     ShiftedHermite,
     diagonalize,
-    restricted_norms,
     to_coefficients,
 )
 from stabcert.probes import ObservationClaim, falsify_hermite_ground_state, falsify_weak_observability
 from stabcert.specineq import restricted_gram
 
-from reference import observation_integrals
+from reference import full_rank_bracket, observation_integrals, restricted_norm_arrays
 
 GOLDEN_UNIT = {
     "gamma": 4.0,
@@ -415,8 +413,18 @@ def bracket_cases():
     ]
 
 
+def passing_through(dec, e, states, lams, intervals):
+    """The evaluator at the upper end, sides passed through: the integrals, decayed norms and ``Evaluation``."""
+    _, decayed, integrals, _, evaluation = certify.inequality_margins(
+        dec, e, states, lams, intervals, lambda integrals, decayed: (decayed, integrals),
+        "upper", "integral", intervals)
+    return integrals, decayed, evaluation
+
+
 @pytest.mark.parametrize("case", range(5))
 def test_observation_bracket_contains_the_gram_closed_form(case, rng):
+    # a probe takes every kernel row: its upper ends are the full rank's,
+    # and less B ||u||^2 they are the lower ends
     spec, dom, shape = bracket_cases()[case]
     dec = diagonalize(spec, dom)
     e = make_set(dom, shape)
@@ -424,14 +432,16 @@ def test_observation_bracket_contains_the_gram_closed_form(case, rng):
     coeffs = np.stack([to_coefficients(dec, GridFunction(dom, f)) for f in states], axis=1)
     intervals = [(0.0, 2.0), (0.25, 0.5), (1.0, 6.0)]
     lams = dec.eigenvalues + 0.3
-    bracket = observation_bracket(dec, e, states, lams, intervals)
+    upper, decayed, evaluation = passing_through(dec, e, states, lams, intervals)
+    full = full_rank_bracket(dec, e, states, lams, intervals)
+    assert np.array_equal(upper, full.upper) and np.array_equal(decayed, full.decayed)
+    assert evaluation.rank_used == evaluation.kernel_rank == max(k.rank for k in full.kernels)
     gram = restricted_gram(dec, np.arange(dom.cell_count), e)
     sq_norms = (states.reshape(7, -1) ** 2).sum(axis=1) * dom.cell_volume
-    rows = zip(intervals, bracket.lower, bracket.upper, (k.bound for k in bracket.kernels), bracket.decayed)
-    for (lo, hi), lower, upper, bound, decayed in rows:
+    rows = zip(intervals, upper, (k.bound for k in evaluation.kernels), decayed)
+    for (lo, hi), upper, bound, decayed in rows:
         exact = observation_integrals(gram, lams, coeffs, lo, hi)
-        assert np.all(lower <= exact) and np.all(exact <= upper)
-        assert np.array_equal(upper, lower + bound * sq_norms)
+        assert np.all(upper - bound * sq_norms <= exact) and np.all(exact <= upper)
         assert bound < 1e-10 * max(1.0, np.abs(exact).max() / sq_norms.min())
         want = np.sqrt((np.abs(coeffs) ** 2 * np.exp(-2.0 * hi * lams)[:, None]).sum(axis=0))
         np.testing.assert_allclose(decayed, want, rtol=1e-13)
@@ -447,7 +457,7 @@ def test_bracket_transforms_each_state_once(case, rng, coefficient_transforms):
     real = rng.standard_normal((70,) + dom.shape)
     for states in (real, real + 1j * rng.standard_normal(real.shape)):
         coefficient_transforms.clear()
-        observation_bracket(dec, e, states, dec.eigenvalues + 0.3, [(0.0, 2.0), (0.25, 0.5), (1.0, 6.0)])
+        passing_through(dec, e, states, dec.eigenvalues + 0.3, [(0.0, 2.0), (0.25, 0.5), (1.0, 6.0)])
         assert sum(s[0] for s in coefficient_transforms) == len(states)
 
 
@@ -465,7 +475,7 @@ def test_bracket_peak_stays_below_four_stacks(dim, m, trials):
     states = np.random.default_rng(5).standard_normal((trials,) + dom.shape)
     tracemalloc.start()
     try:
-        observation_bracket(dec, e, states, dec.eigenvalues, [(0.0, 1.0)])
+        passing_through(dec, e, states, dec.eigenvalues, [(0.0, 1.0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -473,7 +483,7 @@ def test_bracket_peak_stays_below_four_stacks(dim, m, trials):
 
 
 @pytest.mark.parametrize("case", range(5), ids=["fourier-1d", "fourier-2d", "assembled", "tensor", "parity"])
-def test_partial_lower_ends_never_decrease_with_rank(case, rng):
+def test_partial_lower_ends_never_decrease_with_rank(case, rng, monkeypatch):
     # each kernel row adds h sum_E |l_q(H) u|^2 >= 0 to the lower end, and
     # adding a term >= 0 never lowers a float sum: the lower end at rank q,
     # the rows past q left at 0.0, is certified and grows with q
@@ -483,39 +493,46 @@ def test_partial_lower_ends_never_decrease_with_rank(case, rng):
     states = rng.standard_normal((7,) + dom.shape)
     lams = dec.eigenvalues + 0.3
     kernel = time_kernel(lams, 0.25, 2.0)
-    norms, _, sq_norms = restricted_norms(dec, e, kernel.weights, np.empty((0, dom.cell_count)), states)
+    norms, _, sq_norms = restricted_norm_arrays(dec, e, kernel.weights, np.empty((0, dom.cell_count)), states)
     partial = np.stack([
         kernel.bracket(np.vstack([norms[:q], np.zeros_like(norms[q:])]).sum(axis=0), sq_norms)[0]
         for q in range(kernel.rank + 1)
     ])
     assert kernel.rank >= 2 and np.all(np.diff(partial, axis=0) >= 0.0)
-    full = observation_bracket(dec, e, states, lams, [(0.25, 2.0)])
-    assert np.array_equal(full.lower[0], partial[-1]) and full.rank_used == kernel.rank
-    # a settle test that holds at once stops every chunk after its first row
-    first = observation_bracket(dec, e, states, lams, [(0.25, 2.0)], lambda lower, decayed: np.ones(len(lower), bool))
-    assert np.array_equal(first.lower[0], partial[1]) and first.rank_used == 1
+    upper, _, full = passing_through(dec, e, states, lams, [(0.25, 2.0)])
+    assert np.array_equal(upper[0], partial[-1] + kernel.bound * sq_norms) and full.rank_used == kernel.rank
+    # a check whose sides hold at once stops every chunk after its first row
+    pass_only(monkeypatch)
+    holding = lambda integrals, decayed: (np.zeros_like(integrals), np.ones_like(integrals))
+    _, _, _, lower, first = certify.inequality_margins(
+        dec, e, states, lams, [(0.25, 2.0)], holding, "lower", "integral", [0])
+    assert np.array_equal(lower[0], partial[1]) and first.rank_used == 1
 
 
 @pytest.mark.parametrize("block, trials", [(4, 9), (1, 5)], ids=["one-state-last-chunk", "one-state-chunks"])
 def test_the_stop_test_sums_the_rows_as_the_report_does(block, trials, monkeypatch):
-    # numpy sums a one-column view of the kernel rows pairwise and the whole
-    # (rank, P) array row by row; both sum through one helper now, so a
-    # chunk of one state that takes every row has the reported lower ends
-    # at its last stop test, bit for bit (rank 16 here: pairwise differs)
+    # numpy sums a one-column view of the kernel rows pairwise and a wider
+    # (rank, P) array row by row; the evaluator sums them one row at a
+    # time, so a chunk of one state that takes every row has, at its last
+    # stop test and in the report, the lower ends of the whole array summed
+    # row by row, bit for bit (rank 16 here: pairwise differs)
     dom = make_grid(1, 10.0, 128, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=1.0), dom)
     e = make_set(dom, PeriodicSlabs(period=1.0, fill_fraction=0.25))
     monkeypatch.setattr(operators, "_SCAN_BLOCK_ENTRIES", block * dom.cell_count)
     states = np.random.default_rng(1).standard_normal((trials,) + dom.shape)
+    intervals = [(0.0, 10.0), (0.0, 30.0)]
     seen = []
 
-    def never(lower, decayed):
-        seen.append(lower.copy())
-        return np.zeros(len(lower), bool)
+    def never(integrals, decayed):
+        seen.append(integrals.copy())
+        return np.ones_like(integrals), np.zeros_like(integrals)
 
-    bracket = observation_bracket(dec, e, states, dec.eigenvalues, [(0.0, 10.0), (0.0, 30.0)], never)
-    assert min(k.rank for k in bracket.kernels) >= 9 and seen[-1].shape == (2, 1)
-    assert np.array_equal(seen[-1], bracket.lower[:, -1:])
+    _, _, _, lower, evaluation = certify.inequality_margins(
+        dec, e, states, dec.eigenvalues, intervals, never, "lower", "integral", intervals)
+    full = full_rank_bracket(dec, e, states, dec.eigenvalues, intervals)
+    assert min(k.rank for k in evaluation.kernels) >= 9 and seen[-2].shape == (2, 1)
+    assert np.array_equal(seen[-2], full.lower[:, -1:]) and np.array_equal(lower, full.lower)
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +594,13 @@ def test_infinite_margins_are_arithmetic_errors(small_certified, monkeypatch, ch
     # `certify.inequality_margins` at the end it takes
     dec, e, result = small_certified
     cert = result.certificate
-    bracket = certify.observation_bracket
+    chunks = certify.restricted_norms
 
     def overflowing(*args):
-        b = bracket(*args)
-        return dataclasses.replace(b, lower=np.full_like(b.lower, np.inf), upper=np.full_like(b.upper, np.inf))
+        for chunk, sums, sq_norms, _ in chunks(*args):
+            yield chunk, sums, sq_norms, lambda q: np.full(len(sq_norms), np.inf)
 
-    monkeypatch.setattr(certify, "observation_bracket", overflowing)
+    monkeypatch.setattr(certify, "restricted_norms", overflowing)
     claim = ObservationClaim(C=1.0, T=1.0, alpha=0.5)
     with pytest.raises(ArithmeticError, match="is infinite at"):
         if check == "recurrence":
@@ -754,10 +771,10 @@ def test_a_check_on_drawn_states_is_the_check_on_the_one_draw():
     # the check stops each chunk at the kernel rank that settles it, so it
     # is held to the stop rule on the one draw, not to the full rank
     report = weak_observability_check(dec, e, cert, trials=100, seed=4)
-    margins, _, integrals, bracket = certify.weak_margins(
+    margins, _, integrals, evaluation = certify.weak_margins(
         dec, e, unit_draw(dom, 100, 4), 1.0, cert.C, cert.T, cert.alpha, "lower")
     assert report.observation_integrals == tuple(float(v) for v in integrals)
-    assert (report.min_margin, report.rank_used) == (float(margins.min()), bracket.rank_used)
+    assert (report.min_margin, report.rank_used) == (float(margins.min()), evaluation.rank_used)
 
 
 def test_the_recurrence_report_is_the_loop_over_its_taus(small_certified):
@@ -799,7 +816,7 @@ def stop_rule_case():
 def settling_ranks(dec, e, states, lams, lo, hi, margin_of):
     """Per chunk of ``stop_rule_case``, the first kernel rank where every state's margin is >= 0, or None."""
     kernel = time_kernel(lams, lo, hi)
-    norms, sums, sq_norms = restricted_norms(dec, e, kernel.weights, np.exp(-2.0 * hi * lams)[None], states)
+    norms, sums, sq_norms = restricted_norm_arrays(dec, e, kernel.weights, np.exp(-2.0 * hi * lams)[None], states)
     ranks = []
     for chunk in np.split(np.arange(len(states)), np.arange(28, len(states), 28)):
         passing = [(margin_of(kernel.bracket(norms[:q, chunk].sum(axis=0), sq_norms[chunk])[0],
@@ -816,7 +833,7 @@ def test_a_failing_weak_check_reports_the_full_rank_figures():
     dec, e, starts = stop_rule_case()
     base = build_certificate(CriterionConstants(c1=1.0, a=1.0, c2=1.0, b=1.0))
     states = unit_draw(dec.domain, 100, 4)
-    full = observation_bracket(dec, e, states, dec.eigenvalues, [(0.0, base.T)])
+    full = full_rank_bracket(dec, e, states, dec.eigenvalues, [(0.0, base.T)])
     needed = (full.decayed[0] - base.alpha) / np.sqrt(full.lower[0])
     worst = int(np.argmax(needed))
     chunk = slice(starts[worst // 28], starts[worst // 28] + 28)
@@ -845,7 +862,7 @@ def test_a_failing_recurrence_check_reports_the_full_rank_figures():
     base = build_certificate(CriterionConstants(c1=1e-3, a=1.0, c2=1.0, b=1.0))
     taus = [0.05, 1.0]
     states = unit_draw(dec.domain, 100, 3)
-    full = observation_bracket(dec, e, states, dec.eigenvalues, [(t / 2.0, t) for t in taus])
+    full = full_rank_bracket(dec, e, states, dec.eigenvalues, [(t / 2.0, t) for t in taus])
     g = np.array([[np.exp(certificate_gain_log(base, t)), np.exp(certificate_gain_log(base, t / 2.0))] for t in taus])
     excess = g[:, :1] * full.decayed**2 - g[:, 1:] - full.lower
     worst = int(np.argmax(excess[0]))
@@ -885,7 +902,7 @@ def test_probes_take_the_full_rank_upper_end(holds):
 
     def full_upper(dec, e, states):
         kernel = time_kernel(dec.eigenvalues, 0.0, claim.T)
-        norms, _, sq_norms = restricted_norms(dec, e, kernel.weights, np.empty((0, dec.domain.cell_count)), states)
+        norms, _, sq_norms = restricted_norm_arrays(dec, e, kernel.weights, np.empty((0, dec.domain.cell_count)), states)
         assert kernel.rank >= 2
         return kernel.bracket(norms.sum(axis=0), sq_norms)[1]
 

@@ -25,7 +25,6 @@ from stabcert.operators import (
     diagonalize,
     dissipative_margin,
     eigenfunction,
-    from_coefficients,
     restricted_gram,
     restricted_norms,
     semigroup_apply,
@@ -34,12 +33,20 @@ from stabcert.operators import (
     spectral_count,
     to_coefficients,
     _canonicalize_signs,
-    _grid_values,
 )
 from stabcert.probes import ObservationClaim, falsify_hermite_ground_state
 from stabcert.specineq import spectral_constant_curve
 
-from reference import hermite_basis, inner_product, project, semigroup_norm, spec_from_json
+from reference import (
+    from_coefficients,
+    grid_values,
+    hermite_basis,
+    inner_product,
+    project,
+    restricted_norm_arrays,
+    semigroup_norm,
+    spec_from_json,
+)
 
 
 def random_state(domain, rng, complex_valued=False):
@@ -667,8 +674,8 @@ def test_tensor_transforms_match_the_assembled_basis(tensor_pair, m, c):
         back_want = from_coefficients(assembled, want[:, 3]).values
         assert np.abs(back - back_want).max() <= 1e-12 * np.abs(back_want).max()
         no_decay = np.empty((0, dom.cell_count))
-        np.testing.assert_allclose(restricted_norms(factored, e, weights, no_decay, states)[0],
-                                   restricted_norms(assembled, e, weights, no_decay, states)[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(restricted_norm_arrays(factored, e, weights, no_decay, states)[0],
+                                   restricted_norm_arrays(assembled, e, weights, no_decay, states)[0], rtol=1e-12, atol=0.0)
 
 
 def test_tensor_layout_holds_no_cells_squared_array():
@@ -679,7 +686,7 @@ def test_tensor_layout_holds_no_cells_squared_array():
     tracemalloc.start()
     try:
         dec = diagonalize(ShiftedHermite(), dom)
-        norms, _, _ = restricted_norms(dec, e, np.exp(-np.outer([0.5, 1.0], dec.eigenvalues)),
+        norms, _, _ = restricted_norm_arrays(dec, e, np.exp(-np.outer([0.5, 1.0], dec.eigenvalues)),
                                        np.empty((0, dom.cell_count)), states)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1030,7 +1037,7 @@ def synthesis_cases():
 @pytest.mark.parametrize("case", range(5), ids=["fourier-1d", "fourier-2d", "full-1d", "parity-1d", "tensor-2d"])
 @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
 def test_synthesis_inverts_the_coefficient_transform(case, complex_valued, rng):
-    # _grid_values is the one synthesis of every layout: single states and
+    # grid_values is the one synthesis of every layout: single states and
     # stacks come back from their coefficients, through from_coefficients too
     spec, dom = synthesis_cases()[case]
     dec = diagonalize(spec, dom)
@@ -1040,11 +1047,11 @@ def test_synthesis_inverts_the_coefficient_transform(case, complex_valued, rng):
     tol = 1e-13 * np.abs(values).max()
     for f in values:
         c = to_coefficients(dec, f)
-        single = _grid_values(dec, c)
+        single = grid_values(dec, c)
         assert single.shape == (dom.cell_count,)
         assert np.abs(single - f.ravel()).max() <= tol
         assert np.abs(from_coefficients(dec, c).values - f).max() <= tol
-    back = _grid_values(dec, to_coefficients(dec, values))
+    back = grid_values(dec, to_coefficients(dec, values))
     assert back.shape == (dom.cell_count, 4)
     assert np.abs(back - values.reshape(4, -1).T).max() <= tol
 
@@ -1136,7 +1143,7 @@ def test_restricted_norms_are_gram_quadratic_forms(case, states, rng):
         coeffs = np.stack([to_coefficients(dec, GridFunction(dom, v)) for v in values], axis=1)
         weighted = weights[:, :, None] * coeffs[None]
         want = np.einsum("qjp,jl,qlp->qp", weighted.conj(), gram, weighted).real
-        got, _, _ = restricted_norms(dec, e, weights, np.empty((0, dom.cell_count)), values)
+        got, _, _ = restricted_norm_arrays(dec, e, weights, np.empty((0, dom.cell_count)), values)
         assert got.shape == (5, states)
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
@@ -1169,7 +1176,7 @@ def test_fourier_restricted_norms_match_the_scipy_fft_path(case, rng):
     for complex_valued in (False, True):
         values = np.stack([random_state(dom, rng, complex_valued).values for _ in range(6)])
         want = scipy_fft_restricted_norms(dec, e, weights, values)
-        got = restricted_norms(dec, e, weights, np.empty((0, dom.cell_count)), values)[0]
+        got = restricted_norm_arrays(dec, e, weights, np.empty((0, dom.cell_count)), values)[0]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
@@ -1204,7 +1211,7 @@ def test_restricted_norms_return_the_squared_coefficients(layout, rng):
     indicators = (level_of == np.arange(levels.size)[:, None]).astype(float)
     for states in (real, real + 1j * rng.standard_normal(real.shape)):
         # the decay sums of one indicator row per level are the level sums of the squares
-        _, sums, _ = restricted_norms(dec, e, np.ones((1, dom.cell_count)), indicators, states)
+        _, sums, _ = restricted_norm_arrays(dec, e, np.ones((1, dom.cell_count)), indicators, states)
         want = indicators @ np.abs(to_coefficients(dec, states)) ** 2
         assert sums.shape == want.shape == (levels.size, len(states))
         assert np.all(np.abs(sums - want) <= 1e-13 * want.max(axis=0))
@@ -1232,8 +1239,8 @@ def test_real_fourier_passes_fold_to_the_complex_pass(grid, rng):
     decay = rng.uniform(0.5, 1.5, (4, levels.size))[:, level_of]
     alternating = np.broadcast_to((-1.0) ** np.arange(dom.points_per_axis), dom.shape)
     real = np.concatenate([rng.standard_normal((20,) + dom.shape), np.ones((1,) + dom.shape), alternating[None]])
-    got = restricted_norms(dec, e, weights, decay, real)
-    want = restricted_norms(dec, e, weights, decay, real.astype(complex))
+    got = restricted_norm_arrays(dec, e, weights, decay, real)
+    want = restricted_norm_arrays(dec, e, weights, decay, real.astype(complex))
     for a, b in zip(got, want):
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=0.0)
 
@@ -1241,10 +1248,11 @@ def test_real_fourier_passes_fold_to_the_complex_pass(grid, rng):
 def test_restricted_norms_check_their_inputs(frac_dec, hermite_dec, rng):
     e = make_set(frac_dec.domain, HalfSpace(offset=0.0))
     values = rng.standard_normal((2,) + frac_dec.domain.shape)
+    # the checks run when the first chunk is asked for
     with pytest.raises(ValueError, match="different domains"):
-        restricted_norms(hermite_dec, e, np.ones((1, 512)), np.empty((0, 512)), values)
+        next(restricted_norms(hermite_dec, e, np.ones((1, 512)), np.empty((0, 512)), values))
     with pytest.raises(ValueError, match="do not fit"):
-        restricted_norms(frac_dec, e, np.ones((1, 511)), np.empty((0, 512)), values)
+        next(restricted_norms(frac_dec, e, np.ones((1, 511)), np.empty((0, 512)), values))
 
 
 # ---------------------------------------------------------------------------

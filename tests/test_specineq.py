@@ -22,6 +22,8 @@ from stabcert.specineq import (
     verify_spectral_hypothesis,
 )
 
+from reference import best_constant_witness
+
 
 @pytest.fixture(scope="module")
 def slabs(frac_dec):
@@ -42,7 +44,7 @@ def test_empty_projection_range_is_vacuous(hermite_dec, slabs, frac_dec):
     # no oscillator eigenvalue sits below 0.5, so the inequality holds trivially
     e = make_set(hermite_dec.domain, HalfSpace(offset=0.0))
     assert best_constant(hermite_dec, 0.5, e) == 1.0
-    const, witness = best_constant(frac_dec, -1.0, slabs, return_witness=True)
+    const, witness = best_constant_witness(frac_dec, -1.0, slabs)
     assert const == 1.0 and witness is None
 
 
@@ -53,15 +55,15 @@ def test_empty_set_gives_infinite_constant(hermite_dec):
 
 def test_witness_attains_the_constant(hermite_dec):
     e = make_set(hermite_dec.domain, HalfSpace(offset=1.0))
-    const, witness = best_constant(hermite_dec, 6.0, e, return_witness=True)
+    const, witness = best_constant_witness(hermite_dec, 6.0, e)
     assert np.isfinite(const) and const > 1.0
     ratio = norm(witness) / restrict_norm(witness, e)
     assert ratio == pytest.approx(const, rel=1e-8)
 
 
 def test_only_a_witness_asks_for_eigenvectors(hermite_dec, monkeypatch):
-    # the curve reads the smallest eigenvalue of each block; only
-    # best_constant(..., return_witness=True) needs its eigenvector
+    # the curve and best_constant read the smallest eigenvalue of each
+    # block; only the witness of tests/reference.py needs its eigenvector
     e = make_set(hermite_dec.domain, HalfSpace(offset=1.0))
     ks = [2.0, 4.0, 6.0]
     eigh, solved = np.linalg.eigh, []
@@ -69,7 +71,7 @@ def test_only_a_witness_asks_for_eigenvectors(hermite_dec, monkeypatch):
     curve = spectral_constant_curve(hermite_dec, e, ks)
     assert best_constant(hermite_dec, 6.0, e) == curve.constants[-1]
     assert solved == []
-    const, _ = best_constant(hermite_dec, 6.0, e, return_witness=True)
+    const, _ = best_constant_witness(hermite_dec, 6.0, e)
     assert solved == [(3, 3)]
     assert const == pytest.approx(curve.constants[-1], rel=1e-12)
 

@@ -13,9 +13,9 @@ go through `operators.restricted_norms`), `certify` takes its decayed norms
 from the decay sums that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
 only `certify.inequality_margins`, the evaluator of both checks and both
-probes, forms an observation bracket, and it passes the test that stops
-a chunk's kernel rows for a check's lower end alone, which only
-`certify.observation_bracket` turns into the rounds of `restricted_norms`;
+probes, factors a time kernel (`time_kernel`) and drives the chunks of
+`restricted_norms`, and it tests whether a chunk may stop taking kernel
+rows for a check's lower end alone (`end == "lower"`);
 `probes` evaluates its self-similar
 probe only at t = 0. `operators` draws no random states: its figures are
 computed from the decomposition. In `operators`,
@@ -50,7 +50,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from stabcert.certify import inequality_margins
+from stabcert.domain import make_grid
+from stabcert.geometry import PeriodicSlabs, make_set
+from stabcert.operators import FractionalLaplacian, diagonalize
 
 ROOT = pathlib.Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "stabcert").glob("*.py"))
@@ -155,7 +161,7 @@ def test_flow_checks_and_probes_build_no_gram(name):
 
 def test_probes_take_their_decayed_norms_from_the_bracket():
     # ||e^{-TH} phi|| of every probe comes with its observation bracket
-    # (`certify.observation_bracket`), from one batched coefficient transform
+    # (`certify.inequality_margins`), from one batched coefficient transform
     found = _names(_tree(next(p for p in SOURCES if p.name == "probes.py")), "to_coefficients")
     assert not found, found
 
@@ -175,46 +181,90 @@ def test_operators_draw_no_random_states():
     assert not found, found
 
 
-def test_only_the_evaluator_forms_an_observation_bracket():
-    # the two checks and the two probes evaluate their inequality through
-    # `certify.inequality_margins`, which picks the bracket end, forms the
-    # margins and holds the one rule for a NaN or infinite margin
+def _callers(name):
+    """(file, function) of every call of ``name``, by name or attribute, in the package source."""
     found = set()
     for path in SOURCES:
         tree = _tree(path)
-        owner = {id(node): name for name, func in _functions(tree) for node in ast.walk(func)}
+        owner = {id(node): fname for fname, func in _functions(tree) for node in ast.walk(func)}
         found |= {
             (path.name, owner.get(id(node)))
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and "observation_bracket" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         }
-    assert found == {("certify.py", "inequality_margins")}, sorted(found, key=str)
+    return found
+
+
+def test_only_the_evaluator_forms_an_observation_bracket():
+    # the two checks and the two probes evaluate their inequality through
+    # `certify.inequality_margins`, which factors the time kernels, drives
+    # the chunks of `operators.restricted_norms` row by row, picks the
+    # bracket end, forms the margins and holds the one rule for a NaN or
+    # infinite margin; no second owner of the kernel rows grows back
+    for name in ("restricted_norms", "time_kernel"):
+        assert _callers(name) == {("certify.py", "inequality_margins")}, (name, sorted(_callers(name), key=str))
+
+
+def _chunk_loop(func):
+    """``func``'s one loop over the chunks of ``restricted_norms``."""
+    (loop,) = [node for node in ast.walk(func)
+               if isinstance(node, ast.For) and "restricted_norms" in ast.unparse(node.iter)]
+    return loop
+
+
+def _checks_only(test) -> bool:
+    """Whether the test of an ``if`` is ``end == "lower"`` or a conjunction with it."""
+    conjuncts = test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) else [test]
+    return any(ast.unparse(c) == "end == 'lower'" for c in conjuncts)
+
+
+def _stop_tests(func):
+    """The calls of ``sides`` in ``func``'s loop over the chunks, and those not under ``end == "lower"``."""
+    loop = _chunk_loop(func)
+    guarded = {
+        id(node)
+        for guard in ast.walk(loop) if isinstance(guard, ast.If) and _checks_only(guard.test)
+        for statement in guard.body
+        for node in ast.walk(statement)
+    }
+    calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sides"]
+    return calls, [f"line {node.lineno}: {ast.unparse(node)}" for node in calls if id(node) not in guarded]
 
 
 def test_only_a_check_stops_at_the_rank_that_settles_it():
     # a check's lower end only grows with the kernel rank, so it may stop a
     # chunk once every margin is >= 0; a probe's upper end is not monotone
-    # in the rank and takes every row: the one settle test is passed by
-    # `certify.inequality_margins` for the lower end alone, and only
-    # `certify.observation_bracket` hands `restricted_norms` its rounds
-    settles, rounds = set(), set()
-    for path in SOURCES:
-        tree = _tree(path)
-        owner = {id(node): name for name, func in _functions(tree) for node in ast.walk(func)}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            for name, position, keyword, found in (
-                ("observation_bracket", 5, "settled", settles), ("restricted_norms", 5, "next_rows", rounds),
-            ):
-                if called != name:
-                    continue
-                passed = node.args[position:] + [k.value for k in node.keywords if k.arg == keyword]
-                found |= {(path.name, owner.get(id(node)), ast.unparse(arg)) for arg in passed}
-    assert settles == {("certify.py", "inequality_margins", "settled if end == 'lower' else None")}, settles
-    assert rounds == {("certify.py", "observation_bracket", "next_rows")}, rounds
+    # in the rank and takes every row: the stop test, the evaluator's call
+    # of the caller's sides inside its one loop over the chunks, runs
+    # under `end == "lower"` alone
+    tree = _tree(next(p for p in SOURCES if p.name == "certify.py"))
+    evaluator = dict(_functions(tree))["inequality_margins"]
+    calls, unguarded = _stop_tests(evaluator)
+    assert calls and not unguarded, unguarded
+    # a stop test for every end, inserted into the syntax tree, is found
+    _chunk_loop(evaluator).body.insert(0, ast.parse("lhs, rhs = sides(integrals[:, chunk], decayed[:, chunk])").body[0])
+    assert len(_stop_tests(evaluator)[1]) == 1
+
+
+def test_a_probe_takes_every_row_where_a_check_stops_at_rank_one():
+    # the same states and sides, whose margin is >= 0 for every state at
+    # rank 1 and not decided by the spectrum: the lower end (a check)
+    # stops every chunk there, and the upper end (a probe) takes every
+    # kernel row
+    dom = make_grid(1, 10.0, 128, periodic=True)
+    dec = diagonalize(FractionalLaplacian(s=1.0), dom)
+    e = make_set(dom, PeriodicSlabs(period=1.0, fill_fraction=0.25))
+    states = np.random.default_rng(3).standard_normal((1100,) + dom.shape)  # chunks of 512, 512 and 76
+
+    def sides(integrals, decayed):
+        return np.full_like(integrals, 1e-9), integrals
+
+    ranks = {}
+    for end in ("lower", "upper"):
+        *_, evaluation = inequality_margins(dec, e, states, dec.eigenvalues, [(0.0, 1.0)], sides, end, "integral", [0])
+        ranks[end] = (evaluation.rank_used, evaluation.kernel_rank)
+    kernel_rank = ranks["upper"][1]
+    assert kernel_rank >= 2 and ranks == {"lower": (1, kernel_rank), "upper": (kernel_rank, kernel_rank)}, ranks
 
 
 SPECTRA = {"eigenvalues", "lams"}
