@@ -53,10 +53,10 @@ def main():
             print(f"fill={fill:6.3f}  {res.status}")
         else:
             cert = res.certificate
-            row.update(c1=res.constants.c1, A=cert.A, T=cert.T, alpha=cert.alpha, C=cert.C,
+            row.update(c1=cert.constants.c1, A=cert.A, T=cert.T, alpha=cert.alpha, C=cert.C,
                        min_margin=res.observability_report.min_margin)
             print(
-                f"fill={fill:6.3f}  {res.status:9s}  c1={res.constants.c1:8.4f}  "
+                f"fill={fill:6.3f}  {res.status:9s}  c1={cert.constants.c1:8.4f}  "
                 f"T={cert.T:9.3f}  alpha={cert.alpha:.3e}  C={cert.C:.4e}"
             )
         rows.append(row)

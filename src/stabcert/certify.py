@@ -601,7 +601,6 @@ class CertificationResult:
     status: str
     detail: str
     curve: SpectralConstantCurve
-    constants: Optional[CriterionConstants] = None
     certificate: Optional[Certificate] = None
     hypothesis_report: Optional[object] = None
     dissipative_max_ratio: Optional[float] = None
@@ -713,7 +712,6 @@ def certify_end_to_end(
         status=status,
         detail=detail,
         curve=curve,
-        constants=consts,
         certificate=cert,
         hypothesis_report=hyp,
         dissipative_max_ratio=float(diss_worst),

@@ -267,9 +267,7 @@ def _certify_outputs(spec, domain, e, options, cache_dir):
         recurrence = result.recurrence_report
         out["recurrence"] = None if recurrence is None else dataclasses.asdict(recurrence)
         out["observability"] = dataclasses.asdict(result.observability_report)
-        hyp = dataclasses.asdict(result.hypothesis_report)
-        hyp.pop("constants")  # the curve already carries them
-        out["hypothesis"] = hyp
+        out["hypothesis"] = dataclasses.asdict(result.hypothesis_report)
     return out, {"curve.csv": curve_to_csv(result.curve)}
 
 

@@ -183,17 +183,17 @@ def build_damping_feedback(
     e: SetIndicator,
     *,
     delta: float = 0.5,
-    c1: Optional[float] = None,
     N_grid=range(1, 33),
 ) -> DampingFeedback:
     """Pick omega by sweeping N, then diagonalize H + chi_E for exact flow.
 
-    A generator with a negative eigenvalue is outside the bound's hypothesis
-    H >= 0 and raises ValueError before any matrix is built.  The sweep
-    keeps only the N whose projection range d(N^2) is at most half the cell
-    count, the ranges the grid resolves; it raises ValueError when no N is
-    left.  A smallest loop eigenvalue below omega raises
-    DampingCertificateError.
+    The bound's exponent c1 is the envelope of damping_spectral_exponent
+    over the swept N.  A generator with a negative eigenvalue is outside
+    the bound's hypothesis H >= 0 and raises ValueError before any matrix
+    is built.  The sweep keeps only the N whose projection range d(N^2) is
+    at most half the cell count, the ranges the grid resolves; it raises
+    ValueError when no N is left.  A smallest loop eigenvalue below omega
+    raises DampingCertificateError.
     """
     lam1 = float(dec.eigenvalues[0])
     if lam1 < 0.0:
@@ -210,8 +210,7 @@ def build_damping_feedback(
     # to hold it (a factored basis can be larger) before the sweep builds
     # Grams of up to cells / 2 columns
     loop = dense_matrix(dec) + np.diag(e.cells.ravel().astype(float))
-    if c1 is None:
-        c1 = damping_spectral_exponent(dec, e, resolved)
+    c1 = damping_spectral_exponent(dec, e, resolved)
     bound = damping_decay_bound(dec, e, delta, c1, resolved)
     loop = 0.5 * (loop + loop.T)
     w, u = np.linalg.eigh(loop)

@@ -27,8 +27,9 @@ through the certified low-rank time kernel of the certificate checks
 of its bracket still violates (certify.weak_margins, the weak check's
 margins), so the kernel can hide a violation but never invent one, and
 the local-mass bounds use the upper ends of the probe's tail masses and
-peak density, so they hold on the grid.  The self-similar formula is evaluated at t = 0 only, to
-build the probe's initial datum.
+peak density, so they hold on the grid.  The self-similar formula is
+evaluated at t = 0 only, to build every centre's initial datum from one
+scale-1 kernel; their evolution is the grid flow's.
 """
 
 from __future__ import annotations
@@ -58,15 +59,6 @@ class ObservationClaim:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class KernelProbe:
-    s: float
-    c: float
-    x0: tuple
-    l: float
-    kernel: GridFunction
-
-
 def build_kernel(s: float, domain: GridDomain) -> GridFunction:
     """Inverse FFT of e^{-|xi|^s} on the midpoint grid.
 
@@ -94,72 +86,25 @@ def build_kernel(s: float, domain: GridDomain) -> GridFunction:
     return GridFunction(domain, g.real)
 
 
-def make_probe(s: float, c: float, domain: GridDomain, x0, l: float) -> KernelProbe:
-    """Build the kernel of the probe centred at x0 with scale parameter l."""
-    if l <= 0:
-        raise ValueError("l must be positive")
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    if len(x0) != domain.dim:
-        raise ValueError(f"center has {len(x0)} components, domain is {domain.dim}-dimensional")
-    if not all(abs(v) <= domain.half_width for v in x0):
-        raise ValueError(f"center {x0} outside the box [-R, R]^n")
-    return KernelProbe(s=float(s), c=float(c), x0=x0, l=float(l), kernel=build_kernel(s, domain))
+def kernel_probe_solution(kernel: GridFunction, s: float, centers, l: float) -> np.ndarray:
+    """The (P,) + grid stack of data u(0, x; l) = l^{-n/s} g((x - x0) / l^{1/s}), one per centre.
 
-
-def kernel_probe_solution(probe: KernelProbe, t: float) -> GridFunction:
-    """Evaluate u(t, x; l) by rescaling the probe's kernel.
-
-    Linear interpolation on the periodic minimal image of x - x0; arguments
-    that land outside the box (only possible while t + l < 1) take the value
-    zero, which is accurate to the kernel's tail size.  Once the spatial
-    scale (t+l)^{1/s} passes R/2 the probe no longer fits the box and the
-    self-similar formula stops describing the periodized evolution, so that
-    is an error asking for a larger domain.
+    ``kernel`` is g = build_kernel(s, domain).  Each datum interpolates it
+    linearly at the periodic minimal image of x - x0, one axis at a time by
+    np.interp (bilinear interpolation in 2D); arguments outside the box take
+    the value zero, which is accurate to the kernel's tail size.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    domain = probe.kernel.domain
-    n, big_r = domain.dim, domain.half_width
-    sigma = (t + probe.l) ** (1.0 / probe.s)
-    if sigma > big_r / 2.0:
-        raise ValueError(
-            f"probe scale (t+l)^(1/s) = {sigma:.4g} exceeds R/2 = {big_r / 2:.4g}; "
-            "enlarge the domain half-width"
-        )
-    axes = domain.axis_coords()
-    shifted = [
-        np.mod(axes - probe.x0[axis] + big_r, 2.0 * big_r) - big_r
-        for axis in range(n)
-    ]
-    amp = np.exp(probe.c * t) * (t + probe.l) ** (-n / probe.s)
-    if n == 1:
-        vals = amp * np.interp(shifted[0] / sigma, axes, probe.kernel.values, left=0.0, right=0.0)
-    else:
-        a_x, a_y = (linear_interpolation_matrix(q / sigma, axes) for q in shifted)
-        vals = amp * (a_x @ probe.kernel.values @ a_y.T)
-    return GridFunction(domain, vals)
-
-
-def linear_interpolation_matrix(points, axis) -> np.ndarray:
-    """The (len(points), len(axis)) matrix of linear interpolation on a uniform ``axis``.
-
-    Row i holds the weights 1 - t and t of the two nodes around points[i],
-    t = (p - x_j) / (x_{j+1} - x_j); a row is zero where the point lies
-    outside [axis[0], axis[-1]].  On a tensor grid, bilinear interpolation
-    of K at the points (p_i, q_j) is A_p K A_q^T.
-    """
-    points = np.asarray(points, dtype=float)
-    m = axis.size
-    j = np.clip(np.floor((points - axis[0]) / (axis[1] - axis[0])), 0, m - 2).astype(int)
-    t = (points - axis[j]) / (axis[j + 1] - axis[j])
-    inside = (points >= axis[0]) & (points <= axis[-1])
-    rows = np.arange(points.size)
-    a = np.zeros((points.size, m))
-    a[rows, j] = np.where(inside, 1.0 - t, 0.0)
-    a[rows, j + 1] = np.where(inside, t, 0.0)
-    return a
+    domain = kernel.domain
+    axes, big_r = domain.axis_coords(), domain.half_width
+    sigma = l ** (1.0 / s)
+    stack = np.empty((len(centers),) + domain.shape)
+    for i, x0 in enumerate(centers):
+        vals = kernel.values
+        for axis, x in enumerate(x0):
+            points = (np.mod(axes - x + big_r, 2.0 * big_r) - big_r) / sigma
+            vals = np.apply_along_axis(lambda v: np.interp(points, axes, v, left=0.0, right=0.0), axis, vals)
+        stack[i] = l ** (-domain.dim / s) * vals
+    return stack
 
 
 def choose_l0(T: float, alpha: float, s: float, n: int) -> float:
@@ -258,10 +203,12 @@ def falsify_weak_observability(
 ) -> FalsificationReport:
     """Test the claimed (C, T, alpha) against kernel probes at each center.
 
+    The data phi = u(0, .; l0) of all centers are one stack from
+    ``kernel_probe_solution``, passed to ``certify.weak_margins`` as it is.
     The verdict per center compares, on the discretized semigroup, the
     decayed norm ||e^{-TH} phi|| against C (observation integral)^{1/2}
-    + alpha ||phi|| for the probe phi = u(0, .; l0), with the integral at
-    the upper end of its certified bracket (the reported ``observation``).
+    + alpha ||phi||, with the integral at the upper end of its certified
+    bracket (the reported ``observation``).
     A negative margin is a witnessed violation.  Centers that do not
     violate get the implied local-mass bound: if the claim holds, the
     observation integral is at least (gap/C)^2, and whatever part of it the
@@ -282,20 +229,25 @@ def falsify_weak_observability(
             f"probe scale (T+l0)^(1/s) = {(claim.T + l0) ** (1.0 / s):.4g} exceeds R/2; "
             "enlarge the domain half-width"
         )
-    probes = [make_probe(s, c, domain, x0, l0) for x0 in centers]
-    phis = [kernel_probe_solution(p, 0.0) for p in probes]
-    phi_norms = np.array([_norm(phi) for phi in phis])
-    states = np.stack([phi.values for phi in phis])
+    if c < 0:
+        raise ValueError("c must be nonnegative")
+    centers = [tuple(float(v) for v in np.atleast_1d(x0)) for x0 in centers]
+    for x0 in centers:
+        if len(x0) != n:
+            raise ValueError(f"center has {len(x0)} components, domain is {n}-dimensional")
+        if not all(abs(v) <= domain.half_width for v in x0):
+            raise ValueError(f"center {x0} outside the box [-R, R]^n")
+    states = kernel_probe_solution(build_kernel(s, domain), s, centers, l0)
+    phi_norms = np.array([_norm(GridFunction(domain, phi)) for phi in states])
     margins, lhs, obs, evaluation = weak_margins(dec, e, states, phi_norms, claim.C, claim.T, claim.alpha, "upper")
     kernel = evaluation.kernels[0]
     reports = []
-    for i, probe in enumerate(probes):
+    for i, x0 in enumerate(centers):
         gap = float(lhs[i] - claim.alpha * phi_norms[i])
         violated = bool(margins[i] < 0.0)
-        half_mass_radius = None
-        local_mass_bound = None
+        half_mass_radius = local_mass_bound = None
         if not violated and gap > 0.0:
-            profile = observation_tail(dec, kernel, phis[i], probe.x0)
+            profile = observation_tail(dec, kernel, GridFunction(domain, states[i]), x0)
             k = next((k for k, tail in enumerate(profile.tail_masses) if tail <= 0.5 * profile.total_mass), None)
             if k is not None:  # none when the kernel has rank 0: every figure is then the bound alone
                 half_mass_radius = profile.radii[k]
@@ -303,7 +255,7 @@ def falsify_weak_observability(
                 local_mass_bound = max(needed, 0.0) / profile.peak_density
         reports.append(
             CenterReport(
-                center=probe.x0,
+                center=x0,
                 l0=l0,
                 probe_norm=float(phi_norms[i]),
                 lhs=float(lhs[i]),

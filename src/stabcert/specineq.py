@@ -50,7 +50,6 @@ class HypothesisReport:
     k_max: int
     worst_ratio: float
     worst_k: int
-    constants: tuple
 
 
 def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:
@@ -148,7 +147,6 @@ def verify_spectral_hypothesis(curve: SpectralConstantCurve, c1: float, a: float
         k_max=int(ks[-1]),
         worst_ratio=float(ratios[i]),
         worst_k=int(ks[i]),
-        constants=curve.constants,
     )
 
 

@@ -6,10 +6,10 @@ Hermite functions, the inverse of ``operators.spec_to_json``, the synthesis
 of grid values from coefficients, a state attaining the restricted
 constant C(k, E), every set norm of ``operators.restricted_norms`` as
 arrays, the full-rank observation bracket, the exact observation integral
-through the Gram, the feedback operator K, the constant C2 of a kernel
-probe's norm law, and the high-frequency decay ratio sampled over random
-states, whose sup ``operators.dissipative_margin`` computes from the
-spectrum.
+through the Gram, the feedback operator K, a kernel probe's evolution by
+self-similar rescaling and the constant C2 of its norm law, and the
+high-frequency decay ratio sampled over random states, whose sup
+``operators.dissipative_margin`` computes from the spectrum.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from stabcert.operators import (
     spectral_apply,
     spectral_count,
 )
-from stabcert.probes import KernelProbe, kernel_probe_solution
+from stabcert.probes import kernel_probe_solution
 from stabcert.specineq import best_constant
 
 
@@ -245,10 +245,20 @@ def apply_feedback(dec: SpectralDecomposition, fb: Optional[FeedbackOperator], y
     return GridFunction(y.domain, vals)
 
 
-def c2_norm(probe: KernelProbe) -> float:
+def self_similar_solution(kernel: GridFunction, s: float, c: float, x0, l: float, t: float) -> GridFunction:
+    """The kernel probe's evolution u(t, x; l) = e^{ct} (t + l)^{-n/s} g((x - x0) / (t + l)^{1/s}).
+
+    By self-similarity it is e^{ct} times the datum of scale t + l, so
+    this rescales the same kernel ``g`` that ``probes.kernel_probe_solution``
+    does, with the periodic minimal image and the zero outside the box.
+    """
+    return GridFunction(kernel.domain, np.exp(c * t) * kernel_probe_solution(kernel, s, [x0], t + l)[0])
+
+
+def c2_norm(kernel: GridFunction, s: float, x0, l: float) -> float:
     """C2 in ||u(t)|| = C2 (t+l)^{-n/(2s)} e^{ct}, measured at t = 0."""
-    n = probe.kernel.domain.dim
-    return float(norm(kernel_probe_solution(probe, 0.0)) * probe.l ** (n / (2.0 * probe.s)))
+    n = kernel.domain.dim
+    return float(norm(self_similar_solution(kernel, s, 0.0, x0, l, 0.0)) * l ** (n / (2.0 * s)))
 
 
 @dataclass(frozen=True)

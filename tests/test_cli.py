@@ -437,6 +437,20 @@ def test_probe_fractional_needs_centers(capsys):
     assert "--centers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--c", "-1", "--centers", "0"], "c must be nonnegative"),
+    (["--centers", "0;11"], "center (11.0,) outside the box [-R, R]^n"),
+    (["--centers", "0:1"], "center has 2 components, domain is 1-dimensional"),
+], ids=["negative-c", "outside-the-box", "two-components"])
+def test_probe_refuses_a_fractional_probe_it_cannot_build(tmp_path, capsys, args, message):
+    out = tmp_path / "probe.json"
+    code = main(["probe", "--domain", "dim=1,R=10,m=256", "--set", "full", "--operator", "frac", "--s", "1",
+                 "--claim", "C=1,T=1,alpha=0", *args, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("centers", [[], ["--centers", "0"]], ids=["no-centers", "centers"])
 def test_probe_refuses_a_schrodinger_operator_first(tmp_path, capsys, potential_file, centers):
     # the kind is checked before --centers: with or without them, one message names the probe kinds

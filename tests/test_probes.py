@@ -3,9 +3,10 @@
 The s = 2 kernel has the continuum Gaussian in closed form; the s = 1
 kernel on a periodic grid equals the wrapped Poisson kernel exactly (the
 geometric-series identity below), so both transforms have independent
-oracles.  Probe evolution is checked two ways: against the exact norm law
-and against the discretized semigroup applied to the probe's own initial
-datum.
+oracles.  The program builds a probe's datum at t = 0 only; its evolution
+by self-similar rescaling (the reference) is checked two ways: against the
+exact norm law and against the discretized semigroup applied to the
+probe's own initial datum.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from stabcert import certify, probes
 from stabcert.certify import time_kernel
-from stabcert.domain import make_grid, norm
+from stabcert.domain import GridFunction, make_grid, norm
 from stabcert.geometry import BallComplement, Full, HalfSpace, SetIndicator, make_set
 from stabcert.operators import (
     FractionalLaplacian,
@@ -34,17 +35,20 @@ from stabcert.probes import (
     falsify_hermite_ground_state,
     falsify_weak_observability,
     kernel_probe_solution,
-    linear_interpolation_matrix,
-    make_probe,
     observation_tail,
 )
 
-from reference import c2_norm, observation_integrals
+from reference import c2_norm, observation_integrals, self_similar_solution
 
 
 @pytest.fixture(scope="module")
 def pdom():
     return make_grid(1, 10.0, 512, periodic=True)
+
+
+def probe_state(s, dom, x0, l):
+    """The probe's datum u(0, .; l) at one center, as a grid function."""
+    return GridFunction(dom, kernel_probe_solution(build_kernel(s, dom), s, [x0], l)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -108,73 +112,82 @@ def test_kernel_undecayed_symbol_raises():
 
 
 def test_probe_at_time_zero_scale_one_is_the_kernel(pdom):
-    p = make_probe(2.0, 0.0, pdom, (0.0,), 1.0)
-    u0 = kernel_probe_solution(p, 0.0)
-    assert np.array_equal(u0.values, p.kernel.values)
+    g = build_kernel(2.0, pdom)
+    assert np.array_equal(kernel_probe_solution(g, 2.0, [(0.0,)], 1.0)[0], g.values)
 
 
 def test_probe_translation_is_a_roll(pdom):
     # x0 = 2.5 is exactly 64 cells, so the interpolation nodes coincide
-    base = kernel_probe_solution(make_probe(2.0, 0.0, pdom, (0.0,), 1.0), 0.0)
-    moved = kernel_probe_solution(make_probe(2.0, 0.0, pdom, (2.5,), 1.0), 0.0)
-    assert np.array_equal(moved.values, np.roll(base.values, 64))
+    base, moved = kernel_probe_solution(build_kernel(2.0, pdom), 2.0, [(0.0,), (2.5,)], 1.0)
+    assert np.array_equal(moved, np.roll(base, 64))
 
 
 def test_probe_norm_law():
     big = make_grid(1, 10.0, 16384, periodic=True)
-    p = make_probe(2.0, 0.0, big, (0.0,), 1.0)
+    g = build_kernel(2.0, big)
     for t in (0.3, 0.7, 1.3):
-        u = kernel_probe_solution(p, t)
-        law = c2_norm(p) * (t + p.l) ** (-1.0 / (2.0 * p.s))
+        u = self_similar_solution(g, 2.0, 0.0, (0.0,), 1.0, t)
+        law = c2_norm(g, 2.0, (0.0,), 1.0) * (t + 1.0) ** (-1.0 / 4.0)
         assert abs(norm(u) - law) / law < 1e-6
 
 
 def test_probe_norm_law_with_growth():
     big = make_grid(1, 10.0, 16384, periodic=True)
-    p = make_probe(2.0, 1.5, big, (0.0,), 1.0)
-    u = kernel_probe_solution(p, 0.7)
-    law = c2_norm(p) * np.exp(1.5 * 0.7) * (0.7 + 1.0) ** (-1.0 / 4.0)
+    g = build_kernel(2.0, big)
+    u = self_similar_solution(g, 2.0, 1.5, (0.0,), 1.0, 0.7)
+    law = c2_norm(g, 2.0, (0.0,), 1.0) * np.exp(1.5 * 0.7) * (0.7 + 1.0) ** (-1.0 / 4.0)
     assert abs(norm(u) - law) / law < 1e-6
 
 
 def test_probe_norm_law_2d():
     d2 = make_grid(2, 10.0, 128, periodic=True)
-    p = make_probe(2.0, 0.0, d2, (0.0, 0.0), 1.0)
+    g = build_kernel(2.0, d2)
     for t in (0.5, 1.5):
-        u = kernel_probe_solution(p, t)
-        law = c2_norm(p) * (t + 1.0) ** (-2.0 / 4.0)
+        u = self_similar_solution(g, 2.0, 0.0, (0.0, 0.0), 1.0, t)
+        law = c2_norm(g, 2.0, (0.0, 0.0), 1.0) * (t + 1.0) ** (-2.0 / 4.0)
         assert abs(norm(u) - law) / law < 5e-3
 
 
+def assert_bilinear_interpolation(kernel, s, x0, l):
+    """The datum against scipy's bilinear interpolator with fill value 0, at
+    the grid's minimal images over l^{1/s}, and zero wherever a point falls
+    outside the box."""
+    axes, big_r = kernel.domain.axis_coords(), kernel.domain.half_width
+    reference = RegularGridInterpolator((axes, axes), kernel.values, bounds_error=False, fill_value=0.0)
+    points = [(np.mod(axes - x + big_r, 2.0 * big_r) - big_r) / l ** (1.0 / s) for x in x0]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*points, indexing="ij")], axis=1)
+    expected = l ** (-2.0 / s) * reference(pts).reshape(kernel.domain.shape)
+    got = kernel_probe_solution(kernel, s, [x0], l)[0]
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+    outside = [(p < axes[0]) | (p > axes[-1]) for p in points]
+    assert not got[np.logical_or.outer(*outside)].any()
+
+
 def test_interpolation_matrices_are_bilinear_interpolation(rng):
-    # A_p K A_q^T against scipy's bilinear interpolator with fill value 0, on
-    # points inside, on the nodes, at both ends, one ulp outside and far out
-    axis = make_grid(1, 3.0, 38, periodic=True).axis_coords()
-    outside = [np.nextafter(axis[0], -np.inf), np.nextafter(axis[-1], np.inf), -1e31, 1e31]
-    p = np.concatenate([rng.uniform(-4.0, 4.0, 60), axis, outside])
-    q = np.concatenate([rng.uniform(-4.0, 4.0, 45), [axis[0], axis[-1]], outside])
-    K = rng.standard_normal((axis.size, axis.size))
-    a_p, a_q = linear_interpolation_matrix(p, axis), linear_interpolation_matrix(q, axis)
-    reference = RegularGridInterpolator((axis, axis), K, bounds_error=False, fill_value=0.0)
-    pts = np.stack(np.meshgrid(p, q, indexing="ij"), axis=-1).reshape(-1, 2)
-    expected = reference(pts).reshape(p.size, q.size)
-    assert np.abs(a_p @ K @ a_q.T - expected).max() < 1e-14 * np.abs(K).max()
-    assert not a_p[-4:].any() and not a_q[-4:].any()
+    # the axis-by-axis interpolation of a random grid function K, with points
+    # on the nodes (x0 = 0, l = 1), one ulp outside both ends, far out but
+    # for one point, and wrapped
+    box = make_grid(2, 4.0, 32, periodic=True)
+    axis = box.axis_coords()
+    K = GridFunction(box, rng.standard_normal(box.shape))
+    # R = 4 and h = 1/4 make the minimal images exact and 1/l one ulp above 1
+    assert np.array_equal(np.mod(axis + 4.0, 8.0) - 4.0, axis)
+    beyond = axis / np.nextafter(1.0, 0.0)
+    assert beyond[0] == np.nextafter(axis[0], -np.inf) and beyond[-1] == np.nextafter(axis[-1], np.inf)
+    assert np.array_equal(kernel_probe_solution(K, 1.0, [(0.0, 0.0)], 1.0)[0], K.values)
+    for x0, l in [
+        ((0.0, 0.0), 1.0),
+        ((0.0, 0.0), np.nextafter(1.0, 0.0)),
+        ((axis[5], axis[20]), 1e-31),
+        ((1.3, -2.2), 0.7),
+    ]:
+        assert_bilinear_interpolation(K, 1.0, x0, l)
 
 
 def test_2d_probe_is_the_bilinear_interpolation_of_the_kernel():
-    # an off-centre probe, so that the two axes' matrices cannot be swapped
-    dom = make_grid(2, 10.0, 48, periodic=True)
-    p = make_probe(2.0, 0.5, dom, (1.3, -2.2), 0.3)
-    axes = dom.axis_coords()
-    reference = RegularGridInterpolator((axes, axes), p.kernel.values, bounds_error=False, fill_value=0.0)
-    for t in (0.0, 0.4):
-        sigma = (t + p.l) ** (1.0 / p.s)
-        shifted = [np.mod(axes - x + 10.0, 20.0) - 10.0 for x in p.x0]
-        pts = np.stack([g.ravel() / sigma for g in np.meshgrid(*shifted, indexing="ij")], axis=1)
-        expected = np.exp(p.c * t) * (t + p.l) ** (-2.0 / p.s) * reference(pts).reshape(dom.shape)
-        got = kernel_probe_solution(p, t).values
-        assert np.abs(got - expected).max() < 1e-14 * np.abs(expected).max()
+    # an off-centre probe of the true kernel, so that the two axes cannot be
+    # swapped
+    assert_bilinear_interpolation(build_kernel(2.0, make_grid(2, 10.0, 48, periodic=True)), 2.0, (1.3, -2.2), 0.3)
 
 
 def test_probe_matches_discrete_semigroup(pdom):
@@ -182,9 +195,9 @@ def test_probe_matches_discrete_semigroup(pdom):
     # discretized flow; they differ by the periodization of the rescaled
     # kernel, small when the probe fits well inside the box
     dec = diagonalize(FractionalLaplacian(s=2.0), pdom)
-    p = make_probe(2.0, 0.0, pdom, (0.0,), 1.0)
-    u0 = kernel_probe_solution(p, 0.0)
-    via_probe = kernel_probe_solution(p, 1.0)
+    g = build_kernel(2.0, pdom)
+    u0 = self_similar_solution(g, 2.0, 0.0, (0.0,), 1.0, 0.0)
+    via_probe = self_similar_solution(g, 2.0, 0.0, (0.0,), 1.0, 1.0)
     via_flow = semigroup_apply(dec, 1.0, u0)
     assert np.abs(via_probe.values - via_flow.values).max() < 1e-4
 
@@ -192,9 +205,9 @@ def test_probe_matches_discrete_semigroup(pdom):
 def test_probe_matches_discrete_semigroup_s1():
     dom = make_grid(1, 30.0, 512, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=1.0), dom)
-    p = make_probe(1.0, 0.0, dom, (0.0,), 1.0)
-    u0 = kernel_probe_solution(p, 0.0)
-    via_probe = kernel_probe_solution(p, 1.0)
+    g = build_kernel(1.0, dom)
+    u0 = self_similar_solution(g, 1.0, 0.0, (0.0,), 1.0, 0.0)
+    via_probe = self_similar_solution(g, 1.0, 0.0, (0.0,), 1.0, 1.0)
     via_flow = semigroup_apply(dec, 1.0, u0)
     assert np.abs(via_probe.values - via_flow.values).max() < 5e-3
     # the flow itself is exact: it must equal the closed-form periodization
@@ -206,24 +219,16 @@ def test_probe_matches_discrete_semigroup_s1():
     assert np.abs(via_flow.values - closed).max() < 1e-12
 
 
-def test_probe_scale_guard(pdom):
-    p = make_probe(2.0, 0.0, pdom, (0.0,), 1.0)
-    # (t + 1)^{1/2} > 5 once t > 24
-    with pytest.raises(ValueError, match="enlarge the domain"):
-        kernel_probe_solution(p, 30.0)
-    with pytest.raises(ValueError, match="t must be nonnegative"):
-        kernel_probe_solution(p, -0.1)
-
-
-def test_make_probe_validates(pdom):
-    with pytest.raises(ValueError, match="outside the box"):
-        make_probe(2.0, 0.0, pdom, (11.0,), 1.0)
+def test_falsification_validates_centers_and_c(pdom):
+    e = make_set(pdom, Full())
+    claim = ObservationClaim(C=1.0, T=1.0, alpha=0.0)
+    dec = diagonalize(FractionalLaplacian(s=1.0), pdom)
+    with pytest.raises(ValueError, match=r"center \(11.0,\) outside the box"):
+        falsify_weak_observability(dec, e, claim, [(0.0,), (11.0,)])
+    with pytest.raises(ValueError, match="center has 2 components, domain is 1-dimensional"):
+        falsify_weak_observability(dec, e, claim, [(0.0, 0.0)])
     with pytest.raises(ValueError, match="c must be nonnegative"):
-        make_probe(2.0, -1.0, pdom, (0.0,), 1.0)
-    with pytest.raises(ValueError, match="l must be positive"):
-        make_probe(2.0, 0.0, pdom, (0.0,), 0.0)
-    with pytest.raises(ValueError, match="components"):
-        make_probe(2.0, 0.0, pdom, (0.0, 0.0), 1.0)
+        falsify_weak_observability(diagonalize(FractionalLaplacian(s=1.0, c=-1.0), pdom), e, claim, [(0.0,)])
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +273,7 @@ def test_choose_l0_validates():
 
 def test_observation_tail_profile(pdom):
     dec = diagonalize(FractionalLaplacian(s=1.0), pdom)
-    p = make_probe(1.0, 0.0, pdom, (0.0,), 0.5)
-    prof = observation_tail(dec, time_kernel(dec.eigenvalues, 0.0, 1.0), kernel_probe_solution(p, 0.0), p.x0)
+    prof = observation_tail(dec, time_kernel(dec.eigenvalues, 0.0, 1.0), probe_state(1.0, pdom, (0.0,), 0.5), (0.0,))
     tails = np.asarray(prof.tail_masses)
     assert np.all(np.diff(tails) <= 1e-15)
     assert tails[-1] < 1e-12
@@ -282,10 +286,9 @@ def test_observation_tail_brackets_the_exact_integrals():
     # over each single cell lies in [figure - B ||phi||^2, figure]
     dom = make_grid(1, 10.0, 256, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=1.0), dom)
-    p = make_probe(1.0, 0.0, dom, (1.3,), 0.5)
-    phi = kernel_probe_solution(p, 0.0)
+    phi = probe_state(1.0, dom, (1.3,), 0.5)
     kernel = time_kernel(dec.eigenvalues, 0.0, 1.0)
-    prof = observation_tail(dec, kernel, phi, p.x0)
+    prof = observation_tail(dec, kernel, phi, (1.3,))
     width = kernel.bound * norm(phi) ** 2
     assert 0.0 < width < 1e-12
     modes = np.arange(dom.cell_count)
@@ -295,7 +298,7 @@ def test_observation_tail_brackets_the_exact_integrals():
         gram = restricted_gram(dec, modes, SetIndicator(dom, cells))
         return observation_integrals(gram, dec.eigenvalues, coeffs, 0.0, 1.0)[0]
 
-    r = dom.radius_grid(center=p.x0)
+    r = dom.radius_grid(center=(1.3,))
     for radius in (0.0, 0.3, 1.0, 2.5, 6.0):
         i = int(np.searchsorted(prof.radii, radius))
         assert prof.tail_masses[i] - width <= exact(r > prof.radii[i]) <= prof.tail_masses[i]
@@ -311,17 +314,17 @@ def test_observation_tail_transforms_phi_once(dim, m, s, coefficient_transforms,
     # of the stack of the one real state phi
     dom = make_grid(dim, 10.0, m, periodic=True)
     dec = diagonalize(FractionalLaplacian(s=s), dom)
-    p = make_probe(s, 0.0, dom, (1.3,) * dim, 0.5)
-    phi = kernel_probe_solution(p, 0.0)
+    center = (1.3,) * dim
+    phi = probe_state(s, dom, center, 0.5)
     kernel = time_kernel(dec.eigenvalues, 0.0, 1.0)
     assert kernel.rank > 1
     coefficient_transforms.clear()
-    got = observation_tail(dec, kernel, phi, p.x0)
+    got = observation_tail(dec, kernel, phi, center)
     assert coefficient_transforms == [(1,) + dom.shape]
     monkeypatch.setattr(probes, "spectral_apply",
                         lambda dec, weights, f: tuple(spectral_apply(dec, row, f) for row in weights))
     coefficient_transforms.clear()
-    want = observation_tail(dec, kernel, phi, p.x0)
+    want = observation_tail(dec, kernel, phi, center)
     assert coefficient_transforms == [(1,) + dom.shape] * kernel.rank
     assert got.radii == want.radii
     np.testing.assert_allclose(got.tail_masses, want.tail_masses, rtol=1e-13, atol=0.0)
@@ -334,11 +337,10 @@ def test_rank_zero_kernel_leaves_only_the_bound(pdom, monkeypatch):
     # figure is the kernel's bound, and no center gets a local-mass bound
     monkeypatch.setattr(certify, "KERNEL_RTOL", 1.0)
     dec = diagonalize(FractionalLaplacian(s=1.0), pdom)
-    p = make_probe(1.0, 0.0, pdom, (0.0,), 0.5)
-    phi = kernel_probe_solution(p, 0.0)
+    phi = probe_state(1.0, pdom, (0.0,), 0.5)
     kernel = time_kernel(dec.eigenvalues, 0.0, 1.0)
     assert kernel.rank == 0
-    prof = observation_tail(dec, kernel, phi, p.x0)
+    prof = observation_tail(dec, kernel, phi, (0.0,))
     slack = (kernel.bound - kernel.allowance) * norm(phi) ** 2
     assert prof.total_mass == slack > 0.0
     assert set(prof.tail_masses) == {slack}
@@ -378,7 +380,7 @@ def test_falsification_lhs_is_the_discrete_flow(pdom):
         dec, e, ObservationClaim(C=1.0, T=1.0, alpha=0.0), [(0.0,)]
     )
     c = report.centers[0]
-    phi = kernel_probe_solution(make_probe(1.0, 0.0, pdom, c.center, c.l0), 0.0)
+    phi = probe_state(1.0, pdom, c.center, c.l0)
     assert abs(c.lhs - norm(semigroup_apply(dec, 1.0, phi))) < 1e-12
 
 

@@ -17,8 +17,9 @@ probes, factors a time kernel (`time_kernel`) and drives the chunks of
 `restricted_norms`, and it tests whether a chunk may stop taking kernel
 rows for a check's lower end alone (`end == "lower"`);
 `probes` evaluates its self-similar
-probe only at t = 0. `operators` draws no random states: its figures are
-computed from the decomposition. In `operators`,
+probe only at t = 0, from one kernel transform. `operators` draws no
+random states: its figures are computed from the decomposition. In
+`operators`,
 every `eigh` call is inside `_dense_eigh`, which only `_gathered_eigh`
 calls: every dense matrix is gathered there in row strips and solved in
 place, for the pinned full solve `_pinned_eigh` and the parity split
@@ -303,18 +304,15 @@ def test_only_the_evaluator_bounds_a_check_by_the_spectrum():
 
 def test_probes_evaluate_the_self_similar_formula_only_at_time_zero():
     # the probe's evolution is the grid semigroup's, through the time kernel;
-    # the rescaled kernel only builds the initial datum
-    calls = [
-        node for node in ast.walk(_tree(next(p for p in SOURCES if p.name == "probes.py")))
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "kernel_probe_solution"
-    ]
-    assert calls
-    found = [
-        f"line {node.lineno}: {ast.unparse(node)}" for node in calls
-        if len(node.args) != 2 or node.keywords
-        or not (isinstance(node.args[1], ast.Constant) and node.args[1].value == 0.0)
-    ]
-    assert not found, found
+    # the rescaled kernel only builds the initial data, so the builder takes
+    # no time, and the scale-1 kernel is transformed once for every center
+    tree = _tree(next(p for p in SOURCES if p.name == "probes.py"))
+    builder = dict(_functions(tree))["kernel_probe_solution"]
+    assert [a.arg for a in builder.args.args] == ["kernel", "s", "centers", "l"]
+    assert not (builder.args.vararg or builder.args.kwonlyargs or builder.args.kwarg)
+    calls = [getattr(node.func, "id", None) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert calls.count("build_kernel") == 1
+    assert calls.count("kernel_probe_solution") == 1
 
 
 def test_eigh_is_called_only_in_dense_eigh():
@@ -559,20 +557,28 @@ def test_every_public_name_is_reached_outside_the_tests():
 def test_the_benchmark_tracer_still_finds_what_it_wraps(tmp_path):
     # perfbench/tracer.py wraps functions by module attribute name and reads
     # `basis_kind` and `spec_to_json`; a rename there would crash a traced
-    # benchmark run, so it fails here instead
+    # benchmark run, so it fails here instead.  A fractional falsification
+    # over three centers builds its probe data in one call
     root = pathlib.Path(__file__).parent.parent
     code = (
         "import json, tracer\n"
-        "from stabcert import domain, operators\n"
+        "from stabcert import domain, geometry, operators, probes\n"
         "t = tracer.Tracer()\n"
         "tracer.install(t)\n"
         "dom = domain.make_grid(2, 6.0, 12, periodic=False)\n"
         "for _ in range(2):\n"
         f"    operators.diagonalize(operators.ShiftedHermite(), dom, cache_dir={str(tmp_path)!r})\n"
+        "dom = domain.make_grid(1, 10.0, 256, periodic=True)\n"
+        "dec = operators.diagonalize(operators.FractionalLaplacian(s=1.0), dom)\n"
+        "claim = probes.ObservationClaim(C=1.0, T=1.0, alpha=0.0)\n"
+        "probes.falsify_weak_observability(dec, geometry.make_set(dom, geometry.Full()), claim,\n"
+        "                                  [(0.0,), (2.5,), (-5.0,)])\n"
         "print(json.dumps(t.totals()))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"), str(root / "src")]))
     totals = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                        text=True, check=True, timeout=120).stdout)
-    assert totals["operators.diagonalize.calls"] == 2
+    assert totals["operators.diagonalize.calls"] == 3
     assert totals["operators.diagonalize.cache_hits"] == 1
+    assert totals["probes.falsify_weak_observability.calls"] == 1
+    assert totals["probes.kernel_probe_solution.calls"] == 1
