@@ -107,9 +107,8 @@ class ResultDocument:
 
 
 def _document_body(doc: ResultDocument) -> dict:
-    body = dataclasses.asdict(doc)
-    body.pop("side_files")
-    return body
+    """The document's fields but its side files, as they are: ``run`` has made each one plain."""
+    return {f.name: getattr(doc, f.name) for f in dataclasses.fields(doc) if f.name != "side_files"}
 
 
 def payload_json(doc: ResultDocument) -> str:

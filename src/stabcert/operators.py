@@ -15,11 +15,12 @@ orthogonal family that diagonalizes the Dirichlet Laplacian with symbol
 downstream consumes eigenvalue gaps directly, and a second-order stencil
 would pollute the tenth harmonic-oscillator level at the 1e-2 scale.
 
-A decomposition keeps its ascending eigenvalues, ``order`` (ascending index
--> native index) and one basis object, whose class (``_Basis`` and its
-subclasses) is the layout of the eigenfunctions and takes the cheapest
-computation its structure allows; ``_layout`` picks the class of a dense
-operator, and no other code here tells layouts apart.
+A decomposition keeps its ascending eigenvalues, the permutation ``order``
+(ascending index -> native index; the identity where native is ascending)
+and one basis object, whose class (``_Basis`` and its subclasses) is the
+layout of the eigenfunctions and takes the cheapest computation its
+structure allows; ``_layout`` picks the class of a dense operator, and no
+other code here tells layouts apart.
 
 All semigroup and projection algebra happens in the eigenbasis, so
 idempotence, commutation and Pythagoras identities hold to roundoff.
@@ -66,9 +67,10 @@ _SIGN_RTOL = 1e-8
 # from the full solve's; 4: that solve stored as its two parity blocks and
 # their order, not as the full matrix; 5: 2D Hermite stored as its 1D factor,
 # the order of its pairs and their signs; 6: each 2D Hermite column the plain
-# product of its pinned factor columns, with no sign per pair); a cached
-# decomposition written under another convention is recomputed
-_BASIS_CONVENTION = 6
+# product of its pinned factor columns, with no sign per pair; 7: every layout
+# stores ``order``); a cached decomposition written under another convention
+# is recomputed
+_BASIS_CONVENTION = 7
 
 
 class EigenResidualError(ArithmeticError):
@@ -128,21 +130,20 @@ class SpectralDecomposition:
     """Operator spectrum plus an orthonormal eigenbasis on the grid.
 
     ``eigenvalues`` ascend; ``basis`` keeps the eigenfunctions in its native
-    order, and ascending index j is native index order[j] (j if ``order`` is None).
+    order, and ascending index j is native index order[j], in every layout.
     """
 
     spec: OperatorSpec
     domain: GridDomain
     eigenvalues: np.ndarray
     basis: _Basis
-    order: Optional[np.ndarray] = None
+    order: np.ndarray
     max_residual: float = 0.0
 
     def __post_init__(self):
         for name in ("eigenvalues", "order"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name)))
-                getattr(self, name).setflags(write=False)
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+            getattr(self, name).setflags(write=False)
 
     @property
     def basis_kind(self) -> str:  # "Fourier" or "Dense"
@@ -337,7 +338,7 @@ class _Basis:
     basis and ``order``.  Coefficients are native and cells first.
     """
 
-    kind, cell_limit, ordered = "Dense", _DENSE_CELL_LIMIT, True  # ordered: the cache keeps ``order`` too
+    kind, cell_limit = "Dense", _DENSE_CELL_LIMIT
 
     def __init__(self, domain: GridDomain, array):
         self.domain = domain
@@ -496,22 +497,22 @@ class _FourierBasis(_Basis):
 class _DenseBasis(_Basis):
     """The full eigenvector matrix, for a dense operator with no cheaper layout.
 
-    ``vectors`` (Fortran order) holds the eigenvectors in ascending order,
-    which is native, from one ``_pinned_eigh`` of K1 + diag V or
-    K1 (x) I + I (x) K1 + diag V.  1D Hermite is mirror-symmetric but not
+    ``vectors`` (Fortran order) holds the eigenvectors of one ``_pinned_eigh``
+    of K1 + diag V or K1 (x) I + I (x) K1 + diag V in ascending order, so
+    ``order`` is the identity.  1D Hermite is mirror-symmetric but not
     split: its levels sit on integer thresholds, where the split moves the
     roundoff that decides whether a threshold counts its level.  In a 2D
     cluster the basis is the solver's: only the span is canonical.
     """
 
-    member, ordered = "vectors", False
+    member = "vectors"
     shape = staticmethod(lambda domain: (domain.cell_count,) * 2)
 
     @classmethod
     def solve(cls, spec, domain: GridDomain, potential):
         w, U, resid = _pinned_eigh(_sine_laplacian(domain), potential)
         U /= np.sqrt(domain.cell_volume)
-        return w, resid, cls(domain, U), None
+        return w, resid, cls(domain, U), np.arange(domain.cell_count)
 
     def forward(self, values):
         return (self.vectors.T @ self._flat(values).T) * self.domain.cell_volume
@@ -651,13 +652,13 @@ def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomp
                 return None
             w, resid = data["eigenvalues"], data["max_residual"]
             basis = layout.from_arrays(domain, data)
-            order = data["order"] if layout.ordered else None
+            order = data["order"]
     except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError, RuntimeError):
         return None
     valid = (
         basis is not None
-        and (order is None or (order.shape == (cells,) and order.dtype.kind == "i"
-                               and np.array_equal(np.sort(order), np.arange(cells))))
+        and order.shape == (cells,) and order.dtype.kind == "i"
+        and np.array_equal(np.sort(order), np.arange(cells))
         and w.shape == (cells,) and w.dtype.kind == "f" and bool(np.isfinite(w).all())
         and resid.shape == () and resid.dtype.kind == "f"
         and bool(np.isfinite(resid)) and resid <= _RESIDUAL_TOL
@@ -689,10 +690,9 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
         return cached
     dec = _diagonalize_dense(spec, domain)
     os.makedirs(str(cache_dir), exist_ok=True)
-    order = {} if dec.order is None else {"order": dec.order}
     with atomic_write(path, "wb") as fh:
         np.savez(fh, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual,
-                 basis_convention=_BASIS_CONVENTION, **dec.basis.arrays(), **order)
+                 basis_convention=_BASIS_CONVENTION, **dec.basis.arrays(), order=dec.order)
     return dec
 
 
@@ -700,19 +700,13 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
 # coefficient transforms
 
 
-def _native_index(order, indices):
-    return indices if order is None else order[indices]
-
-
 def _ascending(order, native):
     """Native coefficients, cells first, gathered into ascending order in a new array of their memory order."""
-    return native if order is None else np.take(native, order, axis=0, out=np.empty_like(native))
+    return np.take(native, order, axis=0, out=np.empty_like(native))
 
 
 def _native(order, ascending):
     """Ascending coefficients, cells first, scattered into native order."""
-    if order is None:
-        return ascending
     native = np.empty(ascending.shape, dtype=ascending.dtype)
     native[order] = ascending
     return native
@@ -734,14 +728,14 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
 
 def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
     """Columns (cells x len(indices)) of the selected eigenfunctions, ``indices`` in ascending order."""
-    return dec.basis.columns(_native_index(dec.order, np.asarray(indices, dtype=int)))
+    return dec.basis.columns(dec.order[np.asarray(indices, dtype=int)])
 
 
 def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.ndarray:
     """Gram matrix h sum_{x in E} conj(v_j(x)) v_l(x) of the eigenfunctions at the ascending ``indices``."""
     if e.domain != dec.domain:
         raise ValueError("set and decomposition live on different domains")
-    return dec.basis.gram(_native_index(dec.order, np.asarray(indices, dtype=int)), e)
+    return dec.basis.gram(dec.order[np.asarray(indices, dtype=int)], e)
 
 
 class DrawnStates:
@@ -837,7 +831,7 @@ def dense_matrix(dec: SpectralDecomposition) -> np.ndarray:
     if cells > _DENSE_CELL_LIMIT:
         raise ValueError(f"refusing to materialize a dense matrix of {cells} cells "
                          f"(the limit is {_DENSE_CELL_LIMIT})")
-    return dec.basis.matrix(dec.eigenvalues, _native_index(dec.order, slice(None)))
+    return dec.basis.matrix(dec.eigenvalues, dec.order)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,8 @@ def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:
     whose range the grid does not resolve (``is_resolved``).  The ranges
     are nested, so every constant comes from a leading principal block of
     one Gram matrix, that of the largest range; by Cauchy interlacing the
-    constants are then nondecreasing in k.
+    constants are then nondecreasing in k.  Thresholds with the same range
+    share one eigensolve.
     """
     if not np.isfinite(thresholds).all():
         raise ValueError(f"thresholds must be finite, got {list(thresholds)}")
@@ -74,14 +75,15 @@ def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:
         )
     full = bool(e.cells.all())
     G = restricted_gram(dec, np.arange(d_max), e) if d_max and not full else None
-    out = []
-    for d in dims:
+
+    def constant(d):
         if d == 0 or full:
-            out.append(1.0)
-        else:
-            mu_min = float(np.linalg.eigvalsh(G[:d, :d])[0])
-            out.append(np.inf if mu_min <= _DEGENERACY_TOL else float(1.0 / np.sqrt(mu_min)))
-    return out
+            return 1.0
+        mu_min = float(np.linalg.eigvalsh(G[:d, :d])[0])
+        return np.inf if mu_min <= _DEGENERACY_TOL else float(1.0 / np.sqrt(mu_min))
+
+    by_dim = {d: constant(d) for d in set(dims)}
+    return [by_dim[d] for d in dims]
 
 
 def best_constant(dec: SpectralDecomposition, k: float, e: SetIndicator) -> float:

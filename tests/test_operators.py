@@ -184,11 +184,9 @@ def _truncate(path, dec):
 
 def _basis_arrays(dec):
     """The arrays a cache file holds for the basis of ``dec``, by name, in the order it writes them."""
-    if isinstance(dec.basis, operators._KroneckerBasis):
-        return dict(tensor_factor=dec.basis.tensor_factor, order=dec.order)
-    if isinstance(dec.basis, operators._DenseBasis):
-        return dict(vectors=dec.basis.vectors)
-    return dict(parity_blocks=dec.basis.parity_blocks, order=dec.order)
+    name = {operators._DenseBasis: "vectors", operators._ParityBasis: "parity_blocks",
+            operators._KroneckerBasis: "tensor_factor"}[type(dec.basis)]
+    return {name: getattr(dec.basis, name), "order": dec.order}
 
 
 def _savez(path, dec, **changes):
@@ -239,6 +237,13 @@ def _order_not_a_permutation(path, dec):
     _savez(path, dec, order=order)
 
 
+def _convention_six_without_order(path, dec):
+    # convention 6 stored no order for the full dense basis, whose order is
+    # the identity; the basis itself is the same
+    fields = dict(eigenvalues=dec.eigenvalues, max_residual=dec.max_residual, basis_convention=6)
+    np.savez(path, **fields, vectors=dec.basis.vectors)
+
+
 def _convention_three_full_vectors(path, dec):
     # convention 3 stored the parity-split basis as the full matrix
     np.savez(path, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual, basis_convention=3,
@@ -284,18 +289,18 @@ def _cache_parity():
 
 
 _ANY_LAYOUT = [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _residual_above_tolerance,
-               _previous_convention, _convention_two]
+               _previous_convention, _convention_two, _order_not_a_permutation]
 
 
 @pytest.mark.parametrize(
     "case, corrupt",
     [pytest.param(_cache_hermite, f, id=f.__name__.strip("_")) for f in _ANY_LAYOUT]
-    + [pytest.param(_cache_hermite, _parity_layout_under_hermite_key, id="parity_layout_under_hermite_key")]
+    + [pytest.param(_cache_hermite, f, id=f.__name__.strip("_"))
+       for f in (_parity_layout_under_hermite_key, _convention_six_without_order)]
     + [pytest.param(_cache_parity, f, id="parity-" + f.__name__.strip("_"))
-       for f in _ANY_LAYOUT + [_order_not_a_permutation, _convention_three_full_vectors]]
+       for f in _ANY_LAYOUT + [_convention_three_full_vectors]]
     + [pytest.param(_cache_tensor, f, id="tensor-" + f.__name__.strip("_"))
-       for f in _ANY_LAYOUT + [_order_not_a_permutation, _convention_four_full_vectors,
-                               _convention_five_signs]],
+       for f in _ANY_LAYOUT + [_convention_four_full_vectors, _convention_five_signs]],
 )
 def test_bad_cache_file_is_recomputed(tmp_path, case, corrupt):
     spec, dom = case()
@@ -341,6 +346,29 @@ def test_tensor_cache_roundtrip_stores_the_factor(tmp_path):
     # the m^2 factor and two cells-long arrays, plus headers: no cells^2 array
     m = dom.points_per_axis
     assert path.stat().st_size < 8 * (m * m + 2 * dom.cell_count) + 4096
+
+
+def _schrodinger_2d():
+    dom = make_grid(2, 4.0, 12, periodic=False)
+    return Schrodinger(potential=from_callable(dom, lambda x, y: x**2 + y**2 + 0.3 * x)), dom
+
+
+@pytest.mark.parametrize("case, layout", [
+    (lambda: (FractionalLaplacian(s=1.0), make_grid(2, 5.0, 12, periodic=True)), operators._FourierBasis),
+    (_cache_hermite, operators._DenseBasis),
+    (_schrodinger_2d, operators._DenseBasis),
+    (_cache_parity, operators._ParityBasis),
+    (_cache_tensor, operators._KroneckerBasis),
+], ids=["fourier", "dense-1d", "dense-2d", "parity", "tensor"])
+def test_every_layout_carries_an_integer_permutation_order(case, layout):
+    spec, dom = case()
+    dec = diagonalize(spec, dom)
+    assert type(dec.basis) is layout
+    assert dec.order.dtype.kind == "i" and dec.order.shape == (dom.cell_count,)
+    assert np.array_equal(np.sort(dec.order), np.arange(dom.cell_count))
+    assert not dec.order.flags.writeable
+    if layout is operators._DenseBasis:  # the full basis is native in ascending order
+        assert np.array_equal(dec.order, np.arange(dom.cell_count))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +516,8 @@ def assembled_hermite_2d(dom, c):
     H = np.kron(K1, eye) + np.kron(eye, K1) + np.diag((x**2 + y**2 - c).ravel())
     w, U = scipy.linalg.eigh(H)
     _canonicalize_signs(U)
-    dense = SpectralDecomposition(ShiftedHermite(c), dom, w, operators._DenseBasis(dom, U / np.sqrt(dom.cell_volume)))
+    dense = SpectralDecomposition(ShiftedHermite(c), dom, w, operators._DenseBasis(dom, U / np.sqrt(dom.cell_volume)),
+                                  np.arange(dom.cell_count))
     return H, dense
 
 
@@ -630,7 +659,8 @@ def tensor_pair():
         if (m, c) not in built:
             dom = make_grid(2, 6.0, m, periodic=False)
             w, U = assembled_tensor_basis(dom, c)
-            assembled = SpectralDecomposition(ShiftedHermite(c), dom, w, operators._DenseBasis(dom, U))
+            assembled = SpectralDecomposition(ShiftedHermite(c), dom, w, operators._DenseBasis(dom, U),
+                                              np.arange(dom.cell_count))
             built[m, c] = assembled, diagonalize(ShiftedHermite(c), dom)
         return built[m, c]
 
@@ -1453,7 +1483,7 @@ def test_dissipative_margin_is_at_most_one(levels, thresholds, times):
     # sits on integer thresholds, so no ratio exceeds 1 and a verdict term
     # that bounds it by 1 could never fail
     dom = make_grid(1, 10.0, 16, periodic=True)
-    dec = SpectralDecomposition(FractionalLaplacian(s=1.0), dom, np.sort(levels), None)
+    dec = SpectralDecomposition(FractionalLaplacian(s=1.0), dom, np.sort(levels), None, np.arange(len(levels)))
     assert 0.0 <= dissipative_margin(dec, thresholds, times) <= 1.0
 
 

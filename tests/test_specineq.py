@@ -217,6 +217,22 @@ def test_curve_builds_one_gram(frac_2d_ball_complement, gram_builds):
     assert all(a <= b for a, b in zip(curve.constants, curve.constants[1:]))
 
 
+def test_curve_solves_once_per_range_dimension(frac_dec, slabs, monkeypatch):
+    # the levels pi |k| / 10 of |xi| are double but for k = 0, so thresholds
+    # between two levels share a range; each range dimension takes one
+    # eigensolve, and each constant keeps the bits of its own block's solve
+    thresholds = [0.1, 0.2, 0.4, 0.5, 0.7, 0.9]
+    dims = [int(np.searchsorted(frac_dec.eigenvalues, k, side="right")) for k in thresholds]
+    assert dims == [1, 1, 3, 3, 5, 5]
+    G = restricted_gram(frac_dec, np.arange(dims[-1]), slabs)
+    expected = [1.0 / np.sqrt(np.linalg.eigvalsh(G[:d, :d])[0]) for d in dims]
+    solved, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+    curve = spectral_constant_curve(frac_dec, slabs, thresholds)
+    assert sorted(solved) == [1, 3, 5]
+    assert list(curve.constants) == expected
+
+
 def test_exp_power_fit_recovers_synthetic_constants():
     ks = tuple(float(k) for k in range(1, 9))
     curve = SpectralConstantCurve(ks, tuple(np.exp(0.5 * np.sqrt(k)) for k in ks))

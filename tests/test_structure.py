@@ -30,6 +30,8 @@ read a layout's array (`vectors`, `parity_blocks`, `tensor_factor`,
 `symbol`), compare `basis_kind` or a basis class, or ask `isinstance` of
 one. No basis `passes` method takes `order`: a pass's rows reach the basis
 in native order, and only `to_coefficients` gathers to ascending order.
+Every layout keeps `order`: no function there compares it with None, and
+no basis class has an `ordered` flag.
 scipy is imported only by `operators`, and only as `scipy.linalg` for
 that eigensolver, so importing the CLI loads no other scipy subpackage.
 Every file is written through `domain.atomic_write`, the one caller of
@@ -54,6 +56,7 @@ import sys
 import numpy as np
 import pytest
 
+from stabcert import operators
 from stabcert.certify import inequality_margins
 from stabcert.domain import make_grid
 from stabcert.geometry import PeriodicSlabs, make_set
@@ -399,6 +402,25 @@ def test_pass_rows_are_native_before_they_reach_a_basis():
     }
     assert not with_order, with_order
     assert gathers == {"to_coefficients"}, sorted(gathers)
+
+
+def test_every_layout_carries_its_order():
+    # `order` is a permutation in every layout, the identity where native is
+    # ascending, so no function in `operators` tests it against None and no
+    # basis class says whether it keeps one: the identity path cannot grow back
+    functions = _functions(_tree(next(p for p in SOURCES if p.name == "operators.py")))
+    found = [
+        f"{name}, line {node.lineno}: {ast.unparse(node)}"
+        for name, func in functions
+        for node in ast.walk(func)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(n, ast.Constant) and n.value is None for n in (node.left, *node.comparators))
+        and "order" in {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+    ]
+    assert not found, found
+    layouts = [operators._Basis, *operators._Basis.__subclasses__()]
+    assert {cls.__name__ for cls in layouts} == BASIS_CLASSES
+    assert not [cls.__name__ for cls in layouts if hasattr(cls, "ordered")]
 
 
 def _tells_layouts_apart(node):
