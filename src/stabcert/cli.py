@@ -1,21 +1,18 @@
 """Command-line front end: config parsing, dispatch, result persistence.
 
 One command per process, and only that command's parser is built.  Results
-are JSON documents (schema ``SCHEMA_VERSION``, now 7) with the config
-snapshot, content hashes of the inputs, the command outputs, and
-wall-clock metadata; curves and trajectories additionally go to CSV side
-files next to the JSON.  The numeric payload (everything except timing) is
-canonical: identical config and seed reproduce it bit for bit on the same
-platform, which scripted sweeps rely on.
+are JSON documents (schema ``SCHEMA_VERSION``) with the config snapshot,
+content hashes of the inputs, the command outputs, and wall-clock metadata;
+curves and trajectories additionally go to CSV side files next to the JSON.
+The numeric payload (everything except timing) is canonical: identical
+config and seed reproduce it bit for bit on the same platform, which
+scripted sweeps rely on.
 
-Two tables decide the exit code.  ``_COMMANDS`` gives each command its
-outputs builder and its "the mathematics said no" test (exit 1); a
-feedback.VerdictError is that too, written as {"error": kind, "detail":
-message}.  ``_ERRORS`` maps any other exception, first match wins:
-  LinAlgError (a ValueError)                  3  numerical error
-  ValueError, TypeError, KeyError, OSError    2  config error
-  ArithmeticError                             3  numerical error
-  any other Exception                         3  internal error
+``_COMMANDS`` declares each command once: its help, whether it takes the
+operator options, its own options, its outputs builder and its "the
+mathematics said no" test (exit 1); a feedback.VerdictError is that too,
+written as {"error": kind, "detail": message}.  Any other exception takes
+its exit code from ``_ERRORS``, first match wins.
 """
 
 from __future__ import annotations
@@ -363,15 +360,53 @@ def _probe_outputs(spec, domain, e, options, cache_dir):
     return out, side_files
 
 
-# command -> (outputs builder, "the mathematics said no" on its outputs)
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    operator: bool  # whether it takes the operator options
+    options: tuple  # its own options as (flag, add_argument keywords)
+    outputs: object  # its outputs builder
+    said_no: object  # "the mathematics said no" on its outputs: exit 1
+
+
+# every option default is immutable, as parsers share them
 _COMMANDS = {
-    "check-thick": (_thickness_outputs, lambda out: not out["thickness"]["is_thick"]),
-    "spectral-constant": (_spectral_outputs,
-                          lambda out: any(isinstance(c, str) for c in out["curve"]["constants"])),
-    "certify": (_certify_outputs, lambda out: out["status"] != "certified"),
-    "feedback-build": (_feedback_outputs, lambda out: False),
-    "simulate": (_simulate_outputs, lambda out: False),
-    "probe": (_probe_outputs, lambda out: out["any_violation"]),
+    "check-thick": _Command(
+        "thickness and weak-thickness verdicts for a set", False, (
+            ("--lengths", dict(type=_float_list, default=(1.25,))),  # 32 cells of the default domain
+            ("--radii", dict(type=_float_list, default=())),
+        ), _thickness_outputs, lambda out: not out["thickness"]["is_thick"]),
+    "spectral-constant": _Command(
+        "restricted-inequality constants C(k, E)", True, (
+            ("--k-max", dict(type=int, default=10)),
+            ("--thresholds", dict(type=_float_list, default=None)),
+        ), _spectral_outputs, lambda out: any(isinstance(c, str) for c in out["curve"]["constants"])),
+    "certify": _Command(
+        "build and check a stabilization certificate", True, (
+            ("--k-max", dict(type=int, default=10)),
+            ("--trials", dict(type=int, default=200)),
+            ("--recurrence-trials", dict(type=int, default=100)),
+        ), _certify_outputs, lambda out: out["status"] != "certified"),
+    "feedback-build": _Command(
+        "construct a stabilizing feedback", True, (
+            ("--feedback", dict(choices=("damping", "finite-rank"), default="finite-rank")),
+            ("--feedback-delta", dict(dest="delta", type=float, default=0.5)),
+        ), _feedback_outputs, lambda out: False),
+    "simulate": _Command(
+        "closed-loop decay simulation", True, (
+            ("--feedback", dict(choices=("none", "damping", "finite-rank"), default="finite-rank")),
+            ("--feedback-delta", dict(dest="delta", type=float, default=0.5)),
+            ("--t-end", dict(type=float, default=5.0)),
+            ("--dt", dict(type=float, default=0.001,
+                          help="sample spacing; every law is propagated exactly (0 < dt <= t_end/100)")),
+            ("--y0", dict(default="random")),
+        ), _simulate_outputs, lambda out: False),
+    "probe": _Command(
+        "falsify a claimed observability triple", True, (
+            ("--claim", dict(type=_claim, required=True, help="C=1,T=1,alpha=0.5")),
+            ("--centers", dict(type=_centers, default=(),
+                               help="semicolon-separated centers, components by colon")),
+        ), _probe_outputs, lambda out: out["any_violation"]),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -399,7 +434,7 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
         hashes["operator"] = spec_hash(spec)
         hashes.update(extra)
     try:
-        outputs, side_files = _COMMANDS[command][0](spec, domain, e, config.options, cache_dir)
+        outputs, side_files = _COMMANDS[command].outputs(spec, domain, e, config.options, cache_dir)
     except VerdictError as exc:  # the mathematics said no: an error document, exit 1
         outputs, side_files = {"error": exc.kind, "detail": str(exc)}, {}
         if isinstance(exc, GramSingularError):
@@ -419,7 +454,7 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
 
 
 def _exit_code(command: str, outputs: dict) -> int:
-    return int("error" in outputs or _COMMANDS[command][1](outputs))
+    return int("error" in outputs or _COMMANDS[command].said_no(outputs))
 
 
 def _write_outputs(doc: ResultDocument, out_path: str):
@@ -441,42 +476,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# command -> (help, whether it takes the operator options, its own options as
-# (flag, add_argument keywords)); every default is immutable, as parsers share them
-_SUBCOMMANDS = {
-    "check-thick": ("thickness and weak-thickness verdicts for a set", False, (
-        ("--lengths", dict(type=_float_list, default=(1.25,))),  # 32 cells of the default domain
-        ("--radii", dict(type=_float_list, default=())),
-    )),
-    "spectral-constant": ("restricted-inequality constants C(k, E)", True, (
-        ("--k-max", dict(type=int, default=10)),
-        ("--thresholds", dict(type=_float_list, default=None)),
-    )),
-    "certify": ("build and check a stabilization certificate", True, (
-        ("--k-max", dict(type=int, default=10)),
-        ("--trials", dict(type=int, default=200)),
-        ("--recurrence-trials", dict(type=int, default=100)),
-    )),
-    "feedback-build": ("construct a stabilizing feedback", True, (
-        ("--feedback", dict(choices=("damping", "finite-rank"), default="finite-rank")),
-        ("--feedback-delta", dict(dest="delta", type=float, default=0.5)),
-    )),
-    "simulate": ("closed-loop decay simulation", True, (
-        ("--feedback", dict(choices=("none", "damping", "finite-rank"), default="finite-rank")),
-        ("--feedback-delta", dict(dest="delta", type=float, default=0.5)),
-        ("--t-end", dict(type=float, default=5.0)),
-        ("--dt", dict(type=float, default=0.001,
-                      help="sample spacing; every law is propagated exactly (0 < dt <= t_end/100)")),
-        ("--y0", dict(default="random")),
-    )),
-    "probe": ("falsify a claimed observability triple", True, (
-        ("--claim", dict(type=_claim, required=True, help="C=1,T=1,alpha=0.5")),
-        ("--centers", dict(type=_centers, default=(),
-                           help="semicolon-separated centers, components by colon")),
-    )),
-}
-
-
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The argument parser of every command, or of ``command`` alone, which parses its arguments alike."""
     parser = _Parser(
@@ -484,21 +483,21 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         description="stabilization certificates for parabolic equations on discretized domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS if command is None else (command,):
-        help_, operator, options = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_)
+    for name in _COMMANDS if command is None else (command,):
+        entry = _COMMANDS[name]
+        p = sub.add_parser(name, help=entry.help)
         p.add_argument("--domain", default="")
         p.add_argument("--set", dest="set_spec", default="full")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="result JSON path (side CSVs derive from it)")
-        if operator:  # the operator's own options, under an "operator." dest
+        if entry.operator:  # the operator's own options, under an "operator." dest
             p.add_argument("--operator", dest="operator.kind", choices=_OPERATORS, default="frac")
             p.add_argument("--s", dest="operator.s", type=float, default=1.0)
             p.add_argument("--c", dest="operator.c", type=float, default=0.0)
             p.add_argument("--potential", dest="operator.potential", default=None)
             p.add_argument("--condition", dest="operator.condition", choices=("I", "II"), default="II")
             p.add_argument("--delta", dest="operator.delta", type=float, default=None)
-        for flag, keywords in options:
+        for flag, keywords in entry.options:
             p.add_argument(flag, **keywords)
     return parser
 
@@ -525,7 +524,7 @@ def main(argv=None) -> int:
     try:
         # a known command needs only its own parser; anything else (no
         # command, an unknown one, a top-level -h) gets every command's
-        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
         args = build_parser(command).parse_args(argv)
         config = _config_from_args(args)
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):

@@ -15,6 +15,7 @@ evaluation exact downstream.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -163,16 +164,9 @@ def restrict_norm(f: GridFunction, e) -> float:
 # ---------------------------------------------------------------------------
 # serialization
 
-_HEADER_KEYS = ("dim", "half_width", "points_per_axis", "periodic")
-
 
 def domain_header(domain: GridDomain) -> dict:
-    return {
-        "dim": domain.dim,
-        "half_width": domain.half_width,
-        "points_per_axis": domain.points_per_axis,
-        "periodic": domain.periodic,
-    }
+    return dataclasses.asdict(domain)
 
 
 def require_keys(doc: dict, keys, what: str) -> None:
@@ -183,10 +177,9 @@ def require_keys(doc: dict, keys, what: str) -> None:
 
 
 def domain_from_header(header: dict) -> GridDomain:
-    require_keys(header, _HEADER_KEYS, "domain header")
-    return make_grid(
-        header["dim"], header["half_width"], header["points_per_axis"], header["periodic"]
-    )
+    keys = [f.name for f in dataclasses.fields(GridDomain)]
+    require_keys(header, keys, "domain header")
+    return make_grid(**{key: header[key] for key in keys})
 
 
 def grid_function_to_json(f: GridFunction) -> dict:

@@ -2,14 +2,15 @@
 
 Each computes plainly what the package computes another way or not at all:
 the L2 inner product, the semigroup norm, the spectral projection, sampled
-Hermite functions, the inverse of ``operators.spec_to_json``, the synthesis
-of grid values from coefficients, a state attaining the restricted
-constant C(k, E), every set norm of ``operators.restricted_norms`` as
-arrays, the full-rank observation bracket, the exact observation integral
-through the Gram, the feedback operator K, a kernel probe's evolution by
-self-similar rescaling and the constant C2 of its norm law, and the
-high-frequency decay ratio sampled over random states, whose sup
-``operators.dissipative_margin`` computes from the spectrum.
+Hermite functions, the synthesis of grid values from coefficients, a state
+attaining the restricted constant C(k, E), every set norm of
+``operators.restricted_norms`` as arrays, the full-rank observation
+bracket, the exact observation integral through the Gram, the feedback
+operator K, a kernel probe's evolution by self-similar rescaling and the
+constant C2 of its norm law, and the high-frequency decay ratio sampled
+over random states, whose sup ``operators.dissipative_margin`` computes
+from the spectrum.  Nothing reads a spec document back, so no inverse of
+``operators.spec_to_json`` is kept: its test pins the digests it hashes to.
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ from typing import Optional
 import numpy as np
 
 from stabcert.certify import exprel, time_kernel
-from stabcert.domain import DomainMismatchError, GridDomain, GridFunction, grid_function_from_json, norm
+from stabcert.domain import DomainMismatchError, GridDomain, GridFunction, norm
 from stabcert.feedback import DampingFeedback, FeedbackOperator
 from stabcert.operators import (
     DrawnStates,
-    FractionalLaplacian,
-    OperatorSpec,
-    Schrodinger,
-    ShiftedHermite,
     SpectralDecomposition,
     _native,
     _weighted_passes,
@@ -118,21 +115,6 @@ def hermite_basis(dim: int, max_degree: int, domain: GridDomain) -> HermiteBasis
             for b in range(max_degree + 1 - a):
                 functions[(a, b)] = GridFunction(domain, np.outer(axis_vals[a], axis_vals[b]))
     return HermiteBasis(dim=dim, max_degree=max_degree, domain=domain, functions=functions)
-
-
-def spec_from_json(doc: dict) -> OperatorSpec:
-    kind = doc.get("kind")
-    if kind == "fractional":
-        return FractionalLaplacian(s=float(doc["s"]), c=float(doc.get("c", 0.0)))
-    if kind == "hermite":
-        return ShiftedHermite(c=float(doc.get("c", 0.0)))
-    if kind == "schrodinger":
-        return Schrodinger(
-            potential=grid_function_from_json(doc["potential"]),
-            condition=doc.get("condition", "II"),
-            delta=doc.get("delta"),
-        )
-    raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def grid_values(dec: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:

@@ -857,6 +857,27 @@ def test_keys_outside_a_vocabulary_are_config_errors(tmp_path, capsys, argv, key
     assert err.startswith("config error:") and err.count("\n") == 1 and key in err
 
 
+@pytest.mark.parametrize("imag", [0.0, 50.0], ids=["mirror-symmetric", "asymmetric"])
+def test_complex_potentials_are_config_errors(tmp_path, capsys, imag):
+    # refused before the solve, whichever layout would take it: V = x^2 - 4
+    # saved as complex is its own mirror image, so the parity split would
+    # take it; an imaginary part 50ix is not, so the full solve would
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    values = from_callable(dom, lambda x: x**2 - 4.0 + 1j * imag * x).values
+    assert np.iscomplexobj(values) and np.array_equal(values, values[::-1]) == (imag == 0.0)
+    path = tmp_path / "v.json"
+    save_grid_function(GridFunction(dom, values), str(path))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an imaginary part is not dropped with a ComplexWarning either
+        code = main(["spectral-constant", "--domain", "dim=1,R=10,m=64,periodic=false",
+                     "--operator", "schrodinger", "--potential", str(path), "--set", "halfspace:offset=0",
+                     "--k-max", "3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: the potential must be real, got a complex grid function\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["symmetric-inf", "nan"])
 def test_non_finite_potentials_are_config_errors(tmp_path, capsys, bad):
     # refused before the solve, naming the file: an inf on both walls keeps V

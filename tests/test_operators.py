@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert import operators
-from stabcert.domain import GridDomain, GridFunction, from_callable, make_grid, norm
+from stabcert.domain import GridDomain, GridFunction, content_hash, from_callable, make_grid, norm
 from stabcert.feedback import build_finite_rank_feedback
 from stabcert.geometry import BallComplement, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import (
@@ -45,7 +45,6 @@ from reference import (
     project,
     restricted_norm_arrays,
     semigroup_norm,
-    spec_from_json,
 )
 
 
@@ -1590,25 +1589,25 @@ def test_hermite_basis_validation():
 # serialization
 
 
-def test_spec_json_roundtrip():
+@pytest.mark.parametrize("spec, digests", [
+    (FractionalLaplacian(s=0.75, c=1.5),
+     ("ad74e7148249bf9036587f89a11110677b5ff90c4fb7bcdef9cd182f1e6daa9c",
+      "e225ff00791508eae9be4fe6bbc17f81e61b7974a169f54b22eb5e1ba19496de")),
+    (ShiftedHermite(c=2.0),
+     ("00cf59ed3e45630c45a36eb79afc11b57f7be2ca873f8b5d171642db6753c26e",
+      "adc6075b620c4776587d47760dde8eb848fe376dcfcab60f99ecec39a31e9e97")),
+    (dict(),
+     ("1786d86b6889447e5f1e2814a865e4ab88be5b8924491334c460070fff89fbf3",
+      "13124f250643e77e8f85987836ffa927b1aa01c0659102d80512b4c95015789b")),
+    (dict(condition="I", delta=0.25),
+     ("2ea626d764292baeaf4e8fb3483f1c8bfbe31bf016236faeddd4d6c3c828fe36",
+      "35293dfdb9135aa589f4dd11ce59efe5a100de5b430dd3b2610c9c78806b5d14")),
+], ids=["frac", "hermite", "schrodinger-II", "schrodinger-I"])
+def test_spec_hash_is_the_hash_of_the_spec_document(spec, digests):
+    # the document keys the decomposition cache and every result's input
+    # hashes: the digests are pinned so that neither drifts
     dom = make_grid(1, 10.0, 32, periodic=False)
-    pot = from_callable(dom, lambda x: x**2 - 1.0)
-    specs = [
-        FractionalLaplacian(s=0.75, c=1.5),
-        ShiftedHermite(c=2.0),
-        Schrodinger(potential=pot),
-        Schrodinger(potential=pot, condition="I", delta=0.25),
-    ]
-    for spec in specs:
-        back = spec_from_json(spec_to_json(spec))
-        assert type(back) is type(spec)
-        if isinstance(spec, Schrodinger):
-            assert np.array_equal(back.potential.values, spec.potential.values)
-            assert back.condition == spec.condition and back.delta == spec.delta
-        else:
-            assert back == spec
-
-
-def test_spec_from_json_unknown_kind():
-    with pytest.raises(ValueError):
-        spec_from_json({"kind": "biharmonic"})
+    if isinstance(spec, dict):  # a Schrodinger spec's keywords, beside V = x^2 - 1 on dom
+        spec = Schrodinger(potential=from_callable(dom, lambda x: x**2 - 1.0), **spec)
+    for parts, digest in zip(((), (dom,)), digests):
+        assert spec_hash(spec, *parts) == content_hash(spec_to_json(spec), *parts) == digest

@@ -36,7 +36,9 @@ scipy is imported only by `operators`, and only as `scipy.linalg` for
 that eigensolver, so importing the CLI loads no other scipy subpackage.
 Every file is written through `domain.atomic_write`, the one caller of
 `tempfile.mkstemp` and `os.replace`, and no module, test module included,
-imports a name it does not use. Every public top-level name in `src/` is
+imports a name it does not use. `cli` declares its commands in one table,
+and `operators.spec_hash` hashes the document of `spec_to_json`, neither
+with a branch on the spec's type. Every public top-level name in `src/` is
 reached outside the tests: by other package code, a script, the benchmark
 (by name, as its tracer wraps functions) or a backticked mention in the
 README, and every public method or property by an attribute of its name
@@ -56,7 +58,7 @@ import sys
 import numpy as np
 import pytest
 
-from stabcert import operators
+from stabcert import cli, operators
 from stabcert.certify import inequality_margins
 from stabcert.domain import make_grid
 from stabcert.geometry import PeriodicSlabs, make_set
@@ -366,6 +368,32 @@ def _functions(tree):
             yield from ((f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef))
 
 
+def test_the_cli_declares_its_commands_in_one_table():
+    # help, options, outputs builder and exit test of a command are read
+    # from one entry, so no second table keyed by command names grows back
+    tables = [
+        f"line {node.lineno}: {ast.unparse(node.targets[0])}"
+        for node in _tree(ROOT / "src" / "stabcert" / "cli.py").body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value in cli.COMMANDS for k in node.value.keys)
+    ]
+    assert len(tables) == 1 and tables[0].endswith("_COMMANDS"), tables
+
+
+@pytest.mark.parametrize("name", ["spec_to_json", "spec_hash"])
+def test_the_spec_document_has_no_type_branch(name):
+    # every spec kind reaches one document, so `spec_hash` hashes exactly
+    # what `spec_to_json` returns
+    func = dict(_functions(_tree(ROOT / "src" / "stabcert" / "operators.py")))[name]
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(func)
+        if isinstance(node, (ast.If, ast.IfExp))
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance")
+    ]
+    assert not found, found
+
+
 def test_real_ffts_are_called_only_in_the_fourier_pass():
     # the real FFTs of a stack of real Fourier states, forward and inverse,
     # belong to the Fourier basis's pass of `_weighted_passes`, so no second
@@ -579,7 +607,9 @@ def test_every_public_name_is_reached_outside_the_tests():
 def test_the_benchmark_tracer_still_finds_what_it_wraps(tmp_path):
     # perfbench/tracer.py wraps functions by module attribute name and reads
     # `basis_kind` and `spec_to_json`; a rename there would crash a traced
-    # benchmark run, so it fails here instead.  A fractional falsification
+    # benchmark run, so it fails here instead.  Every cached dense call
+    # counts the bytes of its cache file, which the tracer finds by the key
+    # of `spec_to_json`: a Schrodinger file too.  A fractional falsification
     # over three centers builds its probe data in one call
     root = pathlib.Path(__file__).parent.parent
     code = (
@@ -588,8 +618,10 @@ def test_the_benchmark_tracer_still_finds_what_it_wraps(tmp_path):
         "t = tracer.Tracer()\n"
         "tracer.install(t)\n"
         "dom = domain.make_grid(2, 6.0, 12, periodic=False)\n"
+        "pot = domain.from_callable(domain.make_grid(1, 10.0, 64, periodic=False), lambda x: x**2 - 4.0)\n"
         "for _ in range(2):\n"
         f"    operators.diagonalize(operators.ShiftedHermite(), dom, cache_dir={str(tmp_path)!r})\n"
+        f"    operators.diagonalize(operators.Schrodinger(pot), pot.domain, cache_dir={str(tmp_path)!r})\n"
         "dom = domain.make_grid(1, 10.0, 256, periodic=True)\n"
         "dec = operators.diagonalize(operators.FractionalLaplacian(s=1.0), dom)\n"
         "claim = probes.ObservationClaim(C=1.0, T=1.0, alpha=0.0)\n"
@@ -600,7 +632,10 @@ def test_the_benchmark_tracer_still_finds_what_it_wraps(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"), str(root / "src")]))
     totals = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                        text=True, check=True, timeout=120).stdout)
-    assert totals["operators.diagonalize.calls"] == 3
-    assert totals["operators.diagonalize.cache_hits"] == 1
+    assert totals["operators.diagonalize.calls"] == 5
+    assert totals["operators.diagonalize.cache_hits"] == 2
+    sizes = [path.stat().st_size for path in tmp_path.iterdir()]
+    assert len(sizes) == 2 and min(sizes) > 0
+    assert totals["operators.diagonalize.cache_bytes"] == 2 * sum(sizes)
     assert totals["probes.falsify_weak_observability.calls"] == 1
     assert totals["probes.kernel_probe_solution.calls"] == 1
