@@ -14,7 +14,7 @@ import csv
 import numpy as np
 
 from stabcert import GridFunction, HalfSpace, make_grid, make_set, norm
-from stabcert.feedback import UnstableLoopError, build_finite_rank_feedback, feedback_norm_bound, simulate_decay
+from stabcert.feedback import UnstableLoopError, build_finite_rank_feedback, simulate_decay
 from stabcert.domain import from_callable
 from stabcert.operators import Schrodinger, diagonalize
 
@@ -37,7 +37,7 @@ def main():
     fb = build_finite_rank_feedback(dec, e)
     print(
         f"rho={fb.rho}  unstable modes={fb.unstable_count}  "
-        f"cond(A)={fb.gram_cond:.3f}  ||K|| <= {feedback_norm_bound(fb):.2f}"
+        f"cond(A)={fb.gram_cond:.3f}  ||K|| <= {fb.norm_bound:.2f}"
     )
 
     rng = np.random.default_rng(args.seed)

@@ -392,8 +392,11 @@ def inequality_margins(dec, e: SetIndicator, states, lams, intervals, sides, end
     end is not monotone in the rank.  A NaN or infinite margin is no
     verdict: it raises ArithmeticError naming ``label`` and the ``where``
     of its interval.  Returns the margins, lhs, rhs, the integrals (0.0 on
-    a decided row) and the ``Evaluation``.
+    a decided row) and the ``Evaluation``.  A set on another domain than
+    ``dec`` raises ValueError before anything is decided.
     """
+    if e.domain != dec.domain:
+        raise ValueError("set and decomposition live on different domains")
     lo, hi = (np.array(ends, dtype=float)[:, None] for ends in zip(*intervals))
     decided, spectral = np.zeros(len(intervals), bool), np.full(len(intervals), np.nan)
     lam_min = float(np.min(lams))

@@ -48,7 +48,6 @@ from .feedback import (
     build_damping_feedback,
     build_finite_rank_feedback,
     decay_report_to_csv,
-    feedback_norm_bound,
     simulate_decay,
 )
 from .geometry import (
@@ -301,7 +300,7 @@ def _feedback_outputs(spec, domain, e, options, cache_dir):
             "gram": np.real_if_close(fb.gram),
             "gram_inverse": np.real_if_close(fb.gram_inverse),
             "gram_cond": fb.gram_cond,
-            "norm_bound": feedback_norm_bound(fb),
+            "norm_bound": fb.norm_bound,
         }
     }, {}
 

@@ -125,6 +125,7 @@ class FiniteRankFeedback:
     gram: np.ndarray
     gram_inverse: np.ndarray
     gram_cond: float
+    norm_bound: float
 
     def __post_init__(self):
         for arr in (self.coupling, self.gram, self.gram_inverse):
@@ -137,19 +138,14 @@ FeedbackOperator = Union[DampingFeedback, FiniteRankFeedback]
 def damping_spectral_exponent(dec: SpectralDecomposition, e: SetIndicator, N_grid) -> float:
     """Envelope exponent c1 with ||pi_{N^2} phi|| <= e^{c1 N} ||pi_{N^2} phi||_E.
 
-    Takes the max of ln C(N^2) / N over the sweep, so the bound holds with
-    equality at the worst N.  Every C(N^2) is read from one curve, hence
+    Takes the max of 0 and ln C(N^2) / N over the sweep, so the bound holds
+    with equality at the worst N.  Every C(N^2) is read from one curve, hence
     one Gram matrix.  +inf constants propagate (the caller's sweep in
     damping_decay_bound will then fail honestly).
     """
-    ns = sorted(float(n) for n in N_grid)
-    curve = spectral_constant_curve(dec, e, [n**2 for n in ns])
-    worst = 0.0
-    for n, c in zip(ns, curve.constants):
-        if not np.isfinite(c):
-            return float("inf")
-        worst = max(worst, float(np.log(c)) / n)
-    return worst
+    ns = np.sort(np.asarray(N_grid, dtype=float))
+    curve = spectral_constant_curve(dec, e, ns**2)
+    return float(np.max(np.log(curve.constants) / ns, initial=0.0))
 
 
 def damping_decay_bound(dec: SpectralDecomposition, e: SetIndicator, delta: float, c1: float, N_grid) -> DampingBound:
@@ -231,14 +227,18 @@ def build_damping_feedback(
 
 
 def build_finite_rank_feedback(dec: SpectralDecomposition, e: SetIndicator) -> FiniteRankFeedback:
-    """Transform chi_E times the nonpositive modes once, and invert the Gram matrix in it.
+    """Transform chi_E times the nonpositive modes once, and factor the Gram matrix in it once.
 
-    The mode count is N = #{lambda_j <= 0}; the Gram is the leading N x N
-    block of the coupling, made exactly Hermitian.  A condition number beyond
-    1e12 aborts with the offending combination of eigenfunctions attached,
-    since inverting it would amplify noise past double precision; the
-    continuum Gram is provably invertible, so this only happens when E is
-    under-resolved.
+    The mode count is N = #{lambda_j <= 0}; the Gram A is the leading N x N
+    block of the coupling, made exactly Hermitian.  One eigendecomposition
+    A = V diag(mu) V^* gives everything: the condition max|mu| / min|mu|,
+    the inverse V diag(1/mu) V^*, the norm bound |rho| / min|mu| = |rho|
+    ||A^{-1}|| on K, and the combination of eigenfunctions that E observes
+    least, the modes times the first column of V.  A condition beyond 1e12,
+    or an inverse whose residual A^{-1} A - I exceeds 1e-8, aborts with that
+    combination attached, since inverting A would amplify noise past double
+    precision; the continuum Gram is provably invertible, so this only
+    happens when E is under-resolved.
     """
     if e.measure <= 0.0:
         raise ValueError("observation set has zero measure")
@@ -250,43 +250,37 @@ def build_finite_rank_feedback(dec: SpectralDecomposition, e: SetIndicator) -> F
             "smallest eigenvalue is positive; the open loop already decays, skip feedback"
         )
     block = basis_block(dec, np.arange(n_unstable))
-    modes = block.T.reshape((n_unstable,) + dec.domain.shape)
-    coupling = to_coefficients(dec, e.cells * modes)
+    coupling = to_coefficients(dec, e.cells * block.T.reshape((n_unstable,) + dec.domain.shape))
     gram = 0.5 * (coupling[:n_unstable] + coupling[:n_unstable].conj().T)
-    cond = float(np.linalg.cond(gram))
-    if cond > GRAM_COND_LIMIT:
-        w, v = np.linalg.eigh(gram)
+    mu, v = np.linalg.eigh(gram)
+    size = np.abs(mu)
+
+    def singular(detail):
         witness = GridFunction(dec.domain, (block @ v[:, 0]).reshape(dec.domain.shape))
-        raise GramSingularError(
-            f"restricted Gram matrix has condition number {cond:.3e} > {GRAM_COND_LIMIT:.0e}; "
-            "the observation set cannot distinguish the unstable modes at this resolution",
-            witness=witness,
-            cond=cond,
-        )
-    gram_inverse = np.linalg.inv(gram)
-    residual = np.abs(gram_inverse @ gram - np.eye(n_unstable)).max()
-    if residual > 1e-8:
-        raise GramSingularError(
-            f"Gram inversion residual {residual:.3e} exceeds 1e-8",
-            witness=GridFunction(dec.domain, modes[0]),
-            cond=cond,
-        )
+        return GramSingularError(detail, witness=witness, cond=cond)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = float(size.max() / size.min())
+        if not cond <= GRAM_COND_LIMIT:
+            raise singular(
+                f"restricted Gram matrix has condition number {cond:.3e} > {GRAM_COND_LIMIT:.0e}; "
+                "the observation set cannot distinguish the unstable modes at this resolution"
+            )
+        gram_inverse = (v / mu) @ v.conj().T
+        residual = np.abs(gram_inverse @ gram - np.eye(n_unstable)).max()
+    if not residual <= 1e-8:
+        raise singular(f"Gram inversion residual {residual:.3e} exceeds 1e-8")
+    rho = float(dec.eigenvalues[0] - 1.0)
     return FiniteRankFeedback(
-        rho=float(dec.eigenvalues[0] - 1.0),
+        rho=rho,
         unstable_count=n_unstable,
         e=e,
         coupling=coupling,
         gram=gram,
         gram_inverse=gram_inverse,
         gram_cond=cond,
+        norm_bound=float(abs(rho) / size.min()),
     )
-
-
-def feedback_norm_bound(fb: FeedbackOperator) -> float:
-    """Operator-norm bound: |rho| ||A^{-1}|| for finite rank, 1 for damping."""
-    if isinstance(fb, DampingFeedback):
-        return 1.0
-    return float(abs(fb.rho) * np.linalg.norm(fb.gram_inverse, 2))
 
 
 @dataclass(frozen=True)

@@ -1025,6 +1025,27 @@ def test_a_weak_check_the_spectrum_does_not_decide_draws_and_runs_its_pass(monke
     assert report.kernel_rank >= 1 and report.rank_used >= 1
 
 
+@pytest.mark.parametrize("decided", [True, False], ids=["decided", "undecided"])
+@pytest.mark.parametrize("check", ["recurrence", "observability"])
+def test_a_check_refuses_a_set_from_another_grid(check, decided):
+    # a half-space built on R = 5 does not live on the R = 8 grid; a check
+    # the spectrum decides reads no state, and must refuse it all the same
+    dec, e = hermite_walls()
+    other = make_set(make_grid(1, 5.0, 64, periodic=False), HalfSpace(offset=0.0))
+    base = build_certificate(CriterionConstants(c1=1e-3, a=2.0, c2=1.0, b=1.0))
+    if check == "recurrence":
+        taus = [base.tau0 / 2] if decided else [base.tau0 / 32]
+        def run(dec, e):
+            return recurrence_check(dec, e, base, taus, trials=10, seed=1)
+    else:
+        cert = base if decided else dataclasses.replace(base, T=-0.5 * np.log(base.alpha) / dec.eigenvalues[0])
+        def run(dec, e):
+            return weak_observability_check(dec, e, cert, trials=10, seed=2)
+    assert run(dec, e).decided_by_spectrum == decided
+    with pytest.raises(ValueError, match="different domains"):
+        run(dec, other)
+
+
 def recurrence_margins(dec, e, cert, taus, states):
     g = np.array([[np.exp(certificate_gain_log(cert, t)), np.exp(certificate_gain_log(cert, t / 2.0))] for t in taus])
     return certify.inequality_margins(

@@ -14,6 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert import feedback
 from stabcert.domain import DomainMismatchError, GridFunction, from_callable, make_grid, norm, restrict_norm
 from stabcert.feedback import (
     AlreadyStableError,
@@ -25,10 +26,9 @@ from stabcert.feedback import (
     damping_decay_bound,
     damping_spectral_exponent,
     decay_report_to_csv,
-    feedback_norm_bound,
     simulate_decay,
 )
-from stabcert.geometry import Empty, Full, HalfSpace, PeriodicSlabs, SetIndicator, make_set
+from stabcert.geometry import BallComplement, Empty, Full, HalfSpace, PeriodicSlabs, SetIndicator, make_set
 from stabcert.operators import (
     FractionalLaplacian,
     Schrodinger,
@@ -41,7 +41,7 @@ from stabcert.operators import (
     semigroup_apply,
     spectral_count,
 )
-from stabcert.specineq import best_constant
+from stabcert.specineq import best_constant, spectral_constant_curve
 
 from reference import apply_feedback
 
@@ -159,6 +159,33 @@ def test_spectral_exponent_matches_per_threshold_constants(frac_dec, slab_set):
     assert c1 == pytest.approx(per_n, rel=1e-9)
 
 
+def spectral_exponent_by_loop(dec, e, N_grid):
+    """The envelope exponent, one threshold at a time."""
+    ns = sorted(float(n) for n in N_grid)
+    constants = spectral_constant_curve(dec, e, [n**2 for n in ns]).constants
+    worst = 0.0
+    for n, c in zip(ns, constants):
+        if not np.isfinite(c):
+            return float("inf")
+        worst = max(worst, float(np.log(c)) / n)
+    return worst
+
+
+@pytest.mark.parametrize("set_spec", [PeriodicSlabs(period=1.0, fill_fraction=0.25), HalfSpace(offset=0.0),
+                                      BallComplement(center=(0.0,), radius=5.0), Full(), Empty()],
+                         ids=["slabs", "half-space", "ball-complement", "full", "empty"])
+@pytest.mark.parametrize("kind", ["frac-1", "frac-2", "hermite"])
+def test_spectral_exponent_is_the_loop_bit_for_bit(kind, set_spec):
+    if kind == "hermite":
+        dec = diagonalize(ShiftedHermite(0.0), make_grid(1, 8.0, 128, periodic=False))
+    else:
+        dec = diagonalize(FractionalLaplacian(s=float(kind[-1])), make_grid(1, 10.0, 256, periodic=True))
+    e = make_set(dec.domain, set_spec)
+    # sorted and unsorted sweeps, fractional N, finite and infinite constants
+    for grid in ([0.5, 1, 1.5, 2], [2, 0.5, 1.5], [1, 2, 3, 4], [3]):
+        assert damping_spectral_exponent(dec, e, grid) == spectral_exponent_by_loop(dec, e, grid), grid
+
+
 def test_build_damping_drops_unresolved_thresholds(frac_dec):
     # on 512 cells d(N^2) exceeds 256 from N = 7 on: the default sweep keeps
     # N = 1..6, and matches that sweep given explicitly
@@ -230,12 +257,12 @@ def test_norm_bound_closed_form(half_feedback):
     fb = half_feedback
     a, b, d = fb.gram[0, 0], fb.gram[0, 1], fb.gram[1, 1]
     expected = abs(fb.rho) / ((a + d) / 2.0 - np.hypot((a - d) / 2.0, b))
-    assert feedback_norm_bound(fb) == pytest.approx(expected, rel=1e-12)
-    assert feedback_norm_bound(fb) == pytest.approx(39.60122441681833, rel=1e-6)
+    assert fb.norm_bound == pytest.approx(expected, rel=1e-12)
+    assert fb.norm_bound == pytest.approx(39.60122441681833, rel=1e-6)
 
 
 def test_norm_bound_is_a_bound(shifted_potential_dec, half_feedback, rng):
-    bound = feedback_norm_bound(half_feedback)
+    bound = half_feedback.norm_bound
     dom = shifted_potential_dec.domain
     for _ in range(100):
         psi = GridFunction(dom, rng.standard_normal(512))
@@ -265,6 +292,19 @@ def test_single_cell_set_is_singular(shifted_potential_dec):
     err = info.value
     assert err.cond > 1e12
     # the attached witness is invisible on E
+    assert restrict_norm(err.witness, e) < 1e-12 * norm(err.witness)
+
+
+def test_the_residual_gate_attaches_the_least_observed_combination(shifted_potential_dec, monkeypatch):
+    # with no condition limit the rank-one Gram of one cell reaches the
+    # inversion residual, whose witness is the same combination E cannot see
+    monkeypatch.setattr(feedback, "GRAM_COND_LIMIT", np.inf)
+    mask = np.zeros(512, dtype=bool)
+    mask[300] = True
+    e = SetIndicator(shifted_potential_dec.domain, mask)
+    with pytest.raises(GramSingularError, match="inversion residual") as info:
+        build_finite_rank_feedback(shifted_potential_dec, e)
+    err = info.value
     assert restrict_norm(err.witness, e) < 1e-12 * norm(err.witness)
 
 

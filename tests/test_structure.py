@@ -32,6 +32,8 @@ one. No basis `passes` method takes `order`: a pass's rows reach the basis
 in native order, and only `to_coefficients` gathers to ascending order.
 Every layout keeps `order`: no function there compares it with None, and
 no basis class has an `ordered` flag.
+`feedback.build_finite_rank_feedback` factors its Gram with one `eigh`,
+and `feedback` takes no condition number, inverse or SVD besides it.
 scipy is imported only by `operators`, and only as `scipy.linalg` for
 that eigensolver, so importing the CLI loads no other scipy subpackage.
 Every file is written through `domain.atomic_write`, the one caller of
@@ -357,6 +359,25 @@ def test_the_pinned_eigensolve_has_two_owners(name, owners):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
     }
     assert callers == owners, sorted(callers)
+
+
+def test_the_finite_rank_gram_is_factored_once():
+    # condition, inverse, witness and norm bound of the finite-rank law all
+    # come from one `eigh` of its Gram, so no second factorization of it (a
+    # condition number, an inverse, an SVD or a matrix 2-norm) grows back; the
+    # one `np.linalg.norm` left is the closed loop's norm of each sample
+    functions = dict(_functions(_tree(ROOT / "src" / "stabcert" / "feedback.py")))
+    calls = [
+        (name, node.func.attr)
+        for name, func in functions.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and ast.unparse(node.func.value) == "np.linalg"
+    ]
+    assert "feedback_norm_bound" not in functions
+    assert not [c for c in calls if c[1] in ("cond", "inv", "pinv", "svd")], calls
+    assert [a for name, a in calls if name == "build_finite_rank_feedback"] == ["eigh"], calls
+    assert {name for name, a in calls if a == "norm"} == {"simulate_decay"}, calls
 
 
 def _functions(tree):
