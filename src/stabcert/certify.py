@@ -77,7 +77,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import GridDomain
+from .domain import GridDomain, require_domain
 from .geometry import SetIndicator
 from .operators import (
     DrawnStates,
@@ -86,6 +86,7 @@ from .operators import (
     SpectralDecomposition,
     diagonalize,
     dissipative_margin,
+    require_resolved,
     restricted_norms,
 )
 from .specineq import (
@@ -393,10 +394,9 @@ def inequality_margins(dec, e: SetIndicator, states, lams, intervals, sides, end
     verdict: it raises ArithmeticError naming ``label`` and the ``where``
     of its interval.  Returns the margins, lhs, rhs, the integrals (0.0 on
     a decided row) and the ``Evaluation``.  A set on another domain than
-    ``dec`` raises ValueError before anything is decided.
+    ``dec`` raises DomainMismatchError before anything is decided.
     """
-    if e.domain != dec.domain:
-        raise ValueError("set and decomposition live on different domains")
+    require_domain(dec.domain, set=e)
     lo, hi = (np.array(ends, dtype=float)[:, None] for ends in zip(*intervals))
     decided, spectral = np.zeros(len(intervals), bool), np.full(len(intervals), np.nan)
     lam_min = float(np.min(lams))
@@ -647,12 +647,16 @@ def certify_end_to_end(
 
     A +inf constant at any threshold means the restricted inequality cannot
     hold on this set at this resolution and no certificate exists; the
-    result then carries status "hypothesis unverifiable".
+    result then carries status "hypothesis unverifiable".  A set on another
+    domain is refused before the solve, an unresolved k_max before the
+    thresholds are listed.
     """
+    require_domain(domain, set=e)
     for name, count in (("k_max", k_max), ("trials", trials), ("recurrence_trials", recurrence_trials)):
         if count < 1:
             raise ValueError(f"{name} (--{name.replace('_', '-')}) must be at least 1, got {count}")
     dec = diagonalize(spec, domain, cache_dir=cache_dir)
+    require_resolved(dec, float(k_max))
     thresholds = [float(k) for k in range(1, int(k_max) + 1)]
     a = growth_exponent(spec)
     curve = spectral_constant_curve(dec, e, thresholds, a)

@@ -30,6 +30,13 @@ class DomainMismatchError(ValueError):
     """Two grid objects that must share a domain do not."""
 
 
+def require_domain(domain: GridDomain, **inputs) -> None:
+    """The one domain rule: the first of the grid ``inputs`` not on ``domain`` raises, named by its keyword."""
+    for name, obj in inputs.items():
+        if obj.domain != domain:
+            raise DomainMismatchError(f"{name.replace('_', ' ')} lives on a different domain ({obj.domain}) than {domain}")
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """Uniform grid on [-R, R]^dim with midpoint cell centers."""
@@ -155,8 +162,7 @@ def restrict_norm(f: GridFunction, e) -> float:
     ``e`` is any object with a matching ``domain`` and a boolean ``cells``
     array (see geometry.SetIndicator).  Always <= norm(f).
     """
-    if f.domain != e.domain:
-        raise DomainMismatchError("grid function and set live on different domains")
+    require_domain(f.domain, set=e)
     sq = np.abs(f.values[e.cells]) ** 2
     return float(np.sqrt(f.domain.cell_volume * sq.sum()))
 
@@ -183,25 +189,18 @@ def domain_from_header(header: dict) -> GridDomain:
 
 
 def grid_function_to_json(f: GridFunction) -> dict:
-    """Flat row-major JSON representation with the domain header attached."""
+    """Flat row-major values, through ``jsonable`` (a non-finite one is its repr), and the domain header."""
     flat = f.values.ravel(order="C")
-    doc = {"header": domain_header(f.domain)}
-    if np.iscomplexobj(flat):
-        doc["dtype"] = "complex"
-        doc["values"] = [[float(v.real), float(v.imag)] for v in flat]
-    else:
-        doc["dtype"] = "real"
-        doc["values"] = [float(v) for v in flat]
-    return doc
+    dtype = "complex" if np.iscomplexobj(flat) else "real"
+    return {"header": domain_header(f.domain), "dtype": dtype, "values": jsonable(flat)}
 
 
 def grid_function_from_json(doc: dict) -> GridFunction:
     require_keys(doc, ("header", "values"), "grid function document")
     domain = domain_from_header(doc["header"])
+    vals = np.asarray(doc["values"], dtype=float)  # a repr string ("inf", "nan") reads as its float
     if doc.get("dtype") == "complex":
-        vals = np.array([complex(re, im) for re, im in doc["values"]])
-    else:
-        vals = np.asarray(doc["values"], dtype=float)
+        vals = vals.view(complex)  # the pairs [re, im], bit for bit
     return GridFunction(domain, vals.reshape(domain.shape))
 
 

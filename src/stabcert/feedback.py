@@ -39,7 +39,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .certify import exprel
-from .domain import DomainMismatchError, GridFunction, norm as _norm
+from .domain import GridFunction, norm as _norm, require_domain
 from .geometry import SetIndicator
 from .operators import (
     SpectralDecomposition,
@@ -148,20 +148,17 @@ def damping_spectral_exponent(dec: SpectralDecomposition, e: SetIndicator, N_gri
     return float(np.max(np.log(curve.constants) / ns, initial=0.0))
 
 
-def damping_decay_bound(dec: SpectralDecomposition, e: SetIndicator, delta: float, c1: float, N_grid) -> DampingBound:
+def damping_decay_bound(delta: float, c1: float, N_grid) -> DampingBound:
     """Best certified gap omega = min{(1-delta)N^2 - 2, e^{-2 c1 N}/2} over N.
 
-    dec is the generator the bound is for; it enters only through domain
-    consistency (the bound itself is a formula in delta, c1, N).  Raises
-    when no N in the sweep yields a positive omega, which is the grid-level
-    signature of a set too thin for damping at this resolution.
+    A pure formula of delta, c1 and the sweep.  Raises when no N yields a
+    positive omega, the grid-level signature of a set too thin for damping
+    at this resolution.
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
     if c1 < 0:
         raise ValueError(f"c1 must be nonnegative, got {c1}")
-    if e.domain != dec.domain:
-        raise ValueError("observation set and decomposition live on different domains")
     ns = [int(n) for n in N_grid if int(n) >= 1]
     with np.errstate(under="ignore"):
         omegas = [float(min((1.0 - delta) * n**2 - 2.0, 0.5 * np.exp(-2.0 * c1 * n))) for n in ns]
@@ -184,13 +181,14 @@ def build_damping_feedback(
     """Pick omega by sweeping N, then diagonalize H + chi_E for exact flow.
 
     The bound's exponent c1 is the envelope of damping_spectral_exponent
-    over the swept N.  A generator with a negative eigenvalue is outside
-    the bound's hypothesis H >= 0 and raises ValueError before any matrix
-    is built.  The sweep keeps only the N whose projection range d(N^2) is
-    at most half the cell count, the ranges the grid resolves; it raises
-    ValueError when no N is left.  A smallest loop eigenvalue below omega
-    raises DampingCertificateError.
+    over the swept N.  A set on another domain, and a generator with a
+    negative eigenvalue (outside the bound's hypothesis H >= 0), are refused
+    before any matrix is built.  The sweep keeps only the N whose range
+    d(N^2) is at most half the cell count, the ranges the grid resolves; it
+    raises ValueError when no N is left.  A smallest loop eigenvalue below
+    omega raises DampingCertificateError.
     """
+    require_domain(dec.domain, observation_set=e)
     lam1 = float(dec.eigenvalues[0])
     if lam1 < 0.0:
         raise ValueError(
@@ -207,7 +205,7 @@ def build_damping_feedback(
     # Grams of up to cells / 2 columns
     loop = dense_matrix(dec) + np.diag(e.cells.ravel().astype(float))
     c1 = damping_spectral_exponent(dec, e, resolved)
-    bound = damping_decay_bound(dec, e, delta, c1, resolved)
+    bound = damping_decay_bound(delta, c1, resolved)
     loop = 0.5 * (loop + loop.T)
     w, u = np.linalg.eigh(loop)
     if w[0] < bound.omega:
@@ -240,10 +238,9 @@ def build_finite_rank_feedback(dec: SpectralDecomposition, e: SetIndicator) -> F
     precision; the continuum Gram is provably invertible, so this only
     happens when E is under-resolved.
     """
+    require_domain(dec.domain, observation_set=e)
     if e.measure <= 0.0:
         raise ValueError("observation set has zero measure")
-    if e.domain != dec.domain:
-        raise ValueError("observation set and decomposition live on different domains")
     n_unstable = spectral_count(dec, 0.0)
     if n_unstable == 0:
         raise AlreadyStableError(
@@ -321,13 +318,13 @@ def simulate_decay(
     The open loop (``fb`` None), damping and finite rank are all evaluated in
     closed form at about 100 sample times, multiples of dt, so dt sets only
     their spacing.  Growth beyond 10 ||y0|| raises UnstableLoopError: a
-    stabilizing feedback must not excite the state.  ``y0`` and ``e`` must
-    live on the decomposition's domain, and ``e`` must be the set either
-    law was built on.
+    stabilizing feedback must not excite the state.  ``y0``, ``e`` and the
+    set of ``fb`` must live on the decomposition's domain, and ``e`` must be
+    the set either law was built on.
     """
-    for name, obj in (("y0", y0), ("observation set", e)):
-        if obj.domain != dec.domain:
-            raise DomainMismatchError(f"{name} lives on a different domain than the decomposition")
+    require_domain(dec.domain, y0=y0, observation_set=e)
+    if fb is not None:
+        require_domain(dec.domain, feedback=fb.e)
     if not 0.0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not 0.0 < dt <= t_end / 100.0:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import DomainMismatchError, GridDomain, domain_header, domain_from_header, require_keys
+from .domain import GridDomain, domain_header, domain_from_header, require_domain, require_keys
 
 @dataclass(frozen=True)
 class SetIndicator:
@@ -99,8 +99,7 @@ def make_set(domain: GridDomain, shape) -> SetIndicator:
     """Rasterize a fixture shape by cell-center membership; a saved set must lie on ``domain``."""
     R = domain.half_width
     if isinstance(shape, SetIndicator):
-        if shape.domain != domain:
-            raise DomainMismatchError("the set was saved on a different domain")
+        require_domain(domain, saved_set=shape)
         return shape
     if isinstance(shape, Full):
         return SetIndicator(domain, np.ones(domain.shape, dtype=bool))
@@ -239,16 +238,8 @@ def check_weakly_thick(e: SetIndicator, radii) -> WeakThicknessReport:
 
 def set_to_json(e: SetIndicator) -> dict:
     flat = e.cells.ravel(order="C")
-    runs = []
-    if flat.size:
-        boundaries = np.flatnonzero(np.diff(flat)) + 1
-        edges = np.concatenate([[0], boundaries, [flat.size]])
-        runs = np.diff(edges).tolist()
-    return {
-        "header": domain_header(e.domain),
-        "first": bool(flat[0]) if flat.size else False,
-        "runs": runs,
-    }
+    edges = np.concatenate([[0], np.flatnonzero(np.diff(flat)) + 1, [flat.size]])
+    return {"header": domain_header(e.domain), "first": bool(flat[0]), "runs": np.diff(edges).tolist()}
 
 
 def set_from_json(doc: dict) -> SetIndicator:

@@ -42,6 +42,7 @@ from .domain import (
     GridFunction,
     atomic_write,
     content_hash,
+    require_domain,
 )
 from .geometry import SetIndicator
 
@@ -625,8 +626,6 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
     if isinstance(spec, ShiftedHermite):
         potential = domain.axis_coords() ** 2 - spec.c
     else:
-        if spec.potential.domain != domain:
-            raise ValueError("potential lives on a different domain")
         potential = spec.potential.values
         if spec.condition == "II":
             _check_confining(potential)
@@ -670,11 +669,11 @@ def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomp
 def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> SpectralDecomposition:
     """Build the spectral decomposition of the operator on the grid.
 
-    Fourier multipliers come straight from the symbol; dense kinds go through
-    a symmetric eigensolve.  Given ``cache_dir``, dense decompositions are
-    stored there, keyed by a content hash of (spec, domain), with the basis
-    convention they were written under; a file that ``_load_cached`` refuses
-    is a miss and is overwritten.
+    Fourier multipliers come straight from the symbol; dense kinds, their
+    potential's domain checked first, go through a symmetric eigensolve.
+    ``cache_dir`` is made before any solve; it stores dense decompositions
+    by a content hash of (spec, domain), with their basis convention, and a
+    file that ``_load_cached`` refuses is a miss and is overwritten.
     """
     if isinstance(spec, FractionalLaplacian):
         if not domain.periodic:
@@ -682,15 +681,16 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
         return SpectralDecomposition(spec, domain, *_FourierBasis.solve(spec, domain))
     if not isinstance(spec, (ShiftedHermite, Schrodinger)):
         raise TypeError(f"unknown operator spec: {spec!r}")
-
+    if isinstance(spec, Schrodinger):
+        require_domain(domain, potential=spec.potential)
     if cache_dir is None:
         return _diagonalize_dense(spec, domain)
+    os.makedirs(str(cache_dir), exist_ok=True)
     path = os.path.join(str(cache_dir), f"decomposition-{spec_hash(spec, domain)}.npz")
     cached = _load_cached(path, spec, domain)
     if cached is not None:
         return cached
     dec = _diagonalize_dense(spec, domain)
-    os.makedirs(str(cache_dir), exist_ok=True)
     with atomic_write(path, "wb") as fh:
         np.savez(fh, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual,
                  basis_convention=_BASIS_CONVENTION, **dec.basis.arrays(), order=dec.order)
@@ -719,7 +719,10 @@ def to_coefficients(dec: SpectralDecomposition, f: Union[GridFunction, np.ndarra
     One state of the grid shape (a GridFunction or values) gives (cells,), a
     stack (P,) + the grid shape (cells, P), column p state p's to roundoff.
     """
-    values = f.values if isinstance(f, GridFunction) else np.asarray(f)
+    if isinstance(f, GridFunction):
+        require_domain(dec.domain, state=f)
+        f = f.values
+    values = np.asarray(f)
     shape = dec.domain.shape
     lead = values.shape[: values.ndim - len(shape)]
     if len(lead) > 1 or values.shape[len(lead):] != shape:
@@ -734,8 +737,7 @@ def basis_block(dec: SpectralDecomposition, indices) -> np.ndarray:
 
 def restricted_gram(dec: SpectralDecomposition, indices, e: SetIndicator) -> np.ndarray:
     """Gram matrix h sum_{x in E} conj(v_j(x)) v_l(x) of the eigenfunctions at the ascending ``indices``."""
-    if e.domain != dec.domain:
-        raise ValueError("set and decomposition live on different domains")
+    require_domain(dec.domain, set=e)
     return dec.basis.gram(dec.order[np.asarray(indices, dtype=int)], e)
 
 
@@ -798,8 +800,7 @@ def restricted_norms(dec: SpectralDecomposition, e: SetIndicator, weights, decay
     (s, cells), every row equal across each level, are in ascending order;
     ``states`` is a (P,) + grid stack or ``DrawnStates``.
     """
-    if e.domain != dec.domain:
-        raise ValueError("set and decomposition live on different domains")
+    require_domain(dec.domain, set=e)
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     decay = np.asarray(decay, dtype=float)
     cells = dec.domain.cell_count
@@ -849,14 +850,22 @@ def is_resolved(dec: SpectralDecomposition, k: float) -> bool:
     return 2 * spectral_count(dec, k) <= dec.domain.cell_count
 
 
+def require_resolved(dec: SpectralDecomposition, k: float) -> None:
+    """The one refusal, a ValueError, of a threshold ``k`` that the grid does not resolve."""
+    if not is_resolved(dec, k):
+        raise ValueError(f"projection range dimension {spectral_count(dec, k)} exceeds half the cell count "
+                         f"{dec.domain.cell_count}; refine the grid before probing this threshold")
+
+
 def spectral_apply(dec: SpectralDecomposition, weights, f: GridFunction):
     """w(H) f for the real weights w(lambda_j), given in ascending-eigenvalue order.
 
     ``weights`` is (cells,), or a stack (r, cells) whose rows w_q give an
     iterator over the w_q(H) f, the passes of one ``_weighted_passes``
     transform of ``f`` with no decay rows, each synthesized when reached and
-    real for a real f.
+    real for a real f, which must live on the decomposition's domain.
     """
+    require_domain(dec.domain, state=f)
     weights = np.asarray(weights)
     stack = np.atleast_2d(weights)
     no_decay = np.empty((0, dec.domain.cell_count))

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .certify import TimeKernel, weak_margins
-from .domain import GridDomain, GridFunction, from_callable, norm as _norm, restrict_norm
+from .domain import GridDomain, GridFunction, from_callable, norm as _norm, require_domain, restrict_norm
 from .geometry import SetIndicator
 from .operators import FractionalLaplacian, ShiftedHermite, SpectralDecomposition, spectral_apply
 
@@ -218,6 +218,7 @@ def falsify_weak_observability(
     the peak density are the certified upper ends of ``observation_tail``,
     all from one time kernel over [0, T], so the bound holds on the grid.
     """
+    require_domain(dec.domain, set=e)
     if not isinstance(dec.spec, FractionalLaplacian):
         raise TypeError("kernel probes apply to the fractional kind only")
     s, c = dec.spec.s, dec.spec.c

@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import jsonable
+from .domain import jsonable, require_domain
 from .geometry import SetIndicator
-from .operators import SpectralDecomposition, is_resolved, restricted_gram, spectral_count
+from .operators import SpectralDecomposition, require_resolved, restricted_gram, spectral_count
 
 _DEGENERACY_TOL = 1e-12
 
@@ -55,24 +55,23 @@ class HypothesisReport:
 def _constants(dec: SpectralDecomposition, e: SetIndicator, thresholds) -> list:
     """C(k, E) at each ascending threshold.
 
-    An empty projection range gives 1.0 (the inequality is vacuous); the
-    full domain gives exactly 1.0 (the Gram matrix is the identity by
-    orthonormality).  A non-finite threshold is refused, and so is one
-    whose range the grid does not resolve (``is_resolved``).  The ranges
-    are nested, so every constant comes from a leading principal block of
-    one Gram matrix, that of the largest range; by Cauchy interlacing the
-    constants are then nondecreasing in k.  Thresholds with the same range
-    share one eigensolve.
+    A set on another domain, a non-finite threshold and a largest one the
+    grid does not resolve (``require_resolved``) are refused before any
+    other range is counted.  An empty range gives 1.0 (the inequality is
+    vacuous); the full domain gives exactly 1.0 (the Gram matrix is the
+    identity by orthonormality).  The ranges are nested, so every constant
+    comes from a leading principal block of one Gram matrix, that of the
+    largest range; by Cauchy interlacing the constants are then
+    nondecreasing in k.  Thresholds with the same range share one
+    eigensolve.
     """
+    require_domain(dec.domain, set=e)
     if not np.isfinite(thresholds).all():
         raise ValueError(f"thresholds must be finite, got {list(thresholds)}")
+    if thresholds:
+        require_resolved(dec, thresholds[-1])
     dims = [spectral_count(dec, k) for k in thresholds]
     d_max = dims[-1] if dims else 0
-    if dims and not is_resolved(dec, thresholds[-1]):
-        raise ValueError(
-            f"projection range dimension {d_max} exceeds half the cell count {dec.domain.cell_count}; "
-            "refine the grid before probing this threshold"
-        )
     full = bool(e.cells.all())
     G = restricted_gram(dec, np.arange(d_max), e) if d_max and not full else None
 

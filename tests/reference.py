@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from stabcert.certify import exprel, time_kernel
-from stabcert.domain import DomainMismatchError, GridDomain, GridFunction, norm
+from stabcert.domain import GridDomain, GridFunction, norm, require_domain
 from stabcert.feedback import DampingFeedback, FeedbackOperator
 from stabcert.operators import (
     DrawnStates,
@@ -39,14 +39,9 @@ from stabcert.probes import kernel_probe_solution
 from stabcert.specineq import best_constant
 
 
-def _check_same_domain(a, b):
-    if a.domain != b.domain:
-        raise DomainMismatchError(f"domains differ: {a.domain} vs {b.domain}")
-
-
 def inner_product(f: GridFunction, g: GridFunction):
     """Discrete L2 inner product, linear in ``f`` and conjugate-linear in ``g``."""
-    _check_same_domain(f, g)
+    require_domain(f.domain, g=g)
     val = np.vdot(g.values.ravel(), f.values.ravel()) * f.domain.cell_volume
     if np.isrealobj(f.values) and np.isrealobj(g.values):
         return float(val.real)

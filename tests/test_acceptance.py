@@ -220,7 +220,7 @@ def test_damping_bound_below_true_gap():
     dec = diagonalize(FractionalLaplacian(s=2.0, c=0.0), dom)
     e = make_set(dom, PeriodicSlabs(period=1.0, fill_fraction=0.25))
     c1 = damping_spectral_exponent(dec, e, range(1, 7))
-    bound = damping_decay_bound(dec, e, 0.5, c1, range(1, 7))
+    bound = damping_decay_bound(0.5, c1, range(1, 7))
     assert bound.omega > 0.0
     loop = dense_matrix(dec) + np.diag(e.cells.ravel().astype(float))
     lam_min = float(scipy.linalg.eigvalsh(0.5 * (loop + loop.T))[0])

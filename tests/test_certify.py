@@ -27,7 +27,7 @@ from stabcert.certify import (
     time_kernel,
     weak_observability_check,
 )
-from stabcert.domain import GridFunction, from_callable, jsonable, make_grid, norm
+from stabcert.domain import DomainMismatchError, GridFunction, from_callable, jsonable, make_grid, norm
 from stabcert.geometry import BallComplement, Empty, Full, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import (
     FractionalLaplacian,
@@ -1042,7 +1042,7 @@ def test_a_check_refuses_a_set_from_another_grid(check, decided):
         def run(dec, e):
             return weak_observability_check(dec, e, cert, trials=10, seed=2)
     assert run(dec, e).decided_by_spectrum == decided
-    with pytest.raises(ValueError, match="different domains"):
+    with pytest.raises(DomainMismatchError, match="set lives on a different domain"):
         run(dec, other)
 
 

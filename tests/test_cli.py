@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stabcert import certify, cli, feedback, operators
+from stabcert import certify, cli, feedback, operators, specineq
 from stabcert.cli import RunConfig, main, payload_json, run
 from stabcert.domain import (
     GridFunction,
@@ -201,6 +201,29 @@ def test_zero_counts_are_refused(tmp_path, capsys, argv, option):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert option in err
     assert not out.exists()
+
+
+def test_an_unresolved_k_max_is_refused_before_its_thresholds_are_counted(capsys, monkeypatch):
+    # 64 Fourier cells resolve up to 32 levels, and d(k) for k up to 1e5 is
+    # all 64: the largest threshold is refused first, whatever k_max is, by
+    # certify and by the constant curve under it
+    counted = []
+    original = operators.spectral_count
+
+    def count(dec, k):
+        counted.append(k)
+        return original(dec, k)
+
+    monkeypatch.setattr(operators, "spectral_count", count)
+    monkeypatch.setattr(specineq, "spectral_count", count)
+    assert main(["certify", "--domain", "dim=1,R=10,m=64", "--set", "full", "--k-max", "100000"]) == 2
+    assert "dimension 64 exceeds half the cell count 64" in capsys.readouterr().err
+    assert counted == [100000.0, 100000.0]
+    counted.clear()
+    dec = diagonalize(FractionalLaplacian(s=1.0), make_grid(1, 10.0, 64))
+    with pytest.raises(ValueError, match="dimension 64 exceeds half the cell count 64"):
+        specineq.spectral_constant_curve(dec, make_set(dec.domain, HalfSpace()), range(1, 100001))
+    assert counted == [100000.0, 100000.0]
 
 
 @pytest.mark.parametrize(

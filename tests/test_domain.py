@@ -234,6 +234,41 @@ def test_json_roundtrip_real_and_complex():
         assert np.array_equal(g.values, f.values)
 
 
+def _refuse(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_non_finite_values_are_saved_as_strict_json(tmp_path, kind):
+    # inf and NaN are written as their repr strings, as in a result document,
+    # and read back bit for bit (-0.0 too), real parts and imaginary parts alike
+    dom = make_grid(1, 10.0, 8)
+    re = np.array([1.5, np.inf, -np.inf, np.nan, -0.0, 0.0, 2.0, -3.25])
+    values = re.copy()
+    if kind == "complex":
+        values = np.empty(8, dtype=complex)
+        values.real, values.imag = re, re[::-1]
+    path = tmp_path / "state.json"
+    save_grid_function(GridFunction(dom, values), path)
+    doc = json.loads(path.read_text(), parse_constant=_refuse)
+    assert doc["dtype"] == kind and "inf" in str(doc["values"]) and "nan" in str(doc["values"])
+    back = load_grid_function(path)
+    assert back.values.dtype == values.dtype
+    assert back.values.tobytes() == values.tobytes()
+
+
+def test_finite_values_are_saved_as_before(tmp_path):
+    # the bytes of a finite grid function's file: each value as its float, a
+    # complex one as the pair [re, im]
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    for f in (from_callable(dom, lambda x: x**2 - 4.0), from_callable(dom, lambda x: np.exp(1j * x) / 3.0)):
+        complex_ = np.iscomplexobj(f.values)
+        values = [[float(v.real), float(v.imag)] if complex_ else float(v) for v in f.values]
+        want = {"header": domain_header(dom), "dtype": "complex" if complex_ else "real", "values": values}
+        save_grid_function(f, tmp_path / "state.json")
+        assert (tmp_path / "state.json").read_text() == json.dumps(want)
+
+
 def test_file_roundtrip_both_formats(tmp_path):
     dom = make_grid(2, 4.0, 16)
     rng = np.random.default_rng(4)

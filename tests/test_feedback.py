@@ -86,51 +86,52 @@ def full_feedback(shifted_potential_dec, full_set):
 # damping bound
 
 
-def test_damping_bound_unit_constants(frac_dec, slab_set):
+def test_damping_bound_unit_constants():
     # delta = 0, c1 = 0: omega(N) = min(N^2 - 2, 1/2), maximized at N = 2
-    bound = damping_decay_bound(frac_dec, slab_set, 0.0, 0.0, range(1, 9))
+    bound = damping_decay_bound(0.0, 0.0, range(1, 9))
     assert bound.omega == 0.5
     assert bound.chosen_N == 2
 
 
-def test_damping_bound_exponential_branch(frac_dec, slab_set):
-    bound = damping_decay_bound(frac_dec, slab_set, 0.0, 0.3, range(1, 9))
+def test_damping_bound_exponential_branch():
+    bound = damping_decay_bound(0.0, 0.3, range(1, 9))
     assert bound.chosen_N == 2
     assert bound.omega == pytest.approx(0.5 * np.exp(-1.2), rel=1e-15)
 
 
-def test_damping_bound_hopeless_delta(frac_dec, slab_set):
+def test_damping_bound_hopeless_delta():
     # (1 - 0.999) N^2 - 2 < 0 for every N below 45
     with pytest.raises(NoDampingRateError, match="not thick enough"):
-        damping_decay_bound(frac_dec, slab_set, 0.999, 0.0, range(1, 33))
+        damping_decay_bound(0.999, 0.0, range(1, 33))
 
 
 @pytest.mark.parametrize("delta", [-0.1, 1.0, 1.5])
-def test_damping_bound_rejects_bad_delta(frac_dec, slab_set, delta):
+def test_damping_bound_rejects_bad_delta(delta):
     with pytest.raises(ValueError, match="delta"):
-        damping_decay_bound(frac_dec, slab_set, delta, 0.0, range(1, 9))
+        damping_decay_bound(delta, 0.0, range(1, 9))
 
 
-def test_damping_bound_rejects_negative_c1(frac_dec, slab_set):
+def test_damping_bound_rejects_negative_c1():
     with pytest.raises(ValueError, match="c1"):
-        damping_decay_bound(frac_dec, slab_set, 0.0, -1.0, range(1, 9))
+        damping_decay_bound(0.0, -1.0, range(1, 9))
 
 
-def test_damping_bound_rejects_foreign_set(frac_dec):
-    other = make_grid(1, 10.0, 256, periodic=True)
-    e = make_set(other, Full())
-    with pytest.raises(ValueError, match="different domains"):
-        damping_decay_bound(frac_dec, e, 0.0, 0.0, range(1, 9))
+def test_damping_feedback_rejects_foreign_set(frac_dec, monkeypatch):
+    # the set is refused before the cells^2 loop matrix is built
+    monkeypatch.setattr("stabcert.feedback.dense_matrix", None)
+    e = make_set(make_grid(1, 10.0, 256, periodic=True), Full())
+    with pytest.raises(DomainMismatchError, match="observation set lives on a different domain"):
+        build_damping_feedback(frac_dec, e)
 
 
 @given(lo=st.floats(0.0, 3.0), hi=st.floats(0.0, 3.0))
 @settings(max_examples=40, deadline=None)
-def test_damping_bound_monotone_in_c1(frac_dec, slab_set, lo, hi):
+def test_damping_bound_monotone_in_c1(lo, hi):
     # a worse restricted-inequality exponent can only shrink the gap
     if lo > hi:
         lo, hi = hi, lo
-    better = damping_decay_bound(frac_dec, slab_set, 0.0, lo, range(1, 9))
-    worse = damping_decay_bound(frac_dec, slab_set, 0.0, hi, range(1, 9))
+    better = damping_decay_bound(0.0, lo, range(1, 9))
+    worse = damping_decay_bound(0.0, hi, range(1, 9))
     assert better.omega >= worse.omega
 
 
@@ -139,13 +140,13 @@ def test_spectral_exponent_full_domain_is_zero(frac_dec):
     assert damping_spectral_exponent(frac_dec, e, range(1, 5)) == 0.0
 
 
-def test_spectral_exponent_empty_set_propagates(frac_dec, slab_set):
+def test_spectral_exponent_empty_set_propagates(frac_dec):
     e = make_set(frac_dec.domain, Empty())
     c1 = damping_spectral_exponent(frac_dec, e, range(1, 3))
     assert c1 == np.inf
     # an infinite exponent kills the exponential branch, so no N works
     with pytest.raises(NoDampingRateError, match="not thick enough"):
-        damping_decay_bound(frac_dec, slab_set, 0.0, c1, range(1, 9))
+        damping_decay_bound(0.0, c1, range(1, 9))
 
 
 def test_spectral_exponent_builds_one_gram(frac_dec, slab_set, gram_builds):

@@ -10,8 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabcert import operators
-from stabcert.domain import GridDomain, GridFunction, content_hash, from_callable, make_grid, norm
+from stabcert import cli, operators
+from stabcert.domain import DomainMismatchError, GridDomain, GridFunction, content_hash, from_callable, make_grid, norm
 from stabcert.feedback import build_finite_rank_feedback
 from stabcert.geometry import BallComplement, HalfSpace, PeriodicSlabs, make_set
 from stabcert.operators import (
@@ -157,6 +157,23 @@ def test_an_interrupted_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(operators, "_diagonalize_dense", recompute)
     assert np.array_equal(diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path).basis.vectors, first.basis.vectors)
+
+
+def test_an_unusable_cache_directory_fails_before_the_solve(tmp_path, monkeypatch, capsys):
+    # a regular file where the cache directory should be: the config error
+    # comes before any dense solve, from the library and the command alike
+    def solve(*args):
+        raise AssertionError("the dense solve ran")
+
+    monkeypatch.setattr(operators, "_diagonalize_dense", solve)
+    blocker = tmp_path / "cache"
+    blocker.write_text("")
+    with pytest.raises(FileExistsError):
+        diagonalize(ShiftedHermite(), make_grid(1, 10.0, 64, periodic=False), cache_dir=blocker)
+    monkeypatch.setenv("STABCERT_CACHE_DIR", str(blocker))
+    assert cli.main(["spectral-constant", "--operator", "hermite", "--domain", "m=64,periodic=false",
+                     "--set", "full", "--k-max", "2"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cache_from_another_sign_convention_is_recomputed(tmp_path):
@@ -1278,7 +1295,7 @@ def test_restricted_norms_check_their_inputs(frac_dec, hermite_dec, rng):
     e = make_set(frac_dec.domain, HalfSpace(offset=0.0))
     values = rng.standard_normal((2,) + frac_dec.domain.shape)
     # the checks run when the first chunk is asked for
-    with pytest.raises(ValueError, match="different domains"):
+    with pytest.raises(DomainMismatchError, match="set lives on a different domain"):
         next(restricted_norms(hermite_dec, e, np.ones((1, 512)), np.empty((0, 512)), values))
     with pytest.raises(ValueError, match="do not fit"):
         next(restricted_norms(frac_dec, e, np.ones((1, 511)), np.empty((0, 512)), values))

@@ -46,7 +46,9 @@ reached outside the tests: by other package code, a script, the benchmark
 README, and every public method or property by an attribute of its name
 outside its own definition; the references only the tests use live in
 `tests/reference.py`.
-The benchmark's tracer still finds every function it wraps.
+The benchmark's tracer still finds every function it wraps. The rule that
+an input shares a grid's domain is written once: no `.domain` is compared
+with `==` or `!=` outside `domain.require_domain`.
 """
 
 import ast
@@ -378,6 +380,29 @@ def test_the_finite_rank_gram_is_factored_once():
     assert not [c for c in calls if c[1] in ("cond", "inv", "pinv", "svd")], calls
     assert [a for name, a in calls if name == "build_finite_rank_feedback"] == ["eigh"], calls
     assert {name for name, a in calls if a == "norm"} == {"simulate_decay"}, calls
+
+
+def _domain_comparisons(node):
+    return [
+        f"line {cmp.lineno}: {ast.unparse(cmp)}"
+        for cmp in ast.walk(node)
+        if isinstance(cmp, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in cmp.ops)
+        and any(isinstance(side, ast.Attribute) and side.attr == "domain" for side in [cmp.left, *cmp.comparators])
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_domain_rule_is_written_once(path):
+    # every function that takes grid inputs together calls `require_domain`,
+    # so no hand-written comparison of two domains, with its own wording or
+    # exception class, grows back
+    tree = _tree(path)
+    found = _domain_comparisons(tree)
+    if path.name == "domain.py":
+        helper = dict(_functions(tree))["require_domain"]
+        assert len(_domain_comparisons(helper)) == 1
+        found = sorted(set(found) - set(_domain_comparisons(helper)))
+    assert not found, found
 
 
 def _functions(tree):
