@@ -85,7 +85,6 @@ from .operators import (
     OperatorSpec,
     SpectralDecomposition,
     diagonalize,
-    dissipative_margin,
     require_resolved,
     restricted_norms,
 )
@@ -485,9 +484,6 @@ class RecurrenceReport:
 
 @dataclass(frozen=True)
 class WeakObservabilityReport:
-    T: float
-    alpha: float
-    C: float
     trials: int
     seed: int
     min_margin: float
@@ -578,9 +574,6 @@ def weak_observability_check(dec, e: SetIndicator, cert: Certificate, trials: in
     decided = bool(evaluation.decided[0])
     min_margin_rel = float((margins / np.maximum(1.0, lhs)).min())
     return WeakObservabilityReport(
-        T=cert.T,
-        alpha=cert.alpha,
-        C=float(big_c),
         trials=int(trials),
         seed=int(seed),
         min_margin=float(margins.min()),
@@ -606,7 +599,6 @@ class CertificationResult:
     curve: SpectralConstantCurve
     certificate: Optional[Certificate] = None
     hypothesis_report: Optional[object] = None
-    dissipative_max_ratio: Optional[float] = None
     recurrence_report: Optional[RecurrenceReport] = None
     observability_report: Optional[WeakObservabilityReport] = None
 
@@ -636,14 +628,13 @@ def certify_end_to_end(
     Pipeline: measure the restricted-inequality constants at integer
     thresholds up to k_max and fit c1 (safety factor 1.1, escalated to the
     exact envelope max ln C(k) / k^a if the fitted value fails verification);
-    take the decay bound with unit constants, which is exact on the grid,
-    and report its exact ratio ``dissipative_max_ratio``, the max of
-    e^{-t (lambda_{d(k)+1} - k)} over those thresholds and t in
-    (0.1, 0.5, 1.0) (``operators.dissipative_margin``, no states drawn),
-    at most 1 by the definition of d(k) and so in no verdict; shift by
-    delta0 = max(0, -lambda_1) so the shifted generator is nonnegative;
-    then build the certificate and run both checks, the recurrence check on
-    the random stream seed + 1 and the weak check on seed + 2.
+    take the decay bound with unit constants, which holds exactly in the
+    grid's orthonormal eigenbasis, so it is neither measured nor reported;
+    shift by delta0 = max(0, -lambda_1) so the shifted generator is
+    nonnegative; then build the certificate and run both checks, the
+    recurrence check on the random stream seed + 1 and the weak check on
+    seed + 2.  T, alpha, C and a are reported by the certificate alone, and
+    the last threshold by the curve.
 
     A +inf constant at any threshold means the restricted inequality cannot
     hold on this set at this resolution and no certificate exists; the
@@ -673,19 +664,15 @@ def certify_end_to_end(
 
     # too few thresholds to fit: c1 = 0, and the envelope below still applies
     c1 = 0.0 if curve.fit is None else 1.1 * curve.fit.c1
-    escalated = False
-    hyp = None
-    if c1 > 0:
-        hyp = verify_spectral_hypothesis(curve, c1, a)
-    if hyp is None or not hyp.verified:
+    hyp = verify_spectral_hypothesis(curve, c1, a) if c1 > 0 else None
+    escalated = hyp is None or not hyp.verified
+    if escalated:
         ks = np.asarray(curve.thresholds)
         c1 = float(np.max(np.log(curve.constants) / ks**a))
-        escalated = True
         if c1 <= 0:  # every constant is 1.0 (e.g. full domain); any tiny c1 works
             c1 = 1e-6
         hyp = verify_spectral_hypothesis(curve, c1, a)
 
-    diss_worst = dissipative_margin(dec, thresholds, (0.1, 0.5, 1.0))
     delta0 = float(max(0.0, -dec.eigenvalues[0]))
     consts = CriterionConstants(c1=c1, a=a, c2=1.0, b=1.0, M=1.0, delta0=delta0)
     cert = build_certificate(consts)
@@ -698,12 +685,7 @@ def certify_end_to_end(
         recurrence = recurrence_check(dec, e, cert, taus, recurrence_trials, seed=seed + 1)
     observability = weak_observability_check(dec, e, cert, trials, seed=seed + 2)
 
-    ok = (
-        hyp.verified
-        and (recurrence is None or recurrence.passed)
-        and observability.passed
-    )
-    if ok:
+    if hyp.verified and (recurrence is None or recurrence.passed) and observability.passed:
         status = "certified"
         detail = "fitted c1 escalated to the exact envelope" if escalated else "fitted c1 verified"
         if recurrence is None:
@@ -721,7 +703,6 @@ def certify_end_to_end(
         curve=curve,
         certificate=cert,
         hypothesis_report=hyp,
-        dissipative_max_ratio=float(diss_worst),
         recurrence_report=recurrence,
         observability_report=observability,
     )

@@ -40,6 +40,7 @@ from .domain import (
     load_grid_function,
     make_grid,
     norm as _norm,
+    require_domain,
 )
 from .feedback import (
     DampingFeedback,
@@ -48,6 +49,8 @@ from .feedback import (
     build_damping_feedback,
     build_finite_rank_feedback,
     decay_report_to_csv,
+    require_delta,
+    require_window,
     simulate_decay,
 )
 from .geometry import (
@@ -78,7 +81,7 @@ from .probes import (
 )
 from .specineq import curve_to_csv, curve_to_json, spectral_constant_curve
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,8 @@ def parse_operator(kind: str, **options) -> tuple:
 
 # ---------------------------------------------------------------------------
 # dispatch: every outputs builder takes (spec, domain, e, options, cache_dir)
-# and returns (outputs, side files); spec is None for check-thick
+# and returns (outputs, side files); spec is None for check-thick.  A builder
+# refuses its own options before it diagonalizes, by the rules that own them
 
 
 def _thickness_outputs(spec, domain, e, options, cache_dir):
@@ -258,7 +262,6 @@ def _certify_outputs(spec, domain, e, options, cache_dir):
     }
     if result.certificate is not None:
         out["certificate"] = dataclasses.asdict(result.certificate)
-        out["dissipative_max_ratio"] = result.dissipative_max_ratio
         recurrence = result.recurrence_report
         out["recurrence"] = None if recurrence is None else dataclasses.asdict(recurrence)
         out["observability"] = dataclasses.asdict(result.observability_report)
@@ -266,21 +269,24 @@ def _certify_outputs(spec, domain, e, options, cache_dir):
     return out, {"curve.csv": curve_to_csv(result.curve)}
 
 
-def _build_law(dec, e, options):
+def _feedback_law(options):
+    """The builder (dec, e) -> law of ``--feedback``, its delta refused before any solve; None for 'none'."""
     kind = options["feedback"]
     if kind == "none":
         return None
     if kind == "damping":
-        return build_damping_feedback(dec, e, delta=options["delta"])
+        require_delta(options["delta"])
+        return lambda dec, e: build_damping_feedback(dec, e, delta=options["delta"])
     if kind == "finite-rank":
-        return build_finite_rank_feedback(dec, e)
+        return build_finite_rank_feedback
     raise ValueError(f"unknown feedback kind {kind!r}")
 
 
 def _feedback_outputs(spec, domain, e, options, cache_dir):
-    fb = _build_law(diagonalize(spec, domain, cache_dir=cache_dir), e, options)
-    if fb is None:
+    law = _feedback_law(options)
+    if law is None:
         raise ValueError("feedback-build needs a feedback law, not 'none'")
+    fb = law(diagonalize(spec, domain, cache_dir=cache_dir), e)
     if isinstance(fb, DampingFeedback):
         return {
             "feedback": {
@@ -305,28 +311,32 @@ def _feedback_outputs(spec, domain, e, options, cache_dir):
     }, {}
 
 
-def _initial_state(dec, options) -> GridFunction:
+def _initial_state(domain, options):
+    """The ``--y0`` state as a function of the decomposition, read and checked before any solve."""
     text = options["y0"]
-    if text == "random":
-        rng = np.random.default_rng(options["seed"])
-        vals = rng.standard_normal(dec.domain.shape)
-        f = GridFunction(dec.domain, vals)
-        return GridFunction(dec.domain, f.values / _norm(f))
     if text.startswith("eig:"):
         j = int(text[4:])
-        if not 0 <= j < dec.domain.cell_count:
-            raise ValueError(f"y0 eigenfunction index {j} is outside 0..{dec.domain.cell_count - 1}")
-        return eigenfunction(dec, j)
-    if text.startswith("file:"):
-        return _load_finite("y0 file", text[5:])
-    raise ValueError(f"unknown y0 spec {text!r} (use random, eig:<j>, or file:<path>)")
+        if not 0 <= j < domain.cell_count:
+            raise ValueError(f"y0 eigenfunction index {j} is outside 0..{domain.cell_count - 1}")
+        return lambda dec: eigenfunction(dec, j)
+    if text == "random":
+        rng = np.random.default_rng(options["seed"])
+        f = GridFunction(domain, rng.standard_normal(domain.shape))
+        f = GridFunction(domain, f.values / _norm(f))
+    elif text.startswith("file:"):
+        f = _load_finite("y0 file", text[5:])
+        require_domain(domain, y0=f)
+    else:
+        raise ValueError(f"unknown y0 spec {text!r} (use random, eig:<j>, or file:<path>)")
+    return lambda dec: f
 
 
 def _simulate_outputs(spec, domain, e, options, cache_dir):
+    require_window(options["t_end"], options["dt"])
+    law, initial = _feedback_law(options), _initial_state(domain, options)
     dec = diagonalize(spec, domain, cache_dir=cache_dir)
-    fb = _build_law(dec, e, options)
-    y0 = _initial_state(dec, options)
-    report = simulate_decay(dec, fb, e, y0, options["t_end"], options["dt"])
+    fb = None if law is None else law(dec, e)
+    report = simulate_decay(dec, fb, e, initial(dec), options["t_end"], options["dt"])
     out = {"decay": dataclasses.asdict(report)}
     if isinstance(fb, DampingFeedback):
         out["decay"]["certified_omega"] = fb.omega

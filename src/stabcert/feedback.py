@@ -148,6 +148,12 @@ def damping_spectral_exponent(dec: SpectralDecomposition, e: SetIndicator, N_gri
     return float(np.max(np.log(curve.constants) / ns, initial=0.0))
 
 
+def require_delta(delta: float) -> None:
+    """The one refusal, a ValueError, of a damping weight ``delta`` outside [0, 1)."""
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+
+
 def damping_decay_bound(delta: float, c1: float, N_grid) -> DampingBound:
     """Best certified gap omega = min{(1-delta)N^2 - 2, e^{-2 c1 N}/2} over N.
 
@@ -155,8 +161,7 @@ def damping_decay_bound(delta: float, c1: float, N_grid) -> DampingBound:
     positive omega, the grid-level signature of a set too thin for damping
     at this resolution.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    require_delta(delta)
     if c1 < 0:
         raise ValueError(f"c1 must be nonnegative, got {c1}")
     ns = [int(n) for n in N_grid if int(n) >= 1]
@@ -181,13 +186,14 @@ def build_damping_feedback(
     """Pick omega by sweeping N, then diagonalize H + chi_E for exact flow.
 
     The bound's exponent c1 is the envelope of damping_spectral_exponent
-    over the swept N.  A set on another domain, and a generator with a
-    negative eigenvalue (outside the bound's hypothesis H >= 0), are refused
-    before any matrix is built.  The sweep keeps only the N whose range
-    d(N^2) is at most half the cell count, the ranges the grid resolves; it
-    raises ValueError when no N is left.  A smallest loop eigenvalue below
+    over the swept N.  A ``delta`` outside [0, 1), a set on another domain,
+    and a generator with a negative eigenvalue (outside the bound's
+    hypothesis H >= 0) are refused before any matrix is built.  The sweep
+    keeps only the N whose range d(N^2) is at most half the cell count, the
+    ranges the grid resolves; it raises ValueError when no N is left.  A smallest loop eigenvalue below
     omega raises DampingCertificateError.
     """
+    require_delta(delta)
     require_domain(dec.domain, observation_set=e)
     lam1 = float(dec.eigenvalues[0])
     if lam1 < 0.0:
@@ -305,6 +311,14 @@ def _fit_decay(times: np.ndarray, norms: np.ndarray) -> DecayReport:
     )
 
 
+def require_window(t_end: float, dt: float) -> None:
+    """The one refusal, a ValueError, of a sample window: 0 < t_end < inf and 0 < dt <= t_end / 100."""
+    if not 0.0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0.0 < dt <= t_end / 100.0:
+        raise ValueError(f"need 0 < dt <= t_end / 100, got dt = {dt}")
+
+
 def simulate_decay(
     dec: SpectralDecomposition,
     fb: Optional[FeedbackOperator],
@@ -325,10 +339,7 @@ def simulate_decay(
     require_domain(dec.domain, y0=y0, observation_set=e)
     if fb is not None:
         require_domain(dec.domain, feedback=fb.e)
-    if not 0.0 < t_end < np.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    if not 0.0 < dt <= t_end / 100.0:
-        raise ValueError(f"need 0 < dt <= t_end / 100, got dt = {dt}")
+    require_window(t_end, dt)
     norm0 = _norm(y0)
     if norm0 == 0.0:
         raise ValueError("y0 is identically zero")

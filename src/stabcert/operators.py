@@ -884,13 +884,12 @@ def semigroup_apply(dec: SpectralDecomposition, t: float, f: GridFunction) -> Gr
 def dissipative_margin(dec: SpectralDecomposition, thresholds, times) -> float:
     """Max over k in ``thresholds`` and t in ``times`` of the exact high-frequency decay ratio.
 
-    The decay bound ||(1 - pi_k) e^{-tH} f|| <= e^{-tk} ||f|| is taken with
-    unit constants: every mode above the threshold k decays at least as fast
-    as e^{-tk}.  In the orthonormal eigenbasis the sup of
-    ||(1 - pi_k) e^{-tH} f|| e^{tk} / ||f|| over all f is attained by the
-    eigenfunction of the first level above k, so it is
-    e^{-t (lambda_{d(k)+1} - k)}, at most 1 by the definition of d(k), and 0
-    when no level lies above k.  No state is drawn or transformed.
+    The sup of ||(1 - pi_k) e^{-tH} f|| e^{tk} / ||f|| over all f, attained
+    in the orthonormal eigenbasis by the eigenfunction of the first level
+    above k, is e^{-t (lambda_{d(k)+1} - k)}: at most 1 by the definition of
+    d(k), and 0 when no level lies above k.  So it decides nothing, and no
+    command calls it; it stays because the benchmark's tracer wraps it by
+    name, and moves to ``tests/reference.py`` once the tracer no longer does.
     """
     gaps = [dec.eigenvalues[d] - float(k) for k in thresholds
             if (d := spectral_count(dec, k)) < len(dec.eigenvalues)]

@@ -46,8 +46,6 @@ class ExpPowerFit:
 class HypothesisReport:
     verified: bool
     c1: float
-    a: float
-    k_max: int
     worst_ratio: float
     worst_k: int
 
@@ -144,8 +142,6 @@ def verify_spectral_hypothesis(curve: SpectralConstantCurve, c1: float, a: float
     return HypothesisReport(
         verified=bool(ratios[i] <= 1.0 + 1e-12),
         c1=float(c1),
-        a=float(a),
-        k_max=int(ks[-1]),
         worst_ratio=float(ratios[i]),
         worst_k=int(ks[i]),
     )

@@ -553,7 +553,6 @@ def test_end_to_end_produces_a_full_report(small_certified):
     _, _, result = small_certified
     assert result.certificate is not None
     assert result.hypothesis_report.verified
-    assert result.dissipative_max_ratio <= 1.0 + 1e-10
     assert result.recurrence_report.passed
     assert result.observability_report.passed
     assert result.observability_report.min_margin > 0.0
@@ -1097,5 +1096,6 @@ def test_a_decided_certification_draws_no_state_and_factors_no_kernel(monkeypatc
     assert result.status == "certified" and rec.decided_by_spectrum and obs.decided_by_spectrum
     assert seeds == [6, 7] and draws == [] and kernels == []
     assert (rec.kernel_rank, rec.kernel_bound, rec.rank_used) == (obs.kernel_rank, obs.kernel_bound, obs.rank_used) == (0, 0.0, 0)
-    assert obs.min_margin == obs.spectral_margin == obs.alpha - np.exp(-obs.T * diagonalize(spec, dom).eigenvalues[0])
+    cert = result.certificate
+    assert obs.min_margin == obs.spectral_margin == cert.alpha - np.exp(-cert.T * diagonalize(spec, dom).eigenvalues[0])
     assert rec.max_violation == max(rec.spectral_violations) <= 0.0

@@ -353,6 +353,22 @@ def test_certify_reports_the_kernel_health(tmp_path):
     assert outputs == read(tmp_path / "b.json")["outputs"]
 
 
+def test_certify_reports_each_figure_once(tmp_path):
+    # T, alpha, C and a live in the certificate and the last threshold in the
+    # curve; the decay ratio, at most 1 by the definition of d(k), is gone
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--domain", "dim=1,R=10,m=64", "--set", "slabs:period=2,fill=0.5",
+                 "--k-max", "4", "--trials", "10", "--recurrence-trials", "5", "--out", str(out)]) == 0
+    doc = read(out)
+    outputs = doc["outputs"]
+    assert doc["schema_version"] == 8
+    assert set(outputs) == {"status", "detail", "curve", "certificate", "recurrence", "observability",
+                            "hypothesis", "_side_files"}
+    assert not {"T", "alpha", "C"} & set(outputs["observability"])
+    assert set(outputs["hypothesis"]) == {"verified", "c1", "worst_ratio", "worst_k"}
+    assert {"T", "alpha", "C"} <= set(outputs["certificate"]) and "a" in outputs["certificate"]["constants"]
+
+
 @pytest.mark.parametrize("operator, decided", [("hermite", True), ("frac", False)])
 def test_certify_says_which_checks_the_spectrum_decided(tmp_path, operator, decided):
     # Hermite c = 0 decays at rate lam_1 = 1 by itself, so both checks pass
@@ -736,6 +752,37 @@ def test_y0_from_another_domain_is_usage_error(tmp_path, capsys):
     assert "different domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--t-end", "-1"], "t_end must be positive and finite, got -1.0"),
+        (["simulate", "--dt", "1"], "need 0 < dt <= t_end / 100, got dt = 1.0"),
+        (["simulate", "--y0", "bogus"], "unknown y0 spec 'bogus'"),
+        (["simulate", "--y0", "eig:999999"], "y0 eigenfunction index 999999 is outside 0..63"),
+        (["simulate", "--y0", "file:{tmp}/missing.json"], "No such file"),
+        (["simulate", "--y0", "file:{tmp}/away.json"], "y0 lives on a different domain"),
+        (["simulate", "--feedback", "damping", "--feedback-delta", "1.5"], "delta must lie in [0, 1), got 1.5"),
+        (["feedback-build", "--feedback", "damping", "--feedback-delta", "1.5"],
+         "delta must lie in [0, 1), got 1.5"),
+    ],
+    ids=["t-end", "dt", "y0-grammar", "y0-index", "y0-missing-file", "y0-other-domain", "simulate-delta",
+         "feedback-build-delta"],
+)
+def test_option_errors_are_refused_before_the_solve(tmp_path, monkeypatch, capsys, argv, message):
+    # each rule that owns an option is asked before the dense solve; on
+    # Hermite with c = 0 the finite-rank law would otherwise say "already
+    # stable" (exit 1) after the solve, before the window was looked at
+    def solve(*args):
+        raise AssertionError("the dense solve ran")
+
+    save_grid_function(from_callable(make_grid(1, 5.0, 64, periodic=False), np.cos), str(tmp_path / "away.json"))
+    monkeypatch.setattr(operators, "_diagonalize_dense", solve)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv + ["--operator", "hermite", "--domain", WALLS_64, "--set", "halfspace:offset=0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize("feedback", ["none", "finite-rank"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_y0_files_are_config_errors(tmp_path, capsys, feedback, bad):
@@ -1000,7 +1047,7 @@ def test_document_prints_to_stdout_without_out(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == DOC_KEYS
-    assert doc["schema_version"] == 7
+    assert doc["schema_version"] == 8
 
 
 def test_payload_is_reproducible():

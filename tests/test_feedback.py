@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabcert import feedback
+from stabcert import feedback, operators
 from stabcert.domain import DomainMismatchError, GridFunction, from_callable, make_grid, norm, restrict_norm
 from stabcert.feedback import (
     AlreadyStableError,
@@ -109,6 +109,20 @@ def test_damping_bound_hopeless_delta():
 def test_damping_bound_rejects_bad_delta(delta):
     with pytest.raises(ValueError, match="delta"):
         damping_decay_bound(delta, 0.0, range(1, 9))
+
+
+@pytest.mark.parametrize("delta", [-0.1, 1.0, 1.5, np.nan])
+def test_damping_build_refuses_a_bad_delta_before_any_matrix(frac_dec, slab_set, monkeypatch, delta):
+    # the builder and the bound share one delta rule, and the builder asks it
+    # before the loop matrix or the sweep's Gram is formed
+    def built(*args):
+        raise AssertionError("a matrix was built before delta was checked")
+
+    for module in (operators, feedback):
+        monkeypatch.setattr(module, "dense_matrix", built)
+    monkeypatch.setattr(feedback, "damping_spectral_exponent", built)
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
+        build_damping_feedback(frac_dec, slab_set, delta=delta)
 
 
 def test_damping_bound_rejects_negative_c1():

@@ -12,6 +12,9 @@ with `basis_block`: the restricted Gram is built by `operators`, and
 go through `operators.restricted_norms`), `certify` takes its decayed norms
 from the decay sums that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
+`certify` does not reference `dissipative_margin`: the decay bound holds
+exactly in the grid's eigenbasis, so its ratio, at most 1, decides nothing
+and is neither computed nor reported;
 only `certify.inequality_margins`, the evaluator of both checks and both
 probes, factors a time kernel (`time_kernel`) and drives the chunks of
 `restricted_norms`, and it tests whether a chunk may stop taking kernel
@@ -182,6 +185,13 @@ def test_certify_takes_its_decayed_norms_from_restricted_norms():
     # one transform of each state its passes use
     found = _names(_tree(next(p for p in SOURCES if p.name == "certify.py")), "to_coefficients")
     assert not found, found
+
+
+def test_certify_does_not_reference_the_decay_ratio():
+    # e^{-t (lambda_{d(k)+1} - k)} is at most 1 by the definition of d(k):
+    # a figure that cannot fail is not computed, nor reported in a document
+    source = next(p for p in SOURCES if p.name == "certify.py").read_text()
+    assert "dissipative_margin" not in source
 
 
 def test_operators_draw_no_random_states():
