@@ -95,6 +95,8 @@ from .specineq import (
 )
 
 CHECK_BUDGET = 1e-7  # relative slack granted to roundoff in pass/fail calls
+# a fitted c1 is kept when every ratio C(k) / e^{c1 k^a} is at most this
+_FIT_RATIO_SLACK = 1.0 + 1e-12
 # pivoted Cholesky of the time kernel stops once the multiplicity-weighted
 # trace of its residual is at most this fraction of the kernel's own
 KERNEL_RTOL = 1e-13
@@ -626,8 +628,10 @@ def certify_end_to_end(
     """Fit hypothesis constants on the grid, build the certificate, check it.
 
     Pipeline: measure the restricted-inequality constants at integer
-    thresholds up to k_max and fit c1 (safety factor 1.1, escalated to the
-    exact envelope max ln C(k) / k^a if the fitted value fails verification);
+    thresholds up to k_max and fit c1 (safety factor 1.1, kept when every
+    ratio C(k) / e^{c1 k^a} is within ``_FIT_RATIO_SLACK`` and escalated
+    otherwise to the exact envelope max ln C(k) / k^a, which meets every
+    ratio by construction, so the verdict reads the two checks alone);
     take the decay bound with unit constants, which holds exactly in the
     grid's orthonormal eigenbasis, so it is neither measured nor reported;
     shift by delta0 = max(0, -lambda_1) so the shifted generator is
@@ -665,7 +669,7 @@ def certify_end_to_end(
     # too few thresholds to fit: c1 = 0, and the envelope below still applies
     c1 = 0.0 if curve.fit is None else 1.1 * curve.fit.c1
     hyp = verify_spectral_hypothesis(curve, c1, a) if c1 > 0 else None
-    escalated = hyp is None or not hyp.verified
+    escalated = hyp is None or not hyp.worst_ratio <= _FIT_RATIO_SLACK
     if escalated:
         ks = np.asarray(curve.thresholds)
         c1 = float(np.max(np.log(curve.constants) / ks**a))
@@ -685,18 +689,15 @@ def certify_end_to_end(
         recurrence = recurrence_check(dec, e, cert, taus, recurrence_trials, seed=seed + 1)
     observability = weak_observability_check(dec, e, cert, trials, seed=seed + 2)
 
-    if hyp.verified and (recurrence is None or recurrence.passed) and observability.passed:
+    if (recurrence is None or recurrence.passed) and observability.passed:
         status = "certified"
         detail = "fitted c1 escalated to the exact envelope" if escalated else "fitted c1 verified"
         if recurrence is None:
             detail += "; no admissible tau window below tau0 at this k_max, recurrence skipped"
     else:
         status = "check failed"
-        detail = (
-            f"hypothesis verified={hyp.verified}, "
-            f"recurrence passed={recurrence.passed if recurrence else 'skipped'}, "
-            f"observability passed={observability.passed}"
-        )
+        detail = (f"recurrence passed={recurrence.passed if recurrence else 'skipped'}, "
+                  f"observability passed={observability.passed}")
     return CertificationResult(
         status=status,
         detail=detail,

@@ -79,9 +79,9 @@ from .probes import (
     falsify_hermite_ground_state,
     falsify_weak_observability,
 )
-from .specineq import curve_to_csv, curve_to_json, spectral_constant_curve
+from .specineq import curve_to_csv, curve_to_json, require_thresholds, spectral_constant_curve
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -215,17 +215,27 @@ def _load_finite(what: str, path: str) -> GridFunction:
     return f
 
 
-# --operator kinds: kind -> spec class, built from the options that name its fields
+# --operator kinds: kind -> spec class, whose fields are the kind's options
+# and declare their defaults (a Schrodinger potential is given by its file)
 _OPERATORS = {"frac": FractionalLaplacian, "hermite": ShiftedHermite, "schrodinger": Schrodinger}
+
+
+def _operator_config(kind: str, given: dict) -> dict:
+    """The kind and its spec's fields, each as given or by its default; an option of another kind is refused."""
+    fields = dataclasses.fields(_OPERATORS[kind])
+    names = [f.name for f in fields]
+    foreign = [name for name in given if name not in names]
+    if foreign:
+        raise ValueError(f"--{foreign[0]} is not an option of --operator {kind}, which takes --{', --'.join(names)}")
+    return {"kind": kind, **{f.name: f.default for f in fields if f.default is not dataclasses.MISSING}, **given}
 
 
 def parse_operator(kind: str, **options) -> tuple:
     """Returns (spec, extra input hashes); a schrodinger potential is read from its file."""
     if kind not in _OPERATORS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    cls = _OPERATORS[kind]
+    cls, hashes = _OPERATORS[kind], {}
     fields = {f.name: options[f.name] for f in dataclasses.fields(cls) if f.name in options}
-    hashes = {}
     if cls is Schrodinger:
         if not fields.get("potential"):
             raise ValueError("schrodinger kind needs --potential <file>")
@@ -499,13 +509,13 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--set", dest="set_spec", default="full")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="result JSON path (side CSVs derive from it)")
-        if entry.operator:  # the operator's own options, under an "operator." dest
+        if entry.operator:  # the operator's options, under an "operator." dest, set only when given
             p.add_argument("--operator", dest="operator.kind", choices=_OPERATORS, default="frac")
-            p.add_argument("--s", dest="operator.s", type=float, default=1.0)
-            p.add_argument("--c", dest="operator.c", type=float, default=0.0)
-            p.add_argument("--potential", dest="operator.potential", default=None)
-            p.add_argument("--condition", dest="operator.condition", choices=("I", "II"), default="II")
-            p.add_argument("--delta", dest="operator.delta", type=float, default=None)
+            unset = dict(default=argparse.SUPPRESS)
+            p.add_argument("--s", dest="operator.s", type=float, **unset)
+            p.add_argument("--c", dest="operator.c", type=float, **unset)
+            p.add_argument("--potential", dest="operator.potential", **unset)
+            p.add_argument("--condition", dest="operator.condition", choices=("I", "II"), **unset)
         for flag, keywords in entry.options:
             p.add_argument(flag, **keywords)
     return parser
@@ -518,13 +528,15 @@ def _config_from_args(args) -> RunConfig:
     domain = domain_header(parse_domain(options.pop("domain")))
     set_spec = {"text": options.pop("set_spec")}
     operator = {key.partition(".")[2]: options.pop(key) for key in list(options) if key.startswith("operator.")}
+    if operator:
+        operator = _operator_config(operator.pop("kind"), operator)
     if args.command == "spectral-constant":  # --k-max stands for the thresholds 1..k_max
         k_max = options.pop("k_max")
         if k_max < 1:
             raise ValueError(f"--k-max must be at least 1, got {k_max}")
         if options["thresholds"] == []:
             raise ValueError("--thresholds must name at least one threshold")
-        options["thresholds"] = options["thresholds"] or [float(k) for k in range(1, k_max + 1)]
+        options["thresholds"] = require_thresholds(options["thresholds"] or range(1, k_max + 1))
     return RunConfig(operator=operator, domain=domain, set_spec=set_spec, options=options)
 
 

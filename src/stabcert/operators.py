@@ -81,7 +81,7 @@ class EigenResidualError(ArithmeticError):
 class FractionalLaplacian:
     """Symbol |xi|^s - c on a periodic grid."""
 
-    s: float
+    s: float = 1.0
     c: float = 0.0
 
     def __post_init__(self):
@@ -104,24 +104,20 @@ class ShiftedHermite:
 class Schrodinger:
     """-Lap + V with V either form-small below (condition I) or confining (II).
 
-    Condition I carries the relative bound delta of the negative part; the
-    form inequality itself is the caller's responsibility and is not checked
-    on the grid.  Condition II is checked at diagonalization time: the
-    potential must attain its minimum away from the boundary shell.
+    Condition I's continuum form bound (relative size below 1) is the
+    user's hypothesis: the grid cannot check it and no computed figure reads
+    it, so condition I only skips condition II's check, which runs at
+    diagonalization time: V must attain its minimum away from the boundary.
     """
 
     potential: GridFunction
     condition: str = "II"
-    delta: Optional[float] = None
 
     def __post_init__(self):
         if np.iscomplexobj(self.potential.values):
             raise ValueError("the potential must be real, got a complex grid function")
         if self.condition not in ("I", "II"):
             raise ValueError(f"condition must be 'I' or 'II', got {self.condition!r}")
-        if self.condition == "I":
-            if self.delta is None or not (0.0 < self.delta < 1.0):
-                raise ValueError("condition I requires delta in (0, 1)")
 
 
 OperatorSpec = Union[FractionalLaplacian, ShiftedHermite, Schrodinger]

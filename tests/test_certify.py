@@ -552,10 +552,25 @@ def small_certified():
 def test_end_to_end_produces_a_full_report(small_certified):
     _, _, result = small_certified
     assert result.certificate is not None
-    assert result.hypothesis_report.verified
+    assert result.hypothesis_report.worst_ratio <= 1.0 + 1e-12
     assert result.recurrence_report.passed
     assert result.observability_report.passed
     assert result.observability_report.min_margin > 0.0
+
+
+def test_the_verdict_reads_the_two_checks_only(monkeypatch):
+    # a ratio past the slack escalates c1 to the exact envelope, and the
+    # report of the chosen c1 does not enter the verdict
+    dom = make_grid(1, 10.0, 128, periodic=True)
+    e = make_set(dom, PeriodicSlabs(period=1.0, fill_fraction=0.25))
+    def far(curve, c1, a):
+        return specineq.HypothesisReport(c1=c1, worst_ratio=2.0, worst_k=1)
+
+    monkeypatch.setattr(certify, "verify_spectral_hypothesis", far)
+    result = certify_end_to_end(FractionalLaplacian(s=1.0), dom, e, k_max=5, trials=50, recurrence_trials=20)
+    assert result.status == "certified"
+    assert result.detail == "fitted c1 escalated to the exact envelope"
+    assert result.hypothesis_report.worst_ratio == 2.0
 
 
 def test_recurrence_check_rejects_bad_taus(small_certified):

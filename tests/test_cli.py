@@ -361,12 +361,26 @@ def test_certify_reports_each_figure_once(tmp_path):
                  "--k-max", "4", "--trials", "10", "--recurrence-trials", "5", "--out", str(out)]) == 0
     doc = read(out)
     outputs = doc["outputs"]
-    assert doc["schema_version"] == 8
+    assert doc["schema_version"] == 9
     assert set(outputs) == {"status", "detail", "curve", "certificate", "recurrence", "observability",
                             "hypothesis", "_side_files"}
     assert not {"T", "alpha", "C"} & set(outputs["observability"])
-    assert set(outputs["hypothesis"]) == {"verified", "c1", "worst_ratio", "worst_k"}
+    assert set(outputs["hypothesis"]) == {"c1", "worst_ratio", "worst_k"}
     assert {"T", "alpha", "C"} <= set(outputs["certificate"]) and "a" in outputs["certificate"]["constants"]
+
+
+def test_certify_reports_the_hypothesis_of_the_chosen_c1(tmp_path):
+    # the fitted c1 is kept only when every ratio is within the slack, and
+    # the envelope meets every ratio, so no "verified" flag is reported
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--domain", "dim=1,R=10,m=64", "--set", "slabs:period=2,fill=0.5",
+                 "--k-max", "4", "--trials", "10", "--recurrence-trials", "5", "--out", str(out)]) == 0
+    doc = read(out)
+    hypothesis = doc["outputs"]["hypothesis"]
+    assert doc["schema_version"] == 9
+    assert set(hypothesis) == {"c1", "worst_ratio", "worst_k"}
+    assert hypothesis["c1"] == doc["outputs"]["certificate"]["constants"]["c1"]
+    assert hypothesis["worst_ratio"] <= 1.0 + 1e-12 and hypothesis["worst_k"] in (1, 2, 3, 4)
 
 
 @pytest.mark.parametrize("operator, decided", [("hermite", True), ("frac", False)])
@@ -764,9 +778,12 @@ def test_y0_from_another_domain_is_usage_error(tmp_path, capsys):
         (["simulate", "--feedback", "damping", "--feedback-delta", "1.5"], "delta must lie in [0, 1), got 1.5"),
         (["feedback-build", "--feedback", "damping", "--feedback-delta", "1.5"],
          "delta must lie in [0, 1), got 1.5"),
+        (["spectral-constant", "--thresholds", "3,1"], "thresholds must ascend"),
+        (["spectral-constant", "--thresholds", "1,nan"], "thresholds must be finite, got [1.0, nan]"),
+        (["spectral-constant", "--thresholds", "1,inf"], "thresholds must be finite, got [1.0, inf]"),
     ],
     ids=["t-end", "dt", "y0-grammar", "y0-index", "y0-missing-file", "y0-other-domain", "simulate-delta",
-         "feedback-build-delta"],
+         "feedback-build-delta", "thresholds-descend", "thresholds-nan", "thresholds-inf"],
 )
 def test_option_errors_are_refused_before_the_solve(tmp_path, monkeypatch, capsys, argv, message):
     # each rule that owns an option is asked before the dense solve; on
@@ -781,6 +798,66 @@ def test_option_errors_are_refused_before_the_solve(tmp_path, monkeypatch, capsy
     assert main(argv + ["--operator", "hermite", "--domain", WALLS_64, "--set", "halfspace:offset=0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1 and message in err
+
+
+# each kind's options are the fields of its spec; --delta is no option at all
+_FOREIGN_OPTIONS = [
+    ("frac", "--potential", "{potential}"), ("frac", "--condition", "I"),
+    ("hermite", "--s", "2"), ("hermite", "--potential", "{potential}"), ("hermite", "--condition", "I"),
+    ("schrodinger", "--s", "2"), ("schrodinger", "--c", "2"),
+] + [(kind, "--delta", "0.5") for kind in ("frac", "hermite", "schrodinger")]
+
+
+@pytest.mark.parametrize("kind, option, value", _FOREIGN_OPTIONS,
+                         ids=[f"{kind}{option}" for kind, option, _ in _FOREIGN_OPTIONS])
+def test_options_of_another_kind_are_refused_before_the_solve(tmp_path, monkeypatch, capsys, kind, option, value):
+    # an option the kind's spec has no field for would decide nothing (a
+    # shift given to schrodinger would be dropped): it is refused, with the
+    # option and the kind named, before any solve
+    def solve(*args):
+        raise AssertionError("the dense solve ran")
+
+    potential = str(tmp_path / "v.json")
+    save_grid_function(from_callable(make_grid(1, 10.0, 64, periodic=False), lambda x: x**2 - 4.0), potential)
+    monkeypatch.setattr(operators, "_diagonalize_dense", solve)
+    argv = ["spectral-constant", "--operator", kind, "--k-max", "4", option, value.format(potential=potential),
+            "--domain", "dim=1,R=10,m=64" if kind == "frac" else WALLS_64]
+    if kind == "schrodinger":
+        argv += ["--potential", potential]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    if option == "--delta":
+        named = "unrecognized arguments: --delta"
+    else:
+        named = f"{option} is not an option of --operator {kind}"
+    assert err.startswith("config error:") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, operator",
+    [
+        ([], {"kind": "frac", "s": 1.0, "c": 0.0}),
+        (["--s", "2"], {"kind": "frac", "s": 2.0, "c": 0.0}),
+        (["--operator", "hermite", "--c", "0.5"], {"kind": "hermite", "c": 0.5}),
+        (["--operator", "schrodinger", "--potential", "{potential}"],
+         {"kind": "schrodinger", "potential": "{potential}", "condition": "II"}),
+        (["--operator", "schrodinger", "--potential", "{potential}", "--condition", "I"],
+         {"kind": "schrodinger", "potential": "{potential}", "condition": "I"}),
+    ],
+    ids=["frac-defaults", "frac-s", "hermite", "schrodinger-II", "schrodinger-I"],
+)
+def test_the_config_holds_the_fields_of_the_kind_used(tmp_path, argv, operator):
+    # each default is the spec's own, and no option of another kind is recorded
+    potential = str(tmp_path / "v.json")
+    save_grid_function(from_callable(make_grid(1, 10.0, 64, periodic=False), lambda x: x**2 - 4.0), potential)
+    argv = [arg.format(potential=potential) for arg in argv]
+    out = tmp_path / "out.json"
+    domain = WALLS_64 if "--operator" in argv else "dim=1,R=10,m=64"
+    assert main(["spectral-constant", "--k-max", "2", "--domain", domain, "--out", str(out)] + argv) == 0
+    assert read(out)["config"]["operator"] == {key: value.format(potential=potential) if isinstance(value, str)
+                                               else value for key, value in operator.items()}
 
 
 @pytest.mark.parametrize("feedback", ["none", "finite-rank"])
@@ -1047,7 +1124,7 @@ def test_document_prints_to_stdout_without_out(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == DOC_KEYS
-    assert doc["schema_version"] == 8
+    assert doc["schema_version"] == 9
 
 
 def test_payload_is_reproducible():

@@ -109,7 +109,9 @@ def raw_argvs(draw):
     if command == "check-thick":
         return argv + ["--lengths", draw(numbers(0.1, 25.0, 1, 2)),
                        "--radii", draw(numbers(0.1, 12.0, 0, 2))]
-    argv += ["--operator", operator, "--s", text(draw(num(0.25, 3.0))), "--c", text(draw(num(-2.0, 4.0)))]
+    argv += ["--operator", operator, "--c", text(draw(num(-2.0, 4.0)))]
+    if operator == "frac":  # --s is an option of frac alone
+        argv += ["--s", text(draw(num(0.25, 3.0)))]
     k_max = draw(token(["1", "3", "4"], ["-1", "0"]))
     if command == "spectral-constant":
         argv += ["--k-max", k_max]

@@ -109,14 +109,14 @@ def test_non_confining_potential_is_rejected():
         diagonalize(Schrodinger(potential=pot), dom)
 
 
-def test_condition_one_requires_delta():
+def test_condition_one_takes_no_delta():
+    # condition I's continuum form bound is the user's hypothesis: the grid
+    # cannot check it and no figure reads it, so the spec holds no bound
     dom = make_grid(1, 10.0, 64, periodic=False)
     pot = from_callable(dom, lambda x: x**2)
-    with pytest.raises(ValueError):
-        Schrodinger(potential=pot, condition="I")
-    with pytest.raises(ValueError):
-        Schrodinger(potential=pot, condition="I", delta=1.5)
-    Schrodinger(potential=pot, condition="I", delta=0.5)  # fine
+    assert Schrodinger(potential=pot, condition="I").condition == "I"
+    with pytest.raises(TypeError):
+        Schrodinger(potential=pot, condition="I", delta=0.5)
 
 
 def test_fractional_order_must_be_positive():
@@ -907,8 +907,7 @@ def test_parity_blocks_are_the_assembled_basis_bit_for_bit(m):
     dom = GridDomain(dim=1, half_width=10.0, points_per_axis=m, periodic=False)
     values = from_callable(dom, lambda x: x**2 - 4.0 + 0.5 * np.cos(2.0 * x)).values
     # condition I: at m = 2 every cell is on the shell that condition II checks
-    spec = Schrodinger(potential=GridFunction(dom, 0.5 * (values + values[::-1])),
-                       condition="I", delta=0.5)
+    spec = Schrodinger(potential=GridFunction(dom, 0.5 * (values + values[::-1])), condition="I")
     dec = diagonalize(spec, dom)
     w, U = assembled_parity_basis(dom, spec.potential.values)
     assert not hasattr(dec.basis, "vectors")
@@ -983,8 +982,7 @@ def test_spec_hash_is_the_potential_bytes(tmp_path):
     bumped = values.copy()
     bumped[17] = np.nextafter(bumped[17], np.inf)
     assert key(bumped) != key(values)
-    condition_i = key(values, condition="I", delta=0.5)
-    assert condition_i not in (key(values), key(values, condition="I", delta=0.25))
+    assert key(values, condition="I") != key(values)
     # the cache file is named by the same key
     diagonalize(Schrodinger(potential=GridFunction(dom, values)), dom, cache_dir=tmp_path)
     assert [p.name for p in tmp_path.iterdir()] == [f"decomposition-{key(values)}.npz"]
@@ -1614,11 +1612,11 @@ def test_hermite_basis_validation():
      ("00cf59ed3e45630c45a36eb79afc11b57f7be2ca873f8b5d171642db6753c26e",
       "adc6075b620c4776587d47760dde8eb848fe376dcfcab60f99ecec39a31e9e97")),
     (dict(),
-     ("1786d86b6889447e5f1e2814a865e4ab88be5b8924491334c460070fff89fbf3",
-      "13124f250643e77e8f85987836ffa927b1aa01c0659102d80512b4c95015789b")),
-    (dict(condition="I", delta=0.25),
-     ("2ea626d764292baeaf4e8fb3483f1c8bfbe31bf016236faeddd4d6c3c828fe36",
-      "35293dfdb9135aa589f4dd11ce59efe5a100de5b430dd3b2610c9c78806b5d14")),
+     ("3f56814c9cd10a7b0753b5188de06e226b1194618706f6af74843462cabb9733",
+      "fa750f3d28d479c56c4ab50a969e0a7e1796576c260562565e08317f394d53df")),
+    (dict(condition="I"),
+     ("d3f7eba41b3364e134907437d91ae96c06ade1c6d9086db44359fac2d13bb5ef",
+      "c7ef54b16ea848c7aeb3ddbf4b37d686cd6459684c2b55388e4478e6bddf215f")),
 ], ids=["frac", "hermite", "schrodinger-II", "schrodinger-I"])
 def test_spec_hash_is_the_hash_of_the_spec_document(spec, digests):
     # the document keys the decomposition cache and every result's input

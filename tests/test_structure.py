@@ -14,7 +14,9 @@ from the decay sums that `restricted_norms` returns, and `probes`
 takes them from the observation bracket, neither from `to_coefficients`;
 `certify` does not reference `dissipative_margin`: the decay bound holds
 exactly in the grid's eigenbasis, so its ratio, at most 1, decides nothing
-and is neither computed nor reported;
+and is neither computed nor reported; for the same reason
+`operators.Schrodinger` has no `delta` field (condition I's form bound,
+which the grid cannot check) and `certify` reads no `.verified`;
 only `certify.inequality_margins`, the evaluator of both checks and both
 probes, factors a time kernel (`time_kernel`) and drives the chunks of
 `restricted_norms`, and it tests whether a chunk may stop taking kernel
@@ -55,6 +57,7 @@ with `==` or `!=` outside `domain.require_domain`.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import pathlib
@@ -192,6 +195,15 @@ def test_certify_does_not_reference_the_decay_ratio():
     # a figure that cannot fail is not computed, nor reported in a document
     source = next(p for p in SOURCES if p.name == "certify.py").read_text()
     assert "dissipative_margin" not in source
+
+
+def test_no_input_or_figure_that_decides_nothing():
+    # condition I's form bound cannot be checked on a grid and fed no figure,
+    # and the hypothesis ratio of the chosen c1 is within its slack by the
+    # rule that chooses c1: neither is an input or a verdict any more
+    assert "delta" not in {f.name for f in dataclasses.fields(operators.Schrodinger)}
+    tree = _tree(next(p for p in SOURCES if p.name == "certify.py"))
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "verified"]
 
 
 def test_operators_draw_no_random_states():
