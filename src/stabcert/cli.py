@@ -66,6 +66,7 @@ from .geometry import (
     set_from_json,
 )
 from .operators import (
+    OPERATOR_KINDS,
     FractionalLaplacian,
     Schrodinger,
     ShiftedHermite,
@@ -215,33 +216,29 @@ def _load_finite(what: str, path: str) -> GridFunction:
     return f
 
 
-# --operator kinds: kind -> spec class, whose fields are the kind's options
-# and declare their defaults (a Schrodinger potential is given by its file)
-_OPERATORS = {"frac": FractionalLaplacian, "hermite": ShiftedHermite, "schrodinger": Schrodinger}
+def parse_operator(kind: str, **given) -> tuple:
+    """(spec, config, extra input hashes) of an operator config, by one rule for the CLI and the library.
 
-
-def _operator_config(kind: str, given: dict) -> dict:
-    """The kind and its spec's fields, each as given or by its default; an option of another kind is refused."""
-    fields = dataclasses.fields(_OPERATORS[kind])
+    The options of a kind (``operators.OPERATOR_KINDS``) are its spec's
+    fields: an option of another kind is refused, and the config is the kind
+    and every field, as given or by the spec's default.  A schrodinger
+    potential is given by its file, which is read here.
+    """
+    if kind not in OPERATOR_KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    cls, hashes = OPERATOR_KINDS[kind], {}
+    fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
     foreign = [name for name in given if name not in names]
     if foreign:
         raise ValueError(f"--{foreign[0]} is not an option of --operator {kind}, which takes --{', --'.join(names)}")
-    return {"kind": kind, **{f.name: f.default for f in fields if f.default is not dataclasses.MISSING}, **given}
-
-
-def parse_operator(kind: str, **options) -> tuple:
-    """Returns (spec, extra input hashes); a schrodinger potential is read from its file."""
-    if kind not in _OPERATORS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    cls, hashes = _OPERATORS[kind], {}
-    fields = {f.name: options[f.name] for f in dataclasses.fields(cls) if f.name in options}
+    config = {"kind": kind, **{f.name: f.default for f in fields if f.default is not dataclasses.MISSING}, **given}
     if cls is Schrodinger:
-        if not fields.get("potential"):
+        if not given.get("potential"):
             raise ValueError("schrodinger kind needs --potential <file>")
-        fields["potential"] = _load_finite("potential", fields["potential"])
-        hashes["potential"] = content_hash(fields["potential"])
-    return cls(**fields), hashes
+        given = dict(given, potential=_load_finite("potential", given["potential"]))
+        hashes["potential"] = content_hash(given["potential"])
+    return cls(**given), config, hashes
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +446,8 @@ def run(command: str, config: RunConfig, *, cache_dir=None) -> ResultDocument:
     hashes = {"domain": content_hash(domain), "set": content_hash(domain, e.cells)}
     spec = None
     if config.operator:
-        spec, extra = parse_operator(**config.operator)
+        spec, operator, extra = parse_operator(**config.operator)
+        config = dataclasses.replace(config, operator=operator)
         hashes["operator"] = spec_hash(spec)
         hashes.update(extra)
     try:
@@ -510,7 +508,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="result JSON path (side CSVs derive from it)")
         if entry.operator:  # the operator's options, under an "operator." dest, set only when given
-            p.add_argument("--operator", dest="operator.kind", choices=_OPERATORS, default="frac")
+            p.add_argument("--operator", dest="operator.kind", choices=OPERATOR_KINDS, default="frac")
             unset = dict(default=argparse.SUPPRESS)
             p.add_argument("--s", dest="operator.s", type=float, **unset)
             p.add_argument("--c", dest="operator.c", type=float, **unset)
@@ -528,8 +526,6 @@ def _config_from_args(args) -> RunConfig:
     domain = domain_header(parse_domain(options.pop("domain")))
     set_spec = {"text": options.pop("set_spec")}
     operator = {key.partition(".")[2]: options.pop(key) for key in list(options) if key.startswith("operator.")}
-    if operator:
-        operator = _operator_config(operator.pop("kind"), operator)
     if args.command == "spectral-constant":  # --k-max stands for the thresholds 1..k_max
         k_max = options.pop("k_max")
         if k_max < 1:

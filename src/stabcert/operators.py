@@ -106,18 +106,32 @@ class Schrodinger:
 
     Condition I's continuum form bound (relative size below 1) is the
     user's hypothesis: the grid cannot check it and no computed figure reads
-    it, so condition I only skips condition II's check, which runs at
-    diagonalization time: V must attain its minimum away from the boundary.
+    it, so condition I only skips condition II's check, which runs when the
+    spec is built: V's minimum over the boundary shell (the cells with an
+    index 0 or m - 1) must exceed its minimum inside.
     """
 
     potential: GridFunction
     condition: str = "II"
 
     def __post_init__(self):
-        if np.iscomplexobj(self.potential.values):
+        values = self.potential.values
+        if np.iscomplexobj(values):
             raise ValueError("the potential must be real, got a complex grid function")
         if self.condition not in ("I", "II"):
             raise ValueError(f"condition must be 'I' or 'II', got {self.condition!r}")
+        if self.condition == "I":
+            return
+        shell = np.ones(values.shape, dtype=bool)
+        shell[(slice(1, -1),) * values.ndim] = False
+        if values[shell].min() <= values[~shell].min():
+            raise ValueError("condition II requires the potential to grow toward the box boundary "
+                             "(boundary-shell minimum must exceed the interior minimum)")
+
+
+# the operator kinds: each --operator name, which is also the kind of the spec
+# document, and its spec class, whose fields are the kind's options
+OPERATOR_KINDS = {"frac": FractionalLaplacian, "hermite": ShiftedHermite, "schrodinger": Schrodinger}
 
 
 OperatorSpec = Union[FractionalLaplacian, ShiftedHermite, Schrodinger]
@@ -257,14 +271,6 @@ def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
     values, resid = values.ravel(), resid.ravel()
     order = np.argsort(values, kind="stable")
     return values[order], blocks, resid[order], order
-
-
-def _check_confining(potential: np.ndarray):
-    shell = np.ones(potential.shape, dtype=bool)
-    shell[(slice(1, -1),) * potential.ndim] = False  # the cells with an index 0 or m - 1
-    if potential[shell].min() <= potential[~shell].min():
-        raise ValueError("condition II requires the potential to grow toward the box boundary "
-                         "(boundary-shell minimum must exceed the interior minimum)")
 
 
 def _dense_eigh(H: np.ndarray):
@@ -619,12 +625,7 @@ def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
     layout = _layout(spec, domain)
     if domain.cell_count > layout.cell_limit:
         raise ValueError(f"dense diagonalization is limited to {layout.cell_limit} cells, got {domain.cell_count}")
-    if isinstance(spec, ShiftedHermite):
-        potential = domain.axis_coords() ** 2 - spec.c
-    else:
-        potential = spec.potential.values
-        if spec.condition == "II":
-            _check_confining(potential)
+    potential = domain.axis_coords() ** 2 - spec.c if isinstance(spec, ShiftedHermite) else spec.potential.values
     w, resid_norms, basis, order = layout.solve(spec, domain, potential)
     max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
     if not (max_residual <= _RESIDUAL_TOL):  # a NaN residual fails too
@@ -898,17 +899,15 @@ def dissipative_margin(dec: SpectralDecomposition, thresholds, times) -> float:
 # ---------------------------------------------------------------------------
 # the spec document, which keys the decomposition cache and every result's input hashes
 
-_SPEC_KINDS = {FractionalLaplacian: "fractional", ShiftedHermite: "hermite", Schrodinger: "schrodinger"}
-
 
 def spec_to_json(spec: OperatorSpec) -> dict:
-    """The spec's fields and its kind: the document ``spec_hash`` hashes.
+    """The spec's fields and its kind, its name in ``OPERATOR_KINDS``: the document ``spec_hash`` hashes.
 
     A potential stays a GridFunction, which ``content_hash`` takes by its
     bytes, and nothing reads the document back.  The name stays because the
     benchmark's tracer computes a cache file's key from it by that name.
     """
-    return dict(vars(spec), kind=_SPEC_KINDS[type(spec)])
+    return dict(vars(spec), kind=next(kind for kind, cls in OPERATOR_KINDS.items() if cls is type(spec)))
 
 
 def spec_hash(spec: OperatorSpec, *parts) -> str:

@@ -293,8 +293,7 @@ def test_reproducible_payloads(tmp_path):
     pot_path = tmp_path / "potential.json"
     save_grid_function(pot, str(pot_path))
     simulate_config = RunConfig(
-        operator={"kind": "schrodinger", "s": 1.0, "c": 0.0,
-                  "potential": str(pot_path), "condition": "II", "delta": None},
+        operator={"kind": "schrodinger", "potential": str(pot_path), "condition": "II"},
         domain={"dim": 1, "half_width": 10.0, "points_per_axis": 512, "periodic": False},
         set_spec={"text": "halfspace:offset=0"},
         options={"seed": 3, "feedback": "finite-rank", "delta": 0.5,

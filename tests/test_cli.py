@@ -860,6 +860,59 @@ def test_the_config_holds_the_fields_of_the_kind_used(tmp_path, argv, operator):
                                                else value for key, value in operator.items()}
 
 
+# a library config names an option by its field, as the CLI's dest does
+_LIBRARY_FOREIGN = [("schrodinger", "c", 2.0), ("schrodinger", "delta", 0.5), ("hermite", "s", 2.0),
+                    ("frac", "potential", "{potential}")]
+
+
+@pytest.mark.parametrize("kind, option, value", _LIBRARY_FOREIGN,
+                         ids=[f"{kind}-{option}" for kind, option, _ in _LIBRARY_FOREIGN])
+def test_a_library_config_obeys_the_option_rule_of_the_cli(tmp_path, monkeypatch, kind, option, value):
+    # `run` resolves a RunConfig's operator by the rule the CLI's options go
+    # through: the document records the kind and every field as the CLI's
+    # does, and an option of another kind is refused, before any solve, with
+    # the CLI's message
+    potential = str(tmp_path / "v.json")
+    save_grid_function(from_callable(make_grid(1, 10.0, 64, periodic=False), lambda x: x**2 - 4.0), potential)
+    own = {"potential": potential} if kind == "schrodinger" else {}
+    out = tmp_path / "out.json"
+    argv = ["spectral-constant", "--operator", kind, "--k-max", "2", "--out", str(out),
+            "--domain", "dim=1,R=10,m=64" if kind == "frac" else WALLS_64]
+    assert main(argv + [arg for key, val in own.items() for arg in (f"--{key}", val)]) == 0
+    config = read(out)["config"]
+
+    def library(operator):
+        return RunConfig(operator=operator, domain=config["domain"], set_spec=config["set_spec"],
+                         options=config["options"])
+
+    assert run("spectral-constant", library({"kind": kind, **own})).config["operator"] == config["operator"]
+
+    def solve(*args):
+        raise AssertionError("the dense solve ran")
+
+    monkeypatch.setattr(operators, "_diagonalize_dense", solve)
+    monkeypatch.setattr(cli, "diagonalize", solve)
+    foreign = {"kind": kind, **own, option: value.format(potential=potential) if isinstance(value, str) else value}
+    with pytest.raises(ValueError, match=f"^--{option} is not an option of --operator {kind}, which takes --"):
+        run("spectral-constant", library(foreign))
+
+
+def test_a_non_confining_potential_is_refused_before_the_cache_is_read(tmp_path, monkeypatch, capsys):
+    # condition II is checked when the spec is built, so a potential that does
+    # not grow toward the walls reaches neither the cache nor the solve
+    def load(*args):
+        raise AssertionError("the decomposition cache was read")
+
+    potential = str(tmp_path / "v.json")
+    save_grid_function(from_callable(make_grid(1, 10.0, 64, periodic=False), lambda x: 4.0 - x**2), potential)
+    monkeypatch.setenv("STABCERT_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(operators, "_load_cached", load)
+    argv = ["spectral-constant", "--operator", "schrodinger", "--potential", potential, "--domain", WALLS_64]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("config error: condition II requires the potential to grow toward the box "
+                                       "boundary (boundary-shell minimum must exceed the interior minimum)\n")
+
+
 @pytest.mark.parametrize("feedback", ["none", "finite-rank"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_y0_files_are_config_errors(tmp_path, capsys, feedback, bad):

@@ -1606,8 +1606,8 @@ def test_hermite_basis_validation():
 
 @pytest.mark.parametrize("spec, digests", [
     (FractionalLaplacian(s=0.75, c=1.5),
-     ("ad74e7148249bf9036587f89a11110677b5ff90c4fb7bcdef9cd182f1e6daa9c",
-      "e225ff00791508eae9be4fe6bbc17f81e61b7974a169f54b22eb5e1ba19496de")),
+     ("a7b244a6e5f2066bc1b8ce8ac40f8cfdf9d585c668810b090f975ed343de726a",
+      "21f70c9e4944bd118ff71a0ae04623d57f7d35d90dc1a0fdc64c502683a3f847")),
     (ShiftedHermite(c=2.0),
      ("00cf59ed3e45630c45a36eb79afc11b57f7be2ca873f8b5d171642db6753c26e",
       "adc6075b620c4776587d47760dde8eb848fe376dcfcab60f99ecec39a31e9e97")),

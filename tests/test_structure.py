@@ -45,8 +45,11 @@ Every file is written through `domain.atomic_write`, the one caller of
 `tempfile.mkstemp` and `os.replace`, and no module, test module included,
 imports a name it does not use. `cli` declares its commands in one table,
 and `operators.spec_hash` hashes the document of `spec_to_json`, neither
-with a branch on the spec's type. Every public top-level name in `src/` is
-reached outside the tests: by other package code, a script, the benchmark
+with a branch on the spec's type. One table, `operators.OPERATOR_KINDS`,
+names each operator kind, for the CLI and the spec document alike, and
+`_diagonalize_dense` reads no condition: the spec checks its own. Every
+public top-level name in `src/` is reached outside the tests: by other
+package code, a script, the benchmark
 (by name, as its tracer wraps functions) or a backticked mention in the
 README, and every public method or property by an attribute of its name
 outside its own definition; the references only the tests use live in
@@ -446,6 +449,31 @@ def test_the_cli_declares_its_commands_in_one_table():
         and any(isinstance(k, ast.Constant) and k.value in cli.COMMANDS for k in node.value.keys)
     ]
     assert len(tables) == 1 and tables[0].endswith("_COMMANDS"), tables
+
+
+def test_each_operator_kind_is_declared_once():
+    # one table maps each --operator name to its spec class, the CLI's
+    # choices and the spec document's kind among its readers, so no second
+    # vocabulary (a "fractional" kind) grows back; condition II is checked
+    # by the spec, so the dense solve reads no condition
+    classes = {"FractionalLaplacian", "ShiftedHermite", "Schrodinger"}
+    tables = [
+        f"{path.name} line {node.lineno}"
+        for path in SOURCES for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Dict) and any(isinstance(name, ast.Name) and name.id in classes
+                                              for item in node.keys + node.values if item is not None
+                                              for name in ast.walk(item))
+    ]
+    assert len(tables) == 1 and tables[0].startswith("operators.py"), tables
+    assert cli.OPERATOR_KINDS is operators.OPERATOR_KINDS
+    assert list(operators.OPERATOR_KINDS) == ["frac", "hermite", "schrodinger"]
+    assert operators.spec_to_json(FractionalLaplacian())["kind"] == "frac"
+    kinds = [f"{path.name} line {node.lineno}" for path in SOURCES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Constant) and node.value == "fractional"]
+    assert not kinds, kinds
+    solve = dict(_functions(_tree(ROOT / "src" / "stabcert" / "operators.py")))["_diagonalize_dense"]
+    reads = [node.lineno for node in ast.walk(solve) if isinstance(node, ast.Attribute) and node.attr == "condition"]
+    assert not reads, reads
 
 
 @pytest.mark.parametrize("name", ["spec_to_json", "spec_hash"])
