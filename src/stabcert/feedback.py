@@ -358,8 +358,13 @@ def simulate_decay(
         rates, c0 = dec.eigenvalues, to_coefficients(dec, y0)
     if n_low:  # the unstable block closes on itself at the rates mu_i = lambda_i - rho
         rates = np.concatenate([rates[:n_low] - fb.rho, rates[n_low:]])
+    # the (cells, samples) arrays are built in place, each product with the
+    # operands it always had; a buffer of complex terms takes their dtype
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        coeffs = c0[:, None] * np.exp(-np.outer(rates, times))
+        decay = np.outer(rates, times)
+        np.exp(np.negative(decay, out=decay), out=decay)
+        coeffs = np.multiply(c0[:, None], decay, out=decay if np.isrealobj(c0) else None)
+        del decay
         if n_low:
             # stable row j gains rho sum_i (P A^{-1})_{ji} c_i(0) kappa(lambda_j, mu_i, t), with
             # P the feedback's coupling and kappa = int_0^t e^{-lambda (t-s)} e^{-mu s} ds
@@ -367,10 +372,13 @@ def simulate_decay(
             # lambda = mu and, both rates being positive, no overflow
             gains = fb.rho * (fb.coupling[n_low:] @ fb.gram_inverse) * c0[:n_low]
             lams = rates[n_low:, None]
+            kernel, arg = np.empty((2, len(lams), len(times)))
+            term = kernel if np.isrealobj(gains) else np.empty(kernel.shape, dtype=gains.dtype)
             for i, mu in enumerate(rates[:n_low]):
-                kernel = times * np.exp(-np.minimum(lams, mu) * times)
-                kernel *= exprel(-np.abs(lams - mu) * times)
-                coeffs[n_low:] += gains[:, i, None] * kernel
+                np.exp(np.multiply(-np.minimum(lams, mu), times, out=kernel), out=kernel)
+                np.multiply(times, kernel, out=kernel)
+                kernel *= exprel(np.multiply(-np.abs(lams - mu), times, out=arg), out=arg)
+                coeffs[n_low:] += np.multiply(gains[:, i, None], kernel, out=term)
         norms = np.linalg.norm(coeffs, axis=0)
     grown = ~(norms <= 10.0 * norm0)
     if grown.any():

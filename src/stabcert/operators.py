@@ -28,6 +28,7 @@ idempotence, commutation and Pythagoras identities hold to roundoff.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import zipfile
@@ -243,34 +244,36 @@ def _sine_rows(K1, potential, r: int, out, scratch) -> None:
     out += scratch
 
 
-def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray):
-    """Eigenpairs, parity blocks, residuals and order of 1D -Lap + V for a mirror-symmetric V.
+def _reflection_split_eigh(domain: GridDomain, potential: np.ndarray, sink):
+    """Eigenvalues, residuals and order of 1D -Lap + V for a mirror-symmetric V; its parity blocks to ``sink``.
 
     With V = JV (J the reflection x -> -x) and K from ``_sine_symbol``, H
     commutes with J, so its eigenvectors are [a; +-Ja] / sqrt(2) for the
     eigenvectors a of the m/2-wide blocks T +- R + diag(V[:m/2]), where
     T[i, j] = K[i, j] and R[i, j] = K[i, m - 1 - j], gathered from t(n); a
     block's residual is the full vector's.  Returned: the ascending
-    eigenvalues and residuals, the blocks a / sqrt(2), signs pinned, and
-    their column order, ties even first.  Each block is solved in the odd
-    slot: the peak is about 3.1 (m/2)^2 arrays.
+    eigenvalues and residuals and the blocks' column order, ties even first.
+    Block p is gathered, solved, sign-pinned and scaled to a / sqrt(2 h) in
+    the buffer ``sink(p)`` lends, before block p + 1 is gathered.  In place
+    inside the (2, m/2, m/2) result the solve peaks at about 3.1 (m/2)^2
+    arrays; streamed into a cache file from one buffer, at about 2.2.
     """
     half = domain.points_per_axis // 2
     t = _sine_symbol(domain)
-    blocks = np.empty((2, half, half))
     values, resid = np.empty((2, half)), np.empty((2, half))
     for p, parity in enumerate((1.0, -1.0)):
-        rows = functools.partial(_parity_rows, t, potential, parity)
-        values[p], resid[p] = _gathered_eigh(rows, blocks[1], blocks[p])
-        a = blocks[p]
-        a /= np.sqrt(2.0)
-        # the last significant entry of [a; parity Ja] is parity a[first
-        # significant]: pin a[first] positive, then multiply by the parity
-        _canonicalize_signs(a[::-1])
-        a *= parity
+        with sink(p) as a:
+            rows = functools.partial(_parity_rows, t, potential, parity)
+            values[p], resid[p] = _gathered_eigh(rows, a, a)
+            a /= np.sqrt(2.0)
+            # the last significant entry of [a; parity Ja] is parity a[first
+            # significant]: pin a[first] positive, then multiply by the parity
+            _canonicalize_signs(a[::-1])
+            a *= parity
+            a /= np.sqrt(domain.cell_volume)
     values, resid = values.ravel(), resid.ravel()
     order = np.argsort(values, kind="stable")
-    return values[order], blocks, resid[order], order
+    return values[order], resid[order], order
 
 
 def _dense_eigh(H: np.ndarray):
@@ -322,12 +325,11 @@ def _gathered_eigh(rows, work: np.ndarray, out: np.ndarray):
     return w, np.sqrt(sq)
 
 
-def _pinned_eigh(K1: np.ndarray, potential: np.ndarray):
-    """Eigenvalues, sign-pinned eigenvectors (Fortran order) and residuals of the ``_sine_rows`` matrix."""
-    U = np.empty((potential.size,) * 2, order="F")
+def _pinned_eigh(K1: np.ndarray, potential: np.ndarray, U: np.ndarray):
+    """Eigenvalues and residuals of the ``_sine_rows`` matrix; its sign-pinned eigenvectors to the Fortran-ordered ``U``."""
     w, resid = _gathered_eigh(functools.partial(_sine_rows, K1, potential), U.T, U)
     _canonicalize_signs(U)
-    return w, U, resid
+    return w, resid
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +339,22 @@ def _pinned_eigh(K1: np.ndarray, potential: np.ndarray):
 class _Basis:
     """An eigenbasis in one layout, and what the dense layouts share.
 
-    A layout keeps one array, the attribute ``member`` of shape ``shape(domain)``;
-    ``solve`` returns the ascending eigenvalues, their residual norms, the
-    basis and ``order``.  Coefficients are native and cells first.
+    A layout keeps one array, the attribute ``member`` of shape ``shape(domain)``
+    and memory order ``memory_order``.  ``solve`` returns the ascending
+    eigenvalues, their residual norms and ``order``, and hands the array to
+    its ``sink``: ``with sink(*index) as part`` lends the buffer of one part,
+    the whole array (no index) or each slab along the first axis in turn,
+    and takes it finished when the block exits.  Coefficients are native and
+    cells first.
     """
 
-    kind, cell_limit = "Dense", _DENSE_CELL_LIMIT
+    # the Fortran order of the vectors of ``_pinned_eigh``
+    kind, cell_limit, memory_order = "Dense", _DENSE_CELL_LIMIT, "F"
 
     def __init__(self, domain: GridDomain, array):
         self.domain = domain
         setattr(self, self.member, np.asarray(array))
         getattr(self, self.member).setflags(write=False)
-
-    def arrays(self) -> dict:
-        return {self.member: getattr(self, self.member)}
 
     @classmethod
     def from_arrays(cls, domain: GridDomain, arrays):
@@ -513,10 +517,12 @@ class _DenseBasis(_Basis):
     shape = staticmethod(lambda domain: (domain.cell_count,) * 2)
 
     @classmethod
-    def solve(cls, spec, domain: GridDomain, potential):
-        w, U, resid = _pinned_eigh(_sine_laplacian(domain), potential)
-        U /= np.sqrt(domain.cell_volume)
-        return w, resid, cls(domain, U), np.arange(domain.cell_count)
+    def solve(cls, spec, domain: GridDomain, potential, sink):
+        K1 = _sine_laplacian(domain)  # its temporaries are gone before the sink makes its array
+        with sink() as U:
+            w, resid = _pinned_eigh(K1, potential, U)
+            U /= np.sqrt(domain.cell_volume)
+        return w, resid, np.arange(domain.cell_count)
 
     def forward(self, values):
         return (self.vectors.T @ self._flat(values).T) * self.domain.cell_volume
@@ -541,14 +547,12 @@ class _ParityBasis(_Basis):
     [B_-[:, c]; -J B_-[:, c]], and transforms fold the grid (f_top +- J f_bot).
     """
 
-    member = "parity_blocks"
+    member, memory_order = "parity_blocks", "C"
     shape = staticmethod(lambda domain: (2,) + (domain.cell_count // 2,) * 2)
 
     @classmethod
-    def solve(cls, spec, domain: GridDomain, potential):
-        w, blocks, resid, order = _reflection_split_eigh(domain, potential)
-        blocks /= np.sqrt(domain.cell_volume)
-        return w, resid, cls(domain, blocks), order
+    def solve(cls, spec, domain: GridDomain, potential, sink):
+        return _reflection_split_eigh(domain, potential, sink)
 
     def forward(self, values):
         x, half = self._flat(values).T, self.domain.cell_count // 2
@@ -582,12 +586,13 @@ class _KroneckerBasis(_Basis):
     shape = staticmethod(lambda domain: (domain.points_per_axis,) * 2)
 
     @classmethod
-    def solve(cls, spec: ShiftedHermite, domain: GridDomain, potential):
-        w1, U1, r1 = _pinned_eigh(_sine_laplacian(domain), domain.axis_coords() ** 2)
+    def solve(cls, spec: ShiftedHermite, domain: GridDomain, potential, sink):
+        with sink() as U1:
+            w1, r1 = _pinned_eigh(_sine_laplacian(domain), domain.axis_coords() ** 2, U1)
         sums = (w1[:, None] + w1[None, :]).ravel()
         order = np.argsort(sums, kind="stable")
         i, j = np.divmod(order, domain.points_per_axis)
-        return sums[order] - spec.c, r1[i] + r1[j], cls(domain, U1), order
+        return sums[order] - spec.c, r1[i] + r1[j], order
 
     def forward(self, values):
         # U_1^T times each F_p U_1 batched: the flat form of that product
@@ -619,28 +624,91 @@ def _layout(spec, domain: GridDomain) -> type:
     return _DenseBasis
 
 
-def _diagonalize_dense(spec, domain: GridDomain) -> SpectralDecomposition:
+def _max_residual(w, resid_norms) -> float:
+    """The largest residual norm relative to max(1, |lambda|); above ``_RESIDUAL_TOL``, or NaN, it raises."""
+    max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
+    if not (max_residual <= _RESIDUAL_TOL):  # a NaN residual fails too
+        raise EigenResidualError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")
+    return max_residual
+
+
+class _InMemory:
+    """The sink of an uncached solve: each part is solved in place inside ``array``, made at the first part."""
+
+    def __init__(self, shape, order: str):
+        self.shape, self.order, self.array = shape, order, None
+
+    def __call__(self, *index):
+        if self.array is None:
+            self.array = np.empty(self.shape, order=self.order)
+        return contextlib.nullcontext(self.array[index])
+
+
+class _Streamed:
+    """The sink of a cached solve: a float64 array streamed into the open zip member ``member`` as a ``.npy``.
+
+    Every part is solved in one buffer, made at the first part, and written
+    when its block exits without error, its zip CRC taken as it goes, so the
+    array is never whole in memory.  Parts come in the order of the file, so
+    an array in Fortran order is handed whole.
+    """
+
+    def __init__(self, member, shape, order: str):
+        self.member, self.shape, self.order, self.buffer = member, shape, order, None
+        header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": order == "F",
+                  "shape": shape}
+        np.lib.format.write_array_header_1_0(member, header)
+
+    @contextlib.contextmanager
+    def __call__(self, *index):
+        if self.buffer is None:
+            self.buffer = np.empty(self.shape[len(index):], order=self.order)
+        yield self.buffer
+        self.member.write(self.buffer.ravel(order="K"))
+
+
+def _diagonalize_dense(spec, domain: GridDomain, path=None) -> SpectralDecomposition:
+    """The dense decomposition, solved in memory, or with ``path`` written there as a cache file and read back.
+
+    The cache file's members come in one order for every layout: the
+    layout's array, streamed part by part as the solve finishes it, then the
+    eigenvalues, the residual, the convention and ``order``.  A file that
+    ``_load_cached`` cannot read back is an internal error.
+    """
     if domain.periodic:
         raise ValueError("Schrodinger and Hermite operators require a non-periodic grid")
     layout = _layout(spec, domain)
     if domain.cell_count > layout.cell_limit:
         raise ValueError(f"dense diagonalization is limited to {layout.cell_limit} cells, got {domain.cell_count}")
     potential = domain.axis_coords() ** 2 - spec.c if isinstance(spec, ShiftedHermite) else spec.potential.values
-    w, resid_norms, basis, order = layout.solve(spec, domain, potential)
-    max_residual = float((resid_norms / np.maximum(1.0, np.abs(w))).max())
-    if not (max_residual <= _RESIDUAL_TOL):  # a NaN residual fails too
-        raise EigenResidualError(f"eigen residual {max_residual:.3e} exceeds {_RESIDUAL_TOL}")
-    return SpectralDecomposition(spec, domain, w, basis, order, max_residual)
+    shape = layout.shape(domain)
+    if path is None:
+        sink = _InMemory(shape, layout.memory_order)
+        w, resid_norms, order = layout.solve(spec, domain, potential, sink)
+        return SpectralDecomposition(spec, domain, w, layout(domain, sink.array), order, _max_residual(w, resid_norms))
+    with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w") as npz:
+        with npz.open(layout.member + ".npy", "w", force_zip64=True) as member:
+            # no name holds the sink, so its buffer is freed before the file is read back
+            w, resid_norms, order = layout.solve(spec, domain, potential, _Streamed(member, shape, layout.memory_order))
+        arrays = dict(eigenvalues=w, max_residual=_max_residual(w, resid_norms),
+                      basis_convention=_BASIS_CONVENTION, order=order)
+        for name, value in arrays.items():
+            with npz.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asarray(value), allow_pickle=False)
+    dec = _load_cached(path, spec, domain)
+    if dec is None:
+        raise RuntimeError(f"the decomposition cache file {path} cannot be read back after it was written")
+    return dec
 
 
 def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomposition]:
     """The decomposition stored at ``path``, or None if it is absent, unreadable or invalid.
 
-    The file must carry the convention, finite eigenvalues, a residual within
-    tolerance, a permutation ``order`` and the array of the class ``_layout``
-    picks, whose zip CRC catches corrupt bytes, so it is checked for shape
-    and dtype only.  zipfile reports a damaged version or encryption flag as
-    RuntimeError.
+    The file must carry the convention, finite ascending eigenvalues, a
+    residual within tolerance, a permutation ``order`` and the array of the
+    class ``_layout`` picks, whose zip CRC catches corrupt bytes, so it is
+    checked for shape and dtype only.  zipfile reports a damaged version or
+    encryption flag as RuntimeError.
     """
     cells, layout = domain.cell_count, _layout(spec, domain)
     try:
@@ -657,6 +725,7 @@ def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomp
         and order.shape == (cells,) and order.dtype.kind == "i"
         and np.array_equal(np.sort(order), np.arange(cells))
         and w.shape == (cells,) and w.dtype.kind == "f" and bool(np.isfinite(w).all())
+        and bool((np.diff(w) >= 0.0).all())  # spectral_count bisects them
         and resid.shape == () and resid.dtype.kind == "f"
         and bool(np.isfinite(resid)) and resid <= _RESIDUAL_TOL
     )
@@ -669,8 +738,9 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
     Fourier multipliers come straight from the symbol; dense kinds, their
     potential's domain checked first, go through a symmetric eigensolve.
     ``cache_dir`` is made before any solve; it stores dense decompositions
-    by a content hash of (spec, domain), with their basis convention, and a
-    file that ``_load_cached`` refuses is a miss and is overwritten.
+    by a content hash of (spec, domain), with their basis convention.  A
+    file that ``_load_cached`` refuses is a miss and is overwritten, and a
+    miss returns the file it wrote, read back by the same loader.
     """
     if isinstance(spec, FractionalLaplacian):
         if not domain.periodic:
@@ -685,13 +755,7 @@ def diagonalize(spec: OperatorSpec, domain: GridDomain, cache_dir=None) -> Spect
     os.makedirs(str(cache_dir), exist_ok=True)
     path = os.path.join(str(cache_dir), f"decomposition-{spec_hash(spec, domain)}.npz")
     cached = _load_cached(path, spec, domain)
-    if cached is not None:
-        return cached
-    dec = _diagonalize_dense(spec, domain)
-    with atomic_write(path, "wb") as fh:
-        np.savez(fh, eigenvalues=dec.eigenvalues, max_residual=dec.max_residual,
-                 basis_convention=_BASIS_CONVENTION, **dec.basis.arrays(), order=dec.order)
-    return dec
+    return _diagonalize_dense(spec, domain, path) if cached is None else cached
 
 
 # ---------------------------------------------------------------------------

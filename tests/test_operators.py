@@ -140,13 +140,14 @@ def test_an_interrupted_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
     (path,) = tmp_path.glob("decomposition-*.npz")
     old = path.read_bytes()
 
-    def broken_savez(fh, **arrays):
-        fh.write(old[: len(old) // 2])
+    def broken_writer(member, shape, order):
+        # the streamed layout array, the first member written, stops halfway
+        member.write(old[: len(old) // 2])
         raise OSError("write interrupted")
 
     with monkeypatch.context() as patch:
         patch.setattr(operators, "_load_cached", lambda *args: None)  # a miss, so the file is rewritten
-        patch.setattr(np, "savez", broken_savez)
+        patch.setattr(operators, "_Streamed", broken_writer)
         with pytest.raises(OSError, match="write interrupted"):
             diagonalize(ShiftedHermite(c=1.0), dom, cache_dir=tmp_path)
     assert path.read_bytes() == old
@@ -199,7 +200,7 @@ def _truncate(path, dec):
 
 
 def _basis_arrays(dec):
-    """The arrays a cache file holds for the basis of ``dec``, by name, in the order it writes them."""
+    """The arrays a cache file holds for the basis of ``dec``, by name: the layout's array and ``order``."""
     name = {operators._DenseBasis: "vectors", operators._ParityBasis: "parity_blocks",
             operators._KroneckerBasis: "tensor_factor"}[type(dec.basis)]
     return {name: getattr(dec.basis, name), "order": dec.order}
@@ -225,6 +226,12 @@ def _nan_eigenvalue(path, dec):
     eigenvalues = dec.eigenvalues.copy()
     eigenvalues[3] = np.nan
     _savez(path, dec, eigenvalues=eigenvalues)
+
+
+def _descending_eigenvalues(path, dec):
+    # finite and valid otherwise, but d(k) bisects the eigenvalues, so a
+    # reversed spectrum would count the wrong levels
+    _savez(path, dec, eigenvalues=dec.eigenvalues[::-1])
 
 
 def _residual_above_tolerance(path, dec):
@@ -297,15 +304,15 @@ def _cache_tensor():
     return ShiftedHermite(c=3.0), make_grid(2, 6.0, 16, periodic=False)
 
 
-def _cache_parity():
-    dom = make_grid(1, 10.0, 64, periodic=False)
+def _cache_parity(m=64):
+    dom = make_grid(1, 10.0, m, periodic=False)
     pot = from_callable(dom, lambda x: x**2 - 4.0 + 0.5 * np.cos(2.0 * x))
     assert np.array_equal(pot.values, pot.values[::-1])
     return Schrodinger(potential=pot), dom
 
 
-_ANY_LAYOUT = [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _residual_above_tolerance,
-               _previous_convention, _convention_two, _order_not_a_permutation]
+_ANY_LAYOUT = [_flip_middle_byte, _truncate, _wrong_shape, _nan_eigenvalue, _descending_eigenvalues,
+               _residual_above_tolerance, _previous_convention, _convention_two, _order_not_a_permutation]
 
 
 @pytest.mark.parametrize(
@@ -329,7 +336,10 @@ def test_bad_cache_file_is_recomputed(tmp_path, case, corrupt):
     assert np.array_equal(basis_block(second, everything), basis_block(first, everything))
     assert second.max_residual == first.max_residual
     with np.load(path) as data:
-        assert data.files == ["eigenvalues", "max_residual", "basis_convention", *_basis_arrays(first)]
+        # one writer order for every layout: the streamed layout array first
+        layout_array = next(iter(_basis_arrays(first)))
+        assert data.files == [layout_array, "eigenvalues", "max_residual", "basis_convention", "order"]
+        assert np.array_equal(data["eigenvalues"], first.eigenvalues)
         for name, array in _basis_arrays(first).items():
             assert np.array_equal(data[name], array)
 
@@ -953,6 +963,83 @@ def test_parity_split_holds_no_full_size_array():
     assert peak < 1.0 * 8 * dom.cell_count**2
     for array in (dec.eigenvalues, dec.order, getattr(dec.basis, "vectors", None), dec.basis.parity_blocks):
         assert array is None or array.size <= dom.cell_count**2 // 2
+
+
+def _peak_of(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_a_cached_parity_solve_streams_each_block_into_the_file(tmp_path):
+    # each block is solved, pinned and scaled in one (m/2)^2 buffer and
+    # written to the cache file before the next is gathered; the cold command
+    # returns the file read back.  In place inside the (2, m/2, m/2) result
+    # the uncached solve peaks at about 3.1 (m/2)^2 arrays; the cached one
+    # held the result, the solver's vectors and the writer's copy (4.0).  The
+    # parity case of the next test holds the bits of all three equal
+    spec, dom = _cache_parity(1024)
+    unit = 8 * (dom.cell_count // 2) ** 2
+    _, uncached_peak = _peak_of(lambda: diagonalize(spec, dom))
+    cold, cold_peak = _peak_of(lambda: diagonalize(spec, dom, cache_dir=tmp_path))
+    assert isinstance(cold.basis, operators._ParityBasis)
+    assert cold_peak < 2.5 * unit
+    assert uncached_peak <= 3.2 * unit
+
+
+@pytest.mark.parametrize("case", [_cache_hermite, _schrodinger_2d, lambda: _cache_parity(1024), _cache_tensor],
+                         ids=["dense-1d", "dense-2d", "parity", "tensor"])
+def test_cold_warm_and_uncached_solves_agree_bit_for_bit(tmp_path, case):
+    # a cold cached command returns the file it wrote, read back by the
+    # loader a warm one uses: the same bits and memory order as in memory
+    spec, dom = case()
+    uncached = diagonalize(spec, dom)
+    name = uncached.basis.member
+    for dec in (diagonalize(spec, dom, cache_dir=tmp_path), diagonalize(spec, dom, cache_dir=tmp_path)):
+        for got, want in [(dec.eigenvalues, uncached.eigenvalues), (dec.order, uncached.order),
+                          (getattr(dec.basis, name), getattr(uncached.basis, name))]:
+            assert got.dtype == want.dtype and got.tobytes("A") == want.tobytes("A")
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert dec.max_residual == uncached.max_residual
+
+
+def test_a_solve_that_fails_between_blocks_keeps_the_old_file(tmp_path, monkeypatch):
+    # block 0 is already streamed into the temporary file when block 1's
+    # solve fails: the old file stays byte for byte, and no temporary is left
+    spec, dom = _cache_parity()
+    first = diagonalize(spec, dom, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("decomposition-*.npz")
+    _previous_convention(path, first)  # a miss, so the file is rewritten
+    old = path.read_bytes()
+    calls = []
+
+    def fails_on_the_second_block(H, overwrite=False):
+        calls.append(len(H))
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("block 1 did not converge")
+        return scipy.linalg.eigh(H, overwrite_a=True)
+
+    monkeypatch.setattr(operators, "_dense_eigh", fails_on_the_second_block)
+    with pytest.raises(np.linalg.LinAlgError, match="block 1"):
+        diagonalize(spec, dom, cache_dir=tmp_path)
+    assert calls == [dom.cell_count // 2] * 2
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_cache_file_that_cannot_be_read_back_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(operators, "_load_cached", lambda *args: None)
+    spec, dom = _cache_parity()
+    with pytest.raises(RuntimeError, match="cannot be read back"):
+        diagonalize(spec, dom, cache_dir=tmp_path)
+    monkeypatch.setenv("STABCERT_CACHE_DIR", str(tmp_path))
+    assert cli.main(["spectral-constant", "--operator", "hermite", "--domain", "m=64,periodic=false",
+                     "--set", "full", "--k-max", "2"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: the decomposition cache file ")
 
 
 @pytest.mark.parametrize("tilt", [0.0, 0.1], ids=["parity-split", "full-solve"])
