@@ -103,6 +103,8 @@ KERNEL_RTOL = 1e-13
 # roundoff allowance of an observation integral, in units of eps times the
 # largest one-mode integral max_j F_jj (hi - lo when the spectrum starts at 0)
 _ROUNDOFF_ULPS = 64
+# entries exprel takes at a time: its expm1 and zero mask stay this size
+_EXPREL_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -244,15 +246,22 @@ def exprel(x, out=None) -> np.ndarray:
     expm1 keeps the full relative accuracy for small |x|, so the quotient
     has no cancellation near 0; it is within a few ulps of
     ``scipy.special.exprel`` up to x ~ 709.78, where expm1 overflows to inf
-    a few units before the quotient would.  ``out`` may be ``x`` itself.
+    a few units before the quotient would.  ``out``, C-contiguous, may be
+    ``x`` itself.  It is computed in blocks of _EXPREL_BLOCK entries, so its
+    work arrays stay small whatever the size of ``x``.
     """
     x = np.asarray(x, dtype=float)
-    zero = x == 0.0
     if out is None:
-        out = np.empty_like(x)
+        out = np.empty_like(x, order="C")
+    if not out.flags.c_contiguous:
+        raise ValueError("exprel needs a C-contiguous out")
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(np.expm1(x), x, out=out)
-    out[zero] = 1.0
+        for lo in range(0, flat_x.size, _EXPREL_BLOCK):
+            block, dest = flat_x[lo : lo + _EXPREL_BLOCK], flat_out[lo : lo + _EXPREL_BLOCK]
+            zero = block == 0.0
+            np.divide(np.expm1(block), block, out=dest)
+            dest[zero] = 1.0
     return out
 
 

@@ -549,12 +549,14 @@ def main(argv=None) -> int:
         doc = run(args.command, config, cache_dir=os.environ.get("STABCERT_CACHE_DIR"))
         if args.out:
             _write_outputs(doc, args.out)
+        else:
+            print(document_to_json(doc), flush=True)
     except Exception as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader has gone: the exit flush must not write to it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code, label = next((code, label) for classes, code, label in _ERRORS if isinstance(exc, classes))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-    if not args.out:
-        print(document_to_json(doc))
     return _exit_code(args.command, doc.outputs)
 
 

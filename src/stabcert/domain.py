@@ -229,36 +229,19 @@ def atomic_write(path, mode="w"):
 
 
 def save_grid_function(f: GridFunction, path) -> None:
-    """Write ``f`` to ``path``; JSON when the suffix is .json, raw binary otherwise.
-
-    The binary layout is one UTF-8 header line (JSON: domain header plus
-    dtype) followed by the row-major values buffer.  Either is written
-    through ``atomic_write``.
-    """
-    path = str(path)
-    if path.endswith(".json"):
-        with atomic_write(path) as fh:
-            json.dump(grid_function_to_json(f), fh)
-        return
-    dtype = "complex128" if np.iscomplexobj(f.values) else "float64"
-    header = dict(domain_header(f.domain), dtype=dtype)
-    with atomic_write(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(f.values.astype(dtype).tobytes(order="C"))
+    """Write the ``grid_function_to_json`` document of ``f`` to ``path``, whatever it is called."""
+    with atomic_write(path) as fh:
+        json.dump(grid_function_to_json(f), fh)
 
 
 def load_grid_function(path) -> GridFunction:
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path) as fh:
-            return grid_function_from_json(json.load(fh))
+    """Read the grid function that ``save_grid_function`` wrote to ``path``."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        buf = fh.read()
-    require_keys(header, ("dtype",), "grid function header")
-    domain = domain_from_header(header)
-    vals = np.frombuffer(buf, dtype=header["dtype"]).reshape(domain.shape)
-    return GridFunction(domain, vals)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # a file that is not JSON: not UTF-8, or bytes after the document
+            raise ValueError(f"grid function file {str(path)!r} is not JSON ({exc}); save it again as JSON") from None
+    return grid_function_from_json(doc)
 
 
 def jsonable(x):
@@ -281,6 +264,13 @@ def jsonable(x):
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def to_csv(header, rows) -> str:
+    """A side file: the header's names, then one line per row; a string cell as it is, any other by its repr."""
+    lines = [",".join(header)]
+    lines += [",".join(cell if isinstance(cell, str) else repr(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

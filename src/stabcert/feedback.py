@@ -39,7 +39,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .certify import exprel
-from .domain import GridFunction, norm as _norm, require_domain
+from .domain import GridFunction, norm as _norm, require_domain, to_csv
 from .geometry import SetIndicator
 from .operators import (
     SpectralDecomposition,
@@ -379,6 +379,7 @@ def simulate_decay(
                 np.multiply(times, kernel, out=kernel)
                 kernel *= exprel(np.multiply(-np.abs(lams - mu), times, out=arg), out=arg)
                 coeffs[n_low:] += np.multiply(gains[:, i, None], kernel, out=term)
+            del kernel, arg, term  # the norm squares coeffs into one more array
         norms = np.linalg.norm(coeffs, axis=0)
     grown = ~(norms <= 10.0 * norm0)
     if grown.any():
@@ -391,8 +392,5 @@ def simulate_decay(
 
 
 def decay_report_to_csv(report: DecayReport) -> str:
-    lines = ["t,norm,ln_norm"]
-    for t, n in zip(report.times, report.norms):
-        ln_n = float(np.log(n)) if n > 0 else float("-inf")
-        lines.append(f"{float(t)!r},{float(n)!r},{ln_n!r}")
-    return "\n".join(lines) + "\n"
+    ln_n = [float(np.log(n)) if n > 0 else float("-inf") for n in report.norms]
+    return to_csv(("t", "norm", "ln_norm"), zip(map(float, report.times), map(float, report.norms), ln_n))

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .certify import TimeKernel, weak_margins
-from .domain import GridDomain, GridFunction, from_callable, norm as _norm, require_domain, restrict_norm
+from .domain import GridDomain, GridFunction, from_callable, norm as _norm, require_domain, restrict_norm, to_csv
 from .geometry import SetIndicator
 from .operators import FractionalLaplacian, ShiftedHermite, SpectralDecomposition, spectral_apply
 
@@ -337,8 +337,6 @@ def falsify_hermite_ground_state(
 
 
 def falsification_to_csv(report: FalsificationReport) -> str:
-    lines = ["x0,lhs,observation,violated"]
-    for r in report.centers:
-        x0 = ":".join(repr(float(v)) for v in r.center)
-        lines.append(f"{x0},{float(r.lhs)!r},{float(r.observation)!r},{int(r.violated)}")
-    return "\n".join(lines) + "\n"
+    rows = [(":".join(repr(float(v)) for v in r.center), float(r.lhs), float(r.observation), int(r.violated))
+            for r in report.centers]
+    return to_csv(("x0", "lhs", "observation", "violated"), rows)

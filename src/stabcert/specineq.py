@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import jsonable, require_domain
+from .domain import jsonable, require_domain, to_csv
 from .geometry import SetIndicator
 from .operators import SpectralDecomposition, require_resolved, restricted_gram, spectral_count
 
@@ -150,8 +150,5 @@ def curve_to_json(curve: SpectralConstantCurve) -> dict:
 
 
 def curve_to_csv(curve: SpectralConstantCurve) -> str:
-    lines = ["k,C,lnC"]
-    for k, c in zip(curve.thresholds, curve.constants):
-        ln_c = float(np.log(c)) if np.isfinite(c) else float("inf")
-        lines.append(f"{float(k)!r},{float(c)!r},{ln_c!r}")
-    return "\n".join(lines) + "\n"
+    ln_c = [float(np.log(c)) if np.isfinite(c) else float("inf") for c in curve.constants]
+    return to_csv(("k", "C", "lnC"), zip(map(float, curve.thresholds), map(float, curve.constants), ln_c))

@@ -251,6 +251,22 @@ def test_exprel_agrees_with_scipy():
     assert x[0] == 1.0 and np.allclose(x, expected, rtol=4 * eps, atol=0.0)
 
 
+def test_exprel_in_blocks_gives_the_bits_of_one_pass():
+    # blocks of _EXPREL_BLOCK entries give the bits of expm1(x) / x over the
+    # whole array, with 0.0 and -0.0 set to 1, into a fresh array or into x
+    rng = np.random.default_rng(7)
+    x = -rng.exponential(5.0, size=(3, 2 * certify._EXPREL_BLOCK + 17))
+    x[0, :5], x[1, 3], x[2, -1] = 0.0, -0.0, -1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.expm1(x) / x
+    want[x == 0.0] = 1.0
+    assert exprel(x).tobytes() == want.tobytes()
+    y = x.copy()
+    assert exprel(y, out=y) is y and y.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        exprel(x, out=np.empty(x.shape[::-1]).T)
+
+
 def test_observation_integrals_agree_with_scipy_quad(rng):
     gram, lams, coeffs = random_quadrature_problem(rng, trials=1)
     vals = observation_integrals(gram, lams, coeffs, 0.0, 1.5)

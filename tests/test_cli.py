@@ -15,6 +15,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ from stabcert import certify, cli, feedback, operators, specineq
 from stabcert.cli import RunConfig, main, payload_json, run
 from stabcert.domain import (
     GridFunction,
+    domain_header,
     from_callable,
     grid_function_to_json,
     make_grid,
@@ -1097,6 +1100,56 @@ def test_non_finite_potentials_are_config_errors(tmp_path, capsys, bad):
     assert code == 2
     assert err == f"config error: potential {str(path)!r} has non-finite values (inf or NaN)\n"
     assert not out.exists()
+
+
+def _spectral_constant_of(potential, out):
+    return main(["spectral-constant", "--domain", "dim=1,R=10,m=64,periodic=false", "--operator", "schrodinger",
+                 "--potential", str(potential), "--set", "halfspace:offset=0", "--k-max", "3", "--out", str(out)])
+
+
+def test_a_json_potential_is_read_whatever_the_file_is_called(tmp_path):
+    # the document saved as potential.json, and the same JSON written under a
+    # .dat name, give the same outputs and the same potential hash
+    pot = from_callable(make_grid(1, 10.0, 64, periodic=False), lambda x: x**2 - 4.0)
+    save_grid_function(pot, str(tmp_path / "potential.json"))
+    (tmp_path / "pot.dat").write_text(json.dumps(grid_function_to_json(pot)))
+    assert _spectral_constant_of(tmp_path / "potential.json", tmp_path / "json.out") == 0
+    assert _spectral_constant_of(tmp_path / "pot.dat", tmp_path / "dat.out") == 0
+    by_json, by_dat = read(tmp_path / "json.out"), read(tmp_path / "dat.out")
+    assert by_dat["outputs"] == by_json["outputs"]
+    assert by_dat["input_hashes"] == by_json["input_hashes"]
+
+
+def test_a_raw_potential_of_an_earlier_version_is_a_config_error(tmp_path, capsys):
+    # the earlier raw encoding (a JSON header line, then the values buffer) is
+    # refused with one line that names the file
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    path = tmp_path / "pot.bin"
+    header = json.dumps(dict(domain_header(dom), dtype="float64")).encode()
+    path.write_bytes(header + b"\n" + from_callable(dom, lambda x: x**2 - 4.0).values.tobytes())
+    assert _spectral_constant_of(path, tmp_path / "out.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: grid function file {str(path)!r} is not JSON") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_closed_stdout_pipe_is_a_config_error():
+    # the document goes to a pipe whose reader has already closed: one stderr
+    # line and exit 2, with no traceback and no failed flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "stabcert.cli", "check-thick", "--domain", "dim=1,R=10,m=320",
+             "--set", "slabs:period=1,fill=0.25", "--lengths", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.decode() == "config error: [Errno 32] Broken pipe\n"
 
 
 WALLS_64 = "dim=1,R=10,m=64,periodic=false"

@@ -269,34 +269,59 @@ def test_finite_values_are_saved_as_before(tmp_path):
         assert (tmp_path / "state.json").read_text() == json.dumps(want)
 
 
-def test_file_roundtrip_both_formats(tmp_path):
-    dom = make_grid(2, 4.0, 16)
-    rng = np.random.default_rng(4)
-    f = GridFunction(dom, rng.standard_normal((16, 16)))
-    for name in ("state.json", "state.bin"):
+def _roundtrips_under_any_name(f, tmp_path):
+    # one format, whatever the name: each file is the grid_function_to_json
+    # document, read back bit for bit
+    for name in ("state.json", "state.bin", "pot.dat"):
         path = tmp_path / name
         save_grid_function(f, path)
+        assert json.loads(path.read_text()) == json.loads(json.dumps(grid_function_to_json(f)))
         g = load_grid_function(path)
-        assert g.domain == dom
+        assert g.domain == f.domain
         assert np.array_equal(g.values, f.values)
 
 
+def test_file_roundtrip_both_formats(tmp_path):
+    # a real 2D function in the one format under a .json, a .bin and a .dat name
+    dom = make_grid(2, 4.0, 16)
+    rng = np.random.default_rng(4)
+    _roundtrips_under_any_name(GridFunction(dom, rng.standard_normal((16, 16))), tmp_path)
+
+
 def test_binary_roundtrip_complex(tmp_path):
+    # a complex 1D function in the one format under a .json, a .bin and a .dat name
     dom = make_grid(1, 10.0, 32)
     rng = np.random.default_rng(5)
-    f = GridFunction(dom, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    save_grid_function(f, tmp_path / "state.bin")
-    g = load_grid_function(tmp_path / "state.bin")
-    assert np.array_equal(g.values, f.values)
+    _roundtrips_under_any_name(GridFunction(dom, rng.standard_normal(32) + 1j * rng.standard_normal(32)), tmp_path)
 
 
-@pytest.mark.parametrize("name", ["state.json", "state.bin"])
+def test_a_json_document_loads_whatever_the_file_is_called(tmp_path):
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    f = from_callable(dom, lambda x: x**2 - 4.0)
+    path = tmp_path / "pot.dat"
+    path.write_text(json.dumps(grid_function_to_json(f)))
+    g = load_grid_function(path)
+    assert g.domain == dom and g.values.tobytes() == f.values.tobytes()
+
+
+def test_a_raw_file_of_an_earlier_version_is_refused_naming_it(tmp_path):
+    # the earlier encoding: a JSON header line, then the raw values buffer
+    dom = make_grid(1, 10.0, 64, periodic=False)
+    path = tmp_path / "pot.bin"
+    header = dict(domain_header(dom), dtype="float64")
+    path.write_bytes(json.dumps(header).encode() + b"\n" + from_callable(dom, np.cos).values.tobytes())
+    with pytest.raises(ValueError, match=f"grid function file {str(path)!r} is not JSON") as info:
+        load_grid_function(path)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["state.json", pytest.param("state.bin", id="json-under-another-name")])
 def test_an_interrupted_save_leaves_the_old_file(tmp_path, interrupt_write, name):
     dom = make_grid(1, 10.0, 32, periodic=False)
     path = tmp_path / name
     save_grid_function(from_callable(dom, np.cos), path)
     old = path.read_bytes()
-    interrupt_write(2)  # the JSON's second chunk, or the binary values after the header
+    interrupt_write(2)  # the JSON's second chunk, whatever the file is called
     with pytest.raises(OSError, match="write interrupted"):
         save_grid_function(from_callable(dom, np.sin), path)
     assert path.read_bytes() == old

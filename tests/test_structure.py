@@ -625,6 +625,28 @@ def test_only_atomic_write_creates_and_renames_files():
     assert found == {("domain.py", "atomic_write")}, sorted(found)
 
 
+def test_each_file_kind_has_one_encoding():
+    # a grid function is its JSON document whatever the file is called, so
+    # no raw buffer is read and neither end of it looks at the path; the
+    # three CSV side files are each a call of the one domain writer
+    functions = {name: node for path in SOURCES for name, node in _functions(_tree(path))}
+    frombuffer = [(path.name, node.lineno) for path in SOURCES for node in ast.walk(_tree(path))
+                  if isinstance(node, ast.Attribute) and node.attr == "frombuffer"]
+    assert not frombuffer, frombuffer
+    for name in ("save_grid_function", "load_grid_function"):
+        branches = [ast.unparse(node) for node in ast.walk(functions[name])
+                    if isinstance(node, (ast.If, ast.IfExp, ast.Match, ast.BoolOp))]
+        assert not branches, (name, branches)
+    for name in ("curve_to_csv", "decay_report_to_csv", "falsification_to_csv"):
+        returned = functions[name].body[-1]
+        assert isinstance(returned, ast.Return) and ast.unparse(returned.value.func) == "to_csv", name
+        newlines = [node.lineno for node in ast.walk(functions[name])
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\n" in node.value]
+        assert not newlines, (name, newlines)
+    defined = [path.name for path in SOURCES for name, _ in _functions(_tree(path)) if name == "to_csv"]
+    assert defined == ["domain.py"], defined
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"] + TESTS,
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
