@@ -176,7 +176,9 @@ def domain_header(domain: GridDomain) -> dict:
 
 
 def require_keys(doc: dict, keys, what: str) -> None:
-    """Raise ValueError naming the ``keys`` that the document ``doc`` lacks."""
+    """Raise ValueError if the document ``doc`` is not a JSON object, or naming the ``keys`` it lacks."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
     missing = [k for k in keys if k not in doc]
     if missing:
         raise ValueError(f"{what} is missing keys: {missing}")
@@ -241,7 +243,10 @@ def load_grid_function(path) -> GridFunction:
             doc = json.load(fh)
         except ValueError as exc:  # a file that is not JSON: not UTF-8, or bytes after the document
             raise ValueError(f"grid function file {str(path)!r} is not JSON ({exc}); save it again as JSON") from None
-    return grid_function_from_json(doc)
+    try:
+        return grid_function_from_json(doc)
+    except ValueError as exc:  # a document that is not a grid function's
+        raise ValueError(f"grid function file {str(path)!r}: {exc}") from None
 
 
 def jsonable(x):

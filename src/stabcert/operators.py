@@ -30,8 +30,12 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import os
+import struct
+import weakref
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -340,7 +344,11 @@ class _Basis:
     """An eigenbasis in one layout, and what the dense layouts share.
 
     A layout keeps one array, the attribute ``member`` of shape ``shape(domain)``
-    and memory order ``memory_order``.  ``solve`` returns the ascending
+    and memory order ``memory_order``: in memory, or a ``_StoredArray`` that
+    reads its parts from a cache file as they are used.  Its parts are the
+    slabs along the first axis of a C-ordered array (the two parity blocks)
+    and the whole of a Fortran-ordered one; the transforms index the array
+    by part, the same code for both.  ``solve`` returns the ascending
     eigenvalues, their residual norms and ``order``, and hands the array to
     its ``sink``: ``with sink(*index) as part`` lends the buffer of one part,
     the whole array (no index) or each slab along the first axis in turn,
@@ -353,14 +361,13 @@ class _Basis:
 
     def __init__(self, domain: GridDomain, array):
         self.domain = domain
-        setattr(self, self.member, np.asarray(array))
-        getattr(self, self.member).setflags(write=False)
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+        setattr(self, self.member, array)
 
-    @classmethod
-    def from_arrays(cls, domain: GridDomain, arrays):
-        """The basis of the cached ``arrays``, or None unless its array has this layout's shape and a float dtype."""
-        array = arrays[cls.member]
-        return cls(domain, array) if array.shape == cls.shape(domain) and array.dtype.kind == "f" else None
+    def held(self):
+        """This basis with its whole array in memory, as a pass holds it: a stored array is read once."""
+        return type(self)(self.domain, getattr(self, self.member)[...])
 
     def _flat(self, values):
         """A state (cells,) or a stack (P, cells) of the grid-shaped ``values``."""
@@ -387,12 +394,15 @@ class _Basis:
         transformed by one ``forward``; its squares |c_jp|^2 are summed
         against each ``decay`` row, and weight row q is one synthesis of the
         weighted coefficients, made when the caller asks for q, so a caller
-        that has what it needs skips the rest.
+        that has what it needs skips the rest.  The pass holds the whole
+        array (``held``) for all its chunks, so a stored array is read once
+        per pass, not once per chunk.
         """
-        synthesize = self.synthesis(rows)
+        held = self.held()
+        synthesize = held.synthesis(rows)
 
         def chunk_pass(values):
-            native = self.forward(values)
+            native = held.forward(values)
             sq = np.abs(native)
             sq *= sq
             z = np.empty_like(native, dtype=np.result_type(weights, native))
@@ -545,6 +555,11 @@ class _ParityBasis(_Basis):
     (2, m/2, m/2) ``parity_blocks`` B_+, B_- hold the top halves: native
     column c < m/2 is [B_+[:, c]; J B_+[:, c]], column m/2 + c is
     [B_-[:, c]; -J B_-[:, c]], and transforms fold the grid (f_top +- J f_bot).
+    ``forward``, ``synthesize`` and ``columns`` take the blocks in turn,
+    the one a cached array holds in memory first (``_parities``), each
+    product with the operands and shapes it has with both in memory; so
+    outside a pass a cached basis holds one (m/2)^2 block, and each
+    transform after the load reads one block.
     """
 
     member, memory_order = "parity_blocks", "C"
@@ -554,21 +569,40 @@ class _ParityBasis(_Basis):
     def solve(cls, spec, domain: GridDomain, potential, sink):
         return _reflection_split_eigh(domain, potential, sink)
 
+    def _parities(self):
+        """0 and 1, the parity whose block a ``_StoredArray`` holds in memory first."""
+        held = getattr(self.parity_blocks, "held", None)
+        return (1, 0) if held is not None and held[0] == 1 else (0, 1)
+
     def forward(self, values):
         x, half = self._flat(values).T, self.domain.cell_count // 2
         top, bottom = x[:half], x[half:][::-1]
-        even, odd = self.parity_blocks[0].T @ (top + bottom), self.parity_blocks[1].T @ (top - bottom)
-        return np.concatenate([even, odd]) * self.domain.cell_volume
+        folded = [None, None]
+        for p in self._parities():
+            folded[p] = self.parity_blocks[p].T @ (top - bottom if p else top + bottom)
+        return np.concatenate(folded) * self.domain.cell_volume
 
     def synthesize(self, native):
         half = self.domain.cell_count // 2
-        even, odd = self.parity_blocks[0] @ native[:half], self.parity_blocks[1] @ native[half:]
+        even_odd = [None, None]
+        for p in self._parities():
+            even_odd[p] = self.parity_blocks[p] @ native[p * half : (p + 1) * half]
+        even, odd = even_odd
         return np.concatenate([even + odd, (even - odd)[::-1]])
 
     def columns(self, native):
-        odd, col = np.divmod(native, self.domain.cell_count // 2)
-        top = self.parity_blocks[odd, :, col].T
-        return np.concatenate([top, top[::-1] * np.where(odd, -1.0, 1.0)])  # the mirror is exact
+        half = self.domain.cell_count // 2
+        odd, col = np.divmod(native, half)
+        # block by block, in the memory order of one gather across both
+        # blocks, transposed: the top half, then its mirror (exact)
+        out = np.empty((len(native), 2 * half), dtype=np.result_type(self.parity_blocks.dtype, np.float64)).T
+        for p in self._parities():
+            rows = odd == p
+            if rows.any():
+                top = self.parity_blocks[p][:, col[rows]]
+                out[:half, rows] = top
+                out[half:, rows] = np.multiply(top, -1.0, out=top)[::-1] if p else top[::-1]
+        return out
 
 
 class _KroneckerBasis(_Basis):
@@ -667,6 +701,101 @@ class _Streamed:
         self.member.write(self.buffer.ravel(order="K"))
 
 
+def _read_into(fd: int, raw, offset: int) -> bool:
+    """Fill the bytes ``raw`` from the descriptor ``fd`` at ``offset``, moving no file position; False if the file ends first."""
+    done = 0
+    while done < raw.nbytes and (read := os.preadv(fd, [raw[done:]], offset + done)):
+        done += read
+    return done == raw.nbytes
+
+
+class _StoredArray:
+    """A C-ordered ``.npy`` array in a stored zip member of the file ``path``, read one slab at a time.
+
+    ``array[p]`` is slab p along the first axis and ``array[...]`` the whole
+    array.  Slabs are read through the array's own descriptor ``fd`` of the
+    file it was checked in, so a file replaced or removed later changes
+    nothing, and each must carry the member's running CRC-32 from
+    ``crcs[p]`` to ``crcs[p + 1]``, as the load's check found it, so a file
+    rewritten in place raises RuntimeError rather than serving other bits.
+    The slab read last stays in memory, read-only, as ``held`` = (p, slab)
+    until another is read; the whole array is read afresh, ``held`` dropped
+    first, so the array never holds more than one slab.
+    """
+
+    def __init__(self, path, fd: int, offset: int, shape, dtype, crcs, held):
+        self.path, self.fd, self.offset, self.shape, self.dtype = path, fd, offset, shape, dtype
+        self.crcs, self.held = crcs, held
+        weakref.finalize(self, os.close, fd)
+
+    def __getitem__(self, index):
+        if index is not Ellipsis:
+            p = range(self.shape[0])[index]
+            if self.held is None or self.held[0] != p:
+                self.held = None  # freed before the next slab is made
+                slab = self._read(p, np.empty(self.shape[1:], dtype=self.dtype))
+                slab.setflags(write=False)
+                self.held = (p, slab)
+            return self.held[1]
+        self.held = None
+        whole = np.empty(self.shape, dtype=self.dtype)
+        for p, slab in enumerate(whole):
+            self._read(p, slab)
+        return whole
+
+    def _read(self, p: int, slab):
+        raw = slab.reshape(-1).view(np.uint8)
+        if not _read_into(self.fd, raw, self.offset + p * raw.nbytes) or zlib.crc32(raw, self.crcs[p]) != self.crcs[p + 1]:
+            raise RuntimeError(f"the decomposition cache file {self.path} changed after it was loaded; "
+                               "run the command again")
+        return slab
+
+
+def _stored_layout_array(file, npz: zipfile.ZipFile, name: str, shape, memory_order: str):
+    """The float array of ``shape`` in member ``name`` of ``npz``, the zip of the open ``file``, once its zip CRC is checked.
+
+    The member is read once from ``file``, a part at a time into one
+    buffer, and its CRC-32 taken as it goes, so a corrupt byte raises
+    zipfile.BadZipFile as zipfile's own read would.  An array in Fortran
+    order is one part, the whole array, and that buffer is the array.  A
+    C-ordered one has a part per slab along its first axis and stays in
+    the file, a ``_StoredArray`` that holds the last slab read and keeps
+    the running CRC at each slab's end.  A member that is compressed, not a
+    float array of ``shape`` in ``memory_order``, or not of its header's
+    size raises ValueError.
+    """
+    info, fd = npz.getinfo(name), file.fileno()
+    # the member's data follows its 30-byte local header (the zip format's
+    # APPNOTE 4.3.7), whose last fields are the lengths of its name and
+    # extra field, which follow it
+    local = os.pread(fd, 30, info.header_offset)
+    if local[:4] != b"PK\x03\x04" or info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"the member {name} is not stored uncompressed")
+    name_length, extra_length = struct.unpack("<HH", local[26:])
+    data = info.header_offset + 30 + name_length + extra_length
+    file.seek(data)
+    version = np.lib.format.read_magic(file)
+    read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}[version]
+    stored_shape, fortran_order, dtype = read_header(file)
+    start = file.tell() - data
+    if (stored_shape != shape or dtype.kind != "f" or fortran_order != (memory_order == "F")
+            or info.file_size != start + math.prod(shape) * dtype.itemsize):
+        raise ValueError(f"the member {name} is not a {memory_order}-ordered float array of shape {shape}")
+    part = np.empty(shape if fortran_order else shape[1:], dtype=dtype, order=memory_order)
+    raw, crcs = part.ravel(order="K").view(np.uint8), [zlib.crc32(os.pread(fd, start, data))]
+    for p in range(1 if fortran_order else shape[0]):
+        if not _read_into(fd, raw, data + start + p * raw.nbytes):
+            raise EOFError(f"the member {name} ends inside its array")
+        crcs.append(zlib.crc32(raw, crcs[-1]))
+    if crcs[-1] != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
+    if fortran_order:
+        return part
+    part.setflags(write=False)
+    return _StoredArray(file.name, os.dup(fd), data + start, shape, dtype, crcs, (shape[0] - 1, part))
+
+
 def _diagonalize_dense(spec, domain: GridDomain, path=None) -> SpectralDecomposition:
     """The dense decomposition, solved in memory, or with ``path`` written there as a cache file and read back.
 
@@ -706,9 +835,14 @@ def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomp
 
     The file must carry the convention, finite ascending eigenvalues, a
     residual within tolerance, a permutation ``order`` and the array of the
-    class ``_layout`` picks, whose zip CRC catches corrupt bytes, so it is
-    checked for shape and dtype only.  zipfile reports a damaged version or
-    encryption flag as RuntimeError.
+    class ``_layout`` picks, stored uncompressed.  That array's zip CRC,
+    checked as ``_stored_layout_array`` reads it once, catches corrupt
+    bytes, so its ``.npy`` header is checked for shape, memory order and
+    dtype only.  A parity basis keeps the file open and reads its blocks
+    from it as they are used (``_StoredArray``), each checked against its
+    CRC-32 from that read, so no command holds its whole array outside a
+    pass; the array of another layout is one part, the one that read.
+    zipfile reports a damaged version or encryption flag as RuntimeError.
     """
     cells, layout = domain.cell_count, _layout(spec, domain)
     try:
@@ -716,13 +850,13 @@ def _load_cached(path: str, spec, domain: GridDomain) -> Optional[SpectralDecomp
             if data.get("basis_convention") != _BASIS_CONVENTION:
                 return None
             w, resid = data["eigenvalues"], data["max_residual"]
-            basis = layout.from_arrays(domain, data)
+            array = _stored_layout_array(fh, data.zip, layout.member + ".npy", layout.shape(domain), layout.memory_order)
+            basis = layout(domain, array)
             order = data["order"]
     except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError, RuntimeError):
         return None
     valid = (
-        basis is not None
-        and order.shape == (cells,) and order.dtype.kind == "i"
+        order.shape == (cells,) and order.dtype.kind == "i"
         and np.array_equal(np.sort(order), np.arange(cells))
         and w.shape == (cells,) and w.dtype.kind == "f" and bool(np.isfinite(w).all())
         and bool((np.diff(w) >= 0.0).all())  # spectral_count bisects them

@@ -1133,6 +1133,30 @@ def test_a_raw_potential_of_an_earlier_version_is_a_config_error(tmp_path, capsy
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("document, expected", [
+    (3, "grid function document must be a JSON object, got int"),
+    ({"header": 5, "values": []}, "domain header must be a JSON object, got int"),
+    ("abc", "grid function document must be a JSON object, got str"),
+    ([1, 2], "grid function document must be a JSON object, got list"),
+], ids=["number", "number-header", "string", "array"])
+def test_a_potential_that_is_json_but_not_an_object_is_a_config_error(tmp_path, capsys, document, expected):
+    # one stderr line that names the file and what it should hold
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps(document))
+    assert _spectral_constant_of(path, tmp_path / "out.json") == 2
+    assert capsys.readouterr().err == f"config error: grid function file {str(path)!r}: {expected}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_y0_file_that_is_json_but_not_an_object_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "y0.json"
+    path.write_text("[1, 2]")
+    assert main(["simulate", "--domain", WALLS_64, "--set", "halfspace:offset=0", "--operator", "hermite",
+                 "--c", "2", "--feedback", "none", "--y0", f"file:{path}"]) == 2
+    assert capsys.readouterr().err == (f"config error: grid function file {str(path)!r}: "
+                                       "grid function document must be a JSON object, got list\n")
+
+
 def test_a_closed_stdout_pipe_is_a_config_error():
     # the document goes to a pipe whose reader has already closed: one stderr
     # line and exit 2, with no traceback and no failed flush at exit

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert import cli, operators
+from stabcert.certify import certify_end_to_end
 from stabcert.domain import DomainMismatchError, GridDomain, GridFunction, content_hash, from_callable, make_grid, norm
 from stabcert.feedback import build_finite_rank_feedback
 from stabcert.geometry import BallComplement, HalfSpace, PeriodicSlabs, make_set
@@ -199,11 +200,21 @@ def _truncate(path, dec):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
+def _layout_parts(basis):
+    """The layout array of ``basis`` part by part, each an array: the two parity blocks in turn, or the whole array.
+
+    A cached parity basis reads each block from its file when it is asked for.
+    """
+    array = getattr(basis, basis.member)
+    return [array[p] for p in range(array.shape[0])] if basis.memory_order == "C" else [array]
+
+
 def _basis_arrays(dec):
     """The arrays a cache file holds for the basis of ``dec``, by name: the layout's array and ``order``."""
     name = {operators._DenseBasis: "vectors", operators._ParityBasis: "parity_blocks",
             operators._KroneckerBasis: "tensor_factor"}[type(dec.basis)]
-    return {name: getattr(dec.basis, name), "order": dec.order}
+    parts = _layout_parts(dec.basis)
+    return {name: np.stack(parts) if len(parts) > 1 else parts[0], "order": dec.order}
 
 
 def _savez(path, dec, **changes):
@@ -329,19 +340,40 @@ def test_bad_cache_file_is_recomputed(tmp_path, case, corrupt):
     spec, dom = case()
     first = diagonalize(spec, dom, cache_dir=tmp_path)
     (path,) = tmp_path.glob("decomposition-*.npz")
+    everything = np.arange(dom.cell_count)
+    loaded_block, loaded_arrays = basis_block(first, everything), _basis_arrays(first)
     corrupt(path, first)
     second = diagonalize(spec, dom, cache_dir=tmp_path)
     assert np.array_equal(second.eigenvalues, first.eigenvalues)
-    everything = np.arange(dom.cell_count)
-    assert np.array_equal(basis_block(second, everything), basis_block(first, everything))
+    # a cached parity basis reads its blocks from the file that each
+    # corruption rewrites in place: `first` still gives the bits it loaded,
+    # or says that its file changed, never other bits
+    first_block = _as_loaded(lambda: basis_block(first, everything), loaded_block)
+    assert np.array_equal(basis_block(second, everything), first_block)
     assert second.max_residual == first.max_residual
     with np.load(path) as data:
         # one writer order for every layout: the streamed layout array first
-        layout_array = next(iter(_basis_arrays(first)))
+        layout_array = next(iter(loaded_arrays))
         assert data.files == [layout_array, "eigenvalues", "max_residual", "basis_convention", "order"]
         assert np.array_equal(data["eigenvalues"], first.eigenvalues)
-        for name, array in _basis_arrays(first).items():
+        for name, loaded in loaded_arrays.items():
+            array = _as_loaded(lambda: _basis_arrays(first)[name], loaded)
             assert np.array_equal(data[name], array)
+
+
+def _as_loaded(read, loaded):
+    """``read()`` of a basis whose cache file may have been rewritten in place since it was ``loaded``.
+
+    It returns the bits loaded, or raises the error that says the file
+    changed (and ``loaded`` is returned); any other bits fail.
+    """
+    try:
+        got = read()
+    except RuntimeError as exc:
+        assert "changed after it was loaded" in str(exc)
+        return loaded
+    assert got.dtype == loaded.dtype and got.tobytes("A") == loaded.tobytes("A")
+    return got
 
 
 def test_parity_cache_roundtrip_halves_the_file(tmp_path):
@@ -350,7 +382,9 @@ def test_parity_cache_roundtrip_halves_the_file(tmp_path):
     (path,) = tmp_path.glob("decomposition-*.npz")
     second = diagonalize(spec, dom, cache_dir=tmp_path)
     assert not hasattr(second.basis, "vectors")
-    assert np.array_equal(second.basis.parity_blocks, first.basis.parity_blocks)
+    got, want = _layout_parts(second.basis), _layout_parts(first.basis)
+    assert len(got) == len(want) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(second.order, first.order)
     assert np.array_equal(second.eigenvalues, first.eigenvalues)
     # two (m/2)^2 blocks: half the 8 m^2 bytes of the full matrix, plus headers
@@ -978,17 +1012,147 @@ def _peak_of(call):
 def test_a_cached_parity_solve_streams_each_block_into_the_file(tmp_path):
     # each block is solved, pinned and scaled in one (m/2)^2 buffer and
     # written to the cache file before the next is gathered; the cold command
-    # returns the file read back.  In place inside the (2, m/2, m/2) result
-    # the uncached solve peaks at about 3.1 (m/2)^2 arrays; the cached one
-    # held the result, the solver's vectors and the writer's copy (4.0).  The
-    # parity case of the next test holds the bits of all three equal
+    # returns the file read back a block at a time into one buffer, which it
+    # keeps, so the peak is the second block's solve (2.10).  In place
+    # inside the (2, m/2, m/2) result the uncached solve peaks at about 3.1
+    # (m/2)^2 arrays; the cached one held the result, the solver's vectors
+    # and the writer's copy (4.0), then both blocks read back (2.28).  The
+    # parity case of test_cold_warm_and_uncached_solves_agree_bit_for_bit
+    # holds the bits of all three equal
     spec, dom = _cache_parity(1024)
     unit = 8 * (dom.cell_count // 2) ** 2
     _, uncached_peak = _peak_of(lambda: diagonalize(spec, dom))
     cold, cold_peak = _peak_of(lambda: diagonalize(spec, dom, cache_dir=tmp_path))
     assert isinstance(cold.basis, operators._ParityBasis)
-    assert cold_peak < 2.5 * unit
+    assert cold_peak < 2.2 * unit
     assert uncached_peak <= 3.2 * unit
+
+
+def test_a_warm_parity_basis_holds_one_block_at_a_time(tmp_path):
+    # a warm load checks the file's CRC a block at a time and keeps the file
+    # and the last block, not the (2, m/2, m/2) array; a transform takes the
+    # block in memory, then reads the other in its place, and so do the
+    # sampled columns
+    spec, dom = _cache_parity(1024)
+    unit = 8 * (dom.cell_count // 2) ** 2
+    diagonalize(spec, dom, cache_dir=tmp_path)
+    state = np.random.default_rng(4).standard_normal(dom.shape)
+
+    def warm_command():
+        dec = diagonalize(spec, dom, cache_dir=tmp_path)
+        return to_coefficients(dec, state), basis_block(dec, np.arange(0, dom.cell_count, 37))
+
+    _, peak = _peak_of(warm_command)
+    assert peak < 1.2 * unit
+
+
+def _count_reads(monkeypatch):
+    """The parity of every block read from a cache file from here on, in order."""
+    reads, read = [], operators._StoredArray._read
+
+    def counted(self, p, slab):
+        reads.append(p)
+        return read(self, p, slab)
+
+    monkeypatch.setattr(operators._StoredArray, "_read", counted)
+    return reads
+
+
+def test_a_cached_basis_reads_the_file_it_checked(tmp_path, monkeypatch):
+    # a warm basis reads its blocks through its own descriptor of the file it
+    # checked: that file replaced by another valid one, or removed, changes
+    # none of its bits
+    spec, dom = _cache_parity()
+    diagonalize(spec, dom, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("decomposition-*.npz")
+    warm = diagonalize(spec, dom, cache_dir=tmp_path)
+    state, everything = np.random.default_rng(5).standard_normal(dom.shape), np.arange(dom.cell_count)
+    coefficients, columns = to_coefficients(warm, state), basis_block(warm, everything)
+    other = tmp_path / "other.npz"
+    _savez(other, warm, parity_blocks=-_basis_arrays(warm)["parity_blocks"])  # valid, every sign flipped
+    other.replace(path)
+    assert np.array_equal(basis_block(diagonalize(spec, dom, cache_dir=tmp_path), everything), -columns)
+    reads = _count_reads(monkeypatch)
+
+    def assert_unchanged():
+        del reads[:]
+        assert to_coefficients(warm, state).tobytes() == coefficients.tobytes()
+        assert basis_block(warm, everything).tobytes() == columns.tobytes()
+        # each takes the block that the one before left in memory, then reads the other
+        assert reads in ([0, 1], [1, 0])
+
+    assert_unchanged()
+    path.unlink()
+    assert_unchanged()
+
+
+def _every_sign_flipped(path, dec):
+    # a valid file of the same decomposition, every sign of its blocks flipped
+    _savez(path, dec, parity_blocks=-_basis_arrays(dec)["parity_blocks"])
+
+
+@pytest.mark.parametrize("rewrite", [_every_sign_flipped, _flip_middle_byte, _truncate],
+                         ids=["every-sign-flipped", "flip-middle-byte", "truncate"])
+def test_a_cache_file_rewritten_in_place_under_a_warm_basis_is_an_error(tmp_path, rewrite):
+    # each block read is checked against the CRC-32 that the load took of
+    # it, so a file rewritten in place, not replaced by a rename, gives the
+    # bits loaded (a block in memory, or one the rewrite left alone) or an
+    # error that says so; the whole array is read afresh, so it raises
+    spec, dom = _cache_parity()
+    diagonalize(spec, dom, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("decomposition-*.npz")
+    warm = diagonalize(spec, dom, cache_dir=tmp_path)
+    state, everything = np.random.default_rng(6).standard_normal(dom.shape), np.arange(dom.cell_count)
+    coefficients, columns = to_coefficients(warm, state), basis_block(warm, everything)
+    rewrite(path, warm)
+    _as_loaded(lambda: to_coefficients(warm, state), coefficients)
+    _as_loaded(lambda: basis_block(warm, everything), columns)
+    with pytest.raises(RuntimeError, match=r"cache file .* changed after it was loaded; run the command again"):
+        warm.basis.parity_blocks[...]
+
+
+@pytest.mark.parametrize("write", [None, _savez], ids=["streamed", "savez"])
+def test_a_stored_parity_array_reads_the_bytes_of_its_member(tmp_path, write):
+    # the data offset comes from the member's local zip header (with its
+    # zip64 extra field, as stabcert streams it, or without, as np.savez
+    # writes it): the bytes there are the array that numpy reads back
+    spec, dom = _cache_parity()
+    first = diagonalize(spec, dom, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("decomposition-*.npz")
+    if write is not None:
+        write(path, first)
+    stored = diagonalize(spec, dom, cache_dir=tmp_path).basis.parity_blocks
+    assert isinstance(stored, operators._StoredArray)
+    with np.load(path) as data:
+        saved = data["parity_blocks"]
+    assert path.read_bytes()[stored.offset : stored.offset + saved.nbytes] == saved.tobytes()
+    assert stored[...].tobytes() == saved.tobytes()
+    assert [stored[p].tobytes() for p in range(2)] == [saved[p].tobytes() for p in range(2)]
+
+
+def test_a_cached_certify_reads_each_block_once_per_pass(tmp_path, monkeypatch):
+    # a pass holds both blocks for all its chunks, read at its start, and
+    # reads nothing again for the next chunk.  With lambda_1 near 0 neither
+    # check is decided by the spectrum alone, and neither overflows
+    dom = make_grid(1, 10.0, 1024, periodic=False)
+    spec = Schrodinger(potential=from_callable(dom, lambda x: x**2 - 1.0 + 0.5 * np.cos(2.0 * x)))
+    assert isinstance(diagonalize(spec, dom, cache_dir=tmp_path).basis, operators._ParityBasis)
+    reads, passes, weighted_passes = _count_reads(monkeypatch), [], operators._weighted_passes
+
+    def counted(*args, **kwargs):
+        # the chunks of each pass, and the blocks read from its start to its end
+        passes.append([0, len(reads)])
+        for chunk in weighted_passes(*args, **kwargs):
+            passes[-1][0] += 1
+            yield chunk
+        passes[-1][1] = reads[passes[-1][1] :]
+
+    monkeypatch.setattr(operators, "_weighted_passes", counted)
+    result = certify_end_to_end(spec, dom, make_set(dom, HalfSpace(offset=0.0)), 4, trials=200,
+                                recurrence_trials=100, cache_dir=tmp_path)
+    assert result.status == "certified"
+    assert max(chunks for chunks, _ in passes) > 1
+    assert [read for _, read in passes] == [[0, 1]] * len(passes)
 
 
 @pytest.mark.parametrize("case", [_cache_hermite, _schrodinger_2d, lambda: _cache_parity(1024), _cache_tensor],
@@ -1000,8 +1164,9 @@ def test_cold_warm_and_uncached_solves_agree_bit_for_bit(tmp_path, case):
     uncached = diagonalize(spec, dom)
     name = uncached.basis.member
     for dec in (diagonalize(spec, dom, cache_dir=tmp_path), diagonalize(spec, dom, cache_dir=tmp_path)):
+        parts, uncached_parts = _layout_parts(dec.basis), _layout_parts(uncached.basis)
         for got, want in [(dec.eigenvalues, uncached.eigenvalues), (dec.order, uncached.order),
-                          (getattr(dec.basis, name), getattr(uncached.basis, name))]:
+                          *zip(parts, uncached_parts)]:
             assert got.dtype == want.dtype and got.tobytes("A") == want.tobytes("A")
             assert got.flags.f_contiguous == want.flags.f_contiguous
         assert dec.max_residual == uncached.max_residual
